@@ -220,16 +220,24 @@ mod imp {
                             // repeats of the hot set (warm caches).
                             let mut lat_first: Vec<u64> = Vec::new();
                             let mut lat_repeat: Vec<u64> = Vec::new();
-                            let mut outstanding: Vec<(String, usize, bool)> = Vec::new();
+                            // With several workers, pipelined replies can
+                            // arrive out of order: each request carries an
+                            // id, and its reply is matched back by that id.
+                            let mut outstanding: BTreeMap<String, (String, usize, bool)> =
+                                BTreeMap::new();
                             let drain =
                                 |client: &mut Client,
-                                 outstanding: &mut Vec<(String, usize, bool)>,
+                                 outstanding: &mut BTreeMap<String, (String, usize, bool)>,
                                  kept: &mut BTreeMap<(String, usize), String>,
                                  errors: &mut usize,
                                  lat_first: &mut Vec<u64>,
                                  lat_repeat: &mut Vec<u64>| {
-                                    let (circuit, lib_index, repeat) = outstanding.remove(0);
                                     let reply = client.recv().expect("reply");
+                                    let (circuit, lib_index, repeat) = reply
+                                        .get("id")
+                                        .and_then(|v| v.as_str())
+                                        .and_then(|id| outstanding.remove(id))
+                                        .expect("reply carries the id of an outstanding request");
                                     if let Some(phases) = reply.get("phases") {
                                         let sec = |k: &str| {
                                             phases.get(k).and_then(|v| v.as_num()).unwrap_or(0.0)
@@ -257,7 +265,7 @@ mod imp {
                                             .to_owned()
                                     });
                                 };
-                            for req in &my {
+                            for (seq, req) in my.iter().enumerate() {
                                 if outstanding.len() >= PIPELINE_WINDOW {
                                     drain(
                                         &mut client,
@@ -268,15 +276,18 @@ mod imp {
                                         &mut lat_repeat,
                                     );
                                 }
+                                let id = format!("c{c}-{seq}");
                                 let payload = map_request(
                                     &req.blif,
                                     &MapCall {
+                                        id: Some(&id),
                                         lib: Some(&lib_names[req.lib_index]),
                                         ..MapCall::default()
                                     },
                                 );
                                 client.send(&payload).expect("send");
-                                outstanding.push((req.circuit.clone(), req.lib_index, req.repeat));
+                                outstanding
+                                    .insert(id, (req.circuit.clone(), req.lib_index, req.repeat));
                             }
                             while !outstanding.is_empty() {
                                 drain(

@@ -279,13 +279,21 @@ impl MappedNetlist {
                 Signal::Const(v) => net.add_node(NodeFn::Const(v), Vec::new())?,
             })
         };
+        // Pin signals are resolved in pin order before the expression is
+        // lowered, so constants land ahead of the cell's gates.
+        let mut pin_ids: Vec<NodeId> = Vec::new();
         for cell in &self.cells {
             let kind = &self.gate_kinds[cell.kind as usize];
-            let mut binding = HashMap::new();
-            for (pin, name) in kind.pin_names.iter().enumerate() {
-                let sig = resolve(cell.fanins[pin], &mut net, &cell_ids)?;
-                binding.insert(name.clone(), sig);
+            pin_ids.clear();
+            for &sig in &cell.fanins[..kind.pin_names.len()] {
+                pin_ids.push(resolve(sig, &mut net, &cell_ids)?);
             }
+            let binding = |v: &str| {
+                kind.pin_names
+                    .iter()
+                    .position(|p| p == v)
+                    .map(|i| pin_ids[i])
+            };
             let out = kind
                 .expr
                 .lower_into(&mut net, &binding, TreeShape::Balanced);

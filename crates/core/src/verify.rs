@@ -223,6 +223,38 @@ mod tests {
     }
 
     #[test]
+    fn swapping_a_cell_gate_is_not_equivalent() {
+        use crate::mapped::{gate_kind_of, Signal};
+        let net = dagmap_benchgen::c3540_like();
+        let subject = SubjectGraph::from_network(&net).unwrap();
+        let lib = Library::lib2_like();
+        let mut mapped = Mapper::new(&lib).map(&subject, MapOptions::dag()).unwrap();
+        assert!(report(&mapped, &subject, 3).unwrap().is_empty());
+        // Re-point the cell driving the first output at another gate of the
+        // same arity that computes a different function.
+        let Signal::Cell(c) = mapped.outputs[0].1 else {
+            panic!("the first output is driven by a cell")
+        };
+        let kind = &mapped.gate_kinds[mapped.cells[c as usize].kind as usize];
+        let function = kind.expr.truth_table(&kind.pin_names).unwrap();
+        let other = lib
+            .gate_ids()
+            .find(|&id| {
+                let swap = gate_kind_of(id, lib.gate(id));
+                swap.pin_names.len() == kind.pin_names.len()
+                    && swap.expr.truth_table(&swap.pin_names).unwrap() != function
+            })
+            .expect("lib2 has another gate of the same arity");
+        mapped.gate_kinds.push(gate_kind_of(other, lib.gate(other)));
+        mapped.cells[c as usize].kind = (mapped.gate_kinds.len() - 1) as u32;
+        let violations = report(&mapped, &subject, 3).unwrap();
+        assert!(
+            violations.contains(&Violation::NotEquivalent { seed: 3 }),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
     fn sequential_mapping_checks_out() {
         let mut net = Network::new("seq");
         let a = net.add_input("a");

@@ -362,9 +362,8 @@ pub fn parse_verilog(
                     binding.insert(pin.clone(), id);
                 }
             }
-            let out = gate
-                .expr()
-                .lower_into(&mut net, &binding, TreeShape::Balanced);
+            let pin = |v: &str| binding.get(v).copied();
+            let out = gate.expr().lower_into(&mut net, &pin, TreeShape::Balanced);
             if let Some(name) = out_sig {
                 signal.insert(name, out);
             }

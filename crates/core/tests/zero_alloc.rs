@@ -1,6 +1,10 @@
 //! The zero-allocation contract of the flat labeling kernel: once the
 //! per-mapping arenas are sized (scratch, selection pools, incumbent
-//! buffers), steady-state waves perform no heap allocation at all.
+//! buffers), steady-state waves perform no heap allocation at all. The
+//! equivalence checker that verifies every mapping is held to the same
+//! standard: it allocates its compiled programs and value buffers once, so
+//! its allocation count depends on neither the round count nor the network
+//! size.
 //!
 //! Verified with a counting global allocator registered through
 //! `dagmap_core::allocmeter`; the labeler meters each wave by reading the
@@ -15,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use dagmap_core::{label_with_config, label_with_shared_store, Objective};
 use dagmap_genlib::Library;
 use dagmap_match::{MatchConfig, MatchMode, MemoPolicy, SharedMatchStore};
-use dagmap_netlist::SubjectGraph;
+use dagmap_netlist::{sim, SubjectGraph};
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
@@ -138,6 +142,29 @@ fn steady_state_waves_allocate_nothing() {
             "{name}: warm strashed waves allocated {:?}",
             warm.wave_allocs
         );
+    }
+
+    // The equivalence checker: one compile per network and one value buffer
+    // per network serve every block of rounds.
+    for width in [8, 16, 32] {
+        let net = dagmap_benchgen::array_multiplier(width);
+        let subject = SubjectGraph::from_network(&net).expect("decomposes");
+        let allocs_at = |rounds: usize| {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let equal = sim::equivalent_random(&net, subject.network(), rounds, 1);
+            let after = ALLOCS.load(Ordering::Relaxed);
+            assert!(
+                equal.expect("comparable"),
+                "mult{width} decomposes faithfully"
+            );
+            after - before
+        };
+        let (at8, at64) = (allocs_at(8), allocs_at(64));
+        assert_eq!(
+            at8, at64,
+            "mult{width}: allocations must not grow with the round count"
+        );
+        assert!(at8 <= 64, "mult{width}: {at8} allocations per check");
     }
 
     dagmap_core::allocmeter::uninstall();

@@ -1,4 +1,3 @@
-use std::collections::HashMap;
 use std::fmt;
 
 use dagmap_netlist::{Network, NodeFn, NodeId};
@@ -186,45 +185,44 @@ impl Expr {
     }
 
     /// Lowers the expression into `net` as binary `And`/`Or`/`Not` nodes over
-    /// the signals in `pins`, shaping n-ary operators per `shape`.
+    /// the signals `pin` resolves variable names to, shaping n-ary operators
+    /// per `shape`.
     ///
     /// The same lowering convention is used for subject graphs, so gate
     /// patterns and subject structures decompose identically.
     ///
     /// # Panics
     ///
-    /// Panics if the expression references a variable missing from `pins`.
+    /// Panics if `pin` resolves a variable of the expression to `None`.
     pub fn lower_into(
         &self,
         net: &mut Network,
-        pins: &HashMap<String, NodeId>,
+        pin: &impl Fn(&str) -> Option<NodeId>,
         shape: TreeShape,
     ) -> NodeId {
         match self {
             Expr::Const(v) => net
                 .add_node(NodeFn::Const(*v), Vec::new())
                 .expect("constants are nullary"),
-            Expr::Var(v) => *pins
-                .get(v)
-                .unwrap_or_else(|| panic!("pin `{v}` missing from binding")),
+            Expr::Var(v) => pin(v).unwrap_or_else(|| panic!("pin `{v}` missing from binding")),
             Expr::Not(e) => {
-                let x = e.lower_into(net, pins, shape);
+                let x = e.lower_into(net, pin, shape);
                 net.add_node(NodeFn::Not, vec![x]).expect("arity 1")
             }
-            Expr::And(es) => lower_nary(net, pins, shape, es, NodeFn::And),
-            Expr::Or(es) => lower_nary(net, pins, shape, es, NodeFn::Or),
+            Expr::And(es) => lower_nary(net, pin, shape, es, NodeFn::And),
+            Expr::Or(es) => lower_nary(net, pin, shape, es, NodeFn::Or),
         }
     }
 }
 
 fn lower_nary(
     net: &mut Network,
-    pins: &HashMap<String, NodeId>,
+    pin: &impl Fn(&str) -> Option<NodeId>,
     shape: TreeShape,
     es: &[Expr],
     op: NodeFn,
 ) -> NodeId {
-    let mut terms: Vec<NodeId> = es.iter().map(|e| e.lower_into(net, pins, shape)).collect();
+    let mut terms: Vec<NodeId> = es.iter().map(|e| e.lower_into(net, pin, shape)).collect();
     match shape {
         TreeShape::Balanced => {
             while terms.len() > 1 {
@@ -439,6 +437,7 @@ impl TruthTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn parses_precedence() {
@@ -523,7 +522,7 @@ mod tests {
                 let id = net.add_input(&v);
                 pins.insert(v, id);
             }
-            let out = e.lower_into(&mut net, &pins, shape);
+            let out = e.lower_into(&mut net, &|v| pins.get(v).copied(), shape);
             net.add_output("o", out);
             let sim = Simulator::new(&net).unwrap();
             let words: Vec<u64> = (0..4)
@@ -555,7 +554,7 @@ mod tests {
                 let id = net.add_input(&v);
                 pins.insert(v, id);
             }
-            let out = e.lower_into(&mut net, &pins, shape);
+            let out = e.lower_into(&mut net, &|v| pins.get(v).copied(), shape);
             net.add_output("o", out);
             dagmap_netlist::sta::unit_depth(&net).unwrap()
         };

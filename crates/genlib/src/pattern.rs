@@ -1,6 +1,4 @@
-use std::collections::HashMap;
-
-use dagmap_netlist::{Network, NodeFn, SubjectGraph};
+use dagmap_netlist::{Network, NodeFn, NodeId, SubjectGraph};
 
 use crate::{Expr, GenlibError, TreeShape};
 
@@ -73,11 +71,8 @@ impl PatternGraph {
         shape: TreeShape,
     ) -> Result<Option<PatternGraph>, GenlibError> {
         let mut net = Network::new("pattern");
-        let mut binding = HashMap::new();
-        for pin in pins {
-            let id = net.add_input(pin);
-            binding.insert(pin.clone(), id);
-        }
+        let ids: Vec<NodeId> = pins.iter().map(|pin| net.add_input(pin)).collect();
+        let binding = |v: &str| pins.iter().position(|p| p == v).map(|i| ids[i]);
         let out = expr.lower_into(&mut net, &binding, shape);
         net.add_output("o", out);
         let subject = SubjectGraph::from_network(&net)
@@ -137,7 +132,7 @@ impl PatternGraph {
 
     fn convert(
         snet: &Network,
-        id: dagmap_netlist::NodeId,
+        id: NodeId,
         pins: &[String],
         index: &[Option<usize>],
     ) -> Result<PatternNode, GenlibError> {

@@ -273,7 +273,8 @@ impl Network {
             }
             indeg[i] = node.fanins.len();
         }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut queue: Vec<usize> = Vec::with_capacity(n);
+        queue.extend((0..n).filter(|&i| indeg[i] == 0));
         let mut order = Vec::with_capacity(n);
         let mut head = 0;
         while head < queue.len() {

@@ -709,7 +709,13 @@ fn request_log_writes_one_jsonl_event_per_request() {
         assert_eq!(reply.get("error"), None, "{reply:?}");
     }
     // A failing request logs too, with its outcome.
-    let reply = client.call(&map_request("not blif", &MapCall::default()));
+    let reply = client.call(&map_request(
+        "not blif",
+        &MapCall {
+            id: Some("L2"),
+            ..MapCall::default()
+        },
+    ));
     assert!(reply.unwrap().get("error").is_some());
     client.shutdown().unwrap();
     server.wait().unwrap();
@@ -717,10 +723,13 @@ fn request_log_writes_one_jsonl_event_per_request() {
     let text = std::fs::read_to_string(&log_path).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 3, "one event per request:\n{text}");
-    let events: Vec<_> = lines
+    // A worker logs after it replies, so with two workers the next
+    // request's line can land first: order the events by id.
+    let mut events: Vec<_> = lines
         .iter()
         .map(|l| dagmap_obs::json::parse(l).expect("every line is valid JSON"))
         .collect();
+    events.sort_by_key(|e| e.get("id").and_then(|v| v.as_str()).map(str::to_owned));
     assert_eq!(events[0].get("op").unwrap().as_str(), Some("map"));
     assert_eq!(events[0].get("outcome").unwrap().as_str(), Some("ok"));
     assert_eq!(events[0].get("kind").unwrap().as_str(), Some("first"));
@@ -776,13 +785,18 @@ fn tail_sampling_keeps_bounded_valid_traces() {
         assert_eq!(reply.get("blif").unwrap().as_str().unwrap(), oneshot);
         assert_eq!(reply.get("trace"), None);
     }
-    let exposition = client.metrics().unwrap();
-    let samples = dagmap_serve::dash::parse_exposition(&exposition).unwrap();
-    assert_eq!(
-        dagmap_serve::dash::find(&samples, "dagmap_tail_traces_kept_total", &[]),
-        Some(6.0),
-        "quantile 0 keeps every trace"
-    );
+    // A worker stores the trace after it replies: wait for the last one.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let kept = loop {
+        let exposition = client.metrics().unwrap();
+        let samples = dagmap_serve::dash::parse_exposition(&exposition).unwrap();
+        let kept = dagmap_serve::dash::find(&samples, "dagmap_tail_traces_kept_total", &[]);
+        if kept == Some(6.0) || std::time::Instant::now() > deadline {
+            break kept;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    assert_eq!(kept, Some(6.0), "quantile 0 keeps every trace");
     client.shutdown().unwrap();
     server.wait().unwrap();
 

@@ -10,6 +10,12 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline --workspace
 
+# The end-to-end benchmark's own tests: a smoke run of all four workloads
+# (traced and untraced) and the check that its output checker, which calls
+# `sim::equivalent_random`, rejects a wrong mapping. The benchmark is its
+# own package, outside the workspace above.
+cargo test -q --offline --manifest-path e2e/Cargo.toml
+
 # Smoke-run the labeling micro-bench: asserts parallel == serial labels
 # (the flat CSR kernel against itself across thread resolutions), asserts
 # the steady-state zero-allocation contract via the binary's counting
