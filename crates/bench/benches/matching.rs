@@ -43,13 +43,17 @@ fn main() {
             .delay()
     }));
     rows.push(bench("matching_styles/boolean_k4", || {
-        dagmap_boolmatch::map_boolean(black_box(&subject), &library, 4)
+        let options = dagmap_core::MapOptions::dag();
+        dagmap_boolmatch::map_boolean_with_options(black_box(&subject), &library, 4, options)
             .expect("maps")
+            .0
             .delay()
     }));
     rows.push(bench("matching_styles/hybrid_k4", || {
-        dagmap_boolmatch::map_hybrid(black_box(&subject), &library, 4)
+        let options = dagmap_core::MapOptions::dag();
+        dagmap_boolmatch::map_hybrid_with_options(black_box(&subject), &library, 4, options)
             .expect("maps")
+            .0
             .delay()
     }));
     report("matching", &rows);

@@ -193,8 +193,12 @@ fn ablate_boolean_matching() {
         let structural = Mapper::new(&library)
             .map(&subject, MapOptions::dag())
             .expect("maps");
-        let boolean = dagmap_boolmatch::map_boolean(&subject, &library, 4).expect("maps");
-        let hybrid = dagmap_boolmatch::map_hybrid(&subject, &library, 4).expect("maps");
+        let (boolean, _, _) =
+            dagmap_boolmatch::map_boolean_with_options(&subject, &library, 4, MapOptions::dag())
+                .expect("maps");
+        let (hybrid, _, _) =
+            dagmap_boolmatch::map_hybrid_with_options(&subject, &library, 4, MapOptions::dag())
+                .expect("maps");
         assert!(hybrid.delay() <= structural.delay() + 1e-9);
         assert!(hybrid.delay() <= boolean.delay() + 1e-9);
         println!(

@@ -1,6 +1,6 @@
 //! Serial vs parallel wavefront labeling micro-benchmark.
 //!
-//! Times `dagmap_core::label_with` with one worker and with `--threads N`
+//! Times `dagmap_core::label_with_config` with one worker and with `--threads N`
 //! workers over the benchgen circuits, checks the results are bit-identical,
 //! and writes the numbers to `BENCH_label.json` (hand-rolled JSON — the
 //! workspace is dependency-free).
@@ -22,8 +22,9 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use dagmap_core::{label_with, MatchMode, Objective};
+use dagmap_core::{label_with_config, MatchMode, Objective};
 use dagmap_genlib::Library;
+use dagmap_match::MatchConfig;
 use dagmap_netlist::SubjectGraph;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
@@ -72,12 +73,13 @@ fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
 fn time_label(subject: &SubjectGraph, lib: &Library, threads: usize, reps: usize) -> f64 {
     best_of(reps, || {
         let t = Instant::now();
-        let labels = label_with(
+        let labels = label_with_config(
             subject,
             lib,
             MatchMode::Standard,
             Objective::Delay,
             Some(threads),
+            MatchConfig::default(),
         )
         .expect("labels");
         std::hint::black_box(labels.matches_enumerated);
@@ -138,20 +140,22 @@ fn main() {
         let subject = SubjectGraph::from_network(&net).expect("benchgen circuits decompose");
         let levels = subject.levels();
         let (num_levels, max_width) = (levels.num_levels(), levels.max_width());
-        let serial = label_with(
+        let serial = label_with_config(
             &subject,
             &lib,
             MatchMode::Standard,
             Objective::Delay,
             Some(1),
+            MatchConfig::default(),
         )
         .expect("labels");
-        let parallel = label_with(
+        let parallel = label_with_config(
             &subject,
             &lib,
             MatchMode::Standard,
             Objective::Delay,
             Some(threads),
+            MatchConfig::default(),
         )
         .expect("labels");
         let identical = serial.arrival == parallel.arrival

@@ -22,7 +22,7 @@
 //! 4. feed the resulting matches through [`dagmap_core::MatchSource`]
 //!    into the very same FlowMap-style delay DP, parallel wavefront,
 //!    area recovery and cover construction as the structural mapper
-//!    ([`map_boolean`] / [`map_hybrid`] /
+//!    ([`map_boolean_with_options`] / [`map_hybrid_with_options`] /
 //!    `dagmap_core::Mapper::map_with_source`).
 //!
 //! Gates wider than [`MAX_INPUTS`] inputs do not participate (canonical
@@ -32,7 +32,8 @@
 //! # Example
 //!
 //! ```
-//! use dagmap_boolmatch::map_boolean;
+//! use dagmap_boolmatch::map_boolean_with_options;
+//! use dagmap_core::MapOptions;
 //! use dagmap_genlib::Library;
 //! use dagmap_netlist::{Network, NodeFn, SubjectGraph};
 //!
@@ -47,7 +48,7 @@
 //! let subject = SubjectGraph::from_network(&net)?;
 //!
 //! let library = Library::lib2_like();
-//! let mapped = map_boolean(&subject, &library, 4)?;
+//! let (mapped, _, _) = map_boolean_with_options(&subject, &library, 4, MapOptions::dag())?;
 //! assert!(mapped.delay() > 0.0);
 //! # Ok(())
 //! # }
@@ -61,8 +62,7 @@ mod tt;
 
 pub use index::LibraryIndex;
 pub use mapper::{
-    check_coverable, map_boolean, map_boolean_with_options, map_boolean_with_report, map_hybrid,
-    map_hybrid_with_options, BoolMapReport,
+    check_coverable, map_boolean_with_options, map_hybrid_with_options, BoolMapReport,
 };
 pub use source::{BoolKit, BoolSource, HybridKit, HybridSource};
 pub use tt::{NpnTransform, TruthTable, MAX_INPUTS};

@@ -59,36 +59,8 @@ fn report_of(source: &BoolSource<'_>) -> BoolMapReport {
 
 /// Maps `subject` by Boolean matching over `k`-input priority cuts, with
 /// the same delay-optimal dynamic program and cover construction as the
-/// structural mapper. See the [crate docs](crate).
-///
-/// # Errors
-///
-/// Fails when the indexed library cannot cover some node (an inverter-
-/// and a NAND2-class gate guarantee coverage) or on substrate errors.
-pub fn map_boolean(
-    subject: &SubjectGraph,
-    library: &Library,
-    k: usize,
-) -> Result<MappedNetlist, MapError> {
-    map_boolean_with_report(subject, library, k).map(|(m, _)| m)
-}
-
-/// Like [`map_boolean`], also returning the Boolean-matching statistics.
-///
-/// # Errors
-///
-/// As for [`map_boolean`].
-pub fn map_boolean_with_report(
-    subject: &SubjectGraph,
-    library: &Library,
-    k: usize,
-) -> Result<(MappedNetlist, BoolMapReport), MapError> {
-    let (mapped, _, report) = map_boolean_with_options(subject, library, k, MapOptions::dag())?;
-    Ok((mapped, report))
-}
-
-/// The fully-configurable Boolean mapper: `options` controls threads,
-/// objective, area recovery and delay target exactly as for
+/// structural mapper. See the [crate docs](crate). `options` controls
+/// threads, objective, area recovery and delay target exactly as for
 /// [`Mapper::map`]; the structural acceleration switches are ignored
 /// (Boolean matching has its own engine). Returns the mapped netlist, the
 /// shared [`MapReport`] (algorithm `"boolean"`) and the Boolean-matching
@@ -96,7 +68,8 @@ pub fn map_boolean_with_report(
 ///
 /// # Errors
 ///
-/// As for [`map_boolean`].
+/// Fails when the indexed library cannot cover some node (an inverter-
+/// and a NAND2-class gate guarantee coverage) or on substrate errors.
 pub fn map_boolean_with_options(
     subject: &SubjectGraph,
     library: &Library,
@@ -113,26 +86,14 @@ pub fn map_boolean_with_options(
 
 /// Maps `subject` with the *union* of structural (standard) and Boolean
 /// matches — since the delay DP minimizes over the candidate set, the
-/// hybrid provably dominates both individual matchers on delay.
+/// hybrid provably dominates both individual matchers on delay. Options
+/// as for [`map_boolean_with_options`]. The [`MapReport`] carries
+/// algorithm `"hybrid"`; the [`BoolMapReport`] counts only the Boolean
+/// half's work.
 ///
 /// # Errors
 ///
-/// As for [`map_boolean`].
-pub fn map_hybrid(
-    subject: &SubjectGraph,
-    library: &Library,
-    k: usize,
-) -> Result<MappedNetlist, MapError> {
-    map_hybrid_with_options(subject, library, k, MapOptions::dag()).map(|(m, _, _)| m)
-}
-
-/// The fully-configurable hybrid mapper; see [`map_boolean_with_options`].
-/// The [`MapReport`] carries algorithm `"hybrid"`; the [`BoolMapReport`]
-/// counts only the Boolean half's work.
-///
-/// # Errors
-///
-/// As for [`map_boolean`].
+/// As for [`map_boolean_with_options`].
 pub fn map_hybrid_with_options(
     subject: &SubjectGraph,
     library: &Library,
@@ -149,7 +110,7 @@ pub fn map_hybrid_with_options(
 /// guarantee Boolean coverage of any subject graph (inverter and NAND2 —
 /// the fanin cut of every subject node then always matches). Libraries
 /// failing this may still map when NPN polarity fixups happen to cover
-/// every node, so [`map_boolean`] does not gate on it.
+/// every node, so [`map_boolean_with_options`] does not gate on it.
 ///
 /// # Errors
 ///
@@ -169,8 +130,17 @@ pub fn check_coverable(library: &Library, k: usize) -> Result<(), MapError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dagmap_core::{verify, MapOptions};
+    use dagmap_core::verify;
     use dagmap_netlist::{Network, NodeFn};
+
+    /// Boolean DAG mapping at cut width `k`: the netlist and the counters.
+    fn boolean_dag(
+        subject: &SubjectGraph,
+        library: &Library,
+        k: usize,
+    ) -> Result<(MappedNetlist, BoolMapReport), MapError> {
+        map_boolean_with_options(subject, library, k, MapOptions::dag()).map(|(m, _, r)| (m, r))
+    }
 
     #[test]
     fn maps_and_verifies_benchmarks() {
@@ -182,8 +152,8 @@ mod tests {
         ] {
             let subject = SubjectGraph::from_network(&net).expect("decomposes");
             for library in [Library::lib2_like(), Library::lib_44_1_like()] {
-                let mapped =
-                    map_boolean(&subject, &library, 4).unwrap_or_else(|e| panic!("{name}: {e}"));
+                let (mapped, _) =
+                    boolean_dag(&subject, &library, 4).unwrap_or_else(|e| panic!("{name}: {e}"));
                 verify::check(&mapped, &subject, 0xB001)
                     .unwrap_or_else(|e| panic!("{name}/{}: {e}", library.name()));
             }
@@ -218,7 +188,7 @@ mod tests {
         let structural = Mapper::new(&library)
             .map(&subject, MapOptions::dag())
             .unwrap();
-        let boolean = map_boolean(&subject, &library, 4).unwrap();
+        let (boolean, _) = boolean_dag(&subject, &library, 4).unwrap();
         verify::check(&boolean, &subject, 7).unwrap();
         assert!(
             boolean.delay() <= structural.delay() + 1e-9,
@@ -241,8 +211,9 @@ mod tests {
             let structural = Mapper::new(&library)
                 .map(&subject, MapOptions::dag())
                 .expect("maps");
-            let boolean = map_boolean(&subject, &library, 4).expect("maps");
-            let hybrid = map_hybrid(&subject, &library, 4).expect("maps");
+            let (boolean, _) = boolean_dag(&subject, &library, 4).expect("maps");
+            let (hybrid, _, _) =
+                map_hybrid_with_options(&subject, &library, 4, MapOptions::dag()).expect("maps");
             verify::check(&hybrid, &subject, 0x487).expect("hybrid verifies");
             assert!(
                 hybrid.delay() <= structural.delay() + 1e-9
@@ -271,7 +242,7 @@ mod tests {
         let net = dagmap_benchgen::ripple_adder(4);
         let subject = SubjectGraph::from_network(&net).unwrap();
         let library = Library::lib2_like();
-        let (_, report) = map_boolean_with_report(&subject, &library, 4).unwrap();
+        let (_, report) = boolean_dag(&subject, &library, 4).unwrap();
         assert!(report.cuts_enumerated > 0);
         assert!(report.cuts_examined > 0);
         assert!(report.matches_found > 0);
@@ -293,7 +264,7 @@ mod tests {
         net.add_output("f", f);
         let subject = SubjectGraph::from_network(&net).unwrap();
         let library = Library::lib2_like();
-        let mapped = map_boolean(&subject, &library, 4).unwrap();
+        let (mapped, _) = boolean_dag(&subject, &library, 4).unwrap();
         verify::check(&mapped, &subject, 3).unwrap();
         assert_eq!(mapped.num_cells(), 1);
         assert_eq!(mapped.kind_of(0).name, "xor2");
@@ -313,8 +284,7 @@ mod tests {
         assert!(library.max_gate_inputs() >= 7);
         let net = dagmap_benchgen::ripple_adder(4);
         let subject = SubjectGraph::from_network(&net).unwrap();
-        let (mapped, report) =
-            map_boolean_with_report(&subject, &library, library.max_gate_inputs()).unwrap();
+        let (mapped, report) = boolean_dag(&subject, &library, library.max_gate_inputs()).unwrap();
         verify::check(&mapped, &subject, 0x7173).unwrap();
         assert_eq!(report.k, crate::MAX_INPUTS);
     }
@@ -348,7 +318,7 @@ mod tests {
         net.add_output("nc", ic); // keeps the inverter on c alive
         let subject = SubjectGraph::from_network(&net).unwrap();
 
-        let (mapped, report) = map_boolean_with_report(&subject, &library, 4).unwrap();
+        let (mapped, report) = boolean_dag(&subject, &library, 4).unwrap();
         verify::check(&mapped, &subject, 0x11).unwrap();
         assert!(report.npn_matches > 0, "no NPN match fired: {report:?}");
         assert!(
@@ -375,7 +345,7 @@ mod tests {
         let net = dagmap_benchgen::alu(4);
         let subject = SubjectGraph::from_network(&net).unwrap();
         let library = Library::lib_44_1_like();
-        let (mapped, report) = map_boolean_with_report(&subject, &library, 4).unwrap();
+        let (mapped, report) = boolean_dag(&subject, &library, 4).unwrap();
         verify::check(&mapped, &subject, 0x44).unwrap();
         assert!(
             report.npn_classes_matched > report.p_classes_matched,
@@ -436,7 +406,7 @@ mod tests {
         let net = dagmap_benchgen::alu(4);
         let subject = SubjectGraph::from_network(&net).unwrap();
         let library = Library::lib2_like();
-        let plain = map_boolean(&subject, &library, 4).unwrap();
+        let (plain, _) = boolean_dag(&subject, &library, 4).unwrap();
         let (recovered, report, _) = map_boolean_with_options(
             &subject,
             &library,

@@ -37,9 +37,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use dagmap_core::{MatchSource, SourceMatch};
+use dagmap_core::{MatchSource, SourceMatch, StructuralKit, StructuralSource};
 use dagmap_genlib::{GateId, Library};
-use dagmap_match::{MatchConfig, MatchMode, MatchScratch, MatchStats, MatchStore, Matcher};
+use dagmap_match::{MatchConfig, MatchMode, MatchStats};
 use dagmap_netlist::{sim, NodeId, SubjectGraph, KIND_INV, KIND_SOURCE};
 
 use crate::cuts::{self, CutSet};
@@ -408,7 +408,7 @@ impl MatchSource for BoolSource<'_> {
 /// the DP's strict-improvement rule breaks ties toward the structural
 /// match, so hybrid delay ≤ min(structural, boolean) delay per node.
 pub struct HybridSource<'a> {
-    matcher: Matcher<'a>,
+    structural: StructuralSource<'a>,
     boolean: BoolSource<'a>,
 }
 
@@ -416,7 +416,12 @@ impl<'a> HybridSource<'a> {
     /// Builds both engines over the same subject and library.
     pub fn new(subject: &SubjectGraph, library: &'a Library, k: usize) -> HybridSource<'a> {
         HybridSource {
-            matcher: Matcher::with_config(library, MatchConfig::default()),
+            structural: StructuralSource::new(
+                library,
+                MatchMode::Standard,
+                MatchConfig::default(),
+                None,
+            ),
             boolean: BoolSource::new(subject, library, k),
         }
     }
@@ -429,8 +434,7 @@ impl<'a> HybridSource<'a> {
 
 /// Per-worker scratch for [`HybridSource`].
 pub struct HybridKit {
-    scratch: MatchScratch,
-    store: MatchStore,
+    structural: StructuralKit,
     boolean: BoolKit,
 }
 
@@ -446,12 +450,9 @@ impl MatchSource for HybridSource<'_> {
     }
 
     fn make_kit(&self, subject: &SubjectGraph) -> HybridKit {
-        let mut scratch = MatchScratch::new();
-        scratch.prepare(self.boolean.library, subject.flat().num_nodes());
         HybridKit {
-            scratch,
-            store: MatchStore::for_library(self.boolean.library),
-            boolean: BoolKit::for_subject(subject),
+            structural: self.structural.make_kit(subject),
+            boolean: self.boolean.make_kit(subject),
         }
     }
 
@@ -462,21 +463,9 @@ impl MatchSource for HybridSource<'_> {
         kit: &mut HybridKit,
         f: &mut dyn FnMut(SourceMatch<'_>),
     ) -> MatchStats {
-        let mut stats = self.matcher.for_each_match_via(
-            subject,
-            node,
-            MatchMode::Standard,
-            &mut kit.scratch,
-            &mut kit.store,
-            &mut |mv| {
-                f(SourceMatch {
-                    gate: mv.gate,
-                    pattern: Some(mv.pattern),
-                    leaves: mv.leaves,
-                    covered: mv.covered,
-                })
-            },
-        );
+        let mut stats = self
+            .structural
+            .for_each_match(subject, node, &mut kit.structural, f);
         stats.absorb(self.boolean.for_each_match(subject, node, &mut kit.boolean, f));
         stats
     }

@@ -125,9 +125,9 @@ pub(crate) fn recover<S: MatchSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::label;
+    use crate::label::label_with_config;
     use dagmap_genlib::Library;
-    use dagmap_match::MatchMode;
+    use dagmap_match::{MatchConfig, MatchMode};
     use dagmap_netlist::Network;
 
     /// A node with slack: two parallel cones of different depth meeting at
@@ -148,17 +148,26 @@ mod tests {
         SubjectGraph::from_network(&net).unwrap()
     }
 
+    fn delay_labels(subject: &SubjectGraph, lib: &Library) -> crate::label::Labels {
+        let (mode, objective) = (MatchMode::Standard, crate::Objective::Delay);
+        label_with_config(
+            subject,
+            lib,
+            mode,
+            objective,
+            Some(1),
+            MatchConfig::default(),
+        )
+        .unwrap()
+    }
+
     fn recover_fresh(
         subject: &SubjectGraph,
         lib: &Library,
         labels: &crate::label::Labels,
     ) -> Vec<Option<Match>> {
-        let source = crate::source::StructuralSource::new(
-            lib,
-            dagmap_match::MatchMode::Standard,
-            dagmap_match::MatchConfig::default(),
-            None,
-        );
+        let config = MatchConfig::default();
+        let source = crate::source::StructuralSource::new(lib, MatchMode::Standard, config, None);
         let mut kit = source.make_kit(subject);
         recover(subject, &source, labels, 0.0, &mut kit).unwrap()
     }
@@ -167,7 +176,7 @@ mod tests {
     fn recovery_never_worsens_delay() {
         let subject = skewed();
         let lib = Library::lib2_like();
-        let labels = label(&subject, &lib, MatchMode::Standard, crate::Objective::Delay).unwrap();
+        let labels = delay_labels(&subject, &lib);
         let selected = recover_fresh(&subject, &lib, &labels);
         let plain = crate::cover::construct(&subject, &lib, &labels.best).unwrap();
         let recovered = crate::cover::construct(&subject, &lib, &selected).unwrap();
@@ -179,7 +188,7 @@ mod tests {
     fn unneeded_nodes_get_no_selection() {
         let subject = skewed();
         let lib = Library::lib2_like();
-        let labels = label(&subject, &lib, MatchMode::Standard, crate::Objective::Delay).unwrap();
+        let labels = delay_labels(&subject, &lib);
         let selected = recover_fresh(&subject, &lib, &labels);
         // Nodes absorbed into larger matches are not selected.
         let picked = selected.iter().filter(|s| s.is_some()).count();

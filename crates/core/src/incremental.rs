@@ -120,6 +120,18 @@ pub fn relabel_incremental(
     retained: &RetainedLabels,
     shared: Option<&SharedMatchStore>,
 ) -> Result<(Labels, IncrementalStats), MapError> {
+    let source = StructuralSource::new(library, mode, config, shared);
+    relabel_with_source(subject, &source, objective, retained)
+}
+
+/// [`relabel_incremental`] over a caller-built match source, so a mapping
+/// run can hand the same source on to area recovery.
+pub(crate) fn relabel_with_source<S: MatchSource>(
+    subject: &SubjectGraph,
+    source: &S,
+    objective: Objective,
+    retained: &RetainedLabels,
+) -> Result<(Labels, IncrementalStats), MapError> {
     let flat = subject.flat();
     let n = flat.num_nodes();
     let sigs = subject.signatures();
@@ -129,7 +141,7 @@ pub fn relabel_incremental(
         span.set_u64("nodes", n as u64);
     }
 
-    let source = StructuralSource::new(library, mode, config, shared);
+    let library = source.library();
     let mut arrival = vec![0.0f64; n];
     let mut area_flow = vec![0.0f64; n];
     let mut arena = SelectionArena::new(library, flat);
@@ -190,7 +202,7 @@ pub fn relabel_incremental(
             }
             stats.absorb(evaluate_node(
                 subject,
-                &source,
+                source,
                 objective,
                 &arrival,
                 &area_flow,

@@ -11,9 +11,9 @@ use crate::{allocmeter, MapError, Objective};
 /// Tie-breaking tolerance of the label comparisons.
 const EPS: f64 = 1e-9;
 
-/// Auto mode ([`label_with`] with `num_threads = None`) stays serial below
-/// this many mappable nodes — thread startup and barrier traffic dominate on
-/// small circuits.
+/// Auto mode ([`label_with_config`] with `num_threads = None`) stays serial
+/// below this many mappable nodes — thread startup and barrier traffic
+/// dominate on small circuits.
 const PARALLEL_THRESHOLD: usize = 256;
 
 /// Waves with fewer mappable nodes than this are labeled by the coordinator
@@ -49,9 +49,9 @@ const FORCE_PARALLEL_ENV: &str = "DAGMAP_LABEL_FORCE_PARALLEL";
 /// The pass runs level-synchronized over the [`FlatNet`] CSR view: every
 /// fanin of a level-`l` node sits at a level strictly below `l`, so once
 /// levels `0..l` are labeled, all level-`l` nodes are independent
-/// subproblems. [`label_with`] exploits this as a parallel wavefront; the
-/// result is bit-identical to the serial pass because each node's candidate
-/// enumeration and tie-breaking never observe same-level work.
+/// subproblems. [`label_with_config`] exploits this as a parallel wavefront;
+/// the result is bit-identical to the serial pass because each node's
+/// candidate enumeration and tie-breaking never observe same-level work.
 #[derive(Debug, Clone)]
 pub struct Labels {
     /// Arrival of the selected match per subject node (sources are 0).
@@ -339,55 +339,6 @@ pub(crate) fn evaluate_node<S: MatchSource>(
     source.for_each_match(subject, id, kit, &mut on_match)
 }
 
-/// Runs the labeling pass serially (one thread, no wavefront machinery).
-///
-/// # Errors
-///
-/// Returns [`MapError::NoMatch`] if some internal node has no match — i.e.
-/// the library lacks a bare inverter or NAND2.
-pub fn label(
-    subject: &SubjectGraph,
-    library: &Library,
-    mode: MatchMode,
-    objective: Objective,
-) -> Result<Labels, MapError> {
-    label_with(subject, library, mode, objective, Some(1))
-}
-
-/// Runs the labeling pass over the level wavefronts of the subject graph,
-/// optionally in parallel.
-///
-/// `num_threads = None` picks [`std::thread::available_parallelism`] (falling
-/// back to serial on small circuits); `Some(1)` forces the serial pass;
-/// `Some(n)` asks for `n` workers — granted only when the host actually has
-/// more than one CPU (spawning barrier-synchronized workers on a single-CPU
-/// machine only adds overhead; set `DAGMAP_LABEL_FORCE_PARALLEL=1` to
-/// override, as the determinism tests do). Every choice produces
-/// bit-identical [`Labels`] — see the module docs of
-/// `dagmap_netlist::Levels` and DESIGN.md for the determinism argument.
-///
-/// # Errors
-///
-/// Returns [`MapError::NoMatch`] if some internal node has no match; the
-/// reported node is the same (earliest commit-order failure) however many
-/// threads run.
-pub fn label_with(
-    subject: &SubjectGraph,
-    library: &Library,
-    mode: MatchMode,
-    objective: Objective,
-    num_threads: Option<usize>,
-) -> Result<Labels, MapError> {
-    label_with_config(
-        subject,
-        library,
-        mode,
-        objective,
-        num_threads,
-        MatchConfig::default(),
-    )
-}
-
 /// Worker-thread count the pass actually runs with. Pure so the policy is
 /// unit-testable: explicit single-thread requests and auto-mode small
 /// circuits stay serial, and requests for parallelism on a single-CPU host
@@ -416,13 +367,30 @@ fn force_parallel() -> bool {
     std::env::var_os(FORCE_PARALLEL_ENV).is_some_and(|v| v == "1")
 }
 
-/// [`label_with`] with an explicit match-acceleration configuration.
+/// Runs the labeling pass over the level wavefronts of the subject graph,
+/// optionally in parallel, with an explicit match-acceleration
+/// configuration.
 ///
-/// Every configuration produces bit-identical labels; the stages only
+/// `num_threads = None` picks [`std::thread::available_parallelism`] (falling
+/// back to serial on small circuits); `Some(1)` forces the serial pass;
+/// `Some(n)` asks for `n` workers — granted only when the host actually has
+/// more than one CPU (spawning barrier-synchronized workers on a single-CPU
+/// machine only adds overhead; set `DAGMAP_LABEL_FORCE_PARALLEL=1` to
+/// override, as the determinism tests do). Every choice produces
+/// bit-identical [`Labels`] — see the module docs of
+/// `dagmap_netlist::Levels` and DESIGN.md for the determinism argument.
+///
+/// Every configuration produces bit-identical labels too; the stages only
 /// change how much search the matcher performs (visible in
-/// [`Labels::matches_pruned`] and the memo counters). The serial pass uses
-/// one [`MatchStore`]; each parallel worker fills its own, so memo hit
-/// counts (but nothing else) depend on the thread count.
+/// [`Labels::matches_pruned`] and the memo counters). Each worker memoizes
+/// into its own private store, so memo hit counts (but nothing else)
+/// depend on the thread count.
+///
+/// # Errors
+///
+/// Returns [`MapError::NoMatch`] if some internal node has no match — i.e.
+/// the library lacks a bare inverter or NAND2; the reported node is the
+/// same (earliest commit-order failure) however many threads run.
 pub fn label_with_config(
     subject: &SubjectGraph,
     library: &Library,
@@ -890,6 +858,24 @@ mod tests {
     use super::*;
     use dagmap_netlist::Network;
 
+    /// Labels with the default acceleration configuration.
+    fn label(
+        subject: &SubjectGraph,
+        lib: &Library,
+        mode: MatchMode,
+        objective: Objective,
+        threads: Option<usize>,
+    ) -> Result<Labels, MapError> {
+        label_with_config(
+            subject,
+            lib,
+            mode,
+            objective,
+            threads,
+            MatchConfig::default(),
+        )
+    }
+
     fn force_parallel_for_tests() {
         // The CI container exposes one CPU; without this the explicit
         // `Some(nt)` requests below would (correctly) fall back to serial.
@@ -943,7 +929,14 @@ mod tests {
     fn minimal_library_labels_equal_weighted_depth() {
         let subject = chain_subject(6);
         let lib = Library::minimal();
-        let labels = label(&subject, &lib, MatchMode::Standard, Objective::Delay).unwrap();
+        let labels = label(
+            &subject,
+            &lib,
+            MatchMode::Standard,
+            Objective::Delay,
+            Some(1),
+        )
+        .unwrap();
         // With only inv/nand2 (delay 1 each), arrival = unit depth.
         assert_eq!(labels.critical_delay(&subject), 6.0);
         assert_eq!(labels.threads_used, 1);
@@ -955,9 +948,23 @@ mod tests {
         // Standard matches can only improve on exact matches.
         let subject = chain_subject(5);
         let lib = Library::lib2_like();
-        let exact = label(&subject, &lib, MatchMode::Exact, Objective::Delay).unwrap();
-        let std = label(&subject, &lib, MatchMode::Standard, Objective::Delay).unwrap();
-        let ext = label(&subject, &lib, MatchMode::Extended, Objective::Delay).unwrap();
+        let exact = label(&subject, &lib, MatchMode::Exact, Objective::Delay, Some(1)).unwrap();
+        let std = label(
+            &subject,
+            &lib,
+            MatchMode::Standard,
+            Objective::Delay,
+            Some(1),
+        )
+        .unwrap();
+        let ext = label(
+            &subject,
+            &lib,
+            MatchMode::Extended,
+            Objective::Delay,
+            Some(1),
+        )
+        .unwrap();
         assert!(std.critical_delay(&subject) <= exact.critical_delay(&subject) + 1e-9);
         assert!(ext.critical_delay(&subject) <= std.critical_delay(&subject) + 1e-9);
     }
@@ -971,7 +978,14 @@ mod tests {
             vec![Gate::uniform("nand2", 2.0, "O", "!(a*b)", 1.0).unwrap()],
         )
         .unwrap();
-        let err = label(&subject, &lib, MatchMode::Standard, Objective::Delay).unwrap_err();
+        let err = label(
+            &subject,
+            &lib,
+            MatchMode::Standard,
+            Objective::Delay,
+            Some(1),
+        )
+        .unwrap_err();
         assert!(matches!(err, MapError::NoMatch { .. }));
     }
 
@@ -979,7 +993,14 @@ mod tests {
     fn counts_enumerated_matches() {
         let subject = chain_subject(4);
         let lib = Library::lib2_like();
-        let labels = label(&subject, &lib, MatchMode::Standard, Objective::Delay).unwrap();
+        let labels = label(
+            &subject,
+            &lib,
+            MatchMode::Standard,
+            Objective::Delay,
+            Some(1),
+        )
+        .unwrap();
         assert!(labels.matches_enumerated >= 4);
         // The batched kernel evaluated at least one candidate word per
         // mappable node. Candidate bits are surviving *patterns*, each of
@@ -1003,8 +1024,8 @@ mod tests {
         net.add_output("f", cur);
         let subject = SubjectGraph::from_network(&net).unwrap();
         let lib = Library::lib2_like();
-        let delay_l = label(&subject, &lib, MatchMode::Exact, Objective::Delay).unwrap();
-        let area_l = label(&subject, &lib, MatchMode::Exact, Objective::Area).unwrap();
+        let delay_l = label(&subject, &lib, MatchMode::Exact, Objective::Delay, Some(1)).unwrap();
+        let area_l = label(&subject, &lib, MatchMode::Exact, Objective::Area, Some(1)).unwrap();
         let root = subject.network().outputs()[0].driver;
         assert!(area_l.area_flow[root.index()] <= delay_l.area_flow[root.index()] + 1e-9);
         assert!(delay_l.arrival_of(root) <= area_l.arrival_of(root) + 1e-9);
@@ -1015,9 +1036,16 @@ mod tests {
         force_parallel_for_tests();
         let subject = chain_subject(9);
         let lib = Library::lib2_like();
-        let serial = label(&subject, &lib, MatchMode::Standard, Objective::Delay).unwrap();
+        let serial = label(
+            &subject,
+            &lib,
+            MatchMode::Standard,
+            Objective::Delay,
+            Some(1),
+        )
+        .unwrap();
         for nt in [2, 3, 5] {
-            let par = label_with(
+            let par = label(
                 &subject,
                 &lib,
                 MatchMode::Standard,
@@ -1039,9 +1067,16 @@ mod tests {
         force_parallel_for_tests();
         let subject = wide_subject();
         let lib = Library::lib2_like();
-        let serial = label(&subject, &lib, MatchMode::Standard, Objective::Delay).unwrap();
+        let serial = label(
+            &subject,
+            &lib,
+            MatchMode::Standard,
+            Objective::Delay,
+            Some(1),
+        )
+        .unwrap();
         for nt in [2, 4] {
-            let par = label_with(
+            let par = label(
                 &subject,
                 &lib,
                 MatchMode::Standard,
@@ -1069,8 +1104,15 @@ mod tests {
             vec![Gate::uniform("nand2", 2.0, "O", "!(a*b)", 1.0).unwrap()],
         )
         .unwrap();
-        let serial = label(&subject, &lib, MatchMode::Standard, Objective::Delay).unwrap_err();
-        let par = label_with(
+        let serial = label(
+            &subject,
+            &lib,
+            MatchMode::Standard,
+            Objective::Delay,
+            Some(1),
+        )
+        .unwrap_err();
+        let par = label(
             &subject,
             &lib,
             MatchMode::Standard,
@@ -1097,8 +1139,15 @@ mod tests {
             vec![Gate::uniform("nand2", 2.0, "O", "!(a*b)", 1.0).unwrap()],
         )
         .unwrap();
-        let serial = label(&subject, &lib, MatchMode::Standard, Objective::Delay).unwrap_err();
-        let par = label_with(
+        let serial = label(
+            &subject,
+            &lib,
+            MatchMode::Standard,
+            Objective::Delay,
+            Some(1),
+        )
+        .unwrap_err();
+        let par = label(
             &subject,
             &lib,
             MatchMode::Standard,
@@ -1116,8 +1165,7 @@ mod tests {
     fn auto_mode_stays_serial_on_small_circuits() {
         let subject = chain_subject(5);
         let lib = Library::minimal();
-        let labels =
-            label_with(&subject, &lib, MatchMode::Standard, Objective::Delay, None).unwrap();
+        let labels = label(&subject, &lib, MatchMode::Standard, Objective::Delay, None).unwrap();
         assert_eq!(labels.threads_used, 1, "below the parallel threshold");
     }
 

@@ -60,12 +60,10 @@ pub mod verilog;
 
 pub use error::MapError;
 pub use incremental::{relabel_incremental, IncrementalStats, RetainedLabels};
-pub use label::{
-    label_with, label_with_config, label_with_shared_store, label_with_source, Labels,
-};
+pub use label::{label_with_config, label_with_shared_store, label_with_source, Labels};
 pub use mapped::{Cell, GateKind, MappedNetlist, Signal};
 pub use mapper::{MapReport, Mapper};
 pub use options::{MapOptions, Objective};
-pub use source::{MatchSource, SourceMatch};
+pub use source::{MatchSource, SourceMatch, StructuralKit, StructuralSource};
 
 pub use dagmap_match::{MatchMode, SharedMatchStore};

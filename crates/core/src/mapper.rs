@@ -1,11 +1,11 @@
 use std::time::Instant;
 
 use dagmap_genlib::Library;
-use dagmap_match::{MatchMode, SharedMatchStore};
+use dagmap_match::SharedMatchStore;
 use dagmap_netlist::SubjectGraph;
 
-use crate::incremental::{relabel_incremental, RetainedLabels};
-use crate::label::{label, label_with_config, label_with_shared_store, label_with_source, Labels};
+use crate::incremental::{relabel_with_source, RetainedLabels};
+use crate::label::{label_with_source, Labels};
 use crate::source::{MatchSource, StructuralSource};
 use crate::{area, cover, MapError, MapOptions, MappedNetlist};
 
@@ -69,9 +69,19 @@ pub struct MapReport {
     pub area_recovery_seconds: f64,
     /// Wall-clock seconds spent decomposing the source network into the
     /// subject graph. The mapper receives an already-built subject graph,
-    /// so this is 0 unless the caller fills it in (the `dagmap` CLI times
-    /// its decomposition step and does).
+    /// so this is 0 unless the caller fills it in (the `dagmap` CLI and the
+    /// serve daemon time their decomposition step and do).
     pub decompose_seconds: f64,
+}
+
+/// How one mapping run obtains its labels.
+#[derive(Debug, Clone, Copy)]
+enum LabelStep<'r> {
+    /// A full labeling pass.
+    Cold,
+    /// Copy the labels of a retained run wherever the clean rule of
+    /// [`crate::relabel_incremental`] allows; label only the dirty region.
+    Incremental(&'r RetainedLabels),
 }
 
 /// The technology mapper: labels a subject graph with optimal arrivals and
@@ -92,17 +102,6 @@ impl<'a> Mapper<'a> {
     /// The library being mapped into.
     pub fn library(&self) -> &'a Library {
         self.library
-    }
-
-    /// Runs only the delay-objective labeling phase, exposing per-node
-    /// optimal arrivals.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the library cannot cover some node or the subject graph is
-    /// cyclic.
-    pub fn label(&self, subject: &SubjectGraph, mode: MatchMode) -> Result<Labels, MapError> {
-        label(subject, self.library, mode, crate::Objective::Delay)
     }
 
     /// Realizes a mapped netlist from externally selected matches (one per
@@ -146,16 +145,17 @@ impl<'a> Mapper<'a> {
         subject: &SubjectGraph,
         options: MapOptions,
     ) -> Result<(MappedNetlist, MapReport), MapError> {
-        self.map_with_report_inner(subject, options, None)
+        self.map_structural(subject, options, None, LabelStep::Cold, false)
+            .map(|(mapped, report, _)| (mapped, report))
     }
 
-    /// Like [`Mapper::map_with_report`], labeling through a cross-run
+    /// Like [`Mapper::map_with_report`], memoizing through a cross-run
     /// [`SharedMatchStore`] so repeated cone shapes are enumerated once per
     /// library rather than once per mapping run.
     ///
     /// The labeling pass is always serial on this path — the intended caller
     /// (the `dagmap serve` daemon) gets its parallelism across requests, not
-    /// within one. Area recovery keeps a run-local store. Results are
+    /// within one. Area recovery probes the same store. Results are
     /// bit-identical to [`Mapper::map_with_report`] because shared-memo
     /// replay preserves enumeration order exactly.
     ///
@@ -168,62 +168,8 @@ impl<'a> Mapper<'a> {
         options: MapOptions,
         shared: &SharedMatchStore,
     ) -> Result<(MappedNetlist, MapReport), MapError> {
-        self.map_with_report_inner(subject, options, Some(shared))
-    }
-
-    fn map_with_report_inner(
-        &self,
-        subject: &SubjectGraph,
-        options: MapOptions,
-        shared: Option<&SharedMatchStore>,
-    ) -> Result<(MappedNetlist, MapReport), MapError> {
-        if !self.library.is_delay_mappable() {
-            return Err(MapError::UnmappableLibrary {
-                library: self.library.name().to_owned(),
-            });
-        }
-        let mut map_span = dagmap_obs::span("map");
-        if map_span.is_recording() {
-            map_span.set_u64("nodes", subject.network().num_nodes() as u64);
-        }
-        let t0 = Instant::now();
-        // The labeling entry points open their own "label" span (with the
-        // wave spans nested under it), so only the wall-clock is taken here.
-        let labels = match shared {
-            Some(store) => label_with_shared_store(
-                subject,
-                self.library,
-                options.match_mode,
-                options.objective,
-                options.match_config(),
-                store,
-            )?,
-            None => label_with_config(
-                subject,
-                self.library,
-                options.match_mode,
-                options.objective,
-                options.num_threads,
-                options.match_config(),
-            )?,
-        };
-        let label_seconds = t0.elapsed().as_secs_f64();
-        // Area recovery keeps a run-local store even on the shared path.
-        let source = StructuralSource::new(
-            self.library,
-            options.match_mode,
-            options.match_config(),
-            None,
-        );
-        self.finish_map(
-            subject,
-            options,
-            &source,
-            options.algorithm_name(),
-            labels,
-            label_seconds,
-            0,
-        )
+        self.map_structural(subject, options, Some(shared), LabelStep::Cold, false)
+            .map(|(mapped, report, _)| (mapped, report))
     }
 
     /// Maps `subject` with matches drawn from an arbitrary [`MatchSource`]
@@ -244,81 +190,132 @@ impl<'a> Mapper<'a> {
         source: &S,
         algorithm: &'static str,
     ) -> Result<(MappedNetlist, MapReport), MapError> {
-        let mut map_span = dagmap_obs::span("map");
-        if map_span.is_recording() {
-            map_span.set_u64("nodes", subject.network().num_nodes() as u64);
-        }
-        let t0 = Instant::now();
-        let labels = label_with_source(subject, source, options.objective, options.num_threads)?;
-        let label_seconds = t0.elapsed().as_secs_f64();
-        self.finish_map(
-            subject,
-            options,
-            source,
-            algorithm,
-            labels,
-            label_seconds,
-            0,
-        )
+        let (threads, step) = (options.num_threads, LabelStep::Cold);
+        self.drive(subject, options, source, algorithm, threads, step, false)
+            .map(|(mapped, report, _)| (mapped, report))
     }
 
-    /// Cover construction, area recovery and report assembly shared by the
-    /// cold, incremental and external-source paths.
+    /// Like [`Mapper::map_with_report`], additionally snapshotting the
+    /// labeling run as a [`RetainedLabels`] for later incremental
+    /// re-mapping. The snapshot is `None` when the subject's signature map
+    /// is not injective (duplicate structure defeats signature addressing,
+    /// which [`dagmap_netlist::strash_network`]-style strashed inputs never
+    /// do).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Mapper::map`].
+    pub fn map_with_report_retaining(
+        &self,
+        subject: &SubjectGraph,
+        options: MapOptions,
+        shared: Option<&SharedMatchStore>,
+    ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
+        self.map_structural(subject, options, shared, LabelStep::Cold, true)
+    }
+
+    /// Incrementally re-maps an edited design: labels of nodes untouched by
+    /// the edit (per the clean rule of [`crate::relabel_incremental`]) are
+    /// copied from `retained`; only the dirty region is re-evaluated. The
+    /// mapped netlist is bit-identical to a cold [`Mapper::map`] of the
+    /// same subject. Returns the refreshed snapshot for the next edit.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Mapper::map`].
+    pub fn map_incremental(
+        &self,
+        subject: &SubjectGraph,
+        options: MapOptions,
+        retained: &RetainedLabels,
+        shared: Option<&SharedMatchStore>,
+    ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
+        let step = LabelStep::Incremental(retained);
+        self.map_structural(subject, options, shared, step, true)
+    }
+
+    /// The structural entry points: the mappable check, then the driver
+    /// over one [`StructuralSource`] memoizing through `shared` (or
+    /// through a private store per worker).
+    fn map_structural(
+        &self,
+        subject: &SubjectGraph,
+        options: MapOptions,
+        shared: Option<&SharedMatchStore>,
+        step: LabelStep<'_>,
+        retain: bool,
+    ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
+        if !self.library.is_delay_mappable() {
+            return Err(MapError::UnmappableLibrary {
+                library: self.library.name().to_owned(),
+            });
+        }
+        let config = options.match_config();
+        let source = StructuralSource::new(self.library, options.match_mode, config, shared);
+        // A shared store serves a daemon, whose parallelism is across
+        // requests: per-request wavefront workers would only fight the
+        // other requests' workers for cores.
+        let threads = if shared.is_some() {
+            Some(1)
+        } else {
+            options.num_threads
+        };
+        let algorithm = options.algorithm_name();
+        self.drive(subject, options, &source, algorithm, threads, step, retain)
+    }
+
+    /// The one mapping driver: labels (cold or incremental), optionally
+    /// snapshots the labels, constructs the cover, runs area recovery over
+    /// the same source, and assembles the report.
     #[allow(clippy::too_many_arguments)]
-    fn finish_map<S: MatchSource>(
+    fn drive<S: MatchSource>(
         &self,
         subject: &SubjectGraph,
         options: MapOptions,
         source: &S,
         algorithm: &'static str,
-        labels: Labels,
-        label_seconds: f64,
-        labels_reused: usize,
-    ) -> Result<(MappedNetlist, MapReport), MapError> {
+        threads: Option<usize>,
+        step: LabelStep<'_>,
+        retain: bool,
+    ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
+        let mut map_span = dagmap_obs::span(match step {
+            LabelStep::Cold => "map",
+            LabelStep::Incremental(_) => "map.incremental",
+        });
+        if map_span.is_recording() {
+            map_span.set_u64("nodes", subject.network().num_nodes() as u64);
+        }
+        // The labeling passes open their own spans (with the wave spans
+        // nested under them), so only the wall-clock is taken here.
+        let t0 = Instant::now();
+        let (labels, labels_reused) = match step {
+            LabelStep::Cold => (
+                label_with_source(subject, source, options.objective, threads)?,
+                0,
+            ),
+            LabelStep::Incremental(retained) => {
+                let (labels, inc) =
+                    relabel_with_source(subject, source, options.objective, retained)?;
+                (labels, inc.reused)
+            }
+        };
+        let label_seconds = t0.elapsed().as_secs_f64();
+        let snapshot = if retain {
+            RetainedLabels::from_labels(subject, &labels)
+        } else {
+            None
+        };
+
         let (mapped, cover_seconds) = dagmap_obs::timed("cover", || {
             cover::construct(subject, self.library, &labels.best)
         });
         let mapped = mapped?;
         // Area recovery re-selects under arrival budgets derived from the
-        // labels — only meaningful when the labels are arrival-optimal. The
-        // pass is a greedy heuristic, so its cover is kept only when it
-        // actually wins on area (both covers meet the delay budget).
+        // labels — only meaningful when the labels are arrival-optimal.
         let (mapped, area_recovery_seconds) =
             if options.area_recovery && options.objective == crate::Objective::Delay {
                 let (best, secs) = dagmap_obs::timed("area_recovery", || {
-                    let target = options
-                        .delay_target
-                        .unwrap_or_else(|| labels.critical_delay(subject));
-                    // The pass is greedy over area-flow estimates; a couple of
-                    // refinement rounds (re-estimating from the previous selection)
-                    // typically shave a few more percent. Keep the best cover seen.
-                    let mut best = mapped;
-                    let mut estimate_base = labels.clone();
-                    // One kit across all refinement rounds: after round 1
-                    // every cone class is warm, so later rounds replay
-                    // memoized enumerations instead of re-searching.
-                    let mut kit = source.make_kit(subject);
-                    for _ in 0..3 {
-                        let _round = dagmap_obs::span("area_recovery.round");
-                        let selected =
-                            area::recover(subject, source, &estimate_base, target, &mut kit)?;
-                        let recovered = cover::construct(subject, self.library, &selected)?;
-                        let improved = recovered.area() < best.area();
-                        if improved {
-                            best = recovered;
-                        }
-                        // Seed the next round's area-flow from this selection where
-                        // it chose something (arrivals stay the optimal labels).
-                        for (slot, sel) in estimate_base.best.iter_mut().zip(&selected) {
-                            if sel.is_some() {
-                                *slot = sel.clone();
-                            }
-                        }
-                        if !improved {
-                            break;
-                        }
-                    }
-                    Ok::<_, MapError>(best)
+                    self.recover_area(subject, options, source, &labels, mapped)
                 });
                 (best?, secs)
             } else {
@@ -351,126 +348,52 @@ impl<'a> Mapper<'a> {
             area_recovery_seconds,
             decompose_seconds: 0.0,
         };
-        Ok((mapped, report))
-    }
-
-    /// Like [`Mapper::map_with_report`], additionally snapshotting the
-    /// labeling run as a [`RetainedLabels`] for later incremental
-    /// re-mapping. The snapshot is `None` when the subject's signature map
-    /// is not injective (duplicate structure defeats signature addressing,
-    /// which [`dagmap_netlist::strash_network`]-style strashed inputs never
-    /// do).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Mapper::map`].
-    pub fn map_with_report_retaining(
-        &self,
-        subject: &SubjectGraph,
-        options: MapOptions,
-        shared: Option<&SharedMatchStore>,
-    ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
-        if !self.library.is_delay_mappable() {
-            return Err(MapError::UnmappableLibrary {
-                library: self.library.name().to_owned(),
-            });
-        }
-        let mut map_span = dagmap_obs::span("map");
-        if map_span.is_recording() {
-            map_span.set_u64("nodes", subject.network().num_nodes() as u64);
-        }
-        let t0 = Instant::now();
-        let labels = match shared {
-            Some(store) => label_with_shared_store(
-                subject,
-                self.library,
-                options.match_mode,
-                options.objective,
-                options.match_config(),
-                store,
-            )?,
-            None => label_with_config(
-                subject,
-                self.library,
-                options.match_mode,
-                options.objective,
-                options.num_threads,
-                options.match_config(),
-            )?,
-        };
-        let label_seconds = t0.elapsed().as_secs_f64();
-        let snapshot = RetainedLabels::from_labels(subject, &labels);
-        let source = StructuralSource::new(
-            self.library,
-            options.match_mode,
-            options.match_config(),
-            None,
-        );
-        let (mapped, report) = self.finish_map(
-            subject,
-            options,
-            &source,
-            options.algorithm_name(),
-            labels,
-            label_seconds,
-            0,
-        )?;
         Ok((mapped, report, snapshot))
     }
 
-    /// Incrementally re-maps an edited design: labels of nodes untouched by
-    /// the edit (per the clean rule of [`crate::relabel_incremental`]) are
-    /// copied from `retained`; only the dirty region is re-evaluated. The
-    /// mapped netlist is bit-identical to a cold [`Mapper::map`] of the
-    /// same subject. Returns the refreshed snapshot for the next edit.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Mapper::map`].
-    pub fn map_incremental(
+    /// The area-recovery rounds. The pass is a greedy heuristic, so its
+    /// cover is kept only when it actually wins on area (both covers meet
+    /// the delay budget).
+    fn recover_area<S: MatchSource>(
         &self,
         subject: &SubjectGraph,
         options: MapOptions,
-        retained: &RetainedLabels,
-        shared: Option<&SharedMatchStore>,
-    ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
-        if !self.library.is_delay_mappable() {
-            return Err(MapError::UnmappableLibrary {
-                library: self.library.name().to_owned(),
-            });
+        source: &S,
+        labels: &Labels,
+        mapped: MappedNetlist,
+    ) -> Result<MappedNetlist, MapError> {
+        let target = options
+            .delay_target
+            .unwrap_or_else(|| labels.critical_delay(subject));
+        // The pass is greedy over area-flow estimates; a couple of
+        // refinement rounds (re-estimating from the previous selection)
+        // typically shave a few more percent. Keep the best cover seen.
+        let mut best = mapped;
+        let mut estimate_base = labels.clone();
+        // One kit across all refinement rounds: after round 1 every cone
+        // class is warm, so later rounds replay memoized enumerations
+        // instead of re-searching.
+        let mut kit = source.make_kit(subject);
+        for _ in 0..3 {
+            let _round = dagmap_obs::span("area_recovery.round");
+            let selected = area::recover(subject, source, &estimate_base, target, &mut kit)?;
+            let recovered = cover::construct(subject, self.library, &selected)?;
+            let improved = recovered.area() < best.area();
+            if improved {
+                best = recovered;
+            }
+            // Seed the next round's area-flow from this selection where it
+            // chose something (arrivals stay the optimal labels).
+            for (slot, sel) in estimate_base.best.iter_mut().zip(&selected) {
+                if sel.is_some() {
+                    *slot = sel.clone();
+                }
+            }
+            if !improved {
+                break;
+            }
         }
-        let mut map_span = dagmap_obs::span("map.incremental");
-        if map_span.is_recording() {
-            map_span.set_u64("nodes", subject.network().num_nodes() as u64);
-        }
-        let t0 = Instant::now();
-        let (labels, inc) = relabel_incremental(
-            subject,
-            self.library,
-            options.match_mode,
-            options.objective,
-            options.match_config(),
-            retained,
-            shared,
-        )?;
-        let label_seconds = t0.elapsed().as_secs_f64();
-        let snapshot = RetainedLabels::from_labels(subject, &labels);
-        let source = StructuralSource::new(
-            self.library,
-            options.match_mode,
-            options.match_config(),
-            None,
-        );
-        let (mapped, report) = self.finish_map(
-            subject,
-            options,
-            &source,
-            options.algorithm_name(),
-            labels,
-            label_seconds,
-            inc.reused,
-        )?;
-        Ok((mapped, report, snapshot))
+        Ok(best)
     }
 }
 

@@ -13,14 +13,13 @@
 //! mutable per-thread state — scratch arenas, memo stores, canonicalization
 //! caches — lives in the source's [`MatchSource::Kit`], created once per
 //! worker by [`MatchSource::make_kit`]. This mirrors how the structural
-//! matcher already splits `Matcher` (shared) from `MatchScratch` +
-//! `MatchStore` (per worker), which is what keeps the parallel wavefront
-//! lock-free on the hot path.
+//! matcher already splits `Matcher` (shared) from `MatchScratch` and a
+//! private memo store (per worker), which is what keeps the parallel
+//! wavefront free of contention on the hot path.
 
 use dagmap_genlib::{GateId, Library, PatternId};
 use dagmap_match::{
-    MatchConfig, MatchMode, MatchScratch, MatchStats, MatchStore, MatchView, Matcher,
-    SharedMatchStore,
+    MatchConfig, MatchMode, MatchScratch, MatchStats, MatchView, Matcher, SharedMatchStore,
 };
 use dagmap_netlist::{NodeId, SubjectGraph};
 
@@ -77,22 +76,31 @@ pub trait MatchSource: Sync {
     ) -> MatchStats;
 }
 
-/// The structural pattern matcher as a [`MatchSource`] — the default
-/// source behind [`crate::Mapper::map`] and all existing entry points.
-pub(crate) struct StructuralSource<'a> {
+/// The structural pattern matcher as a [`MatchSource`] — the source
+/// behind every [`crate::Mapper`] entry point except the external-source
+/// one, and the structural half of `dagmap-boolmatch`'s hybrid source.
+pub struct StructuralSource<'a> {
     matcher: Matcher<'a>,
     mode: MatchMode,
     /// Cross-request memo (the serve daemon); `None` memoizes per kit.
     shared: Option<&'a SharedMatchStore>,
 }
 
-pub(crate) struct StructuralKit {
+/// Per-worker state of a [`StructuralSource`].
+pub struct StructuralKit {
     scratch: MatchScratch,
-    store: MatchStore,
+    /// Run-private memo: one shard, no class cap. With multiple workers
+    /// each rediscovers cone classes once, which costs a few extra cold
+    /// enumerations but keeps the workers off each other's locks. Unused
+    /// when the source carries a shared store.
+    store: SharedMatchStore,
 }
 
 impl<'a> StructuralSource<'a> {
-    pub(crate) fn new(
+    /// A structural source over `library` matching under `mode` with the
+    /// acceleration stages of `config`, memoizing through `shared` when
+    /// given and through a private store per kit otherwise.
+    pub fn new(
         library: &'a Library,
         mode: MatchMode,
         config: MatchConfig,
@@ -118,14 +126,12 @@ impl MatchSource for StructuralSource<'_> {
     }
 
     fn make_kit(&self, subject: &SubjectGraph) -> StructuralKit {
+        let library = self.matcher.library();
         let mut scratch = MatchScratch::new();
-        scratch.prepare(self.matcher.library(), subject.flat().num_nodes());
+        scratch.prepare(library, subject.flat().num_nodes());
         StructuralKit {
             scratch,
-            // Per-kit store: with multiple workers each rediscovers cone
-            // classes once, which costs a few extra cold enumerations but
-            // keeps the hot path lock-free. Unused when `shared` is set.
-            store: MatchStore::for_library(self.matcher.library()),
+            store: SharedMatchStore::for_library(library, 1, usize::MAX),
         }
     }
 
@@ -136,35 +142,23 @@ impl MatchSource for StructuralSource<'_> {
         kit: &mut StructuralKit,
         f: &mut dyn FnMut(SourceMatch<'_>),
     ) -> MatchStats {
-        let mut adapt = |mv: MatchView<'_>| {
-            f(SourceMatch {
-                gate: mv.gate,
-                pattern: Some(mv.pattern),
-                leaves: mv.leaves,
-                covered: mv.covered,
-            })
-        };
-        // Both memo flavors replay memoized cone classes when the matcher's
-        // resolved memo policy enables the store and fall back to direct
-        // (possibly indexed) enumeration otherwise; the callback sequence is
-        // identical either way.
-        match self.shared {
-            Some(shared) => self.matcher.for_each_match_shared(
-                subject,
-                node,
-                self.mode,
-                &mut kit.scratch,
-                shared,
-                &mut adapt,
-            ),
-            None => self.matcher.for_each_match_via(
-                subject,
-                node,
-                self.mode,
-                &mut kit.scratch,
-                &mut kit.store,
-                &mut adapt,
-            ),
-        }
+        // The matcher replays memoized cone classes when its resolved memo
+        // policy enables the store and enumerates directly (possibly
+        // indexed) otherwise; the callback sequence is identical either way.
+        self.matcher.for_each_match_shared(
+            subject,
+            node,
+            self.mode,
+            &mut kit.scratch,
+            self.shared.unwrap_or(&kit.store),
+            &mut |mv: MatchView<'_>| {
+                f(SourceMatch {
+                    gate: mv.gate,
+                    pattern: Some(mv.pattern),
+                    leaves: mv.leaves,
+                    covered: mv.covered,
+                })
+            },
+        )
     }
 }

@@ -182,3 +182,43 @@ fn seeded_random_dags_label_identically_under_every_acceleration() {
         }
     }
 }
+
+/// The fact `MemoPolicy` rests on: within one serial labeling pass the
+/// memo probes every gate exactly once, and the strash-id fast path never
+/// hits — id keying needs an injective signature map, so no signature
+/// repeats inside one subject. Every one-shot probe therefore pays a cone
+/// extraction, and id hits only ever come from a store warmed by an
+/// earlier run.
+#[test]
+fn one_shot_memo_probes_every_gate_once_and_never_hits_by_id() {
+    let config = MatchConfig {
+        index: true,
+        memo: MemoPolicy::On,
+        strash_ids: true,
+    };
+    for net in [
+        dagmap_benchgen::array_multiplier(6),
+        random_network(8, 200, 5),
+    ] {
+        let subject = SubjectGraph::from_network(&net).expect("decomposes");
+        assert!(
+            subject.signatures().is_injective(),
+            "strashed subjects are injective"
+        );
+        let gates = subject.num_gates();
+        for lib in builtin_libraries() {
+            for mode in [MatchMode::Standard, MatchMode::Extended] {
+                let labels =
+                    label_with_config(&subject, &lib, mode, Objective::Delay, Some(1), config)
+                        .expect("labels");
+                assert_eq!(labels.memo_lookups, gates, "{}/{mode:?}", lib.name());
+                assert_eq!(labels.memo_id_hits, 0, "{}/{mode:?}", lib.name());
+                assert!(
+                    labels.memo_hits > 0,
+                    "{}/{mode:?}: cone keys recur",
+                    lib.name()
+                );
+            }
+        }
+    }
+}

@@ -4,8 +4,9 @@
 //! match semantics and both objectives.
 
 use dagmap_benchgen::random_network;
-use dagmap_core::{label_with, MapOptions, Mapper, MatchMode, Objective};
+use dagmap_core::{label_with_config, MapOptions, Mapper, MatchMode, Objective};
 use dagmap_genlib::Library;
+use dagmap_match::MatchConfig;
 use dagmap_netlist::SubjectGraph;
 
 #[test]
@@ -19,11 +20,13 @@ fn parallel_labeling_is_bit_identical_to_serial() {
         let subject = SubjectGraph::from_network(&net).expect("random nets are acyclic");
         for mode in [MatchMode::Standard, MatchMode::Exact, MatchMode::Extended] {
             for objective in [Objective::Delay, Objective::Area] {
-                let serial =
-                    label_with(&subject, &lib, mode, objective, Some(1)).expect("serial labels");
+                let label = |threads| {
+                    let config = MatchConfig::default();
+                    label_with_config(&subject, &lib, mode, objective, threads, config)
+                };
+                let serial = label(Some(1)).expect("serial labels");
                 for nt in 2..=8usize {
-                    let par = label_with(&subject, &lib, mode, objective, Some(nt))
-                        .expect("parallel labels");
+                    let par = label(Some(nt)).expect("parallel labels");
                     assert_eq!(par.threads_used, nt);
                     // Bit-identical, not approximately equal: the parallel
                     // engine performs the same float operations in the same

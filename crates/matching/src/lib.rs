@@ -22,8 +22,10 @@
 //! Two acceleration stages (both on by default, switchable via
 //! [`MatchConfig`]) sit in front of the backtracking search: a fingerprint
 //! *index* that restricts the candidate patterns at a node to its
-//! shape-class bucket, and a cone-class *memoization* layer ([`MatchStore`],
-//! used through [`Matcher::for_each_match_via`]) that records one canonical
+//! shape-class bucket, and a cone-class *memoization* layer
+//! ([`SharedMatchStore`], probed through
+//! [`Matcher::for_each_match_shared`] whether it is a daemon's warm store
+//! or one labeling worker's private one) that records one canonical
 //! enumeration per bounded-depth cone class and replays it at isomorphic
 //! nodes. Both preserve the enumeration order of the naive full scan
 //! exactly, so labels, tie-breaks and mapped netlists are bit-identical

@@ -1,9 +1,9 @@
 use dagmap_genlib::{GateId, Library, PatternGraph, PatternId, PatternNode, RootMasks};
-use dagmap_netlist::fingerprint::{extract_cone, ConeScratch, ConeSpec};
+use dagmap_netlist::fingerprint::{extract_cone, ConeScratch};
 use dagmap_netlist::{FlatNet, NodeId, Sig, Signatures, SubjectGraph, KIND_INV, KIND_NAND};
 
-use crate::shared::SharedMatchStore;
-use crate::store::{ClassId, MatchStore, HOME_SELF};
+use crate::shared::{Shard, SharedMatchStore};
+use crate::store::{ClassId, ConeKey, MatchStore};
 
 /// Which match semantics to enforce (Definitions 1–3 of the paper).
 #[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
@@ -113,7 +113,11 @@ impl MatchStats {
 /// node; it wins only when the enumeration it replaces is expensive — big
 /// expanded pattern sets with deep patterns. On cheap libraries the probe
 /// overhead exceeds the saved search even at high hit rates, so the
-/// default `Auto` policy sizes the decision per library.
+/// default `Auto` policy sizes the decision per library. The O(1)
+/// strash-id probe does not change that within one pass: id keying needs
+/// an injective signature map, so no signature repeats inside a subject
+/// and every probe of a one-shot labeling extracts a cone. Id hits pay
+/// off only across requests, area-recovery rounds and remaps.
 #[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
 pub enum MemoPolicy {
     /// Memoize when the library's expanded pattern set is large enough
@@ -136,9 +140,9 @@ pub struct MatchConfig {
     /// are attempted.
     pub index: bool,
     /// Stage 2: memoize whole enumerations by canonical cone class in a
-    /// [`MatchStore`] and replay them through the cone isomorphism. Only
-    /// takes effect through [`Matcher::for_each_match_via`] /
-    /// [`Matcher::class_at`], which carry the store.
+    /// [`SharedMatchStore`] and replay them through the cone isomorphism.
+    /// Only takes effect through [`Matcher::for_each_match_shared`], which
+    /// carries the store.
     pub memo: MemoPolicy,
     /// Stage 3: key warm memo probes on the subject's structural
     /// signatures ([`dagmap_netlist::strash`]) so a repeat probe is one
@@ -190,7 +194,7 @@ impl MatchConfig {
 /// engine of `dagmap-core` keeps one per worker.
 ///
 /// The scratch also embeds a [`ConeScratch`] used by the memoized entry
-/// points ([`Matcher::class_at`], [`Matcher::for_each_match_via`]) to
+/// points ([`Matcher::class_at`], [`Matcher::for_each_match_shared`]) to
 /// canonicalize the bounded-depth cone of the queried node.
 #[derive(Debug, Default, Clone)]
 pub struct MatchScratch {
@@ -323,7 +327,7 @@ impl<'a> Matcher<'a> {
         self.config
     }
 
-    /// Whether [`Matcher::for_each_match_via`] will actually consult the
+    /// Whether [`Matcher::for_each_match_shared`] will actually consult the
     /// match store — the [`MemoPolicy`] resolved against this library.
     pub fn memo_enabled(&self) -> bool {
         self.memo_on
@@ -514,30 +518,199 @@ impl<'a> Matcher<'a> {
         scratch: &mut MatchScratch,
         store: &mut MatchStore,
     ) -> (Option<ClassId>, MatchStats) {
-        store.check_library(self.library);
+        let bounds = store.bounds();
+        bounds.check(self.library);
         let flat = subject.flat();
         if !flat.is_gate(node) {
             return (None, MatchStats::default());
         }
-        let spec = ConeSpec {
-            max_depth: store.max_depth(),
-            record_fanouts: mode == MatchMode::Exact,
-            fanout_cap: store.fanout_cap(),
-        };
         let MatchScratch { bufs, cone, .. } = scratch;
-        extract_cone(flat, node, spec, cone);
-        let level_cap = flat.level(node).min(store.max_depth());
+        extract_cone(flat, node, bounds.cone_spec(mode), cone);
+        let key = ConeKey::new(mode, flat.level(node).min(bounds.max_depth), cone.key());
         let mut stats = MatchStats {
             memo_lookups: 1,
             ..MatchStats::default()
         };
-        if let Some(class) = store.probe(mode, level_cap, cone.key()) {
-            stats.memo_hits = 1;
-            stats.enumerated = store.num_templates(class);
-            stats.pruned = store.pruned_of(class);
-            return (Some(class), stats);
+        let class = match store.probe(&key) {
+            Some(class) => {
+                stats.memo_hits = 1;
+                class
+            }
+            None => self.record_class(subject, node, mode, bufs, cone, store, &key),
+        };
+        stats.enumerated = store.num_templates(class);
+        stats.pruned = store.pruned_of(class);
+        (Some(class), stats)
+    }
+
+    /// Memoized variant of [`Matcher::for_each_match_at`], and the only
+    /// one: resolves the node's cone class in `shared` and replays the
+    /// stored templates under the shard lock, so repeated cones cost a hash
+    /// probe plus a copy per match instead of a backtracking search. Falls
+    /// back to direct enumeration when [`MatchConfig::memo`] resolves off
+    /// for this library. The callback sequence is identical to the full
+    /// scan in every case, so a daemon's mapped netlists are byte-identical
+    /// to the one-shot CLI's.
+    ///
+    /// The daemon passes its warm cross-request store; a one-shot run
+    /// passes each labeling worker's private one-shard store.
+    ///
+    /// When the node's strash signature may key the probe (see
+    /// [`MatchConfig::strash_ids`]), its id entry is tried first; the entry
+    /// lives in the shard selected by signature and is a *reference*
+    /// `(home shard, rotation stamp, class)` to a class that keeps its
+    /// canonical residence in the cone-key-selected shard. Two properties
+    /// fall out of that split:
+    ///
+    /// * **Cross-subject sharing survives.** Signatures hash interface
+    ///   names, so the same structure built by two differently-named
+    ///   subjects carries two different sigs — but one cone key. Classes
+    ///   stay cone-addressed, so the second subject's fallback finds what
+    ///   the first enumerated; only the sig→class index is per-subject.
+    /// * **No residency amplification.** Registering a sig alias adds a
+    ///   small entry, not a class copy, so a parade of distinct subjects
+    ///   cannot flood the LRU and evict the shared canonical classes (the
+    ///   copy-based variant measurably did exactly that).
+    ///
+    /// The price is a stamp validation: the reference only resolves while
+    /// the home's rotation stamp matches. A stale reference (the home
+    /// rotated since registration) falls back to the cone-keyed path,
+    /// which re-registers the alias at the current stamp.
+    pub fn for_each_match_shared(
+        &self,
+        subject: &SubjectGraph,
+        node: NodeId,
+        mode: MatchMode,
+        scratch: &mut MatchScratch,
+        shared: &SharedMatchStore,
+        f: &mut dyn FnMut(MatchView<'_>),
+    ) -> MatchStats {
+        if !self.memo_on {
+            let stats = self.for_each_match_at(subject, node, mode, scratch, f);
+            dagmap_obs::sample("match.per_node", stats.enumerated as u64);
+            return stats;
         }
-        let class = store.begin_class();
+        shared.check_library(self.library);
+        let flat = subject.flat();
+        if !flat.is_gate(node) {
+            return MatchStats::default();
+        }
+        let sig = self.strash_sig(subject, node, mode);
+        let MatchScratch {
+            bufs,
+            cone,
+            id_locals,
+        } = scratch;
+        if let Some(sig) = sig {
+            let hit = replay_id_hit(subject, node, mode, sig, shared, bufs, cone, id_locals, f);
+            if let Some(stats) = hit {
+                return stats;
+            }
+        }
+        // No usable id entry — first sighting of this structure *under
+        // this subject's signatures*, a stale reference, or no signature.
+        // Extract the cone and resolve through canonical cone addressing:
+        // a structure first seen through a differently-named subject
+        // carries a different sig but the same cone key, and its class
+        // lives in the cone-selected shard.
+        let bounds = shared.bounds();
+        extract_cone(flat, node, bounds.cone_spec(mode), cone);
+        let key = ConeKey::new(mode, flat.level(node).min(bounds.max_depth), cone.key());
+        let home_idx = shared.cone_shard_index(key.hash());
+        // With a signature, its shard is locked too (to register the alias),
+        // both in the store-wide lock order; `cone_home` is `Some` only when
+        // the class's home is a different shard. No lock is held across the
+        // id probe above, so a racing registration of the same sig is
+        // simply re-found by its cone key here.
+        let (mut first, mut cone_home) = match sig {
+            Some(sig) => shared.lock_pair(shared.sig_shard_index(sig), home_idx),
+            None => (shared.lock_shard(home_idx), None),
+        };
+        let home: &mut Shard = match cone_home.as_deref_mut() {
+            Some(home) => home,
+            None => &mut first,
+        };
+        let (class, stats) = self.resolve_in(home, &key, subject, node, mode, bufs, cone, shared);
+        dagmap_obs::sample("match.per_node", stats.enumerated as u64);
+        replay_class(&home.current, class, cone.locals(), bufs, f);
+        let home_stamp = home.stamp;
+        if let Some(home) = cone_home.as_deref_mut() {
+            rotate_if_full(home, shared);
+        }
+        if let Some(sig) = sig {
+            // Alias the class under the node's signature at the stamp it
+            // was seen under, so the next probe of this structure skips
+            // cone extraction; if its home rotated in the meantime (or
+            // rotates next), the reference simply reads as stale. The
+            // locals are stored as signatures: a later probing subject
+            // resolves them through its own signature index.
+            let sigs = subject.signatures();
+            first.current.register_id(
+                mode,
+                sig,
+                class,
+                cone.locals().iter().map(|&id| sigs.sig_of(id)),
+                home_idx as u32,
+                home_stamp,
+            );
+        }
+        rotate_if_full(&mut first, shared);
+        stats
+    }
+
+    /// The one memo probe: resolves `key` in a locked shard — a hit in
+    /// `current`, else a promotion out of `prev` (copied forward so it
+    /// survives the next rotation), else a fresh enumeration recorded into
+    /// `current` — and counts the outcome on `shared`.
+    #[allow(clippy::too_many_arguments)]
+    fn resolve_in(
+        &self,
+        shard: &mut Shard,
+        key: &ConeKey<'_>,
+        subject: &SubjectGraph,
+        node: NodeId,
+        mode: MatchMode,
+        bufs: &mut EnumBufs,
+        cone: &ConeScratch,
+        shared: &SharedMatchStore,
+    ) -> (ClassId, MatchStats) {
+        let mut stats = MatchStats {
+            memo_lookups: 1,
+            ..MatchStats::default()
+        };
+        let Shard { current, prev, .. } = shard;
+        let class = if let Some(class) = current.probe(key) {
+            shared.note_hit();
+            stats.memo_hits = 1;
+            class
+        } else if let Some(old) = prev.probe(key) {
+            shared.note_promotion();
+            stats.memo_hits = 1;
+            current.copy_class_from(prev, old, key)
+        } else {
+            shared.note_miss();
+            self.record_class(subject, node, mode, bufs, cone, current, key)
+        };
+        stats.enumerated = current.num_templates(class);
+        stats.pruned = current.pruned_of(class);
+        (class, stats)
+    }
+
+    /// The miss step of every memo probe: enumerates `node` fresh and
+    /// records its matches into `store` as the templates of a new class
+    /// under `key`, with leaves and covered nodes as cone-local indices.
+    #[allow(clippy::too_many_arguments)]
+    fn record_class(
+        &self,
+        subject: &SubjectGraph,
+        node: NodeId,
+        mode: MatchMode,
+        bufs: &mut EnumBufs,
+        cone: &ConeScratch,
+        store: &mut MatchStore,
+        key: &ConeKey<'_>,
+    ) -> ClassId {
+        let class = store.begin_class(key);
         let run = self.enumerate(subject, node, mode, bufs, &mut |mv| {
             store.push_template(
                 class,
@@ -552,92 +725,7 @@ impl<'a> Matcher<'a> {
             );
         });
         store.set_pruned(class, run.pruned);
-        stats.enumerated = run.enumerated;
-        stats.pruned = run.pruned;
-        (Some(class), stats)
-    }
-
-    /// Memoized variant of [`Matcher::for_each_match_at`]: resolves the
-    /// node's cone class in `store` and replays the stored templates, so
-    /// repeated cones cost a hash probe plus a copy per match instead of a
-    /// backtracking search. Falls back to direct enumeration when
-    /// [`MatchConfig::memo`] is off. The callback sequence is identical in
-    /// every case.
-    pub fn for_each_match_via(
-        &self,
-        subject: &SubjectGraph,
-        node: NodeId,
-        mode: MatchMode,
-        scratch: &mut MatchScratch,
-        store: &mut MatchStore,
-        f: &mut dyn FnMut(MatchView<'_>),
-    ) -> MatchStats {
-        if !self.memo_on {
-            let stats = self.for_each_match_at(subject, node, mode, scratch, f);
-            dagmap_obs::sample("match.per_node", stats.enumerated as u64);
-            return stats;
-        }
-        let sig = self.strash_sig(subject, node, mode);
-        if let Some(sig) = sig {
-            if let Some(stats) = self.replay_id_hit_local(subject, mode, sig, scratch, store, f) {
-                return stats;
-            }
-        }
-        let (class, stats) = self.class_at(subject, node, mode, scratch, store);
-        dagmap_obs::sample("match.per_node", stats.enumerated as u64);
-        let Some(class) = class else {
-            return stats;
-        };
-        let MatchScratch { bufs, cone, .. } = scratch;
-        if let Some(sig) = sig {
-            // Alias the class under the node's signature so the next probe
-            // of this structure skips cone extraction. The locals are
-            // stored as signatures: a later probing subject resolves them
-            // through its own signature index, which maps each one to the
-            // corresponding member of its own (structurally identical)
-            // cone.
-            let sigs = subject.signatures();
-            store.register_id(
-                mode,
-                sig,
-                class,
-                cone.locals().iter().map(|&id| sigs.sig_of(id)),
-                HOME_SELF,
-                0,
-            );
-        }
-        replay_class(store, class, cone.locals(), bufs, f);
-        stats
-    }
-
-    /// Resolves the node's signature against `store`'s id index and, on a
-    /// hit, replays the class without touching the cone extractor. Returns
-    /// `None` (counting nothing) when the id index has no usable entry, in
-    /// which case the caller falls back to the cone-keyed path.
-    fn replay_id_hit_local(
-        &self,
-        subject: &SubjectGraph,
-        mode: MatchMode,
-        sig: Sig,
-        scratch: &mut MatchScratch,
-        store: &mut MatchStore,
-        f: &mut dyn FnMut(MatchView<'_>),
-    ) -> Option<MatchStats> {
-        let MatchScratch { bufs, id_locals, .. } = scratch;
-        let (class, home, _) = resolve_id_entry(store, subject.signatures(), mode, sig, id_locals)?;
-        debug_assert_eq!(home, HOME_SELF, "single-store entries are self-homed");
-        store.count_id_hit();
-        let stats = MatchStats {
-            memo_lookups: 1,
-            memo_hits: 1,
-            memo_id_hits: 1,
-            enumerated: store.num_templates(class),
-            pruned: store.pruned_of(class),
-            ..MatchStats::default()
-        };
-        dagmap_obs::sample("match.per_node", stats.enumerated as u64);
-        replay_class(store, class, id_locals, bufs, f);
-        Some(stats)
+        class
     }
 
     /// The node's strash signature, iff it may key memo probes here: the
@@ -659,297 +747,77 @@ impl<'a> Matcher<'a> {
         }
         Some(sigs.sig_of(node))
     }
+}
 
-    /// Cross-request variant of [`Matcher::for_each_match_via`]: resolves
-    /// the node's cone class in a [`SharedMatchStore`] — probing the hot
-    /// generation, then the previous one (promoting on a hit), enumerating
-    /// fresh on a double miss — and replays the templates under the shard
-    /// lock. Falls back to direct enumeration when [`MatchConfig::memo`]
-    /// resolves off for this library. The callback sequence is identical
-    /// to the full scan in every case, so a daemon's mapped netlists are
-    /// byte-identical to the one-shot CLI's.
-    pub fn for_each_match_shared(
-        &self,
-        subject: &SubjectGraph,
-        node: NodeId,
-        mode: MatchMode,
-        scratch: &mut MatchScratch,
-        shared: &SharedMatchStore,
-        f: &mut dyn FnMut(MatchView<'_>),
-    ) -> MatchStats {
-        if !self.memo_on {
-            let stats = self.for_each_match_at(subject, node, mode, scratch, f);
-            dagmap_obs::sample("match.per_node", stats.enumerated as u64);
-            return stats;
-        }
-        shared.check_library(self.library);
-        let flat = subject.flat();
-        if !flat.is_gate(node) {
-            return MatchStats::default();
-        }
-        if let Some(sig) = self.strash_sig(subject, node, mode) {
-            return self.for_each_match_shared_by_sig(subject, node, mode, sig, scratch, shared, f);
-        }
-        let spec = ConeSpec {
-            max_depth: shared.max_depth(),
-            record_fanouts: mode == MatchMode::Exact,
-            fanout_cap: shared.fanout_cap(),
-        };
-        let MatchScratch { bufs, cone, .. } = scratch;
-        extract_cone(flat, node, spec, cone);
-        let level_cap = flat.level(node).min(shared.max_depth());
-        let mut stats = MatchStats {
-            memo_lookups: 1,
-            ..MatchStats::default()
-        };
-        let mut shard = shared.shard_for(mode, level_cap, cone.key());
-        let class = if let Some(class) = shard.current.probe(mode, level_cap, cone.key()) {
-            stats.memo_hits = 1;
-            shared.note_hit();
-            class
-        } else if let Some(old) = shard.prev.probe(mode, level_cap, cone.key()) {
-            // The missed probe staged the key in `current`; copy the aged
-            // class forward so it survives the next rotation.
-            let crate::shared::Shard { current, prev, .. } = &mut *shard;
-            let class = current.copy_class_from(prev, old);
-            stats.memo_hits = 1;
-            shared.note_promotion();
-            class
-        } else {
-            let crate::shared::Shard { current, .. } = &mut *shard;
-            let class = current.begin_class();
-            let run = self.enumerate(subject, node, mode, bufs, &mut |mv| {
-                current.push_template(
-                    class,
-                    mv.gate,
-                    mv.pattern,
-                    mv.leaves
-                        .iter()
-                        .map(|&id| cone.local_of(id).expect("match leaf inside cone")),
-                    mv.covered
-                        .iter()
-                        .map(|&id| cone.local_of(id).expect("covered node inside cone")),
-                );
-            });
-            current.set_pruned(class, run.pruned);
-            shared.note_miss();
-            class
-        };
-        stats.enumerated = shard.current.num_templates(class);
-        stats.pruned = shard.current.pruned_of(class);
-        dagmap_obs::sample("match.per_node", stats.enumerated as u64);
-        replay_class(&shard.current, class, cone.locals(), bufs, f);
-        rotate_if_full(&mut shard, shared);
-        stats
+/// The O(1) strash-id probe: looks the node's signature up in its shard's
+/// id index (both generations; entries are tiny, so aged ones are still
+/// worth following), follows the `(home, stamp, class)` reference to the
+/// class's home shard — keeping the lock when the home *is* the sig shard
+/// — and, while the stamp still matches, replays the class through the
+/// signature-resolved locals without touching the cone extractor. Returns
+/// `None` (counting nothing) when there is no usable entry: the home
+/// rotating since registration recycles class ids, so a stale reference
+/// is discarded rather than resolved.
+#[allow(clippy::too_many_arguments)]
+fn replay_id_hit(
+    subject: &SubjectGraph,
+    node: NodeId,
+    mode: MatchMode,
+    sig: Sig,
+    shared: &SharedMatchStore,
+    bufs: &mut EnumBufs,
+    cone: &mut ConeScratch,
+    id_locals: &mut Vec<NodeId>,
+    f: &mut dyn FnMut(MatchView<'_>),
+) -> Option<MatchStats> {
+    let sigs = subject.signatures();
+    let sig_idx = shared.sig_shard_index(sig);
+    let sig_shard = shared.lock_shard(sig_idx);
+    let (class, home, stamp) = resolve_id_entry(&sig_shard.current, sigs, mode, sig, id_locals)
+        .or_else(|| resolve_id_entry(&sig_shard.prev, sigs, mode, sig, id_locals))?;
+    let home_shard = if home as usize == sig_idx {
+        sig_shard
+    } else {
+        drop(sig_shard);
+        shared.lock_shard(home as usize)
+    };
+    if home_shard.stamp != stamp {
+        return None;
     }
-
-    /// [`Matcher::for_each_match_shared`] with the node's strash signature
-    /// keying the probe. Id entries live in the shard selected by
-    /// signature; each is a *reference* `(home shard, rotation stamp,
-    /// class)` to a class that keeps its canonical residence in the
-    /// cone-key-selected shard. Two properties fall out of that split:
-    ///
-    /// * **Cross-subject sharing survives.** Signatures hash interface
-    ///   names, so the same structure built by two differently-named
-    ///   subjects carries two different sigs — but one cone key. Classes
-    ///   stay cone-addressed, so the second subject's fallback finds what
-    ///   the first enumerated; only the sig→class index is per-subject.
-    /// * **No residency amplification.** Registering a sig alias adds a
-    ///   small entry, not a class copy, so a parade of distinct subjects
-    ///   cannot flood the LRU and evict the shared canonical classes (the
-    ///   copy-based variant measurably did exactly that).
-    ///
-    /// The price is a stamp validation: an id hit locks the sig shard,
-    /// then the home shard, and the reference only resolves while the
-    /// home's rotation stamp matches. A stale reference (the home rotated
-    /// since registration) falls back to the cone-keyed path, which
-    /// re-registers the alias at the current stamp.
-    fn for_each_match_shared_by_sig(
-        &self,
-        subject: &SubjectGraph,
-        node: NodeId,
-        mode: MatchMode,
-        sig: Sig,
-        scratch: &mut MatchScratch,
-        shared: &SharedMatchStore,
-        f: &mut dyn FnMut(MatchView<'_>),
-    ) -> MatchStats {
-        let sigs = subject.signatures();
+    // The id fast path's soundness invariant: signatures hash the physical
+    // fanin order, so sig equality implies an identical cone serialization
+    // — the resolved locals must be exactly the cone locals, and the
+    // entry's class must be the one the cone key resolves to. Checked in
+    // debug builds only; release builds skip cone extraction here entirely
+    // (the point of the fast path).
+    if cfg!(debug_assertions) {
         let flat = subject.flat();
-        // Read the library bounds before taking the shard lock: these
-        // accessors lock shard 0 internally, which would self-deadlock on a
-        // single-shard store.
-        let spec = ConeSpec {
-            max_depth: shared.max_depth(),
-            record_fanouts: mode == MatchMode::Exact,
-            fanout_cap: shared.fanout_cap(),
-        };
-        let mut stats = MatchStats {
-            memo_lookups: 1,
-            ..MatchStats::default()
-        };
-        let MatchScratch {
-            bufs,
-            cone,
-            id_locals,
-        } = scratch;
-        // Phase 1: the O(1) probe — look the sig up in the sig shard's id
-        // index (both generations; entries are tiny, so aged ones are
-        // still worth following) and take the `(home, stamp, class)`
-        // reference out of the lock.
-        let reference = {
-            let shard = shared.shard_for_sig(sig);
-            resolve_id_entry(&shard.current, sigs, mode, sig, id_locals)
-                .or_else(|| resolve_id_entry(&shard.prev, sigs, mode, sig, id_locals))
-        };
-        // Phase 2: follow the reference to the class's home shard. The
-        // stamp must still match — the home rotating between registration
-        // (or phase 1) and here recycles class ids, so a stale reference
-        // is discarded rather than resolved.
-        if let Some((class, home, stamp)) = reference {
-            let mut home_shard = shared.lock_shard(home as usize);
-            if home_shard.stamp == stamp {
-                // The id fast path's soundness invariant: signatures hash
-                // the physical fanin order, so sig equality implies an
-                // identical cone serialization — the resolved locals must
-                // be exactly the cone locals, and the entry's class must
-                // be the one the cone key resolves to. Checked in debug
-                // builds only; release builds skip cone extraction here
-                // entirely (the point of the fast path).
-                #[cfg(debug_assertions)]
-                {
-                    extract_cone(flat, node, spec, cone);
-                    debug_assert_eq!(
-                        id_locals.as_slice(),
-                        cone.locals(),
-                        "sig-resolved locals diverge from cone locals at {node:?}"
-                    );
-                    let level_cap = flat.level(node).min(spec.max_depth);
-                    debug_assert_eq!(
-                        home_shard.current.probe(mode, level_cap, cone.key()),
-                        Some(class),
-                        "id entry resolves to a different class than the cone key at {node:?}"
-                    );
-                }
-                home_shard.current.count_id_hit();
-                shared.note_id_hit();
-                stats.memo_hits = 1;
-                stats.memo_id_hits = 1;
-                stats.enumerated = home_shard.current.num_templates(class);
-                stats.pruned = home_shard.current.pruned_of(class);
-                dagmap_obs::sample("match.per_node", stats.enumerated as u64);
-                replay_class(&home_shard.current, class, id_locals, bufs, f);
-                return stats;
-            }
-        }
-        // Phase 3: no usable reference — first sighting of this structure
-        // *under this subject's signatures*, or a reference gone stale.
-        // Extract the cone and resolve through canonical cone addressing:
-        // a structure first seen through a differently-named subject
-        // carries a different sig but the same cone key, and its class
-        // lives in the cone-selected shard. Both shards are locked in
-        // index order (no lock is held across the phases, so a racing
-        // registration of the same sig is simply re-found by its cone key
-        // here).
-        extract_cone(flat, node, spec, cone);
-        let level_cap = flat.level(node).min(spec.max_depth);
-        let (mut shard, cone_shard) = shared.shard_pair(sig, mode, level_cap, cone.key());
-        let (class, home_idx, home_stamp) = if let Some(mut cs) = cone_shard {
-            // The canonical home is a different shard from the sig shard.
-            let class = if let Some(class) = cs.current.probe(mode, level_cap, cone.key()) {
-                stats.memo_hits = 1;
-                shared.note_hit();
-                class
-            } else if let Some(old) = cs.prev.probe(mode, level_cap, cone.key()) {
-                // The missed probe staged the key in `current`; copy the
-                // aged class forward so it survives the next rotation.
-                let crate::shared::Shard { current, prev, .. } = &mut *cs;
-                let class = current.copy_class_from(prev, old);
-                stats.memo_hits = 1;
-                shared.note_promotion();
-                class
-            } else {
-                let crate::shared::Shard { current, .. } = &mut *cs;
-                let class = current.begin_class();
-                let run = self.enumerate(subject, node, mode, bufs, &mut |mv| {
-                    current.push_template(
-                        class,
-                        mv.gate,
-                        mv.pattern,
-                        mv.leaves
-                            .iter()
-                            .map(|&id| cone.local_of(id).expect("match leaf inside cone")),
-                        mv.covered
-                            .iter()
-                            .map(|&id| cone.local_of(id).expect("covered node inside cone")),
-                    );
-                });
-                current.set_pruned(class, run.pruned);
-                shared.note_miss();
-                class
-            };
-            stats.enumerated = cs.current.num_templates(class);
-            stats.pruned = cs.current.pruned_of(class);
-            let stamp = cs.stamp;
-            let idx = shared.cone_shard_index(mode, level_cap, cone.key());
-            // Replay from the canonical home before it can rotate.
-            dagmap_obs::sample("match.per_node", stats.enumerated as u64);
-            replay_class(&cs.current, class, cone.locals(), bufs, f);
-            rotate_if_full(&mut cs, shared);
-            (class, idx as u32, stamp)
-        } else {
-            // The sig shard is the canonical cone home too.
-            let class = if let Some(class) = shard.current.probe(mode, level_cap, cone.key()) {
-                stats.memo_hits = 1;
-                shared.note_hit();
-                class
-            } else if let Some(old) = shard.prev.probe(mode, level_cap, cone.key()) {
-                let crate::shared::Shard { current, prev, .. } = &mut *shard;
-                let class = current.copy_class_from(prev, old);
-                stats.memo_hits = 1;
-                shared.note_promotion();
-                class
-            } else {
-                let crate::shared::Shard { current, .. } = &mut *shard;
-                let class = current.begin_class();
-                let run = self.enumerate(subject, node, mode, bufs, &mut |mv| {
-                    current.push_template(
-                        class,
-                        mv.gate,
-                        mv.pattern,
-                        mv.leaves
-                            .iter()
-                            .map(|&id| cone.local_of(id).expect("match leaf inside cone")),
-                        mv.covered
-                            .iter()
-                            .map(|&id| cone.local_of(id).expect("covered node inside cone")),
-                    );
-                });
-                current.set_pruned(class, run.pruned);
-                shared.note_miss();
-                class
-            };
-            stats.enumerated = shard.current.num_templates(class);
-            stats.pruned = shard.current.pruned_of(class);
-            dagmap_obs::sample("match.per_node", stats.enumerated as u64);
-            replay_class(&shard.current, class, cone.locals(), bufs, f);
-            let idx = shared.cone_shard_index(mode, level_cap, cone.key());
-            (class, idx as u32, shard.stamp)
-        };
-        // Register the alias at the stamp the class was seen under; if its
-        // home rotated in the meantime (or rotates next), the reference
-        // simply reads as stale and this path re-registers it.
-        shard.current.register_id(
-            mode,
-            sig,
-            class,
-            cone.locals().iter().map(|&id| sigs.sig_of(id)),
-            home_idx,
-            home_stamp,
+        let bounds = shared.bounds();
+        extract_cone(flat, node, bounds.cone_spec(mode), cone);
+        debug_assert_eq!(
+            id_locals.as_slice(),
+            cone.locals(),
+            "sig-resolved locals diverge from cone locals at {node:?}"
         );
-        rotate_if_full(&mut shard, shared);
-        stats
+        let key = ConeKey::new(mode, flat.level(node).min(bounds.max_depth), cone.key());
+        debug_assert_eq!(
+            home_shard.current.probe(&key),
+            Some(class),
+            "id entry resolves to a different class than the cone key at {node:?}"
+        );
     }
+    shared.note_id_hit();
+    let stats = MatchStats {
+        memo_lookups: 1,
+        memo_hits: 1,
+        memo_id_hits: 1,
+        enumerated: home_shard.current.num_templates(class),
+        pruned: home_shard.current.pruned_of(class),
+        ..MatchStats::default()
+    };
+    dagmap_obs::sample("match.per_node", stats.enumerated as u64);
+    replay_class(&home_shard.current, class, id_locals, bufs, f);
+    Some(stats)
 }
 
 /// Rotates a shard's generations once `current` reaches the class cap:
@@ -966,10 +834,10 @@ impl<'a> Matcher<'a> {
 /// would otherwise grow the id index without bound. Entries are ~two
 /// orders of magnitude smaller than classes, so the generous factor keeps
 /// this valve from evicting classes under any normal mix.
-fn rotate_if_full(shard: &mut crate::shared::Shard, shared: &SharedMatchStore) {
+fn rotate_if_full(shard: &mut Shard, shared: &SharedMatchStore) {
     let cap = shared.cap_per_shard();
     if shard.current.num_classes() >= cap || shard.current.id_count() >= cap.saturating_mul(64) {
-        let fresh = shard.current.fresh_like();
+        let fresh = MatchStore::with_bounds(shared.bounds());
         let evicted = shard.prev.num_classes();
         shard.prev = std::mem::replace(&mut shard.current, fresh);
         shard.stamp += 1;
@@ -1512,9 +1380,11 @@ mod tests {
             },
         );
         assert!(matcher.memo_enabled());
-        let mut store = MatchStore::for_library(&l);
+        // The run-private store a one-shot labeling worker gets.
+        let store = SharedMatchStore::for_library(&l, 1, usize::MAX);
         let mut s_direct = MatchScratch::new();
         let mut s_memo = MatchScratch::new();
+        let mut lookups = 0;
         // One store across two subjects of different sizes: node ids differ
         // but cone classes recur, so the second subject must mostly hit.
         for n in [3usize, 6] {
@@ -1527,26 +1397,27 @@ mod tests {
                             direct.push(mv.to_match())
                         });
                     let mut memo = Vec::new();
-                    let sm = matcher.for_each_match_via(
+                    let sm = matcher.for_each_match_shared(
                         &subject,
                         node,
                         mode,
                         &mut s_memo,
-                        &mut store,
+                        &store,
                         &mut |mv| memo.push(mv.to_match()),
                     );
                     assert_eq!(direct, memo, "node {node:?} mode {mode:?}");
                     assert_eq!(sd.enumerated, sm.enumerated);
                     assert_eq!(sd.pruned, sm.pruned);
+                    lookups += sm.memo_lookups;
                 }
             }
         }
         assert!(store.hits() > 0, "isomorphic cones were replayed");
+        assert_eq!(store.rotations(), 0, "an uncapped store never rotates");
         assert!(
-            store.num_classes() < store.lookups(),
-            "fewer classes than lookups: {} vs {}",
-            store.num_classes(),
-            store.lookups()
+            store.resident_classes() < lookups,
+            "fewer classes than lookups: {} vs {lookups}",
+            store.resident_classes(),
         );
     }
 
@@ -1603,6 +1474,32 @@ mod tests {
             MatchMode::Standard,
             &mut scratch,
             &mut store,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "different library")]
+    fn shared_store_rejects_foreign_library() {
+        let l1 = lib(&[("inv", "!a"), ("nand2", "!(a*b)")]);
+        let l2 = rich_lib();
+        let store = SharedMatchStore::for_library(&l1, 1, usize::MAX);
+        let matcher = Matcher::with_config(
+            &l2,
+            MatchConfig {
+                memo: MemoPolicy::On,
+                ..MatchConfig::default()
+            },
+        );
+        let subject = ladder(1);
+        let root = subject.network().outputs()[0].driver;
+        let mut scratch = MatchScratch::new();
+        matcher.for_each_match_shared(
+            &subject,
+            root,
+            MatchMode::Standard,
+            &mut scratch,
+            &store,
+            &mut |_| {},
         );
     }
 

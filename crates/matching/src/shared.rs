@@ -1,16 +1,19 @@
-//! A bounded, thread-safe cone-class store shared *across* mapping runs.
+//! The sharded, bounded cone-class memo every memoized match probe goes
+//! through.
 //!
-//! A one-shot mapping owns its [`MatchStore`]; a long-lived daemon wants
-//! the opposite — one warm store per library that every request on every
-//! worker thread probes, so the thousandth request over a familiar circuit
-//! replays memoized enumerations instead of redoing the backtracking
-//! search. [`SharedMatchStore`] provides that with two properties a
-//! resident process needs:
+//! A long-lived daemon keeps one warm store per library that every request
+//! on every worker thread probes, so the thousandth request over a
+//! familiar circuit replays memoized enumerations instead of redoing the
+//! backtracking search. A one-shot mapping run gives each labeling worker
+//! a private store of one shard with no class cap — the same type, probed
+//! by the same [`Matcher::for_each_match_shared`](crate::Matcher::for_each_match_shared).
+//! [`SharedMatchStore`] provides two properties a resident process needs:
 //!
 //! * **Sharded locking.** The store is `N` independently locked
 //!   [`MatchStore`] shards; a probe hashes its `(mode, capped level,
-//!   cone)` key first and locks only the owning shard, so concurrent
-//!   requests over disjoint cone classes never contend.
+//!   cone)` key once and locks only the owning shard, so concurrent
+//!   requests over disjoint cone classes never contend. The library bounds
+//!   every probe reads are plain fields, read without any lock.
 //! * **Bounded memory (segmented LRU).** Each shard keeps two
 //!   *generations* — `current` and `prev`. Lookups probe `current`, then
 //!   `prev`; a `prev` hit *promotes* the class into `current` (copying
@@ -29,11 +32,10 @@
 //! promoted out of the previous generation. The differential tests in
 //! this module and the serve integration suite assert this.
 //!
-//! Counters: hits/misses/promotions/evictions are process atomics
-//! (surfaced by the daemon's `stats` op) and are also recorded through
-//! `dagmap_obs` as `serve.memo_hit` / `serve.memo_miss` /
-//! `serve.memo_evict` so per-request traces and the serveperf session see
-//! them.
+//! Counters: hits/misses/promotions/evictions/rotations/id hits are
+//! process atomics, surfaced by the daemon's `stats` op and metrics
+//! scrape. Per-run memo counts are the labeling pass's `match.memo_*`
+//! counters, not this store's.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -41,18 +43,17 @@ use std::sync::{Mutex, MutexGuard};
 use dagmap_genlib::Library;
 use dagmap_netlist::Sig;
 
-use crate::matcher::MatchMode;
-use crate::store::{probe_hash, MatchStore};
+use crate::store::{LibraryBounds, MatchStore};
 
 /// One generation pair; see the [module docs](self).
 pub(crate) struct Shard {
     pub(crate) current: MatchStore,
     pub(crate) prev: MatchStore,
     /// Monotonic rotation stamp: incremented each time the generations
-    /// rotate. Strash-id entries in *other* shards reference classes of
-    /// this shard as `(shard index, stamp, class)` — a stamp mismatch on
-    /// probe means the referenced generation aged or died, so the
-    /// reference is discarded instead of resolving a recycled class id.
+    /// rotate. Strash-id entries reference classes of this shard as
+    /// `(shard index, stamp, class)` — a stamp mismatch on probe means the
+    /// referenced generation aged or died, so the reference is discarded
+    /// instead of resolving a recycled class id.
     pub(crate) stamp: u64,
 }
 
@@ -64,6 +65,8 @@ pub struct SharedMatchStore {
     shard_mask: u64,
     /// Class cap of one shard's `current` generation.
     cap_per_shard: usize,
+    /// Library bounds captured at construction (identical across shards).
+    bounds: LibraryBounds,
     hits: AtomicU64,
     misses: AtomicU64,
     promotions: AtomicU64,
@@ -92,15 +95,17 @@ impl SharedMatchStore {
     /// Creates a store for `library` with `shards` independently locked
     /// shards (rounded up to a power of two, minimum 1) and a total class
     /// budget of `max_classes` across all `current` generations. Resident
-    /// memory is bounded by twice that (both generations).
+    /// memory is bounded by twice that (both generations); a run-private
+    /// store passes one shard and `usize::MAX`, which never rotates.
     pub fn for_library(library: &Library, shards: usize, max_classes: usize) -> SharedMatchStore {
         let shards = shards.max(1).next_power_of_two();
         let cap_per_shard = (max_classes / shards).max(1);
+        let bounds = LibraryBounds::of(library);
         let shard_vec = (0..shards)
             .map(|_| {
                 Mutex::new(Shard {
-                    current: MatchStore::for_library(library),
-                    prev: MatchStore::for_library(library),
+                    current: MatchStore::with_bounds(bounds),
+                    prev: MatchStore::with_bounds(bounds),
                     stamp: 0,
                 })
             })
@@ -109,6 +114,7 @@ impl SharedMatchStore {
             shards: shard_vec,
             shard_mask: (shards - 1) as u64,
             cap_per_shard,
+            bounds,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
@@ -118,71 +124,48 @@ impl SharedMatchStore {
         }
     }
 
-    /// Locks shard `idx` directly — used to follow a strash-id entry's
-    /// `(home, stamp, class)` reference to the shard holding the class.
+    /// Locks shard `idx`.
     pub(crate) fn lock_shard(&self, idx: usize) -> MutexGuard<'_, Shard> {
         self.shards[idx].lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The canonical shard index of `(mode, level_cap, cone_key)`.
-    pub(crate) fn cone_shard_index(&self, mode: MatchMode, level_cap: u32, cone_key: &[u32]) -> usize {
-        let h = probe_hash(mode, level_cap, cone_key);
-        (((h >> 48) ^ h) & self.shard_mask) as usize
+    /// The canonical shard of a cone key with FNV digest `hash` — the home
+    /// of every cone class, because cone keys are subject-independent. The
+    /// high bits pick the shard; the low bits index the per-shard map.
+    pub(crate) fn cone_shard_index(&self, hash: u64) -> usize {
+        (((hash >> 48) ^ hash) & self.shard_mask) as usize
     }
 
-    fn sig_shard_index(&self, sig: Sig) -> usize {
+    /// The shard holding structural signature `sig`'s id entry. The entry
+    /// maps the sig to a `(home shard, stamp, class)` reference; the class
+    /// itself stays in its canonical cone-addressed home, so the same
+    /// structure probed by differently-named subjects (different sigs,
+    /// same cone key) shares one resident class.
+    pub(crate) fn sig_shard_index(&self, sig: Sig) -> usize {
         let raw = sig.raw();
         let h = (raw as u64) ^ (raw >> 64) as u64;
         (((h >> 48) ^ h) & self.shard_mask) as usize
     }
 
-    /// Locks and returns the shard owning `(mode, level_cap, cone_key)` —
-    /// the *canonical* home of every cone class, because cone keys are
-    /// subject-independent. The key hash doubles as the shard selector
-    /// (high bits — the low bits index the per-shard hash map).
-    pub(crate) fn shard_for(
+    /// Locks shard `first` together with shard `second`, in ascending
+    /// index order — the store-wide lock order, so two threads pairing
+    /// different shards can never deadlock. Returns the second guard only
+    /// when it is a distinct shard.
+    pub(crate) fn lock_pair(
         &self,
-        mode: MatchMode,
-        level_cap: u32,
-        cone_key: &[u32],
-    ) -> MutexGuard<'_, Shard> {
-        self.lock_shard(self.cone_shard_index(mode, level_cap, cone_key))
-    }
-
-    /// Locks and returns the shard owning structural signature `sig` — the
-    /// strash-id fast path's shard selector. The shard's id index maps the
-    /// sig to a `(home shard, stamp, class)` reference; the class itself
-    /// stays in its canonical cone-addressed home, so the same structure
-    /// probed by differently-named subjects (different sigs, same cone
-    /// key) shares one resident class.
-    pub(crate) fn shard_for_sig(&self, sig: Sig) -> MutexGuard<'_, Shard> {
-        self.lock_shard(self.sig_shard_index(sig))
-    }
-
-    /// Locks the sig-addressed shard together with the cone-addressed
-    /// shard of the same probe, in ascending index order — the store-wide
-    /// lock order, so two threads pairing different (sig, cone) homes can
-    /// never deadlock. Returns the cone guard only when it is a distinct
-    /// shard; `None` means the sig shard *is* the canonical cone home.
-    pub(crate) fn shard_pair(
-        &self,
-        sig: Sig,
-        mode: MatchMode,
-        level_cap: u32,
-        cone_key: &[u32],
+        first: usize,
+        second: usize,
     ) -> (MutexGuard<'_, Shard>, Option<MutexGuard<'_, Shard>>) {
-        let si = self.sig_shard_index(sig);
-        let ci = self.cone_shard_index(mode, level_cap, cone_key);
-        if si == ci {
-            (self.lock_shard(si), None)
-        } else if si < ci {
-            let s = self.lock_shard(si);
-            let c = self.lock_shard(ci);
-            (s, Some(c))
+        if first == second {
+            (self.lock_shard(first), None)
+        } else if first < second {
+            let a = self.lock_shard(first);
+            let b = self.lock_shard(second);
+            (a, Some(b))
         } else {
-            let c = self.lock_shard(ci);
-            let s = self.lock_shard(si);
-            (s, Some(c))
+            let b = self.lock_shard(second);
+            let a = self.lock_shard(first);
+            (a, Some(b))
         }
     }
 
@@ -191,61 +174,38 @@ impl SharedMatchStore {
         self.cap_per_shard
     }
 
+    /// The library bounds every probe reads — no lock taken.
+    pub(crate) fn bounds(&self) -> LibraryBounds {
+        self.bounds
+    }
+
     /// Asserts the store was built for `library`.
     pub fn check_library(&self, library: &Library) {
-        self.shards[0]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .current
-            .check_library(library);
-    }
-
-    /// The cone truncation depth (identical across shards).
-    pub(crate) fn max_depth(&self) -> u32 {
-        self.shards[0]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .current
-            .max_depth()
-    }
-
-    /// The fanout saturation bound recorded in exact-mode cone keys.
-    pub(crate) fn fanout_cap(&self) -> u32 {
-        self.shards[0]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .current
-            .fanout_cap()
+        self.bounds.check(library);
     }
 
     pub(crate) fn note_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        dagmap_obs::count("serve.memo_hit", 1);
     }
 
     pub(crate) fn note_id_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.id_hits.fetch_add(1, Ordering::Relaxed);
-        dagmap_obs::count("serve.memo_hit", 1);
-        dagmap_obs::count("serve.memo_id_hit", 1);
     }
 
     pub(crate) fn note_promotion(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.promotions.fetch_add(1, Ordering::Relaxed);
-        dagmap_obs::count("serve.memo_hit", 1);
     }
 
     pub(crate) fn note_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        dagmap_obs::count("serve.memo_miss", 1);
     }
 
     pub(crate) fn note_rotation(&self, evicted_classes: usize) {
         self.rotations.fetch_add(1, Ordering::Relaxed);
         self.evictions
             .fetch_add(evicted_classes as u64, Ordering::Relaxed);
-        dagmap_obs::count("serve.memo_evict", evicted_classes as u64);
     }
 
     /// Cross-request lookups that replayed a stored class (including
@@ -295,7 +255,7 @@ impl SharedMatchStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::{MatchConfig, MatchScratch, Matcher, MemoPolicy};
+    use crate::matcher::{MatchConfig, MatchMode, MatchScratch, Matcher, MemoPolicy};
     use dagmap_genlib::Gate;
     use dagmap_netlist::{Network, NodeFn, SubjectGraph};
 
@@ -381,9 +341,8 @@ mod tests {
     fn concurrent_probes_stay_identical_to_serial_reference() {
         let lib = rich_lib();
         let matcher = memo_on(&lib);
-        let shared = SharedMatchStore::for_library(&lib, 2, 64);
         let subject = ladder(8);
-        // Serial reference with a private store.
+        // Serial reference: the unmemoized scan.
         let reference: Vec<Vec<crate::Match>> = subject
             .network()
             .node_ids()
@@ -400,26 +359,34 @@ mod tests {
                 out
             })
             .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    let mut scratch = MatchScratch::new();
-                    for (i, node) in subject.network().node_ids().enumerate() {
-                        let mut got = Vec::new();
-                        matcher.for_each_match_shared(
-                            &subject,
-                            node,
-                            MatchMode::Standard,
-                            &mut scratch,
-                            &shared,
-                            &mut |mv| got.push(mv.to_match()),
-                        );
-                        assert_eq!(got, reference[i]);
-                    }
-                });
-            }
-        });
-        assert!(shared.hits() > 0);
+        // One shard puts every sig entry and every class in the same shard,
+        // so concurrent probes run the same-shard id path (one lock held
+        // from the id probe through replay) and the single-lock pairing of
+        // the by-signature fallback; two shards also pair distinct shards.
+        for shards in [1, 2] {
+            let shared = SharedMatchStore::for_library(&lib, shards, 64);
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        let mut scratch = MatchScratch::new();
+                        for (i, node) in subject.network().node_ids().enumerate() {
+                            let mut got = Vec::new();
+                            matcher.for_each_match_shared(
+                                &subject,
+                                node,
+                                MatchMode::Standard,
+                                &mut scratch,
+                                &shared,
+                                &mut |mv| got.push(mv.to_match()),
+                            );
+                            assert_eq!(got, reference[i], "{shards} shards");
+                        }
+                    });
+                }
+            });
+            assert!(shared.hits() > 0, "{shards} shards");
+            assert!(shared.id_hits() > 0, "{shards} shards: strash ids resolved");
+        }
     }
 
     #[test]

@@ -20,42 +20,99 @@
 //! one store serves a whole mapping run — labeling, the area-recovery
 //! rounds, even different circuits — as long as the library is the same;
 //! [`MatchStore::for_library`] captures the library's pattern-set signature
-//! and every use asserts it still matches.
+//! and every use asserts it still matches. Mapping runs memoize through
+//! [`crate::SharedMatchStore`], whose shards are generations of
+//! `MatchStore`s; [`crate::Matcher::class_at`] resolves classes in a bare
+//! store for callers that keep the templates themselves.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use dagmap_genlib::{GateId, Library, PatternId};
+use dagmap_netlist::fingerprint::ConeSpec;
 use dagmap_netlist::strash::SigBuildHasher;
 use dagmap_netlist::Sig;
 
 use crate::matcher::MatchMode;
 
-/// FNV-1a over the key words. Probing runs once per subject node, so the
-/// hash has to be cheap; FNV mixes 32-bit tokens well enough for a table
-/// whose collisions are resolved by full key compare anyway.
-fn hash_key(words: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in words {
-        h ^= u64::from(w);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+/// One memo probe's key — `(mode, capped level, cone)` — together with its
+/// FNV-1a digest. The digest is computed once per probe and serves every
+/// use of the key: shard selection in the sharded store, and the hash-map
+/// probe of each generation looked at. FNV mixes 32-bit tokens well enough
+/// for a table whose collisions are resolved by full key compare anyway.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ConeKey<'a> {
+    hash: u64,
+    head: [u32; 2],
+    cone: &'a [u32],
 }
 
-/// The digest [`MatchStore::probe`] computes for a `(mode, capped level,
-/// cone)` key, streamed without materializing the key buffer. The sharded
-/// cross-request store uses it to pick a shard before locking one.
-pub(crate) fn probe_hash(mode: MatchMode, level_cap: u32, cone_key: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in [mode_code(mode), level_cap]
-        .into_iter()
-        .chain(cone_key.iter().copied())
-    {
-        h ^= u64::from(w);
-        h = h.wrapping_mul(0x0100_0000_01b3);
+impl<'a> ConeKey<'a> {
+    pub(crate) fn new(mode: MatchMode, level_cap: u32, cone: &'a [u32]) -> ConeKey<'a> {
+        let head = [mode_code(mode), level_cap];
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for &w in head.iter().chain(cone) {
+            hash ^= u64::from(w);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+        ConeKey { hash, head, cone }
     }
-    h
+
+    /// The key's FNV-1a digest.
+    pub(crate) fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    fn len(&self) -> usize {
+        self.head.len() + self.cone.len()
+    }
+
+    fn equals(&self, stored: &[u32]) -> bool {
+        stored.len() == self.len() && stored[..2] == self.head && stored[2..] == *self.cone
+    }
+}
+
+/// The library facts a store is bound to: the pattern-set signature every
+/// use asserts, and the cone bounds every probe reads. Plain `Copy` data,
+/// so the sharded store answers both without taking a lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LibraryBounds {
+    num_patterns: usize,
+    num_gates: usize,
+    /// The cone truncation depth (the library's maximum pattern depth).
+    pub(crate) max_depth: u32,
+    /// The fanout saturation bound recorded in exact-mode cone keys.
+    fanout_cap: u32,
+}
+
+impl LibraryBounds {
+    pub(crate) fn of(library: &Library) -> LibraryBounds {
+        LibraryBounds {
+            num_patterns: library.patterns().len(),
+            num_gates: library.gates().len(),
+            max_depth: library.max_pattern_depth(),
+            fanout_cap: library.pattern_fanout_cap(),
+        }
+    }
+
+    /// Asserts the bounds were captured from `library` (pattern-set
+    /// signature match). Guards against replaying one library's matches
+    /// under another.
+    pub(crate) fn check(&self, library: &Library) {
+        assert!(
+            *self == LibraryBounds::of(library),
+            "match store used with a different library than it was built for"
+        );
+    }
+
+    /// The cone extraction spec of a probe in `mode`.
+    pub(crate) fn cone_spec(&self, mode: MatchMode) -> ConeSpec {
+        ConeSpec {
+            max_depth: self.max_depth,
+            record_fanouts: mode == MatchMode::Exact,
+            fanout_cap: self.fanout_cap,
+        }
+    }
 }
 
 /// The map key is already an FNV digest; feeding it through SipHash again
@@ -111,22 +168,17 @@ struct Template {
     covered: (u32, u32),
 }
 
-/// Sentinel `home` of an id entry whose class lives in the registering
-/// store itself — the single-store (non-sharded) memo path.
-pub(crate) const HOME_SELF: u32 = u32::MAX;
-
 /// One strash-id fast-path entry: a structural signature resolved straight
 /// to its cone class, with the class's cone locals recorded as *signatures*
 /// so any probing subject can rebind them to its own node ids without
 /// extracting the cone. The entry *references* the class rather than
-/// holding a copy: `home` names the shard the class lives in
-/// ([`HOME_SELF`] for single-store memos) and `stamp` the home's rotation
-/// stamp at registration — a stamp mismatch means the home rotated since
-/// and the reference is stale, so the prober falls back to cone keys and
-/// re-registers. Copying classes here instead was measurably worse: every
-/// distinct subject would duplicate its whole cone-class working set into
-/// the sig-addressed shards, flooding the LRU and evicting the shared
-/// canonical classes.
+/// holding a copy: `home` names the shard of the sharded store the class
+/// lives in and `stamp` the home's rotation stamp at registration — a
+/// stamp mismatch means the home rotated since and the reference is
+/// stale, so the prober falls back to cone keys and re-registers. Copying
+/// classes here instead was measurably worse: every distinct subject would
+/// duplicate its whole cone-class working set into the sig-addressed
+/// shards, flooding the LRU and evicting the shared canonical classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IdEntry {
     class: u32,
@@ -138,11 +190,8 @@ struct IdEntry {
 /// The memoization table. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct MatchStore {
-    /// Library signature captured at construction; uses assert against it.
-    num_patterns: usize,
-    num_gates: usize,
-    max_depth: u32,
-    fanout_cap: u32,
+    /// Library bounds captured at construction; uses assert against them.
+    bounds: LibraryBounds,
     /// Key hash → class candidates (collisions resolved by full compare).
     index: HashMap<u64, Vec<u32>, BuildHasherDefault<IdentityHasher>>,
     /// Per class: range of its full key inside `key_data`.
@@ -154,10 +203,6 @@ pub struct MatchStore {
     class_pruned: Vec<u32>,
     templates: Vec<Template>,
     locals: Vec<u32>,
-    /// Reused buffer holding `[mode, level] ++ cone tokens` during probes.
-    key_buf: Vec<u32>,
-    /// FNV digest of `key_buf`, computed by the last probe.
-    key_hash: u64,
     /// `(match mode, strash signature)` → cone class, the O(1) warm path
     /// that skips cone extraction entirely. Registered lazily the first
     /// time a class is resolved at a node whose subject carries injective
@@ -166,9 +211,6 @@ pub struct MatchStore {
     id_index: HashMap<(u32, Sig), IdEntry, SigBuildHasher>,
     /// Arena of the id entries' cone-local signatures.
     id_sig_locals: Vec<Sig>,
-    lookups: usize,
-    hits: usize,
-    id_hits: usize,
 }
 
 fn mode_code(mode: MatchMode) -> u32 {
@@ -182,11 +224,14 @@ fn mode_code(mode: MatchMode) -> u32 {
 impl MatchStore {
     /// Creates an empty store bound to `library`'s pattern set.
     pub fn for_library(library: &Library) -> MatchStore {
+        MatchStore::with_bounds(LibraryBounds::of(library))
+    }
+
+    /// An empty store bound to `bounds` — also what a shard of the bounded
+    /// cross-request store rotates in when a generation fills up.
+    pub(crate) fn with_bounds(bounds: LibraryBounds) -> MatchStore {
         MatchStore {
-            num_patterns: library.patterns().len(),
-            num_gates: library.gates().len(),
-            max_depth: library.max_pattern_depth(),
-            fanout_cap: library.pattern_fanout_cap(),
+            bounds,
             index: HashMap::default(),
             class_key: Vec::new(),
             key_data: Vec::new(),
@@ -194,58 +239,19 @@ impl MatchStore {
             class_pruned: Vec::new(),
             templates: Vec::new(),
             locals: Vec::new(),
-            key_buf: Vec::new(),
-            key_hash: 0,
             id_index: HashMap::default(),
             id_sig_locals: Vec::new(),
-            lookups: 0,
-            hits: 0,
-            id_hits: 0,
         }
     }
 
-    /// Asserts the store was built for `library` (pattern-set signature
-    /// match). Guards against replaying one library's matches under
-    /// another.
-    pub(crate) fn check_library(&self, library: &Library) {
-        assert!(
-            self.num_patterns == library.patterns().len()
-                && self.num_gates == library.gates().len()
-                && self.max_depth == library.max_pattern_depth()
-                && self.fanout_cap == library.pattern_fanout_cap(),
-            "MatchStore used with a different library than it was built for"
-        );
-    }
-
-    /// The cone truncation depth (the library's maximum pattern depth).
-    pub fn max_depth(&self) -> u32 {
-        self.max_depth
-    }
-
-    /// The fanout saturation bound recorded in exact-mode cone keys.
-    pub fn fanout_cap(&self) -> u32 {
-        self.fanout_cap
+    /// The library bounds the store was built for.
+    pub(crate) fn bounds(&self) -> LibraryBounds {
+        self.bounds
     }
 
     /// Number of distinct cone classes discovered so far.
     pub fn num_classes(&self) -> usize {
         self.class_key.len()
-    }
-
-    /// Total class lookups performed through this store.
-    pub fn lookups(&self) -> usize {
-        self.lookups
-    }
-
-    /// Lookups that hit an existing class (no search ran).
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Hits resolved through the strash-id fast path — no cone was
-    /// extracted, the structural signature went straight to its class.
-    pub fn id_hits(&self) -> usize {
-        self.id_hits
     }
 
     /// Stored pruned-count of a class (skipped pattern attempts of the
@@ -276,11 +282,7 @@ impl MatchStore {
     /// Looks up the strash-id entry of `sig`, if one was registered: the
     /// cone class, the class's cone locals as signatures (for the caller
     /// to rebind against its subject's signature index), and the entry's
-    /// `(home, stamp)` reference. Does not count anything — the caller
-    /// counts via [`MatchStore::count_id_hit`] only once the rebinding
-    /// succeeds and the reference validates (a failed rebind or a stale
-    /// stamp sends the caller to the cone-keyed probe, which does its own
-    /// counting).
+    /// `(home, stamp)` reference.
     pub(crate) fn id_entry(&self, mode: MatchMode, sig: Sig) -> Option<(ClassId, &[Sig], u32, u64)> {
         let e = self.id_index.get(&(mode_code(mode), sig))?;
         let (off, len) = e.locals;
@@ -292,17 +294,9 @@ impl MatchStore {
         ))
     }
 
-    /// Number of registered id entries (both homes), for rotation pressure
-    /// accounting.
+    /// Number of registered id entries, for rotation pressure accounting.
     pub(crate) fn id_count(&self) -> usize {
         self.id_index.len()
-    }
-
-    /// Counts one lookup resolved through the id fast path.
-    pub(crate) fn count_id_hit(&mut self) {
-        self.lookups += 1;
-        self.hits += 1;
-        self.id_hits += 1;
     }
 
     /// Registers the id fast path for `sig` → `class`-in-`home`-at-`stamp`,
@@ -339,48 +333,31 @@ impl MatchStore {
         );
     }
 
-    /// Probes for an existing class keyed by `(mode, capped level, cone)`.
-    /// Counts the lookup (and the hit, when found).
-    pub(crate) fn probe(
-        &mut self,
-        mode: MatchMode,
-        level_cap: u32,
-        cone_key: &[u32],
-    ) -> Option<ClassId> {
-        self.lookups += 1;
-        self.key_buf.clear();
-        self.key_buf.push(mode_code(mode));
-        self.key_buf.push(level_cap);
-        self.key_buf.extend_from_slice(cone_key);
-        self.key_hash = hash_key(&self.key_buf);
-        let found = self.index.get(&self.key_hash).and_then(|cands| {
-            cands
-                .iter()
-                .copied()
-                .find(|&c| {
-                    let (off, len) = self.class_key[c as usize];
-                    self.key_data[off as usize..(off + len) as usize] == self.key_buf[..]
-                })
-                .map(ClassId)
-        });
-        if found.is_some() {
-            self.hits += 1;
-        }
-        found
+    /// Probes for an existing class under `key`.
+    pub(crate) fn probe(&self, key: &ConeKey<'_>) -> Option<ClassId> {
+        let cands = self.index.get(&key.hash())?;
+        cands
+            .iter()
+            .copied()
+            .find(|&c| {
+                let (off, len) = self.class_key[c as usize];
+                key.equals(&self.key_data[off as usize..(off + len) as usize])
+            })
+            .map(ClassId)
     }
 
-    /// Opens a new class for the key of the last (missed) [`MatchStore::probe`].
-    pub(crate) fn begin_class(&mut self) -> ClassId {
+    /// Opens a new class under `key` (which a probe just missed).
+    pub(crate) fn begin_class(&mut self, key: &ConeKey<'_>) -> ClassId {
         let id = u32::try_from(self.class_key.len()).expect("class count fits u32");
-        let hash = self.key_hash;
         let off = u32::try_from(self.key_data.len()).expect("key arena fits u32");
-        let len = u32::try_from(self.key_buf.len()).expect("key fits u32");
-        self.key_data.extend_from_slice(&self.key_buf);
+        let len = u32::try_from(key.len()).expect("key fits u32");
+        self.key_data.extend_from_slice(&key.head);
+        self.key_data.extend_from_slice(key.cone);
         self.class_key.push((off, len));
         let tpl_off = u32::try_from(self.templates.len()).expect("template arena fits u32");
         self.class_tpl.push((tpl_off, 0));
         self.class_pruned.push(0);
-        self.index.entry(hash).or_default().push(id);
+        self.index.entry(key.hash()).or_default().push(id);
         ClassId(id)
     }
 
@@ -415,47 +392,19 @@ impl MatchStore {
         self.class_pruned[class.index()] = u32::try_from(pruned).expect("pruned fits u32");
     }
 
-    /// An empty store with the same library signature — what a shard of the
-    /// bounded cross-request store rotates in when a generation fills up.
-    pub(crate) fn fresh_like(&self) -> MatchStore {
-        MatchStore {
-            num_patterns: self.num_patterns,
-            num_gates: self.num_gates,
-            max_depth: self.max_depth,
-            fanout_cap: self.fanout_cap,
-            index: HashMap::default(),
-            class_key: Vec::new(),
-            key_data: Vec::new(),
-            class_tpl: Vec::new(),
-            class_pruned: Vec::new(),
-            templates: Vec::new(),
-            locals: Vec::new(),
-            key_buf: Vec::new(),
-            key_hash: 0,
-            id_index: HashMap::default(),
-            id_sig_locals: Vec::new(),
-            lookups: 0,
-            hits: 0,
-            id_hits: 0,
-        }
-    }
-
-    /// Copies one whole class (key, templates, pruned count) out of
-    /// `other` into this store, opening it under the key of this store's
-    /// last *missed* [`MatchStore::probe`] — the promotion step of the
-    /// two-generation bounded store. The keys are equal by construction
-    /// (the caller probed both stores with the same key), so the copied
-    /// class replays exactly like the original recording.
-    pub(crate) fn copy_class_from(&mut self, other: &MatchStore, class: ClassId) -> ClassId {
-        debug_assert_eq!(
-            {
-                let (off, len) = other.class_key[class.index()];
-                &other.key_data[off as usize..(off + len) as usize]
-            },
-            &self.key_buf[..],
-            "promotion key must match the staged probe key"
-        );
-        let new = self.begin_class();
+    /// Copies one whole class (templates, pruned count) out of `other`
+    /// into this store under `key` — the promotion step of the
+    /// two-generation bounded store. The caller found `class` in `other`
+    /// under the same key, so the copy replays exactly like the original
+    /// recording.
+    pub(crate) fn copy_class_from(
+        &mut self,
+        other: &MatchStore,
+        class: ClassId,
+        key: &ConeKey<'_>,
+    ) -> ClassId {
+        debug_assert_eq!(other.probe(key), Some(class), "promotion key must match");
+        let new = self.begin_class(key);
         for t in other.templates(class) {
             // Iterating `other` while pushing into `self`: disjoint stores.
             self.push_template(
@@ -469,5 +418,4 @@ impl MatchStore {
         self.set_pruned(new, other.pruned_of(class));
         new
     }
-
 }

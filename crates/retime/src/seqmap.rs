@@ -33,7 +33,7 @@
 
 use dagmap_core::{MapOptions, MappedNetlist, Mapper};
 use dagmap_genlib::Library;
-use dagmap_match::{ClassId, Match, MatchMode, MatchScratch, MatchStore, Matcher};
+use dagmap_match::{ClassId, Match, MatchConfig, MatchMode, MatchScratch, MatchStore, Matcher};
 use dagmap_netlist::{NodeFn, NodeId, SubjectGraph};
 
 use crate::retime::{minimize_period, Retiming};
@@ -308,12 +308,13 @@ pub fn min_cycle_period_with(
         build_cache(subject, library, mode)?
     };
     // Upper bound: the combinational-optimal mapping retimed exactly.
-    let comb = dagmap_core::label_with(
+    let comb = dagmap_core::label_with_config(
         subject,
         library,
         mode_to_options(mode).match_mode,
         dagmap_core::Objective::Delay,
         num_threads,
+        MatchConfig::default(),
     )
     .map_err(|e| RetimeError::Map(e.to_string()))?
     .critical_delay(subject);
@@ -370,6 +371,16 @@ mod tests {
     use super::*;
     use dagmap_netlist::Network;
 
+    /// The combinational optimum: the critical delay of serial standard
+    /// labels.
+    fn comb_delay(subject: &SubjectGraph, lib: &Library) -> f64 {
+        let (mode, objective) = (MatchMode::Standard, dagmap_core::Objective::Delay);
+        let config = MatchConfig::default();
+        dagmap_core::label_with_config(subject, lib, mode, objective, Some(1), config)
+            .unwrap()
+            .critical_delay(subject)
+    }
+
     /// A ring of `k` inverters with `r` registers bunched together.
     fn inverter_ring(k: usize, r: usize) -> SubjectGraph {
         let mut net = Network::new("ring");
@@ -394,10 +405,7 @@ mod tests {
         let net = dagmap_benchgen::ripple_adder(4);
         let subject = SubjectGraph::from_network(&net).unwrap();
         let lib = Library::lib2_like();
-        let comb = Mapper::new(&lib)
-            .label(&subject, MatchMode::Standard)
-            .unwrap()
-            .critical_delay(&subject);
+        let comb = comb_delay(&subject, &lib);
         let result = min_cycle_period(&subject, &lib, MatchMode::Standard, 1e-4).unwrap();
         assert!(
             (result.period - comb).abs() < 0.02 * comb,
@@ -466,10 +474,7 @@ mod tests {
         let net = dagmap_benchgen::accumulator(6);
         let subject = SubjectGraph::from_network(&net).unwrap();
         let lib = Library::lib_44_1_like();
-        let comb = Mapper::new(&lib)
-            .label(&subject, MatchMode::Standard)
-            .unwrap()
-            .critical_delay(&subject);
+        let comb = comb_delay(&subject, &lib);
         let result = min_cycle_period(&subject, &lib, MatchMode::Standard, 1e-3).unwrap();
         assert!(
             result.period < comb,

@@ -26,11 +26,13 @@
 //!   only the dirty region (clean nodes are recognized by strash
 //!   signature and their labels copied), still bit-identical to a cold
 //!   map of the edited netlist;
-//! * observability: memo traffic surfaces through `dagmap-obs` counters
-//!   (`serve.memo_hit` / `serve.memo_miss` / `serve.memo_evict`), latency
-//!   through the `serve.latency_us` histogram, and any request may ask for
-//!   its own Chrome trace via `options.trace` (recorded in a thread-scoped
-//!   obs session, isolated from concurrent requests);
+//! * observability: a request's memo traffic surfaces through the label
+//!   pass's `dagmap-obs` counters (`match.memo_lookups` /
+//!   `match.memo_hits` / `match.memo_id_hits`) and each store's totals
+//!   through the `stats` op and metrics scrape, latency through the
+//!   `serve.latency_us` histogram, and any request may ask for its own
+//!   Chrome trace via `options.trace` (recorded in a thread-scoped obs
+//!   session, isolated from concurrent requests);
 //! * live telemetry: a per-server metrics registry (request rates, queue
 //!   depth, worker utilization, rolling-window latency quantiles split
 //!   first-seen vs repeated, per-library cache counters) served as a

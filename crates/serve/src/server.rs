@@ -662,8 +662,120 @@ fn record_report(ev: &mut RequestEvent, report: &dagmap_core::MapReport, out_byt
     ev.labels_reused = report.labels_reused as u64;
 }
 
-/// Maps one request. Returns the reply frame, or an error kind + message
-/// for the caller to wrap; telemetry of the attempt accumulates into `ev`.
+/// One `map` or `remap` request, with its library and (for `remap`) its
+/// retained run resolved — everything [`run_pipeline`] needs.
+struct PipelineJob<'a> {
+    op: &'static str,
+    id: Option<&'a str>,
+    blif: &'a str,
+    lib_name: &'a str,
+    state: &'a LibState,
+    algo: &'a str,
+    recover: bool,
+    trace: bool,
+    /// The run a `remap` relabels against; `None` maps cold.
+    retained: Option<&'a RetainedLabels>,
+    /// Handle to retain the fresh run under (`None`: keep nothing).
+    retain_as: Option<&'a str>,
+    /// When the request reached its worker, for the latency sample.
+    t0: Instant,
+}
+
+/// The one request pipeline behind `map` and `remap`: parse, timed
+/// decomposition, map (cold or incremental, through the library's shared
+/// store), verify, writeback, retention and the reply frame. A `trace`
+/// request (or tail sampling) records into a thread-scoped obs session:
+/// concurrent requests on other workers never mix frames into it, and it
+/// coexists with a process-global session owned by a harness. Telemetry
+/// of the attempt accumulates into `ev`.
+fn run_pipeline(
+    inner: &Inner,
+    job: &PipelineJob<'_>,
+    ev: &mut RequestEvent,
+) -> Result<String, (ErrorKind, String)> {
+    let want_tail = inner.tail.is_some();
+    let scoped = (job.trace || want_tail).then(dagmap_obs::start_scoped);
+    let result = (|| {
+        let net =
+            blif::parse(job.blif).map_err(|e| (ErrorKind::BadRequest, format!("blif: {e}")))?;
+        let t_decompose = Instant::now();
+        let subject = SubjectGraph::from_network(&net)
+            .map_err(|e| (ErrorKind::BadRequest, format!("subject graph: {e}")))?;
+        let decompose_seconds = t_decompose.elapsed().as_secs_f64();
+        let opts = serve_options(job.algo, job.recover)?;
+        let mapper = Mapper::new(&job.state.library);
+        let shared = &job.state.shared;
+        let (mapped, mut report, snapshot) = match (job.retained, job.retain_as) {
+            (Some(retained), _) => mapper.map_incremental(&subject, opts, retained, Some(shared)),
+            (None, Some(_)) => mapper.map_with_report_retaining(&subject, opts, Some(shared)),
+            (None, None) => mapper
+                .map_with_report_shared(&subject, opts, shared)
+                .map(|(mapped, report)| (mapped, report, None)),
+        }
+        .map_err(|e| (ErrorKind::BadRequest, e.to_string()))?;
+        report.decompose_seconds = decompose_seconds;
+        if inner.verify {
+            verify::check(&mapped, &subject, VERIFY_SEED)
+                .map_err(|e| (ErrorKind::Internal, format!("verification failed: {e}")))?;
+        }
+        let out = mapped
+            .to_network()
+            .and_then(|n| blif::to_string(&n))
+            .map_err(|e| (ErrorKind::Internal, format!("netlist writeback: {e}")))?;
+        Ok((report, out, snapshot))
+    })();
+    // Close the scoped session on both paths so the worker thread is clean
+    // for its next request.
+    let trace = scoped.map(|s| s.finish());
+    let trace_chrome = match (&trace, job.trace) {
+        (Some(t), true) => Some(t.to_chrome_json()),
+        _ => None,
+    };
+    if want_tail {
+        ev.trace = trace;
+    }
+    let (report, out_blif, snapshot) = result?;
+    record_report(ev, &report, out_blif.len());
+    let stored = match (snapshot, job.retain_as) {
+        (Some(labels), Some(handle)) => {
+            store_retained(
+                inner,
+                handle,
+                RetainedEntry {
+                    lib: job.lib_name.to_owned(),
+                    algo: job.algo.to_owned(),
+                    recover: job.recover,
+                    labels: Arc::new(labels),
+                    seq: inner.retain_seq.fetch_add(1, Ordering::Relaxed),
+                },
+            );
+            true
+        }
+        _ => false,
+    };
+    // A remap answers under its handle even when the edited design could
+    // not be snapshotted: the prior run stays retained.
+    let handle = job.retain_as.filter(|_| stored || job.retained.is_some());
+    dagmap_obs::count("serve.requests", 1);
+    if job.retained.is_some() {
+        inner.remaps.fetch_add(1, Ordering::Relaxed);
+        dagmap_obs::count("serve.remaps", 1);
+        dagmap_obs::count("serve.labels_reused", report.labels_reused as u64);
+    }
+    dagmap_obs::sample("serve.latency_us", job.t0.elapsed().as_micros() as u64);
+    Ok(protocol::map_ok_frame(
+        job.op,
+        job.id,
+        job.lib_name,
+        &report,
+        &out_blif,
+        handle,
+        trace_chrome.as_deref(),
+    ))
+}
+
+/// Maps one request through [`run_pipeline`], retaining the labeling run
+/// under the request id when asked to.
 fn process_map(
     inner: &Inner,
     req: &MapRequest,
@@ -681,80 +793,22 @@ fn process_map(
             "repeat"
         };
     }
-    // `trace: true` records this request in a thread-scoped session:
-    // concurrent requests on other workers never mix frames into it, and
-    // it coexists with a process-global session owned by a harness. Tail
-    // sampling also needs the trace — serialized only if actually kept.
-    let want_tail = inner.tail.is_some();
-    let scoped = (req.trace || want_tail).then(dagmap_obs::start_scoped);
-    let result = (|| {
-        let net =
-            blif::parse(&req.blif).map_err(|e| (ErrorKind::BadRequest, format!("blif: {e}")))?;
-        let subject = SubjectGraph::from_network(&net)
-            .map_err(|e| (ErrorKind::BadRequest, format!("subject graph: {e}")))?;
-        let opts = serve_options(&req.algo, req.recover)?;
-        let mapper = Mapper::new(&state.library);
-        let (mapped, report, snapshot) = if req.retain && inner.retain_cap > 0 {
-            mapper
-                .map_with_report_retaining(&subject, opts, Some(&state.shared))
-                .map_err(|e| (ErrorKind::BadRequest, e.to_string()))?
-        } else {
-            let (mapped, report) = mapper
-                .map_with_report_shared(&subject, opts, &state.shared)
-                .map_err(|e| (ErrorKind::BadRequest, e.to_string()))?;
-            (mapped, report, None)
-        };
-        if inner.verify {
-            verify::check(&mapped, &subject, VERIFY_SEED)
-                .map_err(|e| (ErrorKind::Internal, format!("verification failed: {e}")))?;
-        }
-        let out = mapped
-            .to_network()
-            .and_then(|n| blif::to_string(&n))
-            .map_err(|e| (ErrorKind::Internal, format!("netlist writeback: {e}")))?;
-        Ok((report, out, snapshot))
-    })();
-    // Close the scoped session on both paths so the worker thread is clean
-    // for its next request.
-    let trace = scoped.map(|s| s.finish());
-    let trace_chrome = match (&trace, req.trace) {
-        (Some(t), true) => Some(t.to_chrome_json()),
-        _ => None,
-    };
-    if want_tail {
-        ev.trace = trace;
-    }
-    let (report, out_blif, snapshot) = result?;
-    record_report(ev, &report, out_blif.len());
-    // `retain` requires an id at parse time, so the handle is always there.
-    let handle = match (snapshot, req.id.as_deref()) {
-        (Some(labels), Some(id)) => {
-            store_retained(
-                inner,
-                id,
-                RetainedEntry {
-                    lib: lib_name.to_owned(),
-                    algo: req.algo.clone(),
-                    recover: req.recover,
-                    labels: Arc::new(labels),
-                    seq: inner.retain_seq.fetch_add(1, Ordering::Relaxed),
-                },
-            );
-            Some(id)
-        }
-        _ => None,
-    };
-    dagmap_obs::count("serve.requests", 1);
-    dagmap_obs::sample("serve.latency_us", t0.elapsed().as_micros() as u64);
-    Ok(protocol::map_ok_frame(
-        "map",
-        req.id.as_deref(),
+    let retain = req.retain && inner.retain_cap > 0;
+    let job = PipelineJob {
+        op: "map",
+        id: req.id.as_deref(),
+        blif: &req.blif,
         lib_name,
-        &report,
-        &out_blif,
-        handle,
-        trace_chrome.as_deref(),
-    ))
+        state,
+        algo: &req.algo,
+        recover: req.recover,
+        trace: req.trace,
+        retained: None,
+        // `retain` requires an id at parse time, so the handle is there.
+        retain_as: req.id.as_deref().filter(|_| retain),
+        t0,
+    };
+    run_pipeline(inner, &job, ev)
 }
 
 /// Incrementally re-maps an edited network against a retained labeling
@@ -785,64 +839,20 @@ fn process_remap(
     };
     let state = resolve_lib(inner, &lib_name)?;
     ev.lib = Some(lib_name.clone());
-    let want_tail = inner.tail.is_some();
-    let scoped = (req.trace || want_tail).then(dagmap_obs::start_scoped);
-    let result = (|| {
-        let net =
-            blif::parse(&req.blif).map_err(|e| (ErrorKind::BadRequest, format!("blif: {e}")))?;
-        let subject = SubjectGraph::from_network(&net)
-            .map_err(|e| (ErrorKind::BadRequest, format!("subject graph: {e}")))?;
-        let opts = serve_options(&algo, recover)?;
-        let (mapped, report, snapshot) = Mapper::new(&state.library)
-            .map_incremental(&subject, opts, &labels, Some(&state.shared))
-            .map_err(|e| (ErrorKind::BadRequest, e.to_string()))?;
-        if inner.verify {
-            verify::check(&mapped, &subject, VERIFY_SEED)
-                .map_err(|e| (ErrorKind::Internal, format!("verification failed: {e}")))?;
-        }
-        let out = mapped
-            .to_network()
-            .and_then(|n| blif::to_string(&n))
-            .map_err(|e| (ErrorKind::Internal, format!("netlist writeback: {e}")))?;
-        Ok((report, out, snapshot))
-    })();
-    let trace = scoped.map(|s| s.finish());
-    let trace_chrome = match (&trace, req.trace) {
-        (Some(t), true) => Some(t.to_chrome_json()),
-        _ => None,
+    let job = PipelineJob {
+        op: "remap",
+        id: req.id.as_deref(),
+        blif: &req.blif,
+        lib_name: &lib_name,
+        state,
+        algo: &algo,
+        recover,
+        trace: req.trace,
+        retained: Some(&labels),
+        retain_as: Some(&req.handle),
+        t0,
     };
-    if want_tail {
-        ev.trace = trace;
-    }
-    let (report, out_blif, snapshot) = result?;
-    record_report(ev, &report, out_blif.len());
-    if let Some(labels) = snapshot {
-        store_retained(
-            inner,
-            &req.handle,
-            RetainedEntry {
-                lib: lib_name.clone(),
-                algo,
-                recover,
-                labels: Arc::new(labels),
-                seq: inner.retain_seq.fetch_add(1, Ordering::Relaxed),
-            },
-        );
-    }
-    inner.remaps.fetch_add(1, Ordering::Relaxed);
-    dagmap_obs::count("serve.requests", 1);
-    dagmap_obs::count("serve.remaps", 1);
-    dagmap_obs::count("serve.labels_reused", report.labels_reused as u64);
-    dagmap_obs::sample("serve.latency_us", t0.elapsed().as_micros() as u64);
-    Ok(protocol::map_ok_frame(
-        "remap",
-        req.id.as_deref(),
-        &lib_name,
-        &report,
-        &out_blif,
-        Some(&req.handle),
-        trace_chrome.as_deref(),
-    ))
+    run_pipeline(inner, &job, ev)
 }
 
 fn spawn_reader(inner: &Arc<Inner>, conn: ConnHandle) {

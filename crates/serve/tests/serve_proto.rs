@@ -746,6 +746,60 @@ fn request_log_writes_one_jsonl_event_per_request() {
 
 #[cfg(unix)]
 #[test]
+fn logged_map_and_remap_time_their_decomposition() {
+    let log_path = std::env::temp_dir().join(format!(
+        "dagmap-serve-test-{}-decompose.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&log_path);
+    let config = ServeConfig {
+        log_requests: Some(log_path.clone()),
+        ..ServeConfig::default()
+    };
+    let (server, endpoint) = start_unix("decompose", &config);
+    let mut client = Client::connect(&endpoint).unwrap();
+    let input = blif::to_string(&dagmap_benchgen::comparator(16)).unwrap();
+    let map = client
+        .call(&map_request(
+            &input,
+            &MapCall {
+                id: Some("base"),
+                retain: true,
+                ..MapCall::default()
+            },
+        ))
+        .unwrap();
+    assert_eq!(map.get("error"), None, "{map:?}");
+    let edited = edited_blif(&input);
+    let request = dagmap_serve::remap_request(&edited, "base", Some("edit"), false);
+    let remap = client.call(&request).unwrap();
+    assert_eq!(remap.get("error"), None, "{remap:?}");
+    for reply in [&map, &remap] {
+        let secs = reply.get("phases").and_then(|p| p.get("decompose_seconds"));
+        assert!(secs.and_then(|v| v.as_num()).unwrap() > 0.0, "{reply:?}");
+    }
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+
+    let text = std::fs::read_to_string(&log_path).unwrap();
+    let events: Vec<_> = text
+        .lines()
+        .map(|l| dagmap_obs::json::parse(l).expect("every line is valid JSON"))
+        .collect();
+    assert_eq!(events.len(), 2, "{text}");
+    for op in ["map", "remap"] {
+        let event = events
+            .iter()
+            .find(|e| e.get("op").and_then(|v| v.as_str()) == Some(op))
+            .unwrap_or_else(|| panic!("no {op} event:\n{text}"));
+        let us = event.get("phases").and_then(|p| p.get("decompose_us"));
+        assert!(us.and_then(|v| v.as_num()).unwrap() > 0.0, "{op}: {text}");
+    }
+    let _ = std::fs::remove_file(&log_path);
+}
+
+#[cfg(unix)]
+#[test]
 fn tail_sampling_keeps_bounded_valid_traces() {
     let tail_dir = std::env::temp_dir().join(format!(
         "dagmap-serve-test-{}-tail",

@@ -5,7 +5,7 @@
 //! cargo run --release --example boolean_matching
 //! ```
 
-use dagmap::boolmatch::{map_boolean, map_hybrid, LibraryIndex};
+use dagmap::boolmatch::{map_boolean_with_options, map_hybrid_with_options, LibraryIndex};
 use dagmap::core::{verify, MapOptions, Mapper};
 use dagmap::genlib::{Library, TreeShape};
 use dagmap::netlist::{Network, NodeFn, SubjectGraph};
@@ -42,8 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let structural = Mapper::new(&library).map(&subject, MapOptions::dag())?;
-    let boolean = map_boolean(&subject, &library, 4)?;
-    let hybrid = map_hybrid(&subject, &library, 4)?;
+    let (boolean, _, _) = map_boolean_with_options(&subject, &library, 4, MapOptions::dag())?;
+    let (hybrid, _, _) = map_hybrid_with_options(&subject, &library, 4, MapOptions::dag())?;
     for m in [&structural, &boolean, &hybrid] {
         verify::check(m, &subject, 0xB0)?;
     }

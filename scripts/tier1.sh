@@ -94,6 +94,29 @@ cargo run -q --release --offline -- client --unix "$SERVE_SOCK" --shutdown > /de
 wait "$SERVE_PID"
 cmp target/serve_oneshot.blif target/serve_served.blif
 
+# One-shot vs served 44-3 smoke: 44-3 is the builtin library whose
+# one-shot run memoizes (MemoPolicy::Auto engages there), so this compares
+# the one-shot memo path (a private one-shard store per labeling worker)
+# with the daemon's shared store, cold and then warm, byte for byte.
+SERVE44_SOCK="target/tier1-serve44.sock"
+rm -f "$SERVE44_SOCK"
+cargo run -q --release --offline -- gen c6288 --out target/serve44_smoke.blif
+cargo run -q --release --offline -- map target/serve44_smoke.blif --builtin 44-3 \
+  --out target/serve44_oneshot.blif > /dev/null
+cargo run -q --release --offline -- serve --unix "$SERVE44_SOCK" \
+  --libs 44-3 --workers 2 2> target/serve44_smoke.log &
+SERVE44_PID=$!
+for _ in $(seq 100); do [ -S "$SERVE44_SOCK" ] && break; sleep 0.1; done
+[ -S "$SERVE44_SOCK" ] || { cat target/serve44_smoke.log; exit 1; }
+for pass in cold warm; do
+  cargo run -q --release --offline -- client --unix "$SERVE44_SOCK" --lib 44-3 \
+    target/serve44_smoke.blif --out "target/serve44_$pass.blif" > /dev/null
+done
+cargo run -q --release --offline -- client --unix "$SERVE44_SOCK" --shutdown > /dev/null
+wait "$SERVE44_PID"
+cmp target/serve44_oneshot.blif target/serve44_cold.blif
+cmp target/serve44_oneshot.blif target/serve44_warm.blif
+
 # Metrics smoke: a daemon with every telemetry layer on (request log, tail
 # trace sampling, live registry) serves 50 pipelined requests; the metrics
 # frame must count exactly 50, the request log must hold one line per

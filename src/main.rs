@@ -1001,18 +1001,19 @@ fn cmd_stats(args: &[String]) -> CmdResult {
             // Full match census under standard semantics: how much pattern
             // matching this subject costs against the library, and how much of
             // it the fingerprint index and cone-class memo save.
-            use dagmap::matching::{MatchScratch, MatchStats, MatchStore, Matcher};
+            use dagmap::matching::{MatchScratch, MatchStats, Matcher, SharedMatchStore};
             let matcher = Matcher::new(&library);
-            let mut store = MatchStore::for_library(&library);
+            // The private store a one-shot labeling run gives its worker.
+            let store = SharedMatchStore::for_library(&library, 1, usize::MAX);
             let mut scratch = MatchScratch::new();
             let mut stats = MatchStats::default();
             for id in subject.network().node_ids() {
-                stats.absorb(matcher.for_each_match_via(
+                stats.absorb(matcher.for_each_match_shared(
                     &subject,
                     id,
                     MatchMode::Standard,
                     &mut scratch,
-                    &mut store,
+                    &store,
                     &mut |_| {},
                 ));
             }
@@ -1024,10 +1025,10 @@ fn cmd_stats(args: &[String]) -> CmdResult {
             );
             println!(
                 "match memo: {} cone classes over {} lookups ({:.1}% hit rate)",
-                store.num_classes(),
-                store.lookups(),
-                if store.lookups() > 0 {
-                    100.0 * store.hits() as f64 / store.lookups() as f64
+                store.resident_classes(),
+                stats.memo_lookups,
+                if stats.memo_lookups > 0 {
+                    100.0 * stats.memo_hits as f64 / stats.memo_lookups as f64
                 } else {
                     0.0
                 }

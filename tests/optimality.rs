@@ -1,10 +1,10 @@
 //! Optimality cross-checks: the paper claims the DAG labels are *optimal*
 //! arrivals; these tests corner that claim from several independent sides.
 
-use dagmap::core::{MapOptions, Mapper};
+use dagmap::core::{label_with_config, MapOptions, Mapper, Objective};
 use dagmap::flowmap::{cuts, label_network};
 use dagmap::genlib::{Gate, Library};
-use dagmap::matching::MatchMode;
+use dagmap::matching::{MatchConfig, MatchMode};
 use dagmap::netlist::SubjectGraph;
 
 /// A library of unit-delay gates whose patterns are exactly the k-feasible
@@ -98,9 +98,15 @@ fn exhaustive_cover_oracle_on_tiny_graphs() {
         let subject = SubjectGraph::from_network(&net).expect("decomposes");
         let library = Library::lib2_like();
         let matcher = Matcher::new(&library);
-        let labels = Mapper::new(&library)
-            .label(&subject, MatchMode::Standard)
-            .expect("labels");
+        let labels = label_with_config(
+            &subject,
+            &library,
+            MatchMode::Standard,
+            Objective::Delay,
+            Some(1),
+            MatchConfig::default(),
+        )
+        .expect("labels");
         let mut memo = std::collections::HashMap::new();
         for out in subject.network().outputs() {
             let want = oracle_arrival(&subject, &library, &matcher, out.driver, &mut memo);

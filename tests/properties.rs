@@ -181,7 +181,9 @@ fn boolean_matching_is_sound() {
     let library = Library::lib_44_1_like();
     for (_seed, net) in sweep(9) {
         let subject = SubjectGraph::from_network(&net).expect("decomposes");
-        let mapped = dagmap::boolmatch::map_boolean(&subject, &library, 4).expect("maps");
+        let (mapped, _, _) =
+            dagmap::boolmatch::map_boolean_with_options(&subject, &library, 4, MapOptions::dag())
+                .expect("maps");
         verify::check(&mapped, &subject, 0xB7).expect("verifies");
     }
 }
