@@ -20,10 +20,11 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use dagmap_bench::harness::{best_of, mapped_blif};
 use dagmap_boolmatch::{map_boolean_with_options, map_hybrid_with_options};
 use dagmap_core::{MapOptions, Mapper};
 use dagmap_genlib::Library;
-use dagmap_netlist::{blif, Network, SubjectGraph};
+use dagmap_netlist::{Network, SubjectGraph};
 
 const K: usize = 4;
 
@@ -42,14 +43,6 @@ struct Row {
     npn_classes: usize,
     boolean_gap_pct: f64,
     hybrid_gain_pct: f64,
-}
-
-fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
-    (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min)
-}
-
-fn mapped_blif(mapped: &dagmap_core::MappedNetlist) -> String {
-    blif::to_string(&mapped.to_network().expect("lower")).expect("blif")
 }
 
 fn main() {

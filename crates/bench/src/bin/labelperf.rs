@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
+use dagmap_bench::harness::best_of;
 use dagmap_core::{label_with_config, MatchMode, Objective};
 use dagmap_genlib::Library;
 use dagmap_match::MatchConfig;
@@ -64,10 +65,6 @@ struct CircuitResult {
     serial_s: f64,
     parallel_s: f64,
     identical: bool,
-}
-
-fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
-    (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min)
 }
 
 fn time_label(subject: &SubjectGraph, lib: &Library, threads: usize, reps: usize) -> f64 {

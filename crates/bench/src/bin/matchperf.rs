@@ -16,6 +16,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use dagmap_bench::harness::{best_of, mapped_blif};
 use dagmap_core::{label_with_config, MapOptions, Mapper, MatchMode, Objective};
 use dagmap_genlib::Library;
 use dagmap_match::{MatchConfig, MemoPolicy};
@@ -60,10 +61,6 @@ struct Row {
     memoized_s: f64,
     auto_s: f64,
     identical: bool,
-}
-
-fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
-    (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min)
 }
 
 fn time_config(subject: &SubjectGraph, lib: &Library, config: MatchConfig, reps: usize) -> f64 {
@@ -224,13 +221,9 @@ fn main() {
         let off = mapper
             .map(&small, MapOptions::dag().with_match_acceleration(false))
             .expect("map");
-        let blif_on =
-            dagmap_netlist::blif::to_string(&on.to_network().expect("lower")).expect("blif");
-        let blif_off =
-            dagmap_netlist::blif::to_string(&off.to_network().expect("lower")).expect("blif");
         assert_eq!(
-            blif_on,
-            blif_off,
+            mapped_blif(&on),
+            mapped_blif(&off),
             "{small_name}/{}: mapped BLIF diverged",
             lib.name()
         );

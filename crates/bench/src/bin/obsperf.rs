@@ -18,6 +18,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use dagmap_bench::harness::{best_of, mapped_blif};
 use dagmap_core::{MapOptions, Mapper};
 use dagmap_genlib::Library;
 use dagmap_netlist::SubjectGraph;
@@ -31,10 +32,6 @@ struct CircuitResult {
     identical: bool,
 }
 
-fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
-    (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min)
-}
-
 /// One full pipeline run; returns (elapsed seconds, delay bits, mapped BLIF).
 fn run_pipeline(net: &dagmap_netlist::Network, lib: &Library) -> (f64, u64, String) {
     let t = Instant::now();
@@ -43,10 +40,7 @@ fn run_pipeline(net: &dagmap_netlist::Network, lib: &Library) -> (f64, u64, Stri
         .map(&subject, MapOptions::dag())
         .expect("maps");
     let elapsed = t.elapsed().as_secs_f64();
-    let delay = mapped.delay().to_bits();
-    let blif =
-        dagmap_netlist::blif::to_string(&mapped.to_network().expect("lowers")).expect("serializes");
-    (elapsed, delay, blif)
+    (elapsed, mapped.delay().to_bits(), mapped_blif(&mapped))
 }
 
 /// Cost of one span call with no session active: a relaxed atomic load and

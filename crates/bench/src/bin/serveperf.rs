@@ -6,14 +6,12 @@
 //! connections, and reports throughput, server-side latency percentiles and
 //! shared-cache effectiveness to `BENCH_serve.json`.
 //!
-//! The stream is replayed against three server configurations so the price
-//! of live telemetry is measured, not guessed:
+//! The stream is replayed against two server configurations, each with an
+//! HTTP `/metrics` listener scraped concurrently while traffic runs:
 //!
-//! * `base` — metrics registry off (`--no-metrics`),
-//! * `metrics` — the product default: registry on, plus an HTTP
-//!   `/metrics` listener scraped concurrently while traffic runs,
-//! * `full` — metrics plus `--log-requests` JSONL logging and tail-based
-//!   trace sampling.
+//! * `metrics` — the product default (the registry is always on),
+//! * `full` — plus `--log-requests` JSONL logging and tail-based trace
+//!   sampling.
 //!
 //! Usage: `serveperf [--quick] [--requests N] [--clients N] [--workers N]
 //! [--out PATH] [--profile]`
@@ -25,8 +23,8 @@
 //!   `dagmap_requests_total` equals the stream length,
 //! * the request log holds exactly one JSONL line per request,
 //! * a spot check of one reply per distinct (circuit, library) pair is
-//!   byte-identical to a one-shot `Mapper::map` — under every telemetry
-//!   configuration.
+//!   byte-identical to a one-shot `Mapper::map`, and the `full` pass
+//!   serves the same bytes as the `metrics` pass.
 
 #[cfg(unix)]
 mod imp {
@@ -43,8 +41,9 @@ mod imp {
     use dagmap_core::{MapOptions, Mapper};
     use dagmap_genlib::Library;
     use dagmap_netlist::{blif, SubjectGraph};
+    use dagmap_serve::dash::{self, Sample};
     use dagmap_serve::{
-        dash, map_request, Client, Endpoint, Endpoints, MapCall, ServeConfig, Server, TailConfig,
+        map_request, Client, Endpoint, Endpoints, MapCall, ServeConfig, Server, TailConfig,
     };
 
     /// Max in-flight frames per client connection before reading replies.
@@ -88,17 +87,6 @@ mod imp {
         parsed
     }
 
-    /// Which telemetry layers a pass switches on.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Telemetry {
-        /// Registry disabled: the zero-telemetry floor.
-        Off,
-        /// Registry plus HTTP `/metrics` listener (the product default).
-        Metrics,
-        /// Metrics plus JSONL request logging and tail trace sampling.
-        Full,
-    }
-
     /// Everything one replay of the stream produced.
     struct PassResult {
         wall_s: f64,
@@ -106,9 +94,10 @@ mod imp {
         kept: BTreeMap<(String, usize), String>,
         lat_first: Vec<u64>,
         lat_repeat: Vec<u64>,
-        stats: dagmap_obs::json::Value,
+        /// The daemon's exposition after every reply is in.
+        samples: Vec<Sample>,
         trace: dagmap_obs::Trace,
-        /// Successful mid-traffic HTTP scrapes (metrics passes only).
+        /// Successful mid-traffic HTTP scrapes.
         scrapes: usize,
         log_lines: usize,
         tail_files: usize,
@@ -127,12 +116,13 @@ mod imp {
             .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no header break"))
     }
 
-    /// Replays `stream` once against a fresh server under `telemetry` and
-    /// tears everything down again.
+    /// Replays `stream` once against a fresh server — with JSONL logging
+    /// and tail sampling on top of the registry when `full` — and tears
+    /// everything down again.
     #[allow(clippy::too_many_lines)]
     fn run_pass(
         label: &str,
-        telemetry: Telemetry,
+        full: bool,
         workers: usize,
         clients: usize,
         libraries: &[Library],
@@ -156,10 +146,9 @@ mod imp {
             // Unlimited admission: this bench measures the mapping pipeline,
             // not the backpressure path, and asserts zero busy rejects.
             max_inflight: 0,
-            metrics: telemetry != Telemetry::Off,
-            metrics_addr: (telemetry != Telemetry::Off).then(|| "127.0.0.1:0".to_owned()),
-            log_requests: (telemetry == Telemetry::Full).then(|| log_path.clone()),
-            tail: (telemetry == Telemetry::Full).then(|| TailConfig::new(tail_dir.clone())),
+            metrics_addr: Some("127.0.0.1:0".to_owned()),
+            log_requests: full.then(|| log_path.clone()),
+            tail: full.then(|| TailConfig::new(tail_dir.clone())),
             ..ServeConfig::default()
         };
         let endpoints = Endpoints {
@@ -176,14 +165,14 @@ mod imp {
         // Scrape the HTTP endpoint concurrently with the traffic: the
         // counter sequence must be non-decreasing and reach the stream
         // length by the final (post-drain, pre-shutdown) scrape.
-        let http_addr = server.metrics_http_addr();
+        let http_addr = server.metrics_http_addr().expect("metrics listener bound");
         let stop = Arc::new(AtomicBool::new(false));
-        let scraper = http_addr.map(|addr| {
+        let scraper = {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut seen: Vec<f64> = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
-                    if let Ok(body) = http_get_metrics(addr) {
+                    if let Ok(body) = http_get_metrics(http_addr) {
                         if let Ok(samples) = dash::parse_exposition(&body) {
                             if let Some(v) = dash::find(&samples, "dagmap_requests_total", &[]) {
                                 seen.push(v);
@@ -194,7 +183,7 @@ mod imp {
                 }
                 seen
             })
-        });
+        };
 
         // Partition the stream round-robin across client threads. Each
         // client pipelines up to PIPELINE_WINDOW frames and keeps the first
@@ -309,36 +298,26 @@ mod imp {
 
         // Every reply is in: the endpoint must already account for the
         // whole stream while the server is still up.
-        let mut scrapes = 0usize;
-        if let Some(handle) = scraper {
-            stop.store(true, Ordering::Relaxed);
-            let seen = handle.join().expect("scraper thread");
-            assert!(
-                seen.windows(2).all(|w| w[0] <= w[1]),
-                "{label}: scraped requests_total went backwards: {seen:?}"
-            );
-            scrapes = seen.len();
-            let addr = http_addr.expect("scraper implies an address");
-            let body = http_get_metrics(addr).expect("final http scrape");
-            let samples = dash::parse_exposition(&body).expect("exposition parses");
-            let total = dash::find(&samples, "dagmap_requests_total", &[]).unwrap_or(-1.0);
-            assert_eq!(
-                total as usize,
-                stream.len(),
-                "{label}: live endpoint disagrees with the stream length"
-            );
-        }
+        stop.store(true, Ordering::Relaxed);
+        let seen = scraper.join().expect("scraper thread");
+        assert!(
+            seen.windows(2).all(|w| w[0] <= w[1]),
+            "{label}: scraped requests_total went backwards: {seen:?}"
+        );
+        let scrapes = seen.len();
+        let body = http_get_metrics(http_addr).expect("final http scrape");
+        let scraped = dash::parse_exposition(&body).expect("exposition parses");
+        let total = dash::find(&scraped, "dagmap_requests_total", &[]).unwrap_or(-1.0);
+        assert_eq!(
+            total as usize,
+            stream.len(),
+            "{label}: live endpoint disagrees with the stream length"
+        );
 
-        // Server-side counters before shutdown; the metrics frame must
-        // agree with the stats frame.
+        // Server-side counters before shutdown, from the metrics frame.
         let mut control = Client::connect(&endpoint).expect("control client");
-        let stats = control.stats().expect("stats");
-        if telemetry != Telemetry::Off {
-            let exposition = control.metrics().expect("metrics frame");
-            let samples = dash::parse_exposition(&exposition).expect("frame exposition parses");
-            let total = dash::find(&samples, "dagmap_requests_total", &[]).unwrap_or(-1.0);
-            assert_eq!(total as usize, stream.len(), "{label}: metrics frame total");
-        }
+        let exposition = control.metrics().expect("metrics frame");
+        let samples = dash::parse_exposition(&exposition).expect("frame exposition parses");
         control.shutdown().expect("shutdown ack");
         server.wait().expect("clean drain");
         let trace = session.finish();
@@ -376,7 +355,7 @@ mod imp {
             kept,
             lat_first,
             lat_repeat,
-            stats,
+            samples,
             trace,
             scrapes,
             log_lines,
@@ -384,135 +363,14 @@ mod imp {
         }
     }
 
-    /// Process CPU time (user + system, summed over all threads) in
-    /// seconds, from `/proc/self/stat`. `None` where /proc is absent;
-    /// callers fall back to wall clock there.
-    fn proc_cpu_s() -> Option<f64> {
-        let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-        // comm (field 2) may contain spaces; everything after the closing
-        // paren is whitespace-delimited, starting at field 3 (state).
-        let rest = stat.get(stat.rfind(')')? + 2..)?;
-        let mut fields = rest.split_ascii_whitespace();
-        let utime: u64 = fields.nth(11)?.parse().ok()?; // field 14
-        let stime: u64 = fields.next()?.parse().ok()?; // field 15
-        // USER_HZ is 100 on every Linux ABI this bench runs on.
-        Some((utime + stime) as f64 / 100.0)
-    }
-
-    /// Minimum cost of *serial, warm* replays of `slice` against a
-    /// metrics-off and a metrics-on server — one client each, one request
-    /// in flight, every request already resident in the shared memo from
-    /// an unmeasured warming replay.
-    ///
-    /// This is the configuration where the per-request telemetry cost is
-    /// actually attributable: the pipelined multi-client passes measure
-    /// scheduler behavior as much as work on a small host (their walls
-    /// routinely differ by double-digit percent in either direction). Even
-    /// serially, wall clock per round trip is dominated by cross-thread
-    /// wake-up latency (milliseconds against sub-millisecond warm maps),
-    /// so the replays are costed in **process CPU time** where available:
-    /// client, dispatcher and worker all live in this process, scheduler
-    /// wait accrues no CPU, and the telemetry work does. Both servers stay
-    /// alive for the whole comparison and the measured replays run as
-    /// back-to-back off/on pairs with alternating order, so drift on a
-    /// shared host hits both sides of each pair equally. Returns
-    /// `(median off, median on, median per-pair on/off ratio,
-    /// "cpu"|"wall")`.
-    fn serial_pair(
-        workers: usize,
-        libraries: &[Library],
-        lib_names: &[String],
-        slice: &[dagmap_benchgen::ServeRequest],
-        reps: usize,
-    ) -> (f64, f64, f64, &'static str) {
-        let rig = |metrics: bool| {
-            let socket = PathBuf::from(std::env::temp_dir()).join(format!(
-                "dagmap-serveperf-{}-serial-{}.sock",
-                std::process::id(),
-                if metrics { "on" } else { "off" }
-            ));
-            let _ = std::fs::remove_file(&socket);
-            let config = ServeConfig {
-                workers,
-                max_inflight: 0,
-                metrics,
-                ..ServeConfig::default()
-            };
-            let endpoints = Endpoints {
-                unix: Some(socket.clone()),
-                ..Endpoints::default()
-            };
-            let server =
-                Server::start(&config, libraries.to_vec(), &endpoints).expect("server starts");
-            let client = Client::connect(&Endpoint::Unix(socket)).expect("client connects");
-            (server, client)
-        };
-        let (server_off, mut client_off) = rig(false);
-        let (server_on, mut client_on) = rig(true);
-        let use_cpu = proc_cpu_s().is_some();
-        let replay = |client: &mut Client, measured: bool| -> f64 {
-            let cpu0 = proc_cpu_s();
-            let t0 = Instant::now();
-            for req in slice {
-                let payload = map_request(
-                    &req.blif,
-                    &MapCall {
-                        lib: Some(&lib_names[req.lib_index]),
-                        ..MapCall::default()
-                    },
-                );
-                let reply = client.call(&payload).expect("reply");
-                if measured {
-                    assert!(reply.get("error").is_none(), "serial replay errored");
-                }
-            }
-            match (cpu0, proc_cpu_s()) {
-                (Some(a), Some(b)) => b - a,
-                _ => t0.elapsed().as_secs_f64(),
-            }
-        };
-        let _ = replay(&mut client_off, false);
-        let _ = replay(&mut client_on, false);
-        // Each rep is a back-to-back off/on pair (order alternating), and
-        // the committed overhead is the MEDIAN of the per-rep on/off
-        // ratios: pairing cancels host drift at the seconds timescale the
-        // way a min over unpaired runs cannot, and the median discards
-        // reps a noisy neighbor interrupted.
-        let (mut offs, mut ons, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-        for rep in 0..reps {
-            let (off, on) = if rep % 2 == 0 {
-                let off = replay(&mut client_off, true);
-                (off, replay(&mut client_on, true))
-            } else {
-                let on = replay(&mut client_on, true);
-                (replay(&mut client_off, true), on)
-            };
-            offs.push(off);
-            ons.push(on);
-            ratios.push(on / off);
-        }
-        client_off.shutdown().expect("shutdown ack");
-        server_off.wait().expect("clean drain");
-        client_on.shutdown().expect("shutdown ack");
-        server_on.wait().expect("clean drain");
-        let median = |v: &mut Vec<f64>| {
-            v.sort_by(f64::total_cmp);
-            v[v.len() / 2]
-        };
-        (
-            median(&mut offs),
-            median(&mut ons),
-            median(&mut ratios),
-            if use_cpu { "cpu" } else { "wall" },
-        )
-    }
-
-    fn stat(stats: &dagmap_obs::json::Value, path: &[&str]) -> f64 {
-        let mut v = stats;
-        for key in path {
-            v = v.get(key).unwrap_or(&dagmap_obs::json::Value::Null);
-        }
-        v.as_num().unwrap_or(0.0)
+    /// A counter from a pass's exposition, summed over its label sets
+    /// (the per-library memo series sum to the daemon's totals).
+    fn total(samples: &[Sample], name: &str) -> f64 {
+        samples
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.value)
+            .sum()
     }
 
     pub fn main() {
@@ -544,12 +402,11 @@ mod imp {
 
         // One unmeasured warmup slice first: the very first pass pays
         // one-time costs (page cache, allocator growth, CPU ramp) that
-        // would otherwise be billed to whichever configuration runs first
-        // and swamp the telemetry-overhead comparison.
+        // would otherwise be billed to whichever configuration runs first.
         let warmup_len = stream.len().min(100);
         let _ = run_pass(
             "warmup",
-            Telemetry::Off,
+            false,
             workers,
             args.clients,
             &libraries,
@@ -559,10 +416,10 @@ mod imp {
         );
 
         // Replay the stream under each telemetry level.
-        let run = |label: &str, telemetry: Telemetry, profile: bool| {
+        let run = |label: &str, full: bool, profile: bool| {
             let r = run_pass(
                 label,
-                telemetry,
+                full,
                 workers,
                 args.clients,
                 &libraries,
@@ -577,35 +434,16 @@ mod imp {
             );
             r
         };
-        let base_a = run("base", Telemetry::Off, false);
-        let metrics_a = run("metrics", Telemetry::Metrics, args.profile);
-        let full = run("full", Telemetry::Full, false);
-        let wall_base = base_a.wall_s;
+        let metrics_a = run("metrics", false, args.profile);
+        let full = run("full", true, false);
         let wall_metrics = metrics_a.wall_s;
 
-        // The attributable metrics cost: serial warm replays against a
-        // live off/on server pair, alternating per rep, best wall each.
-        // Serial traffic of warm hot-set requests is the worst case for
-        // per-request telemetry cost (nothing amortizes it) and the least
-        // scheduler-sensitive.
-        let serial_len = stream.len().min(if args.quick { 60 } else { 300 });
-        let serial = &stream[..serial_len];
-        let serial_reps = if args.quick { 3 } else { 7 };
-        let (serial_off, serial_on, serial_ratio, serial_measure) =
-            serial_pair(workers, &libraries, &lib_names, serial, serial_reps);
-        let metrics_overhead_pct = 100.0 * (serial_ratio - 1.0);
-        println!(
-            "  serial {serial_len}-request warm replay ({serial_reps} paired reps, {serial_measure}): \
-             metrics off {serial_off:.3} s, on {serial_on:.3} s \
-             (median paired overhead {metrics_overhead_pct:+.2}%)"
-        );
-
         // Per-pass server-side invariants.
-        for (label, pass) in [("base", &base_a), ("metrics", &metrics_a), ("full", &full)] {
-            let served = stat(&pass.stats, &["requests"]);
-            let busy = stat(&pass.stats, &["busy_rejects"]);
-            let errors = stat(&pass.stats, &["errors"]);
-            let hits = stat(&pass.stats, &["memo", "hits"]);
+        for (label, pass) in [("metrics", &metrics_a), ("full", &full)] {
+            let served = total(&pass.samples, "dagmap_requests_total");
+            let busy = total(&pass.samples, "dagmap_busy_rejects_total");
+            let errors = total(&pass.samples, "dagmap_errors_total");
+            let hits = total(&pass.samples, "dagmap_memo_hits_total");
             assert_eq!(errors as u64, 0, "{label}: server counted error frames");
             assert_eq!(busy as u64, 0, "{label}: busy rejects with unlimited admission");
             assert_eq!(served as usize, stream.len(), "{label}: server served every request");
@@ -620,11 +458,11 @@ mod imp {
 
         // Headline numbers come from the product-default configuration.
         let headline = &metrics_a;
-        let served = stat(&headline.stats, &["requests"]);
-        let busy = stat(&headline.stats, &["busy_rejects"]);
-        let server_errors = stat(&headline.stats, &["errors"]);
-        let memo_hits = stat(&headline.stats, &["memo", "hits"]);
-        let memo_misses = stat(&headline.stats, &["memo", "misses"]);
+        let served = total(&headline.samples, "dagmap_requests_total");
+        let busy = total(&headline.samples, "dagmap_busy_rejects_total");
+        let server_errors = total(&headline.samples, "dagmap_errors_total");
+        let memo_hits = total(&headline.samples, "dagmap_memo_hits_total");
+        let memo_misses = total(&headline.samples, "dagmap_memo_misses_total");
         let hit_rate = if memo_hits + memo_misses > 0.0 {
             memo_hits / (memo_hits + memo_misses)
         } else {
@@ -633,7 +471,7 @@ mod imp {
 
         // Bit-identity spot check: one served reply per distinct
         // (circuit, lib) pair vs a one-shot mapping of the same BLIF text —
-        // and the replies of every telemetry level against each other.
+        // and the full pass's replies against the headline's.
         let mut checked = 0usize;
         let mut identical = true;
         for ((circuit, lib_index), served_blif) in &headline.kept {
@@ -653,14 +491,12 @@ mod imp {
                 identical = false;
                 eprintln!("MISMATCH: {circuit} under {}", lib_names[*lib_index]);
             }
-            for (label, pass) in [("base", &base_a), ("full", &full)] {
-                if pass.kept.get(&(circuit.clone(), *lib_index)) != Some(served_blif) {
-                    identical = false;
-                    eprintln!(
-                        "MISMATCH vs {label} pass: {circuit} under {}",
-                        lib_names[*lib_index]
-                    );
-                }
+            if full.kept.get(&(circuit.clone(), *lib_index)) != Some(served_blif) {
+                identical = false;
+                eprintln!(
+                    "MISMATCH vs full pass: {circuit} under {}",
+                    lib_names[*lib_index]
+                );
             }
         }
 
@@ -700,8 +536,7 @@ mod imp {
             hit_rate * 100.0
         );
         println!(
-            "  telemetry: pipelined walls base {wall_base:.2} s / metrics {wall_metrics:.2} s / \
-             full {:.2} s; serial warm overhead {metrics_overhead_pct:+.2}%; \
+            "  telemetry: pipelined walls metrics {wall_metrics:.2} s / full {:.2} s; \
              {} live scrapes, {} log lines, {} tail traces",
             full.wall_s, metrics_a.scrapes, full.log_lines, full.tail_files,
         );
@@ -744,12 +579,8 @@ mod imp {
         );
         let _ = writeln!(
             json,
-            "  \"telemetry\": {{\"wall_base_s\": {wall_base:.6}, \"wall_metrics_s\": {wall_metrics:.6}, \
-             \"wall_full_s\": {:.6}, \"serial_requests\": {serial_len}, \
-             \"serial_measure\": \"{serial_measure}\", \
-             \"serial_off_s\": {serial_off:.6}, \"serial_on_s\": {serial_on:.6}, \
-             \"metrics_overhead_pct\": {metrics_overhead_pct:.3}, \"http_scrapes\": {}, \
-             \"request_log_lines\": {}, \"tail_traces_kept\": {}}},",
+            "  \"telemetry\": {{\"wall_metrics_s\": {wall_metrics:.6}, \"wall_full_s\": {:.6}, \
+             \"http_scrapes\": {}, \"request_log_lines\": {}, \"tail_traces_kept\": {}}},",
             full.wall_s, metrics_a.scrapes, full.log_lines, full.tail_files,
         );
         let _ = writeln!(json, "  \"served\": {served:.0},");

@@ -21,9 +21,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use dagmap_bench::harness::{best_of, mapped_blif};
 use dagmap_core::{MapOptions, Mapper, SharedMatchStore};
 use dagmap_genlib::Library;
-use dagmap_netlist::{blif, NetEdit, Network, NodeFn, SubjectGraph};
+use dagmap_netlist::{NetEdit, Network, NodeFn, SubjectGraph};
 
 struct Row {
     circuit: String,
@@ -37,14 +38,6 @@ struct Row {
     edited_cold_s: f64,
     labels_reused: usize,
     inc_speedup: f64,
-}
-
-fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
-    (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min)
-}
-
-fn mapped_blif(mapped: &dagmap_core::MappedNetlist) -> String {
-    blif::to_string(&mapped.to_network().expect("lower")).expect("blif")
 }
 
 /// A small local edit: a fresh input XORed into the first primary

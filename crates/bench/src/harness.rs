@@ -57,6 +57,18 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Measurement {
     }
 }
 
+/// The fastest of `reps` timings returned by `f`: the least noisy
+/// statistic on a shared machine.
+pub fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
+    (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min)
+}
+
+/// A mapped netlist as BLIF text — what the benches compare byte for byte
+/// across configurations.
+pub fn mapped_blif(mapped: &dagmap_core::MappedNetlist) -> String {
+    dagmap_netlist::blif::to_string(&mapped.to_network().expect("lower")).expect("blif")
+}
+
 /// Formats seconds with an adaptive unit.
 pub fn fmt_seconds(s: f64) -> String {
     if s >= 1.0 {

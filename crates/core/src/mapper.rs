@@ -68,9 +68,8 @@ pub struct MapReport {
     /// Wall-clock seconds spent in area recovery (0 when the pass is off).
     pub area_recovery_seconds: f64,
     /// Wall-clock seconds spent decomposing the source network into the
-    /// subject graph. The mapper receives an already-built subject graph,
-    /// so this is 0 unless the caller fills it in (the `dagmap` CLI and the
-    /// serve daemon time their decomposition step and do).
+    /// subject graph, as recorded by the subject's constructor
+    /// ([`SubjectGraph::decompose_seconds`]).
     pub decompose_seconds: f64,
 }
 
@@ -346,7 +345,7 @@ impl<'a> Mapper<'a> {
             label_seconds,
             cover_seconds,
             area_recovery_seconds,
-            decompose_seconds: 0.0,
+            decompose_seconds: subject.decompose_seconds(),
         };
         Ok((mapped, report, snapshot))
     }

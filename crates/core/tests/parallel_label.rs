@@ -86,8 +86,8 @@ fn threaded_map_report_matches_serial_end_to_end() {
     assert_eq!(plain.num_cells, serial.num_cells);
     assert_eq!(plain.matches_enumerated, serial.matches_enumerated);
     // Phase durations are measured whether or not a trace session is
-    // active; decompose stays 0 because only the CLI times decomposition.
+    // active; decompose is the subject's own construction time.
     assert!(serial.label_seconds >= 0.0 && serial.cover_seconds >= 0.0);
-    assert_eq!(serial.decompose_seconds, 0.0);
+    assert_eq!(serial.decompose_seconds, subject.decompose_seconds());
     assert_eq!(serial.area_recovery_seconds, 0.0);
 }

@@ -33,9 +33,9 @@
 //! this module and the serve integration suite assert this.
 //!
 //! Counters: hits/misses/promotions/evictions/rotations/id hits are
-//! process atomics, surfaced by the daemon's `stats` op and metrics
-//! scrape. Per-run memo counts are the labeling pass's `match.memo_*`
-//! counters, not this store's.
+//! process atomics, surfaced per library by the daemon's metrics scrape.
+//! Per-run memo counts are the labeling pass's `match.memo_*` counters,
+//! not this store's.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};

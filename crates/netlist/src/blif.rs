@@ -374,6 +374,48 @@ pub fn parse(text: &str) -> Result<Network, NetlistError> {
     Ok(net)
 }
 
+/// Widest XOR/XNOR written as one cube cover (2^(n-1) cubes); wider ones
+/// are written as trees of 2-input XORs.
+const MAX_PARITY_CUBE_INPUTS: usize = 16;
+
+/// Writes an XOR (XNOR when `invert`) over `inputs`, more than
+/// [`MAX_PARITY_CUBE_INPUTS`] signals, as a balanced tree of 2-input XOR
+/// `.names` whose root drives `out`. The internal signals get fresh names,
+/// registered in `used` under `owner`.
+fn write_parity_tree(
+    s: &mut String,
+    used: &mut HashMap<String, NodeId>,
+    owner: NodeId,
+    inputs: Vec<String>,
+    out: &str,
+    invert: bool,
+) {
+    let mut k = 0;
+    let mut level = inputs;
+    while level.len() > 2 {
+        let mut next = Vec::with_capacity(level.len().div_ceil(2));
+        for pair in level.chunks(2) {
+            let [a, b] = pair else {
+                next.push(pair[0].clone());
+                continue;
+            };
+            let t = loop {
+                let t = format!("{out}_x{k}");
+                k += 1;
+                if !used.contains_key(&t) {
+                    break t;
+                }
+            };
+            used.insert(t.clone(), owner);
+            writeln!(s, ".names {a} {b} {t}\n01 1\n10 1").expect("string write");
+            next.push(t);
+        }
+        level = next;
+    }
+    let on_set = if invert { "00 1\n11 1" } else { "01 1\n10 1" };
+    writeln!(s, ".names {} {} {out}\n{on_set}", level[0], level[1]).expect("string write");
+}
+
 /// Converts a node function to an SOP cover for writing.
 fn cover_of(func: &NodeFn, fanins: usize) -> Result<SopCover, NetlistError> {
     let all = |lit: CubeLit| Cube(vec![lit; fanins]);
@@ -395,11 +437,8 @@ fn cover_of(func: &NodeFn, fanins: usize) -> Result<SopCover, NetlistError> {
         NodeFn::Or => SopCover::new(fanins, one_hot(CubeLit::One), true).expect("one-hot"),
         NodeFn::Nor => SopCover::new(fanins, one_hot(CubeLit::One), false).expect("one-hot"),
         NodeFn::Xor | NodeFn::Xnor => {
-            if fanins > 16 {
-                return Err(NetlistError::Invariant(
-                    "xor wider than 16 inputs cannot be written as cubes".into(),
-                ));
-            }
+            // Wider parities are written as trees (`write_parity_tree`).
+            debug_assert!(fanins <= MAX_PARITY_CUBE_INPUTS);
             let want_odd = matches!(func, NodeFn::Xor);
             let mut cubes = Vec::new();
             for m in 0..(1usize << fanins) {
@@ -433,12 +472,14 @@ fn cover_of(func: &NodeFn, fanins: usize) -> Result<SopCover, NetlistError> {
 
 /// Serializes a network to BLIF text.
 ///
-/// Unnamed internal signals get generated `n<k>` names.
+/// Unnamed internal signals get generated `n<k>` names. An XOR or XNOR
+/// wider than 16 inputs is written as a tree of 2-input XORs over fresh
+/// internal signals.
 ///
 /// # Errors
 ///
-/// Fails on functions that cannot be expressed as cube covers (XOR wider
-/// than 16 inputs).
+/// Fails only if an input or latch reaches the `.names` writer, which a
+/// valid network never lets happen.
 pub fn to_string(net: &Network) -> Result<String, NetlistError> {
     let mut used: HashMap<String, NodeId> = HashMap::new();
     // Output port names belong to their drivers: any other node that
@@ -491,6 +532,18 @@ pub fn to_string(net: &Network) -> Result<String, NetlistError> {
     for id in net.node_ids() {
         let node = net.node(id);
         if matches!(node.func(), NodeFn::Input | NodeFn::Latch) {
+            continue;
+        }
+        if matches!(node.func(), NodeFn::Xor | NodeFn::Xnor)
+            && node.fanins().len() > MAX_PARITY_CUBE_INPUTS
+        {
+            let inputs = node
+                .fanins()
+                .iter()
+                .map(|f| name_of[f.index()].clone())
+                .collect();
+            let invert = matches!(node.func(), NodeFn::Xnor);
+            write_parity_tree(&mut s, &mut used, id, inputs, &name_of[id.index()], invert);
             continue;
         }
         let cover = cover_of(node.func(), node.fanins().len())?;

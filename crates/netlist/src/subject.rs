@@ -1,4 +1,5 @@
 use std::collections::HashMap;
+use std::time::Instant;
 
 use crate::sop::CubeLit;
 use crate::strash::{Signatures, StrashArena, StrashStats};
@@ -83,6 +84,8 @@ pub struct SubjectGraph {
     flat: crate::FlatNet,
     sigs: Signatures,
     strash: StrashStats,
+    /// Wall-clock seconds the constructor took, finishing steps included.
+    decompose_seconds: f64,
 }
 
 /// NAND2/INV decomposition builder: n-ary reductions over the hash-consing
@@ -236,6 +239,7 @@ impl SubjectGraph {
         source: &Network,
         options: DecomposeOptions,
     ) -> Result<SubjectGraph, NetlistError> {
+        let t0 = Instant::now();
         let mut obs_span = dagmap_obs::span("decompose");
         obs_span.set_u64("source_nodes", source.num_nodes() as u64);
         let order = source.topo_order()?;
@@ -370,6 +374,7 @@ impl SubjectGraph {
                 &sig,
                 &placeholder_to_latch,
                 stats,
+                t0,
             ));
         }
         let (net, stats) = {
@@ -380,13 +385,15 @@ impl SubjectGraph {
             }
             (net, stats)
         };
-        Ok(SubjectGraph::finish(net, stats))
+        Ok(SubjectGraph::finish(net, stats, t0))
     }
 
     /// Final wrapping step shared by every constructor: levels, the per-node
     /// shape classes the fingerprint-indexed matcher consumes, and the
     /// structural value numbers the signature-keyed match memo probes.
-    fn finish(net: Network, strash: StrashStats) -> SubjectGraph {
+    /// `t0` is when the constructor started; the build time runs to the
+    /// end of this step.
+    fn finish(net: Network, strash: StrashStats, t0: Instant) -> SubjectGraph {
         let levels = {
             let _s = dagmap_obs::span("decompose.levels");
             compute_levels(&net)
@@ -410,6 +417,7 @@ impl SubjectGraph {
             flat,
             sigs,
             strash,
+            decompose_seconds: t0.elapsed().as_secs_f64(),
         };
         if dagmap_obs::enabled() {
             dagmap_obs::count("decompose.gates", subject.num_gates() as u64);
@@ -432,6 +440,7 @@ impl SubjectGraph {
         sig: &[Option<NodeId>],
         placeholder_to_latch: &HashMap<NodeId, NodeId>,
         strash: StrashStats,
+        t0: Instant,
     ) -> SubjectGraph {
         // `built` is acyclic if we treat placeholders as inputs. In the final
         // network, placeholder p is replaced by a latch whose fanin is
@@ -491,7 +500,7 @@ impl SubjectGraph {
             let driver = remap[driver.index()].expect("driver emitted");
             rebuilt.add_output(&out.name, driver);
         }
-        SubjectGraph::finish(rebuilt, strash)
+        SubjectGraph::finish(rebuilt, strash, t0)
     }
 
     /// Wraps a network that is *already* in NAND2/INV form (for example one
@@ -502,6 +511,7 @@ impl SubjectGraph {
     /// Returns [`NetlistError::Invariant`] if any internal node is not a
     /// two-input NAND, an inverter, a constant, or a latch.
     pub fn from_subject_network(net: Network) -> Result<SubjectGraph, NetlistError> {
+        let t0 = Instant::now();
         for id in net.node_ids() {
             let node = net.node(id);
             let ok = match node.func() {
@@ -530,7 +540,7 @@ impl SubjectGraph {
             dedup_hits: 0,
             unique: gates,
         };
-        Ok(SubjectGraph::finish(net, stats))
+        Ok(SubjectGraph::finish(net, stats, t0))
     }
 
     /// The underlying NAND2/INV network.
@@ -593,6 +603,13 @@ impl SubjectGraph {
     /// How much structural hashing compressed this decomposition.
     pub fn strash_stats(&self) -> &StrashStats {
         &self.strash
+    }
+
+    /// Wall-clock seconds this subject graph took to build: decomposition
+    /// (or validation, for [`SubjectGraph::from_subject_network`]) plus
+    /// levels, shape classes, the flat view and signatures.
+    pub fn decompose_seconds(&self) -> f64 {
+        self.decompose_seconds
     }
 
     /// Unit-delay depth: the maximum level over primary-output drivers and

@@ -138,15 +138,6 @@ impl Client {
         }
     }
 
-    /// Fetches the daemon's stats object.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::call`].
-    pub fn stats(&mut self) -> io::Result<Value> {
-        self.call("{\"op\":\"stats\"}")
-    }
-
     /// Requests graceful shutdown and returns the acknowledgement.
     ///
     /// # Errors
@@ -160,8 +151,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors, an error frame (e.g. the daemon runs with
-    /// metrics disabled), or a malformed reply.
+    /// Transport errors, an error frame, or a malformed reply.
     pub fn metrics(&mut self) -> io::Result<String> {
         let reply = self.call("{\"op\":\"metrics\"}")?;
         if let Some(err) = reply.get("error") {

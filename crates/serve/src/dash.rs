@@ -1,13 +1,9 @@
 //! Client-side rendering of server telemetry: the Prometheus exposition
-//! parser behind `dagmap top`, the live dashboard it refreshes, and the
-//! aligned table `dagmap client --stats` shares with it.
+//! parser behind `dagmap top` and the live dashboard it refreshes.
 //!
 //! Everything here consumes what the daemon serves over the wire — the
-//! `metrics` frame's text exposition and the `stats` frame's JSON — so
-//! these renderers double as end-to-end checks that the exposition stays
-//! machine-parsable.
-
-use dagmap_obs::json::Value;
+//! `metrics` frame's text exposition — so these renderers double as
+//! end-to-end checks that the exposition stays machine-parsable.
 
 /// One parsed exposition sample: `name{label="v",...} value`.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,7 +107,7 @@ pub fn find(samples: &[Sample], name: &str, filters: &[(&str, &str)]) -> Option<
 }
 
 /// Right-aligns every column after the first over `rows`, two spaces
-/// between columns. The shared table layout of `--stats` and `top`.
+/// between columns. The table layout of `top`.
 pub fn align_columns(rows: &[Vec<String>]) -> String {
     let cols = rows.iter().map(Vec::len).max().unwrap_or(0);
     let mut widths = vec![0usize; cols];
@@ -261,68 +257,6 @@ pub fn render_dashboard(cur: &[Sample], prev: Option<(&[Sample], f64)>) -> Strin
     out
 }
 
-/// Renders the `stats` frame's JSON as the aligned human table `dagmap
-/// client --stats` prints (the raw frame stays available via `--json`).
-pub fn render_stats_table(stats: &Value) -> String {
-    let num = |key: &str| {
-        stats
-            .get(key)
-            .and_then(Value::as_num)
-            .map_or("-".to_owned(), |v| fmt_count(v))
-    };
-    let mut rows = vec![
-        vec!["workers".to_owned(), num("workers")],
-        vec!["inflight".to_owned(), num("inflight")],
-        vec!["queued".to_owned(), num("queued")],
-        vec!["requests".to_owned(), num("requests")],
-        vec!["errors".to_owned(), num("errors")],
-        vec!["busy_rejects".to_owned(), num("busy_rejects")],
-        vec!["remaps".to_owned(), num("remaps")],
-        vec!["retained".to_owned(), num("retained")],
-    ];
-    if let Some(memo) = stats.get("memo") {
-        let m = |key: &str| {
-            memo.get(key)
-                .and_then(Value::as_num)
-                .map_or("-".to_owned(), fmt_count)
-        };
-        rows.push(vec!["memo_hits".to_owned(), m("hits")]);
-        rows.push(vec!["memo_id_hits".to_owned(), m("id_hits")]);
-        rows.push(vec!["memo_misses".to_owned(), m("misses")]);
-        rows.push(vec!["memo_evictions".to_owned(), m("evictions")]);
-        rows.push(vec!["resident_classes".to_owned(), m("resident_classes")]);
-    }
-    let mut out = align_columns(&rows);
-    if let Some(libs) = stats.get("libs").and_then(Value::as_obj) {
-        out.push_str("per-library\n");
-        let mut rows = vec![vec![
-            "  lib".to_owned(),
-            "hits".to_owned(),
-            "id_hits".to_owned(),
-            "misses".to_owned(),
-            "evictions".to_owned(),
-            "resident".to_owned(),
-        ]];
-        for (name, lib) in libs {
-            let m = |key: &str| {
-                lib.get(key)
-                    .and_then(Value::as_num)
-                    .map_or("-".to_owned(), fmt_count)
-            };
-            rows.push(vec![
-                format!("  {name}"),
-                m("memo_hits"),
-                m("memo_id_hits"),
-                m("memo_misses"),
-                m("memo_evictions"),
-                m("resident_classes"),
-            ]);
-        }
-        out.push_str(&align_columns(&rows));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,24 +325,5 @@ mod tests {
         let cur = parse_exposition(&reg.render_prometheus()).unwrap();
         let dash = render_dashboard(&cur, Some((&prev, 2.0)));
         assert!(dash.contains("(25.0/s)"), "{dash}");
-    }
-
-    #[test]
-    fn stats_table_lists_totals_and_libraries() {
-        let stats = dagmap_obs::json::parse(
-            "{\"ok\":true,\"op\":\"stats\",\"workers\":2,\"inflight\":0,\"queued\":0,\
-             \"requests\":50,\"errors\":0,\"busy_rejects\":0,\"remaps\":1,\"retained\":1,\
-             \"memo\":{\"hits\":10,\"misses\":5,\"evictions\":0,\"id_hits\":4,\
-             \"resident_classes\":5},\
-             \"libs\":{\"lib2\":{\"memo_hits\":10,\"memo_misses\":5,\"memo_evictions\":0,\
-             \"memo_id_hits\":4,\"resident_classes\":5}}}",
-        )
-        .unwrap();
-        let table = render_stats_table(&stats);
-        assert!(table.contains("requests"), "{table}");
-        assert!(table.contains("50"), "{table}");
-        assert!(table.contains("  lib2"), "{table}");
-        // No raw JSON punctuation in the human table.
-        assert!(!table.contains('{'), "{table}");
     }
 }

@@ -28,24 +28,28 @@
 //!   map of the edited netlist;
 //! * observability: a request's memo traffic surfaces through the label
 //!   pass's `dagmap-obs` counters (`match.memo_lookups` /
-//!   `match.memo_hits` / `match.memo_id_hits`) and each store's totals
-//!   through the `stats` op and metrics scrape, latency through the
+//!   `match.memo_hits` / `match.memo_id_hits`), its latency through the
 //!   `serve.latency_us` histogram, and any request may ask for its own
 //!   Chrome trace via `options.trace` (recorded in a thread-scoped obs
 //!   session, isolated from concurrent requests);
-//! * live telemetry: a per-server metrics registry (request rates, queue
-//!   depth, worker utilization, rolling-window latency quantiles split
-//!   first-seen vs repeated, per-library cache counters) served as a
-//!   `metrics` protocol frame and optionally as plain HTTP
-//!   (`--metrics-addr`, `GET /metrics`, Prometheus text format), JSONL
-//!   request logging (`--log-requests`), and tail-based trace sampling —
+//! * live telemetry: one always-on metrics registry per server — the
+//!   daemon's only store of request, error, busy and remap counts — with
+//!   queue depth, worker utilization, rolling-window latency quantiles
+//!   split first-seen vs repeated, and per-library cache counters, served
+//!   as a `metrics` protocol frame and optionally as plain HTTP
+//!   (`--metrics-addr`, `GET /metrics`, Prometheus text format); JSONL
+//!   request logging (`--log-requests`); and tail-based trace sampling —
 //!   requests slower than their class's rolling quantile keep their Chrome
-//!   trace in a bounded on-disk ring. All of it is byte-neutral to the
-//!   mapped output.
+//!   trace in a bounded on-disk ring. Each request's latency is stamped
+//!   once and its [`MapReport`] is the one record its reply, log line and
+//!   phase histograms read. All of it is byte-neutral to the mapped
+//!   output.
 //!
 //! The `serveperf` harness in `dagmap-bench` drives a daemon with skewed
 //! multi-library traffic and writes `BENCH_serve.json` (throughput,
-//! p50/p95/p99 latency, memo hit rate, metrics-enabled overhead).
+//! p50/p95/p99 latency, memo hit rate).
+//!
+//! [`MapReport`]: dagmap_core::MapReport
 //!
 //! [`Library`]: dagmap_genlib::Library
 //! [`SharedMatchStore`]: dagmap_match::SharedMatchStore

@@ -22,7 +22,7 @@
 //! {"op":"remap","id":"r2","handle":"r1","blif":".model ...",
 //!  "options":{"trace":false}}
 //! {"op":"ping"}
-//! {"op":"stats"}
+//! {"op":"metrics"}
 //! {"op":"shutdown"}
 //! ```
 //!
@@ -35,7 +35,10 @@
 //! that handle and ships the *edited* netlist — the daemon re-labels only
 //! the region whose strash signatures changed and answers with output
 //! byte-identical to a cold map of the same BLIF. A remap reply echoes a
-//! fresh snapshot under the same handle, so edits chain.
+//! fresh snapshot under the same handle, so edits chain. `metrics` returns
+//! the daemon's live registry — request, error, busy and remap counts,
+//! rolling latency quantiles, per-library cache counters — as Prometheus
+//! text exposition.
 //!
 //! # Responses
 //!
@@ -106,11 +109,8 @@ pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<String>> {
 pub enum Request {
     /// Liveness check; answered inline by the connection reader.
     Ping,
-    /// Daemon statistics snapshot (memo counters, inflight, totals).
-    Stats,
     /// Prometheus text exposition of the live metrics registry; answered
-    /// inline by the connection reader (errors when the daemon runs with
-    /// metrics disabled).
+    /// inline by the connection reader.
     Metrics,
     /// Graceful shutdown: stop accepting, drain in-flight maps, exit.
     Shutdown,
@@ -216,7 +216,6 @@ pub fn parse_request(payload: &str) -> Result<Request, String> {
         .ok_or("request needs a string `op`")?;
     match op {
         "ping" => Ok(Request::Ping),
-        "stats" => Ok(Request::Stats),
         "metrics" => Ok(Request::Metrics),
         "shutdown" => Ok(Request::Shutdown),
         "map" => {
@@ -455,7 +454,6 @@ mod tests {
     #[test]
     fn requests_parse_and_validate() {
         assert_eq!(parse_request("{\"op\":\"ping\"}").unwrap(), Request::Ping);
-        assert_eq!(parse_request("{\"op\":\"stats\"}").unwrap(), Request::Stats);
         assert_eq!(
             parse_request("{\"op\":\"metrics\"}").unwrap(),
             Request::Metrics
@@ -505,6 +503,7 @@ mod tests {
             "not json",
             "[1,2]",
             "{\"op\":\"nope\"}",
+            "{\"op\":\"stats\"}",
             "{\"op\":\"map\"}",
             "{\"op\":\"map\",\"blif\":\"x\",\"options\":{\"algo\":\"magic\"}}",
             "{\"op\":\"map\",\"blif\":\"x\",\"options\":{\"recover\":\"yes\"}}",

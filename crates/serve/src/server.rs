@@ -6,7 +6,7 @@
 //! One thread per listener (TCP and/or unix socket) runs a non-blocking
 //! accept loop polling the shutdown flag. Each accepted connection gets a
 //! *reader* thread that parses frames and answers cheap ops (`ping`,
-//! `stats`, `shutdown`) inline; `map` requests go through admission control
+//! `metrics`, `shutdown`) inline; `map` requests go through admission control
 //! and onto the shared [`JobQueue`], where a fixed pool of *worker* threads
 //! drains them. Responses are written under a per-connection mutex, so
 //! pipelined requests from one client may complete out of order — the `id`
@@ -75,22 +75,16 @@ pub struct ServeConfig {
     /// Most retained labeling runs (`options.retain`) kept for `remap`;
     /// the oldest handle is evicted beyond this. `0` disables retention.
     pub retain_cap: usize,
-    /// Maintain the live metrics registry (rates, queue depths, rolling
-    /// latency quantiles, per-library cache counters) and answer `metrics`
-    /// frames. On by default; the steady-state cost is a few atomic
-    /// increments per request.
-    pub metrics: bool,
-    /// Additionally serve the metrics as plain HTTP (`GET /metrics`,
-    /// Prometheus text exposition) on this address, e.g. `127.0.0.1:9464`.
-    /// Requires `metrics`.
+    /// Additionally serve the live metrics registry as plain HTTP
+    /// (`GET /metrics`, Prometheus text exposition) on this address, e.g.
+    /// `127.0.0.1:9464`. The `metrics` op serves it either way.
     pub metrics_addr: Option<String>,
     /// Write one JSONL event per request (outcome, sizes, phase timings,
     /// memo counters) to this path.
     pub log_requests: Option<PathBuf>,
     /// Tail-based trace sampling: requests slower than their class's
     /// rolling quantile keep their Chrome trace in a bounded on-disk
-    /// ring. Requires `metrics` (the thresholds come from the rolling
-    /// histograms).
+    /// ring.
     pub tail: Option<TailConfig>,
 }
 
@@ -102,7 +96,6 @@ impl Default for ServeConfig {
             memo_cap: 1 << 16,
             verify: true,
             retain_cap: 64,
-            metrics: true,
             metrics_addr: None,
             log_requests: None,
             tail: None,
@@ -179,6 +172,17 @@ impl MapJob {
             MapJob::Remap(r) => r.id.as_deref(),
         }
     }
+
+    /// A fresh telemetry event for this request.
+    fn event(&self) -> RequestEvent {
+        let (op, id, blif) = match self {
+            MapJob::Map(r) => ("map", &r.id, &r.blif),
+            MapJob::Remap(r) => ("remap", &r.id, &r.blif),
+        };
+        let mut ev = RequestEvent::new(op, id.clone());
+        ev.blif_bytes = blif.len();
+        ev
+    }
 }
 
 /// One retained labeling run. The mapping configuration rides along: a
@@ -224,16 +228,12 @@ struct Inner {
     max_inflight: usize,
     workers: usize,
     verify: bool,
-    requests: AtomicU64,
-    errors: AtomicU64,
-    busy_rejects: AtomicU64,
-    remaps: AtomicU64,
     retained: Mutex<BTreeMap<String, RetainedEntry>>,
     retain_cap: usize,
     retain_seq: AtomicU64,
     conns: Mutex<Vec<ConnHandle>>,
     readers: Mutex<Vec<JoinHandle<()>>>,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
     request_log: Option<RequestLog>,
     tail: Option<TailState>,
 }
@@ -248,80 +248,19 @@ impl Inner {
     }
 
     fn send_error(&self, writer: &ConnWriter, id: Option<&str>, kind: ErrorKind, msg: &str) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.errors_total.inc(1);
         if kind == ErrorKind::Busy {
-            self.busy_rejects.fetch_add(1, Ordering::Relaxed);
-            dagmap_obs::count("serve.busy", 1);
+            self.telemetry.busy_rejects_total.inc(1);
         }
         let _ = writer.send(&protocol::error_frame(id, kind, msg));
     }
 
-    fn stats_frame(&self) -> String {
-        use std::fmt::Write as _;
-        let mut libs = String::new();
-        let (mut hits, mut misses, mut evictions, mut resident) = (0u64, 0u64, 0u64, 0usize);
-        let mut id_hits = 0u64;
-        for (i, (name, state)) in self.libs.iter().enumerate() {
-            if i > 0 {
-                libs.push(',');
-            }
-            let s = &state.shared;
-            let _ = write!(
-                libs,
-                "\"{}\":{{\"memo_hits\":{},\"memo_misses\":{},\"memo_evictions\":{},\
-                 \"memo_id_hits\":{},\"resident_classes\":{}}}",
-                dagmap_obs::json::escape(name),
-                s.hits(),
-                s.misses(),
-                s.evictions(),
-                s.id_hits(),
-                s.resident_classes(),
-            );
-            hits += s.hits();
-            misses += s.misses();
-            evictions += s.evictions();
-            id_hits += s.id_hits();
-            resident += s.resident_classes();
-        }
-        let retained = self
-            .retained
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len();
-        format!(
-            "{{\"ok\":true,\"op\":\"stats\",\"workers\":{},\"inflight\":{},\"queued\":{},\
-             \"requests\":{},\"errors\":{},\"busy_rejects\":{},\
-             \"remaps\":{},\"retained\":{},\
-             \"memo\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"id_hits\":{},\
-             \"resident_classes\":{}}},\
-             \"libs\":{{{}}}}}",
-            self.workers,
-            self.inflight.load(Ordering::Relaxed),
-            self.queue.len(),
-            self.requests.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            self.busy_rejects.load(Ordering::Relaxed),
-            self.remaps.load(Ordering::Relaxed),
-            retained,
-            hits,
-            misses,
-            evictions,
-            id_hits,
-            resident,
-            libs,
-        )
-    }
-
-    /// Mirrors the server-owned atomics and per-library cache counters
-    /// into the registry, then renders the Prometheus exposition. `None`
-    /// when the daemon runs with metrics disabled.
-    fn render_metrics(&self) -> Option<String> {
-        let tel = self.telemetry.as_ref()?;
-        tel.requests_total.set(self.requests.load(Ordering::Relaxed));
-        tel.remaps_total.set(self.remaps.load(Ordering::Relaxed));
-        tel.errors_total.set(self.errors.load(Ordering::Relaxed));
-        tel.busy_rejects_total
-            .set(self.busy_rejects.load(Ordering::Relaxed));
+    /// Sets the gauges read from daemon state (queue, admission count,
+    /// retained runs) and mirrors the per-library cache counters the
+    /// stores own into the registry, then renders the Prometheus
+    /// exposition.
+    fn render_metrics(&self) -> String {
+        let tel = &self.telemetry;
         tel.queue_depth.set(self.queue.len() as i64);
         tel.inflight.set(self.inflight.load(Ordering::Relaxed) as i64);
         let retained = self
@@ -343,7 +282,7 @@ impl Inner {
             tel.lib_requests(name);
             tel.lib_pending(name);
         }
-        Some(tel.registry.render_prometheus())
+        tel.registry.render_prometheus()
     }
 
     /// The registered name of the library a queued job will map with
@@ -352,7 +291,9 @@ impl Inner {
         match req {
             MapJob::Map(r) => {
                 let wanted = r.lib.as_deref().unwrap_or(&self.default_lib);
-                resolve_lib_name(self, wanted)
+                resolve_lib(self, wanted)
+                    .ok()
+                    .map(|(name, _)| name.to_owned())
             }
             MapJob::Remap(r) => {
                 let retained = self.retained.lock().unwrap_or_else(|e| e.into_inner());
@@ -366,17 +307,8 @@ impl Inner {
     /// and not only as a counter.
     fn log_reject(&self, req: &MapJob, kind: ErrorKind) {
         let Some(log) = &self.request_log else { return };
-        let op = match req {
-            MapJob::Map(_) => "map",
-            MapJob::Remap(_) => "remap",
-        };
-        let mut ev = RequestEvent::new(op, req.id().map(str::to_owned));
+        let mut ev = req.event();
         ev.outcome = kind.as_str();
-        if let MapJob::Map(r) = req {
-            ev.blif_bytes = r.blif.len();
-        } else if let MapJob::Remap(r) = req {
-            ev.blif_bytes = r.blif.len();
-        }
         log.write(&ev);
     }
 
@@ -393,19 +325,9 @@ impl Inner {
         };
         match req {
             Request::Ping => writer.send(&protocol::pong_frame()).is_ok(),
-            Request::Stats => writer.send(&self.stats_frame()).is_ok(),
-            Request::Metrics => match self.render_metrics() {
-                Some(text) => writer.send(&protocol::metrics_frame(&text)).is_ok(),
-                None => {
-                    self.send_error(
-                        writer,
-                        None,
-                        ErrorKind::BadRequest,
-                        "metrics are disabled on this server",
-                    );
-                    true
-                }
-            },
+            Request::Metrics => writer
+                .send(&protocol::metrics_frame(&self.render_metrics()))
+                .is_ok(),
             Request::Shutdown => {
                 let ok = writer.send(&protocol::shutdown_ack_frame()).is_ok();
                 self.begin_shutdown();
@@ -443,12 +365,11 @@ impl Inner {
                     );
                     return true;
                 }
-                let pending = self.telemetry.as_ref().and_then(|tel| {
-                    let lib = self.job_lib_name(&req)?;
-                    tel.lib_requests(&lib).inc(1);
-                    let gauge = tel.lib_pending(&lib);
+                let pending = self.job_lib_name(&req).map(|lib| {
+                    self.telemetry.lib_requests(&lib).inc(1);
+                    let gauge = self.telemetry.lib_pending(&lib);
                     gauge.add(1);
-                    Some(gauge)
+                    gauge
                 });
                 let job = Job {
                     req,
@@ -456,9 +377,7 @@ impl Inner {
                     pending,
                 };
                 match self.queue.push(job) {
-                    Ok(()) => {
-                        self.requests.fetch_add(1, Ordering::Relaxed);
-                    }
+                    Ok(()) => self.telemetry.requests_total.inc(1),
                     Err(job) => {
                         self.inflight.fetch_sub(1, Ordering::AcqRel);
                         if let Some(gauge) = &job.pending {
@@ -479,18 +398,13 @@ impl Inner {
     }
 
     fn worker_loop(self: Arc<Inner>) {
+        let tel = &self.telemetry;
         while let Some(job) = self.queue.pop() {
+            // The request's one latency stamp: from its worker picking it
+            // up until its reply is written.
             let t0 = Instant::now();
-            if let Some(tel) = &self.telemetry {
-                tel.workers_busy.add(1);
-            }
-            let id = job.req.id().map(str::to_owned);
-            let (op, kind0) = match &job.req {
-                MapJob::Map(_) => ("map", "first"),
-                MapJob::Remap(_) => ("remap", "remap"),
-            };
-            let mut ev = RequestEvent::new(op, id.clone());
-            ev.kind = kind0;
+            tel.workers_busy.add(1);
+            let mut ev = job.req.event();
             let outcome = catch_unwind(AssertUnwindSafe(|| match &job.req {
                 MapJob::Map(req) => process_map(&self, req, &mut ev),
                 MapJob::Remap(req) => process_remap(&self, req, &mut ev),
@@ -498,16 +412,16 @@ impl Inner {
             let frame = match outcome {
                 Ok(Ok(frame)) => frame,
                 Ok(Err((kind, msg))) => {
-                    self.errors.fetch_add(1, Ordering::Relaxed);
+                    tel.errors_total.inc(1);
                     ev.outcome = kind.as_str();
-                    protocol::error_frame(id.as_deref(), kind, &msg)
+                    protocol::error_frame(job.req.id(), kind, &msg)
                 }
                 // The request died; the worker and its queue slot did not.
                 Err(_) => {
-                    self.errors.fetch_add(1, Ordering::Relaxed);
+                    tel.errors_total.inc(1);
                     ev.outcome = "panic";
                     protocol::error_frame(
-                        id.as_deref(),
+                        job.req.id(),
                         ErrorKind::Internal,
                         "worker panicked while serving this request",
                     )
@@ -520,9 +434,7 @@ impl Inner {
             if let Some(gauge) = &job.pending {
                 gauge.add(-1);
             }
-            if let Some(tel) = &self.telemetry {
-                tel.workers_busy.add(-1);
-            }
+            tel.workers_busy.add(-1);
             // Hand this worker's buffered obs frames to any global session
             // (e.g. the serveperf harness) at a request boundary.
             dagmap_obs::flush_thread();
@@ -531,13 +443,13 @@ impl Inner {
 
     /// Consumes a finished request's telemetry: the JSONL log line, the
     /// tail-sampling decision (judged against the class histogram *before*
-    /// this request is recorded into it), and the rolling latency/phase
-    /// observations.
+    /// this request is recorded into it), the rolling latency/phase
+    /// observations and the `serve.latency_us` obs sample.
     fn finish_request_telemetry(&self, ev: RequestEvent) {
         if let Some(log) = &self.request_log {
             log.write(&ev);
         }
-        let Some(tel) = &self.telemetry else { return };
+        let tel = &self.telemetry;
         let class = tel.latency_hist(ev.kind);
         if let (Some(tail), Some(trace)) = (&self.tail, &ev.trace) {
             if tail.should_keep(ev.latency_us, &class.snapshot()) {
@@ -547,10 +459,12 @@ impl Inner {
             }
         }
         class.observe(ev.latency_us);
-        if ev.outcome == "ok" {
-            tel.phase_decompose.observe(ev.decompose_us);
-            tel.phase_label.observe(ev.label_us);
-            tel.phase_cover.observe(ev.cover_us);
+        dagmap_obs::sample("serve.latency_us", ev.latency_us);
+        if ev.report.is_some() {
+            let [decompose, label, cover, _] = ev.phases_us();
+            tel.phase_decompose.observe(decompose);
+            tel.phase_label.observe(label);
+            tel.phase_cover.observe(cover);
         }
     }
 }
@@ -566,43 +480,32 @@ fn lib_alias(name: &str) -> String {
 
 /// Resolves a library by exact name first, then an alias form so clients
 /// may say `44-3` for a library registered as `44_3_like` (`-`/`_` fold,
-/// `_like` optional).
+/// `_like` optional). Returns the *registered* name with the state, so the
+/// request log, the per-library series and the reply name the library the
+/// same way no matter how the client spelled it.
 fn resolve_lib<'a>(
     inner: &'a Inner,
     lib_name: &str,
-) -> Result<&'a Arc<LibState>, (ErrorKind, String)> {
-    let state = inner.libs.get(lib_name).or_else(|| {
+) -> Result<(&'a str, &'a Arc<LibState>), (ErrorKind, String)> {
+    let found = inner.libs.get_key_value(lib_name).or_else(|| {
         let wanted = lib_alias(lib_name);
         inner
             .libs
             .iter()
             .find(|(name, _)| lib_alias(name) == wanted)
-            .map(|(_, state)| state)
     });
-    state.ok_or_else(|| {
-        let known: Vec<&str> = inner.libs.keys().map(String::as_str).collect();
-        (
-            ErrorKind::BadRequest,
-            format!(
-                "unknown library `{lib_name}` (serving: {})",
-                known.join(", ")
-            ),
-        )
-    })
-}
-
-/// The *registered* name behind a (possibly aliased) request name, for
-/// labeling metrics consistently no matter how the client spelled it.
-fn resolve_lib_name(inner: &Inner, lib_name: &str) -> Option<String> {
-    if inner.libs.contains_key(lib_name) {
-        return Some(lib_name.to_owned());
-    }
-    let wanted = lib_alias(lib_name);
-    inner
-        .libs
-        .keys()
-        .find(|name| lib_alias(name) == wanted)
-        .cloned()
+    found
+        .map(|(name, state)| (name.as_str(), state))
+        .ok_or_else(|| {
+            let known: Vec<&str> = inner.libs.keys().map(String::as_str).collect();
+            (
+                ErrorKind::BadRequest,
+                format!(
+                    "unknown library `{lib_name}` (serving: {})",
+                    known.join(", ")
+                ),
+            )
+        })
 }
 
 /// The mapping options a request's algorithm string selects, with the
@@ -646,22 +549,6 @@ fn store_retained(inner: &Inner, handle: &str, entry: RetainedEntry) {
     }
 }
 
-/// Copies a successful mapping's report numbers into the request event.
-fn record_report(ev: &mut RequestEvent, report: &dagmap_core::MapReport, out_bytes: usize) {
-    let us = |s: f64| (s * 1e6).max(0.0) as u64;
-    ev.out_bytes = out_bytes;
-    ev.delay = report.delay;
-    ev.num_cells = report.num_cells;
-    ev.decompose_us = us(report.decompose_seconds);
-    ev.label_us = us(report.label_seconds);
-    ev.cover_us = us(report.cover_seconds);
-    ev.recovery_us = us(report.area_recovery_seconds);
-    ev.memo_hits = report.memo_hits as u64;
-    ev.memo_id_hits = report.memo_id_hits as u64;
-    ev.matches_enumerated = report.matches_enumerated as u64;
-    ev.labels_reused = report.labels_reused as u64;
-}
-
 /// One `map` or `remap` request, with its library and (for `remap`) its
 /// retained run resolved — everything [`run_pipeline`] needs.
 struct PipelineJob<'a> {
@@ -677,17 +564,15 @@ struct PipelineJob<'a> {
     retained: Option<&'a RetainedLabels>,
     /// Handle to retain the fresh run under (`None`: keep nothing).
     retain_as: Option<&'a str>,
-    /// When the request reached its worker, for the latency sample.
-    t0: Instant,
 }
 
-/// The one request pipeline behind `map` and `remap`: parse, timed
-/// decomposition, map (cold or incremental, through the library's shared
-/// store), verify, writeback, retention and the reply frame. A `trace`
-/// request (or tail sampling) records into a thread-scoped obs session:
-/// concurrent requests on other workers never mix frames into it, and it
-/// coexists with a process-global session owned by a harness. Telemetry
-/// of the attempt accumulates into `ev`.
+/// The one request pipeline behind `map` and `remap`: parse, decomposition,
+/// map (cold or incremental, through the library's shared store), verify,
+/// writeback, retention and the reply frame. A `trace` request (or tail
+/// sampling) records into a thread-scoped obs session: concurrent requests
+/// on other workers never mix frames into it, and it coexists with a
+/// process-global session owned by a harness. A success leaves the report
+/// its reply frame was built from in `ev`.
 fn run_pipeline(
     inner: &Inner,
     job: &PipelineJob<'_>,
@@ -698,14 +583,12 @@ fn run_pipeline(
     let result = (|| {
         let net =
             blif::parse(job.blif).map_err(|e| (ErrorKind::BadRequest, format!("blif: {e}")))?;
-        let t_decompose = Instant::now();
         let subject = SubjectGraph::from_network(&net)
             .map_err(|e| (ErrorKind::BadRequest, format!("subject graph: {e}")))?;
-        let decompose_seconds = t_decompose.elapsed().as_secs_f64();
         let opts = serve_options(job.algo, job.recover)?;
         let mapper = Mapper::new(&job.state.library);
         let shared = &job.state.shared;
-        let (mapped, mut report, snapshot) = match (job.retained, job.retain_as) {
+        let (mapped, report, snapshot) = match (job.retained, job.retain_as) {
             (Some(retained), _) => mapper.map_incremental(&subject, opts, retained, Some(shared)),
             (None, Some(_)) => mapper.map_with_report_retaining(&subject, opts, Some(shared)),
             (None, None) => mapper
@@ -713,7 +596,6 @@ fn run_pipeline(
                 .map(|(mapped, report)| (mapped, report, None)),
         }
         .map_err(|e| (ErrorKind::BadRequest, e.to_string()))?;
-        report.decompose_seconds = decompose_seconds;
         if inner.verify {
             verify::check(&mapped, &subject, VERIFY_SEED)
                 .map_err(|e| (ErrorKind::Internal, format!("verification failed: {e}")))?;
@@ -735,7 +617,6 @@ fn run_pipeline(
         ev.trace = trace;
     }
     let (report, out_blif, snapshot) = result?;
-    record_report(ev, &report, out_blif.len());
     let stored = match (snapshot, job.retain_as) {
         (Some(labels), Some(handle)) => {
             store_retained(
@@ -756,14 +637,10 @@ fn run_pipeline(
     // A remap answers under its handle even when the edited design could
     // not be snapshotted: the prior run stays retained.
     let handle = job.retain_as.filter(|_| stored || job.retained.is_some());
-    dagmap_obs::count("serve.requests", 1);
     if job.retained.is_some() {
-        inner.remaps.fetch_add(1, Ordering::Relaxed);
-        dagmap_obs::count("serve.remaps", 1);
-        dagmap_obs::count("serve.labels_reused", report.labels_reused as u64);
+        inner.telemetry.remaps_total.inc(1);
     }
-    dagmap_obs::sample("serve.latency_us", job.t0.elapsed().as_micros() as u64);
-    Ok(protocol::map_ok_frame(
+    let frame = protocol::map_ok_frame(
         job.op,
         job.id,
         job.lib_name,
@@ -771,7 +648,10 @@ fn run_pipeline(
         &out_blif,
         handle,
         trace_chrome.as_deref(),
-    ))
+    );
+    ev.out_bytes = out_blif.len();
+    ev.report = Some(report);
+    Ok(frame)
 }
 
 /// Maps one request through [`run_pipeline`], retaining the labeling run
@@ -781,18 +661,14 @@ fn process_map(
     req: &MapRequest,
     ev: &mut RequestEvent,
 ) -> Result<String, (ErrorKind, String)> {
-    let t0 = Instant::now();
-    let lib_name = req.lib.as_deref().unwrap_or(&inner.default_lib);
-    ev.blif_bytes = req.blif.len();
-    let state = resolve_lib(inner, lib_name)?;
+    let wanted = req.lib.as_deref().unwrap_or(&inner.default_lib);
+    let (lib_name, state) = resolve_lib(inner, wanted)?;
     ev.lib = Some(lib_name.to_owned());
-    if let Some(tel) = &inner.telemetry {
-        ev.kind = if tel.first_seen(lib_name, &req.blif) {
-            "first"
-        } else {
-            "repeat"
-        };
-    }
+    ev.kind = if inner.telemetry.first_seen(lib_name, &req.blif) {
+        "first"
+    } else {
+        "repeat"
+    };
     let retain = req.retain && inner.retain_cap > 0;
     let job = PipelineJob {
         op: "map",
@@ -806,7 +682,6 @@ fn process_map(
         retained: None,
         // `retain` requires an id at parse time, so the handle is there.
         retain_as: req.id.as_deref().filter(|_| retain),
-        t0,
     };
     run_pipeline(inner, &job, ev)
 }
@@ -820,9 +695,7 @@ fn process_remap(
     req: &RemapRequest,
     ev: &mut RequestEvent,
 ) -> Result<String, (ErrorKind, String)> {
-    let t0 = Instant::now();
-    ev.blif_bytes = req.blif.len();
-    let (lib_name, algo, recover, labels) = {
+    let (lib, algo, recover, labels) = {
         let retained = inner.retained.lock().unwrap_or_else(|e| e.into_inner());
         let entry = retained.get(&req.handle).ok_or_else(|| {
             (
@@ -837,20 +710,19 @@ fn process_remap(
             Arc::clone(&entry.labels),
         )
     };
-    let state = resolve_lib(inner, &lib_name)?;
-    ev.lib = Some(lib_name.clone());
+    let (lib_name, state) = resolve_lib(inner, &lib)?;
+    ev.lib = Some(lib_name.to_owned());
     let job = PipelineJob {
         op: "remap",
         id: req.id.as_deref(),
         blif: &req.blif,
-        lib_name: &lib_name,
+        lib_name,
         state,
         algo: &algo,
         recover,
         trace: req.trace,
         retained: Some(&labels),
         retain_as: Some(&req.handle),
-        t0,
     };
     run_pipeline(inner, &job, ev)
 }
@@ -997,14 +869,11 @@ fn serve_http_scrape(inner: &Inner, mut stream: TcpStream) {
             "method not allowed\n".to_owned(),
         )
     } else if path == "/metrics" || path == "/" {
-        match inner.render_metrics() {
-            Some(text) => ("200 OK", "text/plain; version=0.0.4; charset=utf-8", text),
-            None => (
-                "503 Service Unavailable",
-                "text/plain; charset=utf-8",
-                "metrics are disabled\n".to_owned(),
-            ),
-        }
+        (
+            "200 OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            inner.render_metrics(),
+        )
     } else {
         (
             "404 Not Found",
@@ -1075,18 +944,6 @@ impl Server {
                 "at least one library is required",
             ));
         }
-        if !config.metrics && config.metrics_addr.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "--metrics-addr requires metrics to be enabled",
-            ));
-        }
-        if !config.metrics && config.tail.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "tail trace sampling requires metrics (thresholds come from the rolling histograms)",
-            ));
-        }
         let default_lib = libraries[0].name().to_owned();
         let mut libs = BTreeMap::new();
         for library in libraries {
@@ -1101,7 +958,7 @@ impl Server {
                 ));
             }
         }
-        let telemetry = config.metrics.then(|| Telemetry::new(config.workers.max(1)));
+        let telemetry = Telemetry::new(config.workers.max(1));
         let request_log = match &config.log_requests {
             Some(path) => Some(RequestLog::open(path)?),
             None => None,
@@ -1119,10 +976,6 @@ impl Server {
             max_inflight: config.max_inflight,
             workers: config.workers.max(1),
             verify: config.verify,
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            busy_rejects: AtomicU64::new(0),
-            remaps: AtomicU64::new(0),
             retained: Mutex::new(BTreeMap::new()),
             retain_cap: config.retain_cap,
             retain_seq: AtomicU64::new(0),

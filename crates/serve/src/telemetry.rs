@@ -1,11 +1,11 @@
 //! Server-side telemetry: the live metrics registry, structured JSONL
 //! request logging, and tail-based trace sampling.
 //!
-//! Everything here is optional per [`crate::ServeConfig`] and lives behind
-//! `Option`s in the server — a daemon started with metrics disabled does
-//! not construct a [`Telemetry`] at all, so the mapping path pays nothing.
-//! None of it can move a byte of mapped output: recording happens strictly
-//! around the mapping calls, never inside them.
+//! The registry is always on: it is the daemon's only store of request,
+//! error, busy and remap counts. The request log and tail sampling are
+//! optional per [`crate::ServeConfig`]. None of it can move a byte of
+//! mapped output: recording happens strictly around the mapping calls,
+//! never inside them.
 
 use std::collections::{HashSet, VecDeque};
 use std::fs::File;
@@ -14,6 +14,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use dagmap_core::MapReport;
 use dagmap_obs::hist::Log2Histogram;
 use dagmap_obs::json::escape;
 use dagmap_obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -77,18 +78,18 @@ fn label_escape(v: &str) -> String {
 /// use, which is a brief registry lock per *new* label only).
 pub(crate) struct Telemetry {
     pub registry: MetricsRegistry,
-    // Mirrored from the server's own atomics at scrape time.
+    // Bumped where the event happens.
     pub requests_total: Counter,
     pub remaps_total: Counter,
     pub errors_total: Counter,
     pub busy_rejects_total: Counter,
+    pub tail_traces_kept_total: Counter,
+    pub workers_busy: Gauge,
+    // Set at scrape time from the queue, the admission count and the
+    // retained-run map.
     pub queue_depth: Gauge,
     pub inflight: Gauge,
     pub retained_runs: Gauge,
-    // Maintained live.
-    pub workers: Gauge,
-    pub workers_busy: Gauge,
-    pub tail_traces_kept_total: Counter,
     latency_first: Histogram,
     latency_repeat: Histogram,
     latency_remap: Histogram,
@@ -104,7 +105,8 @@ impl Telemetry {
     pub fn new(workers: usize) -> Telemetry {
         let registry = MetricsRegistry::new();
         let hist = |name: &str| registry.histogram(name, LATENCY_WINDOWS, LATENCY_WINDOW_NS);
-        let t = Telemetry {
+        registry.gauge("dagmap_workers").set(workers as i64);
+        Telemetry {
             requests_total: registry.counter("dagmap_requests_total"),
             remaps_total: registry.counter("dagmap_remaps_total"),
             errors_total: registry.counter("dagmap_errors_total"),
@@ -112,7 +114,6 @@ impl Telemetry {
             queue_depth: registry.gauge("dagmap_queue_depth"),
             inflight: registry.gauge("dagmap_inflight"),
             retained_runs: registry.gauge("dagmap_retained_runs"),
-            workers: registry.gauge("dagmap_workers"),
             workers_busy: registry.gauge("dagmap_workers_busy"),
             tail_traces_kept_total: registry.counter("dagmap_tail_traces_kept_total"),
             latency_first: hist("dagmap_request_latency_us{kind=\"first\"}"),
@@ -123,9 +124,7 @@ impl Telemetry {
             phase_cover: hist("dagmap_phase_cover_us"),
             seen: Mutex::new(HashSet::new()),
             registry,
-        };
-        t.workers.set(workers as i64);
-        t
+        }
     }
 
     /// The latency summary for a request class (`first`/`repeat`/`remap`).
@@ -217,44 +216,44 @@ pub(crate) struct RequestEvent {
     pub blif_bytes: usize,
     pub out_bytes: usize,
     pub latency_us: u64,
-    pub delay: f64,
-    pub num_cells: usize,
-    pub decompose_us: u64,
-    pub label_us: u64,
-    pub cover_us: u64,
-    pub recovery_us: u64,
-    pub memo_hits: u64,
-    pub memo_id_hits: u64,
-    pub matches_enumerated: u64,
-    pub labels_reused: u64,
+    /// The mapping report of a successful request — the record its reply,
+    /// log line and phase histograms all read.
+    pub report: Option<MapReport>,
     /// The request's finished obs trace, present only when tail sampling
     /// is on (serialized to Chrome JSON only if actually kept).
     pub trace: Option<dagmap_obs::Trace>,
 }
 
 impl RequestEvent {
+    /// A fresh event for `op` (`map` or `remap`). A map starts in the
+    /// `first` class until the worker sees whether it is a repeat.
     pub fn new(op: &'static str, id: Option<String>) -> RequestEvent {
         RequestEvent {
             op,
             id,
             lib: None,
             outcome: "ok",
-            kind: "first",
+            kind: if op == "remap" { "remap" } else { "first" },
             blif_bytes: 0,
             out_bytes: 0,
             latency_us: 0,
-            delay: 0.0,
-            num_cells: 0,
-            decompose_us: 0,
-            label_us: 0,
-            cover_us: 0,
-            recovery_us: 0,
-            memo_hits: 0,
-            memo_id_hits: 0,
-            matches_enumerated: 0,
-            labels_reused: 0,
+            report: None,
             trace: None,
         }
+    }
+
+    /// The report's decompose, label, cover and area-recovery times in
+    /// whole microseconds (zeros without a report).
+    pub fn phases_us(&self) -> [u64; 4] {
+        let us = |s: f64| (s * 1e6).max(0.0) as u64;
+        self.report.as_ref().map_or([0; 4], |r| {
+            [
+                us(r.decompose_seconds),
+                us(r.label_seconds),
+                us(r.cover_seconds),
+                us(r.area_recovery_seconds),
+            ]
+        })
     }
 
     /// One JSONL line (no trailing newline).
@@ -270,6 +269,17 @@ impl RequestEvent {
             Some(lib) => format!("\"{}\"", escape(lib)),
             None => "null".to_owned(),
         };
+        let [decompose_us, label_us, cover_us, recovery_us] = self.phases_us();
+        let (delay, num_cells, [memo_hits, memo_id_hits, matches_enumerated, labels_reused]) =
+            self.report.as_ref().map_or((0.0, 0, [0; 4]), |r| {
+                let counters = [
+                    r.memo_hits,
+                    r.memo_id_hits,
+                    r.matches_enumerated,
+                    r.labels_reused,
+                ];
+                (r.delay, r.num_cells, counters)
+            });
         format!(
             concat!(
                 "{{\"ts_ms\":{},\"op\":\"{}\",\"id\":{},\"lib\":{},\"outcome\":\"{}\",",
@@ -290,16 +300,16 @@ impl RequestEvent {
             self.out_bytes,
             self.latency_us,
             self.kind == "first",
-            crate::protocol::format_f64(self.delay),
-            self.num_cells,
-            self.decompose_us,
-            self.label_us,
-            self.cover_us,
-            self.recovery_us,
-            self.memo_hits,
-            self.memo_id_hits,
-            self.matches_enumerated,
-            self.labels_reused,
+            crate::protocol::format_f64(delay),
+            num_cells,
+            decompose_us,
+            label_us,
+            cover_us,
+            recovery_us,
+            memo_hits,
+            memo_id_hits,
+            matches_enumerated,
+            labels_reused,
         )
     }
 }
@@ -402,7 +412,6 @@ mod tests {
         ev.lib = Some("lib2".into());
         ev.kind = "repeat";
         ev.latency_us = 1234;
-        ev.delay = 4.5;
         let v = dagmap_obs::json::parse(&ev.to_jsonl()).unwrap();
         assert_eq!(v.get("op").unwrap().as_str(), Some("map"));
         assert_eq!(v.get("id").unwrap().as_str(), Some("r\"1"));

@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 use dagmap_core::{MapOptions, Mapper};
 use dagmap_genlib::Library;
 use dagmap_netlist::{blif, Network, SubjectGraph};
+use dagmap_serve::dash::{self, Sample};
 use dagmap_serve::{map_request, Client, Endpoint, Endpoints, MapCall, ServeConfig, Server};
 
 #[cfg(unix)]
@@ -36,6 +37,14 @@ fn start_unix(tag: &str, config: &ServeConfig) -> (Server, Endpoint) {
     )
     .expect("server starts");
     (server, Endpoint::Unix(path))
+}
+
+/// The daemon's live counters, parsed from its `metrics` frame.
+#[cfg(unix)]
+fn scrape(client: &mut Client) -> Vec<Sample> {
+    let exposition = client.metrics().unwrap();
+    dash::parse_exposition(&exposition)
+        .unwrap_or_else(|e| panic!("exposition must parse: {e}\n{exposition}"))
 }
 
 /// What one-shot `dagmap map` would produce for this BLIF text and library
@@ -219,14 +228,11 @@ fn concurrent_clients_all_get_bit_identical_results() {
 
     // The repeated circuits above must have hit the shared memo.
     let mut client = Client::connect(&endpoint).unwrap();
-    let stats = client.stats().unwrap();
-    let hits = stats
-        .get("memo")
-        .unwrap()
-        .get("hits")
-        .unwrap()
-        .as_num()
-        .unwrap();
+    let hits: f64 = scrape(&mut client)
+        .iter()
+        .filter(|s| s.name == "dagmap_memo_hits_total")
+        .map(|s| s.value)
+        .sum();
     assert!(hits > 0.0, "repeated circuits should hit the shared memo");
     client.shutdown().unwrap();
     server.wait().unwrap();
@@ -265,9 +271,8 @@ fn shutdown_drains_admitted_requests_before_exit() {
     let mut control = Client::connect(&endpoint).unwrap();
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let stats = control.stats().unwrap();
-        let admitted = stats.get("requests").unwrap().as_num().unwrap() as usize;
-        if admitted >= N {
+        let admitted = dash::find(&scrape(&mut control), "dagmap_requests_total", &[]).unwrap();
+        if admitted as usize >= N {
             break;
         }
         assert!(Instant::now() < deadline, "requests were never admitted");
@@ -540,10 +545,10 @@ fn retain_then_remap_is_bit_identical_and_reuses_labels() {
     );
     client.ping().unwrap();
 
-    // Daemon stats expose the remap traffic.
-    let stats = client.stats().unwrap();
-    assert!(stats.get("remaps").unwrap().as_num().unwrap() >= 2.0);
-    assert!(stats.get("retained").unwrap().as_num().unwrap() >= 1.0);
+    // The daemon's metrics expose the remap traffic.
+    let samples = scrape(&mut client);
+    assert!(dash::find(&samples, "dagmap_remaps_total", &[]).unwrap() >= 2.0);
+    assert!(dash::find(&samples, "dagmap_retained_runs", &[]).unwrap() >= 1.0);
 
     client.shutdown().unwrap();
     server.wait().unwrap();
@@ -578,17 +583,15 @@ fn metrics_frame_exposes_live_counters_and_stays_byte_neutral() {
         assert_eq!(blif, &oneshot);
     }
 
-    let exposition = client.metrics().unwrap();
-    let samples = dagmap_serve::dash::parse_exposition(&exposition)
-        .unwrap_or_else(|e| panic!("exposition must parse: {e}\n{exposition}"));
-    let find = |name: &str| dagmap_serve::dash::find(&samples, name, &[]);
+    let samples = scrape(&mut client);
+    let find = |name: &str| dash::find(&samples, name, &[]);
     assert_eq!(find("dagmap_requests_total"), Some(3.0));
     assert_eq!(find("dagmap_errors_total"), Some(0.0));
     assert!(find("dagmap_workers").unwrap() >= 1.0);
     // First request was first-seen, the two repeats split into the repeat
     // class.
     assert_eq!(
-        dagmap_serve::dash::find(
+        dash::find(
             &samples,
             "dagmap_request_latency_us_count",
             &[("kind", "first")]
@@ -596,7 +599,7 @@ fn metrics_frame_exposes_live_counters_and_stays_byte_neutral() {
         Some(1.0)
     );
     assert_eq!(
-        dagmap_serve::dash::find(
+        dash::find(
             &samples,
             "dagmap_request_latency_us_count",
             &[("kind", "repeat")]
@@ -605,32 +608,18 @@ fn metrics_frame_exposes_live_counters_and_stays_byte_neutral() {
     );
     // Per-library series carry the registered library name.
     assert_eq!(
-        dagmap_serve::dash::find(&samples, "dagmap_lib_requests_total", &[("lib", "lib2_like")]),
+        dash::find(
+            &samples,
+            "dagmap_lib_requests_total",
+            &[("lib", "lib2_like")]
+        ),
         Some(3.0)
     );
     assert!(
-        dagmap_serve::dash::find(&samples, "dagmap_memo_hits_total", &[("lib", "lib2_like")])
-            .unwrap()
-            > 0.0,
+        dash::find(&samples, "dagmap_memo_hits_total", &[("lib", "lib2_like")]).unwrap() > 0.0,
         "repeats must hit the shared memo"
     );
 
-    client.shutdown().unwrap();
-    server.wait().unwrap();
-}
-
-#[cfg(unix)]
-#[test]
-fn metrics_disabled_answers_an_error_frame() {
-    let config = ServeConfig {
-        metrics: false,
-        ..ServeConfig::default()
-    };
-    let (server, endpoint) = start_unix("nometrics", &config);
-    let mut client = Client::connect(&endpoint).unwrap();
-    let err = client.metrics().expect_err("metrics are off");
-    assert!(err.to_string().contains("disabled"), "{err}");
-    client.ping().expect("connection survives the error frame");
     client.shutdown().unwrap();
     server.wait().unwrap();
 }
@@ -668,9 +657,9 @@ fn http_metrics_endpoint_serves_prometheus_text() {
         "{response}"
     );
     let body = response.split("\r\n\r\n").nth(1).unwrap();
-    let samples = dagmap_serve::dash::parse_exposition(body).unwrap();
+    let samples = dash::parse_exposition(body).unwrap();
     assert_eq!(
-        dagmap_serve::dash::find(&samples, "dagmap_requests_total", &[]),
+        dash::find(&samples, "dagmap_requests_total", &[]),
         Some(1.0)
     );
     assert!(http_get("/nope").starts_with("HTTP/1.1 404"), "404 path");
@@ -741,6 +730,88 @@ fn request_log_writes_one_jsonl_event_per_request() {
         .get("label_us")
         .is_some());
     assert_eq!(events[2].get("outcome").unwrap().as_str(), Some("bad_request"));
+    let _ = std::fs::remove_file(&log_path);
+}
+
+/// The request log agrees with the metrics: an aliased library logs (and
+/// is answered and counted) under its registered name, and a `remap`
+/// refused while the daemon drains logs as a remap, not a first-seen map.
+#[cfg(unix)]
+#[test]
+fn request_log_names_registered_libraries_and_refused_remaps() {
+    let log_path = std::env::temp_dir().join(format!(
+        "dagmap-serve-test-{}-names.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&log_path);
+    let config = ServeConfig {
+        log_requests: Some(log_path.clone()),
+        ..ServeConfig::default()
+    };
+    let (server, endpoint) = start_unix("names", &config);
+    let mut client = Client::connect(&endpoint).unwrap();
+    let input = blif::to_string(&dagmap_benchgen::ripple_adder(3)).unwrap();
+    let call = MapCall {
+        id: Some("alias"),
+        lib: Some("44-3"),
+        ..MapCall::default()
+    };
+    let reply = client.call(&map_request(&input, &call)).unwrap();
+    assert_eq!(reply.get("error"), None, "{reply:?}");
+    assert_eq!(reply.get("lib").and_then(|v| v.as_str()), Some("44_3_like"));
+    let samples = scrape(&mut client);
+    let lib_requests =
+        |lib: &str| dash::find(&samples, "dagmap_lib_requests_total", &[("lib", lib)]);
+    assert_eq!(lib_requests("44_3_like"), Some(1.0));
+    assert_eq!(lib_requests("44-3"), None);
+
+    // The connection stays open until `wait`, so a request sent after the
+    // shutdown is refused by the draining daemon.
+    server.request_shutdown();
+    let refused = client
+        .call(&dagmap_serve::remap_request(
+            &input,
+            "alias",
+            Some("late"),
+            false,
+        ))
+        .unwrap();
+    assert_eq!(
+        refused
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(|k| k.as_str()),
+        Some("shutting_down")
+    );
+    server.wait().unwrap();
+
+    let text = std::fs::read_to_string(&log_path).unwrap();
+    let events: Vec<_> = text
+        .lines()
+        .map(|l| dagmap_obs::json::parse(l).expect("every line is valid JSON"))
+        .collect();
+    assert_eq!(events.len(), 2, "{text}");
+    // The worker logs after it replies, so order the events by op.
+    let field = |op: &str, key: &str| {
+        let event = events
+            .iter()
+            .find(|e| e.get("op").and_then(|v| v.as_str()) == Some(op))
+            .unwrap_or_else(|| panic!("no {op} event:\n{text}"));
+        event.get(key).cloned()
+    };
+    let text_of = |s: &str| Some(dagmap_obs::json::Value::Str(s.to_owned()));
+    assert_eq!(field("map", "lib"), text_of("44_3_like"), "{text}");
+    assert_eq!(
+        field("remap", "outcome"),
+        text_of("shutting_down"),
+        "{text}"
+    );
+    assert_eq!(field("remap", "kind"), text_of("remap"), "{text}");
+    assert_eq!(
+        field("remap", "first_seen"),
+        Some(dagmap_obs::json::Value::Bool(false)),
+        "{text}"
+    );
     let _ = std::fs::remove_file(&log_path);
 }
 
@@ -842,9 +913,7 @@ fn tail_sampling_keeps_bounded_valid_traces() {
     // A worker stores the trace after it replies: wait for the last one.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     let kept = loop {
-        let exposition = client.metrics().unwrap();
-        let samples = dagmap_serve::dash::parse_exposition(&exposition).unwrap();
-        let kept = dagmap_serve::dash::find(&samples, "dagmap_tail_traces_kept_total", &[]);
+        let kept = dash::find(&scrape(&mut client), "dagmap_tail_traces_kept_total", &[]);
         if kept == Some(6.0) || std::time::Instant::now() > deadline {
             break kept;
         }

@@ -145,8 +145,6 @@ serve options:
   --no-verify                         skip per-request equivalence checks
   --metrics-addr <addr>               also serve the metrics as plain HTTP
                                       (GET /metrics, Prometheus text format)
-  --no-metrics                        disable the live metrics registry
-                                      (the `metrics` op answers an error)
   --log-requests <f.jsonl>            append one JSON line per finished
                                       request (latency, phases, cache hits)
   --tail-traces <dir>                 tail-based trace sampling: requests
@@ -160,18 +158,17 @@ serve options:
 
 client options:
   --tcp <addr> | --unix <path>        where the daemon listens (required)
-  --ping | --stats | --shutdown       control ops (otherwise maps in.blif)
+  --ping | --shutdown                 control ops (otherwise maps in.blif)
   --metrics                           print the daemon's live metrics as
-                                      Prometheus text exposition
+                                      Prometheus text exposition (`dagmap
+                                      top --once` prints them as a table)
   --lib <name>                        served library to map against
   --algo dag|tree|dag-extended        covering algorithm (default dag)
   --recover                           slack-driven area recovery
   --repeat <n>                        send the map request n times,
                                       pipelined; --out and the summary use
                                       the last reply
-  --json                              print the raw reply JSON (with
-                                      --stats: the raw stats frame instead
-                                      of the human table)
+  --json                              print the raw reply JSON
   --out <f.blif>                      write the mapped netlist as BLIF
 
 top options:
@@ -425,9 +422,7 @@ fn cmd_map(args: &[String]) -> CmdResult {
             library = ext.library;
         }
         let net = read_network(&input)?;
-        let t_decompose = Instant::now();
         let subject = SubjectGraph::from_network(&net)?;
-        let decompose_seconds = t_decompose.elapsed().as_secs_f64();
         // Boolean and hybrid matching feed the same labeling DP through the
         // `MatchSource` seam, so every pipeline flag — threads, recovery,
         // objective, --json — means the same thing for them.
@@ -454,7 +449,7 @@ fn cmd_map(args: &[String]) -> CmdResult {
         if no_strash_ids {
             opts = opts.with_strash_ids(false);
         }
-        let (mut mapped, mut report, bool_report) = match algo.as_str() {
+        let (mut mapped, report, bool_report) = match algo.as_str() {
             "boolean" => {
                 let (m, r, b) = boolmatch::map_boolean_with_options(&subject, &library, k, opts)?;
                 (m, r, Some(b))
@@ -468,7 +463,6 @@ fn cmd_map(args: &[String]) -> CmdResult {
                 (m, r, None)
             }
         };
-        report.decompose_seconds = decompose_seconds;
         if let Some(max_load) = buffer {
             mapped = load::insert_buffers(&mapped, &library, max_load)?;
         }
@@ -635,7 +629,6 @@ fn cmd_serve(args: &[String]) -> CmdResult {
         config.memo_cap = n.parse().map_err(|_| "--memo-cap needs an integer")?;
     }
     config.verify = !take_flag(&mut args, "--no-verify");
-    config.metrics = !take_flag(&mut args, "--no-metrics");
     config.metrics_addr = take_value(&mut args, "--metrics-addr")?;
     config.log_requests = take_value(&mut args, "--log-requests")?.map(Into::into);
     let tail_quantile = take_value(&mut args, "--tail-quantile")?;
@@ -726,7 +719,6 @@ fn cmd_client(args: &[String]) -> CmdResult {
     let mut args = args.to_vec();
     let endpoint = client_endpoint(&mut args)?;
     let ping = take_flag(&mut args, "--ping");
-    let stats = take_flag(&mut args, "--stats");
     let metrics = take_flag(&mut args, "--metrics");
     let shutdown = take_flag(&mut args, "--shutdown");
     let lib = take_value(&mut args, "--lib")?;
@@ -753,19 +745,10 @@ fn cmd_client(args: &[String]) -> CmdResult {
         print!("{}", client.metrics()?);
         return Ok(());
     }
-    if stats || shutdown {
+    if shutdown {
         reject_leftovers(&args)?;
-        let op = if stats { "stats" } else { "shutdown" };
-        let raw_text = client.call_raw(&format!("{{\"op\":\"{op}\"}}"))?;
-        if stats && !json {
-            let raw = dagmap::obs::json::parse(&raw_text)
-                .map_err(|e| format!("reply is not valid JSON: {e}"))?;
-            print!("{}", dagmap::serve::dash::render_stats_table(&raw));
-        } else {
-            // Shutdown acks are small (and --stats --json wants the raw
-            // frame); print it verbatim.
-            println!("{raw_text}");
-        }
+        // The acknowledgement is small; print it verbatim.
+        println!("{}", client.call_raw("{\"op\":\"shutdown\"}")?);
         return Ok(());
     }
     let input = take_positional(&mut args, "input BLIF file")?;
@@ -979,9 +962,7 @@ fn cmd_stats(args: &[String]) -> CmdResult {
             net.num_internal(),
             net.num_edges()
         );
-        let t_decompose = Instant::now();
         let subject = SubjectGraph::from_network(&net)?;
-        let decompose_seconds = t_decompose.elapsed().as_secs_f64();
         println!(
             "subject graph: {} NAND/INV nodes, depth {}, {} multi-fanout points",
             subject.num_gates(),
@@ -1039,8 +1020,7 @@ fn cmd_stats(args: &[String]) -> CmdResult {
             if let Some(n) = common.threads {
                 opts = opts.with_num_threads(n);
             }
-            let (_, mut report) = Mapper::new(&library).map_with_report(&subject, opts)?;
-            report.decompose_seconds = decompose_seconds;
+            let (_, report) = Mapper::new(&library).map_with_report(&subject, opts)?;
             print_phases(&report);
         }
         Ok(())

@@ -22,6 +22,33 @@ fn generated_circuits_round_trip() {
     }
 }
 
+/// Parities wider than 16 inputs are written as 2-input XOR trees (a cube
+/// cover would need 2^(n-1) cubes); the c7552 analogue has 34-input ones.
+#[test]
+fn wide_parities_round_trip() {
+    use dagmap::netlist::{Network, NodeFn};
+    let wide = |func: NodeFn| {
+        let mut net = Network::new("wide");
+        let ins = (0..40).map(|i| net.add_input(format!("x{i}"))).collect();
+        let f = net.add_node(func, ins).expect("n-ary parity");
+        net.add_output("f", f);
+        net
+    };
+    for net in [
+        wide(NodeFn::Xor),
+        wide(NodeFn::Xnor),
+        dagmap::benchgen::c7552_like(),
+    ] {
+        let text = blif::to_string(&net).expect("serializes");
+        let back = blif::parse(&text).expect("parses");
+        assert!(
+            sim::equivalent_random(&net, &back, 16, 0x7552).expect("comparable"),
+            "{} changed function through BLIF",
+            net.name()
+        );
+    }
+}
+
 #[test]
 fn subject_graphs_round_trip_and_stay_subject_graphs() {
     let net = dagmap::benchgen::comparator(6);

@@ -130,3 +130,22 @@ fn minimal_library_reproduces_the_subject_graph() {
         .expect("maps");
     assert_eq!(mapped.delay(), f64::from(subject.depth()));
 }
+
+/// The subject graph records its own construction time, and every mapping
+/// path reports it — no caller has to time decomposition and patch it in.
+#[test]
+fn reports_carry_the_subjects_decomposition_time() {
+    let net = dagmap::benchgen::comparator(16);
+    let subject = SubjectGraph::from_network(&net).expect("decomposes");
+    assert!(subject.decompose_seconds() > 0.0);
+    let lib = Library::lib2_like();
+    let (_, structural) = Mapper::new(&lib)
+        .map_with_report(&subject, MapOptions::dag())
+        .expect("maps");
+    let (_, boolean, _) =
+        dagmap::boolmatch::map_boolean_with_options(&subject, &lib, 4, MapOptions::dag())
+            .expect("maps");
+    for report in [structural, boolean] {
+        assert_eq!(report.decompose_seconds, subject.decompose_seconds());
+    }
+}
