@@ -135,8 +135,12 @@ fn main() {
     let mut threads_used = 1usize;
     for (name, net) in circuits {
         let subject = SubjectGraph::from_network(&net).expect("benchgen circuits decompose");
-        let levels = subject.levels();
-        let (num_levels, max_width) = (levels.num_levels(), levels.max_width());
+        let flat = subject.flat();
+        let num_levels = flat.num_levels();
+        let max_width = (0..num_levels)
+            .map(|l| flat.level_group(l).len())
+            .max()
+            .unwrap_or(0);
         let serial = label_with_config(
             &subject,
             &lib,

@@ -6,10 +6,12 @@
 //! count) and whole fanin frontier also survive — would be labeled exactly
 //! as before: the labeling DP at a node reads only the structure of its
 //! bounded cone, the arrivals/area-flows of its fanins, and the fanout
-//! counts of its match leaves. [`relabel_incremental`] exploits this by
-//! copying the prior run's `(arrival, area_flow, best)` for every such
-//! *clean* node and running the dynamic program only on the dirty region —
-//! the fanout cone of the edit plus anything whose signature changed.
+//! counts of its match leaves. Incremental labeling is therefore the one
+//! labeling pass given a [`RetainedLabels`] snapshot: it copies the prior
+//! run's `(arrival, area_flow, best)` for every such *clean* node and runs
+//! the dynamic program only on the dirty region — the fanout cone of the
+//! edit plus anything whose signature changed. [`relabel_incremental`] and
+//! `Mapper::map_incremental` are its entry points.
 //!
 //! The clean rule, inductively:
 //!
@@ -26,17 +28,22 @@
 //! function of the cone alone. The copied label is therefore bit-identical
 //! to what a full re-label would compute, which is what keeps the
 //! incremental path byte-identical to cold mapping.
+//!
+//! That argument holds only under the library, match source, match mode
+//! and objective the snapshot was computed under, so the snapshot records
+//! them and a pass under any other reuses nothing, as for a subject whose
+//! signatures are not injective.
 
 use std::collections::HashMap;
 
 use dagmap_genlib::Library;
-use dagmap_match::{Match, MatchConfig, MatchMode, MatchStats, SharedMatchStore};
+use dagmap_match::{Match, MatchConfig, MatchMode, SharedMatchStore};
 use dagmap_netlist::strash::SigBuildHasher;
-use dagmap_netlist::{Sig, SubjectGraph};
+use dagmap_netlist::{FlatNet, NodeId, Sig, Signatures, SubjectGraph};
 
-use crate::label::{evaluate_node, ChosenBuf, Labels, SelectionArena};
-use crate::source::{MatchSource, StructuralSource};
-use crate::{allocmeter, MapError, Objective};
+use crate::label::{label_pass, ChosenBuf, LabelBasis, Labels};
+use crate::source::StructuralSource;
+use crate::{MapError, Objective};
 
 /// A prior labeling run, snapshotted in signature space so it survives the
 /// arbitrary node-id renumbering a re-decomposition causes.
@@ -54,6 +61,9 @@ pub struct RetainedLabels {
     arrival: Vec<f64>,
     area_flow: Vec<f64>,
     best: Vec<Option<Match>>,
+    /// What the labels were computed under: library, source, mode and
+    /// objective.
+    basis: LabelBasis,
 }
 
 impl RetainedLabels {
@@ -76,17 +86,13 @@ impl RetainedLabels {
             index,
             sigs: sigs.sigs().to_vec(),
             fanout_count: (0..n)
-                .map(|i| flat.fanout_count(dagmap_netlist::NodeId::from_index(i)) as u32)
+                .map(|i| flat.fanout_count(NodeId::from_index(i)) as u32)
                 .collect(),
             arrival: labels.arrival.clone(),
             area_flow: labels.area_flow.clone(),
             best: labels.best.clone(),
+            basis: labels.basis,
         })
-    }
-
-    /// Number of snapshotted nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.sigs.len()
     }
 }
 
@@ -105,8 +111,9 @@ pub struct IncrementalStats {
 /// The result is bit-identical to a full (cold) labeling of `subject` with
 /// the same configuration; only the work counters differ — reused nodes
 /// perform no enumeration, no memo lookup, and no allocation. When the new
-/// subject's signature map is not injective the pass degrades to a full
-/// serial re-label (`reused == 0`), never to a wrong answer.
+/// subject's signature map is not injective, or the snapshot was taken
+/// under another library, match mode or objective, the pass degrades to a
+/// full serial re-label (`reused == 0`), never to a wrong answer.
 ///
 /// # Errors
 ///
@@ -121,137 +128,68 @@ pub fn relabel_incremental(
     shared: Option<&SharedMatchStore>,
 ) -> Result<(Labels, IncrementalStats), MapError> {
     let source = StructuralSource::new(library, mode, config, shared);
-    relabel_with_source(subject, &source, objective, retained)
+    label_pass(subject, &source, objective, Some(1), Some(retained))
 }
 
-/// [`relabel_incremental`] over a caller-built match source, so a mapping
-/// run can hand the same source on to area recovery.
-pub(crate) fn relabel_with_source<S: MatchSource>(
-    subject: &SubjectGraph,
-    source: &S,
-    objective: Objective,
-    retained: &RetainedLabels,
-) -> Result<(Labels, IncrementalStats), MapError> {
-    let flat = subject.flat();
-    let n = flat.num_nodes();
-    let sigs = subject.signatures();
-    let reuse_ok = sigs.is_injective();
-    let mut span = dagmap_obs::span("label.incremental");
-    if span.is_recording() {
-        span.set_u64("nodes", n as u64);
+/// The clean rule applied during one snapshot-driven labeling pass.
+pub(crate) struct Recall<'r> {
+    retained: &'r RetainedLabels,
+    sigs: &'r Signatures,
+    /// `clean[i]` per the module-level rule; sources participate (their
+    /// fanout counts gate the cleanliness of consumers) but carry no
+    /// copied label.
+    clean: Vec<bool>,
+    /// Gates whose labels were copied so far.
+    pub(crate) reused: usize,
+}
+
+impl<'r> Recall<'r> {
+    /// `None` when the snapshot was computed under another basis or the
+    /// subject's signatures cannot address nodes unambiguously.
+    pub(crate) fn new(
+        retained: &'r RetainedLabels,
+        subject: &'r SubjectGraph,
+        basis: LabelBasis,
+    ) -> Option<Recall<'r>> {
+        let sigs = subject.signatures();
+        (retained.basis == basis && sigs.is_injective()).then(|| Recall {
+            retained,
+            sigs,
+            clean: vec![false; subject.flat().num_nodes()],
+            reused: 0,
+        })
     }
 
-    let library = source.library();
-    let mut arrival = vec![0.0f64; n];
-    let mut area_flow = vec![0.0f64; n];
-    let mut arena = SelectionArena::new(library, flat);
-    let mut stats = MatchStats::default();
-    let mut inc = IncrementalStats::default();
-    let mut kit = source.make_kit(subject);
-    let mut chosen = ChosenBuf::new(library);
-    let metering = allocmeter::installed();
-    let mut wave_allocs: Vec<usize> =
-        Vec::with_capacity(if metering { flat.num_levels() } else { 0 });
-    // clean[i] per the module-level rule; sources participate (their fanout
-    // counts gate the cleanliness of consumers) but carry no copied label.
-    let mut clean = vec![false; n];
+    /// The retained node `id` is clean against, if any.
+    fn old_node(&self, flat: &FlatNet, id: NodeId) -> Option<usize> {
+        let u = *self.retained.index.get(&self.sigs.sig_of(id))? as usize;
+        (self.retained.fanout_count[u] == flat.fanout_count(id) as u32
+            && flat.fanins(id).iter().all(|f| self.clean[f.index()]))
+        .then_some(u)
+    }
 
-    for l in 0..flat.num_levels() {
-        let group = flat.level_group(l);
-        let before = allocmeter::reading();
-        for &id in group {
-            let i = id.index();
-            let old = if reuse_ok {
-                retained
-                    .index
-                    .get(&sigs.sig_of(id))
-                    .copied()
-                    .filter(|&u| {
-                        retained.fanout_count[u as usize] == flat.fanout_count(id) as u32
-                            && flat.fanins(id).iter().all(|f| clean[f.index()])
-                    })
-            } else {
-                None
-            };
-            if !flat.is_gate(id) {
-                clean[i] = old.is_some();
-                continue;
+    /// Applies the clean rule at `id`; for a clean gate, makes its retained
+    /// label the incumbent in `chosen`, translated to new ids through
+    /// signature space, and returns true. A failed lookup (hash collision)
+    /// leaves the gate dirty for the caller to evaluate.
+    pub(crate) fn recall(&mut self, flat: &FlatNet, id: NodeId, chosen: &mut ChosenBuf) -> bool {
+        let Some(u) = self.old_node(flat, id) else {
+            return false;
+        };
+        let best = match &self.retained.best[u] {
+            Some(best) if flat.is_gate(id) => best,
+            _ => {
+                self.clean[id.index()] = !flat.is_gate(id);
+                return false;
             }
-            if let Some(u) = old {
-                if let Some(best) = retained.best[u as usize].as_ref() {
-                    // Translate the stored match from old ids to new ids
-                    // through signature space. Isomorphic cones guarantee
-                    // every referenced node exists here; a failed lookup
-                    // (hash collision) falls through to a fresh evaluation.
-                    let translate = |ids: &[dagmap_netlist::NodeId]| {
-                        ids.iter()
-                            .map(|&o| sigs.lookup(retained.sigs[o.index()]))
-                            .collect::<Option<Vec<_>>>()
-                    };
-                    if let (Some(leaves), Some(covered)) =
-                        (translate(&best.leaves), translate(&best.covered))
-                    {
-                        arrival[i] = retained.arrival[u as usize];
-                        area_flow[i] = retained.area_flow[u as usize];
-                        arena.commit(id, (best.gate, best.pattern), &leaves, &covered);
-                        clean[i] = true;
-                        inc.reused += 1;
-                        continue;
-                    }
-                }
-            }
-            stats.absorb(evaluate_node(
-                subject,
-                source,
-                objective,
-                &arrival,
-                &area_flow,
-                id,
-                &mut kit,
-                &mut chosen,
-            ));
-            inc.relabeled += 1;
-            match chosen.sel {
-                Some(sel) => {
-                    arrival[i] = chosen.t;
-                    area_flow[i] = chosen.af;
-                    arena.commit(id, sel, &chosen.leaves, &chosen.covered);
-                    // A freshly evaluated node may still be clean for its
-                    // consumers' purposes iff its signature and fanout
-                    // survived — but then it would have been reused above,
-                    // so a re-evaluated node is dirty by construction.
-                }
-                None => return Err(MapError::NoMatch { node: id }),
-            }
+        };
+        let (retained, sigs) = (self.retained, self.sigs);
+        let translate = |old: NodeId| sigs.lookup(retained.sigs[old.index()]);
+        if !chosen.recall(retained.arrival[u], retained.area_flow[u], best, translate) {
+            return false;
         }
-        if let (Some(b), Some(a)) = (before, allocmeter::reading()) {
-            wave_allocs.push(a - b);
-        }
+        self.clean[id.index()] = true;
+        self.reused += 1;
+        true
     }
-    if span.is_recording() {
-        span.set_u64("reused", inc.reused as u64);
-        span.set_u64("relabeled", inc.relabeled as u64);
-    }
-    if dagmap_obs::enabled() {
-        dagmap_obs::count("label.incremental.reused", inc.reused as u64);
-        dagmap_obs::count("label.incremental.relabeled", inc.relabeled as u64);
-    }
-    Ok((
-        Labels {
-            arrival,
-            area_flow,
-            best: arena.into_best(),
-            matches_enumerated: stats.enumerated,
-            matches_pruned: stats.pruned,
-            memo_lookups: stats.memo_lookups,
-            memo_hits: stats.memo_hits,
-            memo_id_hits: stats.memo_id_hits,
-            match_words: stats.words,
-            match_candidate_bits: stats.candidate_bits,
-            levels: flat.num_levels(),
-            threads_used: 1,
-            wave_allocs,
-        },
-        inc,
-    ))
 }

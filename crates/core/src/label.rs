@@ -3,8 +3,9 @@ use std::sync::{Barrier, Mutex, RwLock};
 
 use dagmap_genlib::{GateId, Library, PatternId};
 use dagmap_match::{Match, MatchConfig, MatchMode, MatchStats, SharedMatchStore};
-use dagmap_netlist::{FlatNet, NodeFn, NodeId, SubjectGraph, KIND_SOURCE};
+use dagmap_netlist::{FlatNet, NodeId, SubjectGraph, KIND_SOURCE};
 
+use crate::incremental::{IncrementalStats, Recall, RetainedLabels};
 use crate::source::{MatchSource, SourceMatch, StructuralSource};
 use crate::{allocmeter, MapError, Objective};
 
@@ -92,6 +93,18 @@ pub struct Labels {
     /// otherwise). The steady-state contract: with the memo off, every
     /// entry is 0 — all per-wave scratch lives in arenas sized up front.
     pub wave_allocs: Vec<usize>,
+    /// What the labels were computed under (see [`RetainedLabels`]).
+    pub(crate) basis: LabelBasis,
+}
+
+/// What labels depend on besides the subject graph. The match
+/// configuration is absent: no acceleration stage moves a label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LabelBasis {
+    library: u64,
+    source: &'static str,
+    mode: MatchMode,
+    objective: Objective,
 }
 
 impl Labels {
@@ -104,17 +117,7 @@ impl Labels {
     /// [`Objective::Delay`] this is the provably minimum circuit delay for
     /// this subject graph, library and match semantics.
     pub fn critical_delay(&self, subject: &SubjectGraph) -> f64 {
-        let net = subject.network();
-        let mut worst: f64 = 0.0;
-        for out in net.outputs() {
-            worst = worst.max(self.arrival[out.driver.index()]);
-        }
-        for id in net.node_ids() {
-            if matches!(net.node(id).func(), NodeFn::Latch) {
-                worst = worst.max(self.arrival[net.node(id).fanins()[0].index()]);
-            }
-        }
-        worst
+        dagmap_netlist::sta::critical_delay(subject.network(), &self.arrival)
     }
 }
 
@@ -216,6 +219,27 @@ impl ChosenBuf {
         self.leaves.extend_from_slice(sm.leaves);
         self.covered.clear();
         self.covered.extend_from_slice(sm.covered);
+    }
+
+    /// Makes a retained label the incumbent, mapping its node ids through
+    /// `translate`. Returns false, leaving no incumbent, when some id does
+    /// not translate.
+    pub(crate) fn recall(
+        &mut self,
+        t: f64,
+        af: f64,
+        m: &Match,
+        translate: impl Fn(NodeId) -> Option<NodeId>,
+    ) -> bool {
+        let into = |ids: &[NodeId], out: &mut Vec<NodeId>| {
+            out.clear();
+            ids.iter()
+                .all(|&id| translate(id).map(|n| out.push(n)).is_some())
+        };
+        let translated = into(&m.leaves, &mut self.leaves) && into(&m.covered, &mut self.covered);
+        (self.t, self.af, self.pins) = (t, af, m.leaves.len());
+        self.sel = translated.then_some((m.gate, m.pattern));
+        translated
     }
 }
 
@@ -377,8 +401,8 @@ fn force_parallel() -> bool {
 /// more than one CPU (spawning barrier-synchronized workers on a single-CPU
 /// machine only adds overhead; set `DAGMAP_LABEL_FORCE_PARALLEL=1` to
 /// override, as the determinism tests do). Every choice produces
-/// bit-identical [`Labels`] — see the module docs of
-/// `dagmap_netlist::Levels` and DESIGN.md for the determinism argument.
+/// bit-identical [`Labels`] — see [`FlatNet::build`] for the level
+/// structure and DESIGN.md for the determinism argument.
 ///
 /// Every configuration produces bit-identical labels too; the stages only
 /// change how much search the matcher performs (visible in
@@ -437,14 +461,29 @@ pub fn label_with_source<S: MatchSource>(
     objective: Objective,
     num_threads: Option<usize>,
 ) -> Result<Labels, MapError> {
+    label_pass(subject, source, objective, num_threads, None).map(|(labels, _)| labels)
+}
+
+/// The labeling pass behind every entry point: cold without a snapshot,
+/// incremental with one. A snapshot-driven pass is serial (an edit's
+/// fanout cone is too little work for the wavefront workers) and copies
+/// every label the clean rule of [`crate::incremental`] admits. It opens
+/// the same spans and counters as a cold pass, and its labels are
+/// bit-identical to one.
+pub(crate) fn label_pass<S: MatchSource>(
+    subject: &SubjectGraph,
+    source: &S,
+    objective: Objective,
+    num_threads: Option<usize>,
+    retained: Option<&RetainedLabels>,
+) -> Result<(Labels, IncrementalStats), MapError> {
     let flat = subject.flat();
-    let requested =
-        num_threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mappable = flat.kinds().iter().filter(|&&k| k != KIND_SOURCE).count();
+    let requested = retained.map_or(num_threads, |_| Some(1));
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
     let nt = resolve_threads(
-        requested,
-        num_threads.is_none(),
+        requested.unwrap_or(available),
+        requested.is_none(),
         available,
         mappable,
         force_parallel(),
@@ -455,28 +494,38 @@ pub fn label_with_source<S: MatchSource>(
         obs_span.set_u64("levels", flat.num_levels() as u64);
         obs_span.set_u64("mappable", mappable as u64);
     }
-    let result = if nt == 1 {
-        label_serial(subject, source, objective)
+    let basis = LabelBasis {
+        library: source.library().digest(),
+        source: std::any::type_name::<S>(),
+        mode: source.mode(),
+        objective,
+    };
+    let mut recall = retained.and_then(|r| Recall::new(r, subject, basis));
+    let state = if nt == 1 {
+        label_serial(subject, source, objective, recall.as_mut())
     } else {
         label_parallel(subject, source, objective, nt)
     };
-    record_label_counts(mappable, &result);
-    result
-}
-
-fn record_label_counts(mappable: usize, result: &Result<Labels, MapError>) {
-    if dagmap_obs::enabled() {
-        if let Ok(labels) = result {
-            dagmap_obs::count("label.nodes", mappable as u64);
-            dagmap_obs::count("match.enumerated", labels.matches_enumerated as u64);
-            dagmap_obs::count("match.pruned", labels.matches_pruned as u64);
-            dagmap_obs::count("match.memo_lookups", labels.memo_lookups as u64);
-            dagmap_obs::count("match.memo_hits", labels.memo_hits as u64);
-            dagmap_obs::count("match.memo_id_hits", labels.memo_id_hits as u64);
-            dagmap_obs::count("match.words", labels.match_words as u64);
-            dagmap_obs::count("match.candidate_bits", labels.match_candidate_bits as u64);
-        }
+    let labels = state
+        .map_err(|node| MapError::NoMatch { node })?
+        .into_labels(flat.num_levels(), nt, basis);
+    let reused = recall.map_or(0, |r| r.reused);
+    let relabeled = mappable - reused;
+    if retained.is_some() && obs_span.is_recording() {
+        obs_span.set_u64("reused", reused as u64);
+        obs_span.set_u64("relabeled", relabeled as u64);
     }
+    if dagmap_obs::enabled() {
+        dagmap_obs::count("label.nodes", mappable as u64);
+        dagmap_obs::count("match.enumerated", labels.matches_enumerated as u64);
+        dagmap_obs::count("match.pruned", labels.matches_pruned as u64);
+        dagmap_obs::count("match.memo_lookups", labels.memo_lookups as u64);
+        dagmap_obs::count("match.memo_hits", labels.memo_hits as u64);
+        dagmap_obs::count("match.memo_id_hits", labels.memo_id_hits as u64);
+        dagmap_obs::count("match.words", labels.match_words as u64);
+        dagmap_obs::count("match.candidate_bits", labels.match_candidate_bits as u64);
+    }
+    Ok((labels, IncrementalStats { reused, relabeled }))
 }
 
 /// Mappable-node count of one level group (the `nodes` argument of the
@@ -485,75 +534,144 @@ fn wave_width(flat: &FlatNet, group: &[NodeId]) -> usize {
     group.iter().filter(|&&id| flat.is_gate(id)).count()
 }
 
+/// Opens the session-lane `label.wave` span of level `l` — the same name,
+/// level and node count whichever engine labels the level.
+fn wave_span(flat: &FlatNet, l: usize) -> dagmap_obs::Span {
+    let mut wave = dagmap_obs::span("label.wave");
+    if wave.is_recording() {
+        wave.set_u64("level", l as u64);
+        wave.set_u64("nodes", wave_width(flat, flat.level_group(l)) as u64);
+    }
+    wave
+}
+
+/// The dynamic program's tables and counters. Both engines fill one, and
+/// [`Labels`] is assembled from it in one place.
+struct LabelState {
+    arrival: Vec<f64>,
+    area_flow: Vec<f64>,
+    arena: SelectionArena,
+    stats: MatchStats,
+    wave_allocs: Vec<usize>,
+}
+
+impl LabelState {
+    fn new(library: &Library, flat: &FlatNet) -> LabelState {
+        let n = flat.num_nodes();
+        let metered = if allocmeter::installed() {
+            flat.num_levels()
+        } else {
+            0
+        };
+        LabelState {
+            arrival: vec![0.0; n],
+            area_flow: vec![0.0; n],
+            arena: SelectionArena::new(library, flat),
+            stats: MatchStats::default(),
+            wave_allocs: Vec::with_capacity(metered),
+        }
+    }
+
+    /// The per-group step of the serial pass and of the coordinator's
+    /// narrow waves: recall or evaluate each gate of `group` in commit
+    /// order and commit it. Returns the first gate with no match.
+    #[allow(clippy::too_many_arguments)]
+    fn label_group<S: MatchSource>(
+        &mut self,
+        subject: &SubjectGraph,
+        source: &S,
+        objective: Objective,
+        group: &[NodeId],
+        kit: &mut S::Kit,
+        chosen: &mut ChosenBuf,
+        mut recall: Option<&mut Recall<'_>>,
+    ) -> Result<(), NodeId> {
+        let flat = subject.flat();
+        for &id in group {
+            let recalled = recall
+                .as_deref_mut()
+                .is_some_and(|r| r.recall(flat, id, chosen));
+            if !flat.is_gate(id) {
+                continue;
+            }
+            if !recalled {
+                self.stats.absorb(evaluate_node(
+                    subject,
+                    source,
+                    objective,
+                    &self.arrival,
+                    &self.area_flow,
+                    id,
+                    kit,
+                    chosen,
+                ));
+            }
+            let Some(sel) = chosen.sel else {
+                return Err(id);
+            };
+            self.arrival[id.index()] = chosen.t;
+            self.area_flow[id.index()] = chosen.af;
+            self.arena.commit(id, sel, &chosen.leaves, &chosen.covered);
+        }
+        Ok(())
+    }
+
+    /// Records the allocations of the wave that began at reading `before`.
+    fn meter_wave(&mut self, before: Option<usize>) {
+        if let (Some(b), Some(a)) = (before, allocmeter::reading()) {
+            self.wave_allocs.push(a - b);
+        }
+    }
+
+    fn into_labels(self, levels: usize, threads_used: usize, basis: LabelBasis) -> Labels {
+        let stats = self.stats;
+        Labels {
+            arrival: self.arrival,
+            area_flow: self.area_flow,
+            best: self.arena.into_best(),
+            matches_enumerated: stats.enumerated,
+            matches_pruned: stats.pruned,
+            memo_lookups: stats.memo_lookups,
+            memo_hits: stats.memo_hits,
+            memo_id_hits: stats.memo_id_hits,
+            match_words: stats.words,
+            match_candidate_bits: stats.candidate_bits,
+            levels,
+            threads_used,
+            wave_allocs: self.wave_allocs,
+            basis,
+        }
+    }
+}
+
+/// The serial pass: one [`LabelState::label_group`] step per level, in
+/// level order. Returns the first gate with no match on failure.
 fn label_serial<S: MatchSource>(
     subject: &SubjectGraph,
     source: &S,
     objective: Objective,
-) -> Result<Labels, MapError> {
+    mut recall: Option<&mut Recall<'_>>,
+) -> Result<LabelState, NodeId> {
     let flat = subject.flat();
-    let n = flat.num_nodes();
     let library = source.library();
-    let mut arrival = vec![0.0f64; n];
-    let mut area_flow = vec![0.0f64; n];
-    let mut arena = SelectionArena::new(library, flat);
-    let mut stats = MatchStats::default();
+    let mut state = LabelState::new(library, flat);
     let mut kit = source.make_kit(subject);
     let mut chosen = ChosenBuf::new(library);
-    let metering = allocmeter::installed();
-    let mut wave_allocs: Vec<usize> =
-        Vec::with_capacity(if metering { flat.num_levels() } else { 0 });
-
-    // Level groups enumerate the nodes in a topological order.
     for l in 0..flat.num_levels() {
-        let group = flat.level_group(l);
-        let mut wave = dagmap_obs::span("label.wave");
-        if wave.is_recording() {
-            wave.set_u64("level", l as u64);
-            wave.set_u64("nodes", wave_width(flat, group) as u64);
-        }
+        let _wave = wave_span(flat, l);
         let before = allocmeter::reading();
-        for &id in group {
-            if !flat.is_gate(id) {
-                continue;
-            }
-            stats.absorb(evaluate_node(
-                subject,
-                source,
-                objective,
-                &arrival,
-                &area_flow,
-                id,
-                &mut kit,
-                &mut chosen,
-            ));
-            match chosen.sel {
-                Some(sel) => {
-                    arrival[id.index()] = chosen.t;
-                    area_flow[id.index()] = chosen.af;
-                    arena.commit(id, sel, &chosen.leaves, &chosen.covered);
-                }
-                None => return Err(MapError::NoMatch { node: id }),
-            }
-        }
-        if let (Some(b), Some(a)) = (before, allocmeter::reading()) {
-            wave_allocs.push(a - b);
-        }
+        state.label_group(
+            subject,
+            source,
+            objective,
+            flat.level_group(l),
+            &mut kit,
+            &mut chosen,
+            recall.as_deref_mut(),
+        )?;
+        state.meter_wave(before);
     }
-    Ok(Labels {
-        arrival,
-        area_flow,
-        best: arena.into_best(),
-        matches_enumerated: stats.enumerated,
-        matches_pruned: stats.pruned,
-        memo_lookups: stats.memo_lookups,
-        memo_hits: stats.memo_hits,
-        memo_id_hits: stats.memo_id_hits,
-        match_words: stats.words,
-        match_candidate_bits: stats.candidate_bits,
-        levels: flat.num_levels(),
-        threads_used: 1,
-        wave_allocs,
-    })
+    Ok(state)
 }
 
 /// One worker's outcome for one node, pointing into the lane's pools.
@@ -621,16 +739,16 @@ impl WorkerLane {
 /// labels its stride of the level against a read-locked snapshot of the
 /// arrival/area tables into its own pre-sized [`WorkerLane`], and after
 /// `done` the coordinator alone holds the write lock, folding the lanes
-/// back into the tables and the selection arena. Workers never observe
+/// back into the [`LabelState`]. Workers never observe
 /// same-level writes, so every per-node computation sees exactly the state
 /// the serial pass sees — the merge order only affects the order of
 /// *counter accumulation* (integer adds, commutative), never the labels
 /// themselves, which are per-node values.
 ///
 /// Levels narrower than [`NARROW_WAVE_WIDTH`] skip the workers entirely:
-/// the coordinator labels them itself between the barriers, because
-/// dispatching a handful of nodes costs more in synchronization than the
-/// evaluation is worth.
+/// the coordinator labels them itself between the barriers with the serial
+/// pass's [`LabelState::label_group`] step, because dispatching a handful
+/// of nodes costs more in synchronization than the evaluation is worth.
 ///
 /// A `NoMatch` failure sets the abort flag; everyone still rendezvous at
 /// both barriers for the remaining levels (cheaply, skipping the work), so
@@ -642,9 +760,8 @@ fn label_parallel<S: MatchSource>(
     source: &S,
     objective: Objective,
     nt: usize,
-) -> Result<Labels, MapError> {
+) -> Result<LabelState, NodeId> {
     let flat = subject.flat();
-    let n = flat.num_nodes();
     let library = source.library();
     let num_levels = flat.num_levels();
     let widths: Vec<usize> = (0..num_levels)
@@ -656,7 +773,7 @@ fn label_parallel<S: MatchSource>(
         .unwrap_or(0);
     let max_assigned = max_group.div_ceil(nt.max(1));
 
-    let state = RwLock::new((vec![0.0f64; n], vec![0.0f64; n]));
+    let state = RwLock::new(LabelState::new(library, flat));
     let lanes: Vec<Mutex<WorkerLane>> = (0..nt)
         .map(|_| Mutex::new(WorkerLane::new(library, max_assigned)))
         .collect();
@@ -664,14 +781,10 @@ fn label_parallel<S: MatchSource>(
     let done = Barrier::new(nt + 1);
     let abort = AtomicBool::new(false);
 
-    let mut arena = SelectionArena::new(library, flat);
-    let mut stats = MatchStats::default();
     let mut failed: Option<NodeId> = None;
     // The coordinator's own kit, for the narrow waves it labels itself.
     let mut co_kit = source.make_kit(subject);
     let mut co_chosen = ChosenBuf::new(library);
-    let metering = allocmeter::installed();
-    let mut wave_allocs: Vec<usize> = Vec::with_capacity(if metering { num_levels } else { 0 });
 
     std::thread::scope(|s| {
         for w in 0..nt {
@@ -710,8 +823,7 @@ fn label_parallel<S: MatchSource>(
                         }
                         let mut lane = lanes[w].lock().expect("worker lane lock");
                         lane.clear();
-                        let guard = state.read().expect("label state lock");
-                        let (arrival, area_flow) = &*guard;
+                        let tables = state.read().expect("label state lock");
                         for (i, &id) in flat.level_group(l).iter().enumerate() {
                             if i % nt != w || !flat.is_gate(id) {
                                 continue;
@@ -720,15 +832,15 @@ fn label_parallel<S: MatchSource>(
                                 subject,
                                 source,
                                 objective,
-                                arrival,
-                                area_flow,
+                                &tables.arrival,
+                                &tables.area_flow,
                                 id,
                                 &mut kit,
                                 &mut chosen,
                             );
                             lane.push(i as u32, id, &chosen, st);
                         }
-                        drop(guard);
+                        drop(tables);
                         drop(lane);
                         drop(wave);
                     }
@@ -747,65 +859,47 @@ fn label_parallel<S: MatchSource>(
         // name, level and count as the serial pass emits, which is what
         // keeps the span signature thread-count-invariant.
         for l in 0..num_levels {
-            let mut wave = dagmap_obs::span("label.wave");
-            if wave.is_recording() {
-                wave.set_u64("level", l as u64);
-                wave.set_u64("nodes", widths[l] as u64);
-            }
+            let _wave = wave_span(flat, l);
             let before = allocmeter::reading();
             start.wait();
             if widths[l] < NARROW_WAVE_WIDTH {
                 // Narrow wave: the workers skip it (they test the same
-                // width), so the coordinator owns the state and labels the
-                // level serially before releasing anyone into `l + 1`.
+                // width), so the coordinator owns the state and runs the
+                // serial pass's group step before releasing anyone into
+                // `l + 1`.
                 if failed.is_none() {
-                    let mut guard = state.write().expect("label state lock");
-                    let (arrival, area_flow) = &mut *guard;
-                    for &id in flat.level_group(l) {
-                        if !flat.is_gate(id) {
-                            continue;
-                        }
-                        stats.absorb(evaluate_node(
-                            subject,
-                            source,
-                            objective,
-                            arrival,
-                            area_flow,
-                            id,
-                            &mut co_kit,
-                            &mut co_chosen,
-                        ));
-                        match co_chosen.sel {
-                            Some(sel) => {
-                                arrival[id.index()] = co_chosen.t;
-                                area_flow[id.index()] = co_chosen.af;
-                                arena.commit(id, sel, &co_chosen.leaves, &co_chosen.covered);
-                            }
-                            None => {
-                                failed = Some(id);
-                                abort.store(true, Ordering::Release);
-                                break;
-                            }
-                        }
+                    let mut tables = state.write().expect("label state lock");
+                    let group = flat.level_group(l);
+                    let step = tables.label_group(
+                        subject,
+                        source,
+                        objective,
+                        group,
+                        &mut co_kit,
+                        &mut co_chosen,
+                        None,
+                    );
+                    if let Err(id) = step {
+                        failed = Some(id);
+                        abort.store(true, Ordering::Release);
                     }
                 }
                 done.wait();
             } else {
                 done.wait();
                 if failed.is_none() {
-                    let mut guard = state.write().expect("label state lock");
-                    let (arrival, area_flow) = &mut *guard;
+                    let mut tables = state.write().expect("label state lock");
                     // Earliest failure in the group (serial commit) order.
                     let mut first_fail: Option<(u32, NodeId)> = None;
                     for lane in lanes.iter() {
                         let lane = lane.lock().expect("worker lane lock");
                         for r in &lane.results {
-                            stats.absorb(r.stats);
+                            tables.stats.absorb(r.stats);
                             match r.sel {
                                 Some((t, af, gate, pattern, (ls, le), (cs, ce))) => {
-                                    arrival[r.id.index()] = t;
-                                    area_flow[r.id.index()] = af;
-                                    arena.commit(
+                                    tables.arrival[r.id.index()] = t;
+                                    tables.area_flow[r.id.index()] = af;
+                                    tables.arena.commit(
                                         r.id,
                                         (gate, pattern),
                                         &lane.leaves[ls as usize..le as usize],
@@ -826,37 +920,22 @@ fn label_parallel<S: MatchSource>(
                     }
                 }
             }
-            if let (Some(b), Some(a)) = (before, allocmeter::reading()) {
-                wave_allocs.push(a - b);
+            if before.is_some() {
+                state.write().expect("label state lock").meter_wave(before);
             }
         }
     });
 
-    if let Some(node) = failed {
-        return Err(MapError::NoMatch { node });
+    match failed {
+        Some(node) => Err(node),
+        None => Ok(state.into_inner().expect("label state lock")),
     }
-    let (arrival, area_flow) = state.into_inner().expect("label state lock");
-    Ok(Labels {
-        arrival,
-        area_flow,
-        best: arena.into_best(),
-        matches_enumerated: stats.enumerated,
-        matches_pruned: stats.pruned,
-        memo_lookups: stats.memo_lookups,
-        memo_hits: stats.memo_hits,
-        memo_id_hits: stats.memo_id_hits,
-        match_words: stats.words,
-        match_candidate_bits: stats.candidate_bits,
-        levels: num_levels,
-        threads_used: nt,
-        wave_allocs,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dagmap_netlist::Network;
+    use dagmap_netlist::{Network, NodeFn};
 
     /// Labels with the default acceleration configuration.
     fn label(

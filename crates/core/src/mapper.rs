@@ -4,8 +4,8 @@ use dagmap_genlib::Library;
 use dagmap_match::SharedMatchStore;
 use dagmap_netlist::SubjectGraph;
 
-use crate::incremental::{relabel_with_source, RetainedLabels};
-use crate::label::{label_with_source, Labels};
+use crate::incremental::RetainedLabels;
+use crate::label::{label_pass, Labels};
 use crate::source::{MatchSource, StructuralSource};
 use crate::{area, cover, MapError, MapOptions, MappedNetlist};
 
@@ -73,16 +73,6 @@ pub struct MapReport {
     pub decompose_seconds: f64,
 }
 
-/// How one mapping run obtains its labels.
-#[derive(Debug, Clone, Copy)]
-enum LabelStep<'r> {
-    /// A full labeling pass.
-    Cold,
-    /// Copy the labels of a retained run wherever the clean rule of
-    /// [`crate::relabel_incremental`] allows; label only the dirty region.
-    Incremental(&'r RetainedLabels),
-}
-
 /// The technology mapper: labels a subject graph with optimal arrivals and
 /// constructs a delay-optimal mapped netlist.
 ///
@@ -144,7 +134,7 @@ impl<'a> Mapper<'a> {
         subject: &SubjectGraph,
         options: MapOptions,
     ) -> Result<(MappedNetlist, MapReport), MapError> {
-        self.map_structural(subject, options, None, LabelStep::Cold, false)
+        self.map_structural(subject, options, None, None, false)
             .map(|(mapped, report, _)| (mapped, report))
     }
 
@@ -167,7 +157,7 @@ impl<'a> Mapper<'a> {
         options: MapOptions,
         shared: &SharedMatchStore,
     ) -> Result<(MappedNetlist, MapReport), MapError> {
-        self.map_structural(subject, options, Some(shared), LabelStep::Cold, false)
+        self.map_structural(subject, options, Some(shared), None, false)
             .map(|(mapped, report, _)| (mapped, report))
     }
 
@@ -189,8 +179,8 @@ impl<'a> Mapper<'a> {
         source: &S,
         algorithm: &'static str,
     ) -> Result<(MappedNetlist, MapReport), MapError> {
-        let (threads, step) = (options.num_threads, LabelStep::Cold);
-        self.drive(subject, options, source, algorithm, threads, step, false)
+        let threads = options.num_threads;
+        self.drive(subject, options, source, algorithm, threads, None, false)
             .map(|(mapped, report, _)| (mapped, report))
     }
 
@@ -198,8 +188,8 @@ impl<'a> Mapper<'a> {
     /// labeling run as a [`RetainedLabels`] for later incremental
     /// re-mapping. The snapshot is `None` when the subject's signature map
     /// is not injective (duplicate structure defeats signature addressing,
-    /// which [`dagmap_netlist::strash_network`]-style strashed inputs never
-    /// do).
+    /// which subjects built by [`SubjectGraph::from_network`] never have:
+    /// its strash arena merges structurally identical nodes).
     ///
     /// # Errors
     ///
@@ -210,14 +200,16 @@ impl<'a> Mapper<'a> {
         options: MapOptions,
         shared: Option<&SharedMatchStore>,
     ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
-        self.map_structural(subject, options, shared, LabelStep::Cold, true)
+        self.map_structural(subject, options, shared, None, true)
     }
 
     /// Incrementally re-maps an edited design: labels of nodes untouched by
     /// the edit (per the clean rule of [`crate::relabel_incremental`]) are
-    /// copied from `retained`; only the dirty region is re-evaluated. The
-    /// mapped netlist is bit-identical to a cold [`Mapper::map`] of the
-    /// same subject. Returns the refreshed snapshot for the next edit.
+    /// copied from `retained`; only the dirty region is re-evaluated, by
+    /// the serial labeling pass. The mapped netlist is bit-identical to a
+    /// cold [`Mapper::map`] of the same subject — also when `retained` was
+    /// taken under another library, match mode or objective, which reuses
+    /// nothing. Returns the refreshed snapshot for the next edit.
     ///
     /// # Errors
     ///
@@ -229,8 +221,7 @@ impl<'a> Mapper<'a> {
         retained: &RetainedLabels,
         shared: Option<&SharedMatchStore>,
     ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
-        let step = LabelStep::Incremental(retained);
-        self.map_structural(subject, options, shared, step, true)
+        self.map_structural(subject, options, shared, Some(retained), true)
     }
 
     /// The structural entry points: the mappable check, then the driver
@@ -241,7 +232,7 @@ impl<'a> Mapper<'a> {
         subject: &SubjectGraph,
         options: MapOptions,
         shared: Option<&SharedMatchStore>,
-        step: LabelStep<'_>,
+        retained: Option<&RetainedLabels>,
         retain: bool,
     ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
         if !self.library.is_delay_mappable() {
@@ -260,12 +251,15 @@ impl<'a> Mapper<'a> {
             options.num_threads
         };
         let algorithm = options.algorithm_name();
-        self.drive(subject, options, &source, algorithm, threads, step, retain)
+        self.drive(
+            subject, options, &source, algorithm, threads, retained, retain,
+        )
     }
 
-    /// The one mapping driver: labels (cold or incremental), optionally
-    /// snapshots the labels, constructs the cover, runs area recovery over
-    /// the same source, and assembles the report.
+    /// The one mapping driver: labels (incrementally when given a
+    /// `retained` snapshot), optionally snapshots the labels, constructs
+    /// the cover, runs area recovery over the same source, and assembles
+    /// the report.
     #[allow(clippy::too_many_arguments)]
     fn drive<S: MatchSource>(
         &self,
@@ -274,30 +268,17 @@ impl<'a> Mapper<'a> {
         source: &S,
         algorithm: &'static str,
         threads: Option<usize>,
-        step: LabelStep<'_>,
+        retained: Option<&RetainedLabels>,
         retain: bool,
     ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
-        let mut map_span = dagmap_obs::span(match step {
-            LabelStep::Cold => "map",
-            LabelStep::Incremental(_) => "map.incremental",
-        });
+        let mut map_span = dagmap_obs::span("map");
         if map_span.is_recording() {
             map_span.set_u64("nodes", subject.network().num_nodes() as u64);
         }
-        // The labeling passes open their own spans (with the wave spans
-        // nested under them), so only the wall-clock is taken here.
+        // The labeling pass opens its own span (with the wave spans nested
+        // under it), so only the wall-clock is taken here.
         let t0 = Instant::now();
-        let (labels, labels_reused) = match step {
-            LabelStep::Cold => (
-                label_with_source(subject, source, options.objective, threads)?,
-                0,
-            ),
-            LabelStep::Incremental(retained) => {
-                let (labels, inc) =
-                    relabel_with_source(subject, source, options.objective, retained)?;
-                (labels, inc.reused)
-            }
-        };
+        let (labels, inc) = label_pass(subject, source, options.objective, threads, retained)?;
         let label_seconds = t0.elapsed().as_secs_f64();
         let snapshot = if retain {
             RetainedLabels::from_labels(subject, &labels)
@@ -337,7 +318,7 @@ impl<'a> Mapper<'a> {
             strash_raw_nodes: strash.raw,
             strash_unique_nodes: strash.unique,
             strash_dedup_hits: strash.dedup_hits,
-            labels_reused,
+            labels_reused: inc.reused,
             match_words: labels.match_words,
             match_candidate_bits: labels.match_candidate_bits,
             label_threads: labels.threads_used,

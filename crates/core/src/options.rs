@@ -198,7 +198,7 @@ impl MapOptions {
         self
     }
 
-    /// The [`MatchConfig`] the options select.
+    /// The [`MatchConfig`](dagmap_match::MatchConfig) the options select.
     pub fn match_config(&self) -> dagmap_match::MatchConfig {
         dagmap_match::MatchConfig {
             index: self.use_match_index,

@@ -6,7 +6,7 @@ use dagmap_boolmatch::{check_coverable, map_boolean_with_options, map_hybrid_wit
 use dagmap_core::{verify, MapOptions, Mapper};
 use dagmap_genlib::Library;
 use dagmap_match::MatchMode;
-use dagmap_netlist::{blif, Network, SubjectGraph};
+use dagmap_netlist::{blif, sta, NetEdit, Network, NodeFn, SubjectGraph};
 use dagmap_retime::min_cycle_period_with;
 use dagmap_supergate::{extend_library, SupergateOptions};
 
@@ -187,6 +187,47 @@ fn map_to_blif(
     Ok((mapped.delay(), text))
 }
 
+/// A chain of three local edits of `net`, each applied to the previous
+/// result and derived from the network alone (no RNG draw, so a shrunk
+/// case replays the same chain):
+///
+/// 1. XOR a fresh input into the first output's driver;
+/// 2. redirect the last output to that driver;
+/// 3. rewire the deepest gate's first fanin to the first primary input.
+///
+/// A network without outputs gets no chain.
+fn edit_chain(net: &Network) -> Vec<Network> {
+    let (Some(first), Some(last)) = (net.outputs().first(), net.outputs().last()) else {
+        return Vec::new();
+    };
+    let mut cur = net.clone();
+    let patch = cur.add_input("edit_in");
+    let xor = cur
+        .add_node(NodeFn::Xor, vec![first.driver, patch])
+        .expect("xor is binary");
+    let mut chain = Vec::with_capacity(3);
+    for output in [&first.name, &last.name] {
+        let edit = NetEdit::SetOutputDriver {
+            output: output.clone(),
+            driver: xor,
+        };
+        cur.apply_edits(vec![edit]).expect("the output exists");
+        chain.push(cur.clone());
+    }
+    let depth = sta::arrival_times(&cur, |_, _| 1.0).expect("edits keep the network acyclic");
+    // `min_by` over descending depth settles ties on the smallest id.
+    let deepest = cur
+        .node_ids()
+        .filter(|&id| cur.node(id).func().is_combinational() && !cur.node(id).fanins().is_empty())
+        .min_by(|a, b| depth[b.index()].total_cmp(&depth[a.index()]))
+        .expect("the xor is a gate");
+    let pi = cur.inputs()[0];
+    cur.replace_fanin(deepest, 0, pi)
+        .expect("gates have a pin 0");
+    chain.push(cur);
+    chain
+}
+
 /// Runs the full invariant battery on one network.
 ///
 /// # Errors
@@ -199,13 +240,17 @@ pub fn check_network(
     matrix: &Matrix,
 ) -> Result<CaseOutcome, FuzzError> {
     let subject = SubjectGraph::from_network(net)?;
+    let edited: Vec<SubjectGraph> = edit_chain(net)
+        .iter()
+        .map(SubjectGraph::from_network)
+        .collect::<Result<_, _>>()?;
     let sim_seed = 0xF0_5Eu64 ^ (net.num_nodes() as u64);
     let mut outcome = CaseOutcome::default();
     let mut dag_delays: Vec<f64> = vec![f64::NAN; libs.len()];
     for (li, lut) in libs.iter().enumerate() {
         let mapper = Mapper::new(&lut.library);
         let serial = MapOptions::dag().with_num_threads(1);
-        let baseline = mapper.map(&subject, serial)?;
+        let (baseline, _, retained) = mapper.map_with_report_retaining(&subject, serial, None)?;
         let base_blif = blif::to_string(&baseline.to_network()?)?;
         let base_delay = baseline.delay();
         dag_delays[li] = base_delay;
@@ -264,6 +309,29 @@ pub fn check_network(
                     ),
                 });
             }
+        }
+
+        // (b') Incremental re-mapping: every step of the edit chain re-maps
+        // against the previous step's snapshot and must equal a cold map.
+        let mut snapshot = retained;
+        for (step, edited) in edited.iter().enumerate() {
+            let Some(prev) = snapshot.take() else { break };
+            let (inc, _, next) = mapper.map_incremental(edited, serial, &prev, None)?;
+            let inc_blif = blif::to_string(&inc.to_network()?)?;
+            let (cold_delay, cold_blif) = map_to_blif(&mapper, edited, serial)?;
+            outcome.maps += 2;
+            if inc_blif != cold_blif || inc.delay().to_bits() != cold_delay.to_bits() {
+                outcome.violations.push(CaseViolation {
+                    kind: InvariantKind::BitIdentity,
+                    library: li,
+                    config: format!("dag incremental edit {}", step + 1),
+                    detail: format!(
+                        "incremental re-map diverged from a cold map (delay {} vs {cold_delay})",
+                        inc.delay()
+                    ),
+                });
+            }
+            snapshot = next;
         }
 
         // (c) Optimality orderings.
@@ -503,6 +571,20 @@ mod tests {
         assert!(bound > 0.0);
         let mapped = Mapper::new(&lib).map(&subject, MapOptions::dag()).unwrap();
         assert!(leq(bound, mapped.delay()), "{bound} vs {}", mapped.delay());
+    }
+
+    #[test]
+    fn edit_chain_has_three_distinct_steps() {
+        let net = dagmap_benchgen::random_network(5, 25, 11);
+        let texts: Vec<String> = std::iter::once(net.clone())
+            .chain(edit_chain(&net))
+            .map(|n| blif::to_string(&n).unwrap())
+            .collect();
+        assert_eq!(texts.len(), 4);
+        assert!(
+            texts.windows(2).all(|w| w[0] != w[1]),
+            "every edit changes the network"
+        );
     }
 
     #[test]

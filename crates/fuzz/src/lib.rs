@@ -16,9 +16,11 @@
 //!    * *functional* — equivalence + timing consistency via `core::verify`,
 //!      for the structural, boolean, and hybrid matchers alike,
 //!    * *bit-identity* — mapped BLIF and critical delay agree bit-for-bit
-//!      across thread counts and acceleration settings for every matcher
-//!      (and, for sequential cases, the minimum clock period across retime
-//!      thread counts),
+//!      across thread counts and acceleration settings for every matcher,
+//!      and incremental re-mapping along a chain of three edits derived
+//!      from the case equals a cold map at every step (and, for sequential
+//!      cases, the minimum clock period agrees across retime thread
+//!      counts),
 //!    * *optimality ordering* — DAG delay ≤ tree delay, extended-match
 //!      delay ≤ standard, supergate-extended library ≤ its base, area
 //!      recovery never worsens delay, hybrid matching ≤ both structural

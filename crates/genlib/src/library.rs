@@ -1,5 +1,6 @@
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use dagmap_netlist::fingerprint::{decode1, decode2, Shape1, Shape2, NUM_SHAPE_CLASSES};
 
@@ -164,6 +165,8 @@ pub struct Library {
     masks_inv: RootMasks,
     max_pattern_depth: u32,
     max_pattern_fanout: u32,
+    /// See [`Library::digest`].
+    digest: u64,
 }
 
 impl Library {
@@ -245,6 +248,7 @@ impl Library {
             .unwrap_or(0);
         let masks_nand = RootMasks::build(&patterns, &rooted_nand, max_pattern_depth);
         let masks_inv = RootMasks::build(&patterns, &rooted_inv, max_pattern_depth);
+        let digest = content_digest(&gates, &patterns);
         Ok(Library {
             name,
             gates,
@@ -256,7 +260,16 @@ impl Library {
             masks_inv,
             max_pattern_depth,
             max_pattern_fanout,
+            digest,
         })
+    }
+
+    /// A digest of everything the labeling pass reads from the library:
+    /// gate areas, pin delays and the expanded patterns. Two libraries with
+    /// equal digests label every subject identically, so a snapshot of
+    /// labels is reusable exactly under a library with the same digest.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// Library name.
@@ -404,6 +417,22 @@ impl Library {
     }
 }
 
+/// See [`Library::digest`]; `DefaultHasher::new` is stable in a process.
+fn content_digest(gates: &[Gate], patterns: &[LibPattern]) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for gate in gates {
+        gate.area().to_bits().hash(&mut h);
+        for pin in 0..gate.num_pins() {
+            gate.pin_delay(pin).to_bits().hash(&mut h);
+        }
+    }
+    for p in patterns {
+        p.gate.hash(&mut h);
+        p.graph.hash(&mut h);
+    }
+    h.finish()
+}
+
 /// Builds the per-shape-class pattern buckets of the fingerprint index.
 fn build_shape_buckets(patterns: &[LibPattern]) -> Vec<Vec<PatternId>> {
     let mut buckets = vec![Vec::new(); NUM_SHAPE_CLASSES];
@@ -483,6 +512,16 @@ mod tests {
         assert_eq!(lib.patterns_rooted_nand().len(), 3);
         assert_eq!(lib.patterns().len(), 4);
         assert!(lib.total_pattern_nodes() > 0);
+    }
+
+    #[test]
+    fn digest_follows_what_labeling_reads() {
+        let renamed = Library::new("other", tiny().gates().to_vec()).unwrap();
+        assert_eq!(renamed.digest(), tiny().digest(), "names are not read");
+        let mut gates = tiny().gates().to_vec();
+        gates[1] = Gate::uniform("nand2", 2.0, "O", "!(a*b)", 1.5).unwrap();
+        let slower = Library::new("tiny", gates).unwrap();
+        assert_ne!(slower.digest(), tiny().digest(), "pin delays are read");
     }
 
     #[test]

@@ -18,51 +18,10 @@
 //!   match store.
 //!
 //! Both fingerprints describe NAND2/INV subject graphs: nodes are `Source`
-//! (input / constant / latch), `Inv`, or `Nand`.
+//! (input / constant / latch), `Inv`, or `Nand`. Both read the subject's
+//! [`FlatNet`], its only cone view.
 
-use crate::{Network, NodeFn, NodeId};
-
-/// A graph the cone extractor can walk: per-node kind codes (the depth-0
-/// shape codes — 0 source, 1 inverter, 2 NAND), fanin lists and fanout edge
-/// counts, addressed by [`NodeId`].
-///
-/// Implemented by [`Network`] (pointer-rich, used by tests and one-off
-/// callers) and by [`crate::FlatNet`] (CSR arrays, used by the match
-/// kernel's hot path). Both implementations must observe the *same* graph
-/// for the canonical token streams to agree — which they do by
-/// construction, since a `FlatNet` is derived from its network.
-pub trait ConeView {
-    /// Number of nodes in the graph.
-    fn cone_num_nodes(&self) -> usize;
-    /// Depth-0 kind code of a node (0 source, 1 inverter, 2 NAND).
-    fn cone_kind(&self, id: NodeId) -> u8;
-    /// Fanins of a node, in fanin order.
-    fn cone_fanins(&self, id: NodeId) -> &[NodeId];
-    /// Number of fanout edges of a node (one per consuming edge).
-    fn cone_fanout_count(&self, id: NodeId) -> usize;
-}
-
-impl ConeView for Network {
-    #[inline]
-    fn cone_num_nodes(&self) -> usize {
-        self.num_nodes()
-    }
-
-    #[inline]
-    fn cone_kind(&self, id: NodeId) -> u8 {
-        s0_of(self.node(id).func())
-    }
-
-    #[inline]
-    fn cone_fanins(&self, id: NodeId) -> &[NodeId] {
-        self.node(id).fanins()
-    }
-
-    #[inline]
-    fn cone_fanout_count(&self, id: NodeId) -> usize {
-        self.node(id).fanouts().len()
-    }
-}
+use crate::{FlatNet, NodeId, KIND_INV, KIND_NAND};
 
 /// Depth-0 shape kind of a node.
 #[derive(Debug, Copy, Clone, PartialEq, Eq)]
@@ -117,11 +76,11 @@ const fn pair_index(n: u8, a: u8, b: u8) -> u8 {
     a * n - a * (a.wrapping_sub(1)) / 2 + (b - a)
 }
 
-fn s0_of(func: &NodeFn) -> u8 {
-    match func {
-        NodeFn::Not => 1,
-        NodeFn::Nand => 2,
-        _ => 0,
+fn shape_kind(code: u8) -> ShapeKind {
+    match code {
+        KIND_INV => ShapeKind::Inv,
+        KIND_NAND => ShapeKind::Nand,
+        _ => ShapeKind::Source,
     }
 }
 
@@ -203,48 +162,31 @@ pub fn class_kind(code: u8) -> ShapeKind {
     }
 }
 
-/// Computes the depth-2 shape class of every node of a NAND2/INV network.
+/// Computes the depth-2 shape class of every node of a subject graph's
+/// flat view.
 ///
 /// The classes are order-insensitive in NAND fanins (the matcher explores
 /// both pin orders anyway), so two nodes whose two-level neighborhoods
-/// differ only by fanin order share a class. One linear pass; networks are
-/// acyclic so fanins are classified before their consumers via index order
-/// is *not* assumed — a small per-node recomputation from the depth-0 view
-/// keeps the pass order-free.
-pub fn shape_classes(net: &Network) -> Vec<u8> {
-    let n = net.num_nodes();
-    let mut s0 = vec![0u8; n];
-    for id in net.node_ids() {
-        s0[id.index()] = s0_of(net.node(id).func());
-    }
-    let mut s1 = vec![0u8; n];
+/// differ only by fanin order share a class. Two linear passes, each
+/// reading only the previous depth's codes, so no node order is assumed.
+pub fn shape_classes(flat: &FlatNet) -> Vec<u8> {
+    let s1 = next_depth(flat, flat.kinds(), encode1);
+    next_depth(flat, &s1, encode2)
+}
+
+/// One more depth of neighborhood: every node's kind plus its fanins'
+/// codes in `prev`.
+fn next_depth(flat: &FlatNet, prev: &[u8], encode: fn(ShapeKind, &[u8]) -> u8) -> Vec<u8> {
     let mut buf = [0u8; 2];
-    for id in net.node_ids() {
-        let node = net.node(id);
-        let kind = match node.func() {
-            NodeFn::Not => ShapeKind::Inv,
-            NodeFn::Nand => ShapeKind::Nand,
-            _ => ShapeKind::Source,
-        };
-        for (slot, f) in buf.iter_mut().zip(node.fanins()) {
-            *slot = s0[f.index()];
-        }
-        s1[id.index()] = encode1(kind, &buf);
-    }
-    let mut s2 = vec![0u8; n];
-    for id in net.node_ids() {
-        let node = net.node(id);
-        let kind = match node.func() {
-            NodeFn::Not => ShapeKind::Inv,
-            NodeFn::Nand => ShapeKind::Nand,
-            _ => ShapeKind::Source,
-        };
-        for (slot, f) in buf.iter_mut().zip(node.fanins()) {
-            *slot = s1[f.index()];
-        }
-        s2[id.index()] = encode2(kind, &buf);
-    }
-    s2
+    (0..flat.num_nodes())
+        .map(|i| {
+            let id = NodeId::from_index(i);
+            for (slot, f) in buf.iter_mut().zip(flat.fanins(id)) {
+                *slot = prev[f.index()];
+            }
+            encode(shape_kind(flat.kind(id)), &buf)
+        })
+        .collect()
 }
 
 /// Parameters of a bounded-depth cone extraction.
@@ -371,15 +313,10 @@ impl ConeScratch {
 /// tracked through back-references. Equal token streams therefore drive
 /// `try_bind` through the *same* branch sequence on both cones, which is
 /// the soundness argument for replaying memoized matches.
-pub fn extract_cone<V: ConeView + ?Sized>(
-    net: &V,
-    root: NodeId,
-    spec: ConeSpec,
-    scratch: &mut ConeScratch,
-) {
-    if scratch.stamp.len() < net.cone_num_nodes() {
-        scratch.stamp.resize(net.cone_num_nodes(), 0);
-        scratch.node_slot.resize(net.cone_num_nodes(), 0);
+pub fn extract_cone(flat: &FlatNet, root: NodeId, spec: ConeSpec, scratch: &mut ConeScratch) {
+    if scratch.stamp.len() < flat.num_nodes() {
+        scratch.stamp.resize(flat.num_nodes(), 0);
+        scratch.node_slot.resize(flat.num_nodes(), 0);
     }
     scratch.epoch = scratch.epoch.wrapping_add(1);
     if scratch.epoch == 0 {
@@ -402,11 +339,11 @@ pub fn extract_cone<V: ConeView + ?Sized>(
     while head < scratch.queue.len() {
         let (id, d) = scratch.queue[head];
         head += 1;
-        let expand = d < spec.max_depth && net.cone_kind(id) != 0;
+        let expand = d < spec.max_depth && flat.is_gate(id);
         if !expand {
             continue;
         }
-        for &f in net.cone_fanins(id) {
+        for &f in flat.fanins(id) {
             if scratch.slot_of(f).is_some() {
                 continue;
             }
@@ -419,16 +356,10 @@ pub fn extract_cone<V: ConeView + ?Sized>(
     scratch.local_slot.resize(scratch.min_depth.len(), None);
 
     // Depth-first serialization in fanin order: the canonical stream.
-    serialize(net, root, spec, scratch, true);
+    serialize(flat, root, spec, scratch, true);
 }
 
-fn serialize<V: ConeView + ?Sized>(
-    net: &V,
-    id: NodeId,
-    spec: ConeSpec,
-    scratch: &mut ConeScratch,
-    is_root: bool,
-) {
+fn serialize(flat: &FlatNet, id: NodeId, spec: ConeSpec, scratch: &mut ConeScratch, is_root: bool) {
     let slot = scratch
         .slot_of(id)
         .expect("serialized nodes were visited by BFS") as usize;
@@ -440,34 +371,39 @@ fn serialize<V: ConeView + ?Sized>(
     scratch.local_slot[slot] = Some(local);
     scratch.locals.push(id);
 
-    let kind = net.cone_kind(id);
-    let expand = scratch.min_depth[slot] < spec.max_depth && kind != 0;
+    let kind = flat.kind(id);
+    let expand = scratch.min_depth[slot] < spec.max_depth && flat.is_gate(id);
     if !expand {
         scratch.key.push(TOK_BOUNDARY);
         return;
     }
     scratch.key.push(match kind {
-        1 => TOK_INV,
-        2 => TOK_NAND,
+        KIND_INV => TOK_INV,
+        KIND_NAND => TOK_NAND,
         _ => unreachable!("only gates are expanded"),
     });
     if spec.record_fanouts && !is_root {
-        let fo = (net.cone_fanout_count(id) as u32).min(spec.fanout_cap);
+        let fo = (flat.fanout_count(id) as u32).min(spec.fanout_cap);
         scratch.key.push(FANOUT_BASE + fo);
     }
     let fanins: [Option<NodeId>; 2] = {
-        let f = net.cone_fanins(id);
+        let f = flat.fanins(id);
         [f.first().copied(), f.get(1).copied()]
     };
     for f in fanins.into_iter().flatten() {
-        serialize(net, f, spec, scratch, false);
+        serialize(flat, f, spec, scratch, false);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NetlistError;
+    use crate::{NetlistError, Network, NodeFn, SubjectGraph};
+
+    /// Wraps a hand-built NAND2/INV network so its flat view can be read.
+    fn subject(net: Network) -> Result<SubjectGraph, NetlistError> {
+        SubjectGraph::from_subject_network(net)
+    }
 
     fn xor_cone(net: &mut Network, a: NodeId, b: NodeId) -> NodeId {
         let na = net.add_node(NodeFn::Not, vec![a]).unwrap();
@@ -512,13 +448,13 @@ mod tests {
         let y = xor_cone(&mut net, b, c);
         net.add_output("x", x);
         net.add_output("y", y);
-        let classes = shape_classes(&net);
+        let classes = shape_classes(subject(net.clone())?.flat());
         assert_eq!(classes[x.index()], classes[y.index()]);
         // An input and a NAND differ, as do a NAND-over-inputs and the xor
         // top (NAND over NANDs).
         assert_ne!(classes[a.index()], classes[x.index()]);
         let plain = net.add_node(NodeFn::Nand, vec![a, c])?;
-        let classes = shape_classes(&net);
+        let classes = shape_classes(subject(net)?.flat());
         assert_ne!(classes[plain.index()], classes[x.index()]);
         Ok(())
     }
@@ -539,10 +475,11 @@ mod tests {
             record_fanouts: false,
             fanout_cap: 4,
         };
+        let subject = subject(net)?;
         let mut s1 = ConeScratch::new();
         let mut s2 = ConeScratch::new();
-        extract_cone(&net, x, spec, &mut s1);
-        extract_cone(&net, y, spec, &mut s2);
+        extract_cone(subject.flat(), x, spec, &mut s1);
+        extract_cone(subject.flat(), y, spec, &mut s2);
         assert_eq!(s1.key(), s2.key());
         assert_eq!(s1.locals().len(), s2.locals().len());
         // Corresponding locals: roots first, then DFS order.
@@ -575,10 +512,11 @@ mod tests {
             record_fanouts: false,
             fanout_cap: 4,
         };
+        let subject = subject(net)?;
         let mut s1 = ConeScratch::new();
         let mut s2 = ConeScratch::new();
-        extract_cone(&net, shared, spec, &mut s1);
-        extract_cone(&net, split, spec, &mut s2);
+        extract_cone(subject.flat(), shared, spec, &mut s1);
+        extract_cone(subject.flat(), split, spec, &mut s2);
         assert_ne!(s1.key(), s2.key());
         Ok(())
     }
@@ -599,6 +537,7 @@ mod tests {
         net.add_output("h", h);
         net.add_output("h2", h2);
         net.add_output("e", extra);
+        let subject = subject(net)?;
         for (record, want_equal) in [(false, true), (true, false)] {
             let spec = ConeSpec {
                 max_depth: 2,
@@ -607,8 +546,8 @@ mod tests {
             };
             let mut s1 = ConeScratch::new();
             let mut s2 = ConeScratch::new();
-            extract_cone(&net, h, spec, &mut s1);
-            extract_cone(&net, h2, spec, &mut s2);
+            extract_cone(subject.flat(), h, spec, &mut s1);
+            extract_cone(subject.flat(), h2, spec, &mut s2);
             assert_eq!(s1.key() == s2.key(), want_equal, "record_fanouts={record}");
         }
         Ok(())
@@ -626,6 +565,7 @@ mod tests {
         let flat = net.add_node(NodeFn::Nand, vec![a, b])?;
         net.add_output("d", deep);
         net.add_output("f", flat);
+        let subject = subject(net)?;
         let mut s1 = ConeScratch::new();
         let mut s2 = ConeScratch::new();
         for (depth, want_equal) in [(1u32, true), (2, false)] {
@@ -634,8 +574,8 @@ mod tests {
                 record_fanouts: false,
                 fanout_cap: 4,
             };
-            extract_cone(&net, deep, spec, &mut s1);
-            extract_cone(&net, flat, spec, &mut s2);
+            extract_cone(subject.flat(), deep, spec, &mut s1);
+            extract_cone(subject.flat(), flat, spec, &mut s2);
             assert_eq!(s1.key() == s2.key(), want_equal, "depth={depth}");
         }
         Ok(())

@@ -14,16 +14,17 @@
 //!   same depth-0 codes the fingerprint module uses),
 //! * per-node **topological level**,
 //! * **fanin adjacency** in compressed-sparse-row form,
-//! * **fanout adjacency** in CSR form, mirroring [`crate::Node::fanouts`]
-//!   exactly — one entry per consuming *edge*, so a consumer using a node
-//!   twice appears twice (exact-match semantics count edges, not nodes),
+//! * per-node **fanout counts**, one per consuming *edge* as in
+//!   [`crate::Node::fanouts`], so a consumer using a node twice counts
+//!   twice (exact-match semantics count edges, not nodes),
 //! * the **level wavefronts** as one more CSR: the concatenation of the
 //!   level groups, which is also a topological order of the whole graph.
+//!   This is the subject graph's one level structure.
 //!
-//! Everything is index arithmetic over eight flat vectors; no traversal of
+//! Everything is index arithmetic over seven flat vectors; no traversal of
 //! a `FlatNet` ever touches a `Node`.
 
-use crate::{Network, NodeFn, NodeId};
+use crate::{NetlistError, Network, NodeFn, NodeId};
 
 /// Kind code of a source node (input, constant or latch output).
 pub const KIND_SOURCE: u8 = 0;
@@ -48,10 +49,8 @@ pub struct FlatNet {
     fanin_off: Vec<u32>,
     /// Concatenated fanin lists, in the network's fanin order.
     fanin: Vec<NodeId>,
-    /// Fanout CSR offsets; `fanout_off[i]..fanout_off[i+1]` indexes `fanout`.
-    fanout_off: Vec<u32>,
-    /// Concatenated fanout edge lists (one entry per consuming edge).
-    fanout: Vec<NodeId>,
+    /// Per-node fanout edge count.
+    fanout_count: Vec<u32>,
     /// Level CSR offsets; `level_off[l]..level_off[l+1]` indexes
     /// `level_nodes`.
     level_off: Vec<u32>,
@@ -69,51 +68,73 @@ fn kind_of(func: &NodeFn) -> u8 {
 }
 
 impl FlatNet {
-    /// Flattens a network with precomputed levels into CSR form.
+    /// Flattens a NAND2/INV network (plus sources) into CSR form and
+    /// computes its topological levels: inputs, constants and latches (whose
+    /// data fanin is consumed at the end of the cycle) at 0, every gate one
+    /// past its deepest fanin. Every fanin of a level-`l` gate sits below
+    /// `l`, so each level's gates are independent labeling subproblems, and
+    /// the groups, ascending ids within each, form a topological order.
     ///
-    /// The network must be in subject-graph form (NAND2/INV plus sources);
-    /// `levels` must be the network's own [`crate::Levels`].
-    pub fn build(net: &Network, levels: &crate::Levels) -> FlatNet {
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`] if the latch-free part
+    /// of the network is cyclic.
+    pub fn build(net: &Network) -> Result<FlatNet, NetlistError> {
         let n = net.num_nodes();
         let mut kind = Vec::with_capacity(n);
+        let mut fanout_count = Vec::with_capacity(n);
         let mut fanin_off = Vec::with_capacity(n + 1);
-        let mut fanout_off = Vec::with_capacity(n + 1);
-        let mut num_fanin = 0u32;
-        let mut num_fanout = 0u32;
+        let mut fanin = Vec::with_capacity(net.num_edges());
         fanin_off.push(0);
-        fanout_off.push(0);
         for id in net.node_ids() {
             let node = net.node(id);
             kind.push(kind_of(node.func()));
-            num_fanin += node.fanins().len() as u32;
-            num_fanout += node.fanouts().len() as u32;
-            fanin_off.push(num_fanin);
-            fanout_off.push(num_fanout);
-        }
-        let mut fanin = Vec::with_capacity(num_fanin as usize);
-        let mut fanout = Vec::with_capacity(num_fanout as usize);
-        for id in net.node_ids() {
-            let node = net.node(id);
+            fanout_count.push(node.fanouts().len() as u32);
             fanin.extend_from_slice(node.fanins());
-            fanout.extend_from_slice(node.fanouts());
+            fanin_off.push(fanin.len() as u32);
         }
-        let mut level_off = Vec::with_capacity(levels.num_levels() + 1);
-        let mut level_nodes = Vec::with_capacity(n);
-        level_off.push(0);
-        for group in levels.groups() {
-            level_nodes.extend_from_slice(group);
-            level_off.push(level_nodes.len() as u32);
+
+        let mut level = vec![0u32; n];
+        let mut deepest = 0u32;
+        for id in net.topo_order()? {
+            let node = net.node(id);
+            if !node.func().is_combinational() || node.fanins().is_empty() {
+                continue;
+            }
+            let l = 1 + node
+                .fanins()
+                .iter()
+                .map(|f| level[f.index()])
+                .max()
+                .unwrap_or(0);
+            level[id.index()] = l;
+            deepest = deepest.max(l);
         }
-        FlatNet {
+        let num_levels = if n == 0 { 0 } else { deepest as usize + 1 };
+        // Counting sort by level; ascending ids fill each group in order.
+        let mut level_off = vec![0u32; num_levels + 1];
+        for &l in &level {
+            level_off[l as usize + 1] += 1;
+        }
+        for l in 0..num_levels {
+            level_off[l + 1] += level_off[l];
+        }
+        let mut fill = level_off.clone();
+        let mut level_nodes = vec![NodeId::from_index(0); n];
+        for id in net.node_ids() {
+            let slot = &mut fill[level[id.index()] as usize];
+            level_nodes[*slot as usize] = id;
+            *slot += 1;
+        }
+        Ok(FlatNet {
             kind,
-            level: levels.as_slice().to_vec(),
+            level,
             fanin_off,
             fanin,
-            fanout_off,
-            fanout,
+            fanout_count,
             level_off,
             level_nodes,
-        }
+        })
     }
 
     /// Number of nodes.
@@ -153,19 +174,11 @@ impl FlatNet {
         &self.fanin[self.fanin_off[i] as usize..self.fanin_off[i + 1] as usize]
     }
 
-    /// Fanout edges of a node — one entry per consuming edge, exactly
-    /// mirroring [`crate::Node::fanouts`].
-    #[inline]
-    pub fn fanouts(&self, id: NodeId) -> &[NodeId] {
-        let i = id.index();
-        &self.fanout[self.fanout_off[i] as usize..self.fanout_off[i + 1] as usize]
-    }
-
-    /// Number of fanout edges of a node.
+    /// Number of fanout edges of a node — one per consuming edge, as in
+    /// [`crate::Node::fanouts`].
     #[inline]
     pub fn fanout_count(&self, id: NodeId) -> usize {
-        let i = id.index();
-        (self.fanout_off[i + 1] - self.fanout_off[i]) as usize
+        self.fanout_count[id.index()] as usize
     }
 
     /// Number of distinct levels.
@@ -187,35 +200,21 @@ impl FlatNet {
     }
 }
 
-impl crate::fingerprint::ConeView for FlatNet {
-    #[inline]
-    fn cone_num_nodes(&self) -> usize {
-        self.num_nodes()
-    }
-
-    #[inline]
-    fn cone_kind(&self, id: NodeId) -> u8 {
-        self.kind(id)
-    }
-
-    #[inline]
-    fn cone_fanins(&self, id: NodeId) -> &[NodeId] {
-        self.fanins(id)
-    }
-
-    #[inline]
-    fn cone_fanout_count(&self, id: NodeId) -> usize {
-        self.fanout_count(id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fingerprint::{extract_cone, ConeScratch, ConeSpec};
-    use crate::{Network, NodeFn, SubjectGraph};
+    use crate::SubjectGraph;
 
-    fn sample_subject() -> SubjectGraph {
+    /// The flat view of a hand-built NAND2/INV network.
+    fn flat_of(net: Network) -> FlatNet {
+        SubjectGraph::from_subject_network(net)
+            .unwrap()
+            .flat()
+            .clone()
+    }
+
+    #[test]
+    fn flat_view_round_trips_the_network() {
         let mut net = Network::new("flat");
         let a = net.add_input("a");
         let b = net.add_input("b");
@@ -226,51 +225,118 @@ mod tests {
         let k = net.add_node(NodeFn::Or, vec![q, a]).unwrap();
         net.add_output("f", h);
         net.add_output("s", k);
-        SubjectGraph::from_network(&net).unwrap()
-    }
-
-    #[test]
-    fn flat_view_round_trips_the_network() {
-        let subject = sample_subject();
-        let net = subject.network();
-        let flat = subject.flat();
+        let subject = SubjectGraph::from_network(&net).unwrap();
+        let (net, flat) = (subject.network(), subject.flat());
         assert_eq!(flat.num_nodes(), net.num_nodes());
-        let mut topo_seen = 0usize;
+        assert_eq!(flat.topo_order().len(), net.num_nodes());
         for id in net.node_ids() {
             let node = net.node(id);
             assert_eq!(flat.kind(id), kind_of(node.func()), "kind of {id}");
-            assert_eq!(flat.level(id), subject.level(id), "level of {id}");
             assert_eq!(flat.fanins(id), node.fanins(), "fanins of {id}");
-            assert_eq!(flat.fanouts(id), node.fanouts(), "fanout edges of {id}");
-            assert_eq!(flat.fanout_count(id), node.fanouts().len());
-            topo_seen += 1;
+            assert_eq!(
+                flat.fanout_count(id),
+                node.fanouts().len(),
+                "fanouts of {id}"
+            );
         }
-        assert_eq!(flat.topo_order().len(), topo_seen);
-        assert_eq!(flat.num_levels(), subject.levels().num_levels());
         for l in 0..flat.num_levels() {
-            assert_eq!(flat.level_group(l), subject.levels().group(l), "level {l}");
+            assert!(flat
+                .level_group(l)
+                .iter()
+                .all(|&id| flat.level(id) == l as u32));
         }
     }
 
     #[test]
-    fn cone_extraction_agrees_between_views() {
-        let subject = sample_subject();
-        let net = subject.network();
-        let flat = subject.flat();
-        let mut s1 = ConeScratch::new();
-        let mut s2 = ConeScratch::new();
-        for record_fanouts in [false, true] {
-            let spec = ConeSpec {
-                max_depth: 3,
-                record_fanouts,
-                fanout_cap: 4,
-            };
-            for id in net.node_ids() {
-                extract_cone(net, id, spec, &mut s1);
-                extract_cone(flat, id, spec, &mut s2);
-                assert_eq!(s1.key(), s2.key(), "cone key of {id}");
-                assert_eq!(s1.locals(), s2.locals(), "cone locals of {id}");
+    fn levels_respect_fanin_order() {
+        let mut net = Network::new("d");
+        let a = net.add_input("a");
+        let b = net.add_input("b");
+        let g = net.add_node(NodeFn::Nand, vec![a, b]).unwrap();
+        let h = net.add_node(NodeFn::Not, vec![g]).unwrap();
+        let k = net.add_node(NodeFn::Nand, vec![g, h]).unwrap();
+        net.add_output("f", k);
+        let flat = flat_of(net);
+        for id in [g, h, k] {
+            for &f in flat.fanins(id) {
+                assert!(flat.level(f) < flat.level(id), "fanin {f} of {id}");
             }
         }
+        // The reconvergent NAND sees g (level 1) and h (level 2): level 3.
+        assert_eq!(flat.level(k), 3);
+    }
+
+    #[test]
+    fn sources_sit_at_level_zero() {
+        let mut net = Network::new("s");
+        let a = net.add_input("a");
+        let k = net.add_node(NodeFn::Const(true), vec![]).unwrap();
+        let g = net.add_node(NodeFn::Nand, vec![a, a]).unwrap();
+        let latch = net.add_node(NodeFn::Latch, vec![g]).unwrap();
+        let h = net.add_node(NodeFn::Nand, vec![latch, k]).unwrap();
+        net.add_output("q", h);
+        let flat = flat_of(net);
+        assert_eq!(flat.level(a), 0, "inputs are sources");
+        assert_eq!(flat.level(k), 0, "constants are sources");
+        assert_eq!(flat.level(latch), 0, "latches are sources");
+        assert_eq!(flat.level(h), 1, "consumers of latches start at 1");
+        assert!(flat.level_group(0).contains(&latch));
+    }
+
+    #[test]
+    fn level_count_is_longest_path_plus_one() {
+        let mut net = Network::new("chain");
+        let mut cur = net.add_input("a");
+        for _ in 0..5 {
+            cur = net.add_node(NodeFn::Not, vec![cur]).unwrap();
+        }
+        net.add_output("f", cur);
+        let flat = flat_of(net);
+        assert_eq!(flat.num_levels(), 6);
+        assert!((0..6).all(|l| flat.level_group(l).len() == 1));
+    }
+
+    #[test]
+    fn groups_partition_nodes_in_id_order() {
+        let mut net = Network::new("p");
+        let a = net.add_input("a");
+        let b = net.add_input("b");
+        let g = net.add_node(NodeFn::Nand, vec![a, b]).unwrap();
+        let h = net.add_node(NodeFn::Not, vec![a]).unwrap();
+        net.add_output("f", g);
+        net.add_output("g", h);
+        let flat = flat_of(net);
+        let total: usize = (0..flat.num_levels())
+            .map(|l| flat.level_group(l).len())
+            .sum();
+        assert_eq!(total, flat.num_nodes());
+        for l in 0..flat.num_levels() {
+            let group = flat.level_group(l);
+            assert!(group.windows(2).all(|w| w[0] < w[1]), "ascending ids");
+        }
+        assert_eq!(flat.level_group(1), &[g, h]);
+    }
+
+    #[test]
+    fn cyclic_networks_are_rejected() {
+        // A latch-free cycle can only be fabricated through the placeholder
+        // patch API.
+        let mut net = Network::new("cyc");
+        let a = net.add_input("a");
+        let g = net.add_node(NodeFn::Not, vec![a]).unwrap();
+        let h = net.add_node(NodeFn::Not, vec![g]).unwrap();
+        net.replace_single_fanin(g, h);
+        net.add_output("f", h);
+        assert!(matches!(
+            SubjectGraph::from_subject_network(net),
+            Err(NetlistError::CombinationalCycle(_))
+        ));
+    }
+
+    #[test]
+    fn empty_network_has_no_levels() {
+        let flat = flat_of(Network::new("empty"));
+        assert_eq!(flat.num_levels(), 0);
+        assert!(flat.topo_order().is_empty());
     }
 }

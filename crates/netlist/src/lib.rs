@@ -9,6 +9,9 @@
 //! * [`SopCover`] — sum-of-products node functions as used by BLIF `.names`,
 //! * [`SubjectGraph`] — the NAND2/INV decomposition of a network that
 //!   technology mapping covers with library patterns,
+//! * [`FlatNet`] — a subject graph's structure-of-arrays view and its one
+//!   level structure: the topological levels whose groups are the
+//!   wavefronts of the labeling pass,
 //! * [`blif`] — a reader and writer for the Berkeley BLIF interchange format,
 //! * [`sim`] — 64-bit word-parallel simulation and random equivalence
 //!   checking,
@@ -16,7 +19,8 @@
 //!   delta-debugging loop,
 //! * [`sta`] — simple static timing (arrival-time propagation / depth),
 //! * [`fingerprint`] — structural shape classes and bounded-depth cone
-//!   canonicalization backing the match accelerator of `dagmap-match`,
+//!   canonicalization over a [`FlatNet`], backing the match accelerator of
+//!   `dagmap-match`,
 //! * [`strash`] — the hash-consing construction arena and 128-bit Merkle
 //!   value numbers (signatures) that make structurally identical cones
 //!   recognizable in O(1), within one network and across requests.
@@ -50,7 +54,6 @@ mod error;
 pub mod fingerprint;
 mod flat;
 mod id;
-mod levels;
 mod logic;
 mod network;
 pub mod shrink;
@@ -63,7 +66,6 @@ mod subject;
 pub use error::NetlistError;
 pub use flat::{FlatNet, KIND_INV, KIND_NAND, KIND_SOURCE};
 pub use id::NodeId;
-pub use levels::Levels;
 pub use logic::NodeFn;
 pub use network::{NetEdit, Network, Node, Output};
 pub use sop::{Cube, SopCover};

@@ -21,7 +21,7 @@
 //!    therefore identical canonical cone keys and identical match
 //!    enumeration order — across one subject graph, and across
 //!    independently built subject graphs in different requests. That is what lets the
-//!    match memo ([`dagmap-match`]'s stores) key warm probes on an O(1)
+//!    match memo (`dagmap-match`'s stores) key warm probes on an O(1)
 //!    signature lookup instead of canonical cone extraction, and what lets
 //!    incremental re-mapping recognize the untouched region of an edited
 //!    network.

@@ -79,7 +79,6 @@ impl Default for DecomposeOptions {
 #[derive(Debug, Clone)]
 pub struct SubjectGraph {
     net: Network,
-    levels: crate::Levels,
     shape_class: Vec<u8>,
     flat: crate::FlatNet,
     sigs: Signatures,
@@ -368,14 +367,14 @@ impl SubjectGraph {
         }
         if !placeholder_to_latch.is_empty() {
             let (built, stats) = b.arena.into_parts();
-            return Ok(SubjectGraph::rebuild_with_latches(
+            return SubjectGraph::rebuild_with_latches(
                 source,
                 built,
                 &sig,
                 &placeholder_to_latch,
                 stats,
                 t0,
-            ));
+            );
         }
         let (net, stats) = {
             let (mut net, stats) = b.arena.into_parts();
@@ -385,26 +384,26 @@ impl SubjectGraph {
             }
             (net, stats)
         };
-        Ok(SubjectGraph::finish(net, stats, t0))
+        SubjectGraph::finish(net, stats, t0)
     }
 
-    /// Final wrapping step shared by every constructor: levels, the per-node
-    /// shape classes the fingerprint-indexed matcher consumes, and the
-    /// structural value numbers the signature-keyed match memo probes.
-    /// `t0` is when the constructor started; the build time runs to the
-    /// end of this step.
-    fn finish(net: Network, strash: StrashStats, t0: Instant) -> SubjectGraph {
-        let levels = {
-            let _s = dagmap_obs::span("decompose.levels");
-            compute_levels(&net)
+    /// Final wrapping step shared by every constructor: the flat view with
+    /// its levels, the per-node shape classes the fingerprint-indexed
+    /// matcher consumes, and the structural value numbers the
+    /// signature-keyed match memo probes. `t0` is when the constructor
+    /// started; the build time runs to the end of this step.
+    fn finish(
+        net: Network,
+        strash: StrashStats,
+        t0: Instant,
+    ) -> Result<SubjectGraph, NetlistError> {
+        let flat = {
+            let _s = dagmap_obs::span("decompose.flatten");
+            crate::FlatNet::build(&net)?
         };
         let shape_class = {
             let _s = dagmap_obs::span("decompose.shapes");
-            crate::fingerprint::shape_classes(&net)
-        };
-        let flat = {
-            let _s = dagmap_obs::span("decompose.flatten");
-            crate::FlatNet::build(&net, &levels)
+            crate::fingerprint::shape_classes(&flat)
         };
         let sigs = {
             let _s = dagmap_obs::span("decompose.sigs");
@@ -412,7 +411,6 @@ impl SubjectGraph {
         };
         let subject = SubjectGraph {
             net,
-            levels,
             shape_class,
             flat,
             sigs,
@@ -427,7 +425,7 @@ impl SubjectGraph {
             dagmap_obs::count("strash.unique", subject.strash.unique as u64);
             dagmap_obs::count("strash.dedup_hits", subject.strash.dedup_hits as u64);
         }
-        subject
+        Ok(subject)
     }
 
     /// Rebuild step used when the source network contains latches: the
@@ -441,7 +439,7 @@ impl SubjectGraph {
         placeholder_to_latch: &HashMap<NodeId, NodeId>,
         strash: StrashStats,
         t0: Instant,
-    ) -> SubjectGraph {
+    ) -> Result<SubjectGraph, NetlistError> {
         // `built` is acyclic if we treat placeholders as inputs. In the final
         // network, placeholder p is replaced by a latch whose fanin is
         // remap(data(p)). Because latches are ordering sources, we can emit:
@@ -509,7 +507,8 @@ impl SubjectGraph {
     /// # Errors
     ///
     /// Returns [`NetlistError::Invariant`] if any internal node is not a
-    /// two-input NAND, an inverter, a constant, or a latch.
+    /// two-input NAND, an inverter, a constant, or a latch, and
+    /// [`NetlistError::CombinationalCycle`] if the network is cyclic.
     pub fn from_subject_network(net: Network) -> Result<SubjectGraph, NetlistError> {
         let t0 = Instant::now();
         for id in net.node_ids() {
@@ -527,7 +526,6 @@ impl SubjectGraph {
                 )));
             }
         }
-        net.topo_order()?;
         // No construction ran through the arena, so there is nothing to
         // attribute to folding or dedup: the stats just describe the size.
         let gates = net
@@ -540,7 +538,7 @@ impl SubjectGraph {
             dedup_hits: 0,
             unique: gates,
         };
-        Ok(SubjectGraph::finish(net, stats, t0))
+        SubjectGraph::finish(net, stats, t0)
     }
 
     /// The underlying NAND2/INV network.
@@ -567,7 +565,7 @@ impl SubjectGraph {
 
     /// Unit-delay level of a node (inputs, constants and latches are 0).
     pub fn level(&self, id: NodeId) -> u32 {
-        self.levels.level_of(id)
+        self.flat.level(id)
     }
 
     /// Depth-2 shape class of a node (see [`crate::fingerprint`]): the key
@@ -576,19 +574,10 @@ impl SubjectGraph {
         self.shape_class[id.index()]
     }
 
-    /// Per-node shape classes, indexed by [`NodeId::index`].
-    pub fn shape_classes(&self) -> &[u8] {
-        &self.shape_class
-    }
-
-    /// The full level structure: per-node levels plus nodes grouped by
-    /// level — the wavefronts a level-synchronized labeling pass iterates.
-    pub fn levels(&self) -> &crate::Levels {
-        &self.levels
-    }
-
     /// The flat CSR view of the subject graph — the representation the
-    /// labeling and matching hot paths traverse (see [`crate::FlatNet`]).
+    /// labeling and matching hot paths traverse, and the subject's one
+    /// level structure: [`crate::FlatNet::level_group`] yields the
+    /// wavefronts a level-synchronized labeling pass iterates.
     pub fn flat(&self) -> &crate::FlatNet {
         &self.flat
     }
@@ -607,7 +596,7 @@ impl SubjectGraph {
 
     /// Wall-clock seconds this subject graph took to build: decomposition
     /// (or validation, for [`SubjectGraph::from_subject_network`]) plus
-    /// levels, shape classes, the flat view and signatures.
+    /// the flat view with its levels, shape classes and signatures.
     pub fn decompose_seconds(&self) -> f64 {
         self.decompose_seconds
     }
@@ -617,11 +606,11 @@ impl SubjectGraph {
     pub fn depth(&self) -> u32 {
         let mut d = 0;
         for out in self.net.outputs() {
-            d = d.max(self.levels.level_of(out.driver));
+            d = d.max(self.flat.level(out.driver));
         }
         for id in self.net.node_ids() {
             if matches!(self.net.node(id).func(), NodeFn::Latch) {
-                d = d.max(self.levels.level_of(self.net.node(id).fanins()[0]));
+                d = d.max(self.flat.level(self.net.node(id).fanins()[0]));
             }
         }
         d
@@ -643,10 +632,6 @@ impl SubjectGraph {
             .filter(|&id| self.net.node(id).fanouts().len() > 1)
             .count()
     }
-}
-
-fn compute_levels(net: &Network) -> crate::Levels {
-    net.topo_levels().expect("subject graphs are acyclic")
 }
 
 #[cfg(test)]

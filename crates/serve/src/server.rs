@@ -186,8 +186,8 @@ impl MapJob {
 }
 
 /// One retained labeling run. The mapping configuration rides along: a
-/// remap must re-label under the configuration the labels were computed
-/// with, or reuse would not be bit-identical.
+/// remap names only its handle and re-labels under the configuration the
+/// labels were computed with (under any other, nothing would be reused).
 struct RetainedEntry {
     lib: String,
     algo: String,

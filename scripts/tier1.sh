@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline --workspace
 
+# Every intra-doc link must resolve, so a deleted item cannot leave one dangling.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --workspace --no-deps
+
 # The end-to-end benchmark's own tests: a smoke run of all four workloads
 # (traced and untraced) and the check that its output checker, which calls
 # `sim::equivalent_random`, rejects a wrong mapping. The benchmark is its

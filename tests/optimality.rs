@@ -1,7 +1,9 @@
 //! Optimality cross-checks: the paper claims the DAG labels are *optimal*
 //! arrivals; these tests corner that claim from several independent sides.
 
-use dagmap::core::{label_with_config, MapOptions, Mapper, Objective};
+use dagmap::core::{
+    label_with_config, relabel_incremental, Labels, MapOptions, Mapper, Objective, RetainedLabels,
+};
 use dagmap::flowmap::{cuts, label_network};
 use dagmap::genlib::{Gate, Library};
 use dagmap::matching::{MatchConfig, MatchMode};
@@ -51,10 +53,12 @@ fn superset_library_never_hurts() {
 
 /// Brute-force oracle on tiny subject graphs: enumerate *every* cover by
 /// recursion over match choices and check the DP found the true optimum.
+/// The incremental pass (the same DP given a snapshot) is held to the same
+/// oracle on an edited copy.
 #[test]
 fn exhaustive_cover_oracle_on_tiny_graphs() {
     use dagmap::matching::Matcher;
-    use dagmap::netlist::{NodeFn, NodeId};
+    use dagmap::netlist::{NetEdit, NodeFn, NodeId};
 
     fn oracle_arrival(
         subject: &SubjectGraph,
@@ -93,30 +97,64 @@ fn exhaustive_cover_oracle_on_tiny_graphs() {
     // recursion order independence: it computes demand-driven from outputs,
     // while the mapper labels bottom-up. Equality over every PO confirms
     // the label table is self-consistent with the optimality recurrence.
-    for seed in 0..6 {
-        let net = dagmap::benchgen::random_network(5, 25, seed);
-        let subject = SubjectGraph::from_network(&net).expect("decomposes");
-        let library = Library::lib2_like();
-        let matcher = Matcher::new(&library);
-        let labels = label_with_config(
-            &subject,
-            &library,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(1),
-            MatchConfig::default(),
-        )
-        .expect("labels");
+    let library = Library::lib2_like();
+    let matcher = Matcher::new(&library);
+    let label = |subject: &SubjectGraph| {
+        let (mode, config) = (MatchMode::Standard, MatchConfig::default());
+        label_with_config(subject, &library, mode, Objective::Delay, Some(1), config)
+            .expect("labels")
+    };
+    let check = |subject: &SubjectGraph, labels: &Labels, what: &str| {
         let mut memo = std::collections::HashMap::new();
         for out in subject.network().outputs() {
-            let want = oracle_arrival(&subject, &library, &matcher, out.driver, &mut memo);
+            let want = oracle_arrival(subject, &library, &matcher, out.driver, &mut memo);
             let got = labels.arrival_of(out.driver);
             assert!(
                 (want - got).abs() < 1e-9,
-                "seed {seed} output {}: oracle {want} vs label {got}",
+                "{what} output {}: oracle {want} vs label {got}",
                 out.name
             );
         }
+    };
+    for seed in 0..6 {
+        let mut net = dagmap::benchgen::random_network(5, 25, seed);
+        let subject = SubjectGraph::from_network(&net).expect("decomposes");
+        let labels = label(&subject);
+        check(&subject, &labels, &format!("seed {seed} cold"));
+
+        // XOR a fresh input into the first output's driver, then relabel
+        // the edited copy against the cold run's snapshot.
+        let retained = RetainedLabels::from_labels(&subject, &labels).expect("injective");
+        let first = net.outputs()[0].clone();
+        let patch = net.add_input("patch");
+        let xor = net
+            .add_node(NodeFn::Xor, vec![first.driver, patch])
+            .expect("xor");
+        net.apply_edits(vec![NetEdit::SetOutputDriver {
+            output: first.name,
+            driver: xor,
+        }])
+        .expect("redirect");
+        let edited = SubjectGraph::from_network(&net).expect("decomposes");
+        let (incremental, stats) = relabel_incremental(
+            &edited,
+            &library,
+            MatchMode::Standard,
+            Objective::Delay,
+            MatchConfig::default(),
+            &retained,
+            None,
+        )
+        .expect("relabels");
+        assert!(
+            stats.reused > 0,
+            "seed {seed}: the edit leaves labels to reuse"
+        );
+        check(&edited, &incremental, &format!("seed {seed} incremental"));
+        let cold = label(&edited);
+        assert_eq!(incremental.arrival, cold.arrival, "seed {seed}");
+        assert_eq!(incremental.area_flow, cold.area_flow, "seed {seed}");
+        assert_eq!(incremental.best, cold.best, "seed {seed}");
     }
 }
 
