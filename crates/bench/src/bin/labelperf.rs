@@ -1,21 +1,17 @@
-//! Serial vs parallel wavefront labeling micro-benchmark.
+//! Labeling micro-benchmark.
 //!
-//! Times `dagmap_core::label_with_config` with one worker and with `--threads N`
-//! workers over the benchgen circuits, checks the results are bit-identical,
-//! and writes the numbers to `BENCH_label.json` (hand-rolled JSON — the
-//! workspace is dependency-free).
+//! Times `dagmap_core::label_with_config` over the benchgen circuits under
+//! lib2 and writes the numbers to `BENCH_label.json` (hand-rolled JSON —
+//! the workspace is dependency-free).
 //!
-//! Usage: `labelperf [--quick] [--threads N] [--out PATH]`
+//! Usage: `labelperf [--quick] [--out PATH]`
 //!
 //! `--quick` shrinks the circuit set and repetition count (the tier-1 smoke
-//! run); `--threads` defaults to `std::thread::available_parallelism()`.
-//! On hosts without real parallelism the engine declines the worker pool
-//! (reported as `threads_used`), so the "parallel" column degrades to a
-//! second serial measurement instead of a slowdown.
+//! run).
 //!
 //! The binary also runs under a counting global allocator wired into
 //! `dagmap_core::allocmeter`, and asserts the flat kernel's steady-state
-//! zero-allocation contract on every serial reference run.
+//! zero-allocation contract on every circuit's reference run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -23,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use dagmap_bench::harness::best_of;
-use dagmap_core::{label_with_config, MatchMode, Objective};
+use dagmap_core::{label_with_config, Labels, MatchMode, Objective};
 use dagmap_genlib::Library;
 use dagmap_match::MatchConfig;
 use dagmap_netlist::SubjectGraph;
@@ -63,48 +59,32 @@ struct CircuitResult {
     match_words: usize,
     wave_allocs: usize,
     serial_s: f64,
-    parallel_s: f64,
-    identical: bool,
 }
 
-fn time_label(subject: &SubjectGraph, lib: &Library, threads: usize, reps: usize) -> f64 {
-    best_of(reps, || {
-        let t = Instant::now();
-        let labels = label_with_config(
-            subject,
-            lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(threads),
-            MatchConfig::default(),
-        )
-        .expect("labels");
-        std::hint::black_box(labels.matches_enumerated);
-        t.elapsed().as_secs_f64()
-    })
+fn label(subject: &SubjectGraph, lib: &Library) -> Labels {
+    label_with_config(
+        subject,
+        lib,
+        MatchMode::Standard,
+        Objective::Delay,
+        None,
+        MatchConfig::default(),
+    )
+    .expect("labels")
 }
 
 fn main() {
     let mut quick = false;
-    let mut threads: Option<usize> = None;
     let mut out = String::from("BENCH_label.json");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--threads" => {
-                threads = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--threads needs a positive integer"),
-                )
-            }
             "--out" => out = args.next().expect("--out needs a path"),
             other => panic!("unknown argument `{other}`"),
         }
     }
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = threads.unwrap_or(available).max(2);
     // Best-of-N timing: the container the benches run in is noisy and
     // shared, so the minimum over more repetitions is the better estimate
     // of the kernel's actual cost.
@@ -127,12 +107,8 @@ fn main() {
     };
     let lib = Library::lib2_like();
 
-    println!(
-        "labelperf: {} hardware threads available, timing serial vs {} workers ({} reps)",
-        available, threads, reps
-    );
+    println!("labelperf: {available} CPUs, best of {reps} reps");
     let mut results = Vec::new();
-    let mut threads_used = 1usize;
     for (name, net) in circuits {
         let subject = SubjectGraph::from_network(&net).expect("benchgen circuits decompose");
         let flat = subject.flat();
@@ -141,46 +117,25 @@ fn main() {
             .map(|l| flat.level_group(l).len())
             .max()
             .unwrap_or(0);
-        let serial = label_with_config(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(1),
-            MatchConfig::default(),
-        )
-        .expect("labels");
-        let parallel = label_with_config(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(threads),
-            MatchConfig::default(),
-        )
-        .expect("labels");
-        let identical = serial.arrival == parallel.arrival
-            && serial.area_flow == parallel.area_flow
-            && serial.best == parallel.best
-            && serial.matches_enumerated == parallel.matches_enumerated;
+        let serial = label(&subject, &lib);
         let wave_allocs: usize = serial.wave_allocs.iter().sum();
         assert_eq!(
             wave_allocs, 0,
             "{name}: steady-state waves allocated ({:?})",
             serial.wave_allocs
         );
-        threads_used = threads_used.max(parallel.threads_used);
-        let serial_s = time_label(&subject, &lib, 1, reps);
-        let parallel_s = time_label(&subject, &lib, threads, reps);
+        let serial_s = best_of(reps, || {
+            let t = Instant::now();
+            let labels = label(&subject, &lib);
+            std::hint::black_box(labels.matches_enumerated);
+            t.elapsed().as_secs_f64()
+        });
         println!(
-            "  {name:12} {:>6} nodes {:>4} levels (width {:>4}): serial {:>8.2} ms, {} workers {:>8.2} ms, speedup {:.2}x, identical={identical}, wave_allocs={wave_allocs}",
+            "  {name:12} {:>6} nodes {:>4} levels (width {:>4}): serial {:>8.2} ms, wave_allocs={wave_allocs}",
             subject.network().num_nodes(),
             num_levels,
             max_width,
             serial_s * 1e3,
-            parallel.threads_used,
-            parallel_s * 1e3,
-            serial_s / parallel_s,
         );
         results.push(CircuitResult {
             name,
@@ -192,25 +147,15 @@ fn main() {
             match_words: serial.match_words,
             wave_allocs,
             serial_s,
-            parallel_s,
-            identical,
         });
     }
 
-    let all_identical = results.iter().all(|r| r.identical);
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"labelperf\",");
     let _ = writeln!(json, "  \"library\": \"{}\",", lib.name());
     let _ = writeln!(json, "  \"nproc\": {available},");
-    let _ = writeln!(json, "  \"hardware_threads\": {available},");
-    let _ = writeln!(json, "  \"parallel_threads\": {threads},");
-    let _ = writeln!(json, "  \"threads_used\": {threads_used},");
-    // False on 1-CPU hosts where the engine declines the worker pool; lets
-    // consumers (tier1.sh) skip the speedup assertion instead of failing it.
-    let _ = writeln!(json, "  \"parallel_engaged\": {},", threads_used > 1);
     let _ = writeln!(json, "  \"reps\": {reps},");
-    let _ = writeln!(json, "  \"all_identical\": {all_identical},");
     json.push_str("  \"circuits\": [\n");
     for (i, r) in results.iter().enumerate() {
         let sep = if i + 1 == results.len() { "" } else { "," };
@@ -219,9 +164,7 @@ fn main() {
             "    {{\"name\": \"{}\", \"subject_nodes\": {}, \"levels\": {}, \"max_width\": {}, \
              \"matches_enumerated\": {}, \"matches_pruned\": {}, \
              \"match_words\": {}, \"wave_allocs\": {}, \
-             \"serial_s\": {:.6}, \"parallel_s\": {:.6}, \"speedup\": {:.3}, \
-             \"matches_per_sec_serial\": {:.0}, \"matches_per_sec_parallel\": {:.0}, \
-             \"identical\": {}}}{sep}",
+             \"serial_s\": {:.6}, \"matches_per_sec_serial\": {:.0}}}{sep}",
             r.name,
             r.subject_nodes,
             r.levels,
@@ -231,15 +174,10 @@ fn main() {
             r.match_words,
             r.wave_allocs,
             r.serial_s,
-            r.parallel_s,
-            r.serial_s / r.parallel_s,
             r.matches_enumerated as f64 / r.serial_s,
-            r.matches_enumerated as f64 / r.parallel_s,
-            r.identical,
         );
     }
     json.push_str("  ]\n}\n");
     std::fs::write(&out, &json).expect("write BENCH_label.json");
     println!("wrote {out}");
-    assert!(all_identical, "parallel labels diverged from serial");
 }

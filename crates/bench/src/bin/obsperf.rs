@@ -7,7 +7,7 @@
 //! of a single *disabled* span call, and writes everything to
 //! `BENCH_obs.json` (hand-rolled JSON — the workspace is dependency-free).
 //!
-//! Usage: `obsperf [--quick] [--threads N] [--out PATH]`
+//! Usage: `obsperf [--quick] [--out PATH]`
 //!
 //! `--quick` shrinks the circuit set and repetition count (the tier-1 smoke
 //! run). The headline number is `overhead_pct`: how much slower a mapping

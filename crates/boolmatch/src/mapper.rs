@@ -2,9 +2,9 @@
 //! [`BoolSource`]/[`HybridSource`] and hand it to `dagmap_core`'s shared
 //! labeling DP, cover construction and area recovery via
 //! [`Mapper::map_with_source`]. Everything the structural mapper offers —
-//! `--threads` wavefronts (bit-identical to serial), area recovery,
-//! delay targets, observability spans, the full [`MapReport`] — works for
-//! these mappers too, because the pipeline is literally the same code.
+//! area recovery, delay targets, observability spans, the full
+//! [`MapReport`] — works for these mappers too, because the pipeline is
+//! literally the same code.
 
 use dagmap_core::{MapError, MapOptions, MapReport, MappedNetlist, Mapper};
 use dagmap_genlib::Library;
@@ -59,8 +59,8 @@ fn report_of(source: &BoolSource<'_>) -> BoolMapReport {
 
 /// Maps `subject` by Boolean matching over `k`-input priority cuts, with
 /// the same delay-optimal dynamic program and cover construction as the
-/// structural mapper. See the [crate docs](crate). `options` controls
-/// threads, objective, area recovery and delay target exactly as for
+/// structural mapper. See the [crate docs](crate). `options` controls the
+/// objective, area recovery and delay target exactly as for
 /// [`Mapper::map`]; the structural acceleration switches are ignored
 /// (Boolean matching has its own engine). Returns the mapped netlist, the
 /// shared [`MapReport`] (algorithm `"boolean"`) and the Boolean-matching
@@ -352,53 +352,6 @@ mod tests {
             "NPN should reach strictly more cone classes: {report:?}"
         );
         assert!(report.npn_matches > 0);
-    }
-
-    #[test]
-    fn threaded_boolean_mapping_is_bit_identical_to_serial() {
-        let net = dagmap_benchgen::kogge_stone_adder(8);
-        let subject = SubjectGraph::from_network(&net).unwrap();
-        let library = Library::lib2_like();
-        let serial = map_boolean_with_options(
-            &subject,
-            &library,
-            4,
-            MapOptions::dag().with_num_threads(1),
-        )
-        .unwrap()
-        .0;
-        let threaded = map_boolean_with_options(
-            &subject,
-            &library,
-            4,
-            MapOptions::dag().with_num_threads(4),
-        )
-        .unwrap()
-        .0;
-        assert_eq!(
-            dagmap_core::verilog::to_verilog(&serial),
-            dagmap_core::verilog::to_verilog(&threaded)
-        );
-        let hybrid_serial = map_hybrid_with_options(
-            &subject,
-            &library,
-            4,
-            MapOptions::dag().with_num_threads(1),
-        )
-        .unwrap()
-        .0;
-        let hybrid_threaded = map_hybrid_with_options(
-            &subject,
-            &library,
-            4,
-            MapOptions::dag().with_num_threads(4),
-        )
-        .unwrap()
-        .0;
-        assert_eq!(
-            dagmap_core::verilog::to_verilog(&hybrid_serial),
-            dagmap_core::verilog::to_verilog(&hybrid_threaded)
-        );
     }
 
     #[test]

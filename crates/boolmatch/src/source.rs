@@ -1,12 +1,11 @@
 //! Boolean match sources for the shared labeling DP.
 //!
 //! [`BoolSource`] plugs priority-cut NPN Boolean matching into
-//! `dagmap_core`'s [`MatchSource`] seam: the labeling DP, the parallel
-//! wavefront, area recovery and cover construction all consume it exactly
-//! as they consume the structural matcher. [`HybridSource`] emits the
-//! structural matches first and the Boolean matches after, so the hybrid
-//! candidate set is a superset of both and its delay provably bounds
-//! either alone.
+//! `dagmap_core`'s [`MatchSource`] seam: the labeling DP, area recovery
+//! and cover construction all consume it exactly as they consume the
+//! structural matcher. [`HybridSource`] emits the structural matches first
+//! and the Boolean matches after, so the hybrid candidate set is a superset
+//! of both and its delay provably bounds either alone.
 //!
 //! # Match derivation
 //!
@@ -25,17 +24,15 @@
 //!   fanin and cover the inverter) or by borrowing an existing inverter
 //!   on the leaf ([`BoolSource`] records the smallest-id INV per node).
 //!   The borrowed inverter must sit at a strictly lower level than the
-//!   root so the wavefront has already labeled it — this keeps parallel
-//!   labeling bit-identical to serial. Otherwise the gate is skipped.
+//!   root so the level-order pass has already labeled it. Otherwise the
+//!   gate is skipped.
 //!
 //! Emission order is a pure function of the subject and library (ranked
 //! cuts; P entries then NPN entries, each in gate-insertion order), which
-//! is what makes `--threads N` byte-identical to serial for the Boolean
-//! and hybrid mappers too.
+//! is what makes the Boolean and hybrid mappers byte-deterministic.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use dagmap_core::{MatchSource, SourceMatch, StructuralKit, StructuralSource};
 use dagmap_genlib::{GateId, Library};
@@ -48,10 +45,10 @@ use crate::LibraryIndex;
 
 /// A [`MatchSource`] that finds gates by Boolean function, not structure.
 ///
-/// Built once per subject (the cut sets are per-node); shared read-only
-/// across labeling workers. All mutable match state lives in the
-/// per-worker [`BoolKit`]. Class counters are commutative atomics/sets, so
-/// totals are thread-count invariant.
+/// Built once per subject (the cut sets are per-node). All mutable match
+/// state lives in the per-pass [`BoolKit`]. The class counters sit in
+/// cells: one pass on one thread uses a source, so they take no lock, and
+/// `RefCell` keeps the type `!Sync`, so sharing it would not compile.
 pub struct BoolSource<'a> {
     library: &'a Library,
     index: LibraryIndex,
@@ -59,17 +56,17 @@ pub struct BoolSource<'a> {
     /// Smallest-id inverter driven by each node, for borrowing negations.
     inv_of: Vec<Option<NodeId>>,
     levels: Vec<u32>,
-    cuts_examined: AtomicUsize,
-    p_matches: AtomicUsize,
-    npn_matches: AtomicUsize,
+    cuts_examined: Cell<usize>,
+    p_matches: Cell<usize>,
+    npn_matches: Cell<usize>,
     /// P-canonical cone classes that found a gate through the plain
     /// P-class lookup (the pre-NPN engine's reach).
-    p_classes: Mutex<HashSet<TruthTable>>,
+    p_classes: RefCell<HashSet<TruthTable>>,
     /// P-canonical cone classes that found any gate at all — the same key
     /// space as `p_classes` (cone functions modulo input permutation), so
     /// the two counts compare directly; keying by NPN class would collapse
     /// e.g. or-cones into the nand-cone class and hide NPN's extra reach.
-    npn_classes: Mutex<HashSet<TruthTable>>,
+    npn_classes: RefCell<HashSet<TruthTable>>,
 }
 
 impl<'a> BoolSource<'a> {
@@ -99,11 +96,11 @@ impl<'a> BoolSource<'a> {
             cuts,
             inv_of,
             levels,
-            cuts_examined: AtomicUsize::new(0),
-            p_matches: AtomicUsize::new(0),
-            npn_matches: AtomicUsize::new(0),
-            p_classes: Mutex::new(HashSet::new()),
-            npn_classes: Mutex::new(HashSet::new()),
+            cuts_examined: Cell::new(0),
+            p_matches: Cell::new(0),
+            npn_matches: Cell::new(0),
+            p_classes: RefCell::new(HashSet::new()),
+            npn_classes: RefCell::new(HashSet::new()),
         }
     }
 
@@ -119,32 +116,32 @@ impl<'a> BoolSource<'a> {
 
     /// Cuts whose cone function was extracted and looked up so far.
     pub fn cuts_examined(&self) -> usize {
-        self.cuts_examined.load(Ordering::Relaxed)
+        self.cuts_examined.get()
     }
 
     /// Matches emitted through the P-class lookup so far.
     pub fn p_matches(&self) -> usize {
-        self.p_matches.load(Ordering::Relaxed)
+        self.p_matches.get()
     }
 
     /// Matches emitted through the NPN lookup (polarity fixups) so far.
     pub fn npn_matches(&self) -> usize {
-        self.npn_matches.load(Ordering::Relaxed)
+        self.npn_matches.get()
     }
 
     /// Distinct P-canonical cone classes matched by the P lookup alone.
     pub fn p_classes_matched(&self) -> usize {
-        self.p_classes.lock().expect("counter lock").len()
+        self.p_classes.borrow().len()
     }
 
     /// Distinct P-canonical cone classes matched by the full engine
     /// (P + NPN); ≥ [`BoolSource::p_classes_matched`] by construction.
     pub fn npn_classes_matched(&self) -> usize {
-        self.npn_classes.lock().expect("counter lock").len()
+        self.npn_classes.borrow().len()
     }
 }
 
-/// Per-worker scratch for [`BoolSource`]: stamped simulation values, DFS
+/// Per-pass scratch for [`BoolSource`]: stamped simulation values, DFS
 /// stack, binding buffers and canonicalization caches. No allocation in
 /// steady state once the caches are warm and the buffers reach their
 /// high-water marks.
@@ -161,7 +158,7 @@ pub struct BoolKit {
     canon_npn: HashMap<TruthTable, (TruthTable, NpnTransform)>,
     /// Per-node emitted (gate, binding) pairs, for dedup across cuts.
     seen: Vec<(GateId, Vec<NodeId>)>,
-    /// Per-node class keys, merged into the shared sets once per node.
+    /// Per-node class keys, merged into the source's sets once per node.
     p_hits: Vec<TruthTable>,
     npn_hits: Vec<TruthTable>,
 }
@@ -355,7 +352,7 @@ impl MatchSource for BoolSource<'_> {
                         flat.fanins(leaf)[0]
                     } else if let Some(inv) = self.inv_of[leaf.index()] {
                         // Borrow an existing inverter — only if the
-                        // wavefront has already labeled it.
+                        // level-order pass has already labeled it.
                         if self.levels[inv.index()] < root_level {
                             inv
                         } else {
@@ -384,21 +381,11 @@ impl MatchSource for BoolSource<'_> {
             }
         }
 
-        self.cuts_examined.fetch_add(examined, Ordering::Relaxed);
-        if p_emitted > 0 {
-            self.p_matches.fetch_add(p_emitted, Ordering::Relaxed);
-        }
-        if npn_emitted > 0 {
-            self.npn_matches.fetch_add(npn_emitted, Ordering::Relaxed);
-        }
-        if !kit.p_hits.is_empty() {
-            let mut set = self.p_classes.lock().expect("counter lock");
-            set.extend(kit.p_hits.iter().copied());
-        }
-        if !kit.npn_hits.is_empty() {
-            let mut set = self.npn_classes.lock().expect("counter lock");
-            set.extend(kit.npn_hits.iter().copied());
-        }
+        self.cuts_examined.set(self.cuts_examined.get() + examined);
+        self.p_matches.set(self.p_matches.get() + p_emitted);
+        self.npn_matches.set(self.npn_matches.get() + npn_emitted);
+        self.p_classes.borrow_mut().extend(&kit.p_hits);
+        self.npn_classes.borrow_mut().extend(&kit.npn_hits);
         stats
     }
 }
@@ -432,7 +419,7 @@ impl<'a> HybridSource<'a> {
     }
 }
 
-/// Per-worker scratch for [`HybridSource`].
+/// Per-pass scratch for [`HybridSource`].
 pub struct HybridKit {
     structural: StructuralKit,
     boolean: BoolKit,

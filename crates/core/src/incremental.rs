@@ -105,15 +105,15 @@ pub struct IncrementalStats {
     pub relabeled: usize,
 }
 
-/// Serial labeling pass that reuses a [`RetainedLabels`] snapshot wherever
-/// the clean rule allows and evaluates only the dirty region.
+/// Labeling pass that reuses a [`RetainedLabels`] snapshot wherever the
+/// clean rule allows and evaluates only the dirty region.
 ///
 /// The result is bit-identical to a full (cold) labeling of `subject` with
 /// the same configuration; only the work counters differ — reused nodes
 /// perform no enumeration, no memo lookup, and no allocation. When the new
 /// subject's signature map is not injective, or the snapshot was taken
 /// under another library, match mode or objective, the pass degrades to a
-/// full serial re-label (`reused == 0`), never to a wrong answer.
+/// full re-label (`reused == 0`), never to a wrong answer.
 ///
 /// # Errors
 ///
@@ -128,7 +128,7 @@ pub fn relabel_incremental(
     shared: Option<&SharedMatchStore>,
 ) -> Result<(Labels, IncrementalStats), MapError> {
     let source = StructuralSource::new(library, mode, config, shared);
-    label_pass(subject, &source, objective, Some(1), Some(retained))
+    label_pass(subject, &source, objective, Some(retained))
 }
 
 /// The clean rule applied during one snapshot-driven labeling pass.

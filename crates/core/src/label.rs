@@ -1,6 +1,3 @@
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
-
 use dagmap_genlib::{GateId, Library, PatternId};
 use dagmap_match::{Match, MatchConfig, MatchMode, MatchStats, SharedMatchStore};
 use dagmap_netlist::{FlatNet, NodeId, SubjectGraph, KIND_SOURCE};
@@ -11,23 +8,6 @@ use crate::{allocmeter, MapError, Objective};
 
 /// Tie-breaking tolerance of the label comparisons.
 const EPS: f64 = 1e-9;
-
-/// Auto mode ([`label_with_config`] with `num_threads = None`) stays serial
-/// below this many mappable nodes — thread startup and barrier traffic
-/// dominate on small circuits.
-const PARALLEL_THRESHOLD: usize = 256;
-
-/// Waves with fewer mappable nodes than this are labeled by the coordinator
-/// itself even when the parallel engine is running: handing a handful of
-/// nodes to workers costs more in barrier and lock traffic than the work is
-/// worth, and narrow waves dominate the tail of most level profiles.
-const NARROW_WAVE_WIDTH: usize = 32;
-
-/// Environment switch that makes explicit `--threads N` requests spin up
-/// the parallel engine even on single-CPU hosts (where they would otherwise
-/// fall back to serial). Used by the determinism test suite, which needs
-/// the worker path exercised regardless of the machine it runs on.
-const FORCE_PARALLEL_ENV: &str = "DAGMAP_LABEL_FORCE_PARALLEL";
 
 /// Result of the labeling pass: per subject node, the arrival time and
 /// estimated area of the selected match.
@@ -47,12 +27,10 @@ const FORCE_PARALLEL_ENV: &str = "DAGMAP_LABEL_FORCE_PARALLEL";
 /// [`Objective::Area`] the same machinery minimizes an area estimate that
 /// is exact for tree covering and an area-flow heuristic for DAG covering.
 ///
-/// The pass runs level-synchronized over the [`FlatNet`] CSR view: every
-/// fanin of a level-`l` node sits at a level strictly below `l`, so once
-/// levels `0..l` are labeled, all level-`l` nodes are independent
-/// subproblems. [`label_with_config`] exploits this as a parallel wavefront;
-/// the result is bit-identical to the serial pass because each node's
-/// candidate enumeration and tie-breaking never observe same-level work.
+/// The pass walks the level groups of the [`FlatNet`] CSR view in order:
+/// every fanin of a level-`l` node sits at a level strictly below `l`, so
+/// level order is a topological order. One loop on the calling thread
+/// labels cold and incremental passes alike.
 #[derive(Debug, Clone)]
 pub struct Labels {
     /// Arrival of the selected match per subject node (sources are 0).
@@ -69,9 +47,7 @@ pub struct Labels {
     /// Cone-class lookups into the match memo (0 when the memo is off).
     pub memo_lookups: usize,
     /// Memo lookups that replayed a stored enumeration instead of
-    /// searching. With multiple workers each worker fills its own store,
-    /// so this can be lower than the serial count; the labels themselves
-    /// are bit-identical regardless.
+    /// searching.
     pub memo_hits: usize,
     /// Memo hits resolved by strash signature alone (no cone extraction);
     /// a subset of [`Labels::memo_hits`]. Zero when strash-id keying is
@@ -84,11 +60,13 @@ pub struct Labels {
     /// Set bits across the evaluated candidate words; together with
     /// [`Labels::match_words`] this gives the kernel's batch occupancy.
     pub match_candidate_bits: usize,
-    /// Topological levels of the subject graph (wavefront count).
+    /// Topological levels of the subject graph (the level groups the pass
+    /// visits).
     pub levels: usize,
-    /// Worker threads the pass actually used (1 = serial).
+    /// Threads the pass ran on. Always 1: labeling is one serial pass on
+    /// the calling thread. The field keeps its place for report consumers.
     pub threads_used: usize,
-    /// Heap allocations observed per wave, recorded only when a counting
+    /// Heap allocations observed per level, recorded only when a counting
     /// allocator is registered through [`crate::allocmeter`] (empty
     /// otherwise). The steady-state contract: with the memo off, every
     /// entry is 0 — all per-wave scratch lives in arenas sized up front.
@@ -317,8 +295,9 @@ impl SelectionArena {
 /// `id` through the source and keep the winner in `chosen` (left unset
 /// when nothing matches).
 ///
-/// Reads only `arrival`/`area_flow` of strict fanins (all at lower levels),
-/// which is what makes whole levels independently computable.
+/// Reads only `arrival`/`area_flow` of match leaves, which sit at lower
+/// levels and are therefore committed before the level-order pass reaches
+/// `id`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_node<S: MatchSource>(
     subject: &SubjectGraph,
@@ -363,76 +342,38 @@ pub(crate) fn evaluate_node<S: MatchSource>(
     source.for_each_match(subject, id, kit, &mut on_match)
 }
 
-/// Worker-thread count the pass actually runs with. Pure so the policy is
-/// unit-testable: explicit single-thread requests and auto-mode small
-/// circuits stay serial, and requests for parallelism on a single-CPU host
-/// are declined unless `force` (the `DAGMAP_LABEL_FORCE_PARALLEL=1` escape
-/// hatch) is set.
-fn resolve_threads(
-    requested: usize,
-    auto: bool,
-    available: usize,
-    mappable: usize,
-    force: bool,
-) -> usize {
-    if requested <= 1 {
-        return 1;
-    }
-    if auto && mappable < PARALLEL_THRESHOLD {
-        return 1;
-    }
-    if available <= 1 && !force {
-        return 1;
-    }
-    requested
-}
-
-fn force_parallel() -> bool {
-    std::env::var_os(FORCE_PARALLEL_ENV).is_some_and(|v| v == "1")
-}
-
-/// Runs the labeling pass over the level wavefronts of the subject graph,
-/// optionally in parallel, with an explicit match-acceleration
-/// configuration.
+/// Runs the labeling pass over the subject graph with an explicit
+/// match-acceleration configuration.
 ///
-/// `num_threads = None` picks [`std::thread::available_parallelism`] (falling
-/// back to serial on small circuits); `Some(1)` forces the serial pass;
-/// `Some(n)` asks for `n` workers — granted only when the host actually has
-/// more than one CPU (spawning barrier-synchronized workers on a single-CPU
-/// machine only adds overhead; set `DAGMAP_LABEL_FORCE_PARALLEL=1` to
-/// override, as the determinism tests do). Every choice produces
-/// bit-identical [`Labels`] — see [`FlatNet::build`] for the level
-/// structure and DESIGN.md for the determinism argument.
+/// The thread-count argument is ignored: labeling is one serial pass on
+/// the calling thread, whatever is asked, and [`Labels::threads_used`]
+/// reads 1. The argument keeps the signature callers already use.
 ///
-/// Every configuration produces bit-identical labels too; the stages only
+/// Every configuration produces bit-identical labels; the stages only
 /// change how much search the matcher performs (visible in
-/// [`Labels::matches_pruned`] and the memo counters). Each worker memoizes
-/// into its own private store, so memo hit counts (but nothing else)
-/// depend on the thread count.
+/// [`Labels::matches_pruned`] and the memo counters).
 ///
 /// # Errors
 ///
-/// Returns [`MapError::NoMatch`] if some internal node has no match — i.e.
-/// the library lacks a bare inverter or NAND2; the reported node is the
-/// same (earliest commit-order failure) however many threads run.
+/// Returns [`MapError::NoMatch`] for the first internal node, in level
+/// order, that has no match — i.e. the library lacks a bare inverter or
+/// NAND2.
 pub fn label_with_config(
     subject: &SubjectGraph,
     library: &Library,
     mode: MatchMode,
     objective: Objective,
-    num_threads: Option<usize>,
+    _num_threads: Option<usize>,
     config: MatchConfig,
 ) -> Result<Labels, MapError> {
     let source = StructuralSource::new(library, mode, config, None);
-    label_with_source(subject, &source, objective, num_threads)
+    label_with_source(subject, &source, objective, None)
 }
 
 /// [`label_with_config`] variant memoizing through a cross-request
 /// [`SharedMatchStore`] instead of a run-private store — the serve
-/// daemon's path. Always serial: the daemon's parallelism is *across*
-/// requests (one worker per request), so per-request wavefront workers
-/// would only fight those workers for cores. Labels are bit-identical to
-/// every other configuration; only the memo counters differ.
+/// daemon's path. Labels are bit-identical to every other configuration;
+/// only the memo counters differ.
 pub fn label_with_shared_store(
     subject: &SubjectGraph,
     library: &Library,
@@ -442,14 +383,13 @@ pub fn label_with_shared_store(
     shared: &SharedMatchStore,
 ) -> Result<Labels, MapError> {
     let source = StructuralSource::new(library, mode, config, Some(shared));
-    label_with_source(subject, &source, objective, Some(1))
+    label_with_source(subject, &source, objective, None)
 }
 
 /// Runs the labeling pass over an arbitrary [`MatchSource`] — the entry
-/// point Boolean matching (`dagmap-boolmatch`) feeds. Thread resolution,
-/// the wavefront engine, the `label` obs span and the match counters all
-/// behave exactly as for the structural source; bit-identity across thread
-/// counts holds for any source meeting the trait's determinism contract.
+/// point Boolean matching (`dagmap-boolmatch`) feeds. The `label` obs span
+/// and the match counters behave exactly as for the structural source.
+/// The thread-count argument is ignored, as for [`label_with_config`].
 ///
 /// # Errors
 ///
@@ -459,56 +399,57 @@ pub fn label_with_source<S: MatchSource>(
     subject: &SubjectGraph,
     source: &S,
     objective: Objective,
-    num_threads: Option<usize>,
+    _num_threads: Option<usize>,
 ) -> Result<Labels, MapError> {
-    label_pass(subject, source, objective, num_threads, None).map(|(labels, _)| labels)
+    label_pass(subject, source, objective, None).map(|(labels, _)| labels)
 }
 
 /// The labeling pass behind every entry point: cold without a snapshot,
-/// incremental with one. A snapshot-driven pass is serial (an edit's
-/// fanout cone is too little work for the wavefront workers) and copies
-/// every label the clean rule of [`crate::incremental`] admits. It opens
-/// the same spans and counters as a cold pass, and its labels are
-/// bit-identical to one.
+/// incremental with one. One [`LabelState::label_group`] step per level,
+/// in level order; a snapshot-driven pass copies every label the clean
+/// rule of [`crate::incremental`] admits. Both open the same spans and
+/// counters, and their labels are bit-identical.
 pub(crate) fn label_pass<S: MatchSource>(
     subject: &SubjectGraph,
     source: &S,
     objective: Objective,
-    num_threads: Option<usize>,
     retained: Option<&RetainedLabels>,
 ) -> Result<(Labels, IncrementalStats), MapError> {
     let flat = subject.flat();
+    let library = source.library();
     let mappable = flat.kinds().iter().filter(|&&k| k != KIND_SOURCE).count();
-    let requested = retained.map_or(num_threads, |_| Some(1));
-    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let nt = resolve_threads(
-        requested.unwrap_or(available),
-        requested.is_none(),
-        available,
-        mappable,
-        force_parallel(),
-    );
     let mut obs_span = dagmap_obs::span("label");
     if obs_span.is_recording() {
-        obs_span.set_u64("threads", nt as u64);
         obs_span.set_u64("levels", flat.num_levels() as u64);
         obs_span.set_u64("mappable", mappable as u64);
     }
     let basis = LabelBasis {
-        library: source.library().digest(),
+        library: library.digest(),
         source: std::any::type_name::<S>(),
         mode: source.mode(),
         objective,
     };
     let mut recall = retained.and_then(|r| Recall::new(r, subject, basis));
-    let state = if nt == 1 {
-        label_serial(subject, source, objective, recall.as_mut())
-    } else {
-        label_parallel(subject, source, objective, nt)
-    };
-    let labels = state
-        .map_err(|node| MapError::NoMatch { node })?
-        .into_labels(flat.num_levels(), nt, basis);
+    let mut state = LabelState::new(library, flat);
+    let mut kit = source.make_kit(subject);
+    let mut chosen = ChosenBuf::new(library);
+    for l in 0..flat.num_levels() {
+        let _wave = wave_span(flat, l);
+        let before = allocmeter::reading();
+        state
+            .label_group(
+                subject,
+                source,
+                objective,
+                flat.level_group(l),
+                &mut kit,
+                &mut chosen,
+                recall.as_mut(),
+            )
+            .map_err(|node| MapError::NoMatch { node })?;
+        state.meter_wave(before);
+    }
+    let labels = state.into_labels(flat.num_levels(), basis);
     let reused = recall.map_or(0, |r| r.reused);
     let relabeled = mappable - reused;
     if retained.is_some() && obs_span.is_recording() {
@@ -528,25 +469,20 @@ pub(crate) fn label_pass<S: MatchSource>(
     Ok((labels, IncrementalStats { reused, relabeled }))
 }
 
-/// Mappable-node count of one level group (the `nodes` argument of the
-/// `label.wave` / `label.worker.wave` spans, and the narrow-wave gate).
-fn wave_width(flat: &FlatNet, group: &[NodeId]) -> usize {
-    group.iter().filter(|&&id| flat.is_gate(id)).count()
-}
-
-/// Opens the session-lane `label.wave` span of level `l` — the same name,
-/// level and node count whichever engine labels the level.
+/// Opens the `label.wave` span of level `l`, with the level and its
+/// mappable-node count as arguments.
 fn wave_span(flat: &FlatNet, l: usize) -> dagmap_obs::Span {
     let mut wave = dagmap_obs::span("label.wave");
     if wave.is_recording() {
+        let nodes = flat.level_group(l).iter().filter(|&&id| flat.is_gate(id));
         wave.set_u64("level", l as u64);
-        wave.set_u64("nodes", wave_width(flat, flat.level_group(l)) as u64);
+        wave.set_u64("nodes", nodes.count() as u64);
     }
     wave
 }
 
-/// The dynamic program's tables and counters. Both engines fill one, and
-/// [`Labels`] is assembled from it in one place.
+/// The dynamic program's tables and counters, from which [`Labels`] is
+/// assembled at the end of the pass.
 struct LabelState {
     arrival: Vec<f64>,
     area_flow: Vec<f64>,
@@ -572,9 +508,9 @@ impl LabelState {
         }
     }
 
-    /// The per-group step of the serial pass and of the coordinator's
-    /// narrow waves: recall or evaluate each gate of `group` in commit
-    /// order and commit it. Returns the first gate with no match.
+    /// The per-level step of the pass: recall or evaluate each gate of
+    /// `group` in id order and commit it. Returns the first gate with no
+    /// match.
     #[allow(clippy::too_many_arguments)]
     fn label_group<S: MatchSource>(
         &mut self,
@@ -616,14 +552,14 @@ impl LabelState {
         Ok(())
     }
 
-    /// Records the allocations of the wave that began at reading `before`.
+    /// Records the allocations of the level that began at reading `before`.
     fn meter_wave(&mut self, before: Option<usize>) {
         if let (Some(b), Some(a)) = (before, allocmeter::reading()) {
             self.wave_allocs.push(a - b);
         }
     }
 
-    fn into_labels(self, levels: usize, threads_used: usize, basis: LabelBasis) -> Labels {
+    fn into_labels(self, levels: usize, basis: LabelBasis) -> Labels {
         let stats = self.stats;
         Labels {
             arrival: self.arrival,
@@ -637,304 +573,17 @@ impl LabelState {
             match_words: stats.words,
             match_candidate_bits: stats.candidate_bits,
             levels,
-            threads_used,
+            threads_used: 1,
             wave_allocs: self.wave_allocs,
             basis,
         }
     }
 }
 
-/// The serial pass: one [`LabelState::label_group`] step per level, in
-/// level order. Returns the first gate with no match on failure.
-fn label_serial<S: MatchSource>(
-    subject: &SubjectGraph,
-    source: &S,
-    objective: Objective,
-    mut recall: Option<&mut Recall<'_>>,
-) -> Result<LabelState, NodeId> {
-    let flat = subject.flat();
-    let library = source.library();
-    let mut state = LabelState::new(library, flat);
-    let mut kit = source.make_kit(subject);
-    let mut chosen = ChosenBuf::new(library);
-    for l in 0..flat.num_levels() {
-        let _wave = wave_span(flat, l);
-        let before = allocmeter::reading();
-        state.label_group(
-            subject,
-            source,
-            objective,
-            flat.level_group(l),
-            &mut kit,
-            &mut chosen,
-            recall.as_deref_mut(),
-        )?;
-        state.meter_wave(before);
-    }
-    Ok(state)
-}
-
-/// One worker's outcome for one node, pointing into the lane's pools.
-struct LaneResult {
-    /// Index within the level group — the serial commit order, used to pick
-    /// the deterministic failure node.
-    pos: u32,
-    id: NodeId,
-    /// `(arrival, area, gate, pattern, leaf range, covered range)`.
-    sel: Option<(f64, f64, GateId, Option<PatternId>, (u32, u32), (u32, u32))>,
-    stats: MatchStats,
-}
-
-/// A worker's per-wave output buffer: results plus leaf/covered pools, all
-/// sized once from the widest level so steady-state waves never allocate.
-struct WorkerLane {
-    results: Vec<LaneResult>,
-    leaves: Vec<NodeId>,
-    covered: Vec<NodeId>,
-}
-
-impl WorkerLane {
-    fn new(library: &Library, max_assigned: usize) -> WorkerLane {
-        WorkerLane {
-            results: Vec::with_capacity(max_assigned),
-            leaves: Vec::with_capacity(max_assigned * library.max_gate_inputs()),
-            covered: Vec::with_capacity(max_assigned * max_pattern_internal(library)),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.results.clear();
-        self.leaves.clear();
-        self.covered.clear();
-    }
-
-    fn push(&mut self, pos: u32, id: NodeId, chosen: &ChosenBuf, stats: MatchStats) {
-        let sel = chosen.sel.map(|(gate, pattern)| {
-            let ls = self.leaves.len() as u32;
-            self.leaves.extend_from_slice(&chosen.leaves);
-            let cs = self.covered.len() as u32;
-            self.covered.extend_from_slice(&chosen.covered);
-            (
-                chosen.t,
-                chosen.af,
-                gate,
-                pattern,
-                (ls, self.leaves.len() as u32),
-                (cs, self.covered.len() as u32),
-            )
-        });
-        self.results.push(LaneResult {
-            pos,
-            id,
-            sel,
-            stats,
-        });
-    }
-}
-
-/// The parallel wavefront engine.
-///
-/// Levels are processed one at a time behind two [`Barrier`]s: the
-/// coordinator releases all workers into level `l` (`start`), each worker
-/// labels its stride of the level against a read-locked snapshot of the
-/// arrival/area tables into its own pre-sized [`WorkerLane`], and after
-/// `done` the coordinator alone holds the write lock, folding the lanes
-/// back into the [`LabelState`]. Workers never observe
-/// same-level writes, so every per-node computation sees exactly the state
-/// the serial pass sees — the merge order only affects the order of
-/// *counter accumulation* (integer adds, commutative), never the labels
-/// themselves, which are per-node values.
-///
-/// Levels narrower than [`NARROW_WAVE_WIDTH`] skip the workers entirely:
-/// the coordinator labels them itself between the barriers with the serial
-/// pass's [`LabelState::label_group`] step, because dispatching a handful
-/// of nodes costs more in synchronization than the evaluation is worth.
-///
-/// A `NoMatch` failure sets the abort flag; everyone still rendezvous at
-/// both barriers for the remaining levels (cheaply, skipping the work), so
-/// barrier accounting stays consistent, and the reported failing node is
-/// the earliest failure in the serial commit order — exactly the serial
-/// one.
-fn label_parallel<S: MatchSource>(
-    subject: &SubjectGraph,
-    source: &S,
-    objective: Objective,
-    nt: usize,
-) -> Result<LabelState, NodeId> {
-    let flat = subject.flat();
-    let library = source.library();
-    let num_levels = flat.num_levels();
-    let widths: Vec<usize> = (0..num_levels)
-        .map(|l| wave_width(flat, flat.level_group(l)))
-        .collect();
-    let max_group = (0..num_levels)
-        .map(|l| flat.level_group(l).len())
-        .max()
-        .unwrap_or(0);
-    let max_assigned = max_group.div_ceil(nt.max(1));
-
-    let state = RwLock::new(LabelState::new(library, flat));
-    let lanes: Vec<Mutex<WorkerLane>> = (0..nt)
-        .map(|_| Mutex::new(WorkerLane::new(library, max_assigned)))
-        .collect();
-    let start = Barrier::new(nt + 1);
-    let done = Barrier::new(nt + 1);
-    let abort = AtomicBool::new(false);
-
-    let mut failed: Option<NodeId> = None;
-    // The coordinator's own kit, for the narrow waves it labels itself.
-    let mut co_kit = source.make_kit(subject);
-    let mut co_chosen = ChosenBuf::new(library);
-
-    std::thread::scope(|s| {
-        for w in 0..nt {
-            let state = &state;
-            let lanes = &lanes;
-            let start = &start;
-            let done = &done;
-            let abort = &abort;
-            let widths = &widths;
-            s.spawn(move || {
-                // Per-worker kit: scratch arenas and memo stores are
-                // rediscovered once per worker, which costs a few extra
-                // cold enumerations but keeps the hot path lock-free.
-                let mut kit = source.make_kit(subject);
-                let mut chosen = ChosenBuf::new(library);
-                for l in 0..num_levels {
-                    start.wait();
-                    if widths[l] >= NARROW_WAVE_WIDTH && !abort.load(Ordering::Acquire) {
-                        // Worker-lane wave span, only for levels where this
-                        // worker's stride is non-empty — the occupancy the
-                        // phase report summarizes per level.
-                        let mut wave = None;
-                        if dagmap_obs::enabled() {
-                            let assigned = flat
-                                .level_group(l)
-                                .iter()
-                                .enumerate()
-                                .filter(|&(i, &id)| i % nt == w && flat.is_gate(id))
-                                .count() as u64;
-                            if assigned > 0 {
-                                let mut sp = dagmap_obs::span("label.worker.wave");
-                                sp.set_u64("level", l as u64);
-                                sp.set_u64("nodes", assigned);
-                                wave = Some(sp);
-                            }
-                        }
-                        let mut lane = lanes[w].lock().expect("worker lane lock");
-                        lane.clear();
-                        let tables = state.read().expect("label state lock");
-                        for (i, &id) in flat.level_group(l).iter().enumerate() {
-                            if i % nt != w || !flat.is_gate(id) {
-                                continue;
-                            }
-                            let st = evaluate_node(
-                                subject,
-                                source,
-                                objective,
-                                &tables.arrival,
-                                &tables.area_flow,
-                                id,
-                                &mut kit,
-                                &mut chosen,
-                            );
-                            lane.push(i as u32, id, &chosen, st);
-                        }
-                        drop(tables);
-                        drop(lane);
-                        drop(wave);
-                    }
-                    done.wait();
-                }
-                // Scope join does not wait for thread-local destructors, so
-                // hand the worker's trace buffer to the session explicitly
-                // rather than relying on best-effort TLS teardown.
-                dagmap_obs::flush_thread();
-            });
-        }
-
-        // Coordinator: drive the barriers for every level, label the narrow
-        // waves, merge the wide ones. The coordinator runs on the calling
-        // thread, so its `label.wave` spans land on the session lane — same
-        // name, level and count as the serial pass emits, which is what
-        // keeps the span signature thread-count-invariant.
-        for l in 0..num_levels {
-            let _wave = wave_span(flat, l);
-            let before = allocmeter::reading();
-            start.wait();
-            if widths[l] < NARROW_WAVE_WIDTH {
-                // Narrow wave: the workers skip it (they test the same
-                // width), so the coordinator owns the state and runs the
-                // serial pass's group step before releasing anyone into
-                // `l + 1`.
-                if failed.is_none() {
-                    let mut tables = state.write().expect("label state lock");
-                    let group = flat.level_group(l);
-                    let step = tables.label_group(
-                        subject,
-                        source,
-                        objective,
-                        group,
-                        &mut co_kit,
-                        &mut co_chosen,
-                        None,
-                    );
-                    if let Err(id) = step {
-                        failed = Some(id);
-                        abort.store(true, Ordering::Release);
-                    }
-                }
-                done.wait();
-            } else {
-                done.wait();
-                if failed.is_none() {
-                    let mut tables = state.write().expect("label state lock");
-                    // Earliest failure in the group (serial commit) order.
-                    let mut first_fail: Option<(u32, NodeId)> = None;
-                    for lane in lanes.iter() {
-                        let lane = lane.lock().expect("worker lane lock");
-                        for r in &lane.results {
-                            tables.stats.absorb(r.stats);
-                            match r.sel {
-                                Some((t, af, gate, pattern, (ls, le), (cs, ce))) => {
-                                    tables.arrival[r.id.index()] = t;
-                                    tables.area_flow[r.id.index()] = af;
-                                    tables.arena.commit(
-                                        r.id,
-                                        (gate, pattern),
-                                        &lane.leaves[ls as usize..le as usize],
-                                        &lane.covered[cs as usize..ce as usize],
-                                    );
-                                }
-                                None => {
-                                    if first_fail.is_none_or(|(p, _)| r.pos < p) {
-                                        first_fail = Some((r.pos, r.id));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if let Some((_, id)) = first_fail {
-                        failed = Some(id);
-                        abort.store(true, Ordering::Release);
-                    }
-                }
-            }
-            if before.is_some() {
-                state.write().expect("label state lock").meter_wave(before);
-            }
-        }
-    });
-
-    match failed {
-        Some(node) => Err(node),
-        None => Ok(state.into_inner().expect("label state lock")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MapOptions, Mapper};
     use dagmap_netlist::{Network, NodeFn};
 
     /// Labels with the default acceleration configuration.
@@ -943,22 +592,8 @@ mod tests {
         lib: &Library,
         mode: MatchMode,
         objective: Objective,
-        threads: Option<usize>,
     ) -> Result<Labels, MapError> {
-        label_with_config(
-            subject,
-            lib,
-            mode,
-            objective,
-            threads,
-            MatchConfig::default(),
-        )
-    }
-
-    fn force_parallel_for_tests() {
-        // The CI container exposes one CPU; without this the explicit
-        // `Some(nt)` requests below would (correctly) fall back to serial.
-        std::env::set_var(FORCE_PARALLEL_ENV, "1");
+        label_with_config(subject, lib, mode, objective, None, MatchConfig::default())
     }
 
     fn chain_subject(n: usize) -> SubjectGraph {
@@ -976,50 +611,38 @@ mod tests {
         SubjectGraph::from_subject_network(net).unwrap()
     }
 
-    /// A subject with wide levels (width ≥ `NARROW_WAVE_WIDTH`), so the
-    /// parallel tests exercise the worker path, not just the coordinator's
-    /// narrow-wave fallback.
-    fn wide_subject() -> SubjectGraph {
-        let mut net = Network::new("wide");
-        let mut layer: Vec<_> = (0..80)
-            .map(|i| {
-                let x = net.add_input(format!("x{i}"));
-                let y = net.add_input(format!("y{i}"));
-                net.add_node(NodeFn::And, vec![x, y]).unwrap()
-            })
-            .collect();
-        while layer.len() > 1 {
-            layer = layer
-                .chunks(2)
-                .map(|c| {
-                    if c.len() == 2 {
-                        net.add_node(NodeFn::Or, vec![c[0], c[1]]).unwrap()
-                    } else {
-                        c[0]
-                    }
-                })
-                .collect();
-        }
-        net.add_output("f", layer[0]);
-        SubjectGraph::from_network(&net).unwrap()
-    }
-
     #[test]
     fn minimal_library_labels_equal_weighted_depth() {
         let subject = chain_subject(6);
         let lib = Library::minimal();
-        let labels = label(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(1),
-        )
-        .unwrap();
+        let labels = label(&subject, &lib, MatchMode::Standard, Objective::Delay).unwrap();
         // With only inv/nand2 (delay 1 each), arrival = unit depth.
         assert_eq!(labels.critical_delay(&subject), 6.0);
         assert_eq!(labels.threads_used, 1);
         assert_eq!(labels.levels, 7, "six gates + the source level");
+
+        // A subject with thousands of mappable gates: whatever thread count
+        // is asked for, labeling runs the one serial pass, reports one
+        // thread and yields the same labels.
+        let wide = SubjectGraph::from_network(&dagmap_benchgen::c6288_like()).unwrap();
+        assert!(wide.num_gates() >= 256);
+        let config = MatchConfig::default();
+        let (mode, objective) = (MatchMode::Standard, Objective::Delay);
+        let serial = label_with_config(&wide, &lib, mode, objective, Some(1), config).unwrap();
+        assert_eq!(serial.critical_delay(&wide), f64::from(wide.depth()));
+        for threads in [None, Some(4)] {
+            let labels = label_with_config(&wide, &lib, mode, objective, threads, config).unwrap();
+            assert_eq!(labels.threads_used, 1, "{threads:?}");
+            assert_eq!(labels.arrival, serial.arrival, "{threads:?}");
+            assert_eq!(labels.area_flow, serial.area_flow, "{threads:?}");
+            assert_eq!(labels.best, serial.best, "{threads:?}");
+            let opts = MapOptions {
+                num_threads: threads,
+                ..MapOptions::dag()
+            };
+            let (_, report) = Mapper::new(&lib).map_with_report(&wide, opts).unwrap();
+            assert_eq!(report.label_threads, 1, "{threads:?}");
+        }
     }
 
     #[test]
@@ -1027,23 +650,9 @@ mod tests {
         // Standard matches can only improve on exact matches.
         let subject = chain_subject(5);
         let lib = Library::lib2_like();
-        let exact = label(&subject, &lib, MatchMode::Exact, Objective::Delay, Some(1)).unwrap();
-        let std = label(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(1),
-        )
-        .unwrap();
-        let ext = label(
-            &subject,
-            &lib,
-            MatchMode::Extended,
-            Objective::Delay,
-            Some(1),
-        )
-        .unwrap();
+        let exact = label(&subject, &lib, MatchMode::Exact, Objective::Delay).unwrap();
+        let std = label(&subject, &lib, MatchMode::Standard, Objective::Delay).unwrap();
+        let ext = label(&subject, &lib, MatchMode::Extended, Objective::Delay).unwrap();
         assert!(std.critical_delay(&subject) <= exact.critical_delay(&subject) + 1e-9);
         assert!(ext.critical_delay(&subject) <= std.critical_delay(&subject) + 1e-9);
     }
@@ -1057,14 +666,7 @@ mod tests {
             vec![Gate::uniform("nand2", 2.0, "O", "!(a*b)", 1.0).unwrap()],
         )
         .unwrap();
-        let err = label(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(1),
-        )
-        .unwrap_err();
+        let err = label(&subject, &lib, MatchMode::Standard, Objective::Delay).unwrap_err();
         assert!(matches!(err, MapError::NoMatch { .. }));
     }
 
@@ -1072,14 +674,7 @@ mod tests {
     fn counts_enumerated_matches() {
         let subject = chain_subject(4);
         let lib = Library::lib2_like();
-        let labels = label(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(1),
-        )
-        .unwrap();
+        let labels = label(&subject, &lib, MatchMode::Standard, Objective::Delay).unwrap();
         assert!(labels.matches_enumerated >= 4);
         // The batched kernel evaluated at least one candidate word per
         // mappable node. Candidate bits are surviving *patterns*, each of
@@ -1103,165 +698,10 @@ mod tests {
         net.add_output("f", cur);
         let subject = SubjectGraph::from_network(&net).unwrap();
         let lib = Library::lib2_like();
-        let delay_l = label(&subject, &lib, MatchMode::Exact, Objective::Delay, Some(1)).unwrap();
-        let area_l = label(&subject, &lib, MatchMode::Exact, Objective::Area, Some(1)).unwrap();
+        let delay_l = label(&subject, &lib, MatchMode::Exact, Objective::Delay).unwrap();
+        let area_l = label(&subject, &lib, MatchMode::Exact, Objective::Area).unwrap();
         let root = subject.network().outputs()[0].driver;
         assert!(area_l.area_flow[root.index()] <= delay_l.area_flow[root.index()] + 1e-9);
         assert!(delay_l.arrival_of(root) <= area_l.arrival_of(root) + 1e-9);
-    }
-
-    #[test]
-    fn parallel_labels_match_serial_on_a_chain() {
-        force_parallel_for_tests();
-        let subject = chain_subject(9);
-        let lib = Library::lib2_like();
-        let serial = label(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(1),
-        )
-        .unwrap();
-        for nt in [2, 3, 5] {
-            let par = label(
-                &subject,
-                &lib,
-                MatchMode::Standard,
-                Objective::Delay,
-                Some(nt),
-            )
-            .unwrap();
-            assert_eq!(par.threads_used, nt);
-            assert_eq!(par.arrival, serial.arrival, "nt={nt}");
-            assert_eq!(par.area_flow, serial.area_flow, "nt={nt}");
-            assert_eq!(par.best, serial.best, "nt={nt}");
-            assert_eq!(par.matches_enumerated, serial.matches_enumerated);
-            assert_eq!(par.matches_pruned, serial.matches_pruned);
-        }
-    }
-
-    #[test]
-    fn parallel_labels_match_serial_on_wide_waves() {
-        force_parallel_for_tests();
-        let subject = wide_subject();
-        let lib = Library::lib2_like();
-        let serial = label(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(1),
-        )
-        .unwrap();
-        for nt in [2, 4] {
-            let par = label(
-                &subject,
-                &lib,
-                MatchMode::Standard,
-                Objective::Delay,
-                Some(nt),
-            )
-            .unwrap();
-            assert_eq!(par.threads_used, nt);
-            assert_eq!(par.arrival, serial.arrival, "nt={nt}");
-            assert_eq!(par.area_flow, serial.area_flow, "nt={nt}");
-            assert_eq!(par.best, serial.best, "nt={nt}");
-            assert_eq!(par.matches_enumerated, serial.matches_enumerated);
-            assert_eq!(par.match_words, serial.match_words);
-            assert_eq!(par.match_candidate_bits, serial.match_candidate_bits);
-        }
-    }
-
-    #[test]
-    fn parallel_failure_reports_the_serial_node() {
-        use dagmap_genlib::Gate;
-        force_parallel_for_tests();
-        let subject = chain_subject(4);
-        let lib = Library::new(
-            "no_inv",
-            vec![Gate::uniform("nand2", 2.0, "O", "!(a*b)", 1.0).unwrap()],
-        )
-        .unwrap();
-        let serial = label(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(1),
-        )
-        .unwrap_err();
-        let par = label(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(4),
-        )
-        .unwrap_err();
-        match (serial, par) {
-            (MapError::NoMatch { node: a }, MapError::NoMatch { node: b }) => assert_eq!(a, b),
-            other => panic!("unexpected errors {other:?}"),
-        }
-    }
-
-    #[test]
-    fn wide_parallel_failure_reports_the_serial_node() {
-        use dagmap_genlib::Gate;
-        force_parallel_for_tests();
-        // Wide waves so the failure surfaces through the lane merge: an
-        // AND/OR reduction needs inverters everywhere under NAND
-        // decomposition, so an inverter-less library fails early.
-        let subject = wide_subject();
-        let lib = Library::new(
-            "no_inv",
-            vec![Gate::uniform("nand2", 2.0, "O", "!(a*b)", 1.0).unwrap()],
-        )
-        .unwrap();
-        let serial = label(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(1),
-        )
-        .unwrap_err();
-        let par = label(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(3),
-        )
-        .unwrap_err();
-        match (serial, par) {
-            (MapError::NoMatch { node: a }, MapError::NoMatch { node: b }) => assert_eq!(a, b),
-            other => panic!("unexpected errors {other:?}"),
-        }
-    }
-
-    #[test]
-    fn auto_mode_stays_serial_on_small_circuits() {
-        let subject = chain_subject(5);
-        let lib = Library::minimal();
-        let labels = label(&subject, &lib, MatchMode::Standard, Objective::Delay, None).unwrap();
-        assert_eq!(labels.threads_used, 1, "below the parallel threshold");
-    }
-
-    #[test]
-    fn thread_resolution_declines_oversubscription() {
-        // Explicit serial and auto-mode small circuits stay serial.
-        assert_eq!(resolve_threads(1, false, 8, 10_000, false), 1);
-        assert_eq!(resolve_threads(8, true, 8, 100, false), 1);
-        // Auto mode on a big circuit with real CPUs parallelizes.
-        assert_eq!(resolve_threads(8, true, 8, 10_000, false), 8);
-        // Explicit requests on a single-CPU host fall back to serial...
-        assert_eq!(resolve_threads(2, false, 1, 10_000, false), 1);
-        assert_eq!(resolve_threads(4, true, 1, 10_000, false), 1);
-        // ...unless forced (the test-suite escape hatch).
-        assert_eq!(resolve_threads(2, false, 1, 10_000, true), 2);
-        // Explicit requests on multi-CPU hosts are honored even for small
-        // circuits (the caller asked).
-        assert_eq!(resolve_threads(2, false, 8, 10, false), 2);
     }
 }

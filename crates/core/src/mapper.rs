@@ -56,9 +56,9 @@ pub struct MapReport {
     /// Set bits across the evaluated candidate words — with `match_words`
     /// this gives the kernel's batch occupancy.
     pub match_candidate_bits: usize,
-    /// Worker threads the labeling pass used (1 = serial).
+    /// Threads the labeling pass ran on. Always 1 ([`Labels::threads_used`]).
     pub label_threads: usize,
-    /// Topological levels of the subject graph (parallel wavefront count).
+    /// Topological levels of the subject graph.
     pub levels: usize,
     /// Wall-clock seconds spent labeling.
     pub label_seconds: f64,
@@ -142,11 +142,9 @@ impl<'a> Mapper<'a> {
     /// [`SharedMatchStore`] so repeated cone shapes are enumerated once per
     /// library rather than once per mapping run.
     ///
-    /// The labeling pass is always serial on this path — the intended caller
-    /// (the `dagmap serve` daemon) gets its parallelism across requests, not
-    /// within one. Area recovery probes the same store. Results are
-    /// bit-identical to [`Mapper::map_with_report`] because shared-memo
-    /// replay preserves enumeration order exactly.
+    /// Area recovery probes the same store. Results are bit-identical to
+    /// [`Mapper::map_with_report`] because shared-memo replay preserves
+    /// enumeration order exactly.
     ///
     /// # Errors
     ///
@@ -163,9 +161,9 @@ impl<'a> Mapper<'a> {
 
     /// Maps `subject` with matches drawn from an arbitrary [`MatchSource`]
     /// — the entry point `dagmap-boolmatch` feeds its priority-cut NPN
-    /// matcher through. Labeling (including `--threads` wavefronts), cover
-    /// construction, area recovery and the report all run exactly as for
-    /// the structural source; `algorithm` names the run in the report.
+    /// matcher through. Labeling, cover construction, area recovery and
+    /// the report all run exactly as for the structural source;
+    /// `algorithm` names the run in the report.
     ///
     /// # Errors
     ///
@@ -179,8 +177,7 @@ impl<'a> Mapper<'a> {
         source: &S,
         algorithm: &'static str,
     ) -> Result<(MappedNetlist, MapReport), MapError> {
-        let threads = options.num_threads;
-        self.drive(subject, options, source, algorithm, threads, None, false)
+        self.drive(subject, options, source, algorithm, None, false)
             .map(|(mapped, report, _)| (mapped, report))
     }
 
@@ -205,11 +202,11 @@ impl<'a> Mapper<'a> {
 
     /// Incrementally re-maps an edited design: labels of nodes untouched by
     /// the edit (per the clean rule of [`crate::relabel_incremental`]) are
-    /// copied from `retained`; only the dirty region is re-evaluated, by
-    /// the serial labeling pass. The mapped netlist is bit-identical to a
-    /// cold [`Mapper::map`] of the same subject — also when `retained` was
-    /// taken under another library, match mode or objective, which reuses
-    /// nothing. Returns the refreshed snapshot for the next edit.
+    /// copied from `retained`; only the dirty region is re-evaluated. The
+    /// mapped netlist is bit-identical to a cold [`Mapper::map`] of the
+    /// same subject — also when `retained` was taken under another
+    /// library, match mode or objective, which reuses nothing. Returns the
+    /// refreshed snapshot for the next edit.
     ///
     /// # Errors
     ///
@@ -226,7 +223,7 @@ impl<'a> Mapper<'a> {
 
     /// The structural entry points: the mappable check, then the driver
     /// over one [`StructuralSource`] memoizing through `shared` (or
-    /// through a private store per worker).
+    /// through a run-private store).
     fn map_structural(
         &self,
         subject: &SubjectGraph,
@@ -242,32 +239,20 @@ impl<'a> Mapper<'a> {
         }
         let config = options.match_config();
         let source = StructuralSource::new(self.library, options.match_mode, config, shared);
-        // A shared store serves a daemon, whose parallelism is across
-        // requests: per-request wavefront workers would only fight the
-        // other requests' workers for cores.
-        let threads = if shared.is_some() {
-            Some(1)
-        } else {
-            options.num_threads
-        };
         let algorithm = options.algorithm_name();
-        self.drive(
-            subject, options, &source, algorithm, threads, retained, retain,
-        )
+        self.drive(subject, options, &source, algorithm, retained, retain)
     }
 
     /// The one mapping driver: labels (incrementally when given a
     /// `retained` snapshot), optionally snapshots the labels, constructs
     /// the cover, runs area recovery over the same source, and assembles
     /// the report.
-    #[allow(clippy::too_many_arguments)]
     fn drive<S: MatchSource>(
         &self,
         subject: &SubjectGraph,
         options: MapOptions,
         source: &S,
         algorithm: &'static str,
-        threads: Option<usize>,
         retained: Option<&RetainedLabels>,
         retain: bool,
     ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
@@ -278,7 +263,7 @@ impl<'a> Mapper<'a> {
         // The labeling pass opens its own span (with the wave spans nested
         // under it), so only the wall-clock is taken here.
         let t0 = Instant::now();
-        let (labels, inc) = label_pass(subject, source, options.objective, threads, retained)?;
+        let (labels, inc) = label_pass(subject, source, options.objective, retained)?;
         let label_seconds = t0.elapsed().as_secs_f64();
         let snapshot = if retain {
             RetainedLabels::from_labels(subject, &labels)

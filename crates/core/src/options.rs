@@ -44,10 +44,11 @@ pub struct MapOptions {
     /// sweeping this traces the delay/area Pareto frontier of Section 6.
     /// Implies [`MapOptions::area_recovery`].
     pub delay_target: Option<f64>,
-    /// Worker threads for the wavefront labeling pass. `None` (the default)
-    /// uses [`std::thread::available_parallelism`], falling back to serial
-    /// on small circuits; `Some(1)` forces the exact serial pass; `Some(n)`
-    /// forces `n` workers. All settings produce bit-identical results.
+    /// Ignored: labeling is one serial pass on the calling thread, so
+    /// every value runs the same pass ([`MapReport::label_threads`] reads
+    /// 1). The field keeps existing struct literals compiling.
+    ///
+    /// [`MapReport::label_threads`]: crate::MapReport::label_threads
     pub num_threads: Option<usize>,
     /// Stage-1 match acceleration: consult the library's per-shape-class
     /// fingerprint buckets when picking candidate patterns. On by default;
@@ -158,14 +159,6 @@ impl MapOptions {
         self
     }
 
-    /// Pins the wavefront labeling pass to `n` worker threads (`1` forces
-    /// the serial pass). Results are identical either way; this only trades
-    /// wall clock.
-    pub fn with_num_threads(mut self, n: usize) -> MapOptions {
-        self.num_threads = Some(n.max(1));
-        self
-    }
-
     /// Sets both match-acceleration stages at once (`false` reproduces the
     /// naive full-scan matcher; useful for benchmarking and for the
     /// bit-identity test suite). `true` forces the memo on even where
@@ -245,12 +238,5 @@ mod tests {
         assert!(forced.use_match_index && forced.match_memo == MemoPolicy::On);
         let mixed = MapOptions::tree().with_match_memo(false);
         assert!(mixed.use_match_index && mixed.match_memo == MemoPolicy::Off);
-    }
-
-    #[test]
-    fn thread_count_defaults_to_auto() {
-        assert_eq!(MapOptions::dag().num_threads, None);
-        assert_eq!(MapOptions::dag().with_num_threads(4).num_threads, Some(4));
-        assert_eq!(MapOptions::dag().with_num_threads(0).num_threads, Some(1));
     }
 }

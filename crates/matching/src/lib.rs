@@ -25,7 +25,7 @@
 //! shape-class bucket, and a cone-class *memoization* layer
 //! ([`SharedMatchStore`], probed through
 //! [`Matcher::for_each_match_shared`] whether it is a daemon's warm store
-//! or one labeling worker's private one) that records one canonical
+//! or one labeling run's private one) that records one canonical
 //! enumeration per bounded-depth cone class and replays it at isomorphic
 //! nodes. Both preserve the enumeration order of the naive full scan
 //! exactly, so labels, tie-breaks and mapped netlists are bit-identical

@@ -190,8 +190,8 @@ impl MatchConfig {
 /// * `leaves_buf`/`covered_buf` — the current match's pin binding, bounded
 ///   by the widest gate of the library.
 ///
-/// One scratch per thread is the intended usage; the parallel labeling
-/// engine of `dagmap-core` keeps one per worker.
+/// One scratch per thread is the intended usage; a `dagmap-core`
+/// labeling pass keeps one for the whole pass.
 ///
 /// The scratch also embeds a [`ConeScratch`] used by the memoized entry
 /// points ([`Matcher::class_at`], [`Matcher::for_each_match_shared`]) to
@@ -553,7 +553,7 @@ impl<'a> Matcher<'a> {
     /// to the one-shot CLI's.
     ///
     /// The daemon passes its warm cross-request store; a one-shot run
-    /// passes each labeling worker's private one-shard store.
+    /// passes its private one-shard store.
     ///
     /// When the node's strash signature may key the probe (see
     /// [`MatchConfig::strash_ids`]), its id entry is tried first; the entry
@@ -1380,7 +1380,7 @@ mod tests {
             },
         );
         assert!(matcher.memo_enabled());
-        // The run-private store a one-shot labeling worker gets.
+        // The run-private store a one-shot labeling pass gets.
         let store = SharedMatchStore::for_library(&l, 1, usize::MAX);
         let mut s_direct = MatchScratch::new();
         let mut s_memo = MatchScratch::new();

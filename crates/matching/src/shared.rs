@@ -4,8 +4,8 @@
 //! A long-lived daemon keeps one warm store per library that every request
 //! on every worker thread probes, so the thousandth request over a
 //! familiar circuit replays memoized enumerations instead of redoing the
-//! backtracking search. A one-shot mapping run gives each labeling worker
-//! a private store of one shard with no class cap — the same type, probed
+//! backtracking search. A one-shot mapping run gives its labeling pass a
+//! private store of one shard with no class cap — the same type, probed
 //! by the same [`Matcher::for_each_match_shared`](crate::Matcher::for_each_match_shared).
 //! [`SharedMatchStore`] provides two properties a resident process needs:
 //!

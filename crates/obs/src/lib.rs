@@ -52,8 +52,8 @@
 //! netlists, labels and retiming results are byte-identical with tracing
 //! on or off — the differential fuzz harness and the tier-1 smoke step
 //! assert this. Span *structure* on the session lane (names, nesting,
-//! counts — not timestamps) is deterministic across worker-thread counts;
-//! see [`Trace::span_signature`].
+//! counts — not timestamps) is deterministic across runs; see
+//! [`Trace::span_signature`].
 //!
 //! # Example
 //!

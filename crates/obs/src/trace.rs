@@ -71,11 +71,10 @@ impl Trace {
     /// distinct nesting path with its occurrence count, sorted.
     ///
     /// Timestamps, durations, argument values and worker-lane spans are
-    /// all excluded, so the signature is identical across thread counts
-    /// and acceleration configurations — the property the trace
-    /// determinism tests assert. Worker lanes are excluded by design:
-    /// how many workers existed (and which levels each happened to
-    /// process) is exactly the nondeterminism the signature must ignore.
+    /// all excluded, so the signature is identical across runs and
+    /// acceleration configurations — the property the trace determinism
+    /// tests assert. Worker lanes are excluded by design: which thread ran
+    /// a piece of work is schedule, not algorithm.
     pub fn span_signature(&self) -> Vec<(String, usize)> {
         let mut by_path: BTreeMap<String, usize> = BTreeMap::new();
         // Session-lane spans sorted by (start, depth): parents sort before

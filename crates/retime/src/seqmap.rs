@@ -284,24 +284,6 @@ pub fn min_cycle_period(
     mode: MatchMode,
     tol: f64,
 ) -> Result<SeqMapResult, RetimeError> {
-    min_cycle_period_with(subject, library, mode, tol, None)
-}
-
-/// [`min_cycle_period`] with an explicit worker-thread count for the
-/// combinational labeling bound (`None` = serial), the knob `dagmap retime
-/// --threads` exposes. The search result is identical for every value —
-/// parallel labeling is bit-identical to serial.
-///
-/// # Errors
-///
-/// Same failure modes as [`min_cycle_period`].
-pub fn min_cycle_period_with(
-    subject: &SubjectGraph,
-    library: &Library,
-    mode: MatchMode,
-    tol: f64,
-    num_threads: Option<usize>,
-) -> Result<SeqMapResult, RetimeError> {
     let _search_span = dagmap_obs::span("retime.search");
     let cache = {
         let _s = dagmap_obs::span("retime.cache");
@@ -313,7 +295,7 @@ pub fn min_cycle_period_with(
         library,
         mode_to_options(mode).match_mode,
         dagmap_core::Objective::Delay,
-        num_threads,
+        None,
         MatchConfig::default(),
     )
     .map_err(|e| RetimeError::Map(e.to_string()))?

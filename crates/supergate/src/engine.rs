@@ -34,7 +34,7 @@ const MAX_VARS: usize = 6;
 const VAR_NAMES: [&str; MAX_VARS] = ["a", "b", "c", "d", "e", "f"];
 
 /// Below this many work units a round runs inline even when threads > 1.
-const PARALLEL_THRESHOLD: usize = 8;
+const MIN_PARALLEL_UNITS: usize = 8;
 
 const EPS: f64 = 1e-9;
 
@@ -428,7 +428,7 @@ fn finalize(
 fn run_round(ctx: &RoundCtx, num_threads: usize) -> (Vec<Cand>, usize) {
     let mut maps: Vec<HashMap<u64, Cand>> = Vec::new();
     let mut evaluated = 0usize;
-    if num_threads <= 1 || ctx.units.len() < PARALLEL_THRESHOLD {
+    if num_threads <= 1 || ctx.units.len() < MIN_PARALLEL_UNITS {
         let mut local = HashMap::new();
         for &(r, f) in &ctx.units {
             run_unit(ctx, r as usize, f as usize, &mut local, &mut evaluated);
@@ -843,7 +843,7 @@ mod tests {
     }
 
     #[test]
-    fn bit_identical_across_thread_counts() {
+    fn bit_identical_for_every_thread_count() {
         let base = Library::lib_44_1_like();
         let serial = extend_library(
             &base,

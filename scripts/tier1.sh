@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline workspace build, full test suite, and a
-# labelperf smoke run (serial-vs-parallel labeling must stay bit-identical).
+# Tier-1 verification: offline workspace build, full test suite, and the
+# perf-bin, daemon and byte-identity smoke runs below.
 #
 # The build environment has no registry access; --offline makes that
 # assumption explicit so a dependency regression fails here, not in CI.
@@ -19,24 +19,14 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --workspac
 # own package, outside the workspace above.
 cargo test -q --offline --manifest-path e2e/Cargo.toml
 
-# Smoke-run the labeling micro-bench: asserts parallel == serial labels
-# (the flat CSR kernel against itself across thread resolutions), asserts
-# the steady-state zero-allocation contract via the binary's counting
-# allocator, and writes BENCH_label.json (quick mode keeps this to a
-# couple of seconds).
+# Smoke-run the labeling micro-bench: asserts the steady-state
+# zero-allocation contract via the binary's counting allocator and writes
+# BENCH_label.json (quick mode keeps this to a couple of seconds).
 DAGMAP_BENCH_QUICK=1 cargo run -q --release --offline -p dagmap-bench --bin labelperf -- \
   --quick --out target/BENCH_label_smoke.json
-# Belt-and-braces on the two contracts the binary asserts internally:
-# every row metered zero mid-wave allocations and stayed bit-identical.
-grep -q '"all_identical": true' target/BENCH_label_smoke.json
+# Belt-and-braces on the contract the binary asserts internally: every row
+# metered zero mid-level allocations.
 ! grep -q '"wave_allocs": [^0]' target/BENCH_label_smoke.json
-# The worker pool must actually engage wherever the host has real cores;
-# on 1-CPU machines the engine (correctly) declines it, so skip there.
-if [ "$(nproc)" -gt 1 ]; then
-  grep -q '"parallel_engaged": true' target/BENCH_label_smoke.json
-else
-  echo "tier1: 1-CPU host, skipping the parallel-engagement assertion"
-fi
 
 # Smoke-run the match-acceleration micro-bench: asserts labels and mapped
 # BLIF are bit-identical with the fingerprint index and the cone-class memo
@@ -51,8 +41,9 @@ cargo run -q --release --offline -p dagmap-bench --bin supergate -- \
   --quick --out target/BENCH_supergate_smoke.json
 
 # Deterministic differential-fuzzing smoke: a fixed seed over ~20 cases must
-# sweep the full configuration matrix (thread counts, accel/memo, supergate
-# libraries, retiming) with zero invariant violations. Repros, if any, land
+# sweep the full configuration matrix (accel/memo, incremental edits,
+# boolean/hybrid, supergate libraries, retiming) with zero invariant
+# violations. Repros, if any, land
 # in target/ so a failure never dirties the checked-in corpus. The run is
 # traced, and the trace must pass the validator like any other.
 cargo run -q --release --offline -- fuzz \
@@ -61,13 +52,13 @@ cargo run -q --release --offline -- fuzz \
 cargo run -q --release --offline -- trace-check target/obs_fuzz_trace.json
 
 # Observability smoke: tracing must be inert — the mapped BLIF is
-# byte-identical with tracing off (serial) and on (4 threads + --profile) —
-# and the emitted Chrome trace must pass the crate's own offline validator.
+# byte-identical with tracing off and on (with --profile) — and the emitted
+# Chrome trace must pass the crate's own offline validator.
 cargo run -q --release --offline -- gen add16 --out target/obs_smoke.blif
 cargo run -q --release --offline -- map target/obs_smoke.blif \
   --out target/obs_plain.blif > /dev/null
 cargo run -q --release --offline -- map target/obs_smoke.blif \
-  --out target/obs_traced.blif --threads 4 \
+  --out target/obs_traced.blif \
   --trace target/obs_trace.json --profile > /dev/null 2> /dev/null
 cmp target/obs_plain.blif target/obs_traced.blif
 cargo run -q --release --offline -- trace-check target/obs_trace.json
@@ -99,7 +90,7 @@ cmp target/serve_oneshot.blif target/serve_served.blif
 
 # One-shot vs served 44-3 smoke: 44-3 is the builtin library whose
 # one-shot run memoizes (MemoPolicy::Auto engages there), so this compares
-# the one-shot memo path (a private one-shard store per labeling worker)
+# the one-shot memo path (a private one-shard store per labeling pass)
 # with the daemon's shared store, cold and then warm, byte for byte.
 SERVE44_SOCK="target/tier1-serve44.sock"
 rm -f "$SERVE44_SOCK"

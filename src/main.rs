@@ -24,7 +24,7 @@ use dagmap::core::{load, verify, verilog, MapOptions, MapReport, Mapper, Objecti
 use dagmap::genlib::Library;
 use dagmap::matching::MatchMode;
 use dagmap::netlist::{blif, Network, SubjectGraph};
-use dagmap::retime::{min_cycle_period_with, minimize_period, SeqGraph};
+use dagmap::retime::{min_cycle_period, minimize_period, SeqGraph};
 use dagmap::serve::{Endpoints, ServeConfig, Server};
 use dagmap::supergate::{extend_library, SupergateOptions};
 
@@ -90,8 +90,7 @@ BLIF.
 observability options (map, luts, retime, stats, supergen, fuzz, profile):
   --trace <out.json>                  record the run as Chrome trace-event
                                       JSON (open in Perfetto or
-                                      chrome://tracing; one track per
-                                      labeling worker). Results are
+                                      chrome://tracing). Results are
                                       bit-identical with tracing on or off.
   --profile                           print the phase report — self/total
                                       time tree, per-level wavefront
@@ -109,8 +108,6 @@ map options:
   --buffer <max_load>                 bound fanout loads with buffers
   --supergates <depth>                extend the library with supergates up
                                       to <depth> composed gate levels first
-  --threads <n>                       labeling worker threads (default: all
-                                      hardware threads; results identical)
   --no-accel                          disable the fingerprint index and the
                                       cone-class match memo (results are
                                       bit-identical; only speed changes)
@@ -180,7 +177,6 @@ top options:
 retime options:
   --builtin/--lib                     as for map
   --tol <t>                           period search tolerance (default 1e-3)
-  --threads <n>                       labeling worker threads
 
 lib options:
   --gates                             also print per-gate pattern statistics
@@ -199,16 +195,14 @@ fuzz options:
   --seed <n>                          master seed (default 1)
   --cases <n>                         generated cases (default 100)
   --max-gates <n>                     gate-count ceiling per case (default 60)
-  --threads <n>                       alternate thread count differenced
-                                      against serial (default 2)
   --corpus <dir>                      where minimized repros are written
                                       (default tests/corpus)
   --no-supergates                     skip supergate-extended library variants
-  --no-retime                         skip the sequential min-period cross-check
+  --no-retime                         skip the sequential min-period search
   --no-shrink                         keep failing cases full-size
 
 profile options:
-  --builtin/--lib, --threads          as for map
+  --builtin/--lib                     as for map
   --runs <n>                          mapping repetitions to aggregate
                                       (default 5)
   --trace <out.json>                  also write the last run's trace
@@ -298,12 +292,8 @@ fn reject_leftovers(args: &[String]) -> CmdResult {
 }
 
 /// The flags shared by every pipeline command, parsed in exactly one
-/// place: worker threads and the two observability switches.
+/// place: the two observability switches.
 struct CliCommon {
-    /// `--threads <n>` (semantics are per-command; labeling workers for
-    /// map/retime, enumeration workers for supergen, the alternate
-    /// differential count for fuzz).
-    threads: Option<usize>,
     /// `--trace <out.json>`: write a Chrome trace-event file of the run.
     trace: Option<String>,
     /// `--profile`: print the phase report to stderr after the run.
@@ -312,21 +302,9 @@ struct CliCommon {
 
 impl CliCommon {
     fn parse(args: &mut Vec<String>) -> Result<CliCommon, Box<dyn Error>> {
-        let threads = take_value(args, "--threads")?
-            .map(|s| {
-                s.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| Box::<dyn Error>::from("--threads needs a positive integer"))
-            })
-            .transpose()?;
         let trace = take_value(args, "--trace")?;
         let profile = take_flag(args, "--profile");
-        Ok(CliCommon {
-            threads,
-            trace,
-            profile,
-        })
+        Ok(CliCommon { trace, profile })
     }
 
     /// Starts an obs session iff `--trace` or `--profile` was given. With
@@ -359,10 +337,9 @@ impl CliCommon {
 /// [`MapReport`].
 fn print_phases(report: &MapReport) {
     println!(
-        "phases: decompose {:.1} ms, label {:.1} ms ({} threads, {} levels), cover {:.1} ms, area recovery {:.1} ms",
+        "phases: decompose {:.1} ms, label {:.1} ms ({} levels), cover {:.1} ms, area recovery {:.1} ms",
         report.decompose_seconds * 1e3,
         report.label_seconds * 1e3,
-        report.label_threads,
         report.levels,
         report.cover_seconds * 1e3,
         report.area_recovery_seconds * 1e3,
@@ -373,7 +350,6 @@ fn cmd_map(args: &[String]) -> CmdResult {
     let mut args = args.to_vec();
     let common = CliCommon::parse(&mut args)?;
     let mut library = load_library(&mut args)?;
-    let threads = common.threads;
     let supergates: Option<u32> = take_value(&mut args, "--supergates")?
         .map(|s| s.parse())
         .transpose()
@@ -407,7 +383,6 @@ fn cmd_map(args: &[String]) -> CmdResult {
                 &library,
                 &SupergateOptions {
                     max_depth: depth,
-                    num_threads: threads,
                     ..SupergateOptions::default()
                 },
             )?;
@@ -424,8 +399,8 @@ fn cmd_map(args: &[String]) -> CmdResult {
         let net = read_network(&input)?;
         let subject = SubjectGraph::from_network(&net)?;
         // Boolean and hybrid matching feed the same labeling DP through the
-        // `MatchSource` seam, so every pipeline flag — threads, recovery,
-        // objective, --json — means the same thing for them.
+        // `MatchSource` seam, so every pipeline flag — recovery, objective,
+        // --json — means the same thing for them.
         let mut opts = match algo.as_str() {
             "dag" | "boolean" | "hybrid" => MapOptions::dag(),
             "tree" => MapOptions::tree(),
@@ -439,9 +414,6 @@ fn cmd_map(args: &[String]) -> CmdResult {
         };
         if recover {
             opts = opts.with_area_recovery();
-        }
-        if let Some(n) = threads {
-            opts = opts.with_num_threads(n);
         }
         if no_accel {
             opts = opts.with_match_acceleration(false);
@@ -615,11 +587,8 @@ fn cmd_serve(args: &[String]) -> CmdResult {
         .transpose()
         .map_err(|_| "--supergates needs a depth (gate levels)")?;
     let mut config = ServeConfig::default();
-    if let Some(n) = common.threads.or(take_value(&mut args, "--workers")?
-        .map(|s| s.parse::<usize>())
-        .transpose()
-        .map_err(|_| "--workers needs an integer")?)
-    {
+    if let Some(n) = take_value(&mut args, "--workers")? {
+        let n: usize = n.parse().map_err(|_| "--workers needs an integer")?;
         config.workers = n.max(1);
     }
     if let Some(n) = take_value(&mut args, "--max-inflight")? {
@@ -926,8 +895,7 @@ fn cmd_retime(args: &[String]) -> CmdResult {
             pure.period
         );
 
-        let mapped =
-            min_cycle_period_with(&subject, &library, MatchMode::Standard, tol, common.threads)?;
+        let mapped = min_cycle_period(&subject, &library, MatchMode::Standard, tol)?;
         println!(
             "with mapping into `{}`: minimum clock period {:.3}",
             library.name(),
@@ -984,7 +952,7 @@ fn cmd_stats(args: &[String]) -> CmdResult {
             // it the fingerprint index and cone-class memo save.
             use dagmap::matching::{MatchScratch, MatchStats, Matcher, SharedMatchStore};
             let matcher = Matcher::new(&library);
-            // The private store a one-shot labeling run gives its worker.
+            // The private store a one-shot labeling run gives its pass.
             let store = SharedMatchStore::for_library(&library, 1, usize::MAX);
             let mut scratch = MatchScratch::new();
             let mut stats = MatchStats::default();
@@ -1016,11 +984,7 @@ fn cmd_stats(args: &[String]) -> CmdResult {
             );
             // One reference mapping run so the per-phase durations the
             // MapReport carries are part of the statistics readout.
-            let mut opts = MapOptions::dag();
-            if let Some(n) = common.threads {
-                opts = opts.with_num_threads(n);
-            }
-            let (_, report) = Mapper::new(&library).map_with_report(&subject, opts)?;
+            let (_, report) = Mapper::new(&library).map_with_report(&subject, MapOptions::dag())?;
             print_phases(&report);
         }
         Ok(())
@@ -1113,7 +1077,10 @@ fn cmd_supergen(args: &[String]) -> CmdResult {
     if let Some(p) = take_value(&mut args, "--max-pool")? {
         opts.max_pool = p.parse().map_err(|_| "--max-pool needs an integer")?;
     }
-    opts.num_threads = common.threads;
+    if let Some(t) = take_value(&mut args, "--threads")? {
+        let n = t.parse::<usize>().ok().filter(|&n| n >= 1);
+        opts.num_threads = Some(n.ok_or("--threads needs a positive integer")?);
+    }
     let out = take_value(&mut args, "--out")?;
     reject_leftovers(&args)?;
 
@@ -1166,14 +1133,6 @@ fn cmd_fuzz(args: &[String]) -> CmdResult {
     }
     if let Some(g) = take_value(&mut args, "--max-gates")? {
         opts.max_gates = g.parse().map_err(|_| "--max-gates needs an integer")?;
-    }
-    if let Some(t) = common.threads {
-        if t < 2 {
-            return Err(
-                "--threads needs an alternate count >= 2 to difference against serial".into(),
-            );
-        }
-        opts.thread_counts = vec![1, t];
     }
     opts.supergates = !take_flag(&mut args, "--no-supergates");
     opts.check_retime = !take_flag(&mut args, "--no-retime");
@@ -1255,11 +1214,7 @@ fn cmd_profile(args: &[String]) -> CmdResult {
                 blif::parse(&text)?
             };
             let subject = SubjectGraph::from_network(&net)?;
-            let mut opts = MapOptions::dag();
-            if let Some(n) = common.threads {
-                opts = opts.with_num_threads(n);
-            }
-            let _ = Mapper::new(&library).map_with_report(&subject, opts)?;
+            let _ = Mapper::new(&library).map_with_report(&subject, MapOptions::dag())?;
             Ok(())
         })();
         let trace = session.finish();

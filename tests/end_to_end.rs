@@ -145,7 +145,12 @@ fn reports_carry_the_subjects_decomposition_time() {
     let (_, boolean, _) =
         dagmap::boolmatch::map_boolean_with_options(&subject, &lib, 4, MapOptions::dag())
             .expect("maps");
+    // Phase durations are measured whether or not a trace session is
+    // active; decompose is the subject's own construction time, and area
+    // recovery reads 0 when the pass is off.
     for report in [structural, boolean] {
         assert_eq!(report.decompose_seconds, subject.decompose_seconds());
+        assert!(report.label_seconds >= 0.0 && report.cover_seconds >= 0.0);
+        assert_eq!(report.area_recovery_seconds, 0.0);
     }
 }

@@ -26,7 +26,6 @@ fn corpus_repros_stay_fixed() {
 
     let libs = libraries_under_test(true).expect("libraries build");
     let matrix = Matrix {
-        thread_counts: vec![1, 2],
         check_retime: true,
         check_boolean: true,
     };
