@@ -10,13 +10,17 @@
 //! label ≤ req) is always feasible, so induction over the reverse
 //! topological order bounds every realized arrival by its requirement.
 
+use std::cmp::Ordering;
+
 use dagmap_match::Match;
 use dagmap_netlist::{NodeFn, SubjectGraph};
 
-use crate::label::{arrival_of_leaves, Labels};
+use crate::label::{arrival_of_leaves, tie_cmp, Labels};
 use crate::source::MatchSource;
 use crate::MapError;
 
+/// Slack of the budget check: a candidate may exceed its required time
+/// by rounding noise only.
 const EPS: f64 = 1e-9;
 
 /// Re-selects matches to minimize estimated area under the delay budget
@@ -95,7 +99,7 @@ pub(crate) fn recover<S: MatchSource>(
             }
             let better = match &chosen {
                 None => true,
-                Some((bc, bt, _)) => cost < bc - EPS || (cost < bc + EPS && t < bt - EPS),
+                Some((bc, bt, _)) => tie_cmp(cost, *bc).then(tie_cmp(t, *bt)) == Ordering::Less,
             };
             if better {
                 chosen = Some((

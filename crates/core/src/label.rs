@@ -1,13 +1,34 @@
+use std::cmp::Ordering;
+
 use dagmap_genlib::{GateId, Library, PatternId};
 use dagmap_match::{Match, MatchConfig, MatchMode, MatchStats, SharedMatchStore};
 use dagmap_netlist::{FlatNet, NodeId, SubjectGraph, KIND_SOURCE};
 
 use crate::incremental::{IncrementalStats, Recall, RetainedLabels};
 use crate::source::{MatchSource, SourceMatch, StructuralSource};
+use crate::verify::close;
 use crate::{allocmeter, MapError, Objective};
 
-/// Tie-breaking tolerance of the label comparisons.
-const EPS: f64 = 1e-9;
+/// The tie rule of every label comparison: orders two label quantities
+/// (arrivals, area flows, recovery costs) but reads values within the
+/// mixed tolerance of [`close`] as equal, so the incumbent — the first of
+/// equal candidates — stays.
+///
+/// The tolerance must scale with the magnitude. Two pin permutations of
+/// one match tie exactly on arrival but sum their leaves' area flows in a
+/// different order, and at area flows of ~10⁶ (mult64 under lib2) those
+/// sums differ by a few ULPs, which is more than any fixed 1e-9. The
+/// matcher enumerates only one permutation of each symmetric binding, so
+/// an absolute tolerance would let the skipped one have won.
+pub(crate) fn tie_cmp(a: f64, b: f64) -> Ordering {
+    if close(a, b) {
+        Ordering::Equal
+    } else if a < b {
+        Ordering::Less
+    } else {
+        Ordering::Greater
+    }
+}
 
 /// Result of the labeling pass: per subject node, the arrival time and
 /// estimated area of the selected match.
@@ -188,6 +209,24 @@ impl ChosenBuf {
         self.sel = None;
     }
 
+    /// Makes `sm` the incumbent if it strictly beats the current one under
+    /// `objective`: lexicographically on the objective's quantity, then the
+    /// other one, then fewer pins, each compared by [`tie_cmp`]. A
+    /// candidate equal to the incumbent on all three loses.
+    fn offer(&mut self, objective: Objective, t: f64, af: f64, sm: &SourceMatch<'_>) {
+        if self.sel.is_some() {
+            let (time, area) = (tie_cmp(t, self.t), tie_cmp(af, self.af));
+            let rank = match objective {
+                Objective::Delay => time.then(area),
+                Objective::Area => area.then(time),
+            };
+            if rank.then(sm.leaves.len().cmp(&self.pins)) != Ordering::Less {
+                return;
+            }
+        }
+        self.keep(t, af, sm);
+    }
+
     fn keep(&mut self, t: f64, af: f64, sm: &SourceMatch<'_>) {
         self.t = t;
         self.af = af;
@@ -316,28 +355,7 @@ pub(crate) fn evaluate_node<S: MatchSource>(
     let mut on_match = |sm: SourceMatch<'_>| {
         let t = arrival_of_leaves(library, arrival, sm.gate, sm.leaves);
         let af = area_of_leaves(flat, library, area_flow, sm.gate, sm.leaves, mode);
-        let pins = sm.leaves.len();
-        let better = match chosen.sel {
-            None => true,
-            Some(_) => {
-                let (bt, ba, bp) = (chosen.t, chosen.af, chosen.pins);
-                match objective {
-                    Objective::Delay => {
-                        t < bt - EPS
-                            || (t < bt + EPS && af < ba - EPS)
-                            || (t < bt + EPS && (af - ba).abs() <= EPS && pins < bp)
-                    }
-                    Objective::Area => {
-                        af < ba - EPS
-                            || (af < ba + EPS && t < bt - EPS)
-                            || (af < ba + EPS && (t - bt).abs() <= EPS && pins < bp)
-                    }
-                }
-            }
-        };
-        if better {
-            chosen.keep(t, af, &sm);
-        }
+        chosen.offer(objective, t, af, &sm);
     };
     source.for_each_match(subject, id, kit, &mut on_match)
 }
@@ -683,6 +701,37 @@ mod tests {
         assert!(labels.match_words >= 4);
         assert!(labels.match_candidate_bits > 0);
         assert!(labels.match_candidate_bits <= labels.match_words * 64);
+    }
+
+    #[test]
+    fn area_flows_a_few_ulps_apart_tie_and_the_first_stays() {
+        // Node 6170 of c6288 × 44-3 × hybrid: two pin permutations of one
+        // ao43 match, equal in arrival and pin count, whose area flows sum
+        // the same terms in different orders and end 2 ULPs (1.86e-9)
+        // apart. They tie; the first one enumerated must stay.
+        let first = f64::from_bits(0x4153_bc0a_5f4f_beed);
+        let later = f64::from_bits(0x4153_bc0a_5f4f_beeb);
+        assert!(first - later > 1e-9, "the gap exceeds an absolute 1e-9");
+        let lib = Library::lib_44_3_like();
+        let gate = lib.gate_ids().next().unwrap();
+        let (a, b) = (NodeId::from_index(1), NodeId::from_index(2));
+        let (ab, ba, covered) = ([a, b], [b, a], [NodeId::from_index(3)]);
+        let sm = |leaves| SourceMatch {
+            gate,
+            pattern: None,
+            leaves,
+            covered: &covered,
+        };
+        for objective in [Objective::Delay, Objective::Area] {
+            let mut chosen = ChosenBuf::new(&lib);
+            chosen.offer(objective, 7.0, first, &sm(&ab));
+            chosen.offer(objective, 7.0, later, &sm(&ba));
+            assert_eq!(chosen.af.to_bits(), first.to_bits(), "{objective:?}");
+            assert_eq!(chosen.leaves, ab, "{objective:?}");
+            // A real difference still wins.
+            chosen.offer(objective, 7.0, first - 1.0, &sm(&ba));
+            assert_eq!(chosen.leaves, ba, "{objective:?}");
+        }
     }
 
     #[test]

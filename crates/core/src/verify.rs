@@ -11,17 +11,22 @@ use dagmap_netlist::{sim, Network, SubjectGraph};
 
 use crate::{MapError, MappedNetlist};
 
-/// Absolute floor of the timing comparison tolerance.
-const TIMING_ABS_TOL: f64 = 1e-9;
+/// Absolute floor of the closeness tolerance.
+const ABS_TOL: f64 = 1e-9;
 /// Relative component: arrivals accumulated over hundreds of gate delays
-/// (supergate-priced libraries especially) drift by a few ULPs per addition
-/// when the recomputation associates the sums differently.
-const TIMING_REL_TOL: f64 = 1e-12;
+/// (supergate-priced libraries especially), and area flows summed over
+/// thousands of cells, drift by a few ULPs per addition when two sums
+/// associate their terms differently.
+const REL_TOL: f64 = 1e-12;
 
-/// Mixed absolute/relative closeness for arrival times: an absolute epsilon
-/// alone trips spuriously once the magnitudes grow past ~1e3 gate delays.
-fn arrivals_close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= TIMING_ABS_TOL + TIMING_REL_TOL * a.abs().max(b.abs())
+/// Mixed absolute/relative closeness, `|a − b| ≤ 1e-9 + 1e-12·max(|a|, |b|)`:
+/// an absolute epsilon alone trips spuriously once the magnitudes grow
+/// past ~1e3. The timing check compares arrivals through it, and the
+/// labeler and area recovery rank candidates through it (the tie rule,
+/// `label::tie_cmp`), so one tolerance decides what "equal" means
+/// everywhere.
+pub(crate) fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= ABS_TOL + REL_TOL * a.abs().max(b.abs())
 }
 
 /// One invariant violation found by [`report`], machine-readable so the
@@ -102,7 +107,7 @@ pub fn timing_violations(mapped: &MappedNetlist) -> Vec<Violation> {
         .recompute_arrivals()
         .iter()
         .enumerate()
-        .filter(|&(i, &t)| !arrivals_close(t, mapped.cell_arrival(i)))
+        .filter(|&(i, &t)| !close(t, mapped.cell_arrival(i)))
         .map(|(i, &t)| Violation::TimingDrift {
             cell: i,
             stored: mapped.cell_arrival(i),
@@ -216,10 +221,10 @@ mod tests {
 
     #[test]
     fn mixed_tolerance_still_rejects_real_drift() {
-        assert!(arrivals_close(1234.5, 1234.5 + 5e-10));
-        assert!(arrivals_close(1e6, 1e6 * (1.0 + 1e-13)));
-        assert!(!arrivals_close(10.0, 10.1));
-        assert!(!arrivals_close(1e6, 1e6 + 1.0));
+        assert!(close(1234.5, 1234.5 + 5e-10));
+        assert!(close(1e6, 1e6 * (1.0 + 1e-13)));
+        assert!(!close(10.0, 10.1));
+        assert!(!close(1e6, 1e6 + 1.0));
     }
 
     #[test]
