@@ -61,6 +61,8 @@ pub struct Labels {
     /// The selected match per internal node.
     pub best: Vec<Option<Match>>,
     /// Total matches enumerated (a proxy for the paper's `O(s·p)` cost).
+    /// Pin permutations across a symmetric pattern NAND are enumerated
+    /// once, not once per fanin order (see `MatchStats::enumerated`).
     pub matches_enumerated: usize,
     /// Pattern attempts skipped without search — by the depth pre-filter
     /// and, when the fingerprint index is on, by the shape-class buckets.

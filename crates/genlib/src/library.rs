@@ -41,6 +41,15 @@ pub struct LibPattern {
     /// only possible when the node's topological level is at least this, the
     /// invariant the matcher's depth pre-filter prunes on.
     pub depth: u32,
+    /// Per pattern node: true at a NAND whose two fanin subtrees are
+    /// interchangeable. Both are private trees (every node under them has
+    /// one consumer, so they bind disjoint pins), they are isomorphic up
+    /// to fanin order, and corresponding pins have equal
+    /// [`PinTiming`](crate::PinTiming). Binding them the other way round
+    /// permutes pins of equal timing, which changes neither the match's
+    /// arrival nor its pin count nor its leaf multiset, so the matcher
+    /// tries only the first fanin order at a marked node.
+    pub symmetric: Vec<bool>,
 }
 
 /// 64-wide candidate bitmasks over one root kind's rooted pattern list.
@@ -231,11 +240,13 @@ impl Library {
                 }
                 shapes_seen.push(graph.clone());
                 let depth = graph.depth();
+                let symmetric = symmetric_nands(&graph, gate);
                 patterns.push(LibPattern {
                     gate: GateId::from_index(gi),
                     shape,
                     graph,
                     depth,
+                    symmetric,
                 });
             }
         }
@@ -433,6 +444,47 @@ fn content_digest(gates: &[Gate], patterns: &[LibPattern]) -> u64 {
     h.finish()
 }
 
+/// The [`LibPattern::symmetric`] marks of one pattern of `gate`, in one
+/// bottom-up pass. Each node whose subtree is a private tree gets an
+/// integer code, interned so that two such subtrees get equal codes
+/// exactly when they are isomorphic up to fanin order with pins of equal
+/// timing in corresponding positions. A NAND is marked when both fanins
+/// carry a code and the codes agree.
+fn symmetric_nands(graph: &PatternGraph, gate: &Gate) -> Vec<bool> {
+    let pins = gate.pins();
+    // A pin's timing class: the first pin with equal timing.
+    let timing_class = |pin: usize| {
+        let timing = &pins[pin].1;
+        pins.iter().position(|(_, t)| t == timing).unwrap_or(pin) as u32
+    };
+    let mut interned: Vec<(u8, u32, u32)> = Vec::new();
+    let mut intern = |key: (u8, u32, u32)| match interned.iter().position(|&k| k == key) {
+        Some(code) => code as u32,
+        None => {
+            interned.push(key);
+            interned.len() as u32 - 1
+        }
+    };
+    let mut code: Vec<Option<u32>> = Vec::with_capacity(graph.len());
+    let mut marks = vec![false; graph.len()];
+    for (i, node) in graph.nodes().iter().enumerate() {
+        let key = match *node {
+            PatternNode::Leaf { pin } => Some((0, timing_class(pin), 0)),
+            PatternNode::Inv { fanin } => code[fanin].map(|c| (1, c, 0)),
+            PatternNode::Nand { fanins: [a, b] } => match (code[a], code[b]) {
+                (Some(x), Some(y)) => {
+                    marks[i] = x == y;
+                    Some((2, x.min(y), x.max(y)))
+                }
+                _ => None,
+            },
+        };
+        // Only a node with one consumer keeps its subtree private.
+        code.push(key.filter(|_| graph.fanout_count(i) == 1).map(&mut intern));
+    }
+    marks
+}
+
 /// Builds the per-shape-class pattern buckets of the fingerprint index.
 fn build_shape_buckets(patterns: &[LibPattern]) -> Vec<Vec<PatternId>> {
     let mut buckets = vec![Vec::new(); NUM_SHAPE_CLASSES];
@@ -488,6 +540,7 @@ fn compatible0(graph: &PatternGraph, p: usize, s0: u8) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Expr, PinTiming};
 
     fn tiny() -> Library {
         Library::new(
@@ -630,6 +683,119 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The NAND nodes of `gate`'s `shape` pattern, each with its mark.
+    fn nand_marks(gate: Gate, shape: TreeShape) -> Vec<(PatternNode, bool)> {
+        let name = gate.name().to_owned();
+        let lib = Library::new_with_shapes("marks", vec![gate], &[shape]).unwrap();
+        let [p] = lib.patterns() else {
+            panic!("{name}: expected one pattern");
+        };
+        p.graph
+            .nodes()
+            .iter()
+            .zip(&p.symmetric)
+            .filter(|(n, _)| matches!(n, PatternNode::Nand { .. }))
+            .map(|(&n, &mark)| (n, mark))
+            .collect()
+    }
+
+    fn uniform_marks(expr: &str, shape: TreeShape) -> Vec<(PatternNode, bool)> {
+        nand_marks(Gate::uniform("g", 1.0, "O", expr, 1.0).unwrap(), shape)
+    }
+
+    fn leaf_children(graph: &PatternGraph, node: PatternNode) -> bool {
+        let PatternNode::Nand { fanins } = node else {
+            return false;
+        };
+        fanins
+            .iter()
+            .all(|&c| matches!(graph.node(c), PatternNode::Leaf { .. }))
+    }
+
+    #[test]
+    fn nand2_root_is_symmetric() {
+        let marks = uniform_marks("!(a*b)", TreeShape::Balanced);
+        assert_eq!(marks.len(), 1);
+        assert!(marks[0].1, "{marks:?}");
+    }
+
+    #[test]
+    fn balanced_nand4_marks_root_and_both_inner_nands() {
+        // nand(inv(nand(a,b)), inv(nand(c,d))): three NANDs, all symmetric.
+        let marks = uniform_marks("!(a*b*c*d)", TreeShape::Balanced);
+        assert_eq!(marks.len(), 3);
+        assert!(marks.iter().all(|&(_, m)| m), "{marks:?}");
+    }
+
+    #[test]
+    fn aoi21_marks_only_the_and_term() {
+        // !(a*b + c): the root's fanins (a NAND and an inverter) differ;
+        // only nand(a,b) has interchangeable children.
+        let e = Expr::parse("!(a*b + c)").unwrap();
+        let graph = PatternGraph::from_expr(&e, &e.vars(), TreeShape::Balanced)
+            .unwrap()
+            .unwrap();
+        let marks = uniform_marks("!(a*b + c)", TreeShape::Balanced);
+        let marked: Vec<PatternNode> = marks.iter().filter(|m| m.1).map(|m| m.0).collect();
+        assert_eq!(marked.len(), 1, "{marks:?}");
+        assert!(leaf_children(&graph, marked[0]), "{marks:?}");
+        assert!(marks.len() > 1);
+    }
+
+    #[test]
+    fn xor2_shares_its_leaves_and_marks_nothing() {
+        // nand(nand(a,!b), nand(!a,b)): every pin feeds two consumers, so
+        // no subtree is private.
+        for shape in TreeShape::ALL {
+            let marks = uniform_marks("a*!b + !a*b", shape);
+            assert!(marks.iter().all(|&(_, m)| !m), "{shape:?}: {marks:?}");
+        }
+    }
+
+    #[test]
+    fn unequal_pin_timing_marks_nothing() {
+        let pin = |name: &str, delay: f64| (name.to_owned(), PinTiming::uniform(delay));
+        let nand2 = Gate::new(
+            "nand2",
+            2.0,
+            "O",
+            Expr::parse("!(a*b)").unwrap(),
+            vec![pin("a", 1.0), pin("b", 2.0)],
+        )
+        .unwrap();
+        let marks = nand_marks(nand2, TreeShape::Balanced);
+        assert!(marks.len() == 1 && !marks[0].1, "{marks:?}");
+        // Equal delays but different input loads: still unequal timing.
+        let loads = (1..=4).map(|i| {
+            let mut t = PinTiming::uniform(1.0);
+            t.input_load = f64::from(i);
+            (["a", "b", "c", "d"][i as usize - 1].to_owned(), t)
+        });
+        let nand4 = Gate::new(
+            "nand4",
+            4.0,
+            "O",
+            Expr::parse("!(a*b*c*d)").unwrap(),
+            loads.collect(),
+        )
+        .unwrap();
+        let marks = nand_marks(nand4, TreeShape::Balanced);
+        assert!(marks.iter().all(|&(_, m)| !m), "{marks:?}");
+        // Marks compare timing pin by pin: with a,b fast and c,d slow the
+        // inner NANDs stay symmetric, but swapping the halves would not.
+        let nand4 = Gate::new(
+            "nand4",
+            4.0,
+            "O",
+            Expr::parse("!(a*b*c*d)").unwrap(),
+            vec![pin("a", 1.0), pin("b", 1.0), pin("c", 2.0), pin("d", 2.0)],
+        )
+        .unwrap();
+        let marks = nand_marks(nand4, TreeShape::Balanced);
+        let flags: Vec<bool> = marks.iter().map(|m| m.1).collect();
+        assert_eq!(flags, [true, true, false], "{marks:?}");
     }
 
     #[test]

@@ -17,7 +17,12 @@
 //! The matcher enumerates every successful match of every library pattern
 //! rooted at a given subject node, trying both fanin orders at each NAND —
 //! which explores input permutations the way SIS's expanded pattern set
-//! does.
+//! does — except at NANDs the library marks symmetric
+//! ([`dagmap_genlib::LibPattern::symmetric`]). There the second order
+//! would only permute pins of equal timing in a binding the first order
+//! already produced, so it is skipped. Each match therefore comes back in
+//! one pin order per distinct way of feeding the gate, not once per
+//! permutation of interchangeable pins.
 //!
 //! Two acceleration stages (both on by default, switchable via
 //! [`MatchConfig`]) sit in front of the backtracking search: a fingerprint
@@ -50,9 +55,11 @@
 //! let matcher = Matcher::new(&library);
 //! let root = subject.network().outputs()[0].driver;
 //! let matches = matcher.matches_at(&subject, root, MatchMode::Standard);
-//! // The bare nand2 gate, in both pin orders.
-//! assert_eq!(matches.len(), 2);
-//! assert!(matches.iter().all(|m| library.gate(m.gate).name() == "nand2"));
+//! // The bare nand2 gate, once: its pins are interchangeable, so the
+//! // permuted binding (b, a) is not enumerated.
+//! assert_eq!(matches.len(), 1);
+//! assert_eq!(library.gate(matches[0].gate).name(), "nand2");
+//! assert_eq!(matches[0].leaves, [a, b]);
 //! # Ok(())
 //! # }
 //! ```

@@ -1,4 +1,4 @@
-use dagmap_genlib::{GateId, Library, PatternGraph, PatternId, PatternNode, RootMasks};
+use dagmap_genlib::{GateId, LibPattern, Library, PatternId, PatternNode, RootMasks};
 use dagmap_netlist::fingerprint::{extract_cone, ConeScratch};
 use dagmap_netlist::{FlatNet, NodeId, Sig, Signatures, SubjectGraph, KIND_INV, KIND_NAND};
 
@@ -69,7 +69,9 @@ impl MatchView<'_> {
 /// Counters of one enumeration call.
 #[derive(Debug, Copy, Clone, Default, PartialEq, Eq)]
 pub struct MatchStats {
-    /// Distinct matches reported (after per-node dedup).
+    /// Distinct matches reported (after per-node dedup). Pin permutations
+    /// across a symmetric pattern NAND count once, not once per order (see
+    /// [`Matcher::for_each_match_at`]).
     pub enumerated: usize,
     /// Pattern candidates skipped without any search — by the depth
     /// pre-filter, and (when the fingerprint index is on) by the shape
@@ -338,7 +340,13 @@ impl<'a> Matcher<'a> {
     ///
     /// Two matches are the same when they instantiate the same gate with the
     /// same pin binding (different internal routes or pattern shapes do not
-    /// multiply results). Inputs, constants and latches have no matches.
+    /// multiply results). Pin permutations are not all distinct matches:
+    /// at a NAND the library marks [symmetric](dagmap_genlib::LibPattern::symmetric)
+    /// only the first fanin order is tried, so a binding that merely swaps
+    /// two interchangeable subtrees of an earlier one is never produced.
+    /// Every match it stands for has the same gate, leaf multiset, arrival
+    /// and pin count as one that is. Inputs, constants and latches have no
+    /// matches.
     ///
     /// Patterns whose NAND/INV depth exceeds the subject node's topological
     /// level cannot embed (every pattern edge descends at least one subject
@@ -423,7 +431,7 @@ impl<'a> Matcher<'a> {
                 binding.clear();
                 binding.resize(graph.len(), None);
                 let mut st = State { binding, owned };
-                try_bind(flat, graph, mode, graph.root(), node, &mut st, &mut |st| {
+                try_bind(flat, lp, mode, graph.root(), node, &mut st, &mut |st| {
                 // Complete binding: extract the pin assignment and the
                 // covered internal nodes into the reused buffers.
                 leaves_buf.clear();
@@ -897,13 +905,14 @@ fn resolve_id_entry(
 /// the binding afterwards.
 fn try_bind(
     flat: &FlatNet,
-    pattern: &PatternGraph,
+    lp: &LibPattern,
     mode: MatchMode,
     p: usize,
     s: NodeId,
     st: &mut State,
     cont: &mut dyn FnMut(&mut State),
 ) {
+    let pattern = &lp.graph;
     // A shared pattern node (leaf-DAG / DAG patterns) may be reached twice;
     // the second visit must agree with the first.
     if let Some(bound) = st.binding[p] {
@@ -953,19 +962,22 @@ fn try_bind(
         PatternNode::Leaf { .. } => cont(st),
         PatternNode::Inv { fanin } => {
             let target = flat.fanins(s)[0];
-            try_bind(flat, pattern, mode, fanin, target, st, cont);
+            try_bind(flat, lp, mode, fanin, target, st, cont);
         }
         PatternNode::Nand { fanins: [c0, c1] } => {
             let f = flat.fanins(s);
             let (f0, f1) = (f[0], f[1]);
             // Both fanin orders: this is where input permutations of the
-            // original gate are explored.
+            // original gate are explored. At a symmetric NAND the second
+            // order only permutes pins of equal timing in a binding the
+            // first order already produced (DESIGN.md §4.3), so it is
+            // skipped.
             for (x, y) in [(f0, f1), (f1, f0)] {
-                try_bind(flat, pattern, mode, c0, x, st, &mut |st| {
-                    try_bind(flat, pattern, mode, c1, y, st, &mut |st| cont(st));
+                try_bind(flat, lp, mode, c0, x, st, &mut |st| {
+                    try_bind(flat, lp, mode, c1, y, st, &mut |st| cont(st));
                 });
-                if c0 == c1 || f0 == f1 {
-                    break; // symmetric situations explore identical branches
+                if c0 == c1 || f0 == f1 || lp.symmetric[p] {
+                    break; // the other order explores nothing new
                 }
             }
         }
@@ -1019,12 +1031,10 @@ mod tests {
         let subject = wrap(net);
         let l = lib(&[("inv", "!a"), ("nand2", "!(a*b)")]);
         let m = Matcher::new(&l).matches_at(&subject, g, MatchMode::Standard);
-        // Both pin orders of the symmetric NAND are distinct bindings of the
-        // same gate: (a,b) and (b,a).
-        assert_eq!(gate_names(&l, &m), ["nand2", "nand2"]);
-        let mut leaf_sets: Vec<Vec<NodeId>> = m.iter().map(|m| m.leaves.clone()).collect();
-        leaf_sets.sort();
-        assert_eq!(leaf_sets, vec![vec![a, b], vec![b, a]]);
+        // nand2's pins share one timing, so its root is symmetric: the
+        // binding (b,a) only permutes (a,b) and is not enumerated.
+        assert_eq!(gate_names(&l, &m), ["nand2"]);
+        assert_eq!(m[0].leaves, [a, b]);
         Ok(())
     }
 
@@ -1522,8 +1532,8 @@ mod tests {
             matcher.for_each_match_at(&subject, g, MatchMode::Standard, &mut scratch, &mut |_| {
                 n += 1;
             });
-        assert_eq!(n, 2, "both pin orders of nand2 still match");
-        assert_eq!(stats.enumerated, 2);
+        assert_eq!(n, 1, "nand2 still matches, in its one symmetric order");
+        assert_eq!(stats.enumerated, 1);
         // Depth-3 nand4 patterns (both shapes) were pruned at level 1.
         assert!(stats.pruned >= 1, "{stats:?}");
     }

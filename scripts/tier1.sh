@@ -151,6 +151,17 @@ cargo run -q --release --offline -p dagmap-bench --bin serveperf -- \
 grep -q '"bit_identical": true' target/BENCH_serve_smoke.json
 grep -q '"errors": 0' target/BENCH_serve_smoke.json
 
+# Permutation smoke: c3540 under 44-3 `dag-extended` used to enumerate every
+# pin permutation of every match (11.8M matches, about ten minutes). With the
+# library's symmetric NANDs bound in one fanin order it must map in seconds
+# at the same optimum delay, with the match count bounded.
+cargo run -q --release --offline -- gen c3540 --out target/perm_smoke.blif
+timeout 60 target/release/dagmap map target/perm_smoke.blif \
+  --builtin 44-3 --algo dag-extended --json > target/perm_smoke.json
+grep -Eq '"delay":30(\.0+[0-9]*)?[,}]' target/perm_smoke.json
+PERM_MATCHES=$(grep -o '"matches_enumerated":[0-9]*' target/perm_smoke.json | cut -d: -f2)
+[ "$PERM_MATCHES" -lt 100000 ]
+
 # Wide-parity smoke: the c7552 analogue has 34-input XORs, which the BLIF
 # writer emits as 2-input XOR trees; the written file must map (and verify).
 cargo run -q --release --offline -- gen c7552 --out target/c7552_smoke.blif
