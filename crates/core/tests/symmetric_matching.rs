@@ -139,7 +139,6 @@ fn every_skipped_match_is_a_permutation_of_a_returned_one() {
         let (with, without) = (Matcher::new(&lib), Matcher::new(&unmarked));
         for (name, subject) in subjects() {
             for mode in MODES {
-                let (mut kept, mut all) = (0, 0);
                 for node in subject.network().node_ids() {
                     let returned = multisets(&with, &subject, node, mode);
                     let reference = multisets(&without, &subject, node, mode);
@@ -149,10 +148,7 @@ fn every_skipped_match_is_a_permutation_of_a_returned_one() {
                         "{} {name} {mode:?} {node:?}",
                         lib.name()
                     );
-                    kept += with.count_matches_at(&subject, node, mode);
-                    all += without.count_matches_at(&subject, node, mode);
                 }
-                assert!(kept <= all, "{} {name} {mode:?}", lib.name());
             }
         }
     }
