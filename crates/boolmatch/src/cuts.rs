@@ -132,11 +132,12 @@ impl CutSet {
 }
 
 /// Enumerates priority cuts for every node of `flat`, keeping at most
-/// [`CUT_CAP`] per node, each with at most `k` leaves. `k` is clamped to
-/// `2..=MAX_INPUTS` — the lower bound keeps the fanin cut of a two-input
-/// gate representable, the upper bound matches the truth-table width.
+/// [`CUT_CAP`] per node, each with at most `k` leaves. `k` must lie in
+/// `2..=MAX_INPUTS` (`BoolSource::new` clamps it): the lower bound keeps
+/// the fanin cut of a two-input gate representable, the upper bound
+/// matches the truth-table width.
 pub(crate) fn enumerate(flat: &FlatNet, k: usize) -> CutSet {
-    let k = k.clamp(2, MAX_INPUTS);
+    debug_assert!((2..=MAX_INPUTS).contains(&k), "cut width {k} out of range");
     let n = flat.num_nodes();
     let mut bounds = vec![(0u32, 0u32); n];
     let mut cuts: Vec<SmallCut> = Vec::with_capacity(n * 4);

@@ -35,10 +35,33 @@ use crate::tt::{NpnTransform, TruthTable, MAX_INPUTS};
 /// ```
 #[derive(Debug, Clone)]
 pub struct LibraryIndex {
-    map: HashMap<TruthTable, Vec<(GateId, Vec<usize>)>>,
-    npn_map: HashMap<TruthTable, Vec<(GateId, NpnTransform)>>,
+    /// P-canonical table → its class in `p_classes`.
+    p_ids: HashMap<TruthTable, u32>,
+    /// Per P class, its gates in library order with their canonicalizing
+    /// pin permutations.
+    p_classes: Vec<Vec<(GateId, Vec<usize>)>>,
+    /// NPN-canonical table → its class in `npn_classes`.
+    npn_ids: HashMap<TruthTable, u32>,
+    /// Per NPN class, its gates in library order with their
+    /// canonicalizing transforms.
+    npn_classes: Vec<Vec<(GateId, NpnTransform)>>,
     max_inputs: usize,
     num_indexed: usize,
+}
+
+/// Appends `entry` to the class of `canon`, opening the class on first use.
+fn insert<T>(
+    ids: &mut HashMap<TruthTable, u32>,
+    classes: &mut Vec<Vec<T>>,
+    canon: TruthTable,
+    entry: T,
+) {
+    let next = u32::try_from(classes.len()).expect("a library has far fewer than 2^32 classes");
+    let id = *ids.entry(canon).or_insert(next);
+    if id == next {
+        classes.push(Vec::new());
+    }
+    classes[id as usize].push(entry);
 }
 
 impl LibraryIndex {
@@ -47,13 +70,17 @@ impl LibraryIndex {
     /// `u64`, so wider functions cannot be canonicalized, and asking for
     /// them must not take the whole mapping run down.
     pub fn build(library: &Library, max_inputs: usize) -> LibraryIndex {
-        let max_inputs = max_inputs.min(MAX_INPUTS);
-        let mut map: HashMap<TruthTable, Vec<(GateId, Vec<usize>)>> = HashMap::new();
-        let mut npn_map: HashMap<TruthTable, Vec<(GateId, NpnTransform)>> = HashMap::new();
-        let mut num_indexed = 0;
+        let mut index = LibraryIndex {
+            p_ids: HashMap::new(),
+            p_classes: Vec::new(),
+            npn_ids: HashMap::new(),
+            npn_classes: Vec::new(),
+            max_inputs: max_inputs.min(MAX_INPUTS),
+            num_indexed: 0,
+        };
         for (gi, gate) in library.gate_ids().zip(library.gates()) {
             let n = gate.num_pins();
-            if n == 0 || n > max_inputs {
+            if n == 0 || n > index.max_inputs {
                 continue;
             }
             let pins: Vec<&str> = gate.pins().iter().map(|(p, _)| p.as_str()).collect();
@@ -69,29 +96,46 @@ impl LibraryIndex {
                 continue; // degenerate gates (buffers of subsets, constants)
             }
             let (canon, perm) = tt.p_canonical();
-            map.entry(canon).or_default().push((gi, perm));
+            insert(&mut index.p_ids, &mut index.p_classes, canon, (gi, perm));
             let (ncanon, nt) = tt.npn_canonical();
-            npn_map.entry(ncanon).or_default().push((gi, nt));
-            num_indexed += 1;
+            insert(&mut index.npn_ids, &mut index.npn_classes, ncanon, (gi, nt));
+            index.num_indexed += 1;
         }
-        LibraryIndex {
-            map,
-            npn_map,
-            max_inputs,
-            num_indexed,
-        }
+        index
     }
 
     /// Gates whose P-canonical function equals `canon`, with their
     /// canonicalizing pin permutations.
     pub fn lookup(&self, canon: &TruthTable) -> &[(GateId, Vec<usize>)] {
-        self.map.get(canon).map(Vec::as_slice).unwrap_or(&[])
+        self.p_class_id(canon).map_or(&[], |c| self.p_class(c))
     }
 
     /// Gates whose NPN-canonical function equals `canon`, with their
     /// canonicalizing transforms.
     pub fn npn_lookup(&self, canon: &TruthTable) -> &[(GateId, NpnTransform)] {
-        self.npn_map.get(canon).map(Vec::as_slice).unwrap_or(&[])
+        self.npn_class_id(canon).map_or(&[], |c| self.npn_class(c))
+    }
+
+    /// The P class of `canon`, if any gate has that P-canonical function.
+    pub(crate) fn p_class_id(&self, canon: &TruthTable) -> Option<u32> {
+        self.p_ids.get(canon).copied()
+    }
+
+    /// The NPN class of `canon`, if any gate has that NPN-canonical
+    /// function.
+    pub(crate) fn npn_class_id(&self, canon: &TruthTable) -> Option<u32> {
+        self.npn_ids.get(canon).copied()
+    }
+
+    /// The gates of P class `id`, as [`LibraryIndex::lookup`] returns them.
+    pub(crate) fn p_class(&self, id: u32) -> &[(GateId, Vec<usize>)] {
+        &self.p_classes[id as usize]
+    }
+
+    /// The gates of NPN class `id`, as [`LibraryIndex::npn_lookup`]
+    /// returns them.
+    pub(crate) fn npn_class(&self, id: u32) -> &[(GateId, NpnTransform)] {
+        &self.npn_classes[id as usize]
     }
 
     /// Largest pin count indexed.
@@ -106,13 +150,13 @@ impl LibraryIndex {
 
     /// Number of distinct P-classes present.
     pub fn num_classes(&self) -> usize {
-        self.map.len()
+        self.p_classes.len()
     }
 
     /// Number of distinct NPN-classes present (≤ the P-class count: NPN
     /// only merges).
     pub fn num_npn_classes(&self) -> usize {
-        self.npn_map.len()
+        self.npn_classes.len()
     }
 }
 
@@ -209,7 +253,7 @@ mod tests {
         assert!(index.num_indexed() > 0);
         // The wide gate is not indexed under any class.
         let and7 = library.find_gate("and7").unwrap();
-        assert!(index.map.values().flatten().all(|(g, _)| *g != and7));
-        assert!(index.npn_map.values().flatten().all(|(g, _)| *g != and7));
+        assert!(index.p_classes.iter().flatten().all(|(g, _)| *g != and7));
+        assert!(index.npn_classes.iter().flatten().all(|(g, _)| *g != and7));
     }
 }

@@ -17,8 +17,8 @@ use crate::tt::TruthTable;
 /// Statistics of one Boolean-matching run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoolMapReport {
-    /// Cut width bound actually used (requests wider than
-    /// [`crate::MAX_INPUTS`] are clamped, not rejected).
+    /// Cut width bound actually used: requests are clamped to
+    /// `2..=`[`crate::MAX_INPUTS`], not rejected.
     pub k: usize,
     /// Priority cuts kept across all nodes (≤ `CUT_CAP` per node).
     pub cuts_enumerated: usize,
@@ -287,6 +287,25 @@ mod tests {
         let (mapped, report) = boolean_dag(&subject, &library, library.max_gate_inputs()).unwrap();
         verify::check(&mapped, &subject, 0x7173).unwrap();
         assert_eq!(report.k, crate::MAX_INPUTS);
+    }
+
+    #[test]
+    fn narrow_k_requests_map_as_k_two() {
+        // Regression: k = 0 or 1 built a 1-input index (inverters only)
+        // under 2-input cuts, so every NAND node went unmatched.
+        let net = dagmap_benchgen::alu(4);
+        let subject = SubjectGraph::from_network(&net).unwrap();
+        let library = Library::lib2_like();
+        let blif_at = |k: usize| {
+            let (mapped, report) = boolean_dag(&subject, &library, k).unwrap();
+            assert_eq!(report.k, 2, "k={k}");
+            let net = mapped.to_network().expect("lowers");
+            dagmap_netlist::blif::to_string(&net).expect("writes")
+        };
+        let at_two = blif_at(2);
+        for k in [0, 1] {
+            assert_eq!(blif_at(k), at_two, "k={k} maps like k=2");
+        }
     }
 
     #[test]

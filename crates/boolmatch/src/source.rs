@@ -10,7 +10,10 @@
 //! # Match derivation
 //!
 //! For each ranked cut of a node the cone function `F` is extracted by
-//! 64-lane simulation, support-reduced, and looked up two ways:
+//! 64-lane simulation and support-reduced. The kit records each distinct
+//! reduced function once — both canonical forms with their witnesses and
+//! the library classes they resolve to — so a repeated function costs one
+//! hash probe. `F` is then matched two ways:
 //!
 //! * **P**: gates whose P-canonical table equals the cut's bind directly —
 //!   canonical input `i` names gate pin `permG[i]` and cut leaf
@@ -40,7 +43,7 @@ use dagmap_match::{MatchConfig, MatchMode, MatchStats};
 use dagmap_netlist::{sim, NodeId, SubjectGraph, KIND_INV, KIND_SOURCE};
 
 use crate::cuts::{self, CutSet};
-use crate::tt::{NpnTransform, TruthTable};
+use crate::tt::{Canonical, TruthTable, MAX_INPUTS};
 use crate::LibraryIndex;
 
 /// A [`MatchSource`] that finds gates by Boolean function, not structure.
@@ -71,13 +74,16 @@ pub struct BoolSource<'a> {
 
 impl<'a> BoolSource<'a> {
     /// Builds the function index and per-node priority cuts for `subject`.
-    /// `k` is clamped to the representable width at the index boundary
-    /// (this is the fix for the former width-`assert!` panic: wider
-    /// requests degrade to 6-input matching instead of aborting).
+    /// `k` is clamped once to `2..=MAX_INPUTS`, and the index and the cut
+    /// enumerator both use that width: below 2 the fanin cut of a NAND2
+    /// has no gate to match, above [`MAX_INPUTS`] a function no longer
+    /// fits one truth-table word (wider requests degrade to 6-input
+    /// matching instead of aborting).
     pub fn new(subject: &SubjectGraph, library: &'a Library, k: usize) -> BoolSource<'a> {
-        let index = LibraryIndex::build(library, k.max(1));
+        let k = k.clamp(2, MAX_INPUTS);
+        let index = LibraryIndex::build(library, k);
         let flat = subject.flat();
-        let cuts = cuts::enumerate(flat, index.max_inputs());
+        let cuts = cuts::enumerate(flat, k);
         let n = flat.num_nodes();
         let mut inv_of: Vec<Option<NodeId>> = vec![None; n];
         let mut levels = vec![0u32; n];
@@ -142,9 +148,9 @@ impl<'a> BoolSource<'a> {
 }
 
 /// Per-pass scratch for [`BoolSource`]: stamped simulation values, DFS
-/// stack, binding buffers and canonicalization caches. No allocation in
-/// steady state once the caches are warm and the buffers reach their
-/// high-water marks.
+/// stack, cover buffers, the emitted-binding log and one record per
+/// distinct cut function. Labeling allocates only when a new function
+/// grows the records or a buffer passes its high-water mark.
 pub struct BoolKit {
     vals: Vec<u64>,
     stamp: Vec<u32>,
@@ -152,15 +158,26 @@ pub struct BoolKit {
     dfs: Vec<NodeId>,
     covered: Vec<NodeId>,
     cover_out: Vec<NodeId>,
-    leaves_red: Vec<NodeId>,
-    by_pin: Vec<NodeId>,
-    canon_p: HashMap<TruthTable, (TruthTable, Vec<usize>)>,
-    canon_npn: HashMap<TruthTable, (TruthTable, NpnTransform)>,
-    /// Per-node emitted (gate, binding) pairs, for dedup across cuts.
-    seen: Vec<(GateId, Vec<NodeId>)>,
-    /// Per-node class keys, merged into the source's sets once per node.
-    p_hits: Vec<TruthTable>,
-    npn_hits: Vec<TruthTable>,
+    /// Support-reduced cut function → its record in `functions`.
+    function_ids: HashMap<TruthTable, u32>,
+    functions: Vec<CutFunction>,
+    /// Per-node emitted (gate, binding) pairs, for dedup across cuts;
+    /// bindings are padded with `NodeId` 0 past the gate's pin count.
+    seen: Vec<(GateId, [NodeId; MAX_INPUTS])>,
+}
+
+/// What matching needs to know about one support-reduced cut function,
+/// worked out the first time the function appears in a pass.
+#[derive(Clone, Copy)]
+struct CutFunction {
+    canon: Canonical,
+    /// The library's P and NPN classes of the canonical forms.
+    p_class: Option<u32>,
+    npn_class: Option<u32>,
+    /// Whether `canon.p` is already in the source's P / NPN reach sets;
+    /// they only grow, so each function inserts at most once per pass.
+    in_p_reach: bool,
+    in_npn_reach: bool,
 }
 
 impl BoolKit {
@@ -173,14 +190,42 @@ impl BoolKit {
             dfs: Vec::with_capacity(64),
             covered: Vec::with_capacity(64),
             cover_out: Vec::with_capacity(64),
-            leaves_red: Vec::with_capacity(8),
-            by_pin: Vec::with_capacity(8),
-            canon_p: HashMap::new(),
-            canon_npn: HashMap::new(),
+            function_ids: HashMap::new(),
+            functions: Vec::new(),
             seen: Vec::with_capacity(32),
-            p_hits: Vec::with_capacity(8),
-            npn_hits: Vec::with_capacity(8),
         }
+    }
+
+    /// The record of `red`, created on first sight: one hash probe when
+    /// the function has been seen before.
+    fn function_of(&mut self, red: TruthTable, index: &LibraryIndex) -> usize {
+        let next = self.functions.len();
+        let id = *self
+            .function_ids
+            .entry(red)
+            .or_insert(u32::try_from(next).expect("fewer than 2^32 cut functions"))
+            as usize;
+        if id == next {
+            let canon = red.canonical();
+            self.functions.push(CutFunction {
+                p_class: index.p_class_id(&canon.p),
+                npn_class: index.npn_class_id(&canon.npn),
+                canon,
+                in_p_reach: false,
+                in_npn_reach: false,
+            });
+        }
+        id
+    }
+
+    /// Logs `(gate, by_pin)` for this node; false if it was already
+    /// emitted from an earlier cut.
+    fn first_emission(&mut self, gate: GateId, by_pin: [NodeId; MAX_INPUTS]) -> bool {
+        if self.seen.iter().any(|&(g, b)| g == gate && b == by_pin) {
+            return false;
+        }
+        self.seen.push((gate, by_pin));
+        true
     }
 
     /// Simulates the cone of `root` above `leaves`, returning the 64-lane
@@ -271,79 +316,65 @@ impl MatchSource for BoolSource<'_> {
         }
         let root_level = self.levels[node.index()];
         kit.seen.clear();
-        kit.p_hits.clear();
-        kit.npn_hits.clear();
-        let mut examined = 0usize;
+        let cuts = self.cuts.cuts_of(node);
         let (mut p_emitted, mut npn_emitted) = (0usize, 0usize);
 
-        let num_cuts = self.cuts.cuts_of(node).len();
-        for ci in 0..num_cuts {
-            let cut = &self.cuts.cuts_of(node)[ci];
+        for cut in cuts {
             let leaves = cut.leaves();
-            examined += 1;
             let Some(word) = kit.eval_cone(flat, node, leaves) else {
                 continue;
             };
-            let tt = TruthTable::from_bits(leaves.len(), word);
-            let (red, support) = tt.reduce_support();
-            if red.num_inputs() == 0 || red.is_constant() {
-                continue;
-            }
-            kit.leaves_red.clear();
-            for &j in &support {
-                kit.leaves_red.push(leaves[j]);
-            }
+            let (red, support) = TruthTable::from_bits(leaves.len(), word).shrink_support();
             let n = red.num_inputs();
-            let (ncanon, t_cut) = kit
-                .canon_npn
-                .entry(red)
-                .or_insert_with(|| red.npn_canonical())
-                .clone();
-            let cut_p_before = p_emitted;
+            if n == 0 {
+                continue; // a constant cone
+            }
+            let mut leaves_red = [NodeId::from_index(0); MAX_INPUTS];
+            for (slot, &j) in leaves_red.iter_mut().zip(&support[..n]) {
+                *slot = leaves[usize::from(j)];
+            }
+            let fi = kit.function_of(red, &self.index);
+            let func = kit.functions[fi];
+            let c = &func.canon;
+            let (p_before, npn_before) = (p_emitted, npn_emitted);
 
             // P lookup: direct bindings, no polarity work.
-            let (pcanon, perm_cut) = kit
-                .canon_p
-                .entry(red)
-                .or_insert_with(|| red.p_canonical())
-                .clone();
-            for (gate, perm_gate) in self.index.lookup(&pcanon) {
-                kit.by_pin.clear();
-                kit.by_pin.resize(n, NodeId::from_index(0));
+            let p_gates = func.p_class.map_or(&[][..], |id| self.index.p_class(id));
+            for (gate, perm_gate) in p_gates {
+                let mut by_pin = [NodeId::from_index(0); MAX_INPUTS];
                 for i in 0..n {
-                    kit.by_pin[perm_gate[i]] = kit.leaves_red[perm_cut[i]];
+                    by_pin[perm_gate[i]] = leaves_red[usize::from(c.p_perm[i])];
                 }
-                if kit.seen.iter().any(|(g, b)| g == gate && *b == kit.by_pin) {
+                if !kit.first_emission(*gate, by_pin) {
                     continue;
                 }
-                kit.seen.push((*gate, kit.by_pin.clone()));
                 p_emitted += 1;
                 stats.enumerated += 1;
                 f(SourceMatch {
                     gate: *gate,
                     pattern: None,
-                    leaves: &kit.by_pin,
+                    leaves: &by_pin[..n],
                     covered: &kit.covered,
                 });
             }
-            if p_emitted > cut_p_before {
-                kit.p_hits.push(pcanon);
-                kit.npn_hits.push(pcanon);
-            }
 
-            // NPN lookup: polarity-composing bindings.
-            'gates: for (gate, t_gate) in self.index.npn_lookup(&ncanon) {
-                if t_gate.output_neg != t_cut.output_neg {
+            // NPN lookup: polarity-composing bindings. `cover_out` is the
+            // cone plus the inverters one gate's binding absorbs.
+            let npn_gates = func
+                .npn_class
+                .map_or(&[][..], |id| self.index.npn_class(id));
+            kit.cover_out.clear();
+            kit.cover_out.extend_from_slice(&kit.covered);
+            'gates: for (gate, t_gate) in npn_gates {
+                if t_gate.output_neg != c.output_neg {
                     // The root polarity cannot be fixed up in place.
                     continue;
                 }
-                kit.by_pin.clear();
-                kit.by_pin.resize(n, NodeId::from_index(0));
-                kit.cover_out.clear();
-                kit.cover_out.extend_from_slice(&kit.covered);
+                let mut by_pin = [NodeId::from_index(0); MAX_INPUTS];
+                kit.cover_out.truncate(kit.covered.len());
                 for i in 0..n {
-                    let leaf = kit.leaves_red[t_cut.perm[i]];
-                    let negate = ((t_cut.input_neg ^ t_gate.input_neg) >> i) & 1 == 1;
+                    let leaf = leaves_red[usize::from(c.npn_perm[i])];
+                    let negate = ((c.input_neg ^ t_gate.input_neg) >> i) & 1 == 1;
                     let bound = if !negate {
                         leaf
                     } else if flat.kind(leaf) == KIND_INV {
@@ -361,31 +392,38 @@ impl MatchSource for BoolSource<'_> {
                     } else {
                         continue 'gates;
                     };
-                    kit.by_pin[t_gate.perm[i]] = bound;
+                    by_pin[t_gate.perm[i]] = bound;
                 }
-                if kit.seen.iter().any(|(g, b)| g == gate && *b == kit.by_pin) {
+                if !kit.first_emission(*gate, by_pin) {
                     continue;
                 }
-                kit.seen.push((*gate, kit.by_pin.clone()));
                 npn_emitted += 1;
                 stats.enumerated += 1;
-                if kit.npn_hits.last() != Some(&pcanon) {
-                    kit.npn_hits.push(pcanon);
-                }
                 f(SourceMatch {
                     gate: *gate,
                     pattern: None,
-                    leaves: &kit.by_pin,
+                    leaves: &by_pin[..n],
                     covered: &kit.cover_out,
                 });
             }
+
+            // Class reach is keyed by the P-canonical form: P reach counts
+            // cuts that emitted a P match, NPN reach cuts that emitted any.
+            let p_hit = p_emitted > p_before;
+            if p_hit && !func.in_p_reach {
+                self.p_classes.borrow_mut().insert(c.p);
+                kit.functions[fi].in_p_reach = true;
+            }
+            if (p_hit || npn_emitted > npn_before) && !func.in_npn_reach {
+                self.npn_classes.borrow_mut().insert(c.p);
+                kit.functions[fi].in_npn_reach = true;
+            }
         }
 
-        self.cuts_examined.set(self.cuts_examined.get() + examined);
+        self.cuts_examined
+            .set(self.cuts_examined.get() + cuts.len());
         self.p_matches.set(self.p_matches.get() + p_emitted);
         self.npn_matches.set(self.npn_matches.get() + npn_emitted);
-        self.p_classes.borrow_mut().extend(&kit.p_hits);
-        self.npn_classes.borrow_mut().extend(&kit.npn_hits);
         stats
     }
 }

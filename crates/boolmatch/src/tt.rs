@@ -8,7 +8,8 @@ use std::fmt;
 pub const MAX_INPUTS: usize = 6;
 
 /// Minterm masks selecting the half-space where input `i` is 0 — the
-/// building block of the input-negation table transform (`flip_input`).
+/// building block of input negation (`flip_input`), input exchange
+/// (`swap_inputs`) and the dependence test.
 const FLIP_MASKS: [u64; 6] = [
     0x5555_5555_5555_5555,
     0x3333_3333_3333_3333,
@@ -22,6 +23,31 @@ const FLIP_MASKS: [u64; 6] = [
 fn flip_input(bits: u64, i: usize) -> u64 {
     let s = 1u32 << i;
     ((bits & FLIP_MASKS[i]) << s) | ((bits >> s) & FLIP_MASKS[i])
+}
+
+/// Exchanges inputs `i` and `j` of a truth table: one delta swap moves
+/// every minterm with input `lo` = 1, `hi` = 0 to its partner with the two
+/// bits exchanged, `2^hi - 2^lo` positions up.
+fn swap_inputs(bits: u64, i: usize, j: usize) -> u64 {
+    if i == j {
+        return bits;
+    }
+    let (lo, hi) = (i.min(j), i.max(j));
+    let shift = (1u32 << hi) - (1u32 << lo);
+    let pairs = !FLIP_MASKS[lo] & FLIP_MASKS[hi];
+    let delta = ((bits >> shift) ^ bits) & pairs;
+    bits ^ delta ^ (delta << shift)
+}
+
+/// An input permutation stored inline; entries past the table's input
+/// count are unused.
+type Perm = [u8; MAX_INPUTS];
+
+const IDENTITY: Perm = [0, 1, 2, 3, 4, 5];
+
+/// Widens the first `n` entries of an inline permutation.
+fn perm_vec(perm: &Perm, n: usize) -> Vec<usize> {
+    perm[..n].iter().map(|&p| usize::from(p)).collect()
 }
 
 /// Mask selecting the meaningful minterm bits for `n` inputs.
@@ -103,30 +129,35 @@ impl TruthTable {
         self.bits == 0 || self.bits == m
     }
 
-    /// True when the output actually depends on input `i`.
+    /// True when the output actually depends on input `i`; always false
+    /// for an input the table does not have (`i >= num_inputs()`).
     pub fn depends_on(&self, i: usize) -> bool {
-        let n = self.num_inputs();
-        (0..(1usize << n)).any(|m| (m >> i) & 1 == 0 && self.eval(m) != self.eval(m | (1 << i)))
+        i < self.num_inputs() && ((self.bits >> (1u32 << i)) ^ self.bits) & FLIP_MASKS[i] != 0
     }
 
     /// Drops inputs the function does not depend on, returning the reduced
     /// table and the kept original input positions (ascending).
     pub fn reduce_support(&self) -> (TruthTable, Vec<usize>) {
-        let n = self.num_inputs();
-        let support: Vec<usize> = (0..n).filter(|&i| self.depends_on(i)).collect();
-        if support.len() == n {
-            return (*self, support);
-        }
-        let reduced = TruthTable::from_fn(support.len(), |m| {
-            let mut full = 0usize;
-            for (new_pos, &old_pos) in support.iter().enumerate() {
-                if (m >> new_pos) & 1 == 1 {
-                    full |= 1 << old_pos;
-                }
+        let (reduced, kept) = self.shrink_support();
+        (reduced, perm_vec(&kept, reduced.num_inputs()))
+    }
+
+    /// [`TruthTable::reduce_support`] without allocation: the kept
+    /// positions are the first `reduced.num_inputs()` entries of the array.
+    /// Each live input is swapped down into the next free slot, so the live
+    /// inputs keep their order and the dead ones end up above the new width.
+    pub(crate) fn shrink_support(&self) -> (TruthTable, Perm) {
+        let mut bits = self.bits;
+        let mut kept = IDENTITY;
+        let mut width = 0;
+        for i in 0..self.num_inputs() {
+            if self.depends_on(i) {
+                bits = swap_inputs(bits, width, i);
+                kept[width] = i as u8;
+                width += 1;
             }
-            self.eval(full)
-        });
-        (reduced, support)
+        }
+        (TruthTable::from_bits(width, bits), kept)
     }
 
     /// Applies an input permutation: input `i` of the result reads what
@@ -155,20 +186,18 @@ impl TruthTable {
     /// The lexicographically-smallest table over all input permutations,
     /// together with one permutation `perm` achieving it
     /// (`self.permute(&perm) == canonical`). Functions are P-equivalent iff
-    /// their canonical tables are equal.
+    /// their canonical tables are equal. The witness is the first
+    /// permutation reaching the minimum in one fixed order: depth first,
+    /// position `k` exchanged with each position `i ≥ k` in turn.
     pub fn p_canonical(&self) -> (TruthTable, Vec<usize>) {
         let n = self.num_inputs();
-        let mut best = *self;
-        let mut best_perm: Vec<usize> = (0..n).collect();
-        let mut perm: Vec<usize> = (0..n).collect();
-        permute_all(&mut perm, 0, &mut |p| {
-            let candidate = self.permute(p);
-            if candidate.bits < best.bits {
-                best = candidate;
-                best_perm = p.to_vec();
+        let mut best = (self.bits, IDENTITY);
+        for_each_permutation(self.bits, n, &mut |bits, perm| {
+            if bits < best.0 {
+                best = (bits, *perm);
             }
         });
-        (best, best_perm)
+        (self.with_bits(best.0), perm_vec(&best.1, n))
     }
 
     /// Applies a full NPN transform: permutation, per-input negation, output
@@ -201,48 +230,168 @@ impl TruthTable {
     /// their canonical tables are equal — so a NOR cone and an OR gate land
     /// in one class, where [`TruthTable::p_canonical`] keeps them apart.
     ///
-    /// The search walks every permutation once, then sweeps the `2^n` input
-    /// negations in Gray-code order (one cofactor swap each) and tests both
-    /// output polarities per step; the first transform reaching the minimum
-    /// in that fixed order is returned, so the witness is deterministic.
+    /// The search walks the permutations in [`TruthTable::p_canonical`]'s
+    /// order, sweeps each one's `2^n` input negations in Gray-code order
+    /// (one cofactor swap each) and tests both output polarities per step;
+    /// the first transform reaching the minimum in that fixed order is
+    /// returned, so the witness is deterministic. Permutations and sweep
+    /// quarters that provably hold no smaller candidate are skipped, which
+    /// cannot change that first transform.
     pub fn npn_canonical(&self) -> (TruthTable, NpnTransform) {
-        let n = self.num_inputs();
-        let m = mask(n);
-        let mut best = TruthTable {
-            bits: m,
-            num_inputs: self.num_inputs,
+        let c = self.canonical();
+        let t = NpnTransform {
+            perm: perm_vec(&c.npn_perm, self.num_inputs()),
+            input_neg: c.input_neg,
+            output_neg: c.output_neg,
         };
-        let mut best_t = NpnTransform::identity(n);
-        let mut perm: Vec<usize> = (0..n).collect();
-        permute_all(&mut perm, 0, &mut |p| {
-            let permuted = self.permute(p).bits;
-            // Gray-code sweep: gray(g) and gray(g+1) differ in bit
-            // `trailing_ones(g)`, so each step is one half-space swap.
-            let mut bits = permuted;
-            for g in 0..(1u32 << n) {
-                let neg = (g ^ (g >> 1)) as u8;
-                for (cand_bits, out) in [(bits, false), (!bits & m, true)] {
-                    if cand_bits < best.bits {
-                        best = TruthTable {
-                            bits: cand_bits,
-                            num_inputs: self.num_inputs,
-                        };
-                        best_t = NpnTransform {
-                            perm: p.to_vec(),
-                            input_neg: neg,
-                            output_neg: out,
-                        };
-                    }
-                }
-                if g + 1 < (1u32 << n) {
-                    let flip = (g + 1).trailing_zeros() as usize;
-                    bits = flip_input(bits, flip);
+        debug_assert_eq!(self.apply_npn(&t), c.npn, "witness replays");
+        (c.npn, t)
+    }
+
+    /// Both canonical forms in one permutation walk. The P candidate of
+    /// each permutation is the first (no negation) candidate of its NPN
+    /// sweep, so the P half equals [`TruthTable::p_canonical`]'s result,
+    /// witness included; [`TruthTable::npn_canonical`] returns the NPN
+    /// half.
+    pub(crate) fn canonical(&self) -> Canonical {
+        let n = self.num_inputs();
+        let mut p = (self.bits, IDENTITY);
+        let mut npn = NpnSearch::new(n);
+        for_each_permutation(self.bits, n, &mut |bits, perm| {
+            if bits < p.0 {
+                p = (bits, *perm);
+            }
+            npn.sweep(bits, perm);
+        });
+        Canonical {
+            p: self.with_bits(p.0),
+            p_perm: p.1,
+            npn: self.with_bits(npn.best),
+            npn_perm: npn.perm,
+            input_neg: npn.input_neg,
+            output_neg: npn.output_neg,
+        }
+    }
+
+    /// A table of the same width with other minterm bits.
+    fn with_bits(&self, bits: u64) -> TruthTable {
+        TruthTable {
+            bits,
+            num_inputs: self.num_inputs,
+        }
+    }
+}
+
+/// Both canonical forms of one function with their witnesses, inline:
+/// what Boolean matching records once per distinct cut function. The
+/// fields mean what [`TruthTable::p_canonical`]'s permutation and
+/// [`TruthTable::npn_canonical`]'s [`NpnTransform`] mean.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Canonical {
+    pub(crate) p: TruthTable,
+    pub(crate) p_perm: Perm,
+    pub(crate) npn: TruthTable,
+    pub(crate) npn_perm: Perm,
+    pub(crate) input_neg: u8,
+    pub(crate) output_neg: bool,
+}
+
+/// The running minimum of an NPN search and its transform.
+struct NpnSearch {
+    n: usize,
+    mask: u64,
+    best: u64,
+    perm: Perm,
+    input_neg: u8,
+    output_neg: bool,
+}
+
+impl NpnSearch {
+    /// Starts from the all-ones table under the identity transform.
+    fn new(n: usize) -> NpnSearch {
+        NpnSearch {
+            n,
+            mask: mask(n),
+            best: mask(n),
+            perm: IDENTITY,
+            input_neg: 0,
+            output_neg: false,
+        }
+    }
+
+    /// Offers every input negation of one permuted table, in Gray-code
+    /// order: gray(g) and gray(g+1) differ in bit `trailing_ones(g)`, so
+    /// each step is one half-space swap. Both output polarities are tested
+    /// per step, and only a strictly smaller table replaces the minimum.
+    ///
+    /// Gray order fixes the negations of the top two inputs over each
+    /// quarter of the sweep, so each quarter's candidates carry two known
+    /// cofactors in their top two quarters. A quarter is skipped when the
+    /// smallest table with those cofactors' ones counts (complemented, for
+    /// the negated output) is no smaller than the minimum so far: none of
+    /// its candidates could replace it.
+    fn sweep(&mut self, permuted: u64, perm: &Perm) {
+        let n = self.n;
+        let steps = 1u32 << n;
+        if n < 2 {
+            self.run(permuted, perm, 0, steps);
+            return;
+        }
+        // A quarter of the sweep has as many steps as a cofactor on the
+        // top two inputs has minterms.
+        let quarter = steps / 4;
+        let (upper, left) = (!FLIP_MASKS[n - 1], !FLIP_MASKS[n - 2]);
+        let ones = [
+            [
+                (permuted & !upper & !left).count_ones(),
+                (permuted & !upper & left).count_ones(),
+            ],
+            [
+                (permuted & upper & !left).count_ones(),
+                (permuted & upper & left).count_ones(),
+            ],
+        ];
+        let smallest = |top: u32, next: u32| {
+            (((1u64 << top) - 1) << (3 * quarter)) | (((1u64 << next) - 1) << (2 * quarter))
+        };
+        for start in (0..steps).step_by(quarter as usize) {
+            let neg = start ^ (start >> 1);
+            let (a, b) = ((neg >> (n - 1)) as usize & 1, (neg >> (n - 2)) as usize & 1);
+            let (top, next) = (ones[1 ^ a][1 ^ b], ones[1 ^ a][b]);
+            let floor = smallest(top, next).min(smallest(quarter - top, quarter - next));
+            if floor < self.best {
+                self.run(negate_inputs(permuted, neg), perm, start, start + quarter);
+            }
+        }
+    }
+
+    /// Tests Gray steps `start..end`, given `bits` negated by gray(start).
+    fn run(&mut self, mut bits: u64, perm: &Perm, start: u32, end: u32) {
+        for g in start..end {
+            let neg = (g ^ (g >> 1)) as u8;
+            for (cand, out) in [(bits, false), (!bits & self.mask, true)] {
+                if cand < self.best {
+                    self.best = cand;
+                    self.perm = *perm;
+                    self.input_neg = neg;
+                    self.output_neg = out;
                 }
             }
-        });
-        debug_assert_eq!(self.apply_npn(&best_t), best, "witness replays");
-        (best, best_t)
+            if g + 1 < end {
+                bits = flip_input(bits, (g + 1).trailing_zeros() as usize);
+            }
+        }
     }
+}
+
+/// Negates every input selected by `neg`.
+fn negate_inputs(mut bits: u64, neg: u32) -> u64 {
+    for i in 0..MAX_INPUTS {
+        if (neg >> i) & 1 == 1 {
+            bits = flip_input(bits, i);
+        }
+    }
+    bits
 }
 
 /// A recorded NPN transform: `f.apply_npn(&t)` permutes inputs by
@@ -271,17 +420,39 @@ impl NpnTransform {
     }
 }
 
-/// Heap-style enumeration of all permutations of `perm[k..]`.
-fn permute_all(perm: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
-    if k == perm.len() {
-        visit(perm);
-        return;
+/// Visits the input permutations of an `n`-input table in one fixed
+/// order — depth first, position `k` exchanged with each position `i ≥ k`
+/// in turn — passing the permuted table (`permute(perm)`'s bits) with the
+/// permutation. The table is carried down the recursion: each exchange of
+/// `perm[k]` and `perm[i]` is one delta swap of inputs `k` and `i`, so no
+/// candidate is rebuilt minterm by minterm.
+///
+/// An exchange that yields the same table as an earlier sibling's (inputs
+/// `k` and `i` symmetric) is skipped: its subtree would repeat that
+/// sibling's tables leaf for leaf. Every distinct table is still visited
+/// at the first permutation producing it, so a search that keeps only
+/// strictly smaller tables finds the same minimum and witness as the full
+/// walk.
+fn for_each_permutation(bits: u64, n: usize, visit: &mut impl FnMut(u64, &Perm)) {
+    fn walk(bits: u64, perm: &mut Perm, k: usize, n: usize, visit: &mut impl FnMut(u64, &Perm)) {
+        if k == n {
+            visit(bits, perm);
+            return;
+        }
+        let mut siblings = [0u64; MAX_INPUTS];
+        for i in k..n {
+            let next = swap_inputs(bits, k, i);
+            if siblings[..i - k].contains(&next) {
+                continue;
+            }
+            siblings[i - k] = next;
+            perm.swap(k, i);
+            walk(next, perm, k + 1, n, visit);
+            perm.swap(k, i);
+        }
     }
-    for i in k..perm.len() {
-        perm.swap(k, i);
-        permute_all(perm, k + 1, visit);
-        perm.swap(k, i);
-    }
+    let mut perm = IDENTITY;
+    walk(bits, &mut perm, 0, n, visit);
 }
 
 impl fmt::Display for TruthTable {
@@ -425,6 +596,147 @@ mod tests {
         ];
         for v in variants {
             assert_eq!(v.npn_canonical().0, canon);
+        }
+    }
+
+    #[test]
+    fn inputs_a_table_lacks_are_not_dependencies() {
+        // Regression: an out-of-range input read as a dependency of every
+        // non-constant table, and a 6-input table's `depends_on(6)` shifted
+        // past the word (a panic in debug builds).
+        let and2 = TruthTable::from_fn(2, |m| m == 0b11);
+        assert!(!and2.depends_on(2));
+        assert!(!and2.depends_on(3));
+        let wide = TruthTable::from_bits(6, 0x0123_4567_89AB_CDEF);
+        assert!((0..6).all(|i| wide.depends_on(i)));
+        assert!(!wide.depends_on(6));
+        assert!(!wide.depends_on(usize::MAX));
+    }
+
+    /// The minterm-loop canonicalizers the swap-based ones replaced, kept
+    /// as the reference their tables and witnesses must equal.
+    mod reference {
+        use super::super::*;
+
+        /// Every permutation of `perm[k..]`, in `for_each_permutation`'s order.
+        fn permute_all(perm: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
+            if k == perm.len() {
+                visit(perm);
+                return;
+            }
+            for i in k..perm.len() {
+                perm.swap(k, i);
+                permute_all(perm, k + 1, visit);
+                perm.swap(k, i);
+            }
+        }
+
+        pub(super) fn reduce_support(t: &TruthTable) -> (TruthTable, Vec<usize>) {
+            let n = t.num_inputs();
+            let dead = |i: usize| (0..1usize << n).all(|m| t.eval(m) == t.eval(m ^ (1 << i)));
+            let support: Vec<usize> = (0..n).filter(|&i| !dead(i)).collect();
+            let reduced = TruthTable::from_fn(support.len(), |m| {
+                let mut full = 0usize;
+                for (new_pos, &old_pos) in support.iter().enumerate() {
+                    if (m >> new_pos) & 1 == 1 {
+                        full |= 1 << old_pos;
+                    }
+                }
+                t.eval(full)
+            });
+            (reduced, support)
+        }
+
+        pub(super) fn p_canonical(t: &TruthTable) -> (TruthTable, Vec<usize>) {
+            let n = t.num_inputs();
+            let mut best = *t;
+            let mut best_perm: Vec<usize> = (0..n).collect();
+            let mut perm: Vec<usize> = (0..n).collect();
+            permute_all(&mut perm, 0, &mut |p| {
+                let candidate = t.permute(p);
+                if candidate.bits < best.bits {
+                    best = candidate;
+                    best_perm = p.to_vec();
+                }
+            });
+            (best, best_perm)
+        }
+
+        pub(super) fn npn_canonical(t: &TruthTable) -> (TruthTable, NpnTransform) {
+            let n = t.num_inputs();
+            let m = mask(n);
+            let mut best = TruthTable::from_bits(n, m);
+            let mut best_t = NpnTransform::identity(n);
+            let mut perm: Vec<usize> = (0..n).collect();
+            permute_all(&mut perm, 0, &mut |p| {
+                let mut bits = t.permute(p).bits;
+                for g in 0..(1u32 << n) {
+                    let neg = (g ^ (g >> 1)) as u8;
+                    for (cand_bits, out) in [(bits, false), (!bits & m, true)] {
+                        if cand_bits < best.bits {
+                            best = TruthTable::from_bits(n, cand_bits);
+                            best_t = NpnTransform {
+                                perm: p.to_vec(),
+                                input_neg: neg,
+                                output_neg: out,
+                            };
+                        }
+                    }
+                    if g + 1 < (1u32 << n) {
+                        bits = flip_input(bits, (g + 1).trailing_zeros() as usize);
+                    }
+                }
+            });
+            (best, best_t)
+        }
+    }
+
+    /// Asserts that the swap-based support reduction and canonical forms
+    /// equal the reference, witnesses included.
+    fn assert_matches_reference(t: TruthTable) {
+        assert_eq!(t.reduce_support(), reference::reduce_support(&t), "{t}");
+        let (p, p_perm) = reference::p_canonical(&t);
+        let (npn, npn_t) = reference::npn_canonical(&t);
+        assert_eq!(t.p_canonical(), (p, p_perm.clone()), "{t}");
+        assert_eq!(t.npn_canonical(), (npn, npn_t), "{t}");
+        // The one-walk form's P half (its NPN half is `npn_canonical`).
+        let c = t.canonical();
+        assert_eq!(
+            (c.p, perm_vec(&c.p_perm, t.num_inputs())),
+            (p, p_perm),
+            "{t}"
+        );
+    }
+
+    #[test]
+    fn swap_canonicalization_equals_the_reference_exhaustively_to_three_inputs() {
+        for n in 0..=3 {
+            for bits in 0..1u64 << (1 << n) {
+                assert_matches_reference(TruthTable::from_bits(n, bits));
+            }
+        }
+    }
+
+    #[test]
+    fn swap_canonicalization_equals_the_reference_on_random_wide_tables() {
+        let mut rng = dagmap_rng::StdRng::seed_from_u64(0x5A4B);
+        for (n, cases) in [(4, 256), (5, 64), (6, 16)] {
+            for _ in 0..cases {
+                let t = TruthTable::from_bits(n, rng.next_u64());
+                assert_matches_reference(t);
+                // Dead inputs exercise the support reduction's swaps.
+                let dead = rng.random_range(0..n);
+                let sparse = t.bits() & FLIP_MASKS[dead];
+                assert_matches_reference(TruthTable::from_bits(
+                    n,
+                    sparse | (sparse << (1 << dead)),
+                ));
+                // Symmetric input pairs exercise the walk's skipped subtrees.
+                let (i, j) = (rng.random_range(0..n), rng.random_range(0..n));
+                let sym = t.bits() | swap_inputs(t.bits(), i, j);
+                let sym = sym & swap_inputs(sym, 0, n - 1);
+                assert_matches_reference(TruthTable::from_bits(n, sym));
+            }
         }
     }
 

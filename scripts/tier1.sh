@@ -193,6 +193,16 @@ cargo run -q --release --offline -- map target/bool_smoke.blif \
 cmp target/bool_run1.blif target/bool_run2.blif
 cargo run -q --release --offline -- map target/bool_smoke.blif \
   --algo hybrid --out target/bool_hybrid.blif > /dev/null
+# Wide-cut Boolean smoke: the smoke above and the fuzzer match at k = 4, so
+# neither canonicalizes a 5- or 6-input cut function. Map the c3540 analogue
+# under 44-3 with hybrid matching at k = 6 twice, each within a time bound,
+# and the two netlists must agree byte for byte.
+cargo run -q --release --offline -- gen c3540 --out target/bool6_smoke.blif
+for run in 1 2; do
+  timeout 60 target/release/dagmap map target/bool6_smoke.blif --builtin 44-3 \
+    --algo hybrid -k 6 --out "target/bool6_run$run.blif" > /dev/null
+done
+cmp target/bool6_run1.blif target/bool6_run2.blif
 # Boolean-matching bench in quick mode: asserts hybrid never loses to
 # structural or boolean alone, NPN reaches strictly more cone classes than
 # P-only, and both engines are byte-deterministic.

@@ -257,6 +257,18 @@ fn boolean_and_hybrid_algorithms_map() {
         let (ok, out, err) = dagmap(&["map", &blif, "--algo", algo, "-k", "4"]);
         assert!(ok, "{algo}: {err}");
         assert!(out.contains("delay"), "{out}");
+        // Cut widths below 2 clamp to 2: same netlist, and the report says so.
+        let mapped_at = |k: &str| {
+            let path = temp_path(&format!("ks8_{algo}_k{k}.blif"));
+            let (ok, out, err) = dagmap(&["map", &blif, "--algo", algo, "-k", k, "--out", &path]);
+            assert!(ok, "{algo} -k {k}: {err}");
+            assert!(out.contains("boolean: k=2,"), "{algo} -k {k}: {out}");
+            std::fs::read(&path).expect("mapped BLIF written")
+        };
+        let at_two = mapped_at("2");
+        for k in ["0", "1"] {
+            assert!(mapped_at(k) == at_two, "{algo}: -k {k} maps like -k 2");
+        }
     }
 }
 
