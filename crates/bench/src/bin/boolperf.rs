@@ -119,10 +119,8 @@ fn main() {
             t.elapsed().as_secs_f64()
         });
 
-        let (hybrid, _, _) =
-            map_hybrid_with_options(&subject, &lib, K, opts).expect("hybrid map");
-        let (hybrid2, _, _) =
-            map_hybrid_with_options(&subject, &lib, K, opts).expect("hybrid map");
+        let (hybrid, _, _) = map_hybrid_with_options(&subject, &lib, K, opts).expect("hybrid map");
+        let (hybrid2, _, _) = map_hybrid_with_options(&subject, &lib, K, opts).expect("hybrid map");
         assert_eq!(
             mapped_blif(&hybrid),
             mapped_blif(&hybrid2),

@@ -108,7 +108,8 @@ mod imp {
     fn http_get_metrics(addr: SocketAddr) -> std::io::Result<String> {
         let mut stream = std::net::TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-        stream.write_all(b"GET /metrics HTTP/1.1\r\nHost: serveperf\r\nConnection: close\r\n\r\n")?;
+        stream
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: serveperf\r\nConnection: close\r\n\r\n")?;
         let mut text = String::new();
         stream.read_to_string(&mut text)?;
         text.split_once("\r\n\r\n")
@@ -130,10 +131,8 @@ mod imp {
         stream: &[dagmap_benchgen::ServeRequest],
         profile: bool,
     ) -> PassResult {
-        let scratch = PathBuf::from(std::env::temp_dir()).join(format!(
-            "dagmap-serveperf-{}-{label}",
-            std::process::id()
-        ));
+        let scratch = PathBuf::from(std::env::temp_dir())
+            .join(format!("dagmap-serveperf-{}-{label}", std::process::id()));
         let socket = scratch.with_extension("sock");
         let log_path = scratch.with_extension("jsonl");
         let tail_dir = scratch.with_extension("tail");
@@ -195,8 +194,7 @@ mod imp {
             std::thread::scope(|s| {
                 let handles: Vec<_> = (0..clients)
                     .map(|c| {
-                        let my: Vec<_> =
-                            stream.iter().skip(c).step_by(clients).cloned().collect();
+                        let my: Vec<_> = stream.iter().skip(c).step_by(clients).cloned().collect();
                         let endpoint = endpoint.clone();
                         s.spawn(move || {
                             let mut client = Client::connect(&endpoint).expect("client connects");
@@ -235,7 +233,8 @@ mod imp {
                                             + sec("label_seconds")
                                             + sec("cover_seconds")
                                             + sec("area_recovery_seconds"))
-                                            * 1e6) as u64;
+                                            * 1e6)
+                                            as u64;
                                         if repeat {
                                             lat_repeat.push(us);
                                         } else {
@@ -377,9 +376,7 @@ mod imp {
         let args = parse_args();
         let libraries = vec![Library::lib2_like(), Library::lib_44_3_like()];
         let lib_names: Vec<String> = libraries.iter().map(|l| l.name().to_owned()).collect();
-        let num_requests = args
-            .requests
-            .unwrap_or(if args.quick { 120 } else { 1000 });
+        let num_requests = args.requests.unwrap_or(if args.quick { 120 } else { 1000 });
         let spec = RequestStreamSpec {
             num_requests,
             num_libs: libraries.len(),
@@ -445,11 +442,24 @@ mod imp {
             let errors = total(&pass.samples, "dagmap_errors_total");
             let hits = total(&pass.samples, "dagmap_memo_hits_total");
             assert_eq!(errors as u64, 0, "{label}: server counted error frames");
-            assert_eq!(busy as u64, 0, "{label}: busy rejects with unlimited admission");
-            assert_eq!(served as usize, stream.len(), "{label}: server served every request");
-            assert!(hits > 0.0, "{label}: repeated circuits produced no memo hits");
+            assert_eq!(
+                busy as u64, 0,
+                "{label}: busy rejects with unlimited admission"
+            );
+            assert_eq!(
+                served as usize,
+                stream.len(),
+                "{label}: server served every request"
+            );
+            assert!(
+                hits > 0.0,
+                "{label}: repeated circuits produced no memo hits"
+            );
         }
-        assert!(metrics_a.scrapes > 0, "no live HTTP scrape succeeded mid-traffic");
+        assert!(
+            metrics_a.scrapes > 0,
+            "no live HTTP scrape succeeded mid-traffic"
+        );
         assert_eq!(
             full.log_lines,
             stream.len(),
@@ -565,7 +575,10 @@ mod imp {
         let _ = writeln!(json, "  \"pipeline_window\": {PIPELINE_WINDOW},");
         let _ = writeln!(json, "  \"wall_s\": {wall_metrics:.6},");
         let _ = writeln!(json, "  \"throughput_rps\": {throughput:.2},");
-        let _ = writeln!(json, "  \"latency_us\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}}},");
+        let _ = writeln!(
+            json,
+            "  \"latency_us\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}}},"
+        );
         let _ = writeln!(
             json,
             "  \"latency_split_us\": {{\"first_seen\": {{\"p50\": {first_p50}, \"p99\": {first_p99}, \
@@ -592,7 +605,10 @@ mod imp {
         std::fs::write(&args.out, &json).expect("write BENCH_serve.json");
         println!("wrote {}", args.out);
 
-        assert!(checked > 0 && identical, "served BLIF diverged from one-shot mapping");
+        assert!(
+            checked > 0 && identical,
+            "served BLIF diverged from one-shot mapping"
+        );
     }
 }
 

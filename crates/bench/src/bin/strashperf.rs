@@ -133,7 +133,11 @@ fn main() {
         let (first, _) = mapper
             .map_with_report_shared(&subject, opts, &shared)
             .expect("warming map");
-        assert_eq!(mapped_blif(&first), cold_blif, "{name}: shared map diverged");
+        assert_eq!(
+            mapped_blif(&first),
+            cold_blif,
+            "{name}: shared map diverged"
+        );
         let mut warm_id_hits = 0;
         let warm_s = best_of(reps, || {
             let t = Instant::now();
@@ -161,7 +165,10 @@ fn main() {
             "{name}: incremental remap diverged from cold"
         );
         let labels_reused = inc_rep.labels_reused;
-        assert!(labels_reused > 0, "{name}: nothing reused after a local edit");
+        assert!(
+            labels_reused > 0,
+            "{name}: nothing reused after a local edit"
+        );
         let edited_cold_s = best_of(reps, || {
             let t = Instant::now();
             let m = mapper.map(&edited, opts).expect("map");
@@ -207,10 +214,7 @@ fn main() {
         });
     }
 
-    let best_inc = rows
-        .iter()
-        .map(|r| r.inc_speedup)
-        .fold(0.0f64, f64::max);
+    let best_inc = rows.iter().map(|r| r.inc_speedup).fold(0.0f64, f64::max);
     assert!(
         best_inc >= 5.0,
         "incremental re-map must be >=5x faster than a cold full mapping \

@@ -14,8 +14,7 @@
 use dagmap_rng::StdRng;
 
 use crate::{
-    alu, array_multiplier, barrel_shifter, comparator, decoder, mux_tree, parity_tree,
-    ripple_adder,
+    alu, array_multiplier, barrel_shifter, comparator, decoder, mux_tree, parity_tree, ripple_adder,
 };
 
 /// One request of a synthetic traffic stream.
@@ -71,7 +70,10 @@ fn pool_circuit(i: usize) -> (String, dagmap_netlist::Network) {
         3 => (format!("parity{}", 8 + i % 9), parity_tree(8 + i % 9)),
         4 => (format!("mux{}", 3 + i % 2), mux_tree(3 + i % 2)),
         5 => (format!("dec{}", 3 + i % 3), decoder(3 + i % 3)),
-        6 => (format!("shift{}", 8 << (i % 2)), barrel_shifter(8 << (i % 2))),
+        6 => (
+            format!("shift{}", 8 << (i % 2)),
+            barrel_shifter(8 << (i % 2)),
+        ),
         _ => (format!("alu{}", 4 + i % 3), alu(4 + i % 3)),
     }
 }
@@ -110,8 +112,7 @@ pub fn request_stream(spec: &RequestStreamSpec) -> Vec<ServeRequest> {
             Some(entry) => entry.clone(),
             None => {
                 let (name, net) = pool_circuit(index);
-                let text =
-                    dagmap_netlist::blif::to_string(&net).expect("pool circuits serialize");
+                let text = dagmap_netlist::blif::to_string(&net).expect("pool circuits serialize");
                 blif_cache[index] = Some((name.clone(), text.clone()));
                 (name, text)
             }

@@ -77,7 +77,8 @@ pub fn map_boolean_with_options(
     options: MapOptions,
 ) -> Result<(MappedNetlist, MapReport, BoolMapReport), MapError> {
     let source = BoolSource::new(subject, library, k);
-    let (mapped, report) = Mapper::new(library).map_with_source(subject, options, &source, "boolean")?;
+    let (mapped, report) =
+        Mapper::new(library).map_with_source(subject, options, &source, "boolean")?;
     // The DP's arrival prediction must agree with the realized timing —
     // this cross-checks the NPN pin-alignment math.
     debug_assert!(dagmap_core::verify::timing_consistent(&mapped));
@@ -101,7 +102,8 @@ pub fn map_hybrid_with_options(
     options: MapOptions,
 ) -> Result<(MappedNetlist, MapReport, BoolMapReport), MapError> {
     let source = HybridSource::new(subject, library, k);
-    let (mapped, report) = Mapper::new(library).map_with_source(subject, options, &source, "hybrid")?;
+    let (mapped, report) =
+        Mapper::new(library).map_with_source(subject, options, &source, "hybrid")?;
     debug_assert!(dagmap_core::verify::timing_consistent(&mapped));
     Ok((mapped, report, report_of(source.boolean())))
 }
@@ -246,10 +248,7 @@ mod tests {
         assert!(report.cuts_enumerated > 0);
         assert!(report.cuts_examined > 0);
         assert!(report.matches_found > 0);
-        assert_eq!(
-            report.matches_found,
-            report.p_matches + report.npn_matches
-        );
+        assert_eq!(report.matches_found, report.p_matches + report.npn_matches);
         assert!(report.npn_classes_matched >= report.p_classes_matched);
         assert!(report.gates_indexed > 10);
         assert_eq!(report.k, 4);

@@ -491,7 +491,10 @@ impl MatchSource for HybridSource<'_> {
         let mut stats = self
             .structural
             .for_each_match(subject, node, &mut kit.structural, f);
-        stats.absorb(self.boolean.for_each_match(subject, node, &mut kit.boolean, f));
+        stats.absorb(
+            self.boolean
+                .for_each_match(subject, node, &mut kit.boolean, f),
+        );
         stats
     }
 }

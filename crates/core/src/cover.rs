@@ -87,9 +87,7 @@ pub(crate) fn construct(
                 let fanins: Vec<Signal> = m
                     .leaves
                     .iter()
-                    .map(|l| {
-                        memo[l.index()].expect("leaves resolve before their consumer emits")
-                    })
+                    .map(|l| memo[l.index()].expect("leaves resolve before their consumer emits"))
                     .collect();
                 let idx = u32::try_from(cells.len()).expect("cell count fits u32");
                 cells.push(Cell {

@@ -483,9 +483,7 @@ mod tests {
             assert_eq!(rep.num_cells, local_rep.num_cells);
             assert_eq!(rep.matches_enumerated, local_rep.matches_enumerated);
             let lowered = mapped.to_network().unwrap();
-            assert!(
-                dagmap_netlist::sim::equivalent_random(&reference, &lowered, 16, 7).unwrap()
-            );
+            assert!(dagmap_netlist::sim::equivalent_random(&reference, &lowered, 16, 7).unwrap());
         }
         assert!(shared.hits() > 0, "warm run should replay shared classes");
     }

@@ -130,7 +130,10 @@ fn steady_state_waves_allocate_nothing() {
             &shared,
         )
         .expect("warm labels");
-        assert_eq!(warm.arrival, cold.arrival, "{name}: warm run is bit-identical");
+        assert_eq!(
+            warm.arrival, cold.arrival,
+            "{name}: warm run is bit-identical"
+        );
         assert_eq!(warm.best, cold.best, "{name}: warm run is bit-identical");
         assert!(
             warm.memo_id_hits > 0,

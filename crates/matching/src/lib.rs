@@ -68,6 +68,8 @@ mod matcher;
 pub mod shared;
 pub mod store;
 
-pub use matcher::{Match, MatchConfig, MatchMode, MatchScratch, MatchStats, MatchView, Matcher, MemoPolicy};
+pub use matcher::{
+    Match, MatchConfig, MatchMode, MatchScratch, MatchStats, MatchView, Matcher, MemoPolicy,
+};
 pub use shared::SharedMatchStore;
 pub use store::{ClassId, MatchStore, TemplateRef};

@@ -386,7 +386,10 @@ impl<'a> Matcher<'a> {
     ) -> MatchStats {
         let flat = subject.flat();
         let (all, masks): (&[PatternId], &RootMasks) = match flat.kind(node) {
-            KIND_NAND => (self.library.patterns_rooted_nand(), self.library.nand_masks()),
+            KIND_NAND => (
+                self.library.patterns_rooted_nand(),
+                self.library.nand_masks(),
+            ),
             KIND_INV => (self.library.patterns_rooted_inv(), self.library.inv_masks()),
             _ => return MatchStats::default(),
         };
@@ -432,28 +435,29 @@ impl<'a> Matcher<'a> {
                 binding.resize(graph.len(), None);
                 let mut st = State { binding, owned };
                 try_bind(flat, lp, mode, graph.root(), node, &mut st, &mut |st| {
-                // Complete binding: extract the pin assignment and the
-                // covered internal nodes into the reused buffers.
-                leaves_buf.clear();
-                leaves_buf.resize(graph.num_pins(), NodeId::from_index(0));
-                covered_buf.clear();
-                for (i, pn) in graph.nodes().iter().enumerate() {
-                    let s = st.binding[i].expect("complete matches bind every node");
-                    match pn {
-                        PatternNode::Leaf { pin } => leaves_buf[*pin] = s,
-                        _ => {
-                            if !covered_buf.contains(&s) {
-                                covered_buf.push(s);
+                    // Complete binding: extract the pin assignment and the
+                    // covered internal nodes into the reused buffers.
+                    leaves_buf.clear();
+                    leaves_buf.resize(graph.num_pins(), NodeId::from_index(0));
+                    covered_buf.clear();
+                    for (i, pn) in graph.nodes().iter().enumerate() {
+                        let s = st.binding[i].expect("complete matches bind every node");
+                        match pn {
+                            PatternNode::Leaf { pin } => leaves_buf[*pin] = s,
+                            _ => {
+                                if !covered_buf.contains(&s) {
+                                    covered_buf.push(s);
+                                }
                             }
                         }
                     }
-                }
-                // Dedup against earlier matches at this node: linear scan of
-                // the flat key arena (match counts per node are small).
-                let duplicate = seen_keys.iter().any(|&(g, off, len)| {
-                    g == lp.gate
-                        && &seen_leaves[off as usize..(off + len) as usize] == leaves_buf.as_slice()
-                });
+                    // Dedup against earlier matches at this node: linear scan of
+                    // the flat key arena (match counts per node are small).
+                    let duplicate = seen_keys.iter().any(|&(g, off, len)| {
+                        g == lp.gate
+                            && &seen_leaves[off as usize..(off + len) as usize]
+                                == leaves_buf.as_slice()
+                    });
                     if !duplicate {
                         let off = u32::try_from(seen_leaves.len()).expect("arena fits u32");
                         let len = u32::try_from(leaves_buf.len()).expect("pin count fits u32");

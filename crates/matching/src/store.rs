@@ -283,7 +283,11 @@ impl MatchStore {
     /// cone class, the class's cone locals as signatures (for the caller
     /// to rebind against its subject's signature index), and the entry's
     /// `(home, stamp)` reference.
-    pub(crate) fn id_entry(&self, mode: MatchMode, sig: Sig) -> Option<(ClassId, &[Sig], u32, u64)> {
+    pub(crate) fn id_entry(
+        &self,
+        mode: MatchMode,
+        sig: Sig,
+    ) -> Option<(ClassId, &[Sig], u32, u64)> {
         let e = self.id_index.get(&(mode_code(mode), sig))?;
         let (off, len) = e.locals;
         Some((

@@ -381,9 +381,10 @@ impl Network {
         if new_fanin.index() >= self.nodes.len() {
             return Err(NetlistError::UnknownNode(new_fanin));
         }
-        let old = *self.nodes[id.index()].fanins.get(pin).ok_or_else(|| {
-            NetlistError::Invariant(format!("node {id} has no fanin pin {pin}"))
-        })?;
+        let old = *self.nodes[id.index()]
+            .fanins
+            .get(pin)
+            .ok_or_else(|| NetlistError::Invariant(format!("node {id} has no fanin pin {pin}")))?;
         if old == new_fanin {
             return Ok(());
         }
@@ -454,7 +455,10 @@ impl Network {
     /// [`NetlistError::CombinationalCycle`] if the batch as a whole created
     /// a cycle. On error the network may hold a prefix of the batch —
     /// callers treating edits as transactional should clone first.
-    pub fn apply_edits(&mut self, edits: Vec<NetEdit>) -> Result<Vec<Option<NodeId>>, NetlistError> {
+    pub fn apply_edits(
+        &mut self,
+        edits: Vec<NetEdit>,
+    ) -> Result<Vec<Option<NodeId>>, NetlistError> {
         let mut created = Vec::with_capacity(edits.len());
         for edit in edits {
             created.push(self.apply_edit(edit)?);

@@ -382,7 +382,9 @@ impl Signatures {
 /// Panics on cyclic networks (subject graphs are validated acyclic before
 /// this runs).
 pub fn signatures(net: &Network) -> Signatures {
-    let order = net.topo_order().expect("signatures need an acyclic network");
+    let order = net
+        .topo_order()
+        .expect("signatures need an acyclic network");
     let mut sigs = vec![Sig(0); net.num_nodes()];
     for id in order {
         let node = net.node(id);
@@ -410,8 +412,7 @@ pub fn signatures(net: &Network) -> Signatures {
             other => {
                 // Never reached from subject graphs; keyed by kind name and
                 // ordered children so the function is total regardless.
-                let children: Vec<Sig> =
-                    node.fanins().iter().map(|f| sigs[f.index()]).collect();
+                let children: Vec<Sig> = node.fanins().iter().map(|f| sigs[f.index()]).collect();
                 let base = Sig::named(TAG_OTHER, other.name());
                 let mut all = Vec::with_capacity(children.len() + 1);
                 all.push(base);
@@ -421,8 +422,7 @@ pub fn signatures(net: &Network) -> Signatures {
         };
         sigs[id.index()] = sig;
     }
-    let mut index =
-        HashMap::with_capacity_and_hasher(sigs.len(), SigBuildHasher::default());
+    let mut index = HashMap::with_capacity_and_hasher(sigs.len(), SigBuildHasher::default());
     let mut injective = true;
     for id in net.node_ids() {
         if index.insert(sigs[id.index()], id).is_some() {

@@ -313,10 +313,7 @@ impl Collector {
             *self.counters.entry(n.to_owned()).or_insert(0) += v;
         }
         for (n, h) in buf.hists.drain(..) {
-            self.hists
-                .entry(n.to_owned())
-                .or_default()
-                .merge(&h);
+            self.hists.entry(n.to_owned()).or_default().merge(&h);
         }
         self.lanes.entry(buf.lane).or_insert_with(|| {
             buf.thread_name.clone().unwrap_or_else(|| {
@@ -376,10 +373,7 @@ impl Session {
         // Recording stays on while thread-scoped sessions are live; events
         // other threads still record toward the *global* lane after this
         // point are discarded at stitch time by the epoch check.
-        ENABLED.store(
-            SCOPED_ACTIVE.load(Ordering::Relaxed) > 0,
-            Ordering::Release,
-        );
+        ENABLED.store(SCOPED_ACTIVE.load(Ordering::Relaxed) > 0, Ordering::Release);
         drop(guard);
         debug_assert_eq!(collector.epoch, self.epoch);
         let mut spans = collector.spans;

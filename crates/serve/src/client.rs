@@ -203,7 +203,11 @@ pub fn map_request(blif: &str, call: &MapCall<'_>) -> String {
     if let Some(lib) = call.lib {
         payload.push_str(&format!(",\"lib\":\"{}\"", escape(lib)));
     }
-    let algo = if call.algo.is_empty() { "dag" } else { call.algo };
+    let algo = if call.algo.is_empty() {
+        "dag"
+    } else {
+        call.algo
+    };
     payload.push_str(&format!(
         ",\"options\":{{\"algo\":\"{}\",\"recover\":{},\"trace\":{},\"retain\":{}}}",
         escape(algo),

@@ -302,10 +302,13 @@ mod tests {
         let reg = dagmap_obs::metrics::MetricsRegistry::new();
         reg.counter("dagmap_requests_total").inc(100);
         reg.gauge("dagmap_workers").set(4);
-        reg.counter("dagmap_lib_requests_total{lib=\"lib2\"}").inc(60);
+        reg.counter("dagmap_lib_requests_total{lib=\"lib2\"}")
+            .inc(60);
         reg.counter("dagmap_memo_hits_total{lib=\"lib2\"}").inc(30);
-        reg.counter("dagmap_memo_misses_total{lib=\"lib2\"}").inc(10);
-        reg.counter("dagmap_memo_id_hits_total{lib=\"lib2\"}").inc(15);
+        reg.counter("dagmap_memo_misses_total{lib=\"lib2\"}")
+            .inc(10);
+        reg.counter("dagmap_memo_id_hits_total{lib=\"lib2\"}")
+            .inc(15);
         reg.histogram("dagmap_request_latency_us{kind=\"first\"}", 4, u64::MAX / 8)
             .observe(500);
         let samples = parse_exposition(&reg.render_prometheus()).unwrap();

@@ -557,7 +557,11 @@ mod tests {
         assert_eq!(v.get("id").unwrap().as_str(), Some("r\"1"));
         assert_eq!(v.get("delay").unwrap().as_num(), Some(4.25));
         assert_eq!(
-            v.get("counters").unwrap().get("memo_hits").unwrap().as_num(),
+            v.get("counters")
+                .unwrap()
+                .get("memo_hits")
+                .unwrap()
+                .as_num(),
             Some(6.0)
         );
         assert_eq!(

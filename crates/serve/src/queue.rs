@@ -73,10 +73,7 @@ impl<T> JobQueue<T> {
             if state.closed {
                 return None;
             }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
+            state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
         }
     }
 

@@ -48,8 +48,8 @@ use dagmap_netlist::{blif, SubjectGraph};
 
 use crate::protocol::{self, ErrorKind, MapRequest, RemapRequest, Request};
 use crate::queue::JobQueue;
-use crate::telemetry::{RequestEvent, RequestLog, TailState, Telemetry};
 pub use crate::telemetry::TailConfig;
+use crate::telemetry::{RequestEvent, RequestLog, TailState, Telemetry};
 
 /// How long accept loops sleep between polls of the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
@@ -262,7 +262,8 @@ impl Inner {
     fn render_metrics(&self) -> String {
         let tel = &self.telemetry;
         tel.queue_depth.set(self.queue.len() as i64);
-        tel.inflight.set(self.inflight.load(Ordering::Relaxed) as i64);
+        tel.inflight
+            .set(self.inflight.load(Ordering::Relaxed) as i64);
         let retained = self
             .retained
             .lock()
@@ -361,7 +362,10 @@ impl Inner {
                         writer,
                         id.as_deref(),
                         ErrorKind::Busy,
-                        &format!("{} requests inflight >= limit {}", inflight, self.max_inflight),
+                        &format!(
+                            "{} requests inflight >= limit {}",
+                            inflight, self.max_inflight
+                        ),
                     );
                     return true;
                 }
@@ -518,7 +522,10 @@ fn serve_options(algo: &str, recover: bool) -> Result<MapOptions, (ErrorKind, St
         "tree" => MapOptions::tree(),
         "dag-extended" => MapOptions::dag_extended(),
         other => {
-            return Err((ErrorKind::BadRequest, format!("unknown algorithm `{other}`")));
+            return Err((
+                ErrorKind::BadRequest,
+                format!("unknown algorithm `{other}`"),
+            ));
         }
     };
     if recover {
@@ -728,20 +735,22 @@ fn process_remap(
 }
 
 fn spawn_reader(inner: &Arc<Inner>, conn: ConnHandle) {
-    let (writer, make_reader): (ConnWriter, Box<dyn FnOnce() -> Box<dyn io::Read + Send> + Send>) =
-        match &conn {
-            ConnHandle::Tcp(s) => {
-                let Ok(w) = s.try_clone() else { return };
-                let Ok(r) = s.try_clone() else { return };
-                (ConnWriter::new(Box::new(w)), Box::new(move || Box::new(r)))
-            }
-            #[cfg(unix)]
-            ConnHandle::Unix(s) => {
-                let Ok(w) = s.try_clone() else { return };
-                let Ok(r) = s.try_clone() else { return };
-                (ConnWriter::new(Box::new(w)), Box::new(move || Box::new(r)))
-            }
-        };
+    let (writer, make_reader): (
+        ConnWriter,
+        Box<dyn FnOnce() -> Box<dyn io::Read + Send> + Send>,
+    ) = match &conn {
+        ConnHandle::Tcp(s) => {
+            let Ok(w) = s.try_clone() else { return };
+            let Ok(r) = s.try_clone() else { return };
+            (ConnWriter::new(Box::new(w)), Box::new(move || Box::new(r)))
+        }
+        #[cfg(unix)]
+        ConnHandle::Unix(s) => {
+            let Ok(w) = s.try_clone() else { return };
+            let Ok(r) = s.try_clone() else { return };
+            (ConnWriter::new(Box::new(w)), Box::new(move || Box::new(r)))
+        }
+    };
     {
         let mut conns = inner.conns.lock().unwrap_or_else(|e| e.into_inner());
         conns.push(conn);
@@ -949,7 +958,10 @@ impl Server {
         for library in libraries {
             let name = library.name().to_owned();
             if libs
-                .insert(name.clone(), Arc::new(LibState::new(library, config.memo_cap)))
+                .insert(
+                    name.clone(),
+                    Arc::new(LibState::new(library, config.memo_cap)),
+                )
                 .is_some()
             {
                 return Err(io::Error::new(

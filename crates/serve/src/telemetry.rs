@@ -173,14 +173,18 @@ impl Telemetry {
 
     /// Per-library admitted-requests counter.
     pub fn lib_requests(&self, lib: &str) -> Counter {
-        self.registry
-            .counter(&format!("dagmap_lib_requests_total{{lib=\"{}\"}}", label_escape(lib)))
+        self.registry.counter(&format!(
+            "dagmap_lib_requests_total{{lib=\"{}\"}}",
+            label_escape(lib)
+        ))
     }
 
     /// Per-library queued-or-executing gauge.
     pub fn lib_pending(&self, lib: &str) -> Gauge {
-        self.registry
-            .gauge(&format!("dagmap_lib_pending{{lib=\"{}\"}}", label_escape(lib)))
+        self.registry.gauge(&format!(
+            "dagmap_lib_pending{{lib=\"{}\"}}",
+            label_escape(lib)
+        ))
     }
 
     /// Per-library memo counter, mirrored from the `SharedMatchStore` at

@@ -146,7 +146,9 @@ fn malformed_requests_answer_with_errors_and_spare_the_connection() {
     // Workers must also survive: a good request after the failures works.
     let net = dagmap_benchgen::parity_tree(5);
     let input = blif::to_string(&net).unwrap();
-    let reply = client.call(&map_request(&input, &MapCall::default())).unwrap();
+    let reply = client
+        .call(&map_request(&input, &MapCall::default()))
+        .unwrap();
     assert_eq!(
         reply.get("blif").unwrap().as_str().unwrap(),
         one_shot_blif(&input, &Library::lib2_like())
@@ -434,7 +436,9 @@ fn tcp_endpoint_serves_the_same_protocol() {
     client.ping().unwrap();
     let net = dagmap_benchgen::ripple_adder(3);
     let input = blif::to_string(&net).unwrap();
-    let reply = client.call(&map_request(&input, &MapCall::default())).unwrap();
+    let reply = client
+        .call(&map_request(&input, &MapCall::default()))
+        .unwrap();
     assert_eq!(
         reply.get("blif").unwrap().as_str().unwrap(),
         one_shot_blif(&input, &Library::lib2_like())
@@ -504,7 +508,12 @@ fn retain_then_remap_is_bit_identical_and_reuses_labels() {
     // to a cold one-shot of the edited BLIF, with most labels reused.
     let edited = edited_blif(&input);
     let reply = client
-        .call(&dagmap_serve::remap_request(&edited, &handle, Some("e1"), false))
+        .call(&dagmap_serve::remap_request(
+            &edited,
+            &handle,
+            Some("e1"),
+            false,
+        ))
         .unwrap();
     assert_eq!(reply.get("error"), None, "{reply:?}");
     assert_eq!(reply.get("op").and_then(|o| o.as_str()), Some("remap"));
@@ -524,7 +533,12 @@ fn retain_then_remap_is_bit_identical_and_reuses_labels() {
     // first edit's labels, still bit-identical.
     let edited2 = edited_blif(&edited);
     let reply = client
-        .call(&dagmap_serve::remap_request(&edited2, &handle, Some("e2"), false))
+        .call(&dagmap_serve::remap_request(
+            &edited2,
+            &handle,
+            Some("e2"),
+            false,
+        ))
         .unwrap();
     assert_eq!(reply.get("error"), None, "{reply:?}");
     assert_eq!(
@@ -534,7 +548,12 @@ fn retain_then_remap_is_bit_identical_and_reuses_labels() {
 
     // Unknown handles answer with a per-request error, not a dead worker.
     let reply = client
-        .call(&dagmap_serve::remap_request(&edited, "no-such-handle", None, false))
+        .call(&dagmap_serve::remap_request(
+            &edited,
+            "no-such-handle",
+            None,
+            false,
+        ))
         .unwrap();
     assert_eq!(
         reply
@@ -652,10 +671,7 @@ fn http_metrics_endpoint_serves_prometheus_text() {
     };
     let response = http_get("/metrics");
     assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
-    assert!(
-        response.contains("text/plain; version=0.0.4"),
-        "{response}"
-    );
+    assert!(response.contains("text/plain; version=0.0.4"), "{response}");
     let body = response.split("\r\n\r\n").nth(1).unwrap();
     let samples = dash::parse_exposition(body).unwrap();
     assert_eq!(
@@ -724,12 +740,11 @@ fn request_log_writes_one_jsonl_event_per_request() {
     assert_eq!(events[0].get("kind").unwrap().as_str(), Some("first"));
     assert_eq!(events[1].get("kind").unwrap().as_str(), Some("repeat"));
     assert!(events[0].get("latency_us").unwrap().as_num().unwrap() > 0.0);
-    assert!(events[0]
-        .get("phases")
-        .unwrap()
-        .get("label_us")
-        .is_some());
-    assert_eq!(events[2].get("outcome").unwrap().as_str(), Some("bad_request"));
+    assert!(events[0].get("phases").unwrap().get("label_us").is_some());
+    assert_eq!(
+        events[2].get("outcome").unwrap().as_str(),
+        Some("bad_request")
+    );
     let _ = std::fs::remove_file(&log_path);
 }
 
@@ -872,10 +887,8 @@ fn logged_map_and_remap_time_their_decomposition() {
 #[cfg(unix)]
 #[test]
 fn tail_sampling_keeps_bounded_valid_traces() {
-    let tail_dir = std::env::temp_dir().join(format!(
-        "dagmap-serve-test-{}-tail",
-        std::process::id()
-    ));
+    let tail_dir =
+        std::env::temp_dir().join(format!("dagmap-serve-test-{}-tail", std::process::id()));
     let _ = std::fs::remove_dir_all(&tail_dir);
     let keep = 3;
     let config = ServeConfig {

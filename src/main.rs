@@ -760,8 +760,8 @@ fn cmd_client(args: &[String]) -> CmdResult {
         }
     }
     let elapsed = started.elapsed().as_secs_f64();
-    let raw = dagmap::obs::json::parse(&raw_text)
-        .map_err(|e| format!("reply is not valid JSON: {e}"))?;
+    let raw =
+        dagmap::obs::json::parse(&raw_text).map_err(|e| format!("reply is not valid JSON: {e}"))?;
     if repeat > 1 {
         println!(
             "{repeat} requests in {elapsed:.3}s ({:.1} req/s)",
@@ -771,7 +771,10 @@ fn cmd_client(args: &[String]) -> CmdResult {
     if json {
         println!("{raw_text}");
     } else {
-        let delay = raw.get("delay").and_then(|v| v.as_num()).unwrap_or(f64::NAN);
+        let delay = raw
+            .get("delay")
+            .and_then(|v| v.as_num())
+            .unwrap_or(f64::NAN);
         let area = raw.get("area").and_then(|v| v.as_num()).unwrap_or(f64::NAN);
         let cells = raw
             .get("num_cells")
