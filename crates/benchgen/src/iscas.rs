@@ -38,7 +38,7 @@ fn control_cloud(net: &mut Network, pool: &[NodeId], gates: usize, seed: u64) ->
     // Keep only sinks among the freshly added gates.
     fresh
         .into_iter()
-        .filter(|&g| net.node(g).fanouts().is_empty())
+        .filter(|&g| net.node(g).fanout_count() == 0)
         .collect()
 }
 

@@ -46,7 +46,7 @@ pub fn random_network(num_inputs: usize, num_gates: usize, seed: u64) -> Network
     }
     let mut any_output = false;
     for id in net.node_ids().collect::<Vec<_>>() {
-        if net.node(id).fanouts().is_empty() && !matches!(net.node(id).func(), NodeFn::Input) {
+        if net.node(id).fanout_count() == 0 && !matches!(net.node(id).func(), NodeFn::Input) {
             let name = format!("o{}", id.index());
             net.add_output(name, id);
             any_output = true;
@@ -167,7 +167,7 @@ pub fn random_network_with(spec: &RandomNetSpec) -> Network {
     } else {
         let mut any_output = false;
         for id in net.node_ids().collect::<Vec<_>>() {
-            if net.node(id).fanouts().is_empty() && !matches!(net.node(id).func(), NodeFn::Input) {
+            if net.node(id).fanout_count() == 0 && !matches!(net.node(id).func(), NodeFn::Input) {
                 net.add_output(format!("o{}", id.index()), id);
                 any_output = true;
             }

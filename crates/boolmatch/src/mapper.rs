@@ -255,6 +255,39 @@ mod tests {
     }
 
     #[test]
+    fn reports_count_the_labeling_pass_only() {
+        // Area recovery re-enumerates matches through the same source; the
+        // Boolean report, like `MapReport::matches_enumerated`, counts the
+        // labeling pass.
+        let subject = SubjectGraph::from_network(&dagmap_benchgen::alu(8)).unwrap();
+        let library = Library::lib2_like();
+        type Entry = fn(
+            &SubjectGraph,
+            &Library,
+            usize,
+            MapOptions,
+        ) -> Result<(MappedNetlist, MapReport, BoolMapReport), MapError>;
+        for (name, entry) in [
+            ("boolean", map_boolean_with_options as Entry),
+            ("hybrid", map_hybrid_with_options as Entry),
+        ] {
+            let (_, plain, bool_plain) = entry(&subject, &library, 4, MapOptions::dag()).unwrap();
+            let (_, recovered, bool_recovered) = entry(
+                &subject,
+                &library,
+                4,
+                MapOptions::dag().with_area_recovery(),
+            )
+            .unwrap();
+            assert_eq!(
+                plain.matches_enumerated, recovered.matches_enumerated,
+                "{name}"
+            );
+            assert_eq!(bool_plain, bool_recovered, "{name}");
+        }
+    }
+
+    #[test]
     fn xor_cones_map_to_xor_gates() {
         let mut net = Network::new("x");
         let a = net.add_input("a");

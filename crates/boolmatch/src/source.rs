@@ -52,6 +52,11 @@ use crate::LibraryIndex;
 /// state lives in the per-pass [`BoolKit`]. The class counters sit in
 /// cells: one pass on one thread uses a source, so they take no lock, and
 /// `RefCell` keeps the type `!Sync`, so sharing it would not compile.
+///
+/// The counters describe the source's first pass only — the labeling
+/// pass every mapper runs first. Later passes over the same source (area
+/// recovery re-enumerates matches) do not count, just as
+/// `MapReport::matches_enumerated` counts labeling's matches only.
 pub struct BoolSource<'a> {
     library: &'a Library,
     index: LibraryIndex,
@@ -70,6 +75,8 @@ pub struct BoolSource<'a> {
     /// the two counts compare directly; keying by NPN class would collapse
     /// e.g. or-cones into the nand-cone class and hide NPN's extra reach.
     npn_classes: RefCell<HashSet<TruthTable>>,
+    /// Kits made so far; only the first one's pass is counted.
+    kits_made: Cell<usize>,
 }
 
 impl<'a> BoolSource<'a> {
@@ -107,6 +114,7 @@ impl<'a> BoolSource<'a> {
             npn_matches: Cell::new(0),
             p_classes: RefCell::new(HashSet::new()),
             npn_classes: RefCell::new(HashSet::new()),
+            kits_made: Cell::new(0),
         }
     }
 
@@ -164,6 +172,8 @@ pub struct BoolKit {
     /// Per-node emitted (gate, binding) pairs, for dedup across cuts;
     /// bindings are padded with `NodeId` 0 past the gate's pin count.
     seen: Vec<(GateId, [NodeId; MAX_INPUTS])>,
+    /// Whether this pass updates the source's counters (the first pass).
+    counted: bool,
 }
 
 /// What matching needs to know about one support-reduced cut function,
@@ -181,7 +191,7 @@ struct CutFunction {
 }
 
 impl BoolKit {
-    fn for_subject(subject: &SubjectGraph) -> BoolKit {
+    fn for_subject(subject: &SubjectGraph, counted: bool) -> BoolKit {
         let n = subject.flat().num_nodes();
         BoolKit {
             vals: vec![0; n],
@@ -193,6 +203,7 @@ impl BoolKit {
             function_ids: HashMap::new(),
             functions: Vec::new(),
             seen: Vec::with_capacity(32),
+            counted,
         }
     }
 
@@ -299,7 +310,9 @@ impl MatchSource for BoolSource<'_> {
     }
 
     fn make_kit(&self, subject: &SubjectGraph) -> BoolKit {
-        BoolKit::for_subject(subject)
+        let made = self.kits_made.get();
+        self.kits_made.set(made + 1);
+        BoolKit::for_subject(subject, made == 0)
     }
 
     fn for_each_match(
@@ -410,20 +423,22 @@ impl MatchSource for BoolSource<'_> {
             // Class reach is keyed by the P-canonical form: P reach counts
             // cuts that emitted a P match, NPN reach cuts that emitted any.
             let p_hit = p_emitted > p_before;
-            if p_hit && !func.in_p_reach {
+            if kit.counted && p_hit && !func.in_p_reach {
                 self.p_classes.borrow_mut().insert(c.p);
                 kit.functions[fi].in_p_reach = true;
             }
-            if (p_hit || npn_emitted > npn_before) && !func.in_npn_reach {
+            if kit.counted && (p_hit || npn_emitted > npn_before) && !func.in_npn_reach {
                 self.npn_classes.borrow_mut().insert(c.p);
                 kit.functions[fi].in_npn_reach = true;
             }
         }
 
-        self.cuts_examined
-            .set(self.cuts_examined.get() + cuts.len());
-        self.p_matches.set(self.p_matches.get() + p_emitted);
-        self.npn_matches.set(self.npn_matches.get() + npn_emitted);
+        if kit.counted {
+            self.cuts_examined
+                .set(self.cuts_examined.get() + cuts.len());
+            self.p_matches.set(self.p_matches.get() + p_emitted);
+            self.npn_matches.set(self.npn_matches.get() + npn_emitted);
+        }
         stats
     }
 }

@@ -169,6 +169,7 @@ pub(crate) fn construct(
         arrivals,
         delay,
         area,
+        lowered: Default::default(),
     })
 }
 

@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use dagmap_genlib::{Expr, GateId, Library, TreeShape};
 use dagmap_netlist::{NetlistError, Network, NodeFn, NodeId};
@@ -56,6 +57,29 @@ pub struct Cell {
     pub covered: Vec<NodeId>,
 }
 
+/// The netlist lowered to a [`Network`], cached by verification so
+/// writeback does not lower it again.
+#[derive(Default)]
+pub(crate) struct Lowered(OnceLock<Network>);
+
+impl Clone for Lowered {
+    /// A clone starts empty: netlists are cloned to be edited (buffer
+    /// insertion), and an edited netlist must lower afresh.
+    fn clone(&self) -> Self {
+        Lowered::default()
+    }
+}
+
+impl fmt::Debug for Lowered {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if self.0.get().is_some() {
+            "cached"
+        } else {
+            "empty"
+        })
+    }
+}
+
 /// A technology-mapped netlist: gate instances over named primary inputs,
 /// outputs and latches, with precomputed timing and area.
 ///
@@ -74,6 +98,8 @@ pub struct MappedNetlist {
     pub(crate) arrivals: Vec<f64>,
     pub(crate) delay: f64,
     pub(crate) area: f64,
+    /// Filled by [`crate::verify`]; must be cleared by any edit in place.
+    pub(crate) lowered: Lowered,
 }
 
 impl MappedNetlist {
@@ -247,11 +273,38 @@ impl MappedNetlist {
     /// its expression over its fanin signals) for simulation, equivalence
     /// checking or BLIF export.
     ///
+    /// A netlist that [`crate::verify`] has checked returns a copy of the
+    /// network verification lowered; otherwise it lowers afresh and keeps
+    /// nothing.
+    ///
     /// # Errors
     ///
     /// Propagates network-construction failures (which indicate internal
     /// inconsistency rather than user error).
     pub fn to_network(&self) -> Result<Network, NetlistError> {
+        match self.lowered.0.get() {
+            Some(net) => Ok(net.clone()),
+            None => self.lower(),
+        }
+    }
+
+    /// The lowered network, lowered and cached on first use.
+    pub(crate) fn lowered(&self) -> Result<&Network, NetlistError> {
+        if let Some(net) = self.lowered.0.get() {
+            return Ok(net);
+        }
+        let net = self.lower()?;
+        Ok(self.lowered.0.get_or_init(|| net))
+    }
+
+    /// Drops the cached lowering after an edit in place.
+    #[cfg(test)]
+    pub(crate) fn clear_lowering(&mut self) {
+        self.lowered = Lowered::default();
+    }
+
+    /// [`MappedNetlist::to_network`]'s lowering, uncached.
+    fn lower(&self) -> Result<Network, NetlistError> {
         let mut net = Network::new(&self.name);
         let input_ids: Vec<NodeId> = self.inputs.iter().map(|n| net.add_input(n)).collect();
         // Latches first (placeholder data, patched at the end) so cells can
@@ -260,10 +313,10 @@ impl MappedNetlist {
         let zero = if self.latches.is_empty() {
             None
         } else {
-            Some(net.add_node(NodeFn::Const(false), Vec::new())?)
+            Some(net.add_node(NodeFn::Const(false), [])?)
         };
         for (name, _) in &self.latches {
-            let l = net.add_node(NodeFn::Latch, vec![zero.expect("placeholder")])?;
+            let l = net.add_node(NodeFn::Latch, [zero.expect("placeholder")])?;
             net.set_node_name(l, name);
             latch_ids.push(l);
         }
@@ -276,7 +329,7 @@ impl MappedNetlist {
                 Signal::Input(i) => input_ids[i as usize],
                 Signal::Cell(c) => cell_ids[c as usize],
                 Signal::Latch(l) => latch_ids[l as usize],
-                Signal::Const(v) => net.add_node(NodeFn::Const(v), Vec::new())?,
+                Signal::Const(v) => net.add_node(NodeFn::Const(v), [])?,
             })
         };
         // Pin signals are resolved in pin order before the expression is

@@ -75,6 +75,10 @@ impl fmt::Display for Violation {
 /// Checks the mapped netlist against a golden network (the subject graph or
 /// the pre-decomposition network) on `rounds * 64` random vectors.
 ///
+/// The netlist is lowered once and the lowering cached in it, so a later
+/// [`MappedNetlist::to_network`] (writeback) copies it instead of lowering
+/// again.
+///
 /// # Errors
 ///
 /// Fails if the netlists' interfaces cannot be paired by name or either is
@@ -85,13 +89,13 @@ pub fn equivalent(
     rounds: usize,
     seed: u64,
 ) -> Result<bool, MapError> {
-    let lowered = mapped.to_network()?;
+    let lowered = mapped.lowered()?;
     if golden.num_latches() > 0 {
         Ok(sim::equivalent_random_sequential(
-            golden, &lowered, 16, rounds, seed,
+            golden, lowered, 16, rounds, seed,
         )?)
     } else {
-        Ok(sim::equivalent_random(golden, &lowered, rounds, seed)?)
+        Ok(sim::equivalent_random(golden, lowered, rounds, seed)?)
     }
 }
 
@@ -252,10 +256,41 @@ mod tests {
             .expect("lib2 has another gate of the same arity");
         mapped.gate_kinds.push(gate_kind_of(other, lib.gate(other)));
         mapped.cells[c as usize].kind = (mapped.gate_kinds.len() - 1) as u32;
+        // The first report cached the lowering of the unedited netlist.
+        mapped.clear_lowering();
         let violations = report(&mapped, &subject, 3).unwrap();
         assert!(
             violations.contains(&Violation::NotEquivalent { seed: 3 }),
             "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn verification_lowers_once_for_writeback() {
+        let subject = SubjectGraph::from_network(&dagmap_benchgen::c2670_like()).unwrap();
+        let mapped = Mapper::new(&Library::lib2_like())
+            .map(&subject, MapOptions::dag())
+            .unwrap();
+        let fresh = dagmap_netlist::blif::to_string(&mapped.to_network().unwrap()).unwrap();
+        assert_eq!(
+            format!("{:?}", mapped.lowered),
+            "empty",
+            "lowering alone caches nothing"
+        );
+        check(&mapped, &subject, 7).unwrap();
+        assert_eq!(
+            format!("{:?}", mapped.lowered),
+            "cached",
+            "verification caches its lowering"
+        );
+        let cached = dagmap_netlist::blif::to_string(&mapped.to_network().unwrap()).unwrap();
+        assert_eq!(fresh, cached);
+        assert!(format!("{mapped:?}").contains("lowered: cached"));
+        let clone = mapped.clone();
+        assert_eq!(
+            format!("{:?}", clone.lowered),
+            "empty",
+            "a clone lowers afresh"
         );
     }
 

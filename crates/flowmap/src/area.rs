@@ -97,7 +97,7 @@ fn priority_cuts(
             let area_flow = 1.0
                 + leaves
                     .iter()
-                    .map(|x| best_af[x.index()] / net.node(*x).fanouts().len().max(1) as f64)
+                    .map(|x| best_af[x.index()] / net.node(*x).fanout_count().max(1) as f64)
                     .sum::<f64>();
             scored.push(Cut {
                 leaves,
@@ -134,7 +134,7 @@ fn priority_cuts(
             let area_flow = 1.0
                 + label_cut
                     .iter()
-                    .map(|x| best_af[x.index()] / net.node(*x).fanouts().len().max(1) as f64)
+                    .map(|x| best_af[x.index()] / net.node(*x).fanout_count().max(1) as f64)
                     .sum::<f64>();
             kept.push(Cut {
                 leaves: label_cut,

@@ -202,12 +202,12 @@ impl Expr {
     ) -> NodeId {
         match self {
             Expr::Const(v) => net
-                .add_node(NodeFn::Const(*v), Vec::new())
+                .add_node(NodeFn::Const(*v), [])
                 .expect("constants are nullary"),
             Expr::Var(v) => pin(v).unwrap_or_else(|| panic!("pin `{v}` missing from binding")),
             Expr::Not(e) => {
                 let x = e.lower_into(net, pin, shape);
-                net.add_node(NodeFn::Not, vec![x]).expect("arity 1")
+                net.add_node(NodeFn::Not, [x]).expect("arity 1")
             }
             Expr::And(es) => lower_nary(net, pin, shape, es, NodeFn::And),
             Expr::Or(es) => lower_nary(net, pin, shape, es, NodeFn::Or),
@@ -225,23 +225,25 @@ fn lower_nary(
     let mut terms: Vec<NodeId> = es.iter().map(|e| e.lower_into(net, pin, shape)).collect();
     match shape {
         TreeShape::Balanced => {
+            // Neighbours pair level by level, left to right, in place.
             while terms.len() > 1 {
-                let mut next = Vec::with_capacity(terms.len().div_ceil(2));
-                for pair in terms.chunks(2) {
-                    next.push(match pair {
-                        [a, b] => net.add_node(op.clone(), vec![*a, *b]).expect("arity 2"),
-                        [a] => *a,
-                        _ => unreachable!(),
-                    });
+                let half = terms.len().div_ceil(2);
+                for i in 0..half {
+                    terms[i] = match terms.get(2 * i + 1) {
+                        Some(&b) => net
+                            .add_node(op.clone(), [terms[2 * i], b])
+                            .expect("arity 2"),
+                        None => terms[2 * i],
+                    };
                 }
-                terms = next;
+                terms.truncate(half);
             }
             terms[0]
         }
         TreeShape::LeftChain => {
             let mut acc = terms[0];
             for &t in &terms[1..] {
-                acc = net.add_node(op.clone(), vec![acc, t]).expect("arity 2");
+                acc = net.add_node(op.clone(), [acc, t]).expect("arity 2");
             }
             acc
         }

@@ -27,22 +27,27 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::collections::{HashMap, HashSet};
 
 use crate::sop::{Cube, CubeLit};
 use crate::{NetlistError, Network, NodeFn, NodeId, SopCover};
 
-/// One logical (continuation-joined, comment-stripped) BLIF line.
+/// One logical (continuation-joined, comment-stripped) BLIF line; its
+/// tokens are `tokens[start..end]` of the array [`logical_lines`] returns.
 struct Line {
     number: usize,
-    tokens: Vec<String>,
+    start: usize,
+    end: usize,
 }
 
-fn logical_lines(text: &str) -> Vec<Line> {
-    let mut out = Vec::new();
-    let mut pending = String::new();
-    let mut pending_start = 0usize;
+/// Splits `text` into logical lines over one token array. Every token is
+/// a slice of `text`: a `\` continuation joins physical lines with a
+/// space, so no token spans two of them.
+fn logical_lines(text: &str) -> (Vec<Line>, Vec<&str>) {
+    let mut lines = Vec::new();
+    let mut tokens = Vec::with_capacity(text.len() / 4);
+    // First line number and first token of a continued line.
+    let mut pending: Option<(usize, usize)> = None;
     for (idx, raw) in text.lines().enumerate() {
         let number = idx + 1;
         let no_comment = match raw.find('#') {
@@ -51,56 +56,58 @@ fn logical_lines(text: &str) -> Vec<Line> {
         };
         let trimmed = no_comment.trim_end();
         if let Some(stripped) = trimmed.strip_suffix('\\') {
-            if pending.is_empty() {
-                pending_start = number;
-            }
-            pending.push_str(stripped);
-            pending.push(' ');
+            pending.get_or_insert((number, tokens.len()));
+            tokens.extend(stripped.split_whitespace());
             continue;
         }
-        let (full, start) = if pending.is_empty() {
-            (trimmed.to_owned(), number)
-        } else {
-            let mut f = std::mem::take(&mut pending);
-            f.push_str(trimmed);
-            (f, pending_start)
-        };
-        let tokens: Vec<String> = full.split_whitespace().map(str::to_owned).collect();
-        if !tokens.is_empty() {
-            out.push(Line {
-                number: start,
-                tokens,
+        let (number, start) = pending.take().unwrap_or((number, tokens.len()));
+        tokens.extend(trimmed.split_whitespace());
+        if tokens.len() > start {
+            lines.push(Line {
+                number,
+                start,
+                end: tokens.len(),
             });
         }
     }
-    if !pending.is_empty() {
-        let tokens: Vec<String> = pending.split_whitespace().map(str::to_owned).collect();
-        if !tokens.is_empty() {
-            out.push(Line {
-                number: pending_start,
-                tokens,
+    if let Some((number, start)) = pending {
+        if tokens.len() > start {
+            lines.push(Line {
+                number,
+                start,
+                end: tokens.len(),
             });
         }
     }
-    out
+    (lines, tokens)
 }
 
 #[derive(Debug)]
-struct NamesSpec {
+struct NamesSpec<'t> {
     line: usize,
-    inputs: Vec<String>,
-    output: String,
-    cubes: Vec<(Cube, bool)>,
+    inputs: &'t [&'t str],
+    output: &'t str,
+    cubes: Vec<Cube>,
+    /// Output value of the first cube (`true` for an empty cover).
+    phase: bool,
+    /// Some cube's output value differs from the first one's.
+    mixed: bool,
 }
 
 #[derive(Debug)]
-struct LatchSpec {
+struct LatchSpec<'t> {
     line: usize,
-    input: String,
-    output: String,
+    input: &'t str,
+    output: &'t str,
 }
 
 /// Parses BLIF text into a [`Network`] (first `.model` only).
+///
+/// Tokens borrow `text`, signal tables are keyed by `&str`, and each
+/// `.names` cover is built once and moved into its node. Nodes are created
+/// in the post-order of a depth-first walk from each `.names` block in file
+/// order, kept on an explicit stack, so a file listing consumers before
+/// their producers parses at any depth.
 ///
 /// # Errors
 ///
@@ -109,10 +116,11 @@ struct LatchSpec {
 pub fn parse(text: &str) -> Result<Network, NetlistError> {
     let mut obs_span = dagmap_obs::span("parse.blif");
     obs_span.set_u64("bytes", text.len() as u64);
-    let lines = logical_lines(text);
-    let mut model_name = String::from("blif");
-    let mut inputs: Vec<String> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
+    let (lines, tokens) = logical_lines(text);
+    let tokens_of = |line: &Line| &tokens[line.start..line.end];
+    let mut model_name = "blif";
+    let mut inputs: Vec<&str> = Vec::new();
+    let mut outputs: Vec<&str> = Vec::new();
     let mut names: Vec<NamesSpec> = Vec::new();
     let mut latches: Vec<LatchSpec> = Vec::new();
 
@@ -120,51 +128,60 @@ pub fn parse(text: &str) -> Result<Network, NetlistError> {
     let mut saw_model = false;
     while i < lines.len() {
         let line = &lines[i];
-        let head = line.tokens[0].as_str();
+        let toks = tokens_of(line);
+        let head = toks[0];
         match head {
             ".model" => {
                 if saw_model {
                     break; // only the first model
                 }
                 saw_model = true;
-                if let Some(name) = line.tokens.get(1) {
-                    model_name = name.clone();
+                if let Some(name) = toks.get(1) {
+                    model_name = name;
                 }
                 i += 1;
             }
             ".inputs" => {
-                inputs.extend(line.tokens[1..].iter().cloned());
+                inputs.extend_from_slice(&toks[1..]);
                 i += 1;
             }
             ".outputs" => {
-                outputs.extend(line.tokens[1..].iter().cloned());
+                outputs.extend_from_slice(&toks[1..]);
                 i += 1;
             }
             ".names" => {
-                if line.tokens.len() < 2 {
+                if toks.len() < 2 {
                     return Err(NetlistError::Parse {
                         line: line.number,
                         message: ".names needs at least an output signal".into(),
                     });
                 }
-                let output = line.tokens.last().expect("checked length").clone();
-                let ins: Vec<String> = line.tokens[1..line.tokens.len() - 1].to_vec();
-                let mut cubes = Vec::new();
+                let output = toks[toks.len() - 1];
+                let ins = &toks[1..toks.len() - 1];
+                let mut spec = NamesSpec {
+                    line: line.number,
+                    inputs: ins,
+                    output,
+                    cubes: Vec::new(),
+                    phase: true,
+                    mixed: false,
+                };
                 i += 1;
-                while i < lines.len() && !lines[i].tokens[0].starts_with('.') {
+                while i < lines.len() && !tokens_of(&lines[i])[0].starts_with('.') {
                     let cl = &lines[i];
+                    let cl_toks = tokens_of(cl);
                     let (cube_text, value_text) = if ins.is_empty() {
                         // Constant node: a bare "1" or "0".
-                        (String::new(), cl.tokens[0].clone())
-                    } else if cl.tokens.len() == 2 {
-                        (cl.tokens[0].clone(), cl.tokens[1].clone())
+                        ("", cl_toks[0])
+                    } else if cl_toks.len() == 2 {
+                        (cl_toks[0], cl_toks[1])
                     } else {
                         return Err(NetlistError::Parse {
                             line: cl.number,
-                            message: format!("expected `<cube> <value>`, got {:?}", cl.tokens),
+                            message: format!("expected `<cube> <value>`, got {cl_toks:?}"),
                         });
                     };
-                    let value = match value_text.as_str() {
+                    let value = match value_text {
                         "1" => true,
                         "0" => false,
                         other => {
@@ -174,7 +191,7 @@ pub fn parse(text: &str) -> Result<Network, NetlistError> {
                             })
                         }
                     };
-                    let cube = Cube::parse(&cube_text).ok_or_else(|| NetlistError::Parse {
+                    let cube = Cube::parse(cube_text).ok_or_else(|| NetlistError::Parse {
                         line: cl.number,
                         message: format!("bad cube `{cube_text}`"),
                     })?;
@@ -188,18 +205,17 @@ pub fn parse(text: &str) -> Result<Network, NetlistError> {
                             ),
                         });
                     }
-                    cubes.push((cube, value));
+                    if spec.cubes.is_empty() {
+                        spec.phase = value;
+                    }
+                    spec.mixed |= value != spec.phase;
+                    spec.cubes.push(cube);
                     i += 1;
                 }
-                names.push(NamesSpec {
-                    line: line.number,
-                    inputs: ins,
-                    output,
-                    cubes,
-                });
+                names.push(spec);
             }
             ".latch" => {
-                if line.tokens.len() < 3 {
+                if toks.len() < 3 {
                     return Err(NetlistError::Parse {
                         line: line.number,
                         message: ".latch needs input and output signals".into(),
@@ -207,8 +223,8 @@ pub fn parse(text: &str) -> Result<Network, NetlistError> {
                 }
                 latches.push(LatchSpec {
                     line: line.number,
-                    input: line.tokens[1].clone(),
-                    output: line.tokens[2].clone(),
+                    input: toks[1],
+                    output: toks[2],
                 });
                 i += 1;
             }
@@ -233,42 +249,42 @@ pub fn parse(text: &str) -> Result<Network, NetlistError> {
     }
 
     // Validate covers: all cubes of one .names must agree on the output value.
-    for spec in &names {
-        if spec.cubes.windows(2).any(|w| w[0].1 != w[1].1) {
-            return Err(NetlistError::Parse {
-                line: spec.line,
-                message: format!("cover for `{}` mixes output phases", spec.output),
-            });
-        }
+    if let Some(spec) = names.iter().find(|spec| spec.mixed) {
+        return Err(NetlistError::Parse {
+            line: spec.line,
+            message: format!("cover for `{}` mixes output phases", spec.output),
+        });
     }
 
     // Producer table.
-    let mut producer: HashMap<&str, usize> = HashMap::new(); // index into names
+    let mut producer: HashMap<&str, usize> = HashMap::with_capacity(names.len());
     for (idx, spec) in names.iter().enumerate() {
-        if producer.insert(spec.output.as_str(), idx).is_some() {
-            return Err(NetlistError::RedefinedSignal(spec.output.clone()));
+        if producer.insert(spec.output, idx).is_some() {
+            return Err(NetlistError::RedefinedSignal(spec.output.to_owned()));
         }
     }
-    let latch_out: HashMap<&str, usize> = latches
+    let latch_out: HashSet<&str> = latches.iter().map(|l| l.output).collect();
+    let input_set: HashSet<&str> = inputs.iter().copied().collect();
+    if let Some(spec) = names
         .iter()
-        .enumerate()
-        .map(|(i, l)| (l.output.as_str(), i))
-        .collect();
-    for spec in &names {
-        if latch_out.contains_key(spec.output.as_str()) || inputs.iter().any(|i| i == &spec.output)
-        {
-            return Err(NetlistError::RedefinedSignal(spec.output.clone()));
-        }
+        .find(|spec| latch_out.contains(spec.output) || input_set.contains(spec.output))
+    {
+        return Err(NetlistError::RedefinedSignal(spec.output.to_owned()));
     }
 
     let mut net = Network::new(model_name);
-    let mut signal: HashMap<String, NodeId> = HashMap::new();
-    for name in &inputs {
+    net.reserve(
+        inputs.len() + latches.len() + 1 + names.len(),
+        latches.len() + names.iter().map(|spec| spec.inputs.len()).sum::<usize>(),
+    );
+    let mut signal: HashMap<&str, NodeId> =
+        HashMap::with_capacity(inputs.len() + latches.len() + names.len());
+    for &name in &inputs {
         if signal.contains_key(name) {
-            return Err(NetlistError::RedefinedSignal(name.clone()));
+            return Err(NetlistError::RedefinedSignal(name.to_owned()));
         }
         let id = net.add_input(name);
-        signal.insert(name.clone(), id);
+        signal.insert(name, id);
     }
     // Latch outputs become latch nodes fed by a placeholder constant; the
     // data fanin is patched once its cone exists.
@@ -277,84 +293,29 @@ pub fn parse(text: &str) -> Result<Network, NetlistError> {
         None
     } else {
         Some(
-            net.add_node(NodeFn::Const(false), Vec::new())
+            net.add_node(NodeFn::Const(false), [])
                 .expect("constants are nullary"),
         )
     };
     for l in &latches {
         let zero = zero.expect("placeholder exists when latches exist");
-        if signal.contains_key(&l.output) {
-            return Err(NetlistError::RedefinedSignal(l.output.clone()));
+        if signal.contains_key(l.output) {
+            return Err(NetlistError::RedefinedSignal(l.output.to_owned()));
         }
         let id = net
-            .add_node(NodeFn::Latch, vec![zero])
+            .add_node(NodeFn::Latch, [zero])
             .expect("latch arity is 1");
-        net.set_node_name(id, &l.output);
-        signal.insert(l.output.clone(), id);
+        net.set_node_name(id, l.output);
+        signal.insert(l.output, id);
         latch_nodes.push(id);
     }
 
-    // Instantiate .names nodes in dependency order (iterative DFS).
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Grey,
-        Black,
-    }
-    let mut mark = vec![Mark::White; names.len()];
-    fn instantiate(
-        idx: usize,
-        names: &[NamesSpec],
-        producer: &HashMap<&str, usize>,
-        mark: &mut [Mark],
-        net: &mut Network,
-        signal: &mut HashMap<String, NodeId>,
-    ) -> Result<NodeId, NetlistError> {
-        if let Some(&id) = signal.get(&names[idx].output) {
-            return Ok(id);
-        }
-        if mark[idx] == Mark::Grey {
-            return Err(NetlistError::Parse {
-                line: names[idx].line,
-                message: format!("combinational cycle through `{}`", names[idx].output),
-            });
-        }
-        mark[idx] = Mark::Grey;
-        let mut fanins = Vec::with_capacity(names[idx].inputs.len());
-        for input in names[idx].inputs.clone() {
-            let id = if let Some(&id) = signal.get(&input) {
-                id
-            } else if let Some(&p) = producer.get(input.as_str()) {
-                instantiate(p, names, producer, mark, net, signal)?
-            } else {
-                return Err(NetlistError::UndefinedSignal(input));
-            };
-            fanins.push(id);
-        }
-        let spec = &names[idx];
-        let value = spec.cubes.first().map(|c| c.1).unwrap_or(true);
-        let cover = SopCover::new(
-            spec.inputs.len(),
-            spec.cubes.iter().map(|c| c.0.clone()).collect(),
-            value,
-        )
-        .expect("cube widths were validated");
-        let id = net
-            .add_node(NodeFn::Sop(cover), fanins)
-            .expect("arity matches cover");
-        net.set_node_name(id, &spec.output);
-        mark[idx] = Mark::Black;
-        signal.insert(spec.output.clone(), id);
-        Ok(id)
-    }
-    for idx in 0..names.len() {
-        instantiate(idx, &names, &producer, &mut mark, &mut net, &mut signal)?;
-    }
+    instantiate_names(&mut names, &producer, &mut net, &mut signal)?;
 
     // Patch latch data fanins.
     for (l, &node) in latches.iter().zip(&latch_nodes) {
         let data = signal
-            .get(&l.input)
+            .get(l.input)
             .copied()
             .ok_or_else(|| NetlistError::Parse {
                 line: l.line,
@@ -363,28 +324,299 @@ pub fn parse(text: &str) -> Result<Network, NetlistError> {
         net.replace_single_fanin(node, data);
     }
 
-    for name in &outputs {
+    for &name in &outputs {
         let id = signal
             .get(name)
             .copied()
-            .ok_or_else(|| NetlistError::UndefinedSignal(name.clone()))?;
+            .ok_or_else(|| NetlistError::UndefinedSignal(name.to_owned()))?;
         net.add_output(name, id);
     }
     net.validate()?;
     Ok(net)
 }
 
+/// Creates one node per `.names` block, producers before consumers: a
+/// depth-first walk from each block in file order, creating each node in
+/// post-order. The walk keeps its frames on a heap stack and the fanins
+/// gathered so far in one shared array, each frame owning the tail it
+/// pushed, so its depth is bounded by memory, not by the thread's stack.
+fn instantiate_names<'t>(
+    names: &mut [NamesSpec<'t>],
+    producer: &HashMap<&'t str, usize>,
+    net: &mut Network,
+    signal: &mut HashMap<&'t str, NodeId>,
+) -> Result<(), NetlistError> {
+    /// One `.names` block being instantiated.
+    struct Frame {
+        spec: usize,
+        /// Next input to resolve.
+        pin: usize,
+        /// Where this frame's fanins start in the shared array.
+        base: usize,
+    }
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mark {
+        White,
+        Grey,
+        Black,
+    }
+    let mut mark = vec![Mark::White; names.len()];
+    let mut stack: Vec<Frame> = Vec::new();
+    let mut fanins: Vec<NodeId> = Vec::new();
+    for root in 0..names.len() {
+        if mark[root] == Mark::Black {
+            continue;
+        }
+        mark[root] = Mark::Grey;
+        stack.push(Frame {
+            spec: root,
+            pin: 0,
+            base: 0,
+        });
+        while let Some(frame) = stack.last_mut() {
+            let spec = &mut names[frame.spec];
+            if let Some(&input) = spec.inputs.get(frame.pin) {
+                if let Some(&id) = signal.get(input) {
+                    fanins.push(id);
+                    frame.pin += 1;
+                } else if let Some(&p) = producer.get(input) {
+                    if mark[p] == Mark::Grey {
+                        return Err(NetlistError::Parse {
+                            line: names[p].line,
+                            message: format!("combinational cycle through `{}`", names[p].output),
+                        });
+                    }
+                    mark[p] = Mark::Grey;
+                    stack.push(Frame {
+                        spec: p,
+                        pin: 0,
+                        base: fanins.len(),
+                    });
+                } else {
+                    return Err(NetlistError::UndefinedSignal(input.to_owned()));
+                }
+                continue;
+            }
+            let cover = SopCover::new(
+                spec.inputs.len(),
+                std::mem::take(&mut spec.cubes),
+                spec.phase,
+            )
+            .expect("cube widths were validated");
+            let id = net
+                .add_node(NodeFn::Sop(cover), &fanins[frame.base..])
+                .expect("arity matches cover");
+            net.set_node_name(id, spec.output);
+            signal.insert(spec.output, id);
+            mark[frame.spec] = Mark::Black;
+            fanins.truncate(frame.base);
+            stack.pop();
+            if let Some(parent) = stack.last_mut() {
+                fanins.push(id);
+                parent.pin += 1;
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Widest XOR/XNOR written as one cube cover (2^(n-1) cubes); wider ones
 /// are written as trees of 2-input XORs.
 const MAX_PARITY_CUBE_INPUTS: usize = 16;
 
+/// Which node owns each BLIF signal name while [`to_string`] assigns them.
+///
+/// A generated name `n<k>` (canonical decimal `k` below the node count)
+/// resolves through an array indexed by `k`; every other name through a
+/// map. Names borrowed from the network (node and port names) are keyed
+/// by `&str`; only the names the writer makes up (collision suffixes,
+/// parity-tree signals) are owned. Each name string has exactly one slot,
+/// so lookups answer exactly as one map over all names would.
+struct NameTable<'a> {
+    /// Owner of `n<k>`, or `FREE`.
+    generated: Vec<u32>,
+    borrowed: HashMap<&'a str, NodeId>,
+    made: HashMap<String, NodeId>,
+}
+
+/// An unclaimed generated name.
+const FREE: u32 = u32::MAX;
+
+/// `k` if `name` is `n` followed by `k` in canonical decimal (no sign, no
+/// leading zero): the one spelling the writer generates for node `k`.
+fn generated_number(name: &str) -> Option<u64> {
+    let digits = name.strip_prefix('n')?;
+    let canonical = (1..=10).contains(&digits.len())
+        && digits.bytes().all(|b| b.is_ascii_digit())
+        && (digits == "0" || !digits.starts_with('0'));
+    canonical.then(|| digits.parse().expect("at most ten decimal digits"))
+}
+
+/// A node's BLIF signal name.
+#[derive(Clone, Copy)]
+enum SignalName<'a> {
+    /// `n<id>`.
+    Generated(u32),
+    /// A name borrowed from the network.
+    Borrowed(&'a str),
+    /// `made[i]` of the writer's own names.
+    Made(usize),
+}
+
+impl<'a> NameTable<'a> {
+    fn new(nodes: usize, borrowed: usize) -> Self {
+        NameTable {
+            generated: vec![FREE; nodes],
+            borrowed: HashMap::with_capacity(borrowed),
+            made: HashMap::new(),
+        }
+    }
+
+    /// `k` if `name` is `n<k>` with `k` below the node count.
+    fn generated_index(&self, name: &str) -> Option<usize> {
+        generated_number(name)
+            .filter(|&k| k < self.generated.len() as u64)
+            .map(|k| k as usize)
+    }
+
+    fn owner(&self, name: &str) -> Option<NodeId> {
+        match self.generated_index(name) {
+            Some(k) => {
+                let owner = self.generated[k];
+                (owner != FREE).then(|| NodeId::from_index(owner as usize))
+            }
+            None => self
+                .borrowed
+                .get(name)
+                .or_else(|| self.made.get(name))
+                .copied(),
+        }
+    }
+
+    /// Claims a free name borrowed from the network for `id`.
+    fn claim_borrowed(&mut self, name: &'a str, id: NodeId) {
+        match self.generated_index(name) {
+            Some(k) => self.generated[k] = id.index() as u32,
+            None => {
+                self.borrowed.insert(name, id);
+            }
+        }
+    }
+
+    /// Claims a free name the writer made up for `id`.
+    fn claim_made(&mut self, name: String, id: NodeId) {
+        match self.generated_index(&name) {
+            Some(k) => self.generated[k] = id.index() as u32,
+            None => {
+                self.made.insert(name, id);
+            }
+        }
+    }
+
+    /// The first of `base`, `base_1`, `base_2`, … that is free or already
+    /// `id`'s, claimed for `id`.
+    fn assign(
+        &mut self,
+        base: SignalName<'a>,
+        id: NodeId,
+        made_names: &mut Vec<String>,
+    ) -> SignalName<'a> {
+        let taken = |owner: Option<NodeId>| owner.is_some_and(|o| o != id);
+        match base {
+            SignalName::Generated(k) => {
+                let owner = self.generated[k as usize];
+                if owner == FREE || owner == id.index() as u32 {
+                    self.generated[k as usize] = id.index() as u32;
+                    return base;
+                }
+            }
+            SignalName::Borrowed(text) => match self.owner(text) {
+                None => {
+                    self.claim_borrowed(text, id);
+                    return base;
+                }
+                Some(owner) if owner == id => return base,
+                Some(_) => {}
+            },
+            SignalName::Made(_) => unreachable!("bases are node names"),
+        }
+        let base_text = match base {
+            SignalName::Generated(k) => format!("n{k}"),
+            SignalName::Borrowed(text) => text.to_owned(),
+            SignalName::Made(_) => unreachable!("bases are node names"),
+        };
+        let mut k = 1;
+        let name = loop {
+            let name = format!("{base_text}_{k}");
+            if !taken(self.owner(&name)) {
+                break name;
+            }
+            k += 1;
+        };
+        if self.owner(&name).is_none() {
+            self.claim_made(name.clone(), id);
+        }
+        made_names.push(name);
+        SignalName::Made(made_names.len() - 1)
+    }
+}
+
+/// Appends the decimal digits of `v`.
+fn push_decimal(s: &mut String, mut v: u32) {
+    let mut buf = [0u8; 10];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    s.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// The assigned signal names of a network being written.
+struct Names<'a> {
+    of: Vec<SignalName<'a>>,
+    made: Vec<String>,
+}
+
+impl Names<'_> {
+    fn push(&self, s: &mut String, id: NodeId) {
+        match self.of[id.index()] {
+            SignalName::Generated(k) => {
+                s.push('n');
+                push_decimal(s, k);
+            }
+            SignalName::Borrowed(text) => s.push_str(text),
+            SignalName::Made(i) => s.push_str(&self.made[i]),
+        }
+    }
+
+    fn text(&self, id: NodeId) -> String {
+        let mut s = String::new();
+        self.push(&mut s, id);
+        s
+    }
+
+    /// Whether `id`'s signal is named `name`.
+    fn is(&self, id: NodeId, name: &str) -> bool {
+        match self.of[id.index()] {
+            SignalName::Generated(k) => generated_number(name) == Some(u64::from(k)),
+            SignalName::Borrowed(text) => text == name,
+            SignalName::Made(i) => self.made[i] == name,
+        }
+    }
+}
+
 /// Writes an XOR (XNOR when `invert`) over `inputs`, more than
 /// [`MAX_PARITY_CUBE_INPUTS`] signals, as a balanced tree of 2-input XOR
 /// `.names` whose root drives `out`. The internal signals get fresh names,
-/// registered in `used` under `owner`.
+/// registered in `table` under `owner`.
 fn write_parity_tree(
     s: &mut String,
-    used: &mut HashMap<String, NodeId>,
+    table: &mut NameTable<'_>,
     owner: NodeId,
     inputs: Vec<String>,
     out: &str,
@@ -402,77 +634,100 @@ fn write_parity_tree(
             let t = loop {
                 let t = format!("{out}_x{k}");
                 k += 1;
-                if !used.contains_key(&t) {
+                if table.owner(&t).is_none() {
                     break t;
                 }
             };
-            used.insert(t.clone(), owner);
-            writeln!(s, ".names {a} {b} {t}\n01 1\n10 1").expect("string write");
+            table.claim_made(t.clone(), owner);
+            for part in [".names ", a, " ", b, " ", &t, "\n01 1\n10 1\n"] {
+                s.push_str(part);
+            }
             next.push(t);
         }
         level = next;
     }
-    let on_set = if invert { "00 1\n11 1" } else { "01 1\n10 1" };
-    writeln!(s, ".names {} {} {out}\n{on_set}", level[0], level[1]).expect("string write");
+    let on_set = if invert {
+        "00 1\n11 1\n"
+    } else {
+        "01 1\n10 1\n"
+    };
+    for part in [".names ", &level[0], " ", &level[1], " ", out, "\n", on_set] {
+        s.push_str(part);
+    }
 }
 
-/// Converts a node function to an SOP cover for writing.
-fn cover_of(func: &NodeFn, fanins: usize) -> Result<SopCover, NetlistError> {
-    let all = |lit: CubeLit| Cube(vec![lit; fanins]);
-    let one_hot = |lit: CubeLit| -> Vec<Cube> {
-        (0..fanins)
-            .map(|i| {
-                let mut c = vec![CubeLit::DontCare; fanins];
-                c[i] = lit;
-                Cube(c)
-            })
-            .collect()
+/// Appends `func`'s cover over `n` fanins in BLIF cube lines: the cubes
+/// the function's sum-of-products form lists, each followed by the output
+/// phase, or the bare phase per cube for a zero-input cover.
+fn write_cover(s: &mut String, func: &NodeFn, n: usize) -> Result<(), NetlistError> {
+    let lit = |l: &CubeLit| match l {
+        CubeLit::Zero => '0',
+        CubeLit::One => '1',
+        CubeLit::DontCare => '-',
     };
-    let cover = match func {
-        NodeFn::Const(v) => SopCover::constant(*v),
-        NodeFn::Buf => SopCover::new(1, vec![Cube(vec![CubeLit::One])], true).expect("width 1"),
-        NodeFn::Not => SopCover::new(1, vec![Cube(vec![CubeLit::Zero])], true).expect("width 1"),
-        NodeFn::And => SopCover::new(fanins, vec![all(CubeLit::One)], true).expect("uniform"),
-        NodeFn::Nand => SopCover::new(fanins, vec![all(CubeLit::One)], false).expect("uniform"),
-        NodeFn::Or => SopCover::new(fanins, one_hot(CubeLit::One), true).expect("one-hot"),
-        NodeFn::Nor => SopCover::new(fanins, one_hot(CubeLit::One), false).expect("one-hot"),
+    match func {
+        NodeFn::Const(true) => s.push_str("1\n"),
+        NodeFn::Const(false) => {}
+        NodeFn::Buf => s.push_str("1 1\n"),
+        NodeFn::Not => s.push_str("0 1\n"),
+        NodeFn::And | NodeFn::Nand => {
+            s.extend(std::iter::repeat_n('1', n));
+            s.push_str(if matches!(func, NodeFn::And) {
+                " 1\n"
+            } else {
+                " 0\n"
+            });
+        }
+        NodeFn::Or | NodeFn::Nor => {
+            let phase = if matches!(func, NodeFn::Or) {
+                " 1\n"
+            } else {
+                " 0\n"
+            };
+            for i in 0..n {
+                s.extend((0..n).map(|j| if i == j { '1' } else { '-' }));
+                s.push_str(phase);
+            }
+        }
         NodeFn::Xor | NodeFn::Xnor => {
             // Wider parities are written as trees (`write_parity_tree`).
-            debug_assert!(fanins <= MAX_PARITY_CUBE_INPUTS);
+            debug_assert!(n <= MAX_PARITY_CUBE_INPUTS);
             let want_odd = matches!(func, NodeFn::Xor);
-            let mut cubes = Vec::new();
-            for m in 0..(1usize << fanins) {
-                let odd = (m.count_ones() & 1) == 1;
-                if odd == want_odd {
-                    let lits = (0..fanins)
-                        .map(|i| {
-                            if (m >> i) & 1 == 1 {
-                                CubeLit::One
-                            } else {
-                                CubeLit::Zero
-                            }
-                        })
-                        .collect();
-                    cubes.push(Cube(lits));
+            for m in 0..(1usize << n) {
+                if (m.count_ones() & 1 == 1) == want_odd {
+                    s.extend((0..n).map(|i| if (m >> i) & 1 == 1 { '1' } else { '0' }));
+                    s.push_str(" 1\n");
                 }
             }
-            SopCover::new(fanins, cubes, true).expect("uniform")
         }
-        NodeFn::Mux => SopCover::parse_cubes(3, &["01-", "1-1"], true).expect("static"),
-        NodeFn::Maj => SopCover::parse_cubes(3, &["11-", "1-1", "-11"], true).expect("static"),
-        NodeFn::Sop(c) => c.clone(),
+        NodeFn::Mux => s.push_str("01- 1\n1-1 1\n"),
+        NodeFn::Maj => s.push_str("11- 1\n1-1 1\n-11 1\n"),
+        NodeFn::Sop(cover) => {
+            let phase = if cover.output_value() { '1' } else { '0' };
+            for cube in cover.cubes() {
+                if cover.num_inputs() > 0 {
+                    s.extend(cube.0.iter().map(lit));
+                    s.push(' ');
+                }
+                s.push(phase);
+                s.push('\n');
+            }
+        }
         NodeFn::Input | NodeFn::Latch => {
             return Err(NetlistError::Invariant(
                 "inputs and latches are not .names nodes".into(),
             ))
         }
-    };
-    Ok(cover)
+    }
+    Ok(())
 }
 
 /// Serializes a network to BLIF text.
 ///
-/// Unnamed internal signals get generated `n<k>` names. An XOR or XNOR
+/// Unnamed internal signals get generated `n<k>` names (`k` the node's
+/// index). A name already taken by another node — an output port name
+/// belongs to its driver, and nodes claim names in id order — is
+/// disambiguated with the first free `_1`, `_2`, … suffix. An XOR or XNOR
 /// wider than 16 inputs is written as a tree of 2-input XORs over fresh
 /// internal signals.
 ///
@@ -481,52 +736,57 @@ fn cover_of(func: &NodeFn, fanins: usize) -> Result<SopCover, NetlistError> {
 /// Fails only if an input or latch reaches the `.names` writer, which a
 /// valid network never lets happen.
 pub fn to_string(net: &Network) -> Result<String, NetlistError> {
-    let mut used: HashMap<String, NodeId> = HashMap::new();
+    let n = net.num_nodes();
+    let explicit = net
+        .node_ids()
+        .filter(|&id| net.node(id).name().is_some())
+        .count();
+    let mut table = NameTable::new(n, explicit + net.outputs().len());
     // Output port names belong to their drivers: any other node that
     // happens to carry the same name (e.g. the previous driver after an
     // edit redirected the output) must be renamed, or the buffer alias
     // emitted for the port would define the signal twice.
     for o in net.outputs() {
-        used.entry(o.name.clone()).or_insert(o.driver);
-    }
-    let mut name_of: Vec<String> = Vec::with_capacity(net.num_nodes());
-    for id in net.node_ids() {
-        let base = net
-            .node(id)
-            .name()
-            .map(str::to_owned)
-            .unwrap_or_else(|| format!("n{}", id.index()));
-        let mut name = base.clone();
-        let mut k = 0;
-        while let Some(&other) = used.get(&name) {
-            if other == id {
-                break;
-            }
-            k += 1;
-            name = format!("{base}_{k}");
+        if table.owner(&o.name).is_none() {
+            table.claim_borrowed(&o.name, o.driver);
         }
-        used.insert(name.clone(), id);
-        name_of.push(name);
+    }
+    let mut names = Names {
+        of: Vec::with_capacity(n),
+        made: Vec::new(),
+    };
+    for id in net.node_ids() {
+        let base = match net.node(id).name() {
+            Some(text) => SignalName::Borrowed(text),
+            None => SignalName::Generated(id.index() as u32),
+        };
+        let name = table.assign(base, id, &mut names.made);
+        names.of.push(name);
     }
 
-    let mut s = String::new();
-    writeln!(s, ".model {}", net.name()).expect("string write");
-    write!(s, ".inputs").expect("string write");
+    let mut s = String::with_capacity(64 + 16 * n + 8 * net.num_edges());
+    s.push_str(".model ");
+    s.push_str(net.name());
+    s.push_str("\n.inputs");
     for &i in net.inputs() {
-        write!(s, " {}", name_of[i.index()]).expect("string write");
+        s.push(' ');
+        names.push(&mut s, i);
     }
-    writeln!(s).expect("string write");
-    write!(s, ".outputs").expect("string write");
+    s.push_str("\n.outputs");
     for o in net.outputs() {
-        write!(s, " {}", o.name).expect("string write");
+        s.push(' ');
+        s.push_str(&o.name);
     }
-    writeln!(s).expect("string write");
+    s.push('\n');
 
     for id in net.node_ids() {
-        if matches!(net.node(id).func(), NodeFn::Latch) {
-            let d = net.node(id).fanins()[0];
-            writeln!(s, ".latch {} {} 0", name_of[d.index()], name_of[id.index()])
-                .expect("string write");
+        let node = net.node(id);
+        if matches!(node.func(), NodeFn::Latch) {
+            s.push_str(".latch ");
+            names.push(&mut s, node.fanins()[0]);
+            s.push(' ');
+            names.push(&mut s, id);
+            s.push_str(" 0\n");
         }
     }
     for id in net.node_ids() {
@@ -537,39 +797,34 @@ pub fn to_string(net: &Network) -> Result<String, NetlistError> {
         if matches!(node.func(), NodeFn::Xor | NodeFn::Xnor)
             && node.fanins().len() > MAX_PARITY_CUBE_INPUTS
         {
-            let inputs = node
-                .fanins()
-                .iter()
-                .map(|f| name_of[f.index()].clone())
-                .collect();
+            let inputs = node.fanins().iter().map(|&f| names.text(f)).collect();
             let invert = matches!(node.func(), NodeFn::Xnor);
-            write_parity_tree(&mut s, &mut used, id, inputs, &name_of[id.index()], invert);
+            let out = names.text(id);
+            write_parity_tree(&mut s, &mut table, id, inputs, &out, invert);
             continue;
         }
-        let cover = cover_of(node.func(), node.fanins().len())?;
-        write!(s, ".names").expect("string write");
-        for f in node.fanins() {
-            write!(s, " {}", name_of[f.index()]).expect("string write");
+        s.push_str(".names");
+        for &f in node.fanins() {
+            s.push(' ');
+            names.push(&mut s, f);
         }
-        writeln!(s, " {}", name_of[id.index()]).expect("string write");
-        let phase = if cover.output_value() { "1" } else { "0" };
-        for cube in cover.cubes() {
-            if cover.num_inputs() == 0 {
-                writeln!(s, "{phase}").expect("string write");
-            } else {
-                writeln!(s, "{cube} {phase}").expect("string write");
-            }
-        }
+        s.push(' ');
+        names.push(&mut s, id);
+        s.push('\n');
+        write_cover(&mut s, node.func(), node.fanins().len())?;
     }
     // Primary outputs whose port name differs from the driver's signal name
     // need a buffer alias.
     for o in net.outputs() {
-        let driver_name = &name_of[o.driver.index()];
-        if driver_name != &o.name {
-            writeln!(s, ".names {} {}\n1 1", driver_name, o.name).expect("string write");
+        if !names.is(o.driver, &o.name) {
+            s.push_str(".names ");
+            names.push(&mut s, o.driver);
+            s.push(' ');
+            s.push_str(&o.name);
+            s.push_str("\n1 1\n");
         }
     }
-    writeln!(s, ".end").expect("string write");
+    s.push_str(".end\n");
     Ok(s)
 }
 

@@ -1,11 +1,13 @@
 //! A flat, cache-friendly CSR view of a subject graph.
 //!
-//! [`crate::Network`] stores each node as a separate struct holding a name,
-//! a function enum and two heap-allocated adjacency vectors — convenient to
-//! build and mutate, but every hop of a traversal chases a pointer into a
-//! different allocation. The labeling dynamic program and the match kernel
-//! walk the same few arrays millions of times per mapping, so they want the
-//! opposite layout: structure-of-arrays, contiguous, u32-indexed.
+//! [`crate::Network`] is flat too — one function array, a fanin arena with
+//! per-node offsets, fanout counts and a name table — but it is shaped for
+//! building and editing: its functions are full [`NodeFn`] values, its
+//! fanins can be rewired in place, and it has no levels. The labeling
+//! dynamic program and the match kernel walk the same few arrays millions
+//! of times per mapping, so they want compact kind codes and the level
+//! structure next to the adjacency: structure-of-arrays, contiguous,
+//! u32-indexed.
 //!
 //! [`FlatNet`] is that layout. It is derived once from a finished subject
 //! graph (the network is NAND2/INV and never mutated afterwards) and holds:
@@ -13,16 +15,17 @@
 //! * a per-node **kind code** (`0` source, `1` inverter, `2` NAND — the
 //!   same depth-0 codes the fingerprint module uses),
 //! * per-node **topological level**,
-//! * **fanin adjacency** in compressed-sparse-row form,
+//! * **fanin adjacency** in compressed-sparse-row form, copied from the
+//!   network's fanin arena,
 //! * per-node **fanout counts**, one per consuming *edge* as in
-//!   [`crate::Node::fanouts`], so a consumer using a node twice counts
+//!   [`crate::Node::fanout_count`], so a consumer using a node twice counts
 //!   twice (exact-match semantics count edges, not nodes),
 //! * the **level wavefronts** as one more CSR: the concatenation of the
 //!   level groups, which is also a topological order of the whole graph.
 //!   This is the subject graph's one level structure.
 //!
 //! Everything is index arithmetic over seven flat vectors; no traversal of
-//! a `FlatNet` ever touches a `Node`.
+//! a `FlatNet` ever touches the [`crate::Network`].
 
 use crate::{NetlistError, Network, NodeFn, NodeId};
 
@@ -89,7 +92,7 @@ impl FlatNet {
         for id in net.node_ids() {
             let node = net.node(id);
             kind.push(kind_of(node.func()));
-            fanout_count.push(node.fanouts().len() as u32);
+            fanout_count.push(node.fanout_count() as u32);
             fanin.extend_from_slice(node.fanins());
             fanin_off.push(fanin.len() as u32);
         }
@@ -175,7 +178,7 @@ impl FlatNet {
     }
 
     /// Number of fanout edges of a node — one per consuming edge, as in
-    /// [`crate::Node::fanouts`].
+    /// [`crate::Node::fanout_count`].
     #[inline]
     pub fn fanout_count(&self, id: NodeId) -> usize {
         self.fanout_count[id.index()] as usize
@@ -235,7 +238,7 @@ mod tests {
             assert_eq!(flat.fanins(id), node.fanins(), "fanins of {id}");
             assert_eq!(
                 flat.fanout_count(id),
-                node.fanouts().len(),
+                node.fanout_count(),
                 "fanouts of {id}"
             );
         }

@@ -1,37 +1,67 @@
-use std::collections::HashMap;
+use std::fmt;
 
 use crate::{NetlistError, NodeFn, NodeId};
 
-/// A node of a [`Network`]: a function applied to ordered fanins.
-#[derive(Debug, Clone)]
-pub struct Node {
-    name: Option<String>,
-    func: NodeFn,
-    fanins: Vec<NodeId>,
-    fanouts: Vec<NodeId>,
+/// A read-only view of one node of a [`Network`]: a function applied to
+/// ordered fanins. The view is `Copy` and borrows the network's flat
+/// arrays; it owns nothing.
+#[derive(Clone, Copy)]
+pub struct Node<'a> {
+    net: &'a Network,
+    index: usize,
 }
 
-impl Node {
+impl<'a> Node<'a> {
     /// The node's logic function.
-    pub fn func(&self) -> &NodeFn {
-        &self.func
+    pub fn func(self) -> &'a NodeFn {
+        &self.net.funcs[self.index]
     }
 
     /// Ordered fanins (drivers) of the node.
-    pub fn fanins(&self) -> &[NodeId] {
-        &self.fanins
+    pub fn fanins(self) -> &'a [NodeId] {
+        self.net.fanins_of(self.index)
     }
 
-    /// Fanout consumers of the node, one entry per consuming edge
-    /// (a consumer using this node twice appears twice).
-    pub fn fanouts(&self) -> &[NodeId] {
-        &self.fanouts
+    /// Number of fanout edges: one per consuming edge, so a consumer using
+    /// this node twice counts twice, and a latch's data edge counts.
+    pub fn fanout_count(self) -> usize {
+        self.net.fanout_count[self.index] as usize
     }
 
     /// Optional signal name (primary inputs always have one).
-    pub fn name(&self) -> Option<&str> {
-        self.name.as_deref()
+    pub fn name(self) -> Option<&'a str> {
+        let span = self.net.name_spans[self.index];
+        (span.len != NO_NAME).then(|| {
+            let start = span.start as usize;
+            &self.net.names[start..start + span.len as usize]
+        })
     }
+}
+
+impl fmt::Debug for Node<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Node")
+            .field("name", &self.name())
+            .field("func", self.func())
+            .field("fanins", &self.fanins())
+            .field("fanout_count", &self.fanout_count())
+            .finish()
+    }
+}
+
+/// Length marking an unnamed node's span in the name table.
+const NO_NAME: u32 = u32::MAX;
+
+/// Where a node's name lives in [`Network`]'s name table.
+#[derive(Debug, Clone, Copy)]
+struct NameSpan {
+    start: u32,
+    len: u32,
+}
+
+/// Converts an arena length to a `u32` offset.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("network arrays are u32-indexed")
 }
 
 /// A local, structure-preserving edit to a [`Network`] — the unit of change
@@ -89,6 +119,11 @@ pub struct Output {
 /// [`Network::topo_order`] and [`Network::validate`]; cycles through latches
 /// are legal.
 ///
+/// Storage is flat: one function array, the fanins of every node in one
+/// arena with per-node offsets, a fanout-edge count per node and every name
+/// in one string table. Building, cloning and dropping a network allocate
+/// per array, not per node.
+///
 /// ```
 /// use dagmap_netlist::{Network, NodeFn};
 ///
@@ -96,19 +131,32 @@ pub struct Output {
 /// let mut net = Network::new("half_adder");
 /// let a = net.add_input("a");
 /// let b = net.add_input("b");
-/// let sum = net.add_node(NodeFn::Xor, vec![a, b])?;
-/// let carry = net.add_node(NodeFn::And, vec![a, b])?;
+/// let sum = net.add_node(NodeFn::Xor, [a, b])?;
+/// let carry = net.add_node(NodeFn::And, [a, b])?;
 /// net.add_output("sum", sum);
 /// net.add_output("carry", carry);
 /// assert_eq!(net.num_nodes(), 4);
 /// assert_eq!(net.num_internal(), 2);
+/// assert_eq!(net.node(a).fanout_count(), 2);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct Network {
     name: String,
-    nodes: Vec<Node>,
+    /// Per-node function.
+    funcs: Vec<NodeFn>,
+    /// Fanin offsets: node `i`'s fanins are `fanins[fanin_off[i]..fanin_off[i + 1]]`.
+    fanin_off: Vec<u32>,
+    /// Every node's fanins, concatenated in id order. Rewiring writes in
+    /// place, so a node's fanin count never changes.
+    fanins: Vec<NodeId>,
+    /// Per-node fanout-edge count.
+    fanout_count: Vec<u32>,
+    /// Per-node span in `names` (`len == NO_NAME` when unnamed).
+    name_spans: Vec<NameSpan>,
+    /// Every node name, concatenated; renaming appends and leaves a hole.
+    names: String,
     inputs: Vec<NodeId>,
     outputs: Vec<Output>,
 }
@@ -118,10 +166,25 @@ impl Network {
     pub fn new(name: impl Into<String>) -> Self {
         Network {
             name: name.into(),
-            nodes: Vec::new(),
+            funcs: Vec::new(),
+            fanin_off: vec![0],
+            fanins: Vec::new(),
+            fanout_count: Vec::new(),
+            name_spans: Vec::new(),
+            names: String::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
         }
+    }
+
+    /// Reserves room for `nodes` more nodes carrying `fanins` more fanin
+    /// edges, so a builder that knows its size grows each array once.
+    pub fn reserve(&mut self, nodes: usize, fanins: usize) {
+        self.funcs.reserve(nodes);
+        self.fanin_off.reserve(nodes);
+        self.fanout_count.reserve(nodes);
+        self.name_spans.reserve(nodes);
+        self.fanins.reserve(fanins);
     }
 
     /// Model name.
@@ -134,26 +197,49 @@ impl Network {
         self.name = name.into();
     }
 
-    /// Adds a named primary input and returns its id.
-    pub fn add_input(&mut self, name: impl Into<String>) -> NodeId {
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(Node {
-            name: Some(name.into()),
-            func: NodeFn::Input,
-            fanins: Vec::new(),
-            fanouts: Vec::new(),
+    /// Fanins of node `index`.
+    fn fanins_of(&self, index: usize) -> &[NodeId] {
+        &self.fanins[self.fanin_off[index] as usize..self.fanin_off[index + 1] as usize]
+    }
+
+    /// Appends a node; the fanins must already be checked.
+    fn push(&mut self, func: NodeFn, fanins: &[NodeId]) -> NodeId {
+        let id = NodeId::from_index(self.funcs.len());
+        for &f in fanins {
+            self.fanout_count[f.index()] += 1;
+        }
+        self.funcs.push(func);
+        self.fanins.extend_from_slice(fanins);
+        self.fanin_off.push(offset(self.fanins.len()));
+        self.fanout_count.push(0);
+        self.name_spans.push(NameSpan {
+            start: 0,
+            len: NO_NAME,
         });
+        id
+    }
+
+    /// Adds a named primary input and returns its id.
+    pub fn add_input(&mut self, name: impl AsRef<str>) -> NodeId {
+        let id = self.push(NodeFn::Input, &[]);
+        self.set_node_name(id, name);
         self.inputs.push(id);
         id
     }
 
-    /// Adds an internal node computing `func` over `fanins`.
+    /// Adds an internal node computing `func` over `fanins` (any slice-like
+    /// list: an array, a slice or a `Vec`).
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::Arity`] if the fanin count is illegal for
     /// `func`, or [`NetlistError::UnknownNode`] if a fanin id is stale.
-    pub fn add_node(&mut self, func: NodeFn, fanins: Vec<NodeId>) -> Result<NodeId, NetlistError> {
+    pub fn add_node(
+        &mut self,
+        func: NodeFn,
+        fanins: impl AsRef<[NodeId]>,
+    ) -> Result<NodeId, NetlistError> {
+        let fanins = fanins.as_ref();
         if let Err(expected) = func.check_arity(fanins.len()) {
             return Err(NetlistError::Arity {
                 func: func.name(),
@@ -161,27 +247,22 @@ impl Network {
                 expected,
             });
         }
-        for &f in &fanins {
-            if f.index() >= self.nodes.len() {
-                return Err(NetlistError::UnknownNode(f));
-            }
+        if let Some(&f) = fanins.iter().find(|f| f.index() >= self.funcs.len()) {
+            return Err(NetlistError::UnknownNode(f));
         }
-        let id = NodeId::from_index(self.nodes.len());
-        for &f in &fanins {
-            self.nodes[f.index()].fanouts.push(id);
-        }
-        self.nodes.push(Node {
-            name: None,
-            func,
-            fanins,
-            fanouts: Vec::new(),
-        });
-        Ok(id)
+        Ok(self.push(func, fanins))
     }
 
     /// Assigns a signal name to a node (used by the BLIF reader/writer).
-    pub fn set_node_name(&mut self, id: NodeId, name: impl Into<String>) {
-        self.nodes[id.index()].name = Some(name.into());
+    pub fn set_node_name(&mut self, id: NodeId, name: impl AsRef<str>) {
+        let name = name.as_ref();
+        let span = NameSpan {
+            start: offset(self.names.len()),
+            len: offset(name.len()),
+        };
+        assert!(span.len != NO_NAME, "node name too long");
+        self.names.push_str(name);
+        self.name_spans[id.index()] = span;
     }
 
     /// Declares `driver` as the primary output `name`.
@@ -192,13 +273,17 @@ impl Network {
         });
     }
 
-    /// Borrow a node.
+    /// A view of a node.
     ///
     /// # Panics
     ///
     /// Panics if `id` came from a different network and is out of range.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: NodeId) -> Node<'_> {
+        assert!(id.index() < self.funcs.len(), "node {id} is out of range");
+        Node {
+            net: self,
+            index: id.index(),
+        }
     }
 
     /// Primary inputs in declaration order.
@@ -213,39 +298,39 @@ impl Network {
 
     /// Total node count (inputs, constants, logic, latches).
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.funcs.len()
     }
 
     /// Count of internal nodes (everything that is not a primary input).
     pub fn num_internal(&self) -> usize {
-        self.nodes
+        self.funcs
             .iter()
-            .filter(|n| !matches!(n.func, NodeFn::Input))
+            .filter(|f| !matches!(f, NodeFn::Input))
             .count()
     }
 
     /// Count of latch nodes.
     pub fn num_latches(&self) -> usize {
-        self.nodes
+        self.funcs
             .iter()
-            .filter(|n| matches!(n.func, NodeFn::Latch))
+            .filter(|f| matches!(f, NodeFn::Latch))
             .count()
     }
 
     /// Total edge count.
     pub fn num_edges(&self) -> usize {
-        self.nodes.iter().map(|n| n.fanins.len()).sum()
+        self.fanins.len()
     }
 
     /// Iterator over all node ids in creation order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len()).map(NodeId::from_index)
+        (0..self.funcs.len()).map(NodeId::from_index)
     }
 
     /// Looks a node up by signal name (inputs and named internal nodes).
     pub fn find_by_name(&self, name: &str) -> Option<NodeId> {
         self.node_ids()
-            .find(|&id| self.nodes[id.index()].name.as_deref() == Some(name))
+            .find(|&id| self.node(id).name() == Some(name))
     }
 
     /// Combinational topological order.
@@ -255,81 +340,98 @@ impl Network {
     /// ordering constraint on the latch itself. Every node appears exactly
     /// once.
     ///
+    /// The order is Kahn's: sources in id order, then each released node's
+    /// combinational consumers in consumer-id order, one visit per edge.
+    ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] if the latch-free part of
     /// the network is cyclic.
     pub fn topo_order(&self) -> Result<Vec<NodeId>, NetlistError> {
-        let n = self.nodes.len();
-        // In-degree over combinational edges only: an edge u -> v constrains v
-        // unless v is a latch (its data input is consumed at the *end* of the
-        // cycle) or u is... never exempt: latch outputs are ready at t=0, but
-        // the latch node itself is a source, so edges out of latches still
-        // order consumers after the (zero-indegree) latch.
-        let mut indeg = vec![0usize; n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if matches!(node.func, NodeFn::Latch) {
-                continue; // latch is a source: ignore its data fanin
+        let n = self.funcs.len();
+        let is_latch = |i: usize| matches!(self.funcs[i], NodeFn::Latch);
+        // Combinational fanout CSR, consumers in id order. Edges into a
+        // latch are left out: the latch is a source, its data fanin is
+        // consumed at the end of the cycle.
+        let mut out_off = vec![0u32; n + 1];
+        for v in (0..n).filter(|&v| !is_latch(v)) {
+            for f in self.fanins_of(v) {
+                out_off[f.index() + 1] += 1;
             }
-            indeg[i] = node.fanins.len();
         }
-        let mut queue: Vec<usize> = Vec::with_capacity(n);
-        queue.extend((0..n).filter(|&i| indeg[i] == 0));
-        let mut order = Vec::with_capacity(n);
+        for i in 0..n {
+            out_off[i + 1] += out_off[i];
+        }
+        let mut fill = out_off.clone();
+        let mut consumers = vec![0u32; out_off[n] as usize];
+        let mut indeg = vec![0u32; n];
+        for v in (0..n).filter(|&v| !is_latch(v)) {
+            let fanins = self.fanins_of(v);
+            indeg[v] = offset(fanins.len());
+            for f in fanins {
+                let slot = &mut fill[f.index()];
+                consumers[*slot as usize] = v as u32;
+                *slot += 1;
+            }
+        }
+        let mut order: Vec<NodeId> = Vec::with_capacity(n);
+        order.extend((0..n).filter(|&i| indeg[i] == 0).map(NodeId::from_index));
         let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
+        while head < order.len() {
+            let u = order[head].index();
             head += 1;
-            order.push(NodeId::from_index(u));
-            for &v in &self.nodes[u].fanouts {
-                let vi = v.index();
-                if matches!(self.nodes[vi].func, NodeFn::Latch) {
-                    continue;
-                }
-                indeg[vi] -= 1;
-                if indeg[vi] == 0 {
-                    queue.push(vi);
+            for &v in &consumers[out_off[u] as usize..out_off[u + 1] as usize] {
+                let v = v as usize;
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    order.push(NodeId::from_index(v));
                 }
             }
         }
         if order.len() != n {
             let stuck = (0..n)
-                .find(|&i| indeg[i] > 0 && !matches!(self.nodes[i].func, NodeFn::Latch))
+                .find(|&i| indeg[i] > 0)
                 .expect("some node must be stuck when the order is short");
             return Err(NetlistError::CombinationalCycle(NodeId::from_index(stuck)));
         }
         Ok(order)
     }
 
-    /// Checks structural invariants: acyclicity of the combinational part and
-    /// fanin/fanout cross-consistency.
+    /// Checks structural invariants: acyclicity of the combinational part,
+    /// well-formed fanin offsets, fanin ids in range, and every node's
+    /// fanout count equal to the fanin edges naming it.
     ///
     /// # Errors
     ///
     /// Returns the first violation found.
     pub fn validate(&self) -> Result<(), NetlistError> {
-        self.topo_order()?;
-        // Each fanin edge must be mirrored by exactly one fanout entry.
-        let mut counts: HashMap<(usize, usize), i64> = HashMap::new();
-        for (v, node) in self.nodes.iter().enumerate() {
-            for f in &node.fanins {
-                *counts.entry((f.index(), v)).or_insert(0) += 1;
-            }
-        }
-        for (u, node) in self.nodes.iter().enumerate() {
-            for t in &node.fanouts {
-                *counts.entry((u, t.index())).or_insert(0) -= 1;
-            }
-        }
-        if counts.values().any(|&c| c != 0) {
+        let n = self.funcs.len();
+        let consistent = self.fanin_off.len() == n + 1
+            && self.fanin_off[0] == 0
+            && self.fanin_off[n] as usize == self.fanins.len()
+            && self.fanin_off.windows(2).all(|w| w[0] <= w[1]);
+        if !consistent {
             return Err(NetlistError::Invariant(
-                "fanin and fanout edge multisets disagree".into(),
+                "fanin offsets do not partition the fanin arena".into(),
+            ));
+        }
+        if let Some(&f) = self.fanins.iter().find(|f| f.index() >= n) {
+            return Err(NetlistError::UnknownNode(f));
+        }
+        self.topo_order()?;
+        let mut counts = vec![0u32; n];
+        for f in &self.fanins {
+            counts[f.index()] += 1;
+        }
+        if counts != self.fanout_count {
+            return Err(NetlistError::Invariant(
+                "fanout counts disagree with the fanin edges".into(),
             ));
         }
         Ok(())
     }
 
-    /// Replaces the single fanin of a one-fanin node, keeping fanout lists
+    /// Replaces the single fanin of a one-fanin node, keeping fanout counts
     /// consistent.
     ///
     /// This exists for the latch-construction idiom: a latch participates in
@@ -340,25 +442,24 @@ impl Network {
     ///
     /// Panics in debug builds if the node does not have exactly one fanin.
     pub fn replace_single_fanin(&mut self, id: NodeId, new_fanin: NodeId) {
-        let old = {
-            let node = &self.nodes[id.index()];
-            debug_assert_eq!(node.fanins.len(), 1, "replace_single_fanin needs arity 1");
-            node.fanins[0]
-        };
-        if old == new_fanin {
-            return;
-        }
-        self.nodes[id.index()].fanins[0] = new_fanin;
-        let fanouts = &mut self.nodes[old.index()].fanouts;
-        let pos = fanouts
-            .iter()
-            .position(|&t| t == id)
-            .expect("fanout entry mirrors the fanin edge");
-        fanouts.swap_remove(pos);
-        self.nodes[new_fanin.index()].fanouts.push(id);
+        debug_assert_eq!(
+            self.fanins_of(id.index()).len(),
+            1,
+            "replace_single_fanin needs arity 1"
+        );
+        self.rewire(id, 0, new_fanin);
     }
 
-    /// Replaces fanin `pin` of any node, keeping fanout lists consistent.
+    /// Points fanin `pin` of `id` at `new_fanin` in place and moves one
+    /// fanout edge from the old driver to the new one.
+    fn rewire(&mut self, id: NodeId, pin: usize, new_fanin: NodeId) {
+        let slot = &mut self.fanins[self.fanin_off[id.index()] as usize + pin];
+        let old = std::mem::replace(slot, new_fanin);
+        self.fanout_count[old.index()] -= 1;
+        self.fanout_count[new_fanin.index()] += 1;
+    }
+
+    /// Replaces fanin `pin` of any node, keeping fanout counts consistent.
     ///
     /// The generalization of [`Network::replace_single_fanin`] backing
     /// [`NetEdit::ReplaceFanin`]. Acyclicity is *not* re-checked here — batch
@@ -375,27 +476,18 @@ impl Network {
         pin: usize,
         new_fanin: NodeId,
     ) -> Result<(), NetlistError> {
-        if id.index() >= self.nodes.len() {
+        if id.index() >= self.funcs.len() {
             return Err(NetlistError::UnknownNode(id));
         }
-        if new_fanin.index() >= self.nodes.len() {
+        if new_fanin.index() >= self.funcs.len() {
             return Err(NetlistError::UnknownNode(new_fanin));
         }
-        let old = *self.nodes[id.index()]
-            .fanins
-            .get(pin)
-            .ok_or_else(|| NetlistError::Invariant(format!("node {id} has no fanin pin {pin}")))?;
-        if old == new_fanin {
-            return Ok(());
+        if pin >= self.fanins_of(id.index()).len() {
+            return Err(NetlistError::Invariant(format!(
+                "node {id} has no fanin pin {pin}"
+            )));
         }
-        self.nodes[id.index()].fanins[pin] = new_fanin;
-        let fanouts = &mut self.nodes[old.index()].fanouts;
-        let pos = fanouts
-            .iter()
-            .position(|&t| t == id)
-            .expect("fanout entry mirrors the fanin edge");
-        fanouts.swap_remove(pos);
-        self.nodes[new_fanin.index()].fanouts.push(id);
+        self.rewire(id, pin, new_fanin);
         Ok(())
     }
 
@@ -430,7 +522,7 @@ impl Network {
                 Ok(None)
             }
             NetEdit::SetOutputDriver { output, driver } => {
-                if driver.index() >= self.nodes.len() {
+                if driver.index() >= self.funcs.len() {
                     return Err(NetlistError::UnknownNode(driver));
                 }
                 let out = self
@@ -476,13 +568,13 @@ impl Network {
         let mut remap: Vec<Option<NodeId>> = vec![None; self.num_nodes()];
         // Latches may sit in cycles: create them first on a placeholder.
         let any_latch = self
-            .nodes
+            .funcs
             .iter()
             .enumerate()
-            .any(|(i, n)| matches!(n.func, NodeFn::Latch) && reach[i]);
+            .any(|(i, f)| matches!(f, NodeFn::Latch) && reach[i]);
         let zero = any_latch.then(|| {
             swept
-                .add_node(NodeFn::Const(false), Vec::new())
+                .add_node(NodeFn::Const(false), [])
                 .expect("constants are nullary")
         });
         for &pi in self.inputs() {
@@ -493,7 +585,7 @@ impl Network {
         for id in self.node_ids() {
             if matches!(self.node(id).func(), NodeFn::Latch) && reach[id.index()] {
                 let l = swept
-                    .add_node(NodeFn::Latch, vec![zero.expect("placeholder exists")])
+                    .add_node(NodeFn::Latch, [zero.expect("placeholder exists")])
                     .expect("latch arity is 1");
                 if let Some(name) = self.node(id).name() {
                     swept.set_node_name(l, name);
@@ -506,6 +598,7 @@ impl Network {
             .topo_order()
             .expect("sweep requires an acyclic network");
         let mut dropped = 0;
+        let mut fanins: Vec<NodeId> = Vec::new();
         for id in order {
             if remap[id.index()].is_some() {
                 continue;
@@ -515,13 +608,14 @@ impl Network {
                 continue;
             }
             let node = self.node(id);
-            let fanins: Vec<NodeId> = node
-                .fanins()
-                .iter()
-                .map(|f| remap[f.index()].expect("fanins of live nodes are live"))
-                .collect();
+            fanins.clear();
+            fanins.extend(
+                node.fanins()
+                    .iter()
+                    .map(|f| remap[f.index()].expect("fanins of live nodes are live")),
+            );
             let new_id = swept
-                .add_node(node.func().clone(), fanins)
+                .add_node(node.func().clone(), &fanins)
                 .expect("arity preserved");
             if let Some(name) = node.name() {
                 swept.set_node_name(new_id, name);
@@ -543,13 +637,13 @@ impl Network {
     /// Marks every node on a path to a primary output (or a latch data input,
     /// since latches observe their fanin).
     pub fn reachable_from_outputs(&self) -> Vec<bool> {
-        let mut mark = vec![false; self.nodes.len()];
+        let mut mark = vec![false; self.funcs.len()];
         let mut stack: Vec<usize> = Vec::new();
         for out in &self.outputs {
             stack.push(out.driver.index());
         }
-        for (i, node) in self.nodes.iter().enumerate() {
-            if matches!(node.func, NodeFn::Latch) {
+        for (i, f) in self.funcs.iter().enumerate() {
+            if matches!(f, NodeFn::Latch) {
                 stack.push(i);
             }
         }
@@ -558,9 +652,7 @@ impl Network {
                 continue;
             }
             mark[u] = true;
-            for f in &self.nodes[u].fanins {
-                stack.push(f.index());
-            }
+            stack.extend(self.fanins_of(u).iter().map(|f| f.index()));
         }
         mark
     }
@@ -587,7 +679,7 @@ mod tests {
         assert_eq!(net.num_nodes(), 5);
         assert_eq!(net.num_internal(), 3);
         assert_eq!(net.num_edges(), 5);
-        assert_eq!(net.node(g).fanouts().len(), 2);
+        assert_eq!(net.node(g).fanout_count(), 2);
         net.validate().unwrap();
     }
 

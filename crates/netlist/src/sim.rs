@@ -744,7 +744,7 @@ mod tests {
                 NodeFn::Sop(cover) => cover.num_inputs(),
                 _ => 1 + below(&mut rng, 5),
             };
-            let fanins = (0..arity)
+            let fanins: Vec<NodeId> = (0..arity)
                 .map(|_| pool[below(&mut rng, pool.len())])
                 .collect();
             pool.push(net.add_node(func, fanins).unwrap());
@@ -756,7 +756,7 @@ mod tests {
             .map(|_| pool[pool.len() / 2 + below(&mut rng, pool.len() - pool.len() / 2)])
             .collect();
         if twist > 0 {
-            let literals = (0..twist)
+            let literals: Vec<NodeId> = (0..twist)
                 .map(|j| {
                     let x = inputs[j % n];
                     if rng.next_u64() & 1 == 1 {

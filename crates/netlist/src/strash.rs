@@ -235,7 +235,7 @@ impl StrashArena {
         }
         let id = self
             .net
-            .add_node(NodeFn::Const(v), Vec::new())
+            .add_node(NodeFn::Const(v), [])
             .expect("constants are nullary");
         self.consts[v as usize] = Some(id);
         id
@@ -268,7 +268,7 @@ impl StrashArena {
         }
         let id = self
             .net
-            .add_node(NodeFn::Not, vec![a])
+            .add_node(NodeFn::Not, [a])
             .expect("inverter arity is 1");
         self.stats.unique += 1;
         if self.strash {
@@ -312,7 +312,7 @@ impl StrashArena {
         }
         let id = self
             .net
-            .add_node(NodeFn::Nand, vec![a, b])
+            .add_node(NodeFn::Nand, [a, b])
             .expect("nand2 arity is 2");
         self.stats.unique += 1;
         if self.strash {

@@ -92,6 +92,8 @@ pub struct SubjectGraph {
 struct Builder {
     arena: StrashArena,
     opts: DecomposeOptions,
+    /// Scratch for balanced reductions, reused across nodes.
+    level: Vec<NodeId>,
 }
 
 impl Builder {
@@ -99,6 +101,7 @@ impl Builder {
         Builder {
             arena: StrashArena::new(name, opts.strash),
             opts,
+            level: Vec::new(),
         }
     }
 
@@ -156,24 +159,29 @@ impl Builder {
         self.nand2(l, r)
     }
 
-    /// Reduction of `xs` by a binary operator, shaped per the options.
+    /// Reduction of `xs` by a binary operator, shaped per the options. The
+    /// balanced shape pairs neighbours level by level, left to right, in
+    /// place in one reused buffer.
     fn balanced(&mut self, xs: &[NodeId], op: fn(&mut Self, NodeId, NodeId) -> NodeId) -> NodeId {
         assert!(!xs.is_empty(), "reduction needs at least one term");
         match self.opts.shape {
             DecompShape::Balanced => {
-                let mut level: Vec<NodeId> = xs.to_vec();
+                let mut level = std::mem::take(&mut self.level);
+                level.clear();
+                level.extend_from_slice(xs);
                 while level.len() > 1 {
-                    let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                    for pair in level.chunks(2) {
-                        next.push(match pair {
-                            [a, b] => op(self, *a, *b),
-                            [a] => *a,
-                            _ => unreachable!(),
-                        });
+                    let half = level.len().div_ceil(2);
+                    for i in 0..half {
+                        level[i] = match level.get(2 * i + 1) {
+                            Some(&b) => op(self, level[2 * i], b),
+                            None => level[2 * i],
+                        };
                     }
-                    level = next;
+                    level.truncate(half);
                 }
-                level[0]
+                let root = level[0];
+                self.level = level;
+                root
             }
             DecompShape::LeftChain => {
                 let mut acc = xs[0];
@@ -280,16 +288,20 @@ impl SubjectGraph {
             }
         }
 
+        // Per-node buffers, reused: the fanin signals, one cube's literals
+        // and a cover's product terms.
+        let (mut ins, mut lits, mut terms) = (Vec::new(), Vec::new(), Vec::new());
         for id in order {
             if !reach[id.index()] || sig[id.index()].is_some() {
                 continue;
             }
             let node = source.node(id);
-            let ins: Vec<NodeId> = node
-                .fanins()
-                .iter()
-                .map(|f| sig[f.index()].expect("fanins decomposed before consumers"))
-                .collect();
+            ins.clear();
+            ins.extend(
+                node.fanins()
+                    .iter()
+                    .map(|f| sig[f.index()].expect("fanins decomposed before consumers")),
+            );
             let out = match node.func() {
                 NodeFn::Input => unreachable!("inputs were pre-created"),
                 NodeFn::Const(v) => b.constant(*v),
@@ -316,9 +328,9 @@ impl SubjectGraph {
                     if cover.cubes().is_empty() {
                         b.constant(!cover.output_value())
                     } else {
-                        let mut terms = Vec::with_capacity(cover.cubes().len());
+                        terms.clear();
                         for cube in cover.cubes() {
-                            let mut lits = Vec::new();
+                            lits.clear();
                             for (pos, lit) in cube.0.iter().enumerate() {
                                 match lit {
                                     CubeLit::One => lits.push(ins[pos]),
@@ -629,7 +641,7 @@ impl SubjectGraph {
     pub fn num_multi_fanout(&self) -> usize {
         self.net
             .node_ids()
-            .filter(|&id| self.net.node(id).fanouts().len() > 1)
+            .filter(|&id| self.net.node(id).fanout_count() > 1)
             .count()
     }
 }

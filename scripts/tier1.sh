@@ -8,6 +8,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
+# Formatting gate: the workspace must be rustfmt-clean. `e2e/` is a
+# workspace of its own and is not covered.
+cargo fmt --all -- --check
 cargo test -q --offline --workspace
 
 # Every intra-doc link must resolve, so a deleted item cannot leave one dangling.

@@ -29,7 +29,7 @@ fn wide_parities_round_trip() {
     use dagmap::netlist::{Network, NodeFn};
     let wide = |func: NodeFn| {
         let mut net = Network::new("wide");
-        let ins = (0..40).map(|i| net.add_input(format!("x{i}"))).collect();
+        let ins: Vec<_> = (0..40).map(|i| net.add_input(format!("x{i}"))).collect();
         let f = net.add_node(func, ins).expect("n-ary parity");
         net.add_output("f", f);
         net

@@ -7,23 +7,12 @@ use dagmap::genlib::{Expr, Library};
 use dagmap::netlist::blif;
 use dagmap::rng::StdRng;
 
+#[path = "support/malformed_blif.rs"]
+mod malformed_blif;
+
 #[test]
 fn malformed_blif_yields_errors_not_panics() {
-    // Empty files and a bare `.model` parse leniently (as empty networks);
-    // everything structurally wrong must be rejected.
-    let corpora: &[&str] = &[
-        ".names\n",
-        ".model m\n.inputs a\n.outputs f\n.names a f\nxx 1\n.end",
-        ".model m\n.inputs a\n.outputs f\n.names a f\n1 2\n.end",
-        ".model m\n.inputs a\n.outputs f\n.names a a\n1 1\n.end", // redefines input
-        ".model m\n.outputs f\n.end",                             // undefined output
-        ".model m\n.inputs a\n.outputs f\n.subckt foo x=a y=f\n.end",
-        ".model m\n.inputs a\n.outputs f\n.names a b f\n11 1\n.end", // undefined b
-        ".model m\n.inputs a\n.outputs f\n.latch\n.end",
-        "garbage tokens before any directive",
-        ".model m\n.inputs a\n.outputs f\n.names a f\n1- 1\n.end", // cube too wide
-    ];
-    for text in corpora {
+    for text in malformed_blif::MALFORMED_BLIF {
         assert!(blif::parse(text).is_err(), "accepted malformed: {text:?}");
     }
 }
