@@ -1,6 +1,6 @@
 //! The complexity claims of Section 3.4: labeling is `O(s·p)` — linear in
 //! the subject size `s` for a fixed library, and linear in the expanded
-//! pattern size `p` for a fixed circuit. Sweep [c] checks the whole
+//! pattern size `p` for a fixed circuit. Sweep `c` checks the whole
 //! BLIF-in, BLIF-out pipeline layer by layer for linearity in `s`, up to
 //! a million subject nodes.
 //!
@@ -9,7 +9,7 @@
 //! ```
 //!
 //! With no arguments every sweep runs. The binary counts allocations with
-//! a counting global allocator; sweep [c] reports them per subject node.
+//! a counting global allocator; sweep `c` reports them per subject node.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,7 +47,7 @@ static COUNTING: Counting = Counting;
 /// Seed of the pipeline's equivalence check (the one `dagmap map` uses).
 const VERIFY_SEED: u64 = 0xC11;
 
-/// The layers of sweep [c], in pipeline order.
+/// The layers of sweep `c`, in pipeline order.
 const LAYERS: [&str; 5] = ["parse", "decompose", "map", "verify", "writeback"];
 
 /// Runs `f`, returning its value, its wall-clock seconds and the
@@ -99,7 +99,7 @@ fn pipeline(library: &Library, text: &str) -> (usize, [(f64, usize); 5]) {
     )
 }
 
-/// Sweep [c]: array multipliers from ~10^4 to ~10^6 subject nodes through
+/// Sweep `c`: array multipliers from ~10^4 to ~10^6 subject nodes through
 /// the whole pipeline; ns and allocations per subject node per layer
 /// (median of three ops by total time), then each layer's ns/node spread.
 fn sweep_layers() {
@@ -180,7 +180,7 @@ fn main() {
     }
 }
 
-/// Sweep [a]: fixed library, growing subject.
+/// Sweep `a`: fixed library, growing subject.
 fn sweep_subject_size() {
     println!(
         "[a] fixed library (lib2-like, p = {}), growing subject:",
@@ -213,7 +213,7 @@ fn sweep_subject_size() {
     );
 }
 
-/// Sweep [b]: fixed subject, growing pattern set.
+/// Sweep `b`: fixed subject, growing pattern set.
 fn sweep_pattern_size() {
     println!("[b] fixed subject (c3540-like), growing pattern set:");
     println!(

@@ -6,7 +6,7 @@ use crate::{input_bus, output_bus};
 
 /// Parity (XOR) tree fragment.
 pub(crate) fn parity_into(net: &mut Network, bits: &[NodeId]) -> NodeId {
-    net.add_node(NodeFn::Xor, bits.to_vec()).expect("wide xor")
+    net.add_node(NodeFn::Xor, bits).expect("wide xor")
 }
 
 /// `width`-input parity tree: output `p`.

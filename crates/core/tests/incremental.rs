@@ -129,9 +129,8 @@ fn retained_labels_refuse_non_injective_subjects() {
         .node_ids()
         .find(|&id| matches!(raw.node(id).func(), NodeFn::Nand))
         .expect("alu has NANDs");
-    let twin = raw
-        .add_node(NodeFn::Nand, raw.node(nand).fanins().to_vec())
-        .expect("nand2");
+    let fanins = raw.node(nand).fanins().to_vec();
+    let twin = raw.add_node(NodeFn::Nand, fanins).expect("nand2");
     let out = raw.add_node(NodeFn::Not, vec![twin]).expect("inv");
     raw.add_output("twin", out);
     let duplicated = SubjectGraph::from_subject_network(raw.clone()).expect("subject form");

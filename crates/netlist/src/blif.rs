@@ -479,12 +479,15 @@ impl<'a> NameTable<'a> {
             .map(|k| k as usize)
     }
 
+    /// Owner of `n<k>`.
+    fn generated_owner(&self, k: usize) -> Option<NodeId> {
+        let owner = self.generated[k];
+        (owner != FREE).then(|| NodeId::from_index(owner as usize))
+    }
+
     fn owner(&self, name: &str) -> Option<NodeId> {
         match self.generated_index(name) {
-            Some(k) => {
-                let owner = self.generated[k];
-                (owner != FREE).then(|| NodeId::from_index(owner as usize))
-            }
+            Some(k) => self.generated_owner(k),
             None => self
                 .borrowed
                 .get(name)
@@ -513,49 +516,44 @@ impl<'a> NameTable<'a> {
         }
     }
 
-    /// The first of `base`, `base_1`, `base_2`, … that is free or already
-    /// `id`'s, claimed for `id`.
+    /// Names node `id`: its base name — `explicit`, or `n<id>` when it has
+    /// none — if that is free or already `id`'s, else the first `base_1`,
+    /// `base_2`, … that is, claimed for `id`.
     fn assign(
         &mut self,
-        base: SignalName<'a>,
         id: NodeId,
+        explicit: Option<&'a str>,
         made_names: &mut Vec<String>,
     ) -> SignalName<'a> {
-        let taken = |owner: Option<NodeId>| owner.is_some_and(|o| o != id);
-        match base {
-            SignalName::Generated(k) => {
-                let owner = self.generated[k as usize];
-                if owner == FREE || owner == id.index() as u32 {
-                    self.generated[k as usize] = id.index() as u32;
-                    return base;
-                }
-            }
-            SignalName::Borrowed(text) => match self.owner(text) {
-                None => {
-                    self.claim_borrowed(text, id);
-                    return base;
-                }
-                Some(owner) if owner == id => return base,
-                Some(_) => {}
-            },
-            SignalName::Made(_) => unreachable!("bases are node names"),
-        }
-        let base_text = match base {
-            SignalName::Generated(k) => format!("n{k}"),
-            SignalName::Borrowed(text) => text.to_owned(),
-            SignalName::Made(_) => unreachable!("bases are node names"),
+        let k = id.index();
+        let (base, owner) = match explicit {
+            Some(text) => (SignalName::Borrowed(text), self.owner(text)),
+            None => (SignalName::Generated(k as u32), self.generated_owner(k)),
         };
-        let mut k = 1;
+        match owner {
+            None => {
+                match explicit {
+                    Some(text) => self.claim_borrowed(text, id),
+                    None => self.generated[k] = k as u32,
+                }
+                return base;
+            }
+            Some(owner) if owner == id => return base,
+            Some(_) => {}
+        }
+        let base_text = explicit.map_or_else(|| format!("n{k}"), str::to_owned);
+        let mut suffix = 1;
         let name = loop {
-            let name = format!("{base_text}_{k}");
-            if !taken(self.owner(&name)) {
-                break name;
+            let name = format!("{base_text}_{suffix}");
+            match self.owner(&name) {
+                None => {
+                    self.claim_made(name.clone(), id);
+                    break name;
+                }
+                Some(owner) if owner == id => break name,
+                Some(_) => suffix += 1,
             }
-            k += 1;
         };
-        if self.owner(&name).is_none() {
-            self.claim_made(name.clone(), id);
-        }
         made_names.push(name);
         SignalName::Made(made_names.len() - 1)
     }
@@ -756,11 +754,7 @@ pub fn to_string(net: &Network) -> Result<String, NetlistError> {
         made: Vec::new(),
     };
     for id in net.node_ids() {
-        let base = match net.node(id).name() {
-            Some(text) => SignalName::Borrowed(text),
-            None => SignalName::Generated(id.index() as u32),
-        };
-        let name = table.assign(base, id, &mut names.made);
+        let name = table.assign(id, net.node(id).name(), &mut names.made);
         names.of.push(name);
     }
 

@@ -127,7 +127,7 @@ fn adversarial() -> Network {
     let mut net = Network::new("adversarial");
     let a = net.add_input("a"); // n0
     let b = net.add_input("n"); // n1
-    let c = net.add_input("n007"); // n2
+    let c = net.add_input("n004"); // n2, n4 padded
     let d = net.add_input("n99999999999"); // n3
     let x = net.add_node(NodeFn::And, [a, b]).unwrap(); // n4, unnamed
     let y = net.add_node(NodeFn::Or, [x, c]).unwrap(); // n5
@@ -240,6 +240,7 @@ fn parser_matches_the_reference_on_malformed_text() {
     }
     let extra: &[&str] = &[
         ".model m\n.inputs a b\n.outputs f\n.names a b f\n11 1\n00 0\n.end\n",
+        ".model m\n.inputs a b\n.outputs f\n.names a b f\n11 1\n00 0\n.names a f\n1 1\n.end\n",
         ".model m\n.inputs a\n.outputs f\n.names a x f\n11 1\n.names f x\n1 1\n.end\n",
         ".model m\n.inputs a a\n.outputs f\n.names a f\n1 1\n.end\n",
         ".model m\n.inputs a\n.outputs f\n.latch a f 0\n.latch a f 0\n.end\n",
@@ -254,6 +255,7 @@ fn parser_matches_the_reference_on_malformed_text() {
         ".model one\n.inputs a\n.outputs f\n.names a f\n1 1\n.end\n.model two\n.end\n",
         ".model m\n.clock c\n.inputs a\n.outputs f\n.names a f\n1 1\n.end\n",
         ".model m\n.inputs a\n.outputs f\n.names a f\n1 1\n\\",
+        ".model m\n.inputs a\n.outputs f\n.names a f\n1 \\\n\\\n2\n.end\n",
         "",
         ".model",
     ];

@@ -1,8 +1,10 @@
 //! The BLIF reader and writer as they stood before `Network` became flat:
 //! owned tokens, a recursive instantiation, a `String`-keyed signal map
-//! and one `SopCover` built per written node. Kept verbatim (up to the
-//! public paths it imports) as the reference `blif::{parse, to_string}`
-//! are held to, byte for byte and error for error.
+//! and one `SopCover` built per written node. Kept as the reference
+//! `blif::{parse, to_string}` are held to, byte for byte and error for
+//! error. The code is the old code except that it imports public paths,
+//! spells the writer's cubes as text (the literal enum is private to the
+//! netlist crate) and opens no trace span.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
