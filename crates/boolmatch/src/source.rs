@@ -75,8 +75,8 @@ pub struct BoolSource<'a> {
     /// the two counts compare directly; keying by NPN class would collapse
     /// e.g. or-cones into the nand-cone class and hide NPN's extra reach.
     npn_classes: RefCell<HashSet<TruthTable>>,
-    /// Kits made so far; only the first one's pass is counted.
-    kits_made: Cell<usize>,
+    /// Whether the first kit, whose pass alone is counted, was made.
+    first_kit_made: Cell<bool>,
 }
 
 impl<'a> BoolSource<'a> {
@@ -114,7 +114,7 @@ impl<'a> BoolSource<'a> {
             npn_matches: Cell::new(0),
             p_classes: RefCell::new(HashSet::new()),
             npn_classes: RefCell::new(HashSet::new()),
-            kits_made: Cell::new(0),
+            first_kit_made: Cell::new(false),
         }
     }
 
@@ -310,9 +310,8 @@ impl MatchSource for BoolSource<'_> {
     }
 
     fn make_kit(&self, subject: &SubjectGraph) -> BoolKit {
-        let made = self.kits_made.get();
-        self.kits_made.set(made + 1);
-        BoolKit::for_subject(subject, made == 0)
+        let first = !self.first_kit_made.replace(true);
+        BoolKit::for_subject(subject, first)
     }
 
     fn for_each_match(
