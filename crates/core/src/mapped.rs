@@ -334,7 +334,7 @@ impl MappedNetlist {
         };
         // Pin signals are resolved in pin order before the expression is
         // lowered, so constants land ahead of the cell's gates.
-        let mut pin_ids: Vec<NodeId> = Vec::new();
+        let (mut pin_ids, mut scratch): (Vec<NodeId>, Vec<NodeId>) = (Vec::new(), Vec::new());
         for cell in &self.cells {
             let kind = &self.gate_kinds[cell.kind as usize];
             pin_ids.clear();
@@ -349,7 +349,7 @@ impl MappedNetlist {
             };
             let out = kind
                 .expr
-                .lower_into(&mut net, &binding, TreeShape::Balanced);
+                .lower_into(&mut net, &binding, TreeShape::Balanced, &mut scratch);
             cell_ids.push(out);
         }
         for ((_, data), &latch) in self.latches.iter().zip(&latch_ids) {

@@ -363,7 +363,9 @@ pub fn parse_verilog(
                 }
             }
             let pin = |v: &str| binding.get(v).copied();
-            let out = gate.expr().lower_into(&mut net, &pin, TreeShape::Balanced);
+            let out = gate
+                .expr()
+                .lower_into(&mut net, &pin, TreeShape::Balanced, &mut Vec::new());
             if let Some(name) = out_sig {
                 signal.insert(name, out);
             }

@@ -189,7 +189,9 @@ impl Expr {
     /// per `shape`.
     ///
     /// The same lowering convention is used for subject graphs, so gate
-    /// patterns and subject structures decompose identically.
+    /// patterns and subject structures decompose identically. `scratch`
+    /// holds n-ary operators' terms while they are reduced and is left as
+    /// it was found, so one buffer serves any number of lowerings.
     ///
     /// # Panics
     ///
@@ -199,6 +201,7 @@ impl Expr {
         net: &mut Network,
         pin: &impl Fn(&str) -> Option<NodeId>,
         shape: TreeShape,
+        scratch: &mut Vec<NodeId>,
     ) -> NodeId {
         match self {
             Expr::Const(v) => net
@@ -206,48 +209,59 @@ impl Expr {
                 .expect("constants are nullary"),
             Expr::Var(v) => pin(v).unwrap_or_else(|| panic!("pin `{v}` missing from binding")),
             Expr::Not(e) => {
-                let x = e.lower_into(net, pin, shape);
+                let x = e.lower_into(net, pin, shape, scratch);
                 net.add_node(NodeFn::Not, [x]).expect("arity 1")
             }
-            Expr::And(es) => lower_nary(net, pin, shape, es, NodeFn::And),
-            Expr::Or(es) => lower_nary(net, pin, shape, es, NodeFn::Or),
+            Expr::And(es) => lower_nary(net, pin, shape, es, NodeFn::And, scratch),
+            Expr::Or(es) => lower_nary(net, pin, shape, es, NodeFn::Or, scratch),
         }
     }
 }
 
+/// Lowers the terms onto the end of `stack`, reduces them there and
+/// truncates `stack` back, so nested operators share one buffer.
 fn lower_nary(
     net: &mut Network,
     pin: &impl Fn(&str) -> Option<NodeId>,
     shape: TreeShape,
     es: &[Expr],
     op: NodeFn,
+    stack: &mut Vec<NodeId>,
 ) -> NodeId {
-    let mut terms: Vec<NodeId> = es.iter().map(|e| e.lower_into(net, pin, shape)).collect();
-    match shape {
+    let base = stack.len();
+    for e in es {
+        let term = e.lower_into(net, pin, shape, stack);
+        stack.push(term);
+    }
+    let root = match shape {
         TreeShape::Balanced => {
             // Neighbours pair level by level, left to right, in place.
-            while terms.len() > 1 {
-                let half = terms.len().div_ceil(2);
+            let mut len = stack.len() - base;
+            while len > 1 {
+                let half = len.div_ceil(2);
                 for i in 0..half {
-                    terms[i] = match terms.get(2 * i + 1) {
-                        Some(&b) => net
-                            .add_node(op.clone(), [terms[2 * i], b])
-                            .expect("arity 2"),
-                        None => terms[2 * i],
+                    let a = stack[base + 2 * i];
+                    stack[base + i] = if 2 * i + 1 < len {
+                        let b = stack[base + 2 * i + 1];
+                        net.add_node(op.clone(), [a, b]).expect("arity 2")
+                    } else {
+                        a
                     };
                 }
-                terms.truncate(half);
+                len = half;
             }
-            terms[0]
+            stack[base]
         }
         TreeShape::LeftChain => {
-            let mut acc = terms[0];
-            for &t in &terms[1..] {
+            let mut acc = stack[base];
+            for &t in &stack[base + 1..] {
                 acc = net.add_node(op.clone(), [acc, t]).expect("arity 2");
             }
             acc
         }
-    }
+    };
+    stack.truncate(base);
+    root
 }
 
 /// How n-ary operators are shaped when decomposed into binary nodes.
@@ -524,7 +538,7 @@ mod tests {
                 let id = net.add_input(&v);
                 pins.insert(v, id);
             }
-            let out = e.lower_into(&mut net, &|v| pins.get(v).copied(), shape);
+            let out = e.lower_into(&mut net, &|v| pins.get(v).copied(), shape, &mut Vec::new());
             net.add_output("o", out);
             let sim = Simulator::new(&net).unwrap();
             let words: Vec<u64> = (0..4)
@@ -556,7 +570,7 @@ mod tests {
                 let id = net.add_input(&v);
                 pins.insert(v, id);
             }
-            let out = e.lower_into(&mut net, &|v| pins.get(v).copied(), shape);
+            let out = e.lower_into(&mut net, &|v| pins.get(v).copied(), shape, &mut Vec::new());
             net.add_output("o", out);
             dagmap_netlist::sta::unit_depth(&net).unwrap()
         };

@@ -73,7 +73,7 @@ impl PatternGraph {
         let mut net = Network::new("pattern");
         let ids: Vec<NodeId> = pins.iter().map(|pin| net.add_input(pin)).collect();
         let binding = |v: &str| pins.iter().position(|p| p == v).map(|i| ids[i]);
-        let out = expr.lower_into(&mut net, &binding, shape);
+        let out = expr.lower_into(&mut net, &binding, shape, &mut Vec::new());
         net.add_output("o", out);
         let subject = SubjectGraph::from_network(&net)
             .map_err(|e| GenlibError::Validate(format!("gate decomposition failed: {e}")))?;
