@@ -771,6 +771,102 @@ mod tests {
         assert!(crate::sim::equivalent_random_sequential(&net, &swept, 8, 8, 2).unwrap());
     }
 
+    /// Kahn's order over per-node fanout lists kept the way node-owned
+    /// storage kept them: `add_node` appends the consumer once per pin, and
+    /// a rewire swap-removes it from the old driver and pushes it onto the
+    /// new one. Latch consumers release nothing.
+    struct FanoutListOrder(Vec<Vec<usize>>);
+
+    impl FanoutListOrder {
+        fn add(&mut self, net: &Network, id: NodeId) {
+            self.0.push(Vec::new());
+            for f in net.node(id).fanins() {
+                self.0[f.index()].push(id.index());
+            }
+        }
+
+        fn rewire(&mut self, id: NodeId, old: NodeId, new: NodeId) {
+            let list = &mut self.0[old.index()];
+            let pos = list.iter().position(|&t| t == id.index()).unwrap();
+            list.swap_remove(pos);
+            self.0[new.index()].push(id.index());
+        }
+
+        fn order(&self, net: &Network) -> Vec<NodeId> {
+            let is_latch = |i: usize| matches!(net.funcs[i], NodeFn::Latch);
+            let n = net.num_nodes();
+            let mut indeg: Vec<usize> = (0..n)
+                .map(|i| {
+                    if is_latch(i) {
+                        0
+                    } else {
+                        net.fanins_of(i).len()
+                    }
+                })
+                .collect();
+            let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+            let mut head = 0;
+            while head < queue.len() {
+                let u = queue[head];
+                head += 1;
+                for &v in self.0[u].iter().filter(|&&v| !is_latch(v)) {
+                    indeg[v] -= 1;
+                    if indeg[v] == 0 {
+                        queue.push(v);
+                    }
+                }
+            }
+            queue.into_iter().map(NodeId::from_index).collect()
+        }
+    }
+
+    #[test]
+    fn topo_order_matches_fanout_lists_when_only_latches_are_patched() {
+        // Subject graphs are numbered in this order, so it must stay the
+        // order node-owned fanout lists gave on every network whose only
+        // rewires are latch patches off a placeholder that only latches
+        // read (the parser's, lowering's and generators' idiom). A gate
+        // reading the placeholder would be reordered by the swap-remove.
+        let mut rng = crate::sim::SplitMix64::new(7);
+        let mut below = |bound: usize| (rng.next_u64() % bound as u64) as usize;
+        for _ in 0..20 {
+            let mut net = Network::new("r");
+            let mut lists = FanoutListOrder(Vec::new());
+            for i in 0..4 {
+                let id = net.add_input(format!("x{i}"));
+                lists.add(&net, id);
+            }
+            let zero = net.add_node(NodeFn::Const(false), []).unwrap();
+            lists.add(&net, zero);
+            let latches: Vec<NodeId> = (0..3)
+                .map(|_| {
+                    let l = net.add_node(NodeFn::Latch, [zero]).unwrap();
+                    lists.add(&net, l);
+                    l
+                })
+                .collect();
+            for _ in 0..60 {
+                let n = net.num_nodes();
+                let fanins: Vec<NodeId> = (0..1 + below(3))
+                    .map(|_| match below(n) {
+                        i if i == zero.index() => NodeId::from_index(0),
+                        i => NodeId::from_index(i),
+                    })
+                    .collect();
+                let func = [NodeFn::And, NodeFn::Or, NodeFn::Xor][below(3)].clone();
+                let id = net.add_node(func, &fanins).unwrap();
+                lists.add(&net, id);
+            }
+            for &l in &latches {
+                let data = NodeId::from_index(below(net.num_nodes()));
+                net.replace_single_fanin(l, data);
+                lists.rewire(l, zero, data);
+            }
+            net.validate().unwrap();
+            assert_eq!(net.topo_order().unwrap(), lists.order(&net));
+        }
+    }
+
     #[test]
     fn reachability_marks_cones() {
         let mut net = Network::new("x");
