@@ -440,9 +440,9 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the node does not have exactly one fanin.
+    /// Panics if the node does not have exactly one fanin.
     pub fn replace_single_fanin(&mut self, id: NodeId, new_fanin: NodeId) {
-        debug_assert_eq!(
+        assert_eq!(
             self.fanins_of(id.index()).len(),
             1,
             "replace_single_fanin needs arity 1"
@@ -451,9 +451,12 @@ impl Network {
     }
 
     /// Points fanin `pin` of `id` at `new_fanin` in place and moves one
-    /// fanout edge from the old driver to the new one.
+    /// fanout edge from the old driver to the new one. Panics if `id` has
+    /// no fanin `pin`, rather than writing into the next node's fanins.
     fn rewire(&mut self, id: NodeId, pin: usize, new_fanin: NodeId) {
-        let slot = &mut self.fanins[self.fanin_off[id.index()] as usize + pin];
+        let start = self.fanin_off[id.index()] as usize;
+        let end = self.fanin_off[id.index() + 1] as usize;
+        let slot = &mut self.fanins[start..end][pin];
         let old = std::mem::replace(slot, new_fanin);
         self.fanout_count[old.index()] -= 1;
         self.fanout_count[new_fanin.index()] += 1;
@@ -707,6 +710,23 @@ mod tests {
         let a = net.add_input("a");
         let err = net.add_node(NodeFn::Not, vec![a, a]).unwrap_err();
         assert!(matches!(err, NetlistError::Arity { .. }));
+    }
+
+    #[test]
+    #[should_panic(expected = "replace_single_fanin needs arity 1")]
+    fn replace_single_fanin_on_an_input_panics() {
+        let (mut net, g) = diamond();
+        let a = net.find_by_name("a").unwrap();
+        net.replace_single_fanin(a, g);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn rewire_never_writes_past_the_nodes_own_fanins() {
+        // Input `a` has no fanins; its pin 0 would be the AND's first fanin.
+        let (mut net, g) = diamond();
+        let a = net.find_by_name("a").unwrap();
+        net.rewire(a, 0, g);
     }
 
     #[test]
