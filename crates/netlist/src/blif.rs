@@ -506,14 +506,12 @@ impl<'a> NameTable<'a> {
         }
     }
 
-    /// Claims a free name the writer made up for `id`.
+    /// Claims a free name the writer made up for `id`. Made names
+    /// (`base_k`, `out_xk`) always contain `_`, so none is an `n<k>`
+    /// and none belongs in the owner array.
     fn claim_made(&mut self, name: String, id: NodeId) {
-        match self.generated_index(&name) {
-            Some(k) => self.generated[k] = id.index() as u32,
-            None => {
-                self.made.insert(name, id);
-            }
-        }
+        debug_assert!(generated_number(&name).is_none());
+        self.made.insert(name, id);
     }
 
     /// Names node `id`: its base name — `explicit`, or `n<id>` when it has
