@@ -13,38 +13,14 @@
 //! `dagmap_core::allocmeter`, and asserts the flat kernel's steady-state
 //! zero-allocation contract on every circuit's reference run.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use dagmap_bench::harness::best_of;
+use dagmap_bench::harness::{best_of, Counting, ALLOCS};
 use dagmap_core::{label_with_config, Labels, MatchMode, Objective};
 use dagmap_genlib::Library;
 use dagmap_match::MatchConfig;
 use dagmap_netlist::SubjectGraph;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
 
 #[global_allocator]
 static COUNTING: Counting = Counting;

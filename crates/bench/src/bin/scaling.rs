@@ -1,147 +1,16 @@
 //! The complexity claims of Section 3.4: labeling is `O(s·p)` — linear in
 //! the subject size `s` for a fixed library, and linear in the expanded
-//! pattern size `p` for a fixed circuit. Sweep `c` checks the whole
-//! BLIF-in, BLIF-out pipeline layer by layer for linearity in `s`, up to
-//! a million subject nodes.
+//! pattern size `p` for a fixed circuit.
 //!
 //! ```text
-//! cargo run --release -p dagmap-bench --bin scaling [a] [b] [c]
+//! cargo run --release -p dagmap-bench --bin scaling
 //! ```
-//!
-//! With no arguments every sweep runs. The binary counts allocations with
-//! a counting global allocator; sweep `c` reports them per subject node.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use dagmap_core::{verify, MapOptions, Mapper};
+use dagmap_core::{MapOptions, Mapper};
 use dagmap_genlib::Library;
-use dagmap_netlist::{blif, SubjectGraph};
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
-
-/// Seed of the pipeline's equivalence check (the one `dagmap map` uses).
-const VERIFY_SEED: u64 = 0xC11;
-
-/// The layers of sweep `c`, in pipeline order.
-const LAYERS: [&str; 5] = ["parse", "decompose", "map", "verify", "writeback"];
-
-/// Runs `f`, returning its value, its wall-clock seconds and the
-/// allocations it made.
-fn metered<T>(f: impl FnOnce() -> T) -> (T, f64, usize) {
-    let allocs = ALLOCS.load(Ordering::Relaxed);
-    let t = Instant::now();
-    let value = f();
-    let secs = t.elapsed().as_secs_f64();
-    (value, secs, ALLOCS.load(Ordering::Relaxed) - allocs)
-}
-
-/// One BLIF-in, BLIF-out op through the public calls, per layer: seconds
-/// and allocations of parse, decomposition, mapping, verification and
-/// writeback, plus the subject's node count. Each value is dropped inside
-/// the layer that used it last, as a one-shot op would.
-fn pipeline(library: &Library, text: &str) -> (usize, [(f64, usize); 5]) {
-    let (net, parse_s, parse_a) = metered(|| blif::parse(text).expect("parses"));
-    let (subject, dec_s, dec_a) = metered(|| {
-        let subject = SubjectGraph::from_network(&net).expect("decomposes");
-        drop(net);
-        subject
-    });
-    let nodes = subject.network().num_nodes();
-    let ((mapped, _), map_s, map_a) = metered(|| {
-        Mapper::new(library)
-            .map_with_report(&subject, MapOptions::dag())
-            .expect("maps")
-    });
-    let ((), ver_s, ver_a) = metered(|| {
-        verify::check(&mapped, &subject, VERIFY_SEED).expect("verifies");
-        drop(subject);
-    });
-    let (out, wb_s, wb_a) = metered(|| {
-        let out = blif::to_string(&mapped.to_network().expect("lowers")).expect("writes");
-        drop(mapped);
-        out
-    });
-    assert!(!out.is_empty());
-    (
-        nodes,
-        [
-            (parse_s, parse_a),
-            (dec_s, dec_a),
-            (map_s, map_a),
-            (ver_s, ver_a),
-            (wb_s, wb_a),
-        ],
-    )
-}
-
-/// Sweep `c`: array multipliers from ~10^4 to ~10^6 subject nodes through
-/// the whole pipeline; ns and allocations per subject node per layer
-/// (median of three ops by total time), then each layer's ns/node spread.
-fn sweep_layers() {
-    println!("[c] per-layer cost, BLIF in -> BLIF out (lib2, dag), array multipliers:");
-    print!("{:>6} {:>9}", "width", "s (nodes)");
-    for layer in LAYERS {
-        print!(" {:>10}", format!("{layer} ns"));
-    }
-    for layer in LAYERS {
-        print!(" {:>9}", format!("{layer} a"));
-    }
-    println!();
-    let library = Library::lib2_like();
-    let mut ns_per_node: Vec<[f64; 5]> = Vec::new();
-    for width in [18usize, 32, 64, 128, 180] {
-        let text = blif::to_string(&dagmap_benchgen::array_multiplier(width)).expect("writes");
-        let mut runs: Vec<(usize, [(f64, usize); 5])> =
-            (0..3).map(|_| pipeline(&library, &text)).collect();
-        runs.sort_by(|a, b| {
-            let total = |r: &[(f64, usize); 5]| r.iter().map(|l| l.0).sum::<f64>();
-            total(&a.1).partial_cmp(&total(&b.1)).expect("finite")
-        });
-        let (nodes, layers) = runs[1];
-        let ns = layers.map(|(secs, _)| secs * 1e9 / nodes as f64);
-        print!("{width:>6} {nodes:>9}");
-        for v in ns {
-            print!(" {v:>10.1}");
-        }
-        for (_, allocs) in layers {
-            print!(" {:>9.3}", allocs as f64 / nodes as f64);
-        }
-        println!();
-        ns_per_node.push(ns);
-    }
-    print!("ns/node spread (max/min over sizes):");
-    for (i, layer) in LAYERS.iter().enumerate() {
-        let column = ns_per_node.iter().map(|row| row[i]);
-        let spread = column.clone().fold(f64::MIN, f64::max) / column.fold(f64::MAX, f64::min);
-        print!(" {layer} {spread:.2}x");
-    }
-    println!("\n(allocation columns are allocations per subject node; linear => flat ns/node)\n");
-}
+use dagmap_netlist::SubjectGraph;
 
 fn time_map(library: &Library, subject: &SubjectGraph) -> f64 {
     let mapper = Mapper::new(library);
@@ -160,28 +29,8 @@ fn time_map(library: &Library, subject: &SubjectGraph) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for arg in &args {
-        assert!(
-            matches!(arg.as_str(), "a" | "b" | "c"),
-            "unknown sweep `{arg}` (expected a, b or c)"
-        );
-    }
-    let run = |sweep: &str| args.is_empty() || args.iter().any(|a| a == sweep);
     println!("Section 3.4: O(s·p) scaling of DAG-mapping runtime\n");
-    if run("a") {
-        sweep_subject_size();
-    }
-    if run("b") {
-        sweep_pattern_size();
-    }
-    if run("c") {
-        sweep_layers();
-    }
-}
 
-/// Sweep `a`: fixed library, growing subject.
-fn sweep_subject_size() {
     println!(
         "[a] fixed library (lib2-like, p = {}), growing subject:",
         Library::lib2_like().total_pattern_nodes()
@@ -211,10 +60,7 @@ fn sweep_subject_size() {
         "per-gate cost spread across a {}x size range: {spread:.2}x (linear => ~1x)\n",
         per_gate.len()
     );
-}
 
-/// Sweep `b`: fixed subject, growing pattern set.
-fn sweep_pattern_size() {
     println!("[b] fixed subject (c3540-like), growing pattern set:");
     println!(
         "{:>12} {:>8} {:>14} {:>12}",
@@ -244,5 +90,5 @@ fn sweep_pattern_size() {
     println!(" bound — normalized cost even falls for the rich library because");
     println!(" most deep-pattern match attempts fail after a few nodes, while");
     println!(" absolute time still grows from 44-1 to 44-3, the shape of the");
-    println!(" paper's Table 2 -> Table 3 CPU columns)\n");
+    println!(" paper's Table 2 -> Table 3 CPU columns)");
 }

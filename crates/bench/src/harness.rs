@@ -5,8 +5,39 @@
 //! needed — auto-calibrated repetition around [`std::time::Instant`] with
 //! mean/min reporting. Set `DAGMAP_BENCH_QUICK=1` to shrink the time budget
 //! (used by the tier-1 smoke run).
+//!
+//! [`Counting`] is the allocation counter the allocation-reporting bench
+//! binaries install as their global allocator.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+
+/// Allocations (including reallocations) made through [`Counting`].
+pub static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counting every allocation and reallocation in
+/// [`ALLOCS`]. A binary opts in with
+/// `#[global_allocator] static A: Counting = Counting;`.
+pub struct Counting;
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+}
 
 /// Timing of one benchmark case.
 #[derive(Debug, Clone)]
