@@ -1,5 +1,6 @@
-//! Match-acceleration micro-benchmark: naive full-scan matching vs the
-//! fingerprint index vs index + cone-class memoization.
+//! Match-acceleration micro-benchmark: the naive full-scan matcher vs the
+//! automaton-filtered matcher (the one-shot default) vs the automaton plus
+//! cone-class memoization (what the serve daemon runs).
 //!
 //! Times serial `dagmap_core::label_with_config` under the three
 //! configurations over the benchgen ISCAS-like suite crossed with the
@@ -28,23 +29,17 @@ const BASELINE: MatchConfig = MatchConfig {
     memo: MemoPolicy::Off,
     strash_ids: false,
 };
-const INDEXED: MatchConfig = MatchConfig {
+// The one-shot default: candidates and partial bindings filtered by the
+// library's tree automaton, no memo.
+const AUTOMATON: MatchConfig = MatchConfig {
     index: true,
     memo: MemoPolicy::Off,
-    strash_ids: false,
+    strash_ids: true,
 };
-// Forced On (not Auto): the point of the memoized column is to measure the
-// memo itself, even on libraries where the auto policy would decline it.
+// The automaton plus the cone-class memo, as the serve daemon runs it.
 const MEMOIZED: MatchConfig = MatchConfig {
     index: true,
     memo: MemoPolicy::On,
-    strash_ids: true,
-};
-// The shipping default: the memo is cost-gated per library, so cheap
-// pattern sets run index-only and big ones memoize.
-const AUTO: MatchConfig = MatchConfig {
-    index: true,
-    memo: MemoPolicy::Auto,
     strash_ids: true,
 };
 
@@ -54,12 +49,11 @@ struct Row {
     subject_nodes: usize,
     matches_enumerated: usize,
     pruned_baseline: usize,
-    pruned_indexed: usize,
+    pruned_automaton: usize,
     memo_hit_rate: f64,
     baseline_s: f64,
-    indexed_s: f64,
+    automaton_s: f64,
     memoized_s: f64,
-    auto_s: f64,
     identical: bool,
 }
 
@@ -153,46 +147,38 @@ fn main() {
                 .expect("labels")
             };
             let base = run(BASELINE);
-            let idx = run(INDEXED);
+            let auto = run(AUTOMATON);
             let memo = run(MEMOIZED);
-            let auto = run(AUTO);
-            let identical = base.arrival == idx.arrival
+            let identical = base.arrival == auto.arrival
                 && base.arrival == memo.arrival
-                && base.arrival == auto.arrival
-                && base.best == idx.best
-                && base.best == memo.best
                 && base.best == auto.best
-                && base.matches_enumerated == idx.matches_enumerated
-                && base.matches_enumerated == memo.matches_enumerated
-                && base.matches_enumerated == auto.matches_enumerated;
+                && base.best == memo.best
+                && base.matches_enumerated == auto.matches_enumerated
+                && base.matches_enumerated == memo.matches_enumerated;
             assert!(
                 identical,
                 "{name}/{}: accelerated labels diverged",
                 lib.name()
             );
             let baseline_s = time_config(&subject, lib, BASELINE, reps);
-            let indexed_s = time_config(&subject, lib, INDEXED, reps);
+            let automaton_s = time_config(&subject, lib, AUTOMATON, reps);
             let memoized_s = time_config(&subject, lib, MEMOIZED, reps);
-            let auto_s = time_config(&subject, lib, AUTO, reps);
             let memo_hit_rate = if memo.memo_lookups > 0 {
                 memo.memo_hits as f64 / memo.memo_lookups as f64
             } else {
                 0.0
             };
             println!(
-                "  {name:12} {:12} {:>6} nodes: baseline {:>8.2} ms, indexed {:>8.2} ms ({:.2}x), \
-                 memoized {:>8.2} ms ({:.2}x, {:.0}% hits), auto {:>8.2} ms ({:.2}x, memo {})",
+                "  {name:12} {:12} {:>6} nodes: baseline {:>8.2} ms, automaton {:>8.2} ms ({:.2}x), \
+                 automaton+memo {:>8.2} ms ({:.2}x, {:.0}% hits)",
                 lib.name(),
                 subject.network().num_nodes(),
                 baseline_s * 1e3,
-                indexed_s * 1e3,
-                baseline_s / indexed_s,
+                automaton_s * 1e3,
+                baseline_s / automaton_s,
                 memoized_s * 1e3,
                 baseline_s / memoized_s,
                 100.0 * memo_hit_rate,
-                auto_s * 1e3,
-                baseline_s / auto_s,
-                if auto.memo_lookups > 0 { "on" } else { "off" },
             );
             rows.push(Row {
                 circuit: name.clone(),
@@ -200,12 +186,11 @@ fn main() {
                 subject_nodes: subject.network().num_nodes(),
                 matches_enumerated: base.matches_enumerated,
                 pruned_baseline: base.matches_pruned,
-                pruned_indexed: idx.matches_pruned,
+                pruned_automaton: auto.matches_pruned,
                 memo_hit_rate,
                 baseline_s,
-                indexed_s,
+                automaton_s,
                 memoized_s,
-                auto_s,
                 identical,
             });
         }
@@ -233,30 +218,30 @@ fn main() {
     let speedups_443: Vec<f64> = rows
         .iter()
         .filter(|r| r.library == "44_3_like")
-        .map(|r| r.baseline_s / r.memoized_s)
+        .map(|r| r.baseline_s / r.automaton_s)
         .collect();
     let geo_443 = geomean(&speedups_443);
     let geo_all = geomean(
         &rows
             .iter()
+            .map(|r| r.baseline_s / r.automaton_s)
+            .collect::<Vec<_>>(),
+    );
+    let geo_memo = geomean(
+        &rows
+            .iter()
             .map(|r| r.baseline_s / r.memoized_s)
             .collect::<Vec<_>>(),
     );
-    let geo_auto = geomean(
-        &rows
-            .iter()
-            .map(|r| r.baseline_s / r.auto_s)
-            .collect::<Vec<_>>(),
-    );
     println!(
-        "geo-mean speedup (baseline -> indexed+memoized): {:.2}x overall{}; auto policy {:.2}x",
+        "geo-mean speedup (baseline -> automaton): {:.2}x overall{}; automaton+memo {:.2}x",
         geo_all,
         if speedups_443.is_empty() {
             String::new()
         } else {
             format!(", {geo_443:.2}x on 44_3_like")
         },
-        geo_auto,
+        geo_memo,
     );
 
     let mut json = String::new();
@@ -264,34 +249,34 @@ fn main() {
     let _ = writeln!(json, "  \"bench\": \"matchperf\",");
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"all_identical\": true,");
-    let _ = writeln!(json, "  \"geomean_speedup_all\": {geo_all:.3},");
-    let _ = writeln!(json, "  \"geomean_speedup_44_3_like\": {geo_443:.3},");
-    let _ = writeln!(json, "  \"geomean_speedup_auto\": {geo_auto:.3},");
+    let _ = writeln!(json, "  \"geomean_speedup_automaton\": {geo_all:.3},");
+    let _ = writeln!(
+        json,
+        "  \"geomean_speedup_automaton_44_3_like\": {geo_443:.3},"
+    );
+    let _ = writeln!(json, "  \"geomean_speedup_memoized\": {geo_memo:.3},");
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
         let _ = writeln!(
             json,
             "    {{\"circuit\": \"{}\", \"library\": \"{}\", \"subject_nodes\": {}, \
-             \"matches_enumerated\": {}, \"pruned_baseline\": {}, \"pruned_indexed\": {}, \
-             \"memo_hit_rate\": {:.4}, \"baseline_s\": {:.6}, \"indexed_s\": {:.6}, \
-             \"memoized_s\": {:.6}, \"auto_s\": {:.6}, \"speedup_indexed\": {:.3}, \
-             \"speedup_memoized\": {:.3}, \"speedup_auto\": {:.3}, \
-             \"identical\": {}}}{sep}",
+             \"matches_enumerated\": {}, \"pruned_baseline\": {}, \"pruned_automaton\": {}, \
+             \"memo_hit_rate\": {:.4}, \"baseline_s\": {:.6}, \"automaton_s\": {:.6}, \
+             \"memoized_s\": {:.6}, \"speedup_automaton\": {:.3}, \
+             \"speedup_memoized\": {:.3}, \"identical\": {}}}{sep}",
             r.circuit,
             r.library,
             r.subject_nodes,
             r.matches_enumerated,
             r.pruned_baseline,
-            r.pruned_indexed,
+            r.pruned_automaton,
             r.memo_hit_rate,
             r.baseline_s,
-            r.indexed_s,
+            r.automaton_s,
             r.memoized_s,
-            r.auto_s,
-            r.baseline_s / r.indexed_s,
+            r.baseline_s / r.automaton_s,
             r.baseline_s / r.memoized_s,
-            r.baseline_s / r.auto_s,
             r.identical,
         );
     }

@@ -32,7 +32,6 @@ mod imp {
     use std::fmt::Write as _;
     use std::io::{Read as _, Write as _};
     use std::net::SocketAddr;
-    use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -127,12 +126,13 @@ mod imp {
         workers: usize,
         clients: usize,
         libraries: &[Library],
-        lib_names: &[String],
         stream: &[dagmap_benchgen::ServeRequest],
         profile: bool,
     ) -> PassResult {
-        let scratch = PathBuf::from(std::env::temp_dir())
-            .join(format!("dagmap-serveperf-{}-{label}", std::process::id()));
+        let lib_names: Vec<String> = libraries.iter().map(|l| l.name().to_owned()).collect();
+        let lib_names = &lib_names;
+        let scratch =
+            std::env::temp_dir().join(format!("dagmap-serveperf-{}-{label}", std::process::id()));
         let socket = scratch.with_extension("sock");
         let log_path = scratch.with_extension("jsonl");
         let tail_dir = scratch.with_extension("tail");
@@ -407,7 +407,6 @@ mod imp {
             workers,
             args.clients,
             &libraries,
-            &lib_names,
             &stream[..warmup_len],
             false,
         );
@@ -420,7 +419,6 @@ mod imp {
                 workers,
                 args.clients,
                 &libraries,
-                &lib_names,
                 &stream,
                 profile,
             );

@@ -64,8 +64,9 @@ pub struct Labels {
     /// Pin permutations across a symmetric pattern NAND are enumerated
     /// once, not once per fanin order (see `MatchStats::enumerated`).
     pub matches_enumerated: usize,
-    /// Pattern attempts skipped without search — by the depth pre-filter
-    /// and, when the fingerprint index is on, by the shape-class buckets.
+    /// Rooted pattern candidates skipped without search — those outside the
+    /// node's automaton state with the index on, those failing the depth
+    /// pre-filter with it off.
     pub matches_pruned: usize,
     /// Cone-class lookups into the match memo (0 when the memo is off).
     pub memo_lookups: usize,

@@ -28,8 +28,9 @@ pub struct MapReport {
     pub duplicated_subject_nodes: usize,
     /// Matches enumerated during labeling (cost proxy).
     pub matches_enumerated: usize,
-    /// Pattern attempts skipped without search during labeling (depth
-    /// pre-filter, plus the fingerprint index when enabled).
+    /// Rooted pattern candidates skipped without search during labeling
+    /// (outside the automaton state, or the depth pre-filter with the index
+    /// off).
     pub matches_pruned: usize,
     /// Cone-class memo lookups during labeling (0 when the memo is off).
     pub memo_lookups: usize,
@@ -465,8 +466,8 @@ mod tests {
         let subject = figure2_subject();
         let lib = Library::lib2_like();
         let mapper = Mapper::new(&lib);
-        // Force the memo on: the serve daemon does the same, and lib2's small
-        // pattern set would otherwise resolve `MemoPolicy::Auto` to off.
+        // Force the memo on, as the serve daemon does: one-shot mapping
+        // runs without it.
         let opts = MapOptions::dag().with_match_memo(true);
         let (local, local_rep) = mapper.map_with_report(&subject, opts).unwrap();
         let reference = local.to_network().unwrap();

@@ -50,17 +50,17 @@ pub struct MapOptions {
     ///
     /// [`MapReport::label_threads`]: crate::MapReport::label_threads
     pub num_threads: Option<usize>,
-    /// Stage-1 match acceleration: consult the library's per-shape-class
-    /// fingerprint buckets when picking candidate patterns. On by default;
-    /// provably result-identical either way (it only skips patterns the
-    /// matcher would reject).
+    /// Stage-1 match acceleration: filter candidate patterns and partial
+    /// bindings through the library's tree automaton. On by default;
+    /// provably result-identical either way (it only skips search that
+    /// could never complete a match).
     pub use_match_index: bool,
     /// Stage-2 match acceleration: memoize whole match enumerations by
     /// canonical cone class and replay them at isomorphic nodes. Provably
     /// result-identical in every position (replay preserves the enumeration
-    /// order). Defaults to [`MemoPolicy::Auto`], which enables the memo only
-    /// for libraries whose pattern sets are expensive enough that replay
-    /// beats fresh (indexed) enumeration; `On`/`Off` force it.
+    /// order). Off by default: with the automaton on, fresh enumeration is
+    /// cheaper than the per-node cone probe. The serve daemon turns it on,
+    /// where repeat requests replay a warm store.
     pub match_memo: MemoPolicy,
     /// Stage-3 match acceleration: key warm memo probes on the subject
     /// graph's strash signatures so repeat probes skip cone extraction
@@ -81,7 +81,7 @@ impl MapOptions {
             delay_target: None,
             num_threads: None,
             use_match_index: true,
-            match_memo: MemoPolicy::Auto,
+            match_memo: MemoPolicy::Off,
             strash_ids: true,
         }
     }
@@ -96,7 +96,7 @@ impl MapOptions {
             delay_target: None,
             num_threads: None,
             use_match_index: true,
-            match_memo: MemoPolicy::Auto,
+            match_memo: MemoPolicy::Off,
             strash_ids: true,
         }
     }
@@ -111,7 +111,7 @@ impl MapOptions {
             delay_target: None,
             num_threads: None,
             use_match_index: true,
-            match_memo: MemoPolicy::Auto,
+            match_memo: MemoPolicy::Off,
             strash_ids: true,
         }
     }
@@ -125,7 +125,7 @@ impl MapOptions {
             delay_target: None,
             num_threads: None,
             use_match_index: true,
-            match_memo: MemoPolicy::Auto,
+            match_memo: MemoPolicy::Off,
             strash_ids: true,
         }
     }
@@ -140,7 +140,7 @@ impl MapOptions {
             delay_target: None,
             num_threads: None,
             use_match_index: true,
-            match_memo: MemoPolicy::Auto,
+            match_memo: MemoPolicy::Off,
             strash_ids: true,
         }
     }
@@ -159,10 +159,9 @@ impl MapOptions {
         self
     }
 
-    /// Sets both match-acceleration stages at once (`false` reproduces the
+    /// Sets every match-acceleration stage at once (`false` reproduces the
     /// naive full-scan matcher; useful for benchmarking and for the
-    /// bit-identity test suite). `true` forces the memo on even where
-    /// [`MemoPolicy::Auto`] would skip it.
+    /// bit-identity test suite). `true` turns the memo on too.
     pub fn with_match_acceleration(mut self, on: bool) -> MapOptions {
         self.use_match_index = on;
         self.match_memo = if on { MemoPolicy::On } else { MemoPolicy::Off };
@@ -170,22 +169,21 @@ impl MapOptions {
         self
     }
 
-    /// Sets the stage-1 fingerprint index switch.
+    /// Sets the stage-1 automaton index switch.
     pub fn with_match_index(mut self, on: bool) -> MapOptions {
         self.use_match_index = on;
         self
     }
 
-    /// Forces the stage-2 cone-class memoization on or off, overriding the
-    /// default per-library [`MemoPolicy::Auto`] decision.
+    /// Turns the stage-2 cone-class memoization on or off (default off).
     pub fn with_match_memo(mut self, on: bool) -> MapOptions {
         self.match_memo = if on { MemoPolicy::On } else { MemoPolicy::Off };
         self
     }
 
-    /// Sets the stage-3 strash-id memo keying switch (`--no-strash-ids`
-    /// in the CLI). Off forces every memo probe down the canonical-cone
-    /// path; the mapped output is bit-identical either way.
+    /// Sets the stage-3 strash-id memo keying switch. Off forces every memo
+    /// probe down the canonical-cone path; the mapped output is
+    /// bit-identical either way.
     pub fn with_strash_ids(mut self, on: bool) -> MapOptions {
         self.strash_ids = on;
         self
@@ -230,7 +228,7 @@ mod tests {
     fn match_acceleration_defaults_on() {
         let opts = MapOptions::dag();
         assert!(opts.use_match_index);
-        assert_eq!(opts.match_memo, MemoPolicy::Auto);
+        assert_eq!(opts.match_memo, MemoPolicy::Off);
         assert_eq!(opts.match_config(), dagmap_match::MatchConfig::default());
         let off = opts.with_match_acceleration(false);
         assert!(!off.use_match_index && off.match_memo == MemoPolicy::Off);

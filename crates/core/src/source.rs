@@ -119,12 +119,17 @@ impl MatchSource for StructuralSource<'_> {
         self.mode
     }
 
+    /// Sizes the scratch and computes the subject's automaton states before
+    /// the level loop (one transition-table lock per pass), so no wave
+    /// allocates; with the memo's strash-id keying on, the subject's
+    /// signatures are computed here for the same reason.
     fn make_kit(&self, subject: &SubjectGraph) -> StructuralKit {
         let library = self.matcher.library();
-        let mut scratch = MatchScratch::new();
-        scratch.prepare(library, subject.flat().num_nodes());
+        if self.matcher.memo_enabled() && self.matcher.config().strash_ids {
+            subject.signatures();
+        }
         StructuralKit {
-            scratch,
+            scratch: self.matcher.scratch_for(subject),
             store: SharedMatchStore::for_library(library, 1, usize::MAX),
         }
     }
@@ -136,9 +141,9 @@ impl MatchSource for StructuralSource<'_> {
         kit: &mut StructuralKit,
         f: &mut dyn FnMut(SourceMatch<'_>),
     ) -> MatchStats {
-        // The matcher replays memoized cone classes when its resolved memo
-        // policy enables the store and enumerates directly (possibly
-        // indexed) otherwise; the callback sequence is identical either way.
+        // The matcher replays memoized cone classes when the memo is on and
+        // enumerates directly (filtered by the automaton when the index is
+        // on) otherwise; the callback sequence is identical either way.
         self.matcher.for_each_match_shared(
             subject,
             node,

@@ -1,4 +1,4 @@
-//! Bit-identity of the match-acceleration stages: the fingerprint index and
+//! Bit-identity of the match-acceleration stages: the automaton index and
 //! the cone-class memo may only change how much work the matcher performs,
 //! never what it returns. Labels (arrivals, area flows, selected matches),
 //! mapped netlists and critical delays must agree bit for bit across every
@@ -12,11 +12,10 @@ use dagmap_netlist::SubjectGraph;
 
 const MODES: [MatchMode; 3] = [MatchMode::Standard, MatchMode::Exact, MatchMode::Extended];
 
-/// Index × memo-policy × strash-id combinations, baseline first. `Auto`
-/// rides along so the cost-gated default provably picks one of the fixed
-/// behaviours, and the memoized rows run with strash-id keying both off and
-/// on — the id fast path must replay exactly what the cone key would.
-fn configs() -> [MatchConfig; 7] {
+/// Index × memo × strash-id combinations, baseline first. The memoized rows
+/// run with strash-id keying both off and on — the id fast path must replay
+/// exactly what the cone key would.
+fn configs() -> [MatchConfig; 6] {
     [
         MatchConfig {
             index: false,
@@ -46,11 +45,6 @@ fn configs() -> [MatchConfig; 7] {
         MatchConfig {
             index: true,
             memo: MemoPolicy::On,
-            strash_ids: true,
-        },
-        MatchConfig {
-            index: true,
-            memo: MemoPolicy::Auto,
             strash_ids: true,
         },
     ]
@@ -174,7 +168,7 @@ fn seeded_random_dags_label_identically_under_every_acceleration() {
     }
 }
 
-/// The fact `MemoPolicy` rests on: within one serial labeling pass the
+/// Why one-shot labeling runs without the memo: within one serial pass the
 /// memo probes every gate exactly once, and the strash-id fast path never
 /// hits — id keying needs an injective signature map, so no signature
 /// repeats inside one subject. Every one-shot probe therefore pays a cone
@@ -211,5 +205,53 @@ fn one_shot_memo_probes_every_gate_once_and_never_hits_by_id() {
                 );
             }
         }
+    }
+}
+
+/// Labels under `config` equal the reference scan's in every field the
+/// mapping reads, and prune at least as much.
+fn assert_labels_match_baseline(subject: &SubjectGraph, lib: &Library, config: MatchConfig) {
+    for mode in MODES {
+        let label = |config| {
+            label_with_config(subject, lib, mode, Objective::Delay, None, config).expect("labels")
+        };
+        let (reference, l) = (label(MatchConfig::baseline()), label(config));
+        let tag = format!("lib={} mode={mode:?} config={config:?}", lib.name());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&l.arrival), bits(&reference.arrival), "{tag}");
+        assert_eq!(bits(&l.area_flow), bits(&reference.area_flow), "{tag}");
+        assert_eq!(l.best, reference.best, "{tag}");
+        assert_eq!(l.matches_enumerated, reference.matches_enumerated, "{tag}");
+        assert!(l.matches_pruned >= reference.matches_pruned, "{tag}");
+    }
+}
+
+/// The designs where the automaton prunes most: the c3540 and c6288
+/// analogues under 44-3, in all three match modes.
+#[test]
+fn automaton_labels_the_44_3_iscas_analogues_like_the_reference_scan() {
+    let lib = Library::lib_44_3_like();
+    for net in [dagmap_benchgen::c3540_like(), dagmap_benchgen::c6288_like()] {
+        let subject = SubjectGraph::from_network(&net).expect("decomposes");
+        assert_labels_match_baseline(&subject, &lib, MatchConfig::default());
+    }
+}
+
+/// A transition table cleared whenever a pass starts at its cap still
+/// labels like the reference scan, pass after pass and across subjects.
+#[test]
+fn a_transition_table_driven_past_its_cap_still_labels_like_the_baseline() {
+    let lib = Library::lib_44_3_like().with_automaton_cap(8);
+    for net in [
+        dagmap_benchgen::c3540_like(),
+        dagmap_benchgen::alu(8),
+        dagmap_benchgen::c3540_like(),
+    ] {
+        let subject = SubjectGraph::from_network(&net).expect("decomposes");
+        assert_labels_match_baseline(&subject, &lib, MatchConfig::default());
+        assert!(
+            lib.automaton().num_states() > 8,
+            "one subject's pass grows the table past the cap"
+        );
     }
 }

@@ -18,7 +18,7 @@ use dagmap_netlist::{blif, SubjectGraph};
 /// Counters whose values are part of the mapper's deterministic contract:
 /// invariant across acceleration settings. The memo counters
 /// (`match.memo_*`) and `match.pruned` legitimately vary with acceleration
-/// (a disabled memo counts no lookups; the fingerprint index prunes
+/// (a disabled memo counts no lookups; the automaton index prunes
 /// candidates earlier), so they are deliberately absent here.
 const INVARIANT_COUNTERS: &[&str] = &[
     "decompose.gates",

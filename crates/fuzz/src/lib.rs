@@ -5,7 +5,7 @@
 //! The paper's claim is *optimality*: DAG covering must never be beaten on
 //! delay by tree covering, must always stay functionally equivalent to its
 //! subject graph, and must produce bit-identical results across every
-//! performance configuration (fingerprint index, cone-class memo,
+//! performance configuration (automaton index, cone-class memo,
 //! strash-id keying, incremental re-mapping). This crate sweeps that whole
 //! matrix adversarially:
 //!

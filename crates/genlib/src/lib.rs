@@ -32,6 +32,7 @@
 //! # }
 //! ```
 
+mod automaton;
 mod error;
 mod expr;
 mod gate;
@@ -41,6 +42,7 @@ mod pattern;
 mod stdlibs;
 mod writer;
 
+pub use automaton::{Automaton, SubjectStates, LEAF_SUBTREE};
 pub use error::GenlibError;
 pub use expr::{Expr, TreeShape, TruthTable};
 pub use gate::{Gate, GateId, PinPhase, PinTiming};

@@ -1,10 +1,9 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use dagmap_netlist::fingerprint::{decode1, decode2, Shape1, Shape2, NUM_SHAPE_CLASSES};
-
-use crate::{Gate, GateId, GenlibError, PatternGraph, PatternNode, TreeShape};
+use crate::{Automaton, Gate, GateId, GenlibError, PatternGraph, PatternNode, TreeShape};
 
 /// Identifier of an expanded pattern inside a [`Library`].
 #[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -50,25 +49,24 @@ pub struct LibPattern {
     /// arrival nor its pin count nor its leaf multiset, so the matcher
     /// tries only the first fanin order at a marked node.
     pub symmetric: Vec<bool>,
+    /// Per pattern node: the id of the subtree it roots in the library's
+    /// [`Automaton`] (every leaf is [`crate::LEAF_SUBTREE`]). Equal
+    /// subtrees of different patterns share one id.
+    pub subtree: Vec<u32>,
 }
 
-/// 64-wide candidate bitmasks over one root kind's rooted pattern list.
+/// 64-wide depth-filter bitmasks over one root kind's rooted pattern list:
+/// the candidate rows of the matcher's unfiltered reference scan (its
+/// `MatchConfig::index` off).
 ///
 /// Bit `i` of a row refers to position `i` of the corresponding rooted
 /// pattern list ([`Library::patterns_rooted_nand`] /
 /// [`Library::patterns_rooted_inv`]), so iterating set bits in ascending
 /// order visits candidates in ascending [`PatternId`] order — the same
-/// enumeration order as walking the list itself. Rows come in two families:
-///
-/// * **class rows** — one per subject shape class; bit `i` is set when the
-///   pattern is in that class's fingerprint bucket,
-/// * **depth rows** — one per topological level up to the library's maximum
-///   pattern depth; bit `i` is set when the pattern's depth fits a node at
-///   that level.
-///
-/// The matcher's candidate set at a node is the AND of one class row and
-/// one depth row — whole 64-pattern batches evaluated per word instead of
-/// per-candidate branching.
+/// enumeration order as walking the list itself. There is one row per
+/// topological level up to the library's maximum pattern depth; bit `i` is
+/// set when the pattern's depth fits a node at that level. The automaton's
+/// candidate rows ([`crate::SubjectStates::row`]) use the same layout.
 #[derive(Debug, Clone)]
 pub struct RootMasks {
     /// Rooted-list length the rows cover.
@@ -77,8 +75,6 @@ pub struct RootMasks {
     words: usize,
     /// Depth-row clamp: levels at or above this see every pattern.
     max_depth: u32,
-    /// `NUM_SHAPE_CLASSES` rows of `words` words each.
-    class_rows: Vec<u64>,
     /// `max_depth + 1` rows of `words` words each; row `d` has bit `i` set
     /// when pattern `i`'s depth is at most `d`.
     depth_rows: Vec<u64>,
@@ -88,15 +84,6 @@ impl RootMasks {
     fn build(patterns: &[LibPattern], rooted: &[PatternId], max_depth: u32) -> RootMasks {
         let len = rooted.len();
         let words = len.div_ceil(64);
-        let mut class_rows = vec![0u64; NUM_SHAPE_CLASSES * words];
-        for (pos, &pid) in rooted.iter().enumerate() {
-            let graph = &patterns[pid.index()].graph;
-            for class in 0..NUM_SHAPE_CLASSES {
-                if compatible2(graph, graph.root(), class as u8) {
-                    class_rows[class * words + pos / 64] |= 1u64 << (pos % 64);
-                }
-            }
-        }
         let mut depth_rows = vec![0u64; (max_depth as usize + 1) * words];
         for (pos, &pid) in rooted.iter().enumerate() {
             for d in patterns[pid.index()].depth..=max_depth {
@@ -107,7 +94,6 @@ impl RootMasks {
             len,
             words,
             max_depth,
-            class_rows,
             depth_rows,
         }
     }
@@ -125,12 +111,6 @@ impl RootMasks {
     /// Words per row.
     pub fn words(&self) -> usize {
         self.words
-    }
-
-    /// The candidate row of one subject shape class.
-    pub fn class_row(&self, class: u8) -> &[u64] {
-        let start = class as usize * self.words;
-        &self.class_rows[start..start + self.words]
     }
 
     /// The candidate row of one topological level (clamped to the maximum
@@ -163,11 +143,9 @@ pub struct Library {
     patterns: Vec<LibPattern>,
     rooted_nand: Vec<PatternId>,
     rooted_inv: Vec<PatternId>,
-    /// Per subject shape class (see `dagmap_netlist::fingerprint`): the
-    /// patterns whose root two-level neighborhood is compatible, in
-    /// ascending `PatternId` order — the fingerprint index the matcher
-    /// iterates instead of the full root-kind candidate list.
-    shape_buckets: Vec<Vec<PatternId>>,
+    /// The candidate filter over the hash-consed pattern subtrees. Clones
+    /// share it, transition table included: their patterns are equal.
+    automaton: Arc<Automaton>,
     /// Bitmask rows over `rooted_nand` (see [`RootMasks`]).
     masks_nand: RootMasks,
     /// Bitmask rows over `rooted_inv` (see [`RootMasks`]).
@@ -247,10 +225,11 @@ impl Library {
                     graph,
                     depth,
                     symmetric,
+                    subtree: Vec::new(),
                 });
             }
         }
-        let shape_buckets = build_shape_buckets(&patterns);
+        let automaton = Arc::new(Automaton::build(&mut patterns, &rooted_nand, &rooted_inv));
         let max_pattern_depth = patterns.iter().map(|p| p.depth).max().unwrap_or(0);
         let max_pattern_fanout = patterns
             .iter()
@@ -266,7 +245,7 @@ impl Library {
             patterns,
             rooted_nand,
             rooted_inv,
-            shape_buckets,
+            automaton,
             masks_nand,
             masks_inv,
             max_pattern_depth,
@@ -339,26 +318,28 @@ impl Library {
         &self.rooted_inv
     }
 
-    /// The fingerprint-index bucket for one subject shape class: every
-    /// pattern that could possibly match at a node of that class, in
-    /// ascending [`PatternId`] order.
-    ///
-    /// Bucket membership is a *necessary* condition computed from the
-    /// pattern's root two-level neighborhood (kinds only, both NAND fanin
-    /// orders, leaves as wildcards), so iterating the bucket instead of
-    /// every root-compatible pattern skips work without ever skipping a
-    /// match, and — because the order is the [`Library::patterns`] order —
-    /// without reordering the enumeration.
-    pub fn patterns_for_class(&self, class: u8) -> &[PatternId] {
-        &self.shape_buckets[class as usize]
+    /// The library's tree automaton over its hash-consed pattern subtrees:
+    /// the structural matcher's candidate filter (see [`Automaton`]).
+    pub fn automaton(&self) -> &Automaton {
+        &self.automaton
     }
 
-    /// Candidate bitmask rows over the NAND-rooted pattern list.
+    /// This library with a fresh, empty transition table that is cleared
+    /// whenever a pass starts with `max_states` or more states in it. The
+    /// builtin cap is large enough that mapping never needs this; it lets
+    /// tests drive the table past its cap.
+    #[doc(hidden)]
+    pub fn with_automaton_cap(mut self, max_states: usize) -> Library {
+        self.automaton = Arc::new(self.automaton.with_max_states(max_states));
+        self
+    }
+
+    /// Depth-filter bitmask rows over the NAND-rooted pattern list.
     pub fn nand_masks(&self) -> &RootMasks {
         &self.masks_nand
     }
 
-    /// Candidate bitmask rows over the inverter-rooted pattern list.
+    /// Depth-filter bitmask rows over the inverter-rooted pattern list.
     pub fn inv_masks(&self) -> &RootMasks {
         &self.masks_inv
     }
@@ -485,58 +466,6 @@ fn symmetric_nands(graph: &PatternGraph, gate: &Gate) -> Vec<bool> {
     marks
 }
 
-/// Builds the per-shape-class pattern buckets of the fingerprint index.
-fn build_shape_buckets(patterns: &[LibPattern]) -> Vec<Vec<PatternId>> {
-    let mut buckets = vec![Vec::new(); NUM_SHAPE_CLASSES];
-    for (i, lp) in patterns.iter().enumerate() {
-        let id = PatternId::from_index(i);
-        for (class, bucket) in buckets.iter_mut().enumerate() {
-            if compatible2(&lp.graph, lp.graph.root(), class as u8) {
-                bucket.push(id);
-            }
-        }
-    }
-    buckets
-}
-
-/// Could pattern node `p` bind to a subject node of depth-2 class `code`?
-///
-/// Mirrors the matcher's structural checks: leaves are wildcards, inverter
-/// and NAND nodes require the same kind, and both NAND fanin orders are
-/// tried. A successful `try_bind` embedding is a witness for this
-/// predicate, so `false` proves no match exists.
-fn compatible2(graph: &PatternGraph, p: usize, code: u8) -> bool {
-    match (graph.node(p), decode2(code)) {
-        (PatternNode::Leaf { .. }, _) => true,
-        (PatternNode::Inv { fanin }, Shape2::Inv(c)) => compatible1(graph, fanin, c),
-        (PatternNode::Nand { fanins: [c0, c1] }, Shape2::Nand(a, b)) => {
-            (compatible1(graph, c0, a) && compatible1(graph, c1, b))
-                || (compatible1(graph, c0, b) && compatible1(graph, c1, a))
-        }
-        _ => false,
-    }
-}
-
-fn compatible1(graph: &PatternGraph, p: usize, code: u8) -> bool {
-    match (graph.node(p), decode1(code)) {
-        (PatternNode::Leaf { .. }, _) => true,
-        (PatternNode::Inv { fanin }, Shape1::Inv(c)) => compatible0(graph, fanin, c),
-        (PatternNode::Nand { fanins: [c0, c1] }, Shape1::Nand(a, b)) => {
-            (compatible0(graph, c0, a) && compatible0(graph, c1, b))
-                || (compatible0(graph, c0, b) && compatible0(graph, c1, a))
-        }
-        _ => false,
-    }
-}
-
-fn compatible0(graph: &PatternGraph, p: usize, s0: u8) -> bool {
-    match graph.node(p) {
-        PatternNode::Leaf { .. } => true,
-        PatternNode::Inv { .. } => s0 == 1,
-        PatternNode::Nand { .. } => s0 == 2,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,33 +546,7 @@ mod tests {
     }
 
     #[test]
-    fn shape_buckets_are_ordered_kind_pure_subsets() {
-        use dagmap_netlist::fingerprint::{class_kind, ShapeKind};
-        for lib in [tiny(), Library::lib2_like(), Library::lib_44_3_like()] {
-            for class in 0..NUM_SHAPE_CLASSES as u8 {
-                let bucket = lib.patterns_for_class(class);
-                assert!(
-                    bucket.windows(2).all(|w| w[0] < w[1]),
-                    "{}: bucket {class} not ascending",
-                    lib.name()
-                );
-                let expect: &[PatternId] = match class_kind(class) {
-                    ShapeKind::Source => &[],
-                    ShapeKind::Inv => lib.patterns_rooted_inv(),
-                    ShapeKind::Nand => lib.patterns_rooted_nand(),
-                };
-                assert!(
-                    bucket.iter().all(|p| expect.contains(p)),
-                    "{}: bucket {class} escapes its root kind",
-                    lib.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mask_rows_agree_with_buckets_and_depth_filter() {
-        use dagmap_netlist::fingerprint::{class_kind, ShapeKind};
+    fn depth_rows_follow_the_depth_filter() {
         for lib in [tiny(), Library::lib2_like(), Library::lib_44_3_like()] {
             for (masks, rooted) in [
                 (lib.nand_masks(), lib.patterns_rooted_nand()),
@@ -651,24 +554,6 @@ mod tests {
             ] {
                 assert_eq!(masks.len(), rooted.len());
                 assert_eq!(masks.words(), rooted.len().div_ceil(64));
-                for class in 0..NUM_SHAPE_CLASSES as u8 {
-                    let row = masks.class_row(class);
-                    let bucket = lib.patterns_for_class(class);
-                    for (pos, &pid) in rooted.iter().enumerate() {
-                        let bit = row[pos / 64] >> (pos % 64) & 1 == 1;
-                        let same_kind = match class_kind(class) {
-                            ShapeKind::Nand => std::ptr::eq(rooted, lib.patterns_rooted_nand()),
-                            ShapeKind::Inv => std::ptr::eq(rooted, lib.patterns_rooted_inv()),
-                            ShapeKind::Source => false,
-                        };
-                        assert_eq!(
-                            bit,
-                            same_kind && bucket.contains(&pid),
-                            "{}: class {class} bit {pos}",
-                            lib.name()
-                        );
-                    }
-                }
                 for level in 0..=lib.max_pattern_depth() + 2 {
                     let row = masks.depth_row(level);
                     for (pos, &pid) in rooted.iter().enumerate() {
@@ -681,6 +566,52 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_subtrees_share_an_id_and_leaves_are_wildcards() {
+        for lib in [tiny(), Library::lib2_like(), Library::lib_44_3_like()] {
+            // Two pattern nodes get one id exactly when the trees they
+            // unfold to are equal up to NAND fanin order, leaves as one
+            // wildcard: compare the canonical unfolded text.
+            let mut text_of: std::collections::HashMap<u32, String> = Default::default();
+            for p in lib.patterns() {
+                assert_eq!(p.subtree.len(), p.graph.len());
+                for (i, node) in p.graph.nodes().iter().enumerate() {
+                    let text = unfold(&p.graph, i);
+                    if matches!(node, PatternNode::Leaf { .. }) {
+                        assert_eq!(p.subtree[i], crate::LEAF_SUBTREE);
+                    }
+                    let prev = text_of.entry(p.subtree[i]).or_insert_with(|| text.clone());
+                    assert_eq!(*prev, text, "{}: subtree {}", lib.name(), p.subtree[i]);
+                }
+            }
+            let distinct: HashSet<&String> = text_of.values().collect();
+            assert_eq!(
+                distinct.len(),
+                text_of.len(),
+                "{}: one id per tree",
+                lib.name()
+            );
+            assert_eq!(
+                lib.automaton().num_subtrees(),
+                text_of.len(),
+                "{}",
+                lib.name()
+            );
+        }
+    }
+
+    /// The canonical text of the tree pattern node `i` unfolds to.
+    fn unfold(graph: &PatternGraph, i: usize) -> String {
+        match graph.node(i) {
+            PatternNode::Leaf { .. } => "_".to_owned(),
+            PatternNode::Inv { fanin } => format!("i({})", unfold(graph, fanin)),
+            PatternNode::Nand { fanins: [a, b] } => {
+                let (x, y) = (unfold(graph, a), unfold(graph, b));
+                format!("n({},{})", x.clone().min(y.clone()), x.max(y))
             }
         }
     }

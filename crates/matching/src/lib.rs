@@ -24,17 +24,19 @@
 //! one pin order per distinct way of feeding the gate, not once per
 //! permutation of interchangeable pins.
 //!
-//! Two acceleration stages (both on by default, switchable via
-//! [`MatchConfig`]) sit in front of the backtracking search: a fingerprint
-//! *index* that restricts the candidate patterns at a node to its
-//! shape-class bucket, and a cone-class *memoization* layer
+//! Two acceleration stages (switchable via [`MatchConfig`]) sit in front of
+//! the backtracking search. The *index*, on by default, is the library's
+//! bottom-up tree automaton over its pattern subtrees
+//! ([`dagmap_genlib::Automaton`]): a subject node's state names the pattern
+//! subtrees that embed there under a relaxed match, so only patterns whose
+//! root subtree is in the state are tried, and partial bindings the state
+//! rules out are abandoned. The cone-class *memoization* layer
 //! ([`SharedMatchStore`], probed through
-//! [`Matcher::for_each_match_shared`] whether it is a daemon's warm store
-//! or one labeling run's private one) that records one canonical
-//! enumeration per bounded-depth cone class and replays it at isomorphic
-//! nodes. Both preserve the enumeration order of the naive full scan
-//! exactly, so labels, tie-breaks and mapped netlists are bit-identical
-//! with the stages on or off.
+//! [`Matcher::for_each_match_shared`]), off by default and on in the serve
+//! daemon, records one canonical enumeration per bounded-depth cone class
+//! and replays it at isomorphic nodes. Both preserve the enumeration order
+//! of the naive full scan exactly, so labels, tie-breaks and mapped
+//! netlists are bit-identical with the stages on or off.
 //!
 //! # Example
 //!

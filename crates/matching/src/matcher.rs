@@ -1,4 +1,6 @@
-use dagmap_genlib::{GateId, LibPattern, Library, PatternId, PatternNode, RootMasks};
+use dagmap_genlib::{
+    GateId, LibPattern, Library, PatternId, PatternNode, SubjectStates, LEAF_SUBTREE,
+};
 use dagmap_netlist::fingerprint::{extract_cone, ConeScratch};
 use dagmap_netlist::{FlatNet, NodeId, Sig, Signatures, SubjectGraph, KIND_INV, KIND_NAND};
 
@@ -73,11 +75,11 @@ pub struct MatchStats {
     /// across a symmetric pattern NAND count once, not once per order (see
     /// [`Matcher::for_each_match_at`]).
     pub enumerated: usize,
-    /// Pattern candidates skipped without any search — by the depth
-    /// pre-filter, and (when the fingerprint index is on) by the shape
-    /// bucket. The count therefore depends on the [`MatchConfig`]; it
-    /// measures avoided work, while `enumerated` and the match sequence
-    /// itself are configuration-independent.
+    /// Rooted pattern candidates skipped without any search: those outside
+    /// the node's automaton state when the index is on, those failing the
+    /// depth pre-filter when it is off. The count therefore depends on the
+    /// [`MatchConfig`]; it measures avoided work, while `enumerated` and the
+    /// match sequence itself are configuration-independent.
     pub pruned: usize,
     /// Cone-class lookups performed (1 per memoized call, 0 otherwise).
     pub memo_lookups: usize,
@@ -108,38 +110,39 @@ impl MatchStats {
     }
 }
 
-/// When to memoize whole enumerations by cone class (stage 2 of the match
-/// acceleration).
+/// Whether to memoize whole enumerations by cone class (stage 2 of the
+/// match acceleration).
 ///
 /// Memoization pays a canonical cone extraction and a hash probe on *every*
-/// node; it wins only when the enumeration it replaces is expensive — big
-/// expanded pattern sets with deep patterns. On cheap libraries the probe
-/// overhead exceeds the saved search even at high hit rates, so the
-/// default `Auto` policy sizes the decision per library. The O(1)
-/// strash-id probe does not change that within one pass: id keying needs
-/// an injective signature map, so no signature repeats inside a subject
-/// and every probe of a one-shot labeling extracts a cone. Id hits pay
-/// off only across requests, area-recovery rounds and remaps.
+/// node; it wins only when the enumeration it replaces is expensive. With
+/// the automaton filtering candidates (stage 1), a fresh enumeration is
+/// cheaper than that probe on every builtin library, so one-shot labeling
+/// runs with the memo off. The O(1) strash-id probe does not change that
+/// within one pass: id keying needs an injective signature map, so no
+/// signature repeats inside a subject and every probe of a one-shot
+/// labeling extracts a cone. Id hits pay off only across requests,
+/// area-recovery rounds and remaps, which is why the serve daemon turns the
+/// memo on.
 #[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
 pub enum MemoPolicy {
-    /// Memoize when the library's expanded pattern set is large enough
-    /// that replay beats fresh enumeration (see
-    /// [`Matcher::AUTO_MEMO_MIN_PATTERN_NODES`]).
-    Auto,
     /// Always memoize.
     On,
     /// Never memoize.
     Off,
 }
 
-/// Switches for the two match-acceleration stages. Both default on; both
-/// preserve the exact match sequence (and therefore every downstream label,
-/// tie-break and mapped netlist) of the naive full scan.
+/// Switches for the match-acceleration stages. The automaton index and
+/// strash-id keying default on, the memo off; every stage preserves the
+/// exact match sequence (and therefore every downstream label, tie-break
+/// and mapped netlist) of the naive full scan.
 #[derive(Debug, Copy, Clone, PartialEq, Eq)]
 pub struct MatchConfig {
-    /// Stage 1: AND the library's per-shape-class candidate bitmask rows
-    /// into the depth rows so only root-neighborhood-compatible patterns
-    /// are attempted.
+    /// Stage 1: filter candidates through the library's tree automaton
+    /// ([`dagmap_genlib::Automaton`]). Only patterns whose root subtree is
+    /// in the node's state are attempted, and the search abandons any
+    /// partial binding whose pattern subtree is not in its subject node's
+    /// state. Off, the matcher runs the reference scan: every rooted
+    /// pattern the depth pre-filter admits, searched without the filter.
     pub index: bool,
     /// Stage 2: memoize whole enumerations by canonical cone class in a
     /// [`SharedMatchStore`] and replay them through the cone isomorphism.
@@ -160,7 +163,7 @@ impl Default for MatchConfig {
     fn default() -> MatchConfig {
         MatchConfig {
             index: true,
-            memo: MemoPolicy::Auto,
+            memo: MemoPolicy::Off,
             strash_ids: true,
         }
     }
@@ -197,11 +200,16 @@ impl MatchConfig {
 ///
 /// The scratch also embeds a [`ConeScratch`] used by the memoized entry
 /// points ([`Matcher::class_at`], [`Matcher::for_each_match_shared`]) to
-/// canonicalize the bounded-depth cone of the queried node.
+/// canonicalize the bounded-depth cone of the queried node, and the
+/// automaton states of the subject it was last used on, keyed by
+/// [`SubjectGraph::uid`] and the library's automaton: a scratch used on
+/// another subject recomputes them on first use ([`Matcher::scratch_for`]
+/// computes them up front).
 #[derive(Debug, Default, Clone)]
 pub struct MatchScratch {
     bufs: EnumBufs,
     cone: ConeScratch,
+    states: SubjectStates,
     /// Concrete subject nodes a strash-id memo hit resolved its stored
     /// local signatures to; plays the role `cone.locals()` plays on the
     /// cone-keyed path.
@@ -238,7 +246,7 @@ impl MatchScratch {
     /// performs no heap allocation. The pattern-shaped buffers have exact
     /// bounds; the per-node dedup arena is sized from a per-pattern
     /// embedding estimate with generous headroom.
-    pub fn prepare(&mut self, library: &Library, num_nodes: usize) {
+    fn prepare(&mut self, library: &Library, num_nodes: usize) {
         let bufs = &mut self.bufs;
         if bufs.owned.len() < num_nodes {
             bufs.owned.resize(num_nodes, false);
@@ -272,6 +280,8 @@ impl MatchScratch {
 struct State<'a> {
     binding: &'a mut Vec<Option<NodeId>>,
     owned: &'a mut Vec<bool>,
+    /// The subject's automaton states, when the index filters the search.
+    states: Option<&'a SubjectStates>,
 }
 
 /// Enumerates matches of a library's expanded pattern set at subject nodes.
@@ -281,22 +291,9 @@ struct State<'a> {
 pub struct Matcher<'a> {
     library: &'a Library,
     config: MatchConfig,
-    /// [`MatchConfig::memo`] resolved against the library's cost estimate.
-    memo_on: bool,
 }
 
 impl<'a> Matcher<'a> {
-    /// [`MemoPolicy::Auto`] threshold: memoize when the library's total
-    /// expanded-pattern node count (the paper's `p`, the per-node
-    /// enumeration cost driver) reaches this. Calibrated on the builtin
-    /// libraries: the big 44-3-style library (~12k pattern nodes, where
-    /// replay is a 1.5–3× speedup) sits far above, while minimal (5),
-    /// 44-1-style (73), the depth-2 supergate extension of 44-1 (153) and
-    /// lib2-style (243) — where the cone-extraction probe makes
-    /// memoization a measured pessimization down to 0.43× — sit well
-    /// below.
-    pub const AUTO_MEMO_MIN_PATTERN_NODES: usize = 1024;
-
     /// Creates a matcher over `library`'s expanded pattern set with the
     /// default (fully accelerated) [`MatchConfig`].
     pub fn new(library: &'a Library) -> Self {
@@ -305,18 +302,7 @@ impl<'a> Matcher<'a> {
 
     /// Creates a matcher with an explicit acceleration configuration.
     pub fn with_config(library: &'a Library, config: MatchConfig) -> Self {
-        let memo_on = match config.memo {
-            MemoPolicy::On => true,
-            MemoPolicy::Off => false,
-            MemoPolicy::Auto => {
-                library.total_pattern_nodes() >= Matcher::AUTO_MEMO_MIN_PATTERN_NODES
-            }
-        };
-        Matcher {
-            library,
-            config,
-            memo_on,
-        }
+        Matcher { library, config }
     }
 
     /// The library being matched against.
@@ -330,9 +316,38 @@ impl<'a> Matcher<'a> {
     }
 
     /// Whether [`Matcher::for_each_match_shared`] will actually consult the
-    /// match store — the [`MemoPolicy`] resolved against this library.
+    /// match store.
     pub fn memo_enabled(&self) -> bool {
-        self.memo_on
+        self.config.memo == MemoPolicy::On
+    }
+
+    /// A scratch sized for enumerating this matcher's library over
+    /// `subject`, with the subject's automaton states computed (when the
+    /// index is on), so enumeration over it allocates nothing in steady
+    /// state. This takes the library's transition-table lock once.
+    pub fn scratch_for(&self, subject: &SubjectGraph) -> MatchScratch {
+        let mut scratch = MatchScratch::new();
+        scratch.prepare(self.library, subject.flat().num_nodes());
+        self.states_for(subject, &mut scratch.states);
+        scratch
+    }
+
+    /// The automaton states of `subject` in `states`, computed first when
+    /// they are another subject's or another library's; `None` with the
+    /// index off.
+    fn states_for<'s>(
+        &self,
+        subject: &SubjectGraph,
+        states: &'s mut SubjectStates,
+    ) -> Option<&'s SubjectStates> {
+        if !self.config.index {
+            return None;
+        }
+        let automaton = self.library.automaton();
+        if !states.is_for(subject, automaton) {
+            automaton.run(subject, states);
+        }
+        Some(states)
     }
 
     /// Enumerates all distinct matches rooted at `node`, invoking `f` once
@@ -348,12 +363,14 @@ impl<'a> Matcher<'a> {
     /// and pin count as one that is. Inputs, constants and latches have no
     /// matches.
     ///
-    /// Patterns whose NAND/INV depth exceeds the subject node's topological
-    /// level cannot embed (every pattern edge descends at least one subject
-    /// level) and are skipped without search; with the fingerprint index on
-    /// (see [`MatchConfig::index`]) patterns outside the node's shape-class
-    /// bucket are likewise skipped up front. [`MatchStats::pruned`] counts
-    /// both. Either way the surviving candidates are tried in ascending
+    /// With the index on (see [`MatchConfig::index`]) only patterns whose
+    /// root subtree is in the node's automaton state are attempted, and the
+    /// search prunes partial bindings the automaton rules out; the states
+    /// are computed on the scratch's first use on `subject`. With it off,
+    /// patterns whose NAND/INV depth exceeds the node's topological level
+    /// (every pattern edge descends at least one subject level) are the
+    /// only ones skipped. [`MatchStats::pruned`] counts the skipped
+    /// patterns. Either way the surviving candidates are tried in ascending
     /// pattern order, so the match sequence is identical to the full scan.
     pub fn for_each_match_at(
         &self,
@@ -363,29 +380,33 @@ impl<'a> Matcher<'a> {
         scratch: &mut MatchScratch,
         f: &mut dyn FnMut(MatchView<'_>),
     ) -> MatchStats {
-        self.enumerate(subject, node, mode, &mut scratch.bufs, f)
+        let states = self.states_for(subject, &mut scratch.states);
+        self.enumerate(subject, node, mode, &mut scratch.bufs, states, f)
     }
 
     /// The enumeration core, operating on the split-out buffers so the
     /// memoizing wrappers can hold the cone scratch alongside.
     ///
-    /// Candidates are evaluated in 64-wide batches: the library's per-root
-    /// bitmask rows give a depth-eligibility word and (with the index on) a
-    /// shape-class word per 64 patterns, and their AND is the candidate
-    /// word whose set bits — walked in ascending order, so the enumeration
-    /// sequence is that of the plain candidate-list scan — drive the
-    /// backtracking search. Pruning therefore costs one AND + popcount per
-    /// word instead of a branch per pattern.
+    /// Candidates are evaluated in 64-wide batches: the candidate row —
+    /// the node's automaton state row with `states`, the depth-eligibility
+    /// row of its level without — gives one word per 64 rooted patterns,
+    /// whose set bits, walked in ascending order so the enumeration
+    /// sequence is that of the plain candidate-list scan, drive the
+    /// backtracking search. Pruning therefore costs one popcount per word
+    /// instead of a branch per pattern. (A pattern whose root subtree
+    /// embeds at a node has its depth in levels below it, so the state row
+    /// needs no depth row.)
     fn enumerate(
         &self,
         subject: &SubjectGraph,
         node: NodeId,
         mode: MatchMode,
         bufs: &mut EnumBufs,
+        states: Option<&SubjectStates>,
         f: &mut dyn FnMut(MatchView<'_>),
     ) -> MatchStats {
         let flat = subject.flat();
-        let (all, masks): (&[PatternId], &RootMasks) = match flat.kind(node) {
+        let (all, masks) = match flat.kind(node) {
             KIND_NAND => (
                 self.library.patterns_rooted_nand(),
                 self.library.nand_masks(),
@@ -394,13 +415,10 @@ impl<'a> Matcher<'a> {
             _ => return MatchStats::default(),
         };
         let mut stats = MatchStats::default();
-        let depth_row = masks.depth_row(flat.level(node));
-        // Stage-1 acceleration: AND in the shape-class row, which keeps
-        // exactly the root-neighborhood-compatible patterns.
-        let class_row = self
-            .config
-            .index
-            .then(|| masks.class_row(subject.shape_class(node)));
+        let row = match states {
+            Some(states) => states.row(node),
+            None => masks.depth_row(flat.level(node)),
+        };
 
         if bufs.owned.len() < flat.num_nodes() {
             bufs.owned.resize(flat.num_nodes(), false);
@@ -418,11 +436,7 @@ impl<'a> Matcher<'a> {
         } = bufs;
 
         let mut live = 0usize;
-        for wi in 0..masks.words() {
-            let mut word = match class_row {
-                Some(row) => row[wi] & depth_row[wi],
-                None => depth_row[wi],
-            };
+        for (wi, mut word) in row[..masks.words()].iter().copied().enumerate() {
             stats.words += 1;
             live += word.count_ones() as usize;
             while word != 0 {
@@ -433,7 +447,11 @@ impl<'a> Matcher<'a> {
                 let graph = &lp.graph;
                 binding.clear();
                 binding.resize(graph.len(), None);
-                let mut st = State { binding, owned };
+                let mut st = State {
+                    binding,
+                    owned,
+                    states,
+                };
                 try_bind(flat, lp, mode, graph.root(), node, &mut st, &mut |st| {
                     // Complete binding: extract the pin assignment and the
                     // covered internal nodes into the reused buffers.
@@ -474,9 +492,8 @@ impl<'a> Matcher<'a> {
                 });
             }
         }
-        // Everything the candidate words masked off — depth-ineligible
-        // patterns, plus (with the index on) shape-incompatible ones —
-        // was skipped without any search.
+        // Everything the candidate words masked off was skipped without
+        // any search.
         stats.candidate_bits = live;
         stats.pruned = all.len() - live;
         stats
@@ -484,23 +501,26 @@ impl<'a> Matcher<'a> {
 
     /// Enumerates all distinct matches rooted at `node` as owned values.
     ///
-    /// A convenience wrapper over [`Matcher::for_each_match_at`] for callers
-    /// that are not on a hot path; it allocates a fresh scratch and one
-    /// `Match` per result.
+    /// A convenience wrapper for callers that are not on a hot path; it
+    /// allocates a fresh scratch and one `Match` per result. It runs the
+    /// unfiltered reference scan, which finds the same matches in the same
+    /// order without computing the whole subject's automaton states for one
+    /// node.
     pub fn matches_at(&self, subject: &SubjectGraph, node: NodeId, mode: MatchMode) -> Vec<Match> {
         let mut scratch = MatchScratch::new();
         let mut out = Vec::new();
-        self.for_each_match_at(subject, node, mode, &mut scratch, &mut |mv| {
+        self.enumerate(subject, node, mode, &mut scratch.bufs, None, &mut |mv| {
             out.push(mv.to_match());
         });
         out
     }
 
     /// Counts distinct matches at one node via the enumeration callback,
-    /// without materializing any `Match` value.
+    /// without materializing any `Match` value (the reference scan, as for
+    /// [`Matcher::matches_at`]).
     pub fn count_matches_at(&self, subject: &SubjectGraph, node: NodeId, mode: MatchMode) -> usize {
         let mut scratch = MatchScratch::new();
-        self.for_each_match_at(subject, node, mode, &mut scratch, &mut |_| {})
+        self.enumerate(subject, node, mode, &mut scratch.bufs, None, &mut |_| {})
             .enumerated
     }
 
@@ -516,12 +536,15 @@ impl<'a> Matcher<'a> {
     /// Soundness: the class key is the canonical serialization of the
     /// depth-`D` cone (`D` = the library's maximum pattern depth) together
     /// with the mode and the node's level capped at `D`. Within depth `D`
-    /// every binding decision of [`try_bind`] — kind checks, fanin-order
+    /// every binding decision of `try_bind` — kind checks, fanin-order
     /// branching, sharing via re-bound pattern nodes, the exact-mode
     /// fanout test (fanout counts are part of the key precisely when
-    /// `mode == Exact`) — is a function of that serialization, and the
-    /// depth pre-filter is a function of the capped level, so equal keys
-    /// yield isomorphic enumerations in identical order.
+    /// `mode == Exact`) — is a function of that serialization, and so is
+    /// the candidate filter: the depth pre-filter reads the capped level,
+    /// and an automaton decision about a pattern node of subtree depth `d`
+    /// at a subject node reads only the subject within `d` levels below it,
+    /// which lies inside the cone. Equal keys therefore yield isomorphic
+    /// enumerations in identical order, with equal pruned counts.
     pub fn class_at(
         &self,
         subject: &SubjectGraph,
@@ -536,7 +559,10 @@ impl<'a> Matcher<'a> {
         if !flat.is_gate(node) {
             return (None, MatchStats::default());
         }
-        let MatchScratch { bufs, cone, .. } = scratch;
+        let MatchScratch {
+            bufs, cone, states, ..
+        } = scratch;
+        let states = self.states_for(subject, states);
         extract_cone(flat, node, bounds.cone_spec(mode), cone);
         let key = ConeKey::new(mode, flat.level(node).min(bounds.max_depth), cone.key());
         let mut stats = MatchStats {
@@ -548,7 +574,7 @@ impl<'a> Matcher<'a> {
                 stats.memo_hits = 1;
                 class
             }
-            None => self.record_class(subject, node, mode, bufs, cone, store, &key),
+            None => self.record_class(subject, node, mode, bufs, states, cone, store, &key),
         };
         stats.enumerated = store.num_templates(class);
         stats.pruned = store.pruned_of(class);
@@ -559,8 +585,8 @@ impl<'a> Matcher<'a> {
     /// one: resolves the node's cone class in `shared` and replays the
     /// stored templates under the shard lock, so repeated cones cost a hash
     /// probe plus a copy per match instead of a backtracking search. Falls
-    /// back to direct enumeration when [`MatchConfig::memo`] resolves off
-    /// for this library. The callback sequence is identical to the full
+    /// back to direct enumeration when [`MatchConfig::memo`] is off. The
+    /// callback sequence is identical to the full
     /// scan in every case, so a daemon's mapped netlists are byte-identical
     /// to the one-shot CLI's.
     ///
@@ -597,7 +623,7 @@ impl<'a> Matcher<'a> {
         shared: &SharedMatchStore,
         f: &mut dyn FnMut(MatchView<'_>),
     ) -> MatchStats {
-        if !self.memo_on {
+        if !self.memo_enabled() {
             let stats = self.for_each_match_at(subject, node, mode, scratch, f);
             dagmap_obs::sample("match.per_node", stats.enumerated as u64);
             return stats;
@@ -612,6 +638,7 @@ impl<'a> Matcher<'a> {
             bufs,
             cone,
             id_locals,
+            states,
         } = scratch;
         if let Some(sig) = sig {
             let hit = replay_id_hit(subject, node, mode, sig, shared, bufs, cone, id_locals, f);
@@ -629,6 +656,7 @@ impl<'a> Matcher<'a> {
         extract_cone(flat, node, bounds.cone_spec(mode), cone);
         let key = ConeKey::new(mode, flat.level(node).min(bounds.max_depth), cone.key());
         let home_idx = shared.cone_shard_index(key.hash());
+        let states = self.states_for(subject, states);
         // With a signature, its shard is locked too (to register the alias),
         // both in the store-wide lock order; `cone_home` is `Some` only when
         // the class's home is a different shard. No lock is held across the
@@ -642,7 +670,8 @@ impl<'a> Matcher<'a> {
             Some(home) => home,
             None => &mut first,
         };
-        let (class, stats) = self.resolve_in(home, &key, subject, node, mode, bufs, cone, shared);
+        let (class, stats) =
+            self.resolve_in(home, &key, subject, node, mode, bufs, states, cone, shared);
         dagmap_obs::sample("match.per_node", stats.enumerated as u64);
         replay_class(&home.current, class, cone.locals(), bufs, f);
         let home_stamp = home.stamp;
@@ -683,6 +712,7 @@ impl<'a> Matcher<'a> {
         node: NodeId,
         mode: MatchMode,
         bufs: &mut EnumBufs,
+        states: Option<&SubjectStates>,
         cone: &ConeScratch,
         shared: &SharedMatchStore,
     ) -> (ClassId, MatchStats) {
@@ -701,7 +731,7 @@ impl<'a> Matcher<'a> {
             current.copy_class_from(prev, old, key)
         } else {
             shared.note_miss();
-            self.record_class(subject, node, mode, bufs, cone, current, key)
+            self.record_class(subject, node, mode, bufs, states, cone, current, key)
         };
         stats.enumerated = current.num_templates(class);
         stats.pruned = current.pruned_of(class);
@@ -718,12 +748,13 @@ impl<'a> Matcher<'a> {
         node: NodeId,
         mode: MatchMode,
         bufs: &mut EnumBufs,
+        states: Option<&SubjectStates>,
         cone: &ConeScratch,
         store: &mut MatchStore,
         key: &ConeKey<'_>,
     ) -> ClassId {
         let class = store.begin_class(key);
-        let run = self.enumerate(subject, node, mode, bufs, &mut |mv| {
+        let run = self.enumerate(subject, node, mode, bufs, states, &mut |mv| {
             store.push_template(
                 class,
                 mv.gate,
@@ -906,7 +937,10 @@ fn resolve_id_entry(
 
 /// Attempts to bind pattern node `p` to subject node `s`, invoking `cont`
 /// for every consistent completion of the remaining obligations and undoing
-/// the binding afterwards.
+/// the binding afterwards. With automaton states in `st`, an internal
+/// pattern node whose subtree does not embed at `s` even under the
+/// automaton's relaxed match is rejected before any binding, which cuts
+/// only branches that could never complete.
 fn try_bind(
     flat: &FlatNet,
     lp: &LibPattern,
@@ -924,6 +958,12 @@ fn try_bind(
             cont(st);
         }
         return;
+    }
+    if let Some(states) = st.states {
+        let t = lp.subtree[p];
+        if t != LEAF_SUBTREE && !states.contains(s, t) {
+            return;
+        }
     }
     let kind = flat.kind(s);
     let pn = pattern.node(p);
@@ -1344,47 +1384,112 @@ mod tests {
 
     const ALL_MODES: [MatchMode; 3] = [MatchMode::Standard, MatchMode::Exact, MatchMode::Extended];
 
-    #[test]
-    fn indexed_enumeration_equals_full_scan() {
-        let l = rich_lib();
-        let base = Matcher::with_config(&l, MatchConfig::baseline());
-        let indexed = Matcher::with_config(
-            &l,
+    /// Every node's full match sequence and count under the automaton
+    /// equal the reference scan's; the automaton prunes at least as much.
+    fn assert_automaton_equals_full_scan(l: &Library, subject: &SubjectGraph) -> bool {
+        let base = Matcher::with_config(l, MatchConfig::baseline());
+        let automaton = Matcher::with_config(
+            l,
             MatchConfig {
                 index: true,
                 memo: MemoPolicy::Off,
                 strash_ids: false,
             },
         );
-        let subject = ladder(4);
         let mut sb = MatchScratch::new();
-        let mut si = MatchScratch::new();
-        let mut any_bucket_pruned = false;
+        let mut si = automaton.scratch_for(subject);
+        let mut any_pruned = false;
         for node in subject.network().node_ids() {
             for mode in ALL_MODES {
                 let mut a = Vec::new();
-                let sa = base.for_each_match_at(&subject, node, mode, &mut sb, &mut |mv| {
+                let sa = base.for_each_match_at(subject, node, mode, &mut sb, &mut |mv| {
                     a.push(mv.to_match());
                 });
                 let mut b = Vec::new();
-                let sc = indexed.for_each_match_at(&subject, node, mode, &mut si, &mut |mv| {
+                let sc = automaton.for_each_match_at(subject, node, mode, &mut si, &mut |mv| {
                     b.push(mv.to_match());
                 });
                 // The sequences (not just the sets) must be identical.
-                assert_eq!(a, b, "node {node:?} mode {mode:?}");
+                assert_eq!(a, b, "{}: node {node:?} mode {mode:?}", l.name());
                 assert_eq!(sa.enumerated, sc.enumerated);
-                assert!(sc.pruned >= sa.pruned, "index never prunes less");
-                any_bucket_pruned |= sc.pruned > sa.pruned;
+                assert!(sc.pruned >= sa.pruned, "the automaton never prunes less");
+                any_pruned |= sc.pruned > sa.pruned;
             }
         }
-        assert!(any_bucket_pruned, "the index pruned something somewhere");
+        any_pruned
+    }
+
+    #[test]
+    fn automaton_enumeration_equals_full_scan() {
+        let l = rich_lib();
+        assert!(
+            assert_automaton_equals_full_scan(&l, &ladder(4)),
+            "the automaton pruned something somewhere"
+        );
+        // The rich builtin library over real structure: XOR leaf-DAGs,
+        // reconvergence and every pattern depth.
+        let l = Library::lib_44_3_like();
+        for net in [
+            dagmap_benchgen::alu(4),
+            dagmap_benchgen::array_multiplier(4),
+        ] {
+            let subject = SubjectGraph::from_network(&net).unwrap();
+            assert!(assert_automaton_equals_full_scan(&l, &subject));
+        }
+    }
+
+    #[test]
+    fn one_scratch_on_two_subjects_of_equal_size_matches_like_fresh_ones() {
+        // Two subjects with the same node count whose nodes differ in kind
+        // at equal indices: states kept from the first would hand the
+        // second inverter rows for NANDs. The scratch must recompute.
+        let build = |inv_first: bool| {
+            let mut net = Network::new("s");
+            let a = net.add_input("a");
+            let b = net.add_input("b");
+            let (x, y) = if inv_first {
+                let x = net.add_node(NodeFn::Not, vec![a]).unwrap();
+                (x, net.add_node(NodeFn::Nand, vec![x, b]).unwrap())
+            } else {
+                let x = net.add_node(NodeFn::Nand, vec![a, b]).unwrap();
+                (x, net.add_node(NodeFn::Not, vec![x]).unwrap())
+            };
+            let top = net.add_node(NodeFn::Nand, vec![y, x]).unwrap();
+            net.add_output("f", top);
+            wrap(net)
+        };
+        let (first, second) = (build(true), build(false));
+        assert_eq!(first.network().num_nodes(), second.network().num_nodes());
+        let l = rich_lib();
+        let matcher = Matcher::new(&l);
+        let mut reused = matcher.scratch_for(&first);
+        for subject in [&first, &second, &first] {
+            let mut fresh = matcher.scratch_for(subject);
+            for node in subject.network().node_ids() {
+                for mode in ALL_MODES {
+                    let run = |scratch: &mut MatchScratch| {
+                        let mut out = Vec::new();
+                        let stats =
+                            matcher.for_each_match_at(subject, node, mode, scratch, &mut |mv| {
+                                out.push(mv.to_match());
+                            });
+                        (out, stats)
+                    };
+                    let (want, want_stats) = run(&mut fresh);
+                    let (got, got_stats) = run(&mut reused);
+                    assert_eq!(got, want, "node {node:?} mode {mode:?}");
+                    assert_eq!(got_stats, want_stats, "node {node:?} mode {mode:?}");
+                    assert_eq!(want, matcher.matches_at(subject, node, mode));
+                }
+            }
+        }
     }
 
     #[test]
     fn memo_replay_is_order_identical_and_hits_across_subjects() {
         let l = rich_lib();
-        // Force the memo on: the tiny test library sits below the Auto
-        // threshold, and this test exercises the replay machinery itself.
+        // Force the memo on (it is off by default): this test exercises
+        // the replay machinery itself.
         let matcher = Matcher::with_config(
             &l,
             MatchConfig {

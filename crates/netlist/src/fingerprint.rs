@@ -1,193 +1,17 @@
-//! Structural fingerprints of subject-graph nodes.
+//! Bounded-depth cone fingerprints of subject-graph nodes.
 //!
-//! Two views of a node's local structure, both used by the match
-//! accelerator in `dagmap-match`:
+//! A canonical serialization of the full cone of logic under a node,
+//! truncated at the library's maximum pattern depth. Two nodes with equal
+//! serializations present *identical* structure to the backtracking matcher
+//! (same kinds, same sharing, same fanout counts where requested), so one
+//! node's match enumeration can be replayed verbatim onto the other — the
+//! cone-class memoization of `dagmap-match`'s match store, which the serve
+//! daemon's shared memo and retiming's match cache use.
 //!
-//! * **Shape classes** — a closed-form code for the two-level root
-//!   neighborhood of every node (function of the node, functions of its
-//!   fanins, functions of *their* fanins, with NAND fanins order-normalized).
-//!   There are exactly [`NUM_SHAPE_CLASSES`] of them, so a library can
-//!   pre-bucket its patterns per class and the matcher can skip every
-//!   pattern whose root neighborhood is incompatible without any search.
-//! * **Bounded-depth cones** — a canonical serialization of the full cone
-//!   of logic under a node, truncated at the library's maximum pattern
-//!   depth. Two nodes with equal serializations present *identical*
-//!   structure to the backtracking matcher (same kinds, same sharing, same
-//!   fanout counts where requested), so one node's match enumeration can be
-//!   replayed verbatim onto the other — the cone-class memoization of the
-//!   match store.
-//!
-//! Both fingerprints describe NAND2/INV subject graphs: nodes are `Source`
-//! (input / constant / latch), `Inv`, or `Nand`. Both read the subject's
-//! [`FlatNet`], its only cone view.
+//! Cones are read off the subject's [`FlatNet`], its only cone view; nodes
+//! are sources (input / constant / latch), inverters or two-input NANDs.
 
 use crate::{FlatNet, NodeId, KIND_INV, KIND_NAND};
-
-/// Depth-0 shape kind of a node.
-#[derive(Debug, Copy, Clone, PartialEq, Eq)]
-pub enum ShapeKind {
-    /// Input, constant or latch — nothing below it for the matcher.
-    Source,
-    /// Inverter.
-    Inv,
-    /// Two-input NAND.
-    Nand,
-}
-
-/// Decoded depth-1 shape class: the node's kind plus the depth-0 kinds of
-/// its fanins (NAND fanins sorted, so the code is order-insensitive).
-#[derive(Debug, Copy, Clone, PartialEq, Eq)]
-pub enum Shape1 {
-    /// Source node.
-    Source,
-    /// Inverter over a fanin of the given depth-0 code (0..=2).
-    Inv(u8),
-    /// NAND over fanins of the given sorted depth-0 codes.
-    Nand(u8, u8),
-}
-
-/// Decoded depth-2 shape class: the node's kind plus the depth-1 classes of
-/// its fanins (NAND fanins sorted).
-#[derive(Debug, Copy, Clone, PartialEq, Eq)]
-pub enum Shape2 {
-    /// Source node.
-    Source,
-    /// Inverter over a fanin of the given depth-1 code (0..=9).
-    Inv(u8),
-    /// NAND over fanins of the given sorted depth-1 codes.
-    Nand(u8, u8),
-}
-
-/// Number of depth-0 codes: source, inverter, NAND.
-const NUM_S0: u8 = 3;
-/// Number of depth-1 codes: 1 source + 3 inverter + C(3+1,2)=6 NAND.
-pub(crate) const NUM_S1: u8 = 1 + NUM_S0 + pairs(NUM_S0);
-/// Number of depth-2 shape classes: 1 source + 10 inverter + 55 NAND = 66.
-pub const NUM_SHAPE_CLASSES: usize = (1 + NUM_S1 + pairs(NUM_S1)) as usize;
-
-/// Number of unordered pairs (with repetition) over `n` codes.
-const fn pairs(n: u8) -> u8 {
-    n * (n + 1) / 2
-}
-
-/// Index of the sorted pair `(a, b)`, `a <= b < n`, in lexicographic order.
-const fn pair_index(n: u8, a: u8, b: u8) -> u8 {
-    // Rows a'=0..a contribute (n - a') entries each.
-    a * n - a * (a.wrapping_sub(1)) / 2 + (b - a)
-}
-
-fn shape_kind(code: u8) -> ShapeKind {
-    match code {
-        KIND_INV => ShapeKind::Inv,
-        KIND_NAND => ShapeKind::Nand,
-        _ => ShapeKind::Source,
-    }
-}
-
-fn encode1(kind: ShapeKind, fanin_s0: &[u8]) -> u8 {
-    match kind {
-        ShapeKind::Source => 0,
-        ShapeKind::Inv => 1 + fanin_s0[0],
-        ShapeKind::Nand => {
-            let (a, b) = sorted(fanin_s0[0], fanin_s0[1]);
-            1 + NUM_S0 + pair_index(NUM_S0, a, b)
-        }
-    }
-}
-
-fn encode2(kind: ShapeKind, fanin_s1: &[u8]) -> u8 {
-    match kind {
-        ShapeKind::Source => 0,
-        ShapeKind::Inv => 1 + fanin_s1[0],
-        ShapeKind::Nand => {
-            let (a, b) = sorted(fanin_s1[0], fanin_s1[1]);
-            1 + NUM_S1 + pair_index(NUM_S1, a, b)
-        }
-    }
-}
-
-fn sorted(a: u8, b: u8) -> (u8, u8) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// Decodes a depth-1 code produced while building shape classes.
-pub fn decode1(code: u8) -> Shape1 {
-    debug_assert!(code < NUM_S1);
-    if code == 0 {
-        Shape1::Source
-    } else if code < 1 + NUM_S0 {
-        Shape1::Inv(code - 1)
-    } else {
-        let (a, b) = unpair(NUM_S0, code - 1 - NUM_S0);
-        Shape1::Nand(a, b)
-    }
-}
-
-/// Decodes a depth-2 shape class (a value of [`shape_classes`]).
-pub fn decode2(code: u8) -> Shape2 {
-    debug_assert!((code as usize) < NUM_SHAPE_CLASSES);
-    if code == 0 {
-        Shape2::Source
-    } else if code < 1 + NUM_S1 {
-        Shape2::Inv(code - 1)
-    } else {
-        let (a, b) = unpair(NUM_S1, code - 1 - NUM_S1);
-        Shape2::Nand(a, b)
-    }
-}
-
-/// Inverse of [`pair_index`].
-fn unpair(n: u8, mut idx: u8) -> (u8, u8) {
-    let mut a = 0u8;
-    loop {
-        let row = n - a;
-        if idx < row {
-            return (a, a + idx);
-        }
-        idx -= row;
-        a += 1;
-    }
-}
-
-/// The depth-0 kind of a shape class.
-pub fn class_kind(code: u8) -> ShapeKind {
-    match decode2(code) {
-        Shape2::Source => ShapeKind::Source,
-        Shape2::Inv(_) => ShapeKind::Inv,
-        Shape2::Nand(..) => ShapeKind::Nand,
-    }
-}
-
-/// Computes the depth-2 shape class of every node of a subject graph's
-/// flat view.
-///
-/// The classes are order-insensitive in NAND fanins (the matcher explores
-/// both pin orders anyway), so two nodes whose two-level neighborhoods
-/// differ only by fanin order share a class. Two linear passes, each
-/// reading only the previous depth's codes, so no node order is assumed.
-pub fn shape_classes(flat: &FlatNet) -> Vec<u8> {
-    let s1 = next_depth(flat, flat.kinds(), encode1);
-    next_depth(flat, &s1, encode2)
-}
-
-/// One more depth of neighborhood: every node's kind plus its fanins'
-/// codes in `prev`.
-fn next_depth(flat: &FlatNet, prev: &[u8], encode: fn(ShapeKind, &[u8]) -> u8) -> Vec<u8> {
-    let mut buf = [0u8; 2];
-    (0..flat.num_nodes())
-        .map(|i| {
-            let id = NodeId::from_index(i);
-            for (slot, f) in buf.iter_mut().zip(flat.fanins(id)) {
-                *slot = prev[f.index()];
-            }
-            encode(shape_kind(flat.kind(id)), &buf)
-        })
-        .collect()
-}
 
 /// Parameters of a bounded-depth cone extraction.
 ///
@@ -411,52 +235,6 @@ mod tests {
         let l = net.add_node(NodeFn::Nand, vec![a, nb]).unwrap();
         let r = net.add_node(NodeFn::Nand, vec![na, b]).unwrap();
         net.add_node(NodeFn::Nand, vec![l, r]).unwrap()
-    }
-
-    #[test]
-    fn codes_are_dense_and_roundtrip() {
-        // Every (kind, sorted children) combination maps to a distinct code
-        // and decodes back.
-        let mut seen = [false; NUM_SHAPE_CLASSES];
-        seen[0] = true; // Source
-        for c in 0..NUM_S1 {
-            let code = encode2(ShapeKind::Inv, &[c]);
-            assert_eq!(decode2(code), Shape2::Inv(c));
-            assert!(!seen[code as usize]);
-            seen[code as usize] = true;
-        }
-        for a in 0..NUM_S1 {
-            for b in a..NUM_S1 {
-                let code = encode2(ShapeKind::Nand, &[a, b]);
-                let swapped = encode2(ShapeKind::Nand, &[b, a]);
-                assert_eq!(code, swapped, "order-insensitive");
-                assert_eq!(decode2(code), Shape2::Nand(a, b));
-                assert!(!seen[code as usize]);
-                seen[code as usize] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "all 66 classes reachable");
-    }
-
-    #[test]
-    fn isomorphic_neighborhoods_share_a_class() -> Result<(), NetlistError> {
-        let mut net = Network::new("n");
-        let a = net.add_input("a");
-        let b = net.add_input("b");
-        let c = net.add_input("c");
-        let x = xor_cone(&mut net, a, b);
-        let y = xor_cone(&mut net, b, c);
-        net.add_output("x", x);
-        net.add_output("y", y);
-        let classes = shape_classes(subject(net.clone())?.flat());
-        assert_eq!(classes[x.index()], classes[y.index()]);
-        // An input and a NAND differ, as do a NAND-over-inputs and the xor
-        // top (NAND over NANDs).
-        assert_ne!(classes[a.index()], classes[x.index()]);
-        let plain = net.add_node(NodeFn::Nand, vec![a, c])?;
-        let classes = shape_classes(subject(net)?.flat());
-        assert_ne!(classes[plain.index()], classes[x.index()]);
-        Ok(())
     }
 
     #[test]

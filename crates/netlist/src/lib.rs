@@ -18,9 +18,8 @@
 //! * [`shrink`] — structural reduction operators backing the fuzzer's
 //!   delta-debugging loop,
 //! * [`sta`] — simple static timing (arrival-time propagation / depth),
-//! * [`fingerprint`] — structural shape classes and bounded-depth cone
-//!   canonicalization over a [`FlatNet`], backing the match accelerator of
-//!   `dagmap-match`,
+//! * [`fingerprint`] — bounded-depth cone canonicalization over a
+//!   [`FlatNet`], backing the match memo of `dagmap-match`,
 //! * [`strash`] — the hash-consing construction arena and 128-bit Merkle
 //!   value numbers (signatures) that make structurally identical cones
 //!   recognizable in O(1), within one network and across requests.

@@ -33,7 +33,9 @@
 //! detectable and is accepted at ~2^-128 odds, the same bar content-addressed
 //! stores set everywhere else.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use crate::{NetlistError, Network, NodeFn, NodeId};
 
@@ -169,10 +171,73 @@ impl StrashStats {
     }
 }
 
-#[derive(PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq)]
 enum StrashKey {
     Nand(NodeId, NodeId),
     Inv(NodeId),
+}
+
+impl Hash for StrashKey {
+    /// One packed word per key. An inverter and a NAND may pack alike; that
+    /// costs a probe, never a wrong answer, since the table compares keys.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(match *self {
+            StrashKey::Nand(a, b) => ((a.index() as u64) << 32) ^ b.index() as u64,
+            StrashKey::Inv(a) => !(a.index() as u64),
+        });
+    }
+}
+
+/// Hasher for maps keyed by one packed `u64` whose keys follow from input
+/// structure (the strash table, the automaton's transition table): one
+/// folded 64×64→128-bit multiply under a per-map seed. SipHash made the
+/// strash table the largest cost of decomposition; the daemon decomposes
+/// client BLIF, so the seed is drawn from [`RandomState`] once per map
+/// rather than fixed, and colliding keys cannot be precomputed.
+#[derive(Clone, Debug)]
+pub struct SeededBuildHasher {
+    seed: u64,
+}
+
+impl SeededBuildHasher {
+    /// A hasher with a fresh random seed.
+    pub fn new() -> SeededBuildHasher {
+        SeededBuildHasher {
+            seed: RandomState::new().hash_one(0x5EED_u64),
+        }
+    }
+}
+
+impl Default for SeededBuildHasher {
+    fn default() -> SeededBuildHasher {
+        SeededBuildHasher::new()
+    }
+}
+
+impl BuildHasher for SeededBuildHasher {
+    type Hasher = SeededHasher;
+
+    fn build_hasher(&self) -> SeededHasher {
+        SeededHasher(self.seed)
+    }
+}
+
+/// The [`Hasher`] of [`SeededBuildHasher`]; accepts `write_u64` only.
+pub struct SeededHasher(u64);
+
+impl Hasher for SeededHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("SeededHasher hashes packed u64 keys only");
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let m = u128::from(v ^ self.0) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
 }
 
 /// A hash-consing NAND2/INV construction arena.
@@ -188,7 +253,7 @@ enum StrashKey {
 /// duplicated.
 pub struct StrashArena {
     net: Network,
-    table: HashMap<StrashKey, NodeId>,
+    table: HashMap<StrashKey, NodeId, SeededBuildHasher>,
     consts: [Option<NodeId>; 2],
     strash: bool,
     stats: StrashStats,
@@ -199,7 +264,7 @@ impl StrashArena {
     pub fn new(name: &str, strash: bool) -> StrashArena {
         StrashArena {
             net: Network::new(name),
-            table: HashMap::new(),
+            table: HashMap::with_hasher(SeededBuildHasher::new()),
             consts: [None, None],
             strash,
             stats: StrashStats::default(),

@@ -1,4 +1,6 @@
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::sop::CubeLit;
@@ -79,9 +81,11 @@ impl Default for DecomposeOptions {
 #[derive(Debug, Clone)]
 pub struct SubjectGraph {
     net: Network,
-    shape_class: Vec<u8>,
+    /// See [`SubjectGraph::uid`].
+    uid: u64,
     flat: crate::FlatNet,
-    sigs: Signatures,
+    /// Computed on the first [`SubjectGraph::signatures`] call.
+    sigs: OnceLock<Signatures>,
     strash: StrashStats,
     /// Wall-clock seconds the constructor took, finishing steps included.
     decompose_seconds: f64,
@@ -400,32 +404,25 @@ impl SubjectGraph {
     }
 
     /// Final wrapping step shared by every constructor: the flat view with
-    /// its levels, the per-node shape classes the fingerprint-indexed
-    /// matcher consumes, and the structural value numbers the
-    /// signature-keyed match memo probes. `t0` is when the constructor
-    /// started; the build time runs to the end of this step.
+    /// its levels and a fresh identity. `t0` is when the constructor
+    /// started; the build time runs to the end of this step. The structural
+    /// value numbers are left to the first [`SubjectGraph::signatures`]
+    /// call: only memo id probes and incremental relabeling read them.
     fn finish(
         net: Network,
         strash: StrashStats,
         t0: Instant,
     ) -> Result<SubjectGraph, NetlistError> {
+        static NEXT_UID: AtomicU64 = AtomicU64::new(1);
         let flat = {
             let _s = dagmap_obs::span("decompose.flatten");
             crate::FlatNet::build(&net)?
         };
-        let shape_class = {
-            let _s = dagmap_obs::span("decompose.shapes");
-            crate::fingerprint::shape_classes(&flat)
-        };
-        let sigs = {
-            let _s = dagmap_obs::span("decompose.sigs");
-            crate::strash::signatures(&net)
-        };
         let subject = SubjectGraph {
             net,
-            shape_class,
+            uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
             flat,
-            sigs,
+            sigs: OnceLock::new(),
             strash,
             decompose_seconds: t0.elapsed().as_secs_f64(),
         };
@@ -580,10 +577,11 @@ impl SubjectGraph {
         self.flat.level(id)
     }
 
-    /// Depth-2 shape class of a node (see [`crate::fingerprint`]): the key
-    /// the fingerprint-indexed matcher buckets library patterns under.
-    pub fn shape_class(&self, id: NodeId) -> u8 {
-        self.shape_class[id.index()]
+    /// A process-unique identity, assigned when the subject graph is built
+    /// and shared by its clones (which have the same structure). Per-subject
+    /// caches key on it, never on an address or a node count.
+    pub fn uid(&self) -> u64 {
+        self.uid
     }
 
     /// The flat CSR view of the subject graph — the representation the
@@ -596,9 +594,13 @@ impl SubjectGraph {
 
     /// Per-node structural value numbers (see [`crate::strash`]): the
     /// content addresses the signature-keyed match memo probes in O(1)
-    /// instead of extracting canonical cones.
+    /// instead of extracting canonical cones. Computed on the first call,
+    /// outside [`SubjectGraph::decompose_seconds`].
     pub fn signatures(&self) -> &Signatures {
-        &self.sigs
+        self.sigs.get_or_init(|| {
+            let _s = dagmap_obs::span("decompose.sigs");
+            crate::strash::signatures(&self.net)
+        })
     }
 
     /// How much structural hashing compressed this decomposition.
@@ -608,7 +610,8 @@ impl SubjectGraph {
 
     /// Wall-clock seconds this subject graph took to build: decomposition
     /// (or validation, for [`SubjectGraph::from_subject_network`]) plus
-    /// the flat view with its levels, shape classes and signatures.
+    /// the flat view with its levels. Signatures are computed later, on
+    /// demand, and are not included.
     pub fn decompose_seconds(&self) -> f64 {
         self.decompose_seconds
     }

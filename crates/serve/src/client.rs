@@ -159,7 +159,7 @@ impl Client {
                 .get("message")
                 .and_then(Value::as_str)
                 .unwrap_or("unknown error");
-            return Err(io::Error::new(io::ErrorKind::Other, msg.to_owned()));
+            return Err(io::Error::other(msg.to_owned()));
         }
         reply
             .get("exposition")

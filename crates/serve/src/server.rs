@@ -15,9 +15,9 @@
 //! # Shared per-library state
 //!
 //! Each library the daemon serves is parsed and indexed once at startup and
-//! shared read-only behind an [`Arc`]: the [`Library`] itself (patterns,
-//! fingerprint index inputs, any supergate extension the caller applied
-//! before startup) plus one [`SharedMatchStore`] — the bounded cross-request
+//! shared behind an [`Arc`]: the [`Library`] itself (patterns, the
+//! automaton whose transition table every worker grows and reads, any
+//! supergate extension the caller applied before startup) plus one [`SharedMatchStore`] — the bounded cross-request
 //! cone-class memo. Repeated circuit shapes across requests therefore hit
 //! warm match caches instead of re-enumerating, which is the entire point
 //! of running a daemon instead of one process per map.
@@ -456,10 +456,10 @@ impl Inner {
         let tel = &self.telemetry;
         let class = tel.latency_hist(ev.kind);
         if let (Some(tail), Some(trace)) = (&self.tail, &ev.trace) {
-            if tail.should_keep(ev.latency_us, &class.snapshot()) {
-                if tail.store(trace, ev.latency_us).is_some() {
-                    tel.tail_traces_kept_total.inc(1);
-                }
+            if tail.should_keep(ev.latency_us, &class.snapshot())
+                && tail.store(trace, ev.latency_us).is_some()
+            {
+                tel.tail_traces_kept_total.inc(1);
             }
         }
         class.observe(ev.latency_us);
@@ -513,9 +513,9 @@ fn resolve_lib<'a>(
 }
 
 /// The mapping options a request's algorithm string selects, with the
-/// memo forced on: the daemon's warm shared store is profitable even where
-/// a single run's `Auto` heuristic would decline (results are bit-identical
-/// either way).
+/// memo turned on: the daemon's warm shared store replays repeat requests,
+/// which a one-shot run never sees (results are bit-identical either
+/// way).
 fn serve_options(algo: &str, recover: bool) -> Result<MapOptions, (ErrorKind, String)> {
     let mut opts = match algo {
         "dag" => MapOptions::dag(),

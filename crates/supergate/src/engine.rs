@@ -169,9 +169,9 @@ fn pattern_pin_depths(p: &PatternGraph) -> Vec<u32> {
         }
     }
     let mut out = vec![0u32; p.num_pins()];
-    for i in 0..p.len() {
+    for (i, &d) in dist.iter().enumerate() {
         if let PatternNode::Leaf { pin } = p.node(i) {
-            out[pin] = out[pin].max(dist[i]);
+            out[pin] = out[pin].max(d);
         }
     }
     out
@@ -384,16 +384,16 @@ fn finalize(
     for (i, &child) in tuple[..k].iter().enumerate() {
         area += ctx.pool[child].area;
         let item = &ctx.pool[child];
-        for v in 0..ctx.nvars {
+        for (v, depth) in pat_depth.iter_mut().enumerate().take(ctx.nvars) {
             if item.support & (1 << v) != 0 {
                 let d = root.pin_depth[i].saturating_add(item.pat_depth[v]);
-                pat_depth[v] = pat_depth[v].max(d);
+                *depth = (*depth).max(d);
             }
         }
     }
-    for v in 0..ctx.nvars {
+    for (v, &depth) in pat_depth.iter().enumerate().take(ctx.nvars) {
         if support & (1 << v) != 0 {
-            max_delay = max_delay.max(depth_delay(u32::from(pat_depth[v])));
+            max_delay = max_delay.max(depth_delay(u32::from(depth)));
         }
     }
     let mut children = [0u32; MAX_VARS];

@@ -56,7 +56,7 @@ fn tree_mapping_also_accepts_the_extension() {
         .map(&subject, MapOptions::tree())
         .unwrap();
     let ext_tree = Mapper::new(&ext).map(&subject, MapOptions::tree()).unwrap();
-    verify::check(&ext_tree, &subject, 0x7ee5_eed).unwrap();
+    verify::check(&ext_tree, &subject, 0x07ee_5eed).unwrap();
     assert!(ext_tree.delay() <= base_tree.delay() + 1e-9);
 }
 

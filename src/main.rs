@@ -108,12 +108,9 @@ map options:
   --buffer <max_load>                 bound fanout loads with buffers
   --supergates <depth>                extend the library with supergates up
                                       to <depth> composed gate levels first
-  --no-accel                          disable the fingerprint index and the
-                                      cone-class match memo (results are
-                                      bit-identical; only speed changes)
-  --no-strash-ids                     disable the strash-id memo fast path
-                                      (probe by cone key only; results are
-                                      bit-identical; only speed changes)
+  --no-accel                          disable the automaton candidate filter
+                                      (results are bit-identical; only speed
+                                      changes)
   --out <f.blif>                      write the mapped netlist as BLIF
   --verilog <f.v>                     write structural Verilog
   --report-path                       print the critical path
@@ -366,7 +363,6 @@ fn cmd_map(args: &[String]) -> CmdResult {
     let no_verify = take_flag(&mut args, "--no-verify");
     let report_path = take_flag(&mut args, "--report-path");
     let no_accel = take_flag(&mut args, "--no-accel");
-    let no_strash_ids = take_flag(&mut args, "--no-strash-ids");
     let json = take_flag(&mut args, "--json");
     let k: usize = take_value(&mut args, "-k")?
         .map(|s| s.parse())
@@ -417,9 +413,6 @@ fn cmd_map(args: &[String]) -> CmdResult {
         }
         if no_accel {
             opts = opts.with_match_acceleration(false);
-        }
-        if no_strash_ids {
-            opts = opts.with_strash_ids(false);
         }
         let (mut mapped, report, bool_report) = match algo.as_str() {
             "boolean" => {
@@ -951,10 +944,17 @@ fn cmd_stats(args: &[String]) -> CmdResult {
         );
         if let Some(library) = library {
             // Full match census under standard semantics: how much pattern
-            // matching this subject costs against the library, and how much of
-            // it the fingerprint index and cone-class memo save.
-            use dagmap::matching::{MatchScratch, MatchStats, Matcher, SharedMatchStore};
-            let matcher = Matcher::new(&library);
+            // matching this subject costs against the library, how much of it
+            // the automaton prunes, and how often cone classes recur (the
+            // memo's hit rate, were it on).
+            use dagmap::matching::{
+                MatchConfig, MatchScratch, MatchStats, Matcher, MemoPolicy, SharedMatchStore,
+            };
+            let config = MatchConfig {
+                memo: MemoPolicy::On,
+                ..MatchConfig::default()
+            };
+            let matcher = Matcher::with_config(&library, config);
             // The private store a one-shot labeling run gives its pass.
             let store = SharedMatchStore::for_library(&library, 1, usize::MAX);
             let mut scratch = MatchScratch::new();
@@ -974,6 +974,13 @@ fn cmd_stats(args: &[String]) -> CmdResult {
                 library.name(),
                 stats.enumerated,
                 stats.pruned
+            );
+            let mut states = dagmap::genlib::SubjectStates::default();
+            library.automaton().run(&subject, &mut states);
+            println!(
+                "automaton: {} pattern subtrees, {} distinct states over this subject",
+                library.automaton().num_subtrees(),
+                states.num_states()
             );
             println!(
                 "match memo: {} cone classes over {} lookups ({:.1}% hit rate)",
