@@ -121,13 +121,9 @@ impl MatchSource for StructuralSource<'_> {
 
     /// Sizes the scratch and computes the subject's automaton states before
     /// the level loop (one transition-table lock per pass), so no wave
-    /// allocates; with the memo's strash-id keying on, the subject's
-    /// signatures are computed here for the same reason.
+    /// allocates.
     fn make_kit(&self, subject: &SubjectGraph) -> StructuralKit {
         let library = self.matcher.library();
-        if self.matcher.memo_enabled() && self.matcher.config().strash_ids {
-            subject.signatures();
-        }
         StructuralKit {
             scratch: self.matcher.scratch_for(subject),
             store: SharedMatchStore::for_library(library, 1, usize::MAX),
