@@ -460,3 +460,101 @@ impl SubjectStates {
         self.members.len() / self.member_words.max(1)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Library;
+    use dagmap_netlist::{FlatNet, Network, NodeFn};
+
+    /// The relaxed embedding, by direct recursion: the definition the
+    /// states must agree with.
+    fn embeds(auto: &Automaton, t: u32, flat: &FlatNet, node: NodeId) -> bool {
+        let f = flat.fanins(node);
+        match auto.defs[t as usize] {
+            Subtree::Leaf => true,
+            Subtree::Inv(c) => flat.kind(node) == KIND_INV && embeds(auto, c, flat, f[0]),
+            Subtree::Nand(a, b) => {
+                flat.kind(node) == KIND_NAND
+                    && ((embeds(auto, a, flat, f[0]) && embeds(auto, b, flat, f[1]))
+                        || (embeds(auto, a, flat, f[1]) && embeds(auto, b, flat, f[0])))
+            }
+        }
+    }
+
+    /// A seeded random NAND2/INV subject with shared and reconvergent logic.
+    fn random_subject(seed: u64, gates: usize) -> SubjectGraph {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let mut net = Network::new("random");
+        let mut nodes: Vec<NodeId> = (0..4).map(|i| net.add_input(format!("i{i}"))).collect();
+        for _ in 0..gates {
+            let a = nodes[next(nodes.len())];
+            let node = if next(3) == 0 {
+                net.add_node(NodeFn::Not, vec![a])
+            } else {
+                let b = nodes[next(nodes.len())];
+                net.add_node(NodeFn::Nand, vec![a, b])
+            };
+            nodes.push(node.expect("gate arity"));
+        }
+        for (i, &n) in nodes.iter().rev().take(4).enumerate() {
+            net.add_output(format!("o{i}"), n);
+        }
+        SubjectGraph::from_subject_network(net).expect("random subject")
+    }
+
+    #[test]
+    fn states_hold_exactly_the_subtrees_that_embed() {
+        for lib in [
+            Library::minimal(),
+            Library::lib2_like(),
+            Library::lib_44_1_like(),
+            Library::lib_44_3_like(),
+        ] {
+            // A tiny cap clears the table before every pass after the first.
+            for auto in [lib.automaton(), &lib.automaton().with_max_states(2)] {
+                let mut states = SubjectStates::default();
+                for seed in 1..=6 {
+                    let subject = random_subject(seed, 60);
+                    auto.run(&subject, &mut states);
+                    assert!(states.is_for(&subject, auto));
+                    let flat = subject.flat();
+                    for node in subject.network().node_ids() {
+                        for t in 1..auto.num_subtrees() as u32 {
+                            assert_eq!(
+                                states.contains(node, t),
+                                embeds(auto, t, flat, node),
+                                "{}: seed {seed} node {node:?} subtree {t}",
+                                lib.name()
+                            );
+                        }
+                        // The candidate row marks the rooted patterns whose
+                        // root subtree embeds.
+                        let rooted = match flat.kind(node) {
+                            KIND_NAND => lib.patterns_rooted_nand(),
+                            KIND_INV => lib.patterns_rooted_inv(),
+                            _ => continue,
+                        };
+                        let row = states.row(node);
+                        for (pos, &pid) in rooted.iter().enumerate() {
+                            let lp = lib.pattern(pid);
+                            let root = lp.subtree[lp.graph.root()];
+                            assert_eq!(
+                                row[pos / 64] >> (pos % 64) & 1 == 1,
+                                embeds(auto, root, flat, node),
+                                "{}: seed {seed} node {node:?} pattern {pid}",
+                                lib.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
