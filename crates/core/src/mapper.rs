@@ -336,9 +336,10 @@ impl<'a> Mapper<'a> {
         // typically shave a few more percent. Keep the best cover seen.
         let mut best = mapped;
         let mut estimate_base = labels.clone();
-        // One kit across all refinement rounds: after round 1 every cone
-        // class is warm, so later rounds replay memoized enumerations
-        // instead of re-searching.
+        // One kit across all refinement rounds: the subject's automaton
+        // states are computed once and every round reuses them (and where
+        // the memo is on, as in the serve daemon, later rounds replay the
+        // enumerations round 1 recorded).
         let mut kit = source.make_kit(subject);
         for _ in 0..3 {
             let _round = dagmap_obs::span("area_recovery.round");

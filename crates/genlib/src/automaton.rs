@@ -38,8 +38,8 @@ use crate::{LibPattern, PatternId, PatternNode};
 /// subject node, so it is never stored in a state.
 pub const LEAF_SUBTREE: u32 = 0;
 
-/// Default bound on the states a transition table keeps before it is
-/// cleared (see [`Automaton::run`]).
+/// Bound on the states a transition table keeps before it is cleared (see
+/// [`Automaton::run`]).
 const MAX_STATES: usize = 1 << 12;
 
 /// Bound on the NAND transitions a table keeps before it is cleared: new
@@ -109,8 +109,6 @@ pub struct Automaton {
     member_words: usize,
     /// Words of a candidate row (the longer rooted list's).
     row_words: usize,
-    /// States kept before the table is cleared.
-    max_states: usize,
     table: Mutex<Table>,
 }
 
@@ -161,24 +159,6 @@ impl Automaton {
             inv_roots,
             member_words,
             row_words,
-            max_states: MAX_STATES,
-        }
-    }
-
-    /// A fresh automaton over the same subtrees with an empty transition
-    /// table that is cleared once it holds `max_states` states.
-    pub(crate) fn with_max_states(&self, max_states: usize) -> Automaton {
-        Automaton {
-            uid: next_uid(),
-            defs: self.defs.clone(),
-            parent_off: self.parent_off.clone(),
-            parents: self.parents.clone(),
-            nand_roots: self.nand_roots.clone(),
-            inv_roots: self.inv_roots.clone(),
-            member_words: self.member_words,
-            row_words: self.row_words,
-            max_states,
-            table: Mutex::new(Table::new(self.member_words, self.row_words)),
         }
     }
 
@@ -188,14 +168,9 @@ impl Automaton {
     }
 
     /// Number of distinct subtrees, the wildcard leaf included.
-    pub fn num_subtrees(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_subtrees(&self) -> usize {
         self.defs.len()
-    }
-
-    /// States the transition table currently holds, the sources' empty
-    /// state included.
-    pub fn num_states(&self) -> usize {
-        self.lock().len()
     }
 
     fn lock(&self) -> MutexGuard<'_, Table> {
@@ -214,13 +189,19 @@ impl Automaton {
     /// is cleared first, so it holds at most the caps plus one subject's
     /// additions.
     pub fn run(&self, subject: &SubjectGraph, out: &mut SubjectStates) {
+        self.run_capped(subject, out, MAX_STATES);
+    }
+
+    /// [`Automaton::run`] against a table cleared once it holds
+    /// `max_states` states, so tests can drive a table past its cap.
+    fn run_capped(&self, subject: &SubjectGraph, out: &mut SubjectStates, max_states: usize) {
         let flat = subject.flat();
         let n = flat.num_nodes();
         out.key = None;
         out.node_state.clear();
         out.node_state.resize(n, 0);
         let mut table = self.lock();
-        if table.len() >= self.max_states || table.nand.len() >= MAX_NAND_TRANSITIONS {
+        if table.len() >= max_states || table.nand.len() >= MAX_NAND_TRANSITIONS {
             table.clear();
         }
         for l in 0..flat.num_levels() {
@@ -454,11 +435,6 @@ impl SubjectStates {
         let start = self.node_state[node.index()] as usize * self.row_words;
         &self.rows[start..start + self.row_words]
     }
-
-    /// Number of distinct states among the subject's nodes.
-    pub fn num_states(&self) -> usize {
-        self.members.len() / self.member_words.max(1)
-    }
 }
 
 #[cfg(test)]
@@ -509,51 +485,84 @@ mod tests {
         SubjectGraph::from_subject_network(net).expect("random subject")
     }
 
-    #[test]
-    fn states_hold_exactly_the_subtrees_that_embed() {
-        for lib in [
+    fn builtin_libraries() -> [Library; 4] {
+        [
             Library::minimal(),
             Library::lib2_like(),
             Library::lib_44_1_like(),
             Library::lib_44_3_like(),
-        ] {
-            // A tiny cap clears the table before every pass after the first.
-            for auto in [lib.automaton(), &lib.automaton().with_max_states(2)] {
-                let mut states = SubjectStates::default();
-                for seed in 1..=6 {
-                    let subject = random_subject(seed, 60);
-                    auto.run(&subject, &mut states);
-                    assert!(states.is_for(&subject, auto));
-                    let flat = subject.flat();
-                    for node in subject.network().node_ids() {
-                        for t in 1..auto.num_subtrees() as u32 {
-                            assert_eq!(
-                                states.contains(node, t),
-                                embeds(auto, t, flat, node),
-                                "{}: seed {seed} node {node:?} subtree {t}",
-                                lib.name()
-                            );
-                        }
-                        // The candidate row marks the rooted patterns whose
-                        // root subtree embeds.
-                        let rooted = match flat.kind(node) {
-                            KIND_NAND => lib.patterns_rooted_nand(),
-                            KIND_INV => lib.patterns_rooted_inv(),
-                            _ => continue,
-                        };
-                        let row = states.row(node);
-                        for (pos, &pid) in rooted.iter().enumerate() {
-                            let lp = lib.pattern(pid);
-                            let root = lp.subtree[lp.graph.root()];
-                            assert_eq!(
-                                row[pos / 64] >> (pos % 64) & 1 == 1,
-                                embeds(auto, root, flat, node),
-                                "{}: seed {seed} node {node:?} pattern {pid}",
-                                lib.name()
-                            );
-                        }
+        ]
+    }
+
+    #[test]
+    fn states_hold_exactly_the_subtrees_that_embed() {
+        for lib in builtin_libraries() {
+            let auto = lib.automaton();
+            let mut states = SubjectStates::default();
+            for seed in 1..=6 {
+                let subject = random_subject(seed, 60);
+                auto.run(&subject, &mut states);
+                assert!(states.is_for(&subject, auto));
+                let flat = subject.flat();
+                for node in subject.network().node_ids() {
+                    for t in 1..auto.num_subtrees() as u32 {
+                        assert_eq!(
+                            states.contains(node, t),
+                            embeds(auto, t, flat, node),
+                            "{}: seed {seed} node {node:?} subtree {t}",
+                            lib.name()
+                        );
+                    }
+                    // The candidate row marks the rooted patterns whose root
+                    // subtree embeds.
+                    let rooted = match flat.kind(node) {
+                        KIND_NAND => lib.patterns_rooted_nand(),
+                        KIND_INV => lib.patterns_rooted_inv(),
+                        _ => continue,
+                    };
+                    let row = states.row(node);
+                    for (pos, &pid) in rooted.iter().enumerate() {
+                        let lp = lib.pattern(pid);
+                        let root = lp.subtree[lp.graph.root()];
+                        assert_eq!(
+                            row[pos / 64] >> (pos % 64) & 1 == 1,
+                            embeds(auto, root, flat, node),
+                            "{}: seed {seed} node {node:?} pattern {pid}",
+                            lib.name()
+                        );
                     }
                 }
+            }
+        }
+    }
+
+    /// A table cleared because a pass started at its cap hands the matcher
+    /// exactly the states a table that never filled does: the same state
+    /// per node, membership bitsets and candidate rows, so every match and
+    /// label is the same.
+    #[test]
+    fn a_table_driven_past_its_cap_hands_out_the_same_states() {
+        for lib in builtin_libraries() {
+            let auto = lib.automaton();
+            for seed in 1..=6 {
+                let subject = random_subject(seed, 60);
+                let mut warm = SubjectStates::default();
+                auto.run(&subject, &mut warm);
+                // Every pass leaves more than two states, so a cap of two
+                // clears the table before this pass starts.
+                let mut cleared = SubjectStates::default();
+                auto.run_capped(&subject, &mut cleared, 2);
+                let local_states = cleared.members.len() / auto.member_words;
+                assert_eq!(
+                    auto.lock().len(),
+                    local_states,
+                    "{}: seed {seed}: the pass started from an empty table",
+                    lib.name()
+                );
+                assert!(cleared.is_for(&subject, auto));
+                assert_eq!(cleared.node_state, warm.node_state, "{}", lib.name());
+                assert_eq!(cleared.members, warm.members, "{}", lib.name());
+                assert_eq!(cleared.rows, warm.rows, "{}", lib.name());
             }
         }
     }

@@ -324,16 +324,6 @@ impl Library {
         &self.automaton
     }
 
-    /// This library with a fresh, empty transition table that is cleared
-    /// whenever a pass starts with `max_states` or more states in it. The
-    /// builtin cap is large enough that mapping never needs this; it lets
-    /// tests drive the table past its cap.
-    #[doc(hidden)]
-    pub fn with_automaton_cap(mut self, max_states: usize) -> Library {
-        self.automaton = Arc::new(self.automaton.with_max_states(max_states));
-        self
-    }
-
     /// Depth-filter bitmask rows over the NAND-rooted pattern list.
     pub fn nand_masks(&self) -> &RootMasks {
         &self.masks_nand

@@ -945,8 +945,9 @@ fn cmd_stats(args: &[String]) -> CmdResult {
         if let Some(library) = library {
             // Full match census under standard semantics: how much pattern
             // matching this subject costs against the library, how much of it
-            // the automaton prunes, and how often cone classes recur (the
-            // memo's hit rate, were it on).
+            // the automaton prunes, and how often cone classes recur. One-shot
+            // labeling never memoizes, so the census turns the memo on (as the
+            // serve daemon does) to measure that recurrence.
             use dagmap::matching::{
                 MatchConfig, MatchScratch, MatchStats, Matcher, MemoPolicy, SharedMatchStore,
             };
@@ -955,7 +956,7 @@ fn cmd_stats(args: &[String]) -> CmdResult {
                 ..MatchConfig::default()
             };
             let matcher = Matcher::with_config(&library, config);
-            // The private store a one-shot labeling run gives its pass.
+            // A private store for this one pass.
             let store = SharedMatchStore::for_library(&library, 1, usize::MAX);
             let mut scratch = MatchScratch::new();
             let mut stats = MatchStats::default();
@@ -974,13 +975,6 @@ fn cmd_stats(args: &[String]) -> CmdResult {
                 library.name(),
                 stats.enumerated,
                 stats.pruned
-            );
-            let mut states = dagmap::genlib::SubjectStates::default();
-            library.automaton().run(&subject, &mut states);
-            println!(
-                "automaton: {} pattern subtrees, {} distinct states over this subject",
-                library.automaton().num_subtrees(),
-                states.num_states()
             );
             println!(
                 "match memo: {} cone classes over {} lookups ({:.1}% hit rate)",
