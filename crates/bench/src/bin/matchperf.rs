@@ -1,8 +1,7 @@
 //! Match-acceleration micro-benchmark: the naive full-scan matcher vs the
-//! automaton-filtered matcher (the one-shot default) vs the automaton plus
-//! cone-class memoization (what the serve daemon runs).
+//! automaton-filtered matcher (the default of every mapping run).
 //!
-//! Times serial `dagmap_core::label_with_config` under the three
+//! Times serial `dagmap_core::label_with_config` under the two
 //! configurations over the benchgen ISCAS-like suite crossed with the
 //! builtin libraries (plus a depth-2 supergate extension of 44-1), asserts
 //! the labels — and, on the smallest circuit, the mapped BLIF — are
@@ -20,28 +19,14 @@ use std::time::Instant;
 use dagmap_bench::harness::{best_of, mapped_blif};
 use dagmap_core::{label_with_config, MapOptions, Mapper, MatchMode, Objective};
 use dagmap_genlib::Library;
-use dagmap_match::{MatchConfig, MemoPolicy};
+use dagmap_match::MatchConfig;
 use dagmap_netlist::SubjectGraph;
 use dagmap_supergate::{extend_library, SupergateOptions};
 
-const BASELINE: MatchConfig = MatchConfig {
-    index: false,
-    memo: MemoPolicy::Off,
-    strash_ids: false,
-};
-// The one-shot default: candidates and partial bindings filtered by the
-// library's tree automaton, no memo.
-const AUTOMATON: MatchConfig = MatchConfig {
-    index: true,
-    memo: MemoPolicy::Off,
-    strash_ids: true,
-};
-// The automaton plus the cone-class memo, as the serve daemon runs it.
-const MEMOIZED: MatchConfig = MatchConfig {
-    index: true,
-    memo: MemoPolicy::On,
-    strash_ids: true,
-};
+const BASELINE: MatchConfig = MatchConfig { index: false };
+// The default: candidates and partial bindings filtered by the library's
+// tree automaton.
+const AUTOMATON: MatchConfig = MatchConfig { index: true };
 
 struct Row {
     circuit: String,
@@ -50,10 +35,8 @@ struct Row {
     matches_enumerated: usize,
     pruned_baseline: usize,
     pruned_automaton: usize,
-    memo_hit_rate: f64,
     baseline_s: f64,
     automaton_s: f64,
-    memoized_s: f64,
     identical: bool,
 }
 
@@ -148,13 +131,9 @@ fn main() {
             };
             let base = run(BASELINE);
             let auto = run(AUTOMATON);
-            let memo = run(MEMOIZED);
             let identical = base.arrival == auto.arrival
-                && base.arrival == memo.arrival
                 && base.best == auto.best
-                && base.best == memo.best
-                && base.matches_enumerated == auto.matches_enumerated
-                && base.matches_enumerated == memo.matches_enumerated;
+                && base.matches_enumerated == auto.matches_enumerated;
             assert!(
                 identical,
                 "{name}/{}: accelerated labels diverged",
@@ -162,23 +141,13 @@ fn main() {
             );
             let baseline_s = time_config(&subject, lib, BASELINE, reps);
             let automaton_s = time_config(&subject, lib, AUTOMATON, reps);
-            let memoized_s = time_config(&subject, lib, MEMOIZED, reps);
-            let memo_hit_rate = if memo.memo_lookups > 0 {
-                memo.memo_hits as f64 / memo.memo_lookups as f64
-            } else {
-                0.0
-            };
             println!(
-                "  {name:12} {:12} {:>6} nodes: baseline {:>8.2} ms, automaton {:>8.2} ms ({:.2}x), \
-                 automaton+memo {:>8.2} ms ({:.2}x, {:.0}% hits)",
+                "  {name:12} {:12} {:>6} nodes: baseline {:>8.2} ms, automaton {:>8.2} ms ({:.2}x)",
                 lib.name(),
                 subject.network().num_nodes(),
                 baseline_s * 1e3,
                 automaton_s * 1e3,
                 baseline_s / automaton_s,
-                memoized_s * 1e3,
-                baseline_s / memoized_s,
-                100.0 * memo_hit_rate,
             );
             rows.push(Row {
                 circuit: name.clone(),
@@ -187,10 +156,8 @@ fn main() {
                 matches_enumerated: base.matches_enumerated,
                 pruned_baseline: base.matches_pruned,
                 pruned_automaton: auto.matches_pruned,
-                memo_hit_rate,
                 baseline_s,
                 automaton_s,
-                memoized_s,
                 identical,
             });
         }
@@ -227,21 +194,14 @@ fn main() {
             .map(|r| r.baseline_s / r.automaton_s)
             .collect::<Vec<_>>(),
     );
-    let geo_memo = geomean(
-        &rows
-            .iter()
-            .map(|r| r.baseline_s / r.memoized_s)
-            .collect::<Vec<_>>(),
-    );
     println!(
-        "geo-mean speedup (baseline -> automaton): {:.2}x overall{}; automaton+memo {:.2}x",
+        "geo-mean speedup (baseline -> automaton): {:.2}x overall{}",
         geo_all,
         if speedups_443.is_empty() {
             String::new()
         } else {
             format!(", {geo_443:.2}x on 44_3_like")
         },
-        geo_memo,
     );
 
     let mut json = String::new();
@@ -254,7 +214,6 @@ fn main() {
         json,
         "  \"geomean_speedup_automaton_44_3_like\": {geo_443:.3},"
     );
-    let _ = writeln!(json, "  \"geomean_speedup_memoized\": {geo_memo:.3},");
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
@@ -262,21 +221,17 @@ fn main() {
             json,
             "    {{\"circuit\": \"{}\", \"library\": \"{}\", \"subject_nodes\": {}, \
              \"matches_enumerated\": {}, \"pruned_baseline\": {}, \"pruned_automaton\": {}, \
-             \"memo_hit_rate\": {:.4}, \"baseline_s\": {:.6}, \"automaton_s\": {:.6}, \
-             \"memoized_s\": {:.6}, \"speedup_automaton\": {:.3}, \
-             \"speedup_memoized\": {:.3}, \"identical\": {}}}{sep}",
+             \"baseline_s\": {:.6}, \"automaton_s\": {:.6}, \"speedup_automaton\": {:.3}, \
+             \"identical\": {}}}{sep}",
             r.circuit,
             r.library,
             r.subject_nodes,
             r.matches_enumerated,
             r.pruned_baseline,
             r.pruned_automaton,
-            r.memo_hit_rate,
             r.baseline_s,
             r.automaton_s,
-            r.memoized_s,
             r.baseline_s / r.automaton_s,
-            r.baseline_s / r.memoized_s,
             r.identical,
         );
     }

@@ -3,8 +3,8 @@
 //! Starts an in-process server on a temp unix socket serving two libraries,
 //! replays a seeded hot-set-skewed request stream (see
 //! `dagmap_benchgen::request_stream`) from several pipelined client
-//! connections, and reports throughput, server-side latency percentiles and
-//! shared-cache effectiveness to `BENCH_serve.json`.
+//! connections, and reports throughput and server-side latency percentiles
+//! to `BENCH_serve.json`.
 //!
 //! The stream is replayed against two server configurations, each with an
 //! HTTP `/metrics` listener scraped concurrently while traffic runs:
@@ -18,7 +18,6 @@
 //!
 //! Invariants asserted every run:
 //! * zero error frames and zero busy rejects (admission is unlimited here),
-//! * the cross-request memo serves hits (> 0) on the repeated circuits,
 //! * the `/metrics` endpoint answers live mid-traffic and its final
 //!   `dagmap_requests_total` equals the stream length,
 //! * the request log holds exactly one JSONL line per request,
@@ -362,8 +361,7 @@ mod imp {
         }
     }
 
-    /// A counter from a pass's exposition, summed over its label sets
-    /// (the per-library memo series sum to the daemon's totals).
+    /// A counter from a pass's exposition, summed over its label sets.
     fn total(samples: &[Sample], name: &str) -> f64 {
         samples
             .iter()
@@ -438,7 +436,6 @@ mod imp {
             let served = total(&pass.samples, "dagmap_requests_total");
             let busy = total(&pass.samples, "dagmap_busy_rejects_total");
             let errors = total(&pass.samples, "dagmap_errors_total");
-            let hits = total(&pass.samples, "dagmap_memo_hits_total");
             assert_eq!(errors as u64, 0, "{label}: server counted error frames");
             assert_eq!(
                 busy as u64, 0,
@@ -448,10 +445,6 @@ mod imp {
                 served as usize,
                 stream.len(),
                 "{label}: server served every request"
-            );
-            assert!(
-                hits > 0.0,
-                "{label}: repeated circuits produced no memo hits"
             );
         }
         assert!(
@@ -469,13 +462,6 @@ mod imp {
         let served = total(&headline.samples, "dagmap_requests_total");
         let busy = total(&headline.samples, "dagmap_busy_rejects_total");
         let server_errors = total(&headline.samples, "dagmap_errors_total");
-        let memo_hits = total(&headline.samples, "dagmap_memo_hits_total");
-        let memo_misses = total(&headline.samples, "dagmap_memo_misses_total");
-        let hit_rate = if memo_hits + memo_misses > 0.0 {
-            memo_hits / (memo_hits + memo_misses)
-        } else {
-            0.0
-        };
 
         // Bit-identity spot check: one served reply per distinct
         // (circuit, lib) pair vs a one-shot mapping of the same BLIF text —
@@ -539,9 +525,7 @@ mod imp {
             lat_repeat.len(),
         );
         println!(
-            "  memo: {memo_hits:.0} hits / {memo_misses:.0} misses (hit rate {:.1}%); \
-             errors {server_errors:.0}, busy {busy:.0}; bit-identity {checked} pairs identical={identical}",
-            hit_rate * 100.0
+            "  errors {server_errors:.0}, busy {busy:.0}; bit-identity {checked} pairs identical={identical}"
         );
         println!(
             "  telemetry: pipelined walls metrics {wall_metrics:.2} s / full {:.2} s; \
@@ -583,10 +567,6 @@ mod imp {
              \"n\": {}}}, \"repeated\": {{\"p50\": {rep_p50}, \"p99\": {rep_p99}, \"n\": {}}}}},",
             lat_first.len(),
             lat_repeat.len(),
-        );
-        let _ = writeln!(
-            json,
-            "  \"memo\": {{\"hits\": {memo_hits:.0}, \"misses\": {memo_misses:.0}, \"hit_rate\": {hit_rate:.4}}},"
         );
         let _ = writeln!(
             json,

@@ -1,18 +1,15 @@
-//! Strashing benchmark: cold full mapping vs warm shared-store mapping
-//! (strash-id memo hits) vs incremental re-mapping after a local edit.
+//! Strashing benchmark: cold full mapping vs incremental re-mapping after
+//! a local edit.
 //!
-//! Three timed columns per circuit against the 44-cell 3-load library:
+//! Timed columns per circuit against the 44-cell 3-load library:
 //!
-//! * **cold** — a full `map_with_report` on a fresh mapper state;
-//! * **warm** — the same mapping through a pre-warmed [`SharedMatchStore`],
-//!   where every gate's match class resolves through the strash-id fast
-//!   path (no cone extraction);
+//! * **cold** — a full `map_with_report`;
 //! * **incremental** — `map_incremental` of a locally edited copy against
 //!   the retained labels of the cold run, relabeling only the dirty
-//!   region.
+//!   region, next to a cold full mapping of the same edit.
 //!
-//! Asserts the warm and incremental mapped BLIFs are byte-identical to the
-//! cold ones, requires the incremental re-map to be at least 5x faster
+//! Asserts the incremental mapped BLIFs are byte-identical to the cold
+//! ones, requires the incremental re-map to be at least 5x faster
 //! than a cold full mapping of the edited circuit on at least one
 //! circuit, and writes `BENCH_strash.json`.
 //!
@@ -22,7 +19,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use dagmap_bench::harness::{best_of, mapped_blif};
-use dagmap_core::{MapOptions, Mapper, SharedMatchStore};
+use dagmap_core::{MapOptions, Mapper};
 use dagmap_genlib::Library;
 use dagmap_netlist::{NetEdit, Network, NodeFn, SubjectGraph};
 
@@ -32,8 +29,6 @@ struct Row {
     strash_raw: usize,
     strash_unique: usize,
     cold_s: f64,
-    warm_s: f64,
-    warm_id_hits: usize,
     inc_s: f64,
     edited_cold_s: f64,
     labels_reused: usize,
@@ -97,9 +92,7 @@ fn main() {
     };
     let lib = Library::lib_44_3_like();
     let mapper = Mapper::new(&lib);
-    // Memo forced on: the bench measures the strash-id fast path, which
-    // lives inside the memo.
-    let opts = MapOptions::dag().with_match_memo(true);
+    let opts = MapOptions::dag();
 
     println!(
         "strashperf: {} circuits vs `{}`, {} reps (best-of)",
@@ -113,7 +106,7 @@ fn main() {
         let subject = SubjectGraph::from_network(net).expect("benchgen circuits decompose");
         let strash = *subject.strash_stats();
 
-        // Cold: full mapping, fresh state, plus the retained label
+        // Cold: full mapping, plus the retained label
         // snapshot the incremental column replays against.
         let (cold_map, _, retained) = mapper
             .map_with_report_retaining(&subject, opts, None)
@@ -127,35 +120,17 @@ fn main() {
             t.elapsed().as_secs_f64()
         });
 
-        // Warm: the shared store has already seen this circuit, so every
-        // gate resolves through the strash-id fast path.
-        let shared = SharedMatchStore::for_library(&lib, 16, 1 << 14);
-        let (first, _) = mapper
-            .map_with_report_shared(&subject, opts, &shared)
-            .expect("warming map");
-        assert_eq!(
-            mapped_blif(&first),
-            cold_blif,
-            "{name}: shared map diverged"
-        );
-        let mut warm_id_hits = 0;
-        let warm_s = best_of(reps, || {
-            let t = Instant::now();
-            let (m, rep) = mapper
-                .map_with_report_shared(&subject, opts, &shared)
-                .expect("warm map");
-            std::hint::black_box(m.num_cells());
-            warm_id_hits = rep.memo_id_hits;
-            t.elapsed().as_secs_f64()
-        });
-        assert!(warm_id_hits > 0, "{name}: warm run resolved no strash ids");
-
         // Incremental: re-map a locally edited copy against the cold run's
         // retained labels, vs a cold full mapping of the same edit.
         let mut edited_net = net.clone();
         edit_one_output(&mut edited_net);
         let edited = SubjectGraph::from_network(&edited_net).expect("edited decomposes");
         let (full, _) = mapper.map_with_report(&edited, opts).expect("full remap");
+        assert_ne!(
+            mapped_blif(&full),
+            cold_blif,
+            "{name}: the edit changed nothing"
+        );
         let (inc, inc_rep, _) = mapper
             .map_incremental(&edited, opts, &retained, None)
             .expect("incremental remap");
@@ -186,14 +161,11 @@ fn main() {
         let inc_speedup = edited_cold_s / inc_s;
 
         println!(
-            "  {name:12} {:>6} nodes ({:.2}x dedup): cold {:>8.2} ms, warm {:>8.2} ms \
-             ({:.2}x, {} id hits), incremental {:>8.2} ms ({:.2}x vs cold edited, {} labels reused)",
+            "  {name:12} {:>6} nodes ({:.2}x dedup): cold {:>8.2} ms, \
+             incremental {:>8.2} ms ({:.2}x vs cold edited, {} labels reused)",
             subject.flat().num_nodes(),
             strash.raw as f64 / strash.unique.max(1) as f64,
             cold_s * 1e3,
-            warm_s * 1e3,
-            cold_s / warm_s,
-            warm_id_hits,
             inc_s * 1e3,
             inc_speedup,
             labels_reused,
@@ -205,8 +177,6 @@ fn main() {
             strash_raw: strash.raw,
             strash_unique: strash.unique,
             cold_s,
-            warm_s,
-            warm_id_hits,
             inc_s,
             edited_cold_s,
             labels_reused,
@@ -235,16 +205,14 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"circuit\": \"{}\", \"subject_nodes\": {}, \"strash_raw\": {}, \
-             \"strash_unique\": {}, \"cold_s\": {:.6}, \"warm_s\": {:.6}, \
-             \"warm_id_hits\": {}, \"incremental_s\": {:.6}, \"edited_cold_s\": {:.6}, \
+             \"strash_unique\": {}, \"cold_s\": {:.6}, \
+             \"incremental_s\": {:.6}, \"edited_cold_s\": {:.6}, \
              \"labels_reused\": {}, \"incremental_speedup\": {:.3}}}{sep}",
             r.circuit,
             r.subject_nodes,
             r.strash_raw,
             r.strash_unique,
             r.cold_s,
-            r.warm_s,
-            r.warm_id_hits,
             r.inc_s,
             r.edited_cold_s,
             r.labels_reused,

@@ -27,8 +27,7 @@ pub struct ServeRequest {
     pub lib_index: usize,
     /// BLIF text of the circuit, as a daemon would receive it.
     pub blif: String,
-    /// Whether this request repeats a circuit already seen in the stream
-    /// (the memo-hit opportunity).
+    /// Whether this request repeats a circuit already seen in the stream.
     pub repeat: bool,
 }
 
@@ -90,7 +89,7 @@ pub fn request_stream(spec: &RequestStreamSpec) -> Vec<ServeRequest> {
     assert!(spec.hot_set > 0, "need a nonempty hot set");
     let mut rng = StdRng::seed_from_u64(spec.seed);
     // Cold pool: distinct indices past the hot set, one per cold request at
-    // most (fresh circuits, no memo reuse except by accident of the pool
+    // most (fresh circuits, repeated only by accident of the pool
     // cycling).
     let mut next_cold = spec.hot_set;
     let mut blif_cache: Vec<Option<(String, String)>> = Vec::new();
@@ -166,8 +165,8 @@ mod tests {
         for lib in 0..3 {
             assert!(stream.iter().any(|r| r.lib_index == lib));
         }
-        // Repeated circuit names carry identical BLIF text (the memo-hit
-        // contract: same bytes in, same class keys probed).
+        // Repeated circuit names carry identical BLIF text: same bytes in,
+        // so a repeat is a true repeat request.
         for r in &stream {
             let first = stream.iter().find(|s| s.circuit == r.circuit).unwrap();
             assert_eq!(first.blif, r.blif);

@@ -455,12 +455,7 @@ impl<'a> HybridSource<'a> {
     /// Builds both engines over the same subject and library.
     pub fn new(subject: &SubjectGraph, library: &'a Library, k: usize) -> HybridSource<'a> {
         HybridSource {
-            structural: StructuralSource::new(
-                library,
-                MatchMode::Standard,
-                MatchConfig::default(),
-                None,
-            ),
+            structural: StructuralSource::new(library, MatchMode::Standard, MatchConfig::default()),
             boolean: BoolSource::new(subject, library, k),
         }
     }

@@ -93,9 +93,9 @@ fn boolean_labeling_allocates_only_for_new_cut_functions() {
                 );
             }
         }
-        // Hybrid adds the structural matcher, which allocates nothing on
-        // lib2 and 44-1; on 44-3 its cone memo grows its own store.
-        for lib in &libraries[..2] {
+        // Hybrid adds the structural matcher, which allocates nothing in
+        // its waves.
+        for lib in &libraries {
             let source = HybridSource::new(&subject, lib, 4);
             assert_bounded(&format!("{name}/{}/hybrid", lib.name()), &subject, &source);
         }

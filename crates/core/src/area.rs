@@ -28,9 +28,8 @@ const EPS: f64 = 1e-9;
 /// guaranteed). Returns one selected match per *needed* node.
 ///
 /// The caller provides the match source and one kit, so the refinement
-/// rounds of `Mapper::map_with_report` share one match memo: after round 1
-/// every cone class in the circuit is warm and later rounds enumerate
-/// nothing. Candidate matches are consumed as borrowed
+/// rounds of `Mapper::map_with_report` share the subject's automaton
+/// states, computed once. Candidate matches are consumed as borrowed
 /// [`crate::SourceMatch`]es and materialized only when they beat the
 /// incumbent, replacing the former per-node `matches_at` allocation.
 ///
@@ -171,7 +170,7 @@ mod tests {
         labels: &crate::label::Labels,
     ) -> Vec<Option<Match>> {
         let config = MatchConfig::default();
-        let source = crate::source::StructuralSource::new(lib, MatchMode::Standard, config, None);
+        let source = crate::source::StructuralSource::new(lib, MatchMode::Standard, config);
         let mut kit = source.make_kit(subject);
         recover(subject, &source, labels, 0.0, &mut kit).unwrap()
     }

@@ -34,12 +34,9 @@
 //! them and a pass under any other reuses nothing, as for a subject whose
 //! signatures are not injective.
 
-use std::collections::HashMap;
-
 use dagmap_genlib::Library;
 use dagmap_match::{Match, MatchConfig, MatchMode, SharedMatchStore};
-use dagmap_netlist::strash::SigBuildHasher;
-use dagmap_netlist::{FlatNet, NodeId, Sig, Signatures, SubjectGraph};
+use dagmap_netlist::{FlatNet, NodeId, Sig, SubjectGraph};
 
 use crate::label::{label_pass, ChosenBuf, LabelBasis, Labels};
 use crate::source::StructuralSource;
@@ -53,9 +50,8 @@ use crate::{MapError, Objective};
 /// one per retained design handle.
 #[derive(Debug, Clone)]
 pub struct RetainedLabels {
-    /// Old signature → old node index.
-    index: HashMap<Sig, u32, SigBuildHasher>,
-    /// Old node index → signature (to translate stored matches).
+    /// Old node index → signature, which a later subject resolves to its
+    /// own node ids.
     sigs: Vec<Sig>,
     fanout_count: Vec<u32>,
     arrival: Vec<f64>,
@@ -72,25 +68,26 @@ impl RetainedLabels {
     /// then signatures cannot address nodes unambiguously and a retained
     /// run could be mis-applied.
     pub fn from_labels(subject: &SubjectGraph, labels: &Labels) -> Option<RetainedLabels> {
+        RetainedLabels::from_owned(subject, labels.clone())
+    }
+
+    /// [`RetainedLabels::from_labels`], taking the labels over instead of
+    /// copying them.
+    pub(crate) fn from_owned(subject: &SubjectGraph, labels: Labels) -> Option<RetainedLabels> {
         let sigs = subject.signatures();
         if !sigs.is_injective() {
             return None;
         }
         let flat = subject.flat();
         let n = flat.num_nodes();
-        let mut index = HashMap::with_capacity_and_hasher(n, SigBuildHasher::default());
-        for (i, &sig) in sigs.sigs().iter().enumerate() {
-            index.insert(sig, i as u32);
-        }
         Some(RetainedLabels {
-            index,
             sigs: sigs.sigs().to_vec(),
             fanout_count: (0..n)
                 .map(|i| flat.fanout_count(NodeId::from_index(i)) as u32)
                 .collect(),
-            arrival: labels.arrival.clone(),
-            area_flow: labels.area_flow.clone(),
-            best: labels.best.clone(),
+            arrival: labels.arrival,
+            area_flow: labels.area_flow,
+            best: labels.best,
             basis: labels.basis,
         })
     }
@@ -110,10 +107,11 @@ pub struct IncrementalStats {
 ///
 /// The result is bit-identical to a full (cold) labeling of `subject` with
 /// the same configuration; only the work counters differ — reused nodes
-/// perform no enumeration, no memo lookup, and no allocation. When the new
+/// perform no enumeration and no allocation. When the new
 /// subject's signature map is not injective, or the snapshot was taken
 /// under another library, match mode or objective, the pass degrades to a
-/// full re-label (`reused == 0`), never to a wrong answer.
+/// full re-label (`reused == 0`), never to a wrong answer. The store
+/// argument is the inert handle of the retired cone memo and is ignored.
 ///
 /// # Errors
 ///
@@ -125,16 +123,19 @@ pub fn relabel_incremental(
     objective: Objective,
     config: MatchConfig,
     retained: &RetainedLabels,
-    shared: Option<&SharedMatchStore>,
+    _shared: Option<&SharedMatchStore>,
 ) -> Result<(Labels, IncrementalStats), MapError> {
-    let source = StructuralSource::new(library, mode, config, shared);
+    let source = StructuralSource::new(library, mode, config);
     label_pass(subject, &source, objective, Some(retained))
 }
 
 /// The clean rule applied during one snapshot-driven labeling pass.
 pub(crate) struct Recall<'r> {
     retained: &'r RetainedLabels,
-    sigs: &'r Signatures,
+    /// New node index → the retained node with the same signature.
+    old_of: Vec<Option<u32>>,
+    /// Retained node index → the new node with the same signature.
+    new_of: Vec<Option<NodeId>>,
     /// `clean[i]` per the module-level rule; sources participate (their
     /// fanout counts gate the cleanliness of consumers) but carry no
     /// copied label.
@@ -152,17 +153,31 @@ impl<'r> Recall<'r> {
         basis: LabelBasis,
     ) -> Option<Recall<'r>> {
         let sigs = subject.signatures();
-        (retained.basis == basis && sigs.is_injective()).then(|| Recall {
-            retained,
-            sigs,
-            clean: vec![false; subject.flat().num_nodes()],
-            reused: 0,
+        (retained.basis == basis && sigs.is_injective()).then(|| {
+            // Both signature maps are injective, so equal signatures pair
+            // retained and new nodes one to one; resolve every pair once.
+            let n = subject.flat().num_nodes();
+            let mut old_of = vec![None; n];
+            let new_of = (retained.sigs.iter().enumerate())
+                .map(|(u, &sig)| {
+                    let id = sigs.lookup(sig)?;
+                    old_of[id.index()] = Some(u as u32);
+                    Some(id)
+                })
+                .collect();
+            Recall {
+                retained,
+                old_of,
+                new_of,
+                clean: vec![false; n],
+                reused: 0,
+            }
         })
     }
 
     /// The retained node `id` is clean against, if any.
     fn old_node(&self, flat: &FlatNet, id: NodeId) -> Option<usize> {
-        let u = *self.retained.index.get(&self.sigs.sig_of(id))? as usize;
+        let u = self.old_of[id.index()]? as usize;
         (self.retained.fanout_count[u] == flat.fanout_count(id) as u32
             && flat.fanins(id).iter().all(|f| self.clean[f.index()]))
         .then_some(u)
@@ -183,8 +198,9 @@ impl<'r> Recall<'r> {
                 return false;
             }
         };
-        let (retained, sigs) = (self.retained, self.sigs);
-        let translate = |old: NodeId| sigs.lookup(retained.sigs[old.index()]);
+        let new_of = &self.new_of;
+        let translate = |old: NodeId| new_of[old.index()];
+        let retained = self.retained;
         if !chosen.recall(retained.arrival[u], retained.area_flow[u], best, translate) {
             return false;
         }

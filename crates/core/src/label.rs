@@ -68,18 +68,15 @@ pub struct Labels {
     /// node's automaton state with the index on, those failing the depth
     /// pre-filter with it off.
     pub matches_pruned: usize,
-    /// Cone-class lookups into the match memo (0 when the memo is off).
+    /// Always 0: the cone-class memo is retired, since a fresh enumeration
+    /// through the automaton costs less than a probe. The field keeps its
+    /// place for report consumers.
     pub memo_lookups: usize,
-    /// Memo lookups that replayed a stored enumeration instead of
-    /// searching.
+    /// Always 0, as [`Labels::memo_lookups`].
     pub memo_hits: usize,
-    /// Memo hits resolved by strash signature alone (no cone extraction);
-    /// a subset of [`Labels::memo_hits`]. Zero when strash-id keying is
-    /// disabled, the mode is exact, or the subject's signature map is not
-    /// injective.
+    /// Always 0, as [`Labels::memo_lookups`].
     pub memo_id_hits: usize,
-    /// 64-wide candidate words the batched match kernel evaluated (memo
-    /// replays evaluate none, so this counts performed kernel work).
+    /// 64-wide candidate words the batched match kernel evaluated.
     pub match_words: usize,
     /// Set bits across the evaluated candidate words; together with
     /// [`Labels::match_words`] this gives the kernel's batch occupancy.
@@ -92,8 +89,8 @@ pub struct Labels {
     pub threads_used: usize,
     /// Heap allocations observed per level, recorded only when a counting
     /// allocator is registered through [`crate::allocmeter`] (empty
-    /// otherwise). The steady-state contract: with the memo off, every
-    /// entry is 0 — all per-wave scratch lives in arenas sized up front.
+    /// otherwise). The steady-state contract: every entry is 0 — all
+    /// per-wave scratch lives in arenas sized up front.
     pub wave_allocs: Vec<usize>,
     /// What the labels were computed under (see [`RetainedLabels`]).
     pub(crate) basis: LabelBasis,
@@ -370,9 +367,9 @@ pub(crate) fn evaluate_node<S: MatchSource>(
 /// the calling thread, whatever is asked, and [`Labels::threads_used`]
 /// reads 1. The argument keeps the signature callers already use.
 ///
-/// Every configuration produces bit-identical labels; the stages only
-/// change how much search the matcher performs (visible in
-/// [`Labels::matches_pruned`] and the memo counters).
+/// Every configuration produces bit-identical labels; the index only
+/// changes how much search the matcher performs (visible in
+/// [`Labels::matches_pruned`]).
 ///
 /// # Errors
 ///
@@ -387,24 +384,23 @@ pub fn label_with_config(
     _num_threads: Option<usize>,
     config: MatchConfig,
 ) -> Result<Labels, MapError> {
-    let source = StructuralSource::new(library, mode, config, None);
+    let source = StructuralSource::new(library, mode, config);
     label_with_source(subject, &source, objective, None)
 }
 
-/// [`label_with_config`] variant memoizing through a cross-request
-/// [`SharedMatchStore`] instead of a run-private store — the serve
-/// daemon's path. Labels are bit-identical to every other configuration;
-/// only the memo counters differ.
+/// [`label_with_config`] under the signature that used to carry a
+/// cross-request memo. The [`SharedMatchStore`] is the inert handle of
+/// the retired memo and is ignored: this labels exactly as
+/// [`label_with_config`] does.
 pub fn label_with_shared_store(
     subject: &SubjectGraph,
     library: &Library,
     mode: MatchMode,
     objective: Objective,
     config: MatchConfig,
-    shared: &SharedMatchStore,
+    _shared: &SharedMatchStore,
 ) -> Result<Labels, MapError> {
-    let source = StructuralSource::new(library, mode, config, Some(shared));
-    label_with_source(subject, &source, objective, None)
+    label_with_config(subject, library, mode, objective, None, config)
 }
 
 /// Runs the labeling pass over an arbitrary [`MatchSource`] — the entry
@@ -481,9 +477,6 @@ pub(crate) fn label_pass<S: MatchSource>(
         dagmap_obs::count("label.nodes", mappable as u64);
         dagmap_obs::count("match.enumerated", labels.matches_enumerated as u64);
         dagmap_obs::count("match.pruned", labels.matches_pruned as u64);
-        dagmap_obs::count("match.memo_lookups", labels.memo_lookups as u64);
-        dagmap_obs::count("match.memo_hits", labels.memo_hits as u64);
-        dagmap_obs::count("match.memo_id_hits", labels.memo_id_hits as u64);
         dagmap_obs::count("match.words", labels.match_words as u64);
         dagmap_obs::count("match.candidate_bits", labels.match_candidate_bits as u64);
     }
@@ -588,9 +581,9 @@ impl LabelState {
             best: self.arena.into_best(),
             matches_enumerated: stats.enumerated,
             matches_pruned: stats.pruned,
-            memo_lookups: stats.memo_lookups,
-            memo_hits: stats.memo_hits,
-            memo_id_hits: stats.memo_id_hits,
+            memo_lookups: 0,
+            memo_hits: 0,
+            memo_id_hits: 0,
             match_words: stats.words,
             match_candidate_bits: stats.candidate_bits,
             levels,

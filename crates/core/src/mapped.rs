@@ -191,13 +191,16 @@ impl MappedNetlist {
     /// Subject nodes covered by more than one cell — the duplication that
     /// DAG covering performs and tree covering cannot (Figure 2).
     pub fn duplicated_subject_nodes(&self) -> usize {
-        let mut seen: HashMap<NodeId, usize> = HashMap::new();
-        for cell in &self.cells {
-            for &n in &cell.covered {
-                *seen.entry(n).or_insert(0) += 1;
-            }
+        let covered = || self.cells.iter().flat_map(|cell| &cell.covered);
+        let len = covered().map(|n| n.index() + 1).max().unwrap_or(0);
+        let mut seen = vec![0u8; len];
+        let mut duplicated = 0;
+        for n in covered() {
+            let count = &mut seen[n.index()];
+            *count = count.saturating_add(1);
+            duplicated += usize::from(*count == 2);
         }
-        seen.values().filter(|&&c| c > 1).count()
+        duplicated
     }
 
     /// The critical path as cell indices, output side first: starts at the

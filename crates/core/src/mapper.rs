@@ -32,13 +32,11 @@ pub struct MapReport {
     /// (outside the automaton state, or the depth pre-filter with the index
     /// off).
     pub matches_pruned: usize,
-    /// Cone-class memo lookups during labeling (0 when the memo is off).
+    /// Always 0: the cone-class memo is retired ([`Labels::memo_lookups`]).
     pub memo_lookups: usize,
-    /// Memo lookups that replayed a stored enumeration instead of
-    /// searching.
+    /// Always 0, as `memo_lookups`.
     pub memo_hits: usize,
-    /// Memo hits resolved through the strash-id fast path (no cone
-    /// extraction); a subset of `memo_hits`.
+    /// Always 0, as `memo_lookups`.
     pub memo_id_hits: usize,
     /// Node constructions the strash arena saw while decomposing (before
     /// constant folding and deduplication).
@@ -52,7 +50,7 @@ pub struct MapReport {
     /// being re-evaluated (0 outside [`Mapper::map_incremental`]).
     pub labels_reused: usize,
     /// 64-wide candidate words the batched match kernel evaluated during
-    /// labeling (memo replays evaluate none).
+    /// labeling.
     pub match_words: usize,
     /// Set bits across the evaluated candidate words — with `match_words`
     /// this gives the kernel's batch occupancy.
@@ -135,17 +133,14 @@ impl<'a> Mapper<'a> {
         subject: &SubjectGraph,
         options: MapOptions,
     ) -> Result<(MappedNetlist, MapReport), MapError> {
-        self.map_structural(subject, options, None, None, false)
+        self.map_structural(subject, options, None, false)
             .map(|(mapped, report, _)| (mapped, report))
     }
 
-    /// Like [`Mapper::map_with_report`], memoizing through a cross-run
-    /// [`SharedMatchStore`] so repeated cone shapes are enumerated once per
-    /// library rather than once per mapping run.
-    ///
-    /// Area recovery probes the same store. Results are bit-identical to
-    /// [`Mapper::map_with_report`] because shared-memo replay preserves
-    /// enumeration order exactly.
+    /// [`Mapper::map_with_report`] under the signature that used to carry
+    /// a cross-run memo. The [`SharedMatchStore`] is the inert handle of
+    /// the retired memo and is ignored: this maps exactly as
+    /// [`Mapper::map_with_report`] does.
     ///
     /// # Errors
     ///
@@ -154,10 +149,9 @@ impl<'a> Mapper<'a> {
         &self,
         subject: &SubjectGraph,
         options: MapOptions,
-        shared: &SharedMatchStore,
+        _shared: &SharedMatchStore,
     ) -> Result<(MappedNetlist, MapReport), MapError> {
-        self.map_structural(subject, options, Some(shared), None, false)
-            .map(|(mapped, report, _)| (mapped, report))
+        self.map_with_report(subject, options)
     }
 
     /// Maps `subject` with matches drawn from an arbitrary [`MatchSource`]
@@ -187,7 +181,8 @@ impl<'a> Mapper<'a> {
     /// re-mapping. The snapshot is `None` when the subject's signature map
     /// is not injective (duplicate structure defeats signature addressing,
     /// which subjects built by [`SubjectGraph::from_network`] never have:
-    /// its strash arena merges structurally identical nodes).
+    /// its strash arena merges structurally identical nodes). The store
+    /// argument is ignored, as for [`Mapper::map_with_report_shared`].
     ///
     /// # Errors
     ///
@@ -196,9 +191,9 @@ impl<'a> Mapper<'a> {
         &self,
         subject: &SubjectGraph,
         options: MapOptions,
-        shared: Option<&SharedMatchStore>,
+        _shared: Option<&SharedMatchStore>,
     ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
-        self.map_structural(subject, options, shared, None, true)
+        self.map_structural(subject, options, None, true)
     }
 
     /// Incrementally re-maps an edited design: labels of nodes untouched by
@@ -207,7 +202,8 @@ impl<'a> Mapper<'a> {
     /// mapped netlist is bit-identical to a cold [`Mapper::map`] of the
     /// same subject — also when `retained` was taken under another
     /// library, match mode or objective, which reuses nothing. Returns the
-    /// refreshed snapshot for the next edit.
+    /// refreshed snapshot for the next edit. The store argument is
+    /// ignored, as for [`Mapper::map_with_report_shared`].
     ///
     /// # Errors
     ///
@@ -217,19 +213,17 @@ impl<'a> Mapper<'a> {
         subject: &SubjectGraph,
         options: MapOptions,
         retained: &RetainedLabels,
-        shared: Option<&SharedMatchStore>,
+        _shared: Option<&SharedMatchStore>,
     ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
-        self.map_structural(subject, options, shared, Some(retained), true)
+        self.map_structural(subject, options, Some(retained), true)
     }
 
     /// The structural entry points: the mappable check, then the driver
-    /// over one [`StructuralSource`] memoizing through `shared` (or
-    /// through a run-private store).
+    /// over one [`StructuralSource`].
     fn map_structural(
         &self,
         subject: &SubjectGraph,
         options: MapOptions,
-        shared: Option<&SharedMatchStore>,
         retained: Option<&RetainedLabels>,
         retain: bool,
     ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
@@ -239,7 +233,7 @@ impl<'a> Mapper<'a> {
             });
         }
         let config = options.match_config();
-        let source = StructuralSource::new(self.library, options.match_mode, config, shared);
+        let source = StructuralSource::new(self.library, options.match_mode, config);
         let algorithm = options.algorithm_name();
         self.drive(subject, options, &source, algorithm, retained, retain)
     }
@@ -266,11 +260,6 @@ impl<'a> Mapper<'a> {
         let t0 = Instant::now();
         let (labels, inc) = label_pass(subject, source, options.objective, retained)?;
         let label_seconds = t0.elapsed().as_secs_f64();
-        let snapshot = if retain {
-            RetainedLabels::from_labels(subject, &labels)
-        } else {
-            None
-        };
 
         let (mapped, cover_seconds) = dagmap_obs::timed("cover", || {
             cover::construct(subject, self.library, &labels.best)
@@ -314,6 +303,10 @@ impl<'a> Mapper<'a> {
             area_recovery_seconds,
             decompose_seconds: subject.decompose_seconds(),
         };
+        // The snapshot takes the labels over once nothing else reads them.
+        let snapshot = retain
+            .then(|| RetainedLabels::from_owned(subject, labels))
+            .flatten();
         Ok((mapped, report, snapshot))
     }
 
@@ -337,9 +330,7 @@ impl<'a> Mapper<'a> {
         let mut best = mapped;
         let mut estimate_base = labels.clone();
         // One kit across all refinement rounds: the subject's automaton
-        // states are computed once and every round reuses them (and where
-        // the memo is on, as in the serve daemon, later rounds replay the
-        // enumerations round 1 recorded).
+        // states are computed once and every round reuses them.
         let mut kit = source.make_kit(subject);
         for _ in 0..3 {
             let _round = dagmap_obs::span("area_recovery.round");
@@ -367,7 +358,7 @@ impl<'a> Mapper<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dagmap_netlist::{Network, NodeFn};
+    use dagmap_netlist::{blif, Network, NodeFn};
 
     fn figure2_subject() -> SubjectGraph {
         // The paper's Figure 2 shape: a shared middle cone (b·c) feeding two
@@ -463,31 +454,34 @@ mod tests {
     }
 
     #[test]
-    fn shared_store_mapping_is_bit_identical_to_local() {
+    fn shared_store_calls_map_like_the_private_path() {
         let subject = figure2_subject();
         let lib = Library::lib2_like();
         let mapper = Mapper::new(&lib);
-        // Force the memo on, as the serve daemon does: one-shot mapping
-        // runs without it.
-        let opts = MapOptions::dag().with_match_memo(true);
-        let (local, local_rep) = mapper.map_with_report(&subject, opts).unwrap();
-        let reference = local.to_network().unwrap();
-
         let shared = SharedMatchStore::for_library(&lib, 4, 1024);
-        // Cold run populates the store; warm run replays it. Both must equal
-        // the local-store result exactly.
-        for _ in 0..2 {
+        for opts in [
+            MapOptions::dag(),
+            MapOptions::dag().with_area_recovery().with_match_memo(true),
+        ] {
+            let (local, local_rep) = mapper.map_with_report(&subject, opts).unwrap();
+            let reference = blif::to_string(&local.to_network().unwrap()).unwrap();
             let (mapped, rep) = mapper
                 .map_with_report_shared(&subject, opts, &shared)
                 .unwrap();
-            assert_eq!(rep.delay, local_rep.delay);
-            assert_eq!(rep.area, local_rep.area);
-            assert_eq!(rep.num_cells, local_rep.num_cells);
-            assert_eq!(rep.matches_enumerated, local_rep.matches_enumerated);
-            let lowered = mapped.to_network().unwrap();
-            assert!(dagmap_netlist::sim::equivalent_random(&reference, &lowered, 16, 7).unwrap());
+            let (retained, ret_rep, _) = mapper
+                .map_with_report_retaining(&subject, opts, Some(&shared))
+                .unwrap();
+            for (m, r) in [(&mapped, &rep), (&retained, &ret_rep)] {
+                assert_eq!(
+                    blif::to_string(&m.to_network().unwrap()).unwrap(),
+                    reference
+                );
+                assert_eq!(r.matches_enumerated, local_rep.matches_enumerated);
+                assert_eq!(r.matches_pruned, local_rep.matches_pruned);
+                assert_eq!((r.memo_lookups, r.memo_hits, r.memo_id_hits), (0, 0, 0));
+            }
         }
-        assert!(shared.hits() > 0, "warm run should replay shared classes");
+        assert_eq!((shared.evictions(), shared.resident_classes()), (0, 0));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use dagmap_match::{MatchMode, MemoPolicy};
+use dagmap_match::MatchMode;
 
 /// What the labeling phase optimizes.
 ///
@@ -50,24 +50,11 @@ pub struct MapOptions {
     ///
     /// [`MapReport::label_threads`]: crate::MapReport::label_threads
     pub num_threads: Option<usize>,
-    /// Stage-1 match acceleration: filter candidate patterns and partial
+    /// Match acceleration: filter candidate patterns and partial
     /// bindings through the library's tree automaton. On by default;
     /// provably result-identical either way (it only skips search that
     /// could never complete a match).
     pub use_match_index: bool,
-    /// Stage-2 match acceleration: memoize whole match enumerations by
-    /// canonical cone class and replay them at isomorphic nodes. Provably
-    /// result-identical in every position (replay preserves the enumeration
-    /// order). Off by default: with the automaton on, fresh enumeration is
-    /// cheaper than the per-node cone probe. The serve daemon turns it on,
-    /// where repeat requests replay a warm store.
-    pub match_memo: MemoPolicy,
-    /// Stage-3 match acceleration: key warm memo probes on the subject
-    /// graph's strash signatures so repeat probes skip cone extraction
-    /// entirely. Result-identical either way (it resolves to the same
-    /// stored class the cone key would); on by default. Only meaningful
-    /// when the memo is in effect and the match mode is not `Exact`.
-    pub strash_ids: bool,
 }
 
 impl MapOptions {
@@ -81,8 +68,6 @@ impl MapOptions {
             delay_target: None,
             num_threads: None,
             use_match_index: true,
-            match_memo: MemoPolicy::Off,
-            strash_ids: true,
         }
     }
 
@@ -96,8 +81,6 @@ impl MapOptions {
             delay_target: None,
             num_threads: None,
             use_match_index: true,
-            match_memo: MemoPolicy::Off,
-            strash_ids: true,
         }
     }
 
@@ -111,8 +94,6 @@ impl MapOptions {
             delay_target: None,
             num_threads: None,
             use_match_index: true,
-            match_memo: MemoPolicy::Off,
-            strash_ids: true,
         }
     }
 
@@ -125,8 +106,6 @@ impl MapOptions {
             delay_target: None,
             num_threads: None,
             use_match_index: true,
-            match_memo: MemoPolicy::Off,
-            strash_ids: true,
         }
     }
 
@@ -140,8 +119,6 @@ impl MapOptions {
             delay_target: None,
             num_threads: None,
             use_match_index: true,
-            match_memo: MemoPolicy::Off,
-            strash_ids: true,
         }
     }
 
@@ -159,33 +136,23 @@ impl MapOptions {
         self
     }
 
-    /// Sets every match-acceleration stage at once (`false` reproduces the
-    /// naive full-scan matcher; useful for benchmarking and for the
-    /// bit-identity test suite). `true` turns the memo on too.
-    pub fn with_match_acceleration(mut self, on: bool) -> MapOptions {
-        self.use_match_index = on;
-        self.match_memo = if on { MemoPolicy::On } else { MemoPolicy::Off };
-        self.strash_ids = on;
-        self
+    /// Sets the match acceleration (`false` reproduces the naive
+    /// full-scan matcher; useful for benchmarking and for the bit-identity
+    /// test suite). The same switch as [`MapOptions::with_match_index`].
+    pub fn with_match_acceleration(self, on: bool) -> MapOptions {
+        self.with_match_index(on)
     }
 
-    /// Sets the stage-1 automaton index switch.
+    /// Sets the automaton index switch.
     pub fn with_match_index(mut self, on: bool) -> MapOptions {
         self.use_match_index = on;
         self
     }
 
-    /// Turns the stage-2 cone-class memoization on or off (default off).
-    pub fn with_match_memo(mut self, on: bool) -> MapOptions {
-        self.match_memo = if on { MemoPolicy::On } else { MemoPolicy::Off };
-        self
-    }
-
-    /// Sets the stage-3 strash-id memo keying switch. Off forces every memo
-    /// probe down the canonical-cone path; the mapped output is
-    /// bit-identical either way.
-    pub fn with_strash_ids(mut self, on: bool) -> MapOptions {
-        self.strash_ids = on;
+    /// Ignored: the cone-class memo is retired, so every value labels the
+    /// same way. The call keeps existing callers compiling, as
+    /// [`MapOptions::num_threads`] does.
+    pub fn with_match_memo(self, _on: bool) -> MapOptions {
         self
     }
 
@@ -193,8 +160,6 @@ impl MapOptions {
     pub fn match_config(&self) -> dagmap_match::MatchConfig {
         dagmap_match::MatchConfig {
             index: self.use_match_index,
-            memo: self.match_memo,
-            strash_ids: self.strash_ids,
         }
     }
 
@@ -228,13 +193,13 @@ mod tests {
     fn match_acceleration_defaults_on() {
         let opts = MapOptions::dag();
         assert!(opts.use_match_index);
-        assert_eq!(opts.match_memo, MemoPolicy::Off);
         assert_eq!(opts.match_config(), dagmap_match::MatchConfig::default());
         let off = opts.with_match_acceleration(false);
-        assert!(!off.use_match_index && off.match_memo == MemoPolicy::Off);
-        let forced = opts.with_match_acceleration(true);
-        assert!(forced.use_match_index && forced.match_memo == MemoPolicy::On);
-        let mixed = MapOptions::tree().with_match_memo(false);
-        assert!(mixed.use_match_index && mixed.match_memo == MemoPolicy::Off);
+        assert!(!off.use_match_index);
+        assert_eq!(off.match_config(), dagmap_match::MatchConfig::baseline());
+        assert!(off.with_match_acceleration(true).use_match_index);
+        // The retired memo switch is accepted and changes nothing.
+        assert_eq!(opts.with_match_memo(true), opts);
+        assert_eq!(off.with_match_memo(true), off);
     }
 }

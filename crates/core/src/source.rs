@@ -9,16 +9,14 @@
 //! area-recovery code: match counters, obs spans and `MapReport` all come
 //! for free with an implementation.
 //!
-//! The mutable matching state — scratch arenas, memo stores,
+//! The mutable matching state — scratch arenas, automaton states,
 //! canonicalization caches — lives in the source's [`MatchSource::Kit`],
 //! created once per pass by [`MatchSource::make_kit`] (area recovery makes
 //! one more for its rounds). This mirrors how the structural matcher
-//! splits `Matcher` from `MatchScratch` and its memo store.
+//! splits `Matcher` from `MatchScratch`.
 
 use dagmap_genlib::{GateId, Library, PatternId};
-use dagmap_match::{
-    MatchConfig, MatchMode, MatchScratch, MatchStats, MatchView, Matcher, SharedMatchStore,
-};
+use dagmap_match::{MatchConfig, MatchMode, MatchScratch, MatchStats, MatchView, Matcher};
 use dagmap_netlist::{NodeId, SubjectGraph};
 
 /// One candidate match, borrowed from the source's kit. The labeling DP
@@ -44,7 +42,7 @@ pub struct SourceMatch<'a> {
 /// emission *sequence* must not depend on timing or on what the kit has
 /// cached, because the DP's tie-breaking keeps the first optimum seen.
 pub trait MatchSource {
-    /// Per-pass mutable state (scratch arenas, memo stores, caches).
+    /// Per-pass mutable state (scratch arenas, caches).
     type Kit;
 
     /// The library matches instantiate gates from.
@@ -78,32 +76,19 @@ pub trait MatchSource {
 pub struct StructuralSource<'a> {
     matcher: Matcher<'a>,
     mode: MatchMode,
-    /// Cross-request memo (the serve daemon); `None` memoizes per kit.
-    shared: Option<&'a SharedMatchStore>,
 }
 
-/// Per-pass state of a [`StructuralSource`].
-pub struct StructuralKit {
-    scratch: MatchScratch,
-    /// Run-private memo: one shard, no class cap. Unused when the source
-    /// carries a shared store.
-    store: SharedMatchStore,
-}
+/// Per-pass state of a [`StructuralSource`]: the matcher's scratch, with
+/// the subject's automaton states.
+pub type StructuralKit = MatchScratch;
 
 impl<'a> StructuralSource<'a> {
     /// A structural source over `library` matching under `mode` with the
-    /// acceleration stages of `config`, memoizing through `shared` when
-    /// given and through a private store per kit otherwise.
-    pub fn new(
-        library: &'a Library,
-        mode: MatchMode,
-        config: MatchConfig,
-        shared: Option<&'a SharedMatchStore>,
-    ) -> StructuralSource<'a> {
+    /// acceleration of `config`.
+    pub fn new(library: &'a Library, mode: MatchMode, config: MatchConfig) -> StructuralSource<'a> {
         StructuralSource {
             matcher: Matcher::with_config(library, config),
             mode,
-            shared,
         }
     }
 }
@@ -123,11 +108,7 @@ impl MatchSource for StructuralSource<'_> {
     /// the level loop (one transition-table lock per pass), so no wave
     /// allocates.
     fn make_kit(&self, subject: &SubjectGraph) -> StructuralKit {
-        let library = self.matcher.library();
-        StructuralKit {
-            scratch: self.matcher.scratch_for(subject),
-            store: SharedMatchStore::for_library(library, 1, usize::MAX),
-        }
+        self.matcher.scratch_for(subject)
     }
 
     fn for_each_match(
@@ -137,23 +118,14 @@ impl MatchSource for StructuralSource<'_> {
         kit: &mut StructuralKit,
         f: &mut dyn FnMut(SourceMatch<'_>),
     ) -> MatchStats {
-        // The matcher replays memoized cone classes when the memo is on and
-        // enumerates directly (filtered by the automaton when the index is
-        // on) otherwise; the callback sequence is identical either way.
-        self.matcher.for_each_match_shared(
-            subject,
-            node,
-            self.mode,
-            &mut kit.scratch,
-            self.shared.unwrap_or(&kit.store),
-            &mut |mv: MatchView<'_>| {
+        self.matcher
+            .for_each_match_at(subject, node, self.mode, kit, &mut |mv: MatchView<'_>| {
                 f(SourceMatch {
                     gate: mv.gate,
                     pattern: Some(mv.pattern),
                     leaves: mv.leaves,
                     covered: mv.covered,
                 })
-            },
-        )
+            })
     }
 }

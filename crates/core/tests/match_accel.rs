@@ -1,53 +1,23 @@
-//! Bit-identity of the match-acceleration stages: the automaton index and
-//! the cone-class memo may only change how much work the matcher performs,
-//! never what it returns. Labels (arrivals, area flows, selected matches),
-//! mapped netlists and critical delays must agree bit for bit across every
-//! acceleration configuration, library and match semantics.
+//! Bit-identity of the match acceleration: the automaton index may only
+//! change how much work the matcher performs, never what it returns.
+//! Labels (arrivals, area flows, selected matches), mapped netlists and
+//! critical delays must agree bit for bit with the index on and off, across
+//! every library and match semantics.
 
 use dagmap_benchgen::random_network;
-use dagmap_core::{label_with_config, MapOptions, Mapper, MatchMode, Objective};
+use dagmap_core::{
+    label_with_config, label_with_shared_store, MapOptions, Mapper, MatchMode, Objective,
+    SharedMatchStore,
+};
 use dagmap_genlib::Library;
-use dagmap_match::{MatchConfig, MemoPolicy};
+use dagmap_match::MatchConfig;
 use dagmap_netlist::SubjectGraph;
 
 const MODES: [MatchMode; 3] = [MatchMode::Standard, MatchMode::Exact, MatchMode::Extended];
 
-/// Index × memo × strash-id combinations, baseline first. The memoized rows
-/// run with strash-id keying both off and on — the id fast path must replay
-/// exactly what the cone key would.
-fn configs() -> [MatchConfig; 6] {
-    [
-        MatchConfig {
-            index: false,
-            memo: MemoPolicy::Off,
-            strash_ids: false,
-        },
-        MatchConfig {
-            index: true,
-            memo: MemoPolicy::Off,
-            strash_ids: false,
-        },
-        MatchConfig {
-            index: false,
-            memo: MemoPolicy::On,
-            strash_ids: false,
-        },
-        MatchConfig {
-            index: true,
-            memo: MemoPolicy::On,
-            strash_ids: false,
-        },
-        MatchConfig {
-            index: false,
-            memo: MemoPolicy::On,
-            strash_ids: true,
-        },
-        MatchConfig {
-            index: true,
-            memo: MemoPolicy::On,
-            strash_ids: true,
-        },
-    ]
+/// The index off and on, baseline first.
+fn configs() -> [MatchConfig; 2] {
+    [MatchConfig::baseline(), MatchConfig::default()]
 }
 
 fn builtin_libraries() -> [Library; 4] {
@@ -87,16 +57,26 @@ fn labels_are_bit_identical_across_configs_libraries_and_modes() {
                     reference.critical_delay(&subject).to_bits(),
                     "{tag}"
                 );
-                // The memo never changes the pruned count of the config it
-                // accelerates, and the index can only add to it.
+                // The index can only add to the pruned count.
                 if config.index {
                     assert!(l.matches_pruned >= reference.matches_pruned, "{tag}");
                 } else {
                     assert_eq!(l.matches_pruned, reference.matches_pruned, "{tag}");
                 }
-                if config.memo == MemoPolicy::On {
-                    assert!(l.memo_lookups > 0 && l.memo_hits > 0, "{tag}");
-                }
+                // The retired memo's store call labels as the plain call
+                // does, and its counters read 0.
+                let store = SharedMatchStore::for_library(lib, 16, 1 << 16);
+                let s =
+                    label_with_shared_store(&subject, lib, mode, Objective::Delay, config, &store)
+                        .expect("labels through the store call");
+                assert_eq!(s.arrival, l.arrival, "{tag}");
+                assert_eq!(s.best, l.best, "{tag}");
+                assert_eq!(s.matches_pruned, l.matches_pruned, "{tag}");
+                assert_eq!(
+                    (s.memo_lookups, s.memo_hits, s.memo_id_hits),
+                    (0, 0, 0),
+                    "{tag}"
+                );
             }
         }
     }
@@ -163,46 +143,6 @@ fn seeded_random_dags_label_identically_under_every_acceleration() {
                 assert_eq!(l.arrival, reference.arrival, "{tag}");
                 assert_eq!(l.best, reference.best, "{tag}");
                 assert_eq!(l.matches_enumerated, reference.matches_enumerated, "{tag}");
-            }
-        }
-    }
-}
-
-/// Why one-shot labeling runs without the memo: within one serial pass the
-/// memo probes every gate exactly once, and the strash-id fast path never
-/// hits — id keying needs an injective signature map, so no signature
-/// repeats inside one subject. Every one-shot probe therefore pays a cone
-/// extraction, and id hits only ever come from a store warmed by an
-/// earlier run.
-#[test]
-fn one_shot_memo_probes_every_gate_once_and_never_hits_by_id() {
-    let config = MatchConfig {
-        index: true,
-        memo: MemoPolicy::On,
-        strash_ids: true,
-    };
-    for net in [
-        dagmap_benchgen::array_multiplier(6),
-        random_network(8, 200, 5),
-    ] {
-        let subject = SubjectGraph::from_network(&net).expect("decomposes");
-        assert!(
-            subject.signatures().is_injective(),
-            "strashed subjects are injective"
-        );
-        let gates = subject.num_gates();
-        for lib in builtin_libraries() {
-            for mode in [MatchMode::Standard, MatchMode::Extended] {
-                let labels =
-                    label_with_config(&subject, &lib, mode, Objective::Delay, Some(1), config)
-                        .expect("labels");
-                assert_eq!(labels.memo_lookups, gates, "{}/{mode:?}", lib.name());
-                assert_eq!(labels.memo_id_hits, 0, "{}/{mode:?}", lib.name());
-                assert!(
-                    labels.memo_hits > 0,
-                    "{}/{mode:?}: cone keys recur",
-                    lib.name()
-                );
             }
         }
     }

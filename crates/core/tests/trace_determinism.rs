@@ -16,10 +16,9 @@ use dagmap_genlib::Library;
 use dagmap_netlist::{blif, SubjectGraph};
 
 /// Counters whose values are part of the mapper's deterministic contract:
-/// invariant across acceleration settings. The memo counters
-/// (`match.memo_*`) and `match.pruned` legitimately vary with acceleration
-/// (a disabled memo counts no lookups; the automaton index prunes
-/// candidates earlier), so they are deliberately absent here.
+/// invariant across acceleration settings. `match.pruned` legitimately
+/// varies with acceleration (the automaton index prunes candidates
+/// earlier), so it is deliberately absent here.
 const INVARIANT_COUNTERS: &[&str] = &[
     "decompose.gates",
     "decompose.multi_fanout",

@@ -16,9 +16,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dagmap_core::{label_with_config, label_with_shared_store, Objective};
+use dagmap_core::{label_with_config, Objective};
 use dagmap_genlib::Library;
-use dagmap_match::{MatchConfig, MatchMode, MemoPolicy, SharedMatchStore};
+use dagmap_match::{MatchConfig, MatchMode};
 use dagmap_netlist::{sim, SubjectGraph};
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
@@ -73,11 +73,7 @@ fn steady_state_waves_allocate_nothing() {
                     mode,
                     Objective::Delay,
                     Some(1),
-                    MatchConfig {
-                        index: true,
-                        memo: MemoPolicy::Off,
-                        strash_ids: false,
-                    },
+                    MatchConfig::default(),
                 )
                 .expect("labels");
                 assert_eq!(
@@ -96,55 +92,6 @@ fn steady_state_waves_allocate_nothing() {
                 );
             }
         }
-    }
-
-    // The strashed warm steady state: once a shared store has seen a
-    // subject, a repeat labeling resolves every gate through the strash-id
-    // fast path — a hash probe plus replay through pre-sized buffers — so
-    // warm waves allocate nothing either. (The cold run is exempt: it
-    // grows the store.)
-    let warm_config = MatchConfig {
-        index: true,
-        memo: MemoPolicy::On,
-        strash_ids: true,
-    };
-    for (name, net) in &circuits {
-        let subject = SubjectGraph::from_network(net).expect("decomposes");
-        let lib = Library::lib_44_3_like();
-        let shared = SharedMatchStore::for_library(&lib, 16, 1 << 14);
-        let cold = label_with_shared_store(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            warm_config,
-            &shared,
-        )
-        .expect("cold labels");
-        let warm = label_with_shared_store(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            warm_config,
-            &shared,
-        )
-        .expect("warm labels");
-        assert_eq!(
-            warm.arrival, cold.arrival,
-            "{name}: warm run is bit-identical"
-        );
-        assert_eq!(warm.best, cold.best, "{name}: warm run is bit-identical");
-        assert!(
-            warm.memo_id_hits > 0,
-            "{name}: warm run resolves through strash ids"
-        );
-        let total: usize = warm.wave_allocs.iter().sum();
-        assert_eq!(
-            total, 0,
-            "{name}: warm strashed waves allocated {:?}",
-            warm.wave_allocs
-        );
     }
 
     // The equivalence checker: one compile per network and one value buffer

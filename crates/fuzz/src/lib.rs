@@ -5,8 +5,8 @@
 //! The paper's claim is *optimality*: DAG covering must never be beaten on
 //! delay by tree covering, must always stay functionally equivalent to its
 //! subject graph, and must produce bit-identical results across every
-//! performance configuration (automaton index, cone-class memo,
-//! strash-id keying, incremental re-mapping). This crate sweeps that whole
+//! performance configuration (automaton index, incremental re-mapping).
+//! This crate sweeps that whole
 //! matrix adversarially:
 //!
 //! 1. **Generate** a random combinational or sequential network from a seed
@@ -55,8 +55,8 @@ use std::path::PathBuf;
 
 pub use case::{generate_case, Case};
 pub use checks::{
-    check_network, depth_lower_bound, libraries_under_test, CaseViolation, InvariantKind,
-    LibUnderTest, Matrix,
+    check_network, depth_lower_bound, libraries_under_test, CaseOutcome, CaseViolation,
+    InvariantKind, LibUnderTest, Matrix,
 };
 
 /// Boxed error: the fuzzer only errors on substrate failures (I/O, cyclic

@@ -336,7 +336,7 @@ impl Library {
 
     /// Maximum NAND/INV depth over the expanded pattern set. Subject logic
     /// deeper than this below a node can never influence a match rooted
-    /// there — the truncation horizon of the cone-class memoizer.
+    /// there — the truncation horizon of the cone-class match store.
     pub fn max_pattern_depth(&self) -> u32 {
         self.max_pattern_depth
     }

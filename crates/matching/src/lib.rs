@@ -24,19 +24,20 @@
 //! one pin order per distinct way of feeding the gate, not once per
 //! permutation of interchangeable pins.
 //!
-//! Two acceleration stages (switchable via [`MatchConfig`]) sit in front of
-//! the backtracking search. The *index*, on by default, is the library's
-//! bottom-up tree automaton over its pattern subtrees
+//! One acceleration stage (switchable via [`MatchConfig`]) sits in front
+//! of the backtracking search. The *index*, on by default, is the
+//! library's bottom-up tree automaton over its pattern subtrees
 //! ([`dagmap_genlib::Automaton`]): a subject node's state names the pattern
 //! subtrees that embed there under a relaxed match, so only patterns whose
 //! root subtree is in the state are tried, and partial bindings the state
-//! rules out are abandoned. The cone-class *memoization* layer
-//! ([`SharedMatchStore`], probed through
-//! [`Matcher::for_each_match_shared`]), off by default and on in the serve
-//! daemon, records one canonical enumeration per bounded-depth cone class
-//! and replays it at isomorphic nodes. Both preserve the enumeration order
-//! of the naive full scan exactly, so labels, tie-breaks and mapped
-//! netlists are bit-identical with the stages on or off.
+//! rules out are abandoned. It preserves the enumeration order of the
+//! naive full scan exactly, so labels, tie-breaks and mapped netlists are
+//! bit-identical with the index on or off. A [`MatchStore`] records one
+//! enumeration per bounded-depth cone class for callers that keep match
+//! templates themselves ([`Matcher::class_at`]); mapping runs enumerate
+//! fresh, which the automaton makes cheaper than a cone probe.
+//! [`SharedMatchStore`] is the inert handle left from the retired
+//! cross-request memo.
 //!
 //! # Example
 //!
@@ -70,8 +71,6 @@ mod matcher;
 pub mod shared;
 pub mod store;
 
-pub use matcher::{
-    Match, MatchConfig, MatchMode, MatchScratch, MatchStats, MatchView, Matcher, MemoPolicy,
-};
+pub use matcher::{Match, MatchConfig, MatchMode, MatchScratch, MatchStats, MatchView, Matcher};
 pub use shared::SharedMatchStore;
 pub use store::{ClassId, MatchStore, TemplateRef};

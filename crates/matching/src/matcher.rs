@@ -2,9 +2,8 @@ use dagmap_genlib::{
     GateId, LibPattern, Library, PatternId, PatternNode, SubjectStates, LEAF_SUBTREE,
 };
 use dagmap_netlist::fingerprint::{extract_cone, ConeScratch};
-use dagmap_netlist::{FlatNet, NodeId, Sig, Signatures, SubjectGraph, KIND_INV, KIND_NAND};
+use dagmap_netlist::{FlatNet, NodeId, SubjectGraph, KIND_INV, KIND_NAND};
 
-use crate::shared::{Shard, SharedMatchStore};
 use crate::store::{ClassId, ConeKey, MatchStore};
 
 /// Which match semantics to enforce (Definitions 1–3 of the paper).
@@ -81,16 +80,7 @@ pub struct MatchStats {
     /// [`MatchConfig`]; it measures avoided work, while `enumerated` and the
     /// match sequence itself are configuration-independent.
     pub pruned: usize,
-    /// Cone-class lookups performed (1 per memoized call, 0 otherwise).
-    pub memo_lookups: usize,
-    /// Cone-class lookups that hit and replayed a stored enumeration.
-    pub memo_hits: usize,
-    /// Memo hits resolved through the strash-id fast path: the node's
-    /// structural signature went straight to its class, skipping cone
-    /// extraction entirely. Always ≤ `memo_hits`.
-    pub memo_id_hits: usize,
-    /// 64-wide candidate words evaluated by the batched kernel. Memo
-    /// replays touch no words, so this counts *performed* kernel work.
+    /// 64-wide candidate words evaluated by the batched kernel.
     pub words: usize,
     /// Set bits across the evaluated candidate words — together with
     /// `words` this yields the kernel's batch occupancy.
@@ -102,39 +92,14 @@ impl MatchStats {
     pub fn absorb(&mut self, other: MatchStats) {
         self.enumerated += other.enumerated;
         self.pruned += other.pruned;
-        self.memo_lookups += other.memo_lookups;
-        self.memo_hits += other.memo_hits;
-        self.memo_id_hits += other.memo_id_hits;
         self.words += other.words;
         self.candidate_bits += other.candidate_bits;
     }
 }
 
-/// Whether to memoize whole enumerations by cone class (stage 2 of the
-/// match acceleration).
-///
-/// Memoization pays a canonical cone extraction and a hash probe on *every*
-/// node; it wins only when the enumeration it replaces is expensive. With
-/// the automaton filtering candidates (stage 1), a fresh enumeration is
-/// cheaper than that probe on every builtin library, so one-shot labeling
-/// runs with the memo off. The O(1) strash-id probe does not change that
-/// within one pass: id keying needs an injective signature map, so no
-/// signature repeats inside a subject and every probe of a one-shot
-/// labeling extracts a cone. Id hits pay off only across requests,
-/// area-recovery rounds and remaps, which is why the serve daemon turns the
-/// memo on.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
-pub enum MemoPolicy {
-    /// Always memoize.
-    On,
-    /// Never memoize.
-    Off,
-}
-
-/// Switches for the match-acceleration stages. The automaton index and
-/// strash-id keying default on, the memo off; every stage preserves the
-/// exact match sequence (and therefore every downstream label, tie-break
-/// and mapped netlist) of the naive full scan.
+/// The match-acceleration switch. The automaton index defaults on and
+/// preserves the exact match sequence (and therefore every downstream
+/// label, tie-break and mapped netlist) of the naive full scan.
 #[derive(Debug, Copy, Clone, PartialEq, Eq)]
 pub struct MatchConfig {
     /// Stage 1: filter candidates through the library's tree automaton
@@ -144,39 +109,18 @@ pub struct MatchConfig {
     /// state. Off, the matcher runs the reference scan: every rooted
     /// pattern the depth pre-filter admits, searched without the filter.
     pub index: bool,
-    /// Stage 2: memoize whole enumerations by canonical cone class in a
-    /// [`SharedMatchStore`] and replay them through the cone isomorphism.
-    /// Only takes effect through [`Matcher::for_each_match_shared`], which
-    /// carries the store.
-    pub memo: MemoPolicy,
-    /// Stage 3: key warm memo probes on the subject's structural
-    /// signatures ([`dagmap_netlist::strash`]) so a repeat probe is one
-    /// O(1) hash lookup instead of a canonical cone extraction. Falls back
-    /// to cone keys automatically when signatures are unusable (exact-mode
-    /// semantics, which key on fanout counts signatures don't capture, or
-    /// a non-injective signature map). Only meaningful when `memo` is in
-    /// effect; replay sequences are identical either way.
-    pub strash_ids: bool,
 }
 
 impl Default for MatchConfig {
     fn default() -> MatchConfig {
-        MatchConfig {
-            index: true,
-            memo: MemoPolicy::Off,
-            strash_ids: true,
-        }
+        MatchConfig { index: true }
     }
 }
 
 impl MatchConfig {
-    /// Both stages off: the naive full scan (the reference behavior).
+    /// The index off: the naive full scan (the reference behavior).
     pub fn baseline() -> MatchConfig {
-        MatchConfig {
-            index: false,
-            memo: MemoPolicy::Off,
-            strash_ids: false,
-        }
+        MatchConfig { index: false }
     }
 }
 
@@ -198,9 +142,8 @@ impl MatchConfig {
 /// One scratch per thread is the intended usage; a `dagmap-core`
 /// labeling pass keeps one for the whole pass.
 ///
-/// The scratch also embeds a [`ConeScratch`] used by the memoized entry
-/// points ([`Matcher::class_at`], [`Matcher::for_each_match_shared`]) to
-/// canonicalize the bounded-depth cone of the queried node, and the
+/// The scratch also embeds a [`ConeScratch`] used by [`Matcher::class_at`]
+/// to canonicalize the bounded-depth cone of the queried node, and the
 /// automaton states of the subject it was last used on, keyed by
 /// [`SubjectGraph::uid`] and the library's automaton: a scratch used on
 /// another subject recomputes them on first use ([`Matcher::scratch_for`]
@@ -210,14 +153,10 @@ pub struct MatchScratch {
     bufs: EnumBufs,
     cone: ConeScratch,
     states: SubjectStates,
-    /// Concrete subject nodes a strash-id memo hit resolved its stored
-    /// local signatures to; plays the role `cone.locals()` plays on the
-    /// cone-keyed path.
-    id_locals: Vec<NodeId>,
 }
 
 /// The enumeration-only buffers, split out so the cone scratch can be
-/// borrowed independently during memo capture.
+/// borrowed independently while a class is recorded.
 #[derive(Debug, Default, Clone)]
 struct EnumBufs {
     binding: Vec<Option<NodeId>>,
@@ -269,10 +208,6 @@ impl MatchScratch {
         bufs.seen_leaves
             .reserve(embeddings * library.max_gate_inputs());
         self.cone.prepare(num_nodes, library.max_pattern_depth());
-        // A depth-D cone over 2-input nodes holds at most 2^(D+1) nodes,
-        // which bounds any stored class's local table.
-        let cone_cap = (2usize << library.max_pattern_depth().min(12)).min(num_nodes.max(1));
-        self.id_locals.reserve(cone_cap);
     }
 }
 
@@ -313,12 +248,6 @@ impl<'a> Matcher<'a> {
     /// The acceleration configuration in effect.
     pub fn config(&self) -> MatchConfig {
         self.config
-    }
-
-    /// Whether [`Matcher::for_each_match_shared`] will actually consult the
-    /// match store.
-    pub fn memo_enabled(&self) -> bool {
-        self.config.memo == MemoPolicy::On
     }
 
     /// A scratch sized for enumerating this matcher's library over
@@ -372,6 +301,8 @@ impl<'a> Matcher<'a> {
     /// only ones skipped. [`MatchStats::pruned`] counts the skipped
     /// patterns. Either way the surviving candidates are tried in ascending
     /// pattern order, so the match sequence is identical to the full scan.
+    /// Each call records its match count in the `match.per_node` obs
+    /// histogram.
     pub fn for_each_match_at(
         &self,
         subject: &SubjectGraph,
@@ -381,11 +312,13 @@ impl<'a> Matcher<'a> {
         f: &mut dyn FnMut(MatchView<'_>),
     ) -> MatchStats {
         let states = self.states_for(subject, &mut scratch.states);
-        self.enumerate(subject, node, mode, &mut scratch.bufs, states, f)
+        let stats = self.enumerate(subject, node, mode, &mut scratch.bufs, states, f);
+        dagmap_obs::sample("match.per_node", stats.enumerated as u64);
+        stats
     }
 
-    /// The enumeration core, operating on the split-out buffers so the
-    /// memoizing wrappers can hold the cone scratch alongside.
+    /// The enumeration core, operating on the split-out buffers so
+    /// [`Matcher::class_at`] can hold the cone scratch alongside.
     ///
     /// Candidates are evaluated in 64-wide batches: the candidate row —
     /// the node's automaton state row with `states`, the depth-eligibility
@@ -525,13 +458,13 @@ impl<'a> Matcher<'a> {
     }
 
     /// Resolves the cone class of `node` in `store`, enumerating and
-    /// recording its matches as templates on a miss (stage-2 memoization).
+    /// recording its matches as templates on a miss.
     ///
     /// Returns `None` for nodes that can never match (inputs, constants,
     /// latches). On return, `scratch.cone_locals()` maps the class's local
     /// indices to this node's concrete cone members; the returned stats are
     /// those of a fresh enumeration (`enumerated` = template count,
-    /// `pruned` = the recorded run's pruned count) plus the memo counters.
+    /// `pruned` = the recorded run's pruned count).
     ///
     /// Soundness: the class key is the canonical serialization of the
     /// depth-`D` cone (`D` = the library's maximum pattern depth) together
@@ -559,186 +492,23 @@ impl<'a> Matcher<'a> {
         if !flat.is_gate(node) {
             return (None, MatchStats::default());
         }
-        let MatchScratch {
-            bufs, cone, states, ..
-        } = scratch;
+        let MatchScratch { bufs, cone, states } = scratch;
         let states = self.states_for(subject, states);
         extract_cone(flat, node, bounds.cone_spec(mode), cone);
         let key = ConeKey::new(mode, flat.level(node).min(bounds.max_depth), cone.key());
-        let mut stats = MatchStats {
-            memo_lookups: 1,
-            ..MatchStats::default()
-        };
         let class = match store.probe(&key) {
-            Some(class) => {
-                stats.memo_hits = 1;
-                class
-            }
+            Some(class) => class,
             None => self.record_class(subject, node, mode, bufs, states, cone, store, &key),
         };
-        stats.enumerated = store.num_templates(class);
-        stats.pruned = store.pruned_of(class);
+        let stats = MatchStats {
+            enumerated: store.num_templates(class),
+            pruned: store.pruned_of(class),
+            ..MatchStats::default()
+        };
         (Some(class), stats)
     }
 
-    /// Memoized variant of [`Matcher::for_each_match_at`], and the only
-    /// one: resolves the node's cone class in `shared` and replays the
-    /// stored templates under the shard lock, so repeated cones cost a hash
-    /// probe plus a copy per match instead of a backtracking search. Falls
-    /// back to direct enumeration when [`MatchConfig::memo`] is off. The
-    /// callback sequence is identical to the full
-    /// scan in every case, so a daemon's mapped netlists are byte-identical
-    /// to the one-shot CLI's.
-    ///
-    /// The daemon passes its warm cross-request store; a one-shot run
-    /// passes its private one-shard store.
-    ///
-    /// When the node's strash signature may key the probe (see
-    /// [`MatchConfig::strash_ids`]), its id entry is tried first; the entry
-    /// lives in the shard selected by signature and is a *reference*
-    /// `(home shard, rotation stamp, class)` to a class that keeps its
-    /// canonical residence in the cone-key-selected shard. Two properties
-    /// fall out of that split:
-    ///
-    /// * **Cross-subject sharing survives.** Signatures hash interface
-    ///   names, so the same structure built by two differently-named
-    ///   subjects carries two different sigs — but one cone key. Classes
-    ///   stay cone-addressed, so the second subject's fallback finds what
-    ///   the first enumerated; only the sig→class index is per-subject.
-    /// * **No residency amplification.** Registering a sig alias adds a
-    ///   small entry, not a class copy, so a parade of distinct subjects
-    ///   cannot flood the LRU and evict the shared canonical classes (the
-    ///   copy-based variant measurably did exactly that).
-    ///
-    /// The price is a stamp validation: the reference only resolves while
-    /// the home's rotation stamp matches. A stale reference (the home
-    /// rotated since registration) falls back to the cone-keyed path,
-    /// which re-registers the alias at the current stamp.
-    pub fn for_each_match_shared(
-        &self,
-        subject: &SubjectGraph,
-        node: NodeId,
-        mode: MatchMode,
-        scratch: &mut MatchScratch,
-        shared: &SharedMatchStore,
-        f: &mut dyn FnMut(MatchView<'_>),
-    ) -> MatchStats {
-        if !self.memo_enabled() {
-            let stats = self.for_each_match_at(subject, node, mode, scratch, f);
-            dagmap_obs::sample("match.per_node", stats.enumerated as u64);
-            return stats;
-        }
-        shared.check_library(self.library);
-        let flat = subject.flat();
-        if !flat.is_gate(node) {
-            return MatchStats::default();
-        }
-        let sig = self.strash_sig(subject, node, mode);
-        let MatchScratch {
-            bufs,
-            cone,
-            id_locals,
-            states,
-        } = scratch;
-        if let Some(sig) = sig {
-            let hit = replay_id_hit(subject, node, mode, sig, shared, bufs, cone, id_locals, f);
-            if let Some(stats) = hit {
-                return stats;
-            }
-        }
-        // No usable id entry — first sighting of this structure *under
-        // this subject's signatures*, a stale reference, or no signature.
-        // Extract the cone and resolve through canonical cone addressing:
-        // a structure first seen through a differently-named subject
-        // carries a different sig but the same cone key, and its class
-        // lives in the cone-selected shard.
-        let bounds = shared.bounds();
-        extract_cone(flat, node, bounds.cone_spec(mode), cone);
-        let key = ConeKey::new(mode, flat.level(node).min(bounds.max_depth), cone.key());
-        let home_idx = shared.cone_shard_index(key.hash());
-        let states = self.states_for(subject, states);
-        // With a signature, its shard is locked too (to register the alias),
-        // both in the store-wide lock order; `cone_home` is `Some` only when
-        // the class's home is a different shard. No lock is held across the
-        // id probe above, so a racing registration of the same sig is
-        // simply re-found by its cone key here.
-        let (mut first, mut cone_home) = match sig {
-            Some(sig) => shared.lock_pair(shared.sig_shard_index(sig), home_idx),
-            None => (shared.lock_shard(home_idx), None),
-        };
-        let home: &mut Shard = match cone_home.as_deref_mut() {
-            Some(home) => home,
-            None => &mut first,
-        };
-        let (class, stats) =
-            self.resolve_in(home, &key, subject, node, mode, bufs, states, cone, shared);
-        dagmap_obs::sample("match.per_node", stats.enumerated as u64);
-        replay_class(&home.current, class, cone.locals(), bufs, f);
-        let home_stamp = home.stamp;
-        if let Some(home) = cone_home.as_deref_mut() {
-            rotate_if_full(home, shared);
-        }
-        if let Some(sig) = sig {
-            // Alias the class under the node's signature at the stamp it
-            // was seen under, so the next probe of this structure skips
-            // cone extraction; if its home rotated in the meantime (or
-            // rotates next), the reference simply reads as stale. The
-            // locals are stored as signatures: a later probing subject
-            // resolves them through its own signature index.
-            let sigs = subject.signatures();
-            first.current.register_id(
-                mode,
-                sig,
-                class,
-                cone.locals().iter().map(|&id| sigs.sig_of(id)),
-                home_idx as u32,
-                home_stamp,
-            );
-        }
-        rotate_if_full(&mut first, shared);
-        stats
-    }
-
-    /// The one memo probe: resolves `key` in a locked shard — a hit in
-    /// `current`, else a promotion out of `prev` (copied forward so it
-    /// survives the next rotation), else a fresh enumeration recorded into
-    /// `current` — and counts the outcome on `shared`.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_in(
-        &self,
-        shard: &mut Shard,
-        key: &ConeKey<'_>,
-        subject: &SubjectGraph,
-        node: NodeId,
-        mode: MatchMode,
-        bufs: &mut EnumBufs,
-        states: Option<&SubjectStates>,
-        cone: &ConeScratch,
-        shared: &SharedMatchStore,
-    ) -> (ClassId, MatchStats) {
-        let mut stats = MatchStats {
-            memo_lookups: 1,
-            ..MatchStats::default()
-        };
-        let Shard { current, prev, .. } = shard;
-        let class = if let Some(class) = current.probe(key) {
-            shared.note_hit();
-            stats.memo_hits = 1;
-            class
-        } else if let Some(old) = prev.probe(key) {
-            shared.note_promotion();
-            stats.memo_hits = 1;
-            current.copy_class_from(prev, old, key)
-        } else {
-            shared.note_miss();
-            self.record_class(subject, node, mode, bufs, states, cone, current, key)
-        };
-        stats.enumerated = current.num_templates(class);
-        stats.pruned = current.pruned_of(class);
-        (class, stats)
-    }
-
-    /// The miss step of every memo probe: enumerates `node` fresh and
+    /// The miss step of [`Matcher::class_at`]: enumerates `node` fresh and
     /// records its matches into `store` as the templates of a new class
     /// under `key`, with leaves and covered nodes as cone-local indices.
     #[allow(clippy::too_many_arguments)]
@@ -770,169 +540,6 @@ impl<'a> Matcher<'a> {
         store.set_pruned(class, run.pruned);
         class
     }
-
-    /// The node's strash signature, iff it may key memo probes here: the
-    /// config enables it, the mode is not exact (exact-mode class keys
-    /// include fanout counts that signatures don't capture), the node is a
-    /// gate, and the subject's signature map is injective (a within-subject
-    /// signature collision would make id entries ambiguous; cross-subject
-    /// collisions are accepted at the 2^-128 hash-collision odds).
-    fn strash_sig(&self, subject: &SubjectGraph, node: NodeId, mode: MatchMode) -> Option<Sig> {
-        if !self.config.strash_ids || mode == MatchMode::Exact {
-            return None;
-        }
-        if !subject.flat().is_gate(node) {
-            return None;
-        }
-        let sigs = subject.signatures();
-        if !sigs.is_injective() {
-            return None;
-        }
-        Some(sigs.sig_of(node))
-    }
-}
-
-/// The O(1) strash-id probe: looks the node's signature up in its shard's
-/// id index (both generations; entries are tiny, so aged ones are still
-/// worth following), follows the `(home, stamp, class)` reference to the
-/// class's home shard — keeping the lock when the home *is* the sig shard
-/// — and, while the stamp still matches, replays the class through the
-/// signature-resolved locals without touching the cone extractor. Returns
-/// `None` (counting nothing) when there is no usable entry: the home
-/// rotating since registration recycles class ids, so a stale reference
-/// is discarded rather than resolved.
-#[allow(clippy::too_many_arguments)]
-fn replay_id_hit(
-    subject: &SubjectGraph,
-    node: NodeId,
-    mode: MatchMode,
-    sig: Sig,
-    shared: &SharedMatchStore,
-    bufs: &mut EnumBufs,
-    cone: &mut ConeScratch,
-    id_locals: &mut Vec<NodeId>,
-    f: &mut dyn FnMut(MatchView<'_>),
-) -> Option<MatchStats> {
-    let sigs = subject.signatures();
-    let sig_idx = shared.sig_shard_index(sig);
-    let sig_shard = shared.lock_shard(sig_idx);
-    let (class, home, stamp) = resolve_id_entry(&sig_shard.current, sigs, mode, sig, id_locals)
-        .or_else(|| resolve_id_entry(&sig_shard.prev, sigs, mode, sig, id_locals))?;
-    let home_shard = if home as usize == sig_idx {
-        sig_shard
-    } else {
-        drop(sig_shard);
-        shared.lock_shard(home as usize)
-    };
-    if home_shard.stamp != stamp {
-        return None;
-    }
-    // The id fast path's soundness invariant: signatures hash the physical
-    // fanin order, so sig equality implies an identical cone serialization
-    // — the resolved locals must be exactly the cone locals, and the
-    // entry's class must be the one the cone key resolves to. Checked in
-    // debug builds only; release builds skip cone extraction here entirely
-    // (the point of the fast path).
-    if cfg!(debug_assertions) {
-        let flat = subject.flat();
-        let bounds = shared.bounds();
-        extract_cone(flat, node, bounds.cone_spec(mode), cone);
-        debug_assert_eq!(
-            id_locals.as_slice(),
-            cone.locals(),
-            "sig-resolved locals diverge from cone locals at {node:?}"
-        );
-        let key = ConeKey::new(mode, flat.level(node).min(bounds.max_depth), cone.key());
-        debug_assert_eq!(
-            home_shard.current.probe(&key),
-            Some(class),
-            "id entry resolves to a different class than the cone key at {node:?}"
-        );
-    }
-    shared.note_id_hit();
-    let stats = MatchStats {
-        memo_lookups: 1,
-        memo_hits: 1,
-        memo_id_hits: 1,
-        enumerated: home_shard.current.num_templates(class),
-        pruned: home_shard.current.pruned_of(class),
-        ..MatchStats::default()
-    };
-    dagmap_obs::sample("match.per_node", stats.enumerated as u64);
-    replay_class(&home_shard.current, class, id_locals, bufs, f);
-    Some(stats)
-}
-
-/// Rotates a shard's generations once `current` reaches the class cap:
-/// `prev` is dropped (those classes went untouched for a whole generation
-/// — the eviction), `current` ages into `prev`, a fresh `current` starts
-/// filling, and the rotation stamp advances so strash-id references into
-/// the aged generation read as stale. Callers invoke this only after the
-/// class they resolved was replayed, so rotation never drops a class
-/// mid-use.
-///
-/// Id entries also count toward rotation, at a much higher threshold:
-/// they add no classes, so a stream that keeps registering aliases
-/// without enumerating (many distinct subjects over a warm class set)
-/// would otherwise grow the id index without bound. Entries are ~two
-/// orders of magnitude smaller than classes, so the generous factor keeps
-/// this valve from evicting classes under any normal mix.
-fn rotate_if_full(shard: &mut Shard, shared: &SharedMatchStore) {
-    let cap = shared.cap_per_shard();
-    if shard.current.num_classes() >= cap || shard.current.id_count() >= cap.saturating_mul(64) {
-        let fresh = MatchStore::with_bounds(shared.bounds());
-        let evicted = shard.prev.num_classes();
-        shard.prev = std::mem::replace(&mut shard.current, fresh);
-        shard.stamp += 1;
-        shared.note_rotation(evicted);
-    }
-}
-
-/// Replays the stored templates of `class`, translating stored local
-/// indices to concrete subject nodes through `locals` — the cone locals on
-/// the cone-keyed path, or the signature-resolved locals on the strash-id
-/// path.
-fn replay_class(
-    store: &MatchStore,
-    class: ClassId,
-    locals: &[NodeId],
-    bufs: &mut EnumBufs,
-    f: &mut dyn FnMut(MatchView<'_>),
-) {
-    for t in store.templates(class) {
-        bufs.leaves_buf.clear();
-        bufs.leaves_buf
-            .extend(t.leaves.iter().map(|&l| locals[l as usize]));
-        bufs.covered_buf.clear();
-        bufs.covered_buf
-            .extend(t.covered.iter().map(|&l| locals[l as usize]));
-        f(MatchView {
-            gate: t.gate,
-            pattern: t.pattern,
-            leaves: &bufs.leaves_buf,
-            covered: &bufs.covered_buf,
-        });
-    }
-}
-
-/// Looks up `sig` in `store`'s id index and resolves the entry's stored
-/// local signatures to this subject's concrete nodes via its signature
-/// index, returning the class together with the entry's `(home, stamp)`
-/// reference. Any unresolvable local (a strash-region boundary or foreign
-/// structure) yields `None`, sending the caller down the cone-keyed path.
-fn resolve_id_entry(
-    store: &MatchStore,
-    sigs: &Signatures,
-    mode: MatchMode,
-    sig: Sig,
-    out: &mut Vec<NodeId>,
-) -> Option<(ClassId, u32, u64)> {
-    let (class, sig_locals, home, stamp) = store.id_entry(mode, sig)?;
-    out.clear();
-    for &s in sig_locals {
-        out.push(sigs.lookup(s)?);
-    }
-    Some((class, home, stamp))
 }
 
 /// Attempts to bind pattern node `p` to subject node `s`, invoking `cont`
@@ -1388,14 +995,7 @@ mod tests {
     /// equal the reference scan's; the automaton prunes at least as much.
     fn assert_automaton_equals_full_scan(l: &Library, subject: &SubjectGraph) -> bool {
         let base = Matcher::with_config(l, MatchConfig::baseline());
-        let automaton = Matcher::with_config(
-            l,
-            MatchConfig {
-                index: true,
-                memo: MemoPolicy::Off,
-                strash_ids: false,
-            },
-        );
+        let automaton = Matcher::with_config(l, MatchConfig { index: true });
         let mut sb = MatchScratch::new();
         let mut si = automaton.scratch_for(subject);
         let mut any_pruned = false;
@@ -1486,26 +1086,15 @@ mod tests {
     }
 
     #[test]
-    fn memo_replay_is_order_identical_and_hits_across_subjects() {
+    fn class_replay_is_order_identical_and_recurs_across_subjects() {
         let l = rich_lib();
-        // Force the memo on (it is off by default): this test exercises
-        // the replay machinery itself.
-        let matcher = Matcher::with_config(
-            &l,
-            MatchConfig {
-                index: true,
-                memo: MemoPolicy::On,
-                strash_ids: true,
-            },
-        );
-        assert!(matcher.memo_enabled());
-        // The run-private store a one-shot labeling pass gets.
-        let store = SharedMatchStore::for_library(&l, 1, usize::MAX);
+        let matcher = Matcher::new(&l);
+        let mut store = MatchStore::for_library(&l);
         let mut s_direct = MatchScratch::new();
-        let mut s_memo = MatchScratch::new();
+        let mut s_class = MatchScratch::new();
         let mut lookups = 0;
         // One store across two subjects of different sizes: node ids differ
-        // but cone classes recur, so the second subject must mostly hit.
+        // but cone classes recur, so the second subject mostly finds them.
         for n in [3usize, 6] {
             let subject = ladder(n);
             for node in subject.network().node_ids() {
@@ -1515,28 +1104,33 @@ mod tests {
                         matcher.for_each_match_at(&subject, node, mode, &mut s_direct, &mut |mv| {
                             direct.push(mv.to_match())
                         });
-                    let mut memo = Vec::new();
-                    let sm = matcher.for_each_match_shared(
-                        &subject,
-                        node,
-                        mode,
-                        &mut s_memo,
-                        &store,
-                        &mut |mv| memo.push(mv.to_match()),
-                    );
-                    assert_eq!(direct, memo, "node {node:?} mode {mode:?}");
-                    assert_eq!(sd.enumerated, sm.enumerated);
-                    assert_eq!(sd.pruned, sm.pruned);
-                    lookups += sm.memo_lookups;
+                    let (class, sc) =
+                        matcher.class_at(&subject, node, mode, &mut s_class, &mut store);
+                    let Some(class) = class else {
+                        assert!(direct.is_empty());
+                        continue;
+                    };
+                    lookups += 1;
+                    let locals = s_class.cone_locals();
+                    let replayed: Vec<Match> = store
+                        .templates(class)
+                        .map(|t| Match {
+                            gate: t.gate,
+                            pattern: Some(t.pattern),
+                            leaves: t.leaves.iter().map(|&x| locals[x as usize]).collect(),
+                            covered: t.covered.iter().map(|&x| locals[x as usize]).collect(),
+                        })
+                        .collect();
+                    assert_eq!(direct, replayed, "node {node:?} mode {mode:?}");
+                    assert_eq!(sd.enumerated, sc.enumerated);
+                    assert_eq!(sd.pruned, sc.pruned);
                 }
             }
         }
-        assert!(store.hits() > 0, "isomorphic cones were replayed");
-        assert_eq!(store.rotations(), 0, "an uncapped store never rotates");
         assert!(
-            store.resident_classes() < lookups,
+            store.num_classes() < lookups,
             "fewer classes than lookups: {} vs {lookups}",
-            store.resident_classes(),
+            store.num_classes(),
         );
     }
 
@@ -1560,7 +1154,6 @@ mod tests {
                 NodeFn::Nand | NodeFn::Not => {
                     let class = class.expect("gate nodes get a class");
                     assert_eq!(stats.enumerated, store.num_templates(class));
-                    assert_eq!(stats.memo_lookups, 1);
                     // Every template local resolves through the cone.
                     let locals = scratch.cone_locals();
                     for t in store.templates(class) {
@@ -1593,32 +1186,6 @@ mod tests {
             MatchMode::Standard,
             &mut scratch,
             &mut store,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "different library")]
-    fn shared_store_rejects_foreign_library() {
-        let l1 = lib(&[("inv", "!a"), ("nand2", "!(a*b)")]);
-        let l2 = rich_lib();
-        let store = SharedMatchStore::for_library(&l1, 1, usize::MAX);
-        let matcher = Matcher::with_config(
-            &l2,
-            MatchConfig {
-                memo: MemoPolicy::On,
-                ..MatchConfig::default()
-            },
-        );
-        let subject = ladder(1);
-        let root = subject.network().outputs()[0].driver;
-        let mut scratch = MatchScratch::new();
-        matcher.for_each_match_shared(
-            &subject,
-            root,
-            MatchMode::Standard,
-            &mut scratch,
-            &store,
-            &mut |_| {},
         );
     }
 

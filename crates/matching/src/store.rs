@@ -1,4 +1,5 @@
-//! Cone-class match memoization: stage 2 of the match accelerator.
+//! Cone-class match templates: one recorded enumeration per bounded-depth
+//! cone class.
 //!
 //! Regular subject graphs (the c6288-like array multiplier is thousands of
 //! isomorphic full-adder cones) make the matcher redo identical
@@ -17,29 +18,26 @@
 //! mapped netlist bit-identical to the unmemoized scan.
 //!
 //! A store is subject-graph independent (keys never contain `NodeId`s), so
-//! one store serves a whole mapping run — labeling, the area-recovery
-//! rounds, even different circuits — as long as the library is the same;
-//! [`MatchStore::for_library`] captures the library's pattern-set signature
-//! and every use asserts it still matches. Mapping runs memoize through
-//! [`crate::SharedMatchStore`], whose shards are generations of
-//! `MatchStore`s; [`crate::Matcher::class_at`] resolves classes in a bare
-//! store for callers that keep the templates themselves.
+//! one store serves every node of a subject, and other subjects too, as
+//! long as the library is the same; [`MatchStore::for_library`] captures
+//! the library's pattern-set signature and every use asserts it still
+//! matches. Mapping runs do not memoize: with the automaton filtering
+//! candidates, a fresh enumeration is cheaper than a probe. The store is
+//! kept for callers that keep the templates themselves, through
+//! [`crate::Matcher::class_at`] (retiming's per-node match cache).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use dagmap_genlib::{GateId, Library, PatternId};
 use dagmap_netlist::fingerprint::ConeSpec;
-use dagmap_netlist::strash::SigBuildHasher;
-use dagmap_netlist::Sig;
 
 use crate::matcher::MatchMode;
 
-/// One memo probe's key — `(mode, capped level, cone)` — together with its
-/// FNV-1a digest. The digest is computed once per probe and serves every
-/// use of the key: shard selection in the sharded store, and the hash-map
-/// probe of each generation looked at. FNV mixes 32-bit tokens well enough
-/// for a table whose collisions are resolved by full key compare anyway.
+/// One probe's key — `(mode, capped level, cone)` — together with its
+/// FNV-1a digest, which the index map uses as the hash. FNV mixes 32-bit
+/// tokens well enough for a table whose collisions are resolved by full
+/// key compare anyway.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ConeKey<'a> {
     hash: u64,
@@ -73,8 +71,7 @@ impl<'a> ConeKey<'a> {
 }
 
 /// The library facts a store is bound to: the pattern-set signature every
-/// use asserts, and the cone bounds every probe reads. Plain `Copy` data,
-/// so the sharded store answers both without taking a lock.
+/// use asserts, and the cone bounds every probe reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LibraryBounds {
     num_patterns: usize,
@@ -168,25 +165,6 @@ struct Template {
     covered: (u32, u32),
 }
 
-/// One strash-id fast-path entry: a structural signature resolved straight
-/// to its cone class, with the class's cone locals recorded as *signatures*
-/// so any probing subject can rebind them to its own node ids without
-/// extracting the cone. The entry *references* the class rather than
-/// holding a copy: `home` names the shard of the sharded store the class
-/// lives in and `stamp` the home's rotation stamp at registration — a
-/// stamp mismatch means the home rotated since and the reference is
-/// stale, so the prober falls back to cone keys and re-registers. Copying
-/// classes here instead was measurably worse: every distinct subject would
-/// duplicate its whole cone-class working set into the sig-addressed
-/// shards, flooding the LRU and evicting the shared canonical classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct IdEntry {
-    class: u32,
-    locals: (u32, u32),
-    home: u32,
-    stamp: u64,
-}
-
 /// The memoization table. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct MatchStore {
@@ -203,14 +181,6 @@ pub struct MatchStore {
     class_pruned: Vec<u32>,
     templates: Vec<Template>,
     locals: Vec<u32>,
-    /// `(match mode, strash signature)` → cone class, the O(1) warm path
-    /// that skips cone extraction entirely. Registered lazily the first
-    /// time a class is resolved at a node whose subject carries injective
-    /// signatures. The mode is part of the key because each mode
-    /// enumerates a different match set over the same cone.
-    id_index: HashMap<(u32, Sig), IdEntry, SigBuildHasher>,
-    /// Arena of the id entries' cone-local signatures.
-    id_sig_locals: Vec<Sig>,
 }
 
 fn mode_code(mode: MatchMode) -> u32 {
@@ -224,14 +194,8 @@ fn mode_code(mode: MatchMode) -> u32 {
 impl MatchStore {
     /// Creates an empty store bound to `library`'s pattern set.
     pub fn for_library(library: &Library) -> MatchStore {
-        MatchStore::with_bounds(LibraryBounds::of(library))
-    }
-
-    /// An empty store bound to `bounds` — also what a shard of the bounded
-    /// cross-request store rotates in when a generation fills up.
-    pub(crate) fn with_bounds(bounds: LibraryBounds) -> MatchStore {
         MatchStore {
-            bounds,
+            bounds: LibraryBounds::of(library),
             index: HashMap::default(),
             class_key: Vec::new(),
             key_data: Vec::new(),
@@ -239,8 +203,6 @@ impl MatchStore {
             class_pruned: Vec::new(),
             templates: Vec::new(),
             locals: Vec::new(),
-            id_index: HashMap::default(),
-            id_sig_locals: Vec::new(),
         }
     }
 
@@ -277,64 +239,6 @@ impl MatchStore {
                 leaves: &self.locals[t.leaves.0 as usize..(t.leaves.0 + t.leaves.1) as usize],
                 covered: &self.locals[t.covered.0 as usize..(t.covered.0 + t.covered.1) as usize],
             })
-    }
-
-    /// Looks up the strash-id entry of `sig`, if one was registered: the
-    /// cone class, the class's cone locals as signatures (for the caller
-    /// to rebind against its subject's signature index), and the entry's
-    /// `(home, stamp)` reference.
-    pub(crate) fn id_entry(
-        &self,
-        mode: MatchMode,
-        sig: Sig,
-    ) -> Option<(ClassId, &[Sig], u32, u64)> {
-        let e = self.id_index.get(&(mode_code(mode), sig))?;
-        let (off, len) = e.locals;
-        Some((
-            ClassId(e.class),
-            &self.id_sig_locals[off as usize..(off + len) as usize],
-            e.home,
-            e.stamp,
-        ))
-    }
-
-    /// Number of registered id entries, for rotation pressure accounting.
-    pub(crate) fn id_count(&self) -> usize {
-        self.id_index.len()
-    }
-
-    /// Registers the id fast path for `sig` → `class`-in-`home`-at-`stamp`,
-    /// recording the class's cone locals as signatures. Re-registration
-    /// overwrites: a differing entry means the previous reference went
-    /// stale (its home rotated), and the superseded locals bytes simply
-    /// age out of the arena with this generation.
-    pub(crate) fn register_id(
-        &mut self,
-        mode: MatchMode,
-        sig: Sig,
-        class: ClassId,
-        locals: impl Iterator<Item = Sig>,
-        home: u32,
-        stamp: u64,
-    ) {
-        let key = (mode_code(mode), sig);
-        if let Some(e) = self.id_index.get(&key) {
-            if e.class == class.0 && e.home == home && e.stamp == stamp {
-                return;
-            }
-        }
-        let off = u32::try_from(self.id_sig_locals.len()).expect("sig arena fits u32");
-        self.id_sig_locals.extend(locals);
-        let len = u32::try_from(self.id_sig_locals.len()).expect("sig arena fits u32") - off;
-        self.id_index.insert(
-            key,
-            IdEntry {
-                class: class.0,
-                locals: (off, len),
-                home,
-                stamp,
-            },
-        );
     }
 
     /// Probes for an existing class under `key`.
@@ -394,32 +298,5 @@ impl MatchStore {
     /// Records the pruned count of the recorded run of a class.
     pub(crate) fn set_pruned(&mut self, class: ClassId, pruned: usize) {
         self.class_pruned[class.index()] = u32::try_from(pruned).expect("pruned fits u32");
-    }
-
-    /// Copies one whole class (templates, pruned count) out of `other`
-    /// into this store under `key` — the promotion step of the
-    /// two-generation bounded store. The caller found `class` in `other`
-    /// under the same key, so the copy replays exactly like the original
-    /// recording.
-    pub(crate) fn copy_class_from(
-        &mut self,
-        other: &MatchStore,
-        class: ClassId,
-        key: &ConeKey<'_>,
-    ) -> ClassId {
-        debug_assert_eq!(other.probe(key), Some(class), "promotion key must match");
-        let new = self.begin_class(key);
-        for t in other.templates(class) {
-            // Iterating `other` while pushing into `self`: disjoint stores.
-            self.push_template(
-                new,
-                t.gate,
-                t.pattern,
-                t.leaves.iter().copied(),
-                t.covered.iter().copied(),
-            );
-        }
-        self.set_pruned(new, other.pruned_of(class));
-        new
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! An AIG is ANDs plus complemented edges; reading produces a [`Network`]
 //! of `And`/`Not`/`Latch` nodes, and any network can be written by first
-//! decomposing to a [`SubjectGraph`](crate::SubjectGraph) (NAND2/INV is
+//! decomposing to a [`SubjectGraph`] (NAND2/INV is
 //! AND/INV up to output inverters).
 //!
 //! ```

@@ -5,8 +5,8 @@
 //! serializations present *identical* structure to the backtracking matcher
 //! (same kinds, same sharing, same fanout counts where requested), so one
 //! node's match enumeration can be replayed verbatim onto the other — the
-//! cone-class memoization of `dagmap-match`'s match store, which the serve
-//! daemon's shared memo and retiming's match cache use.
+//! cone classes of `dagmap-match`'s match store, which retiming's match
+//! cache uses.
 //!
 //! Cones are read off the subject's [`FlatNet`], its only cone view; nodes
 //! are sources (input / constant / latch), inverters or two-input NANDs.

@@ -19,7 +19,7 @@
 //!   delta-debugging loop,
 //! * [`sta`] — simple static timing (arrival-time propagation / depth),
 //! * [`fingerprint`] — bounded-depth cone canonicalization over a
-//!   [`FlatNet`], backing the match memo of `dagmap-match`,
+//!   [`FlatNet`], backing the cone-class match store of `dagmap-match`,
 //! * [`strash`] — the hash-consing construction arena and 128-bit Merkle
 //!   value numbers (signatures) that make structurally identical cones
 //!   recognizable in O(1), within one network and across requests.

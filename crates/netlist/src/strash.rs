@@ -20,11 +20,9 @@
 //!    order*, so equal signatures mean identically-serialized cones — and
 //!    therefore identical canonical cone keys and identical match
 //!    enumeration order — across one subject graph, and across
-//!    independently built subject graphs in different requests. That is what lets the
-//!    match memo (`dagmap-match`'s stores) key warm probes on an O(1)
-//!    signature lookup instead of canonical cone extraction, and what lets
-//!    incremental re-mapping recognize the untouched region of an edited
-//!    network.
+//!    independently built subject graphs in different requests. That is
+//!    what lets incremental re-mapping recognize the untouched region of
+//!    an edited network and copy its labels.
 //!
 //! Signature equality is probabilistic (128-bit universe, split-mix style
 //!    mixing per lane). Within one subject graph, [`Signatures::is_injective`]
@@ -54,11 +52,10 @@ const TAG_NAND: u64 = 0x105;
 /// the function name so [`signatures`] is total over any acyclic network.
 const TAG_OTHER: u64 = 0x1FF;
 
-/// Hasher for maps keyed by [`Sig`], optionally prefixed by a small integer
-/// tag (e.g. a match-mode code). A signature is already a uniform 128-bit
-/// hash, so re-mixing it through SipHash buys nothing and costs enough to
-/// show up on warm serve traffic, where every memo probe is a signature
-/// lookup. This hasher folds the raw words instead. Key *equality* still
+/// Hasher for maps keyed by [`Sig`]. A signature is already a uniform
+/// 128-bit hash, so re-mixing it through SipHash buys nothing and costs enough to
+/// show up when every node of a remapped subject is looked up by
+/// signature. This hasher folds the raw words instead. Key *equality* still
 /// compares the full key, so a fold collision costs one extra probe, never
 /// correctness.
 #[derive(Default)]
@@ -70,15 +67,7 @@ impl std::hash::Hasher for SigHasher {
     }
 
     fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("SigHasher accepts integer-shaped keys only");
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.0 = self.0.rotate_left(31) ^ u64::from(v);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = self.0.rotate_left(31) ^ v;
+        unreachable!("SigHasher accepts Sig keys only");
     }
 
     fn write_u128(&mut self, v: u128) {
@@ -461,8 +450,8 @@ pub fn signatures(net: &Network) -> Signatures {
             NodeFn::Not => Sig::node(TAG_INV, &[sigs[node.fanins()[0].index()]]),
             NodeFn::Nand if node.fanins().len() == 2 => {
                 // Children hash in PHYSICAL fanin order, deliberately not
-                // commutatively: every signature consumer (memo id keying,
-                // incremental reuse) needs sig equality to imply an
+                // commutatively: the signature consumer (incremental
+                // label reuse) needs sig equality to imply an
                 // *identical* canonical cone serialization and match
                 // enumeration order, and those observe the fanin order.
                 // Commutative variants of one term never coexist anyway —
@@ -590,8 +579,8 @@ mod tests {
         // Lookup round-trips.
         assert_eq!(s2.lookup(s1.sig_of(g1)), Some(g2));
 
-        // Swapped fanin order is a *different* signature: consumers replay
-        // memoized enumerations whose order observes the fanin order, so a
+        // Swapped fanin order is a *different* signature: reused labels
+        // carry matches whose pin order observes the fanin order, so a
         // commutative merge here would not be bit-identical.
         let mut n3 = Network::new("c");
         let x3 = n3.add_input("x");

@@ -407,7 +407,7 @@ impl SubjectGraph {
     /// its levels and a fresh identity. `t0` is when the constructor
     /// started; the build time runs to the end of this step. The structural
     /// value numbers are left to the first [`SubjectGraph::signatures`]
-    /// call: only memo id probes and incremental relabeling read them.
+    /// call: only incremental relabeling reads them.
     fn finish(
         net: Network,
         strash: StrashStats,
@@ -593,9 +593,9 @@ impl SubjectGraph {
     }
 
     /// Per-node structural value numbers (see [`crate::strash`]): the
-    /// content addresses the signature-keyed match memo probes in O(1)
-    /// instead of extracting canonical cones. Computed on the first call,
-    /// outside [`SubjectGraph::decompose_seconds`].
+    /// content addresses incremental relabeling recognizes the untouched
+    /// region of an edited network by. Computed on the first call, outside
+    /// [`SubjectGraph::decompose_seconds`].
     pub fn signatures(&self) -> &Signatures {
         self.sigs.get_or_init(|| {
             let _s = dagmap_obs::span("decompose.sigs");

@@ -1,9 +1,22 @@
-//! A minimal JSON parser — just enough to validate Chrome trace-event
-//! files offline. The workspace is dependency-free by construction, so the
-//! validator cannot lean on serde; this recursive-descent parser covers
-//! the full JSON grammar (RFC 8259) over `f64` numbers.
+//! A minimal JSON codec — the Chrome trace-event validator's parser and
+//! the serve protocol's frame codec. The workspace is dependency-free by
+//! construction, so neither can lean on serde; this recursive-descent
+//! parser covers the full JSON grammar (RFC 8259) over `f64` numbers, with
+//! nesting bounded by [`MAX_DEPTH`] so hostile input cannot exhaust the
+//! stack.
+//!
+//! Strings move in runs: the parser copies each stretch between the bytes
+//! a string literal cannot hold raw (`"`, `\` and control bytes) in one
+//! piece, and [`escape`] copies the stretches between the bytes it
+//! escapes. Those bytes are ASCII, so every run ends on a char boundary.
 
 use std::collections::BTreeMap;
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. Frames,
+/// traces and result files nest a handful of levels deep; a document
+/// nesting deeper is refused with an error naming the byte where the bound
+/// was hit.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,8 +82,10 @@ impl Value {
 /// input.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -82,8 +97,40 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
+}
+
+/// Index of the first byte at or after `from` that a JSON string literal
+/// cannot hold raw — `"`, `\` or a control byte below 0x20 — or
+/// `bytes.len()` when there is none. Whole 8-byte words without such a
+/// byte are skipped with the bit tests of "Bit Twiddling Hacks"
+/// (`haszero`, `hasless`), which never miss one; the flagged word is then
+/// searched byte by byte.
+fn find_special(bytes: &[u8], from: usize) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let has_zero = |w: u64| w.wrapping_sub(ONES) & !w & HIGHS;
+    let mut i = from;
+    while let Some(word) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(word.try_into().expect("an 8-byte window"));
+        let below_space = w.wrapping_sub(ONES * 0x20) & !w & HIGHS;
+        if below_space
+            | has_zero(w ^ (ONES * u64::from(b'"')))
+            | has_zero(w ^ (ONES * u64::from(b'\\')))
+            != 0
+        {
+            break;
+        }
+        i += 8;
+    }
+    i + bytes[i..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(bytes.len() - i)
 }
 
 impl<'a> Parser<'a> {
@@ -112,8 +159,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -188,6 +246,9 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            self.pos = find_special(self.bytes, start);
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -234,20 +295,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so this is safe
-                    // to do bytewise until the next ASCII-relevant byte).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.peek().is_some_and(|b| b >= 0x80 && (b & 0xC0) == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid utf-8"))?,
-                    );
-                }
+                Some(_) => return Err(self.err("raw control character")),
             }
         }
     }
@@ -310,21 +358,40 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Escapes a string for embedding in JSON output (used by the exporter).
+/// Escapes a string for embedding in JSON output.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// Appends `s`, escaped as [`escape`] does, to `out`: `"`, `\`, newline,
+/// carriage return and tab get their short escapes, other control bytes
+/// `\u00xx`, and the runs between them are copied in one piece.
+pub fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    loop {
+        let i = find_special(bytes, start);
+        out.push_str(&s[start..i]);
+        let Some(&b) = bytes.get(i) else {
+            return;
+        };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        start = i + 1;
+    }
 }
 
 #[cfg(test)]
@@ -369,6 +436,34 @@ mod tests {
             Some("A\u{1F600}")
         );
         assert!(parse(r#""\uD800""#).is_err(), "lone surrogate");
+    }
+
+    /// Nesting a million levels deep is an error naming the byte where the
+    /// bound was hit, not a stack overflow: parsed on a spawned thread with
+    /// the default stack, like a serve connection reader.
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let deep = 1 << 20;
+        let array = "[".repeat(deep);
+        let object = "{\"k\":".repeat(deep);
+        let results = std::thread::spawn(move || (parse(&array), parse(&object)))
+            .join()
+            .expect("the parser returned instead of overflowing its stack");
+        assert_eq!(
+            results.0,
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"
+            ))
+        );
+        assert_eq!(
+            results.1,
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                5 * MAX_DEPTH
+            ))
+        );
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_bound).is_ok());
     }
 
     #[test]

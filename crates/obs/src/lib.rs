@@ -13,7 +13,7 @@
 //!   the next session.
 //! * **Typed counters** ([`count`]) and **log2-bucket histograms**
 //!   ([`sample`], [`hist::Log2Histogram`]) — these subsume the scattered
-//!   `matches_enumerated`/`matches_pruned`/`memo_hits` style fields with
+//!   `matches_enumerated`/`matches_pruned` style fields with
 //!   one namespace (`match.enumerated`, `match.pruned`, …).
 //! * **Exporters**: Chrome trace-event JSON ([`Trace::to_chrome_json`],
 //!   loadable in `chrome://tracing` and Perfetto, one track per worker

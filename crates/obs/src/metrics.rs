@@ -13,7 +13,7 @@
 //! clones registered once by name and then recorded to lock-free; the
 //! registry mutex is only taken at registration and render time. Labels
 //! are embedded in the registered name Prometheus-style —
-//! `dagmap_memo_hits_total{lib="lib2"}` — and [`render_prometheus`]
+//! `dagmap_lib_requests_total{lib="lib2"}` — and [`render_prometheus`]
 //! groups series of the same base name under one `# TYPE` line.
 //! Histograms render as summaries (quantile series + `_sum`/`_count`)
 //! computed from their rolling window, so a scrape's p99 covers the last

@@ -243,16 +243,14 @@ fn render_wavefronts(trace: &Trace, out: &mut String) {
     );
 }
 
-/// Match-kernel section: enumeration volume, index prune rate, memo hit
-/// rate, and the per-node match-count distribution.
+/// Match-kernel section: enumeration volume, index prune rate, batch
+/// occupancy, and the per-node match-count distribution.
 fn render_match_kernel(trace: &Trace, out: &mut String) {
     let enumerated = trace.counter("match.enumerated");
     let pruned = trace.counter("match.pruned");
-    let lookups = trace.counter("match.memo_lookups");
-    let hits = trace.counter("match.memo_hits");
     let words = trace.counter("match.words");
     let bits = trace.counter("match.candidate_bits");
-    if enumerated == 0 && pruned == 0 && lookups == 0 {
+    if enumerated == 0 && pruned == 0 {
         return;
     }
     let _ = writeln!(out);
@@ -275,13 +273,6 @@ fn render_match_kernel(trace: &Trace, out: &mut String) {
             out,
             "  candidate words         {words:>12}  (batch occupancy {:.1}%, {bits} live bits)",
             pct(bits, words * 64)
-        );
-    }
-    if lookups > 0 {
-        let _ = writeln!(
-            out,
-            "  memo hit rate           {:>11.1}%  ({hits}/{lookups})",
-            pct(hits, lookups)
         );
     }
     if let Some(h) = trace.histograms.get("match.per_node") {
@@ -434,8 +425,6 @@ mod tests {
             let _c = crate::span("cover");
             crate::count("match.enumerated", 200);
             crate::count("match.pruned", 50);
-            crate::count("match.memo_lookups", 100);
-            crate::count("match.memo_hits", 80);
             crate::count("match.words", 32);
             crate::count("match.candidate_bits", 512);
             crate::sample("match.per_node", 4);
@@ -475,7 +464,6 @@ mod tests {
         assert!(text.contains("(20.0% of considered)"), "{text}");
         // 512 live bits over 32 words = 25% batch occupancy.
         assert!(text.contains("batch occupancy 25.0%"), "{text}");
-        assert!(text.contains("80.0%"), "memo hit rate: {text}");
         assert!(text.contains("match.per_node"));
     }
 

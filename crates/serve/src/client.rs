@@ -8,9 +8,9 @@ use std::os::unix::net::UnixStream;
 #[cfg(unix)]
 use std::path::PathBuf;
 
-use dagmap_obs::json::{escape, parse, Value};
+use dagmap_obs::json::{parse, Value};
 
-use crate::protocol::{read_frame, write_frame};
+use crate::protocol::{push_string_field, read_frame, write_frame};
 
 /// Where to connect.
 #[derive(Debug, Clone)]
@@ -193,29 +193,42 @@ pub struct MapCall<'a> {
     pub retain: bool,
 }
 
-/// Builds a map request payload for `blif` under `call`.
+/// A payload buffer sized for `blif` once escaped (about one byte more
+/// per line) plus the envelope fields.
+fn payload_for(blif: &str) -> String {
+    String::with_capacity(blif.len() + blif.len() / 8 + 160)
+}
+
+/// Builds a map request payload for `blif` under `call`. The escaped BLIF
+/// is written straight into the one payload buffer.
 pub fn map_request(blif: &str, call: &MapCall<'_>) -> String {
-    let mut payload = String::with_capacity(blif.len() + 128);
+    let mut payload = payload_for(blif);
     payload.push_str("{\"op\":\"map\"");
     if let Some(id) = call.id {
-        payload.push_str(&format!(",\"id\":\"{}\"", escape(id)));
+        push_string_field(&mut payload, true, "id", id);
     }
     if let Some(lib) = call.lib {
-        payload.push_str(&format!(",\"lib\":\"{}\"", escape(lib)));
+        push_string_field(&mut payload, true, "lib", lib);
     }
     let algo = if call.algo.is_empty() {
         "dag"
     } else {
         call.algo
     };
-    payload.push_str(&format!(
-        ",\"options\":{{\"algo\":\"{}\",\"recover\":{},\"trace\":{},\"retain\":{}}}",
-        escape(algo),
-        call.recover,
-        call.trace,
-        call.retain
-    ));
-    payload.push_str(&format!(",\"blif\":\"{}\"}}", escape(blif)));
+    payload.push_str(",\"options\":{");
+    push_string_field(&mut payload, false, "algo", algo);
+    for (key, on) in [
+        ("recover", call.recover),
+        ("trace", call.trace),
+        ("retain", call.retain),
+    ] {
+        payload.push_str(",\"");
+        payload.push_str(key);
+        payload.push_str(if on { "\":true" } else { "\":false" });
+    }
+    payload.push('}');
+    push_string_field(&mut payload, true, "blif", blif);
+    payload.push('}');
     payload
 }
 
@@ -224,13 +237,18 @@ pub fn map_request(blif: &str, call: &MapCall<'_>) -> String {
 /// `retain`). The daemon replays the retained run's library and options, so
 /// the reply is byte-identical to a cold map of the edited netlist.
 pub fn remap_request(blif: &str, handle: &str, id: Option<&str>, trace: bool) -> String {
-    let mut payload = String::with_capacity(blif.len() + 128);
+    let mut payload = payload_for(blif);
     payload.push_str("{\"op\":\"remap\"");
     if let Some(id) = id {
-        payload.push_str(&format!(",\"id\":\"{}\"", escape(id)));
+        push_string_field(&mut payload, true, "id", id);
     }
-    payload.push_str(&format!(",\"handle\":\"{}\"", escape(handle)));
-    payload.push_str(&format!(",\"options\":{{\"trace\":{trace}}}"));
-    payload.push_str(&format!(",\"blif\":\"{}\"}}", escape(blif)));
+    push_string_field(&mut payload, true, "handle", handle);
+    payload.push_str(if trace {
+        ",\"options\":{\"trace\":true}"
+    } else {
+        ",\"options\":{\"trace\":false}"
+    });
+    push_string_field(&mut payload, true, "blif", blif);
+    payload.push('}');
     payload
 }

@@ -139,14 +139,6 @@ fn fmt_count(v: f64) -> String {
     format!("{}", v as i64)
 }
 
-fn fmt_pct(num: f64, den: f64) -> String {
-    if den <= 0.0 {
-        "-".to_owned()
-    } else {
-        format!("{:.1}%", 100.0 * num / den)
-    }
-}
-
 /// Renders the live dashboard from the current scrape, plus the previous
 /// scrape and the seconds between them for rate computation.
 pub fn render_dashboard(cur: &[Sample], prev: Option<(&[Sample], f64)>) -> String {
@@ -229,27 +221,13 @@ pub fn render_dashboard(cur: &[Sample], prev: Option<(&[Sample], f64)>) -> Strin
             "  lib".to_owned(),
             "requests".to_owned(),
             "pending".to_owned(),
-            "hit%".to_owned(),
-            "id%".to_owned(),
-            "misses".to_owned(),
-            "evict".to_owned(),
-            "resident".to_owned(),
         ]];
         for lib in libs {
             let f = |name: &str| find(cur, name, &[("lib", lib)]).unwrap_or(0.0);
-            let hits = f("dagmap_memo_hits_total");
-            let misses = f("dagmap_memo_misses_total");
             rows.push(vec![
                 format!("  {lib}"),
                 fmt_count(f("dagmap_lib_requests_total")),
                 fmt_count(f("dagmap_lib_pending")),
-                fmt_pct(hits, hits + misses),
-                // Strash-id hit share: the slice of memo hits resolved
-                // without cone extraction.
-                fmt_pct(f("dagmap_memo_id_hits_total"), hits),
-                fmt_count(misses),
-                fmt_count(f("dagmap_memo_evictions_total")),
-                fmt_count(f("dagmap_memo_resident_classes")),
             ]);
         }
         out.push_str(&align_columns(&rows));
@@ -304,19 +282,18 @@ mod tests {
         reg.gauge("dagmap_workers").set(4);
         reg.counter("dagmap_lib_requests_total{lib=\"lib2\"}")
             .inc(60);
-        reg.counter("dagmap_memo_hits_total{lib=\"lib2\"}").inc(30);
-        reg.counter("dagmap_memo_misses_total{lib=\"lib2\"}")
-            .inc(10);
-        reg.counter("dagmap_memo_id_hits_total{lib=\"lib2\"}")
-            .inc(15);
+        reg.gauge("dagmap_lib_pending{lib=\"lib2\"}").set(3);
         reg.histogram("dagmap_request_latency_us{kind=\"first\"}", 4, u64::MAX / 8)
             .observe(500);
         let samples = parse_exposition(&reg.render_prometheus()).unwrap();
         let dash = render_dashboard(&samples, None);
         assert!(dash.contains("requests 100"), "{dash}");
-        assert!(dash.contains("lib2"), "{dash}");
-        assert!(dash.contains("75.0%"), "hit rate 30/(30+10):\n{dash}");
-        assert!(dash.contains("50.0%"), "id share 15/30:\n{dash}");
+        let row = dash
+            .lines()
+            .find(|l| l.trim_start().starts_with("lib2"))
+            .unwrap_or_else(|| panic!("no lib2 row:\n{dash}"));
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cells, ["lib2", "60", "3"], "{dash}");
     }
 
     #[test]

@@ -2,17 +2,18 @@
 //! `dagmap serve` — a long-lived batch-mapping daemon.
 //!
 //! One-shot `dagmap map` pays the full setup bill on every invocation:
-//! parse the genlib, build the pattern index, extend supergates, and then
-//! enumerate matches for cone shapes it has seen a thousand times before.
-//! For workloads that map many circuits against a few libraries — regression
-//! farms, synthesis sweeps, the paper's own Table 2/3 style experiments —
-//! that bill dominates. This crate keeps all of it warm in one process:
+//! start a process, parse the genlib, build the pattern index and extend
+//! supergates. For workloads that map many circuits against a few
+//! libraries — regression farms, synthesis sweeps, the paper's own
+//! Table 2/3 style experiments — that bill dominates. This crate keeps it
+//! paid in one process, and a served map then costs what a one-shot map of
+//! the same BLIF costs, plus I/O:
 //!
 //! * per-library immutable state behind `Arc` — the parsed [`Library`]
-//!   (including any supergate extension applied at startup) and a bounded
-//!   cross-request [`SharedMatchStore`], the sharded LRU cone-class memo
-//!   whose replays are order-identical to fresh enumeration, so served
-//!   results are **bit-identical** to one-shot `dagmap map`;
+//!   (including any supergate extension applied at startup) with its
+//!   subtree automaton, whose transition table warms across requests.
+//!   Each request maps through the same calls as one-shot `dagmap map`,
+//!   so served results are **bit-identical** to it;
 //! * a threaded accept loop (TCP and unix-socket) feeding a fixed worker
 //!   pool through an MPMC [`queue::JobQueue`] — parallelism is across
 //!   requests, each map itself runs serial;
@@ -26,16 +27,16 @@
 //!   only the dirty region (clean nodes are recognized by strash
 //!   signature and their labels copied), still bit-identical to a cold
 //!   map of the edited netlist;
-//! * observability: a request's memo traffic surfaces through the label
-//!   pass's `dagmap-obs` counters (`match.memo_lookups` /
-//!   `match.memo_hits` / `match.memo_id_hits`), its latency through the
-//!   `serve.latency_us` histogram, and any request may ask for its own
+//! * observability: a request's match traffic surfaces through the label
+//!   pass's `dagmap-obs` counters (`match.enumerated` / `match.pruned`),
+//!   its latency through the `serve.latency_us` histogram, and any
+//!   request may ask for its own
 //!   Chrome trace via `options.trace` (recorded in a thread-scoped obs
 //!   session, isolated from concurrent requests);
 //! * live telemetry: one always-on metrics registry per server — the
 //!   daemon's only store of request, error, busy and remap counts — with
 //!   queue depth, worker utilization, rolling-window latency quantiles
-//!   split first-seen vs repeated, and per-library cache counters, served
+//!   split first-seen vs repeated, and per-library request counts, served
 //!   as a `metrics` protocol frame and optionally as plain HTTP
 //!   (`--metrics-addr`, `GET /metrics`, Prometheus text format); JSONL
 //!   request logging (`--log-requests`); and tail-based trace sampling —
@@ -46,13 +47,12 @@
 //!   output.
 //!
 //! The `serveperf` harness in `dagmap-bench` drives a daemon with skewed
-//! multi-library traffic and writes `BENCH_serve.json` (throughput,
-//! p50/p95/p99 latency, memo hit rate).
+//! multi-library traffic and writes `BENCH_serve.json` (throughput and
+//! p50/p95/p99 latency).
 //!
 //! [`MapReport`]: dagmap_core::MapReport
 //!
 //! [`Library`]: dagmap_genlib::Library
-//! [`SharedMatchStore`]: dagmap_match::SharedMatchStore
 
 pub mod client;
 pub mod dash;

@@ -37,7 +37,7 @@
 //! byte-identical to a cold map of the same BLIF. A remap reply echoes a
 //! fresh snapshot under the same handle, so edits chain. `metrics` returns
 //! the daemon's live registry — request, error, busy and remap counts,
-//! rolling latency quantiles, per-library cache counters — as Prometheus
+//! rolling latency quantiles, per-library request counts — as Prometheus
 //! text exposition.
 //!
 //! # Responses
@@ -50,10 +50,11 @@
 //! produces a `bad_request` reply on the same connection; it never kills
 //! the connection or a worker.
 
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
 
 use dagmap_core::MapReport;
-use dagmap_obs::json::{escape, parse, Value};
+use dagmap_obs::json::{escape, escape_into, parse, Value};
 
 /// Hard ceiling on a single frame's payload, so a corrupt or hostile
 /// length header cannot make the server allocate without bound.
@@ -201,7 +202,16 @@ fn opt_bool(v: Option<&Value>, what: &str) -> Result<bool, String> {
     }
 }
 
-/// Parses one request payload.
+/// Moves the string under `key` out of a request object.
+fn take_string(obj: &mut BTreeMap<String, Value>, key: &str) -> Option<String> {
+    match obj.remove(key) {
+        Some(Value::Str(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// Parses one request payload. The BLIF text is moved out of the parsed
+/// document, not copied.
 ///
 /// # Errors
 ///
@@ -209,21 +219,16 @@ fn opt_bool(v: Option<&Value>, what: &str) -> Result<bool, String> {
 /// wraps it in a `bad_request` reply.
 pub fn parse_request(payload: &str) -> Result<Request, String> {
     let doc = parse(payload).map_err(|e| format!("invalid JSON: {e}"))?;
-    let obj = doc.as_obj().ok_or("request must be a JSON object")?;
-    let op = obj
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or("request needs a string `op`")?;
-    match op {
+    let Value::Obj(mut obj) = doc else {
+        return Err("request must be a JSON object".into());
+    };
+    let op = take_string(&mut obj, "op").ok_or("request needs a string `op`")?;
+    match op.as_str() {
         "ping" => Ok(Request::Ping),
         "metrics" => Ok(Request::Metrics),
         "shutdown" => Ok(Request::Shutdown),
         "map" => {
-            let blif = obj
-                .get("blif")
-                .and_then(Value::as_str)
-                .ok_or("map request needs a string `blif`")?
-                .to_owned();
+            let blif = take_string(&mut obj, "blif").ok_or("map request needs a string `blif`")?;
             let id = opt_string(obj.get("id"), "id")?;
             let lib = opt_string(obj.get("lib"), "lib")?;
             let options = match obj.get("options") {
@@ -258,11 +263,8 @@ pub fn parse_request(payload: &str) -> Result<Request, String> {
             })))
         }
         "remap" => {
-            let blif = obj
-                .get("blif")
-                .and_then(Value::as_str)
-                .ok_or("remap request needs a string `blif`")?
-                .to_owned();
+            let blif =
+                take_string(&mut obj, "blif").ok_or("remap request needs a string `blif`")?;
             let handle = obj
                 .get("handle")
                 .and_then(Value::as_str)
@@ -295,21 +297,33 @@ pub fn format_f64(v: f64) -> String {
     }
 }
 
-fn id_field(id: Option<&str>) -> String {
-    match id {
-        Some(id) => format!("\"id\":\"{}\",", escape(id)),
-        None => String::new(),
+/// Appends `,"key":"value"` (`value` escaped) to a frame under
+/// construction; the leading comma is left off when `comma` is false.
+pub(crate) fn push_string_field(frame: &mut String, comma: bool, key: &str, value: &str) {
+    if comma {
+        frame.push(',');
     }
+    frame.push('"');
+    frame.push_str(key);
+    frame.push_str("\":\"");
+    escape_into(frame, value);
+    frame.push('"');
 }
 
 /// Builds an error reply frame.
 pub fn error_frame(id: Option<&str>, kind: ErrorKind, message: &str) -> String {
-    format!(
-        "{{{}\"ok\":false,\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}",
-        id_field(id),
-        kind.as_str(),
-        escape(message)
-    )
+    let mut frame = String::with_capacity(message.len() + 96);
+    frame.push('{');
+    if let Some(id) = id {
+        push_string_field(&mut frame, false, "id", id);
+        frame.push(',');
+    }
+    frame.push_str("\"ok\":false,\"error\":{\"kind\":\"");
+    frame.push_str(kind.as_str());
+    frame.push('"');
+    push_string_field(&mut frame, true, "message", message);
+    frame.push_str("}}");
+    frame
 }
 
 /// Builds the `ping` reply frame.
@@ -385,7 +399,8 @@ pub fn map_report_json(report: &MapReport) -> String {
 }
 
 /// Builds a successful map or remap reply frame. `handle` is echoed when
-/// the request retained (or refreshed) server-side labels under it.
+/// the request retained (or refreshed) server-side labels under it. The
+/// escaped BLIF and trace are written straight into the one frame buffer.
 pub fn map_ok_frame(
     op: &str,
     id: Option<&str>,
@@ -395,24 +410,30 @@ pub fn map_ok_frame(
     handle: Option<&str>,
     trace_chrome: Option<&str>,
 ) -> String {
-    let trace = match trace_chrome {
-        Some(t) => format!(",\"trace\":\"{}\"", escape(t)),
-        None => String::new(),
-    };
-    let handle = match handle {
-        Some(h) => format!(",\"handle\":\"{}\"", escape(h)),
-        None => String::new(),
-    };
-    format!(
-        "{{{}\"ok\":true,\"op\":\"{}\",\"lib\":\"{}\",{},\"blif\":\"{}\"{}{}}}",
-        id_field(id),
-        escape(op),
-        escape(lib),
-        map_report_fields(report),
-        escape(blif),
-        handle,
-        trace
-    )
+    let fields = map_report_fields(report);
+    let trace_len = trace_chrome.map_or(0, str::len);
+    // Escaping grows BLIF by about one byte per line.
+    let escaped = blif.len() + trace_len;
+    let mut frame = String::with_capacity(fields.len() + escaped + escaped / 8 + 128);
+    frame.push('{');
+    if let Some(id) = id {
+        push_string_field(&mut frame, false, "id", id);
+        frame.push(',');
+    }
+    frame.push_str("\"ok\":true");
+    push_string_field(&mut frame, true, "op", op);
+    push_string_field(&mut frame, true, "lib", lib);
+    frame.push(',');
+    frame.push_str(&fields);
+    push_string_field(&mut frame, true, "blif", blif);
+    if let Some(h) = handle {
+        push_string_field(&mut frame, true, "handle", h);
+    }
+    if let Some(t) = trace_chrome {
+        push_string_field(&mut frame, true, "trace", t);
+    }
+    frame.push('}');
+    frame
 }
 
 #[cfg(test)]

@@ -15,12 +15,11 @@
 //! # Shared per-library state
 //!
 //! Each library the daemon serves is parsed and indexed once at startup and
-//! shared behind an [`Arc`]: the [`Library`] itself (patterns, the
-//! automaton whose transition table every worker grows and reads, any
-//! supergate extension the caller applied before startup) plus one [`SharedMatchStore`] — the bounded cross-request
-//! cone-class memo. Repeated circuit shapes across requests therefore hit
-//! warm match caches instead of re-enumerating, which is the entire point
-//! of running a daemon instead of one process per map.
+//! shared behind an [`Arc`]: the [`Library`] itself, with its patterns,
+//! the automaton whose transition table every worker grows and reads, and
+//! any supergate extension the caller applied before startup. A served
+//! request maps exactly as a one-shot run of the same BLIF does; what the
+//! daemon saves is the library build and the process start.
 //!
 //! # Shutdown
 //!
@@ -42,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use dagmap_core::{verify, MapOptions, Mapper, RetainedLabels, SharedMatchStore};
+use dagmap_core::{verify, MapOptions, Mapper, RetainedLabels};
 use dagmap_genlib::Library;
 use dagmap_netlist::{blif, SubjectGraph};
 
@@ -66,9 +65,6 @@ pub struct ServeConfig {
     /// unlimited. Requests beyond the limit are refused with a `busy`
     /// frame instead of queuing without bound.
     pub max_inflight: usize,
-    /// Cone-class budget of each library's [`SharedMatchStore`]. The
-    /// resident bound is `2x` this (two LRU generations).
-    pub memo_cap: usize,
     /// Verify every mapped netlist against its subject graph by random
     /// simulation before replying.
     pub verify: bool,
@@ -80,7 +76,7 @@ pub struct ServeConfig {
     /// `127.0.0.1:9464`. The `metrics` op serves it either way.
     pub metrics_addr: Option<String>,
     /// Write one JSONL event per request (outcome, sizes, phase timings,
-    /// memo counters) to this path.
+    /// match counters) to this path.
     pub log_requests: Option<PathBuf>,
     /// Tail-based trace sampling: requests slower than their class's
     /// rolling quantile keep their Chrome trace in a bounded on-disk
@@ -93,7 +89,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             max_inflight: 256,
-            memo_cap: 1 << 16,
             verify: true,
             retain_cap: 64,
             metrics_addr: None,
@@ -119,16 +114,6 @@ pub struct Endpoints {
 pub struct LibState {
     /// The library (with any supergate extension already applied).
     pub library: Library,
-    /// The bounded cross-request cone-class memo.
-    pub shared: SharedMatchStore,
-}
-
-impl LibState {
-    fn new(library: Library, memo_cap: usize) -> LibState {
-        let shared =
-            SharedMatchStore::for_library(&library, SharedMatchStore::DEFAULT_SHARDS, memo_cap);
-        LibState { library, shared }
-    }
 }
 
 /// A serialized writer over one connection, cloned into every job from
@@ -256,9 +241,7 @@ impl Inner {
     }
 
     /// Sets the gauges read from daemon state (queue, admission count,
-    /// retained runs) and mirrors the per-library cache counters the
-    /// stores own into the registry, then renders the Prometheus
-    /// exposition.
+    /// retained runs), then renders the Prometheus exposition.
     fn render_metrics(&self) -> String {
         let tel = &self.telemetry;
         tel.queue_depth.set(self.queue.len() as i64);
@@ -270,14 +253,7 @@ impl Inner {
             .unwrap_or_else(|e| e.into_inner())
             .len();
         tel.retained_runs.set(retained as i64);
-        for (name, state) in &self.libs {
-            let s = &state.shared;
-            tel.lib_memo_counter("hits", name).set(s.hits());
-            tel.lib_memo_counter("id_hits", name).set(s.id_hits());
-            tel.lib_memo_counter("misses", name).set(s.misses());
-            tel.lib_memo_counter("evictions", name).set(s.evictions());
-            tel.lib_memo_counter("rotations", name).set(s.rotations());
-            tel.lib_memo_resident(name).set(s.resident_classes() as i64);
+        for name in self.libs.keys() {
             // Ensure every served library has a requests/pending series
             // even before its first request, so dashboards list them all.
             tel.lib_requests(name);
@@ -512,10 +488,8 @@ fn resolve_lib<'a>(
         })
 }
 
-/// The mapping options a request's algorithm string selects, with the
-/// memo turned on: the daemon's warm shared store replays repeat requests,
-/// which a one-shot run never sees (results are bit-identical either
-/// way).
+/// The mapping options a request's algorithm string selects: the same
+/// options `dagmap map --algo` picks, so a served map is a one-shot map.
 fn serve_options(algo: &str, recover: bool) -> Result<MapOptions, (ErrorKind, String)> {
     let mut opts = match algo {
         "dag" => MapOptions::dag(),
@@ -531,7 +505,7 @@ fn serve_options(algo: &str, recover: bool) -> Result<MapOptions, (ErrorKind, St
     if recover {
         opts = opts.with_area_recovery();
     }
-    Ok(opts.with_match_memo(true))
+    Ok(opts)
 }
 
 /// Stores (or refreshes) a retained labeling run under `handle`, evicting
@@ -574,7 +548,7 @@ struct PipelineJob<'a> {
 }
 
 /// The one request pipeline behind `map` and `remap`: parse, decomposition,
-/// map (cold or incremental, through the library's shared store), verify,
+/// map (cold or incremental), verify,
 /// writeback, retention and the reply frame. A `trace` request (or tail
 /// sampling) records into a thread-scoped obs session: concurrent requests
 /// on other workers never mix frames into it, and it coexists with a
@@ -594,12 +568,11 @@ fn run_pipeline(
             .map_err(|e| (ErrorKind::BadRequest, format!("subject graph: {e}")))?;
         let opts = serve_options(job.algo, job.recover)?;
         let mapper = Mapper::new(&job.state.library);
-        let shared = &job.state.shared;
         let (mapped, report, snapshot) = match (job.retained, job.retain_as) {
-            (Some(retained), _) => mapper.map_incremental(&subject, opts, retained, Some(shared)),
-            (None, Some(_)) => mapper.map_with_report_retaining(&subject, opts, Some(shared)),
+            (Some(retained), _) => mapper.map_incremental(&subject, opts, retained, None),
+            (None, Some(_)) => mapper.map_with_report_retaining(&subject, opts, None),
             (None, None) => mapper
-                .map_with_report_shared(&subject, opts, shared)
+                .map_with_report(&subject, opts)
                 .map(|(mapped, report)| (mapped, report, None)),
         }
         .map_err(|e| (ErrorKind::BadRequest, e.to_string()))?;
@@ -958,10 +931,7 @@ impl Server {
         for library in libraries {
             let name = library.name().to_owned();
             if libs
-                .insert(
-                    name.clone(),
-                    Arc::new(LibState::new(library, config.memo_cap)),
-                )
+                .insert(name.clone(), Arc::new(LibState { library }))
                 .is_some()
             {
                 return Err(io::Error::new(
@@ -1077,12 +1047,6 @@ impl Server {
     /// (useful with port 0).
     pub fn metrics_http_addr(&self) -> Option<std::net::SocketAddr> {
         self.metrics_http_addr
-    }
-
-    /// The per-library shared state (tests and harnesses read the memo
-    /// counters through this).
-    pub fn lib_state(&self, name: &str) -> Option<Arc<LibState>> {
-        self.inner.libs.get(name).cloned()
     }
 
     /// Initiates the same graceful shutdown a `shutdown` frame does.

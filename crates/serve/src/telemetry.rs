@@ -186,23 +186,6 @@ impl Telemetry {
             label_escape(lib)
         ))
     }
-
-    /// Per-library memo counter, mirrored from the `SharedMatchStore` at
-    /// scrape time (`which` is e.g. `hits`, `misses`).
-    pub fn lib_memo_counter(&self, which: &str, lib: &str) -> Counter {
-        self.registry.counter(&format!(
-            "dagmap_memo_{which}_total{{lib=\"{}\"}}",
-            label_escape(lib)
-        ))
-    }
-
-    /// Per-library resident-classes gauge, mirrored at scrape time.
-    pub fn lib_memo_resident(&self, lib: &str) -> Gauge {
-        self.registry.gauge(&format!(
-            "dagmap_memo_resident_classes{{lib=\"{}\"}}",
-            label_escape(lib)
-        ))
-    }
 }
 
 /// Everything one request contributes to telemetry, filled in by the
@@ -274,15 +257,9 @@ impl RequestEvent {
             None => "null".to_owned(),
         };
         let [decompose_us, label_us, cover_us, recovery_us] = self.phases_us();
-        let (delay, num_cells, [memo_hits, memo_id_hits, matches_enumerated, labels_reused]) =
-            self.report.as_ref().map_or((0.0, 0, [0; 4]), |r| {
-                let counters = [
-                    r.memo_hits,
-                    r.memo_id_hits,
-                    r.matches_enumerated,
-                    r.labels_reused,
-                ];
-                (r.delay, r.num_cells, counters)
+        let (delay, num_cells, matches_enumerated, labels_reused) =
+            self.report.as_ref().map_or((0.0, 0, 0, 0), |r| {
+                (r.delay, r.num_cells, r.matches_enumerated, r.labels_reused)
             });
         format!(
             concat!(
@@ -291,8 +268,7 @@ impl RequestEvent {
                 "\"first_seen\":{},\"delay\":{},\"num_cells\":{},",
                 "\"phases\":{{\"decompose_us\":{},\"label_us\":{},\"cover_us\":{},",
                 "\"recovery_us\":{}}},",
-                "\"counters\":{{\"memo_hits\":{},\"memo_id_hits\":{},",
-                "\"matches_enumerated\":{},\"labels_reused\":{}}}}}"
+                "\"counters\":{{\"matches_enumerated\":{},\"labels_reused\":{}}}}}"
             ),
             ts_ms,
             self.op,
@@ -310,8 +286,6 @@ impl RequestEvent {
             label_us,
             cover_us,
             recovery_us,
-            memo_hits,
-            memo_id_hits,
             matches_enumerated,
             labels_reused,
         )

@@ -48,10 +48,9 @@ fn scrape(client: &mut Client) -> Vec<Sample> {
 }
 
 /// What one-shot `dagmap map` would produce for this BLIF text and library
-/// (default options: delay-objective DAG cover, no forced memo — the
-/// daemon's forced shared memo must not change a byte of this). Starts
-/// from the same BLIF text the daemon receives, because parsing BLIF is
-/// part of the pipeline whose output must be byte-identical.
+/// (default options: delay-objective DAG cover). Starts from the same BLIF
+/// text the daemon receives, because parsing BLIF is part of the pipeline
+/// whose output must be byte-identical.
 fn one_shot_blif(input: &str, library: &Library) -> String {
     let net = blif::parse(input).unwrap();
     let subject = SubjectGraph::from_network(&net).unwrap();
@@ -195,8 +194,8 @@ fn concurrent_clients_all_get_bit_identical_results() {
             scope.spawn(move || {
                 let mut client = Client::connect(&endpoint).unwrap();
                 // Each client walks the circuit x library matrix several
-                // times from a different offset, so the shared memo serves
-                // all of them warm and cold interleaved.
+                // times from a different offset, so first-seen and repeat
+                // requests interleave across the workers.
                 for round in 0..3 {
                     for i in 0..inputs.len() {
                         let c = (i + worker) % inputs.len();
@@ -228,14 +227,14 @@ fn concurrent_clients_all_get_bit_identical_results() {
         }
     });
 
-    // The repeated circuits above must have hit the shared memo.
+    // Every request was served, none failed.
     let mut client = Client::connect(&endpoint).unwrap();
-    let hits: f64 = scrape(&mut client)
-        .iter()
-        .filter(|s| s.name == "dagmap_memo_hits_total")
-        .map(|s| s.value)
-        .sum();
-    assert!(hits > 0.0, "repeated circuits should hit the shared memo");
+    let samples = scrape(&mut client);
+    assert_eq!(
+        dash::find(&samples, "dagmap_requests_total", &[]),
+        Some(48.0)
+    );
+    assert_eq!(dash::find(&samples, "dagmap_errors_total", &[]), Some(0.0));
     client.shutdown().unwrap();
     server.wait().unwrap();
 }
@@ -634,9 +633,10 @@ fn metrics_frame_exposes_live_counters_and_stays_byte_neutral() {
         ),
         Some(3.0)
     );
+    // The daemon keeps no cone memo, so it exports no memo series.
     assert!(
-        dash::find(&samples, "dagmap_memo_hits_total", &[("lib", "lib2_like")]).unwrap() > 0.0,
-        "repeats must hit the shared memo"
+        samples.iter().all(|s| !s.name.starts_with("dagmap_memo_")),
+        "memo series exported"
     );
 
     client.shutdown().unwrap();
@@ -972,4 +972,109 @@ fn unix_socket_file_is_removed_even_without_wait() {
     // caller would — must still remove the socket file (RAII guard).
     drop(server);
     assert!(!path.exists(), "socket file removed on drop");
+}
+
+/// A megabyte of `[` is a valid frame whose JSON nests far past anything
+/// the protocol uses. The parser bounds its nesting depth, so the reader
+/// thread answers `bad_request` naming the byte where the bound was hit,
+/// instead of recursing until its stack overflows; the same connection
+/// then maps like a one-shot run.
+#[cfg(unix)]
+#[test]
+fn deeply_nested_frame_is_a_bad_request_and_spares_the_connection() {
+    let (server, endpoint) = start_unix("nesting", &ServeConfig::default());
+    let mut client = Client::connect(&endpoint).unwrap();
+    let reply = client.call(&"[".repeat(1 << 20)).unwrap();
+    let error = reply
+        .get("error")
+        .unwrap_or_else(|| panic!("expected an error reply, got {reply:?}"));
+    assert_eq!(
+        error.get("kind").and_then(|k| k.as_str()),
+        Some("bad_request")
+    );
+    let message = error.get("message").and_then(|m| m.as_str()).unwrap();
+    assert!(message.contains("at byte 128"), "{message}");
+
+    let input = blif::to_string(&dagmap_benchgen::ripple_adder(4)).unwrap();
+    let reply = client
+        .call(&map_request(&input, &MapCall::default()))
+        .unwrap();
+    assert_eq!(
+        reply.get("blif").and_then(|b| b.as_str()),
+        Some(one_shot_blif(&input, &Library::lib2_like()).as_str()),
+        "{reply:?}"
+    );
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+/// With room for one retained run, retaining `b` evicts `a`: a remap of
+/// `a` is refused with a `bad_request` naming it, the connection keeps
+/// serving, and a remap of `b` is still byte-identical to a one-shot map
+/// of the edited BLIF.
+#[cfg(unix)]
+#[test]
+fn remap_of_an_evicted_handle_is_refused_and_the_survivor_remaps() {
+    let config = ServeConfig {
+        retain_cap: 1,
+        ..ServeConfig::default()
+    };
+    let (server, endpoint) = start_unix("evict", &config);
+    let mut client = Client::connect(&endpoint).unwrap();
+    let input = blif::to_string(&dagmap_benchgen::alu(4)).unwrap();
+    for handle in ["a", "b"] {
+        let reply = client
+            .call(&map_request(
+                &input,
+                &MapCall {
+                    id: Some(handle),
+                    retain: true,
+                    ..MapCall::default()
+                },
+            ))
+            .unwrap();
+        assert_eq!(
+            reply.get("handle").and_then(|h| h.as_str()),
+            Some(handle),
+            "{reply:?}"
+        );
+    }
+
+    let edited = edited_blif(&input);
+    let reply = client
+        .call(&dagmap_serve::remap_request(
+            &edited,
+            "a",
+            Some("ra"),
+            false,
+        ))
+        .unwrap();
+    let error = reply
+        .get("error")
+        .unwrap_or_else(|| panic!("an evicted handle must be refused: {reply:?}"));
+    assert_eq!(
+        error.get("kind").and_then(|k| k.as_str()),
+        Some("bad_request")
+    );
+    let message = error.get("message").and_then(|m| m.as_str()).unwrap();
+    assert!(message.contains("`a`"), "{message}");
+    client
+        .ping()
+        .expect("connection survives the refused remap");
+
+    let reply = client
+        .call(&dagmap_serve::remap_request(
+            &edited,
+            "b",
+            Some("rb"),
+            false,
+        ))
+        .unwrap();
+    assert_eq!(reply.get("error"), None, "{reply:?}");
+    assert_eq!(
+        reply.get("blif").and_then(|b| b.as_str()),
+        Some(one_shot_blif(&edited, &Library::lib2_like()).as_str())
+    );
+    client.shutdown().unwrap();
+    server.wait().unwrap();
 }

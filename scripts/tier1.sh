@@ -15,8 +15,10 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo test -q --offline --workspace
 
-# Every intra-doc link must resolve, so a deleted item cannot leave one dangling.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --workspace --no-deps
+# The docs must build without a single rustdoc warning: every intra-doc
+# link resolves (a deleted item cannot leave one dangling), no public doc
+# links a private item, and no link is redundant.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 # The end-to-end benchmark's own tests: a smoke run of all four workloads
 # (traced and untraced) and the check that its output checker, which calls
@@ -34,8 +36,8 @@ DAGMAP_BENCH_QUICK=1 cargo run -q --release --offline -p dagmap-bench --bin labe
 ! grep -q '"wave_allocs": [^0]' target/BENCH_label_smoke.json
 
 # Smoke-run the match-acceleration micro-bench: asserts labels and mapped
-# BLIF are bit-identical with the automaton index and the cone-class memo
-# on or off, and writes BENCH_match.json.
+# BLIF are bit-identical with the automaton index on or off, and writes
+# BENCH_match.json.
 cargo run -q --release --offline -p dagmap-bench --bin matchperf -- \
   --quick --out target/BENCH_match_smoke.json
 
@@ -46,7 +48,7 @@ cargo run -q --release --offline -p dagmap-bench --bin supergate -- \
   --quick --out target/BENCH_supergate_smoke.json
 
 # Deterministic differential-fuzzing smoke: a fixed seed over ~20 cases must
-# sweep the full configuration matrix (accel/memo, incremental edits,
+# sweep the full configuration matrix (accel, incremental edits,
 # boolean/hybrid, supergate libraries, retiming) with zero invariant
 # violations. Repros, if any, land
 # in target/ so a failure never dirties the checked-in corpus. The run is
@@ -93,11 +95,9 @@ cargo run -q --release --offline -- client --unix "$SERVE_SOCK" --shutdown > /de
 wait "$SERVE_PID"
 cmp target/serve_oneshot.blif target/serve_served.blif
 
-# One-shot vs served 44-3 smoke: one-shot runs never memoize, while the
-# daemon labels through its shared memo store, so this compares the
-# unmemoized one-shot path with the daemon's store, cold and then warm, byte
-# for byte. The warm reply must resolve matches through strash ids, so the
-# id fast path is what the warm comparison checks.
+# One-shot vs served 44-3 smoke: the c6288 analogue mapped one-shot and
+# through the daemon, cold and then warm (the library's automaton table
+# already grown), byte for byte.
 SERVE44_SOCK="target/tier1-serve44.sock"
 rm -f "$SERVE44_SOCK"
 cargo run -q --release --offline -- gen c6288 --out target/serve44_smoke.blif
@@ -110,15 +110,12 @@ for _ in $(seq 100); do [ -S "$SERVE44_SOCK" ] && break; sleep 0.1; done
 [ -S "$SERVE44_SOCK" ] || { cat target/serve44_smoke.log; exit 1; }
 for pass in cold warm; do
   cargo run -q --release --offline -- client --unix "$SERVE44_SOCK" --lib 44-3 \
-    target/serve44_smoke.blif --out "target/serve44_$pass.blif" --json \
-    > "target/serve44_$pass.json"
+    target/serve44_smoke.blif --out "target/serve44_$pass.blif" > /dev/null
 done
 cargo run -q --release --offline -- client --unix "$SERVE44_SOCK" --shutdown > /dev/null
 wait "$SERVE44_PID"
 cmp target/serve44_oneshot.blif target/serve44_cold.blif
 cmp target/serve44_oneshot.blif target/serve44_warm.blif
-WARM_ID_HITS=$(grep -o '"memo_id_hits":[0-9]*' target/serve44_warm.json | cut -d: -f2)
-[ "$WARM_ID_HITS" -gt 0 ]
 
 # Metrics smoke: a daemon with every telemetry layer on (request log, tail
 # trace sampling, and the always-on registry) serves 50 pipelined requests;
@@ -153,8 +150,8 @@ cmp target/serve_oneshot.blif target/serve_metrics_served.blif
 [ "$(ls target/tier1-tail | wc -l)" -eq 4 ]
 
 # Traffic-driven serve bench in quick mode: ~120 pipelined requests over two
-# libraries; asserts zero errors, memo hits on repeats, and a per-pair
-# bit-identity spot check against one-shot mapping.
+# libraries; asserts zero errors and a per-pair bit-identity spot check
+# against one-shot mapping.
 cargo run -q --release --offline -p dagmap-bench --bin serveperf -- \
   --quick --out target/BENCH_serve_smoke.json
 grep -q '"bit_identical": true' target/BENCH_serve_smoke.json
@@ -176,9 +173,9 @@ PERM_MATCHES=$(grep -o '"matches_enumerated":[0-9]*' target/perm_smoke.json | cu
 cargo run -q --release --offline -- gen c7552 --out target/c7552_smoke.blif
 cargo run -q --release --offline -- map target/c7552_smoke.blif > /dev/null
 
-# Strash/incremental bench in quick mode: asserts cold == warm == incremental
-# mapped BLIF byte-identity, warm runs resolve strash ids, and the
-# incremental re-map of an edited circuit clears the 5x speedup floor.
+# Strash/incremental bench in quick mode: asserts cold == incremental
+# mapped BLIF byte-identity, and the incremental re-map of an edited
+# circuit clears the 5x speedup floor.
 cargo run -q --release --offline -p dagmap-bench --bin strashperf -- \
   --quick --out target/BENCH_strash_smoke.json
 grep -q '"all_identical": true' target/BENCH_strash_smoke.json

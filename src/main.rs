@@ -65,7 +65,7 @@ dagmap — delay-optimal technology mapping by DAG covering (DAC 1998)
 usage:
   dagmap map      <in.blif> [options]   map against a gate library
   dagmap serve    [options]             long-lived mapping daemon with warm
-                                        shared match caches (TCP/unix socket)
+                                        libraries (TCP/unix socket)
   dagmap client   [options] [in.blif]   talk to a running daemon
   dagmap top      [options]             live refreshing terminal dashboard
                                         for a running daemon
@@ -73,8 +73,8 @@ usage:
   dagmap retime   <in.blif> [options]   minimum clock period (retime + map)
   dagmap stats    <in.blif> [--builtin <name> | --lib <f.genlib>]
                                         network and subject-graph statistics
-                                        (with a library: match census, memo
-                                        hit rate and phase timings)
+                                        (with a library: match census and
+                                        phase timings)
   dagmap lib      <f.genlib>|--builtin  library statistics
   dagmap supergen [options]             extend a library with supergates
   dagmap fuzz     [options]             differential fuzzing of the mapper
@@ -133,14 +133,11 @@ serve options:
                                       hardware threads)
   --max-inflight <n>                  admission limit before `busy` replies
                                       (default 256, 0 = unlimited)
-  --memo-cap <n>                      cone-class budget per library's shared
-                                      match cache (default 65536; resident
-                                      bound is 2x)
   --no-verify                         skip per-request equivalence checks
   --metrics-addr <addr>               also serve the metrics as plain HTTP
                                       (GET /metrics, Prometheus text format)
   --log-requests <f.jsonl>            append one JSON line per finished
-                                      request (latency, phases, cache hits)
+                                      request (latency, phases, match counts)
   --tail-traces <dir>                 tail-based trace sampling: requests
                                       slower than their class's rolling
                                       latency quantile keep their Chrome
@@ -460,21 +457,6 @@ fn cmd_map(args: &[String]) -> CmdResult {
             report.matches_enumerated,
             mapped.duplicated_subject_nodes(),
         );
-        let memo = if report.memo_lookups > 0 {
-            let id = if report.memo_id_hits > 0 {
-                format!(", {} via strash id", report.memo_id_hits)
-            } else {
-                String::new()
-            };
-            format!(
-                ", memo {}/{} hits ({:.1}%{id})",
-                report.memo_hits,
-                report.memo_lookups,
-                100.0 * report.memo_hits as f64 / report.memo_lookups as f64
-            )
-        } else {
-            String::new()
-        };
         let kernel = if report.match_words > 0 {
             format!(
                 ", {} words ({:.1}% occupancy)",
@@ -485,7 +467,7 @@ fn cmd_map(args: &[String]) -> CmdResult {
             String::new()
         };
         println!(
-            "matching: {} enumerated, {} candidates pruned{kernel}{memo}",
+            "matching: {} enumerated, {} candidates pruned{kernel}",
             report.matches_enumerated, report.matches_pruned
         );
         if let Some(b) = &bool_report {
@@ -587,9 +569,6 @@ fn cmd_serve(args: &[String]) -> CmdResult {
     if let Some(n) = take_value(&mut args, "--max-inflight")? {
         config.max_inflight = n.parse().map_err(|_| "--max-inflight needs an integer")?;
     }
-    if let Some(n) = take_value(&mut args, "--memo-cap")? {
-        config.memo_cap = n.parse().map_err(|_| "--memo-cap needs an integer")?;
-    }
     config.verify = !take_flag(&mut args, "--no-verify");
     config.metrics_addr = take_value(&mut args, "--metrics-addr")?;
     config.log_requests = take_value(&mut args, "--log-requests")?.map(Into::into);
@@ -654,11 +633,10 @@ fn cmd_serve(args: &[String]) -> CmdResult {
         eprintln!("metrics on http://{addr}/metrics");
     }
     eprintln!(
-        "libraries: {} ({} workers, max {} inflight, memo cap {}); send {{\"op\":\"shutdown\"}} to stop",
+        "libraries: {} ({} workers, max {} inflight); send {{\"op\":\"shutdown\"}} to stop",
         names.join(", "),
         config.workers,
         config.max_inflight,
-        config.memo_cap,
     );
     server.wait()?;
     eprintln!("serve: drained and stopped");
@@ -944,29 +922,18 @@ fn cmd_stats(args: &[String]) -> CmdResult {
         );
         if let Some(library) = library {
             // Full match census under standard semantics: how much pattern
-            // matching this subject costs against the library, how much of it
-            // the automaton prunes, and how often cone classes recur. One-shot
-            // labeling never memoizes, so the census turns the memo on (as the
-            // serve daemon does) to measure that recurrence.
-            use dagmap::matching::{
-                MatchConfig, MatchScratch, MatchStats, Matcher, MemoPolicy, SharedMatchStore,
-            };
-            let config = MatchConfig {
-                memo: MemoPolicy::On,
-                ..MatchConfig::default()
-            };
-            let matcher = Matcher::with_config(&library, config);
-            // A private store for this one pass.
-            let store = SharedMatchStore::for_library(&library, 1, usize::MAX);
-            let mut scratch = MatchScratch::new();
+            // matching this subject costs against the library, and how much
+            // of it the automaton prunes.
+            use dagmap::matching::{MatchStats, Matcher};
+            let matcher = Matcher::new(&library);
+            let mut scratch = matcher.scratch_for(&subject);
             let mut stats = MatchStats::default();
             for id in subject.network().node_ids() {
-                stats.absorb(matcher.for_each_match_shared(
+                stats.absorb(matcher.for_each_match_at(
                     &subject,
                     id,
                     MatchMode::Standard,
                     &mut scratch,
-                    &store,
                     &mut |_| {},
                 ));
             }
@@ -975,16 +942,6 @@ fn cmd_stats(args: &[String]) -> CmdResult {
                 library.name(),
                 stats.enumerated,
                 stats.pruned
-            );
-            println!(
-                "match memo: {} cone classes over {} lookups ({:.1}% hit rate)",
-                store.resident_classes(),
-                stats.memo_lookups,
-                if stats.memo_lookups > 0 {
-                    100.0 * stats.memo_hits as f64 / stats.memo_lookups as f64
-                } else {
-                    0.0
-                }
             );
             // One reference mapping run so the per-phase durations the
             // MapReport carries are part of the statistics readout.

@@ -162,6 +162,10 @@ fn every_subcommand_rejects_unknown_flags() {
     let (ok, _, err) = dagmap(&["stats", &blif, "stray"]);
     assert!(!ok);
     assert!(err.contains("unexpected argument"), "{err}");
+    // The daemon has no memo to size any more; its old flag is unknown.
+    let (ok, _, err) = dagmap(&["serve", "--memo-cap", "1024"]);
+    assert!(!ok);
+    assert!(err.contains("unknown flag `--memo-cap`"), "{err}");
 }
 
 /// `--trace` writes a file `trace-check` accepts, `--profile` prints the
