@@ -1,5 +1,6 @@
 //! A small blocking client for the serve protocol — used by `dagmap
-//! client`, the integration tests and the `serveperf` harness.
+//! client`, `dagmap top`, the integration tests and the end-to-end
+//! benchmark.
 
 use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;

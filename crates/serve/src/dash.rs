@@ -178,7 +178,7 @@ pub fn render_dashboard(cur: &[Sample], prev: Option<(&[Sample], f64)>) -> Strin
         "max".to_owned(),
         "count".to_owned(),
     ]];
-    for kind in ["first", "repeat", "remap"] {
+    for kind in ["first", "repeat", "remap", "cached"] {
         let q = |qs: &str| {
             find(
                 cur,
@@ -200,13 +200,51 @@ pub fn render_dashboard(cur: &[Sample], prev: Option<(&[Sample], f64)>) -> Strin
     out.push_str(&align_columns(&rows));
 
     out.push_str("\nphases p50 (us, rolling window)\n");
-    let phase = |name: &str| find(cur, name, &[("quantile", "0.5")]).unwrap_or(0.0);
-    out.push_str(&format!(
-        "  decompose {}  label {}  cover {}\n",
-        fmt_count(phase("dagmap_phase_decompose_us")),
-        fmt_count(phase("dagmap_phase_label_us")),
-        fmt_count(phase("dagmap_phase_cover_us")),
-    ));
+    let phase = |name: &str| {
+        let p50 = find(
+            cur,
+            &format!("dagmap_phase_{name}_us"),
+            &[("quantile", "0.5")],
+        );
+        format!("{name} {}", fmt_count(p50.unwrap_or(0.0)))
+    };
+    let phases: Vec<String> = [
+        "parse",
+        "decompose",
+        "label",
+        "cover",
+        "verify",
+        "writeback",
+    ]
+    .into_iter()
+    .map(phase)
+    .collect();
+    out.push_str(&format!("  {}\n", phases.join("  ")));
+
+    out.push_str("\nreply cache\n");
+    let hits = g("dagmap_reply_cache_hits_total");
+    let lookups = hits + g("dagmap_reply_cache_misses_total");
+    let hit_rate = if lookups > 0.0 {
+        format!("{:.1}%", 100.0 * hits / lookups)
+    } else {
+        "-".to_owned()
+    };
+    out.push_str(&align_columns(&[
+        vec![
+            "  hits".to_owned(),
+            "misses".to_owned(),
+            "hit rate".to_owned(),
+            "evictions".to_owned(),
+            "resident KiB".to_owned(),
+        ],
+        vec![
+            format!("  {}", fmt_count(hits)),
+            fmt_count(lookups - hits),
+            hit_rate,
+            fmt_count(g("dagmap_reply_cache_evictions_total")),
+            fmt_count(g("dagmap_reply_cache_bytes") / 1024.0),
+        ],
+    ]));
 
     let mut libs: Vec<&str> = cur
         .iter()
@@ -285,9 +323,18 @@ mod tests {
         reg.gauge("dagmap_lib_pending{lib=\"lib2\"}").set(3);
         reg.histogram("dagmap_request_latency_us{kind=\"first\"}", 4, u64::MAX / 8)
             .observe(500);
+        reg.counter("dagmap_reply_cache_hits_total").inc(30);
+        reg.counter("dagmap_reply_cache_misses_total").inc(10);
         let samples = parse_exposition(&reg.render_prometheus()).unwrap();
         let dash = render_dashboard(&samples, None);
         assert!(dash.contains("requests 100"), "{dash}");
+        let cache = dash
+            .lines()
+            .skip_while(|l| *l != "reply cache")
+            .nth(2)
+            .unwrap_or_else(|| panic!("no reply cache row:\n{dash}"));
+        let cells: Vec<&str> = cache.split_whitespace().collect();
+        assert_eq!(cells, ["30", "10", "75.0%", "0", "0"], "{dash}");
         let row = dash
             .lines()
             .find(|l| l.trim_start().starts_with("lib2"))

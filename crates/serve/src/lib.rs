@@ -17,6 +17,12 @@
 //! * a threaded accept loop (TCP and unix-socket) feeding a fixed worker
 //!   pool through an MPMC [`queue::JobQueue`] — parallelism is across
 //!   requests, each map itself runs serial;
+//! * a reply cache: a `map` reply is a pure function of library,
+//!   algorithm, `recover` and BLIF, so from the second sighting of a
+//!   `(library, BLIF)` pair on, an identical request is answered on its
+//!   connection's reader thread with the stored reply bytes, never
+//!   reaching the worker queue; the cache holds at most 32 MiB, least
+//!   recently used first out;
 //! * a length-prefixed line-JSON protocol ([`protocol`]) with per-request
 //!   error isolation (a malformed request answers with an error frame and
 //!   never kills a worker or connection), `busy` backpressure past
@@ -36,7 +42,8 @@
 //! * live telemetry: one always-on metrics registry per server — the
 //!   daemon's only store of request, error, busy and remap counts — with
 //!   queue depth, worker utilization, rolling-window latency quantiles
-//!   split first-seen vs repeated, and per-library request counts, served
+//!   split first-seen vs repeated vs cached, reply-cache hits, misses,
+//!   evictions and resident bytes, and per-library request counts, served
 //!   as a `metrics` protocol frame and optionally as plain HTTP
 //!   (`--metrics-addr`, `GET /metrics`, Prometheus text format); JSONL
 //!   request logging (`--log-requests`); and tail-based trace sampling —
@@ -46,14 +53,11 @@
 //!   phase histograms read. All of it is byte-neutral to the mapped
 //!   output.
 //!
-//! The `serveperf` harness in `dagmap-bench` drives a daemon with skewed
-//! multi-library traffic and writes `BENCH_serve.json` (throughput and
-//! p50/p95/p99 latency).
-//!
 //! [`MapReport`]: dagmap_core::MapReport
 //!
 //! [`Library`]: dagmap_genlib::Library
 
+mod cache;
 pub mod client;
 pub mod dash;
 pub mod protocol;

@@ -44,7 +44,10 @@
 //!
 //! Success: `{"ok":true,...}` with op-specific fields — a map reply carries
 //! `delay`, `area`, the mapped netlist as `blif`, and the `phases` /
-//! `counters` objects of [`MapReport`]. Failure:
+//! `counters` objects of [`MapReport`]. A map the daemon answered from its
+//! reply cache says `"cached":true` right after `"ok":true`; every byte
+//! after that is the reply of the run that stored it, report included.
+//! Failure:
 //! `{"ok":false,"error":{"kind":...,"message":...}}` where `kind` is one of
 //! `bad_request`, `busy`, `shutting_down`, `internal`. A malformed frame
 //! produces a `bad_request` reply on the same connection; it never kills
@@ -66,10 +69,17 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 ///
 /// Propagates I/O errors from the underlying writer.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
-    let mut header = payload.len().to_string();
-    header.push('\n');
-    w.write_all(header.as_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    write_frame_parts(w, "", payload)
+}
+
+/// Writes one frame whose payload is `head` followed by `body`, without
+/// joining the two first: a cached reply's stored body goes out as it is.
+pub(crate) fn write_frame_parts(w: &mut impl Write, head: &str, body: &str) -> io::Result<()> {
+    let mut prefix = (head.len() + body.len()).to_string();
+    prefix.push('\n');
+    prefix.push_str(head);
+    w.write_all(prefix.as_bytes())?;
+    w.write_all(body.as_bytes())?;
     w.flush()
 }
 
@@ -400,10 +410,43 @@ pub fn map_report_json(report: &MapReport) -> String {
 
 /// Builds a successful map or remap reply frame. `handle` is echoed when
 /// the request retained (or refreshed) server-side labels under it. The
-/// escaped BLIF and trace are written straight into the one frame buffer.
+/// daemon writes the same two parts, head and body, without joining them.
 pub fn map_ok_frame(
     op: &str,
     id: Option<&str>,
+    lib: &str,
+    report: &MapReport,
+    blif: &str,
+    handle: Option<&str>,
+    trace_chrome: Option<&str>,
+) -> String {
+    let mut frame = reply_head(id, false);
+    frame.push_str(&map_reply_body(op, lib, report, blif, handle, trace_chrome));
+    frame
+}
+
+/// The head of a successful reply frame: `{`, the echoed `id`, `"ok":true`
+/// and, for a reply served from the reply cache, `"cached":true`.
+pub(crate) fn reply_head(id: Option<&str>, cached: bool) -> String {
+    let mut head = String::with_capacity(id.map_or(0, str::len) + 40);
+    head.push('{');
+    if let Some(id) = id {
+        push_string_field(&mut head, false, "id", id);
+        head.push(',');
+    }
+    head.push_str("\"ok\":true");
+    if cached {
+        head.push_str(",\"cached\":true");
+    }
+    head
+}
+
+/// The rest of a successful map or remap reply frame after its
+/// [`reply_head`]: op, library, report fields, the escaped BLIF, and the
+/// handle and trace when present. It names no request, so the reply cache
+/// stores it as it is.
+pub(crate) fn map_reply_body(
+    op: &str,
     lib: &str,
     report: &MapReport,
     blif: &str,
@@ -414,26 +457,20 @@ pub fn map_ok_frame(
     let trace_len = trace_chrome.map_or(0, str::len);
     // Escaping grows BLIF by about one byte per line.
     let escaped = blif.len() + trace_len;
-    let mut frame = String::with_capacity(fields.len() + escaped + escaped / 8 + 128);
-    frame.push('{');
-    if let Some(id) = id {
-        push_string_field(&mut frame, false, "id", id);
-        frame.push(',');
-    }
-    frame.push_str("\"ok\":true");
-    push_string_field(&mut frame, true, "op", op);
-    push_string_field(&mut frame, true, "lib", lib);
-    frame.push(',');
-    frame.push_str(&fields);
-    push_string_field(&mut frame, true, "blif", blif);
+    let mut body = String::with_capacity(fields.len() + escaped + escaped / 8 + 96);
+    push_string_field(&mut body, true, "op", op);
+    push_string_field(&mut body, true, "lib", lib);
+    body.push(',');
+    body.push_str(&fields);
+    push_string_field(&mut body, true, "blif", blif);
     if let Some(h) = handle {
-        push_string_field(&mut frame, true, "handle", h);
+        push_string_field(&mut body, true, "handle", h);
     }
     if let Some(t) = trace_chrome {
-        push_string_field(&mut frame, true, "trace", t);
+        push_string_field(&mut body, true, "trace", t);
     }
-    frame.push('}');
-    frame
+    body.push('}');
+    body
 }
 
 #[cfg(test)]

@@ -3,14 +3,26 @@
 //!
 //! # Threading model
 //!
-//! One thread per listener (TCP and/or unix socket) runs a non-blocking
-//! accept loop polling the shutdown flag. Each accepted connection gets a
-//! *reader* thread that parses frames and answers cheap ops (`ping`,
-//! `metrics`, `shutdown`) inline; `map` requests go through admission control
-//! and onto the shared [`JobQueue`], where a fixed pool of *worker* threads
+//! One thread per listener (TCP and/or unix socket, and the optional
+//! metrics HTTP endpoint) blocks in `accept`. Each accepted connection gets
+//! a *reader* thread that parses frames and answers cheap ops (`ping`,
+//! `metrics`, `shutdown`) inline, and so is a `map` the reply cache already
+//! holds; every other `map` and `remap` goes through admission control and
+//! onto the shared [`JobQueue`], where a fixed pool of *worker* threads
 //! drains them. Responses are written under a per-connection mutex, so
 //! pipelined requests from one client may complete out of order — the `id`
 //! echo is the correlation mechanism.
+//!
+//! # The reply cache
+//!
+//! A `map` reply is a pure function of the library, the algorithm,
+//! `recover` and the BLIF, so the daemon keeps the encoded replies of
+//! repeated requests in a byte-bounded LRU (the crate's private `cache`
+//! module). A reply is stored on the second sighting of its
+//! `(library, BLIF)` pair and answers every later identical request on
+//! the reader thread, byte for byte, with `"cached":true` after the
+//! echoed id. `trace` and `retain` maps, every `remap`, and error replies
+//! neither read nor write it.
 //!
 //! # Shared per-library state
 //!
@@ -23,15 +35,17 @@
 //!
 //! # Shutdown
 //!
-//! A `shutdown` frame (or [`Server::request_shutdown`]) flips one flag and
-//! closes the queue. Listeners stop accepting, readers refuse new maps with
-//! `shutting_down`, workers drain everything already admitted, and only
-//! then are connections torn down — so every accepted request gets its
-//! reply. [`Server::wait`] blocks through that whole sequence.
+//! A `shutdown` frame (or [`Server::request_shutdown`]) flips one flag,
+//! closes the queue and connects once to every listener, which wakes its
+//! accept to see the flag. Listeners stop accepting, readers refuse new
+//! maps (cached or not) with `shutting_down`, workers drain everything
+//! already admitted, and only then are connections torn down — so every
+//! accepted request gets its reply. [`Server::wait`] blocks through that
+//! whole sequence.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufReader, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,13 +59,14 @@ use dagmap_core::{verify, MapOptions, Mapper, RetainedLabels};
 use dagmap_genlib::Library;
 use dagmap_netlist::{blif, SubjectGraph};
 
+use crate::cache::{request_hash, CachedReply, ReplyCache, ReplyKey, REPLY_CACHE_BYTES};
 use crate::protocol::{self, ErrorKind, MapRequest, RemapRequest, Request};
 use crate::queue::JobQueue;
 pub use crate::telemetry::TailConfig;
-use crate::telemetry::{RequestEvent, RequestLog, TailState, Telemetry};
+use crate::telemetry::{Phases, RequestEvent, RequestLog, TailState, Telemetry};
 
-/// How long accept loops sleep between polls of the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// Bound on the connection that wakes a TCP accept loop at shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Seed for the per-request equivalence check (same as `dagmap map`).
 const VERIFY_SEED: u64 = 0xC11;
@@ -131,14 +146,22 @@ impl ConnWriter {
     }
 
     fn send(&self, payload: &str) -> io::Result<()> {
+        self.send_reply("", payload)
+    }
+
+    /// Sends one frame whose payload is `head` then `body`.
+    fn send_reply(&self, head: &str, body: &str) -> io::Result<()> {
         let mut w = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        protocol::write_frame(&mut *w, payload)
+        protocol::write_frame_parts(&mut *w, head, body)
     }
 }
 
 /// A queued map or remap request.
 struct Job {
     req: MapJob,
+    /// The fold hash of a map's `(library, BLIF)` pair, computed once by
+    /// the reader when the library resolved.
+    hash: Option<u64>,
     writer: ConnWriter,
     /// The per-library pending gauge this job incremented at admission;
     /// the worker decrements it when the reply is out.
@@ -182,6 +205,12 @@ struct RetainedEntry {
     seq: u64,
 }
 
+/// Whether a map may read and write the reply cache: a traced reply
+/// carries its own trace and a retaining one a fresh handle.
+fn cacheable(req: &MapRequest) -> bool {
+    !req.trace && !req.retain
+}
+
 /// Raw handles kept so shutdown can unblock reader threads parked in
 /// `read`.
 enum ConnHandle {
@@ -218,6 +247,9 @@ struct Inner {
     retain_seq: AtomicU64,
     conns: Mutex<Vec<ConnHandle>>,
     readers: Mutex<Vec<JoinHandle<()>>>,
+    /// Where each listener accepts, for the wake-up at shutdown.
+    listen_addrs: Vec<ListenAddr>,
+    reply_cache: ReplyCache,
     telemetry: Telemetry,
     request_log: Option<RequestLog>,
     tail: Option<TailState>,
@@ -230,6 +262,11 @@ impl Inner {
         }
         // Queued jobs keep draining; new pushes fail from here on.
         self.queue.close();
+        // Each accept loop blocks in `accept`; a connection of our own
+        // returns it to see the flag.
+        for addr in &self.listen_addrs {
+            addr.wake();
+        }
     }
 
     fn send_error(&self, writer: &ConnWriter, id: Option<&str>, kind: ErrorKind, msg: &str) {
@@ -253,6 +290,7 @@ impl Inner {
             .unwrap_or_else(|e| e.into_inner())
             .len();
         tel.retained_runs.set(retained as i64);
+        tel.reply_cache_bytes.set(self.reply_cache.bytes() as i64);
         for name in self.libs.keys() {
             // Ensure every served library has a requests/pending series
             // even before its first request, so dashboards list them all.
@@ -327,6 +365,17 @@ impl Inner {
                     );
                     return true;
                 }
+                let lib = self.job_lib_name(&req);
+                let mut hash = None;
+                if let (MapJob::Map(r), Some(lib)) = (&req, &lib) {
+                    let h = request_hash(lib, &r.blif);
+                    if cacheable(r) {
+                        if let Some(sent) = self.answer_cached(writer, r, lib, h) {
+                            return sent;
+                        }
+                    }
+                    hash = Some(h);
+                }
                 // Admission: count this request in, then check the limit.
                 // The increment-first order makes the limit exact even with
                 // several reader threads racing here.
@@ -345,7 +394,7 @@ impl Inner {
                     );
                     return true;
                 }
-                let pending = self.job_lib_name(&req).map(|lib| {
+                let pending = lib.map(|lib| {
                     self.telemetry.lib_requests(&lib).inc(1);
                     let gauge = self.telemetry.lib_pending(&lib);
                     gauge.add(1);
@@ -353,6 +402,7 @@ impl Inner {
                 });
                 let job = Job {
                     req,
+                    hash,
                     writer: writer.clone(),
                     pending,
                 };
@@ -377,6 +427,51 @@ impl Inner {
         }
     }
 
+    /// Answers a cacheable map from the reply cache on the reader thread:
+    /// no queue, no admission slot, no pipeline. `None` when the cache
+    /// holds no reply for the request; otherwise whether the reply was
+    /// written.
+    fn answer_cached(
+        &self,
+        writer: &ConnWriter,
+        req: &MapRequest,
+        lib: &str,
+        hash: u64,
+    ) -> Option<bool> {
+        let t0 = Instant::now();
+        let tel = &self.telemetry;
+        let key = ReplyKey {
+            lib,
+            algo: &req.algo,
+            recover: req.recover,
+            blif: &req.blif,
+        };
+        let Some(reply) = self.reply_cache.get(hash, &key) else {
+            tel.reply_cache_misses.inc(1);
+            return None;
+        };
+        tel.reply_cache_hits.inc(1);
+        tel.requests_total.inc(1);
+        tel.lib_requests(lib).inc(1);
+        // Under tail sampling a hit is traced like any request: one span.
+        let scoped = self.tail.is_some().then(dagmap_obs::start_scoped);
+        let span = dagmap_obs::span("serve.cached");
+        let head = protocol::reply_head(req.id.as_deref(), true);
+        let sent = writer.send_reply(&head, &reply.body).is_ok();
+        drop(span);
+        let mut ev = RequestEvent::new("map", req.id.clone());
+        ev.lib = Some(lib.to_owned());
+        ev.kind = "cached";
+        ev.blif_bytes = req.blif.len();
+        ev.out_bytes = reply.out_bytes;
+        ev.report = Some(reply.report.clone());
+        ev.trace = scoped.map(|s| s.finish());
+        ev.latency_us = t0.elapsed().as_micros() as u64;
+        self.finish_request_telemetry(ev);
+        dagmap_obs::flush_thread();
+        Some(sent)
+    }
+
     fn worker_loop(self: Arc<Inner>) {
         let tel = &self.telemetry;
         while let Some(job) = self.queue.pop() {
@@ -386,28 +481,31 @@ impl Inner {
             tel.workers_busy.add(1);
             let mut ev = job.req.event();
             let outcome = catch_unwind(AssertUnwindSafe(|| match &job.req {
-                MapJob::Map(req) => process_map(&self, req, &mut ev),
+                MapJob::Map(req) => process_map(&self, req, job.hash, &mut ev),
                 MapJob::Remap(req) => process_remap(&self, req, &mut ev),
             }));
-            let frame = match outcome {
-                Ok(Ok(frame)) => frame,
+            let (head, body) = match outcome {
+                Ok(Ok(body)) => (protocol::reply_head(job.req.id(), false), body),
                 Ok(Err((kind, msg))) => {
                     tel.errors_total.inc(1);
                     ev.outcome = kind.as_str();
-                    protocol::error_frame(job.req.id(), kind, &msg)
+                    (
+                        String::new(),
+                        protocol::error_frame(job.req.id(), kind, &msg),
+                    )
                 }
                 // The request died; the worker and its queue slot did not.
                 Err(_) => {
                     tel.errors_total.inc(1);
                     ev.outcome = "panic";
-                    protocol::error_frame(
-                        job.req.id(),
-                        ErrorKind::Internal,
-                        "worker panicked while serving this request",
+                    let msg = "worker panicked while serving this request";
+                    (
+                        String::new(),
+                        protocol::error_frame(job.req.id(), ErrorKind::Internal, msg),
                     )
                 }
             };
-            let _ = job.writer.send(&frame);
+            let _ = job.writer.send_reply(&head, &body);
             self.inflight.fetch_sub(1, Ordering::AcqRel);
             ev.latency_us = t0.elapsed().as_micros() as u64;
             self.finish_request_telemetry(ev);
@@ -416,15 +514,16 @@ impl Inner {
             }
             tel.workers_busy.add(-1);
             // Hand this worker's buffered obs frames to any global session
-            // (e.g. the serveperf harness) at a request boundary.
+            // (e.g. `dagmap serve --trace`) at a request boundary.
             dagmap_obs::flush_thread();
         }
     }
 
     /// Consumes a finished request's telemetry: the JSONL log line, the
     /// tail-sampling decision (judged against the class histogram *before*
-    /// this request is recorded into it), the rolling latency/phase
-    /// observations and the `serve.latency_us` obs sample.
+    /// this request is recorded into it), the rolling latency observation,
+    /// the phase observations of a request that ran the pipeline and the
+    /// `serve.latency_us` obs sample.
     fn finish_request_telemetry(&self, ev: RequestEvent) {
         if let Some(log) = &self.request_log {
             log.write(&ev);
@@ -440,11 +539,8 @@ impl Inner {
         }
         class.observe(ev.latency_us);
         dagmap_obs::sample("serve.latency_us", ev.latency_us);
-        if ev.report.is_some() {
-            let [decompose, label, cover, _] = ev.phases_us();
-            tel.phase_decompose.observe(decompose);
-            tel.phase_label.observe(label);
-            tel.phase_cover.observe(cover);
+        if let Some(phases) = &ev.phases {
+            tel.observe_phases(phases);
         }
     }
 }
@@ -534,7 +630,6 @@ fn store_retained(inner: &Inner, handle: &str, entry: RetainedEntry) {
 /// retained run resolved — everything [`run_pipeline`] needs.
 struct PipelineJob<'a> {
     op: &'static str,
-    id: Option<&'a str>,
     blif: &'a str,
     lib_name: &'a str,
     state: &'a LibState,
@@ -549,11 +644,12 @@ struct PipelineJob<'a> {
 
 /// The one request pipeline behind `map` and `remap`: parse, decomposition,
 /// map (cold or incremental), verify,
-/// writeback, retention and the reply frame. A `trace` request (or tail
+/// writeback, retention and the reply body (the frame after its
+/// [`protocol::reply_head`]). A `trace` request (or tail
 /// sampling) records into a thread-scoped obs session: concurrent requests
 /// on other workers never mix frames into it, and it coexists with a
 /// process-global session owned by a harness. A success leaves the report
-/// its reply frame was built from in `ev`.
+/// its reply was built from, and the time each phase took, in `ev`.
 fn run_pipeline(
     inner: &Inner,
     job: &PipelineJob<'_>,
@@ -561,9 +657,12 @@ fn run_pipeline(
 ) -> Result<String, (ErrorKind, String)> {
     let want_tail = inner.tail.is_some();
     let scoped = (job.trace || want_tail).then(dagmap_obs::start_scoped);
+    let micros = |t: Instant| t.elapsed().as_micros() as u64;
     let result = (|| {
+        let t = Instant::now();
         let net =
             blif::parse(job.blif).map_err(|e| (ErrorKind::BadRequest, format!("blif: {e}")))?;
+        let parse_us = micros(t);
         let subject = SubjectGraph::from_network(&net)
             .map_err(|e| (ErrorKind::BadRequest, format!("subject graph: {e}")))?;
         let opts = serve_options(job.algo, job.recover)?;
@@ -576,15 +675,19 @@ fn run_pipeline(
                 .map(|(mapped, report)| (mapped, report, None)),
         }
         .map_err(|e| (ErrorKind::BadRequest, e.to_string()))?;
+        let t = Instant::now();
         if inner.verify {
             verify::check(&mapped, &subject, VERIFY_SEED)
                 .map_err(|e| (ErrorKind::Internal, format!("verification failed: {e}")))?;
         }
+        let verify_us = micros(t);
+        let t = Instant::now();
         let out = mapped
             .to_network()
             .and_then(|n| blif::to_string(&n))
             .map_err(|e| (ErrorKind::Internal, format!("netlist writeback: {e}")))?;
-        Ok((report, out, snapshot))
+        let phases = Phases::new(&report, parse_us, verify_us, micros(t));
+        Ok((report, phases, out, snapshot))
     })();
     // Close the scoped session on both paths so the worker thread is clean
     // for its next request.
@@ -596,7 +699,7 @@ fn run_pipeline(
     if want_tail {
         ev.trace = trace;
     }
-    let (report, out_blif, snapshot) = result?;
+    let (report, phases, out_blif, snapshot) = result?;
     let stored = match (snapshot, job.retain_as) {
         (Some(labels), Some(handle)) => {
             store_retained(
@@ -620,9 +723,8 @@ fn run_pipeline(
     if job.retained.is_some() {
         inner.telemetry.remaps_total.inc(1);
     }
-    let frame = protocol::map_ok_frame(
+    let body = protocol::map_reply_body(
         job.op,
-        job.id,
         job.lib_name,
         &report,
         &out_blif,
@@ -631,28 +733,30 @@ fn run_pipeline(
     );
     ev.out_bytes = out_blif.len();
     ev.report = Some(report);
-    Ok(frame)
+    ev.phases = Some(phases);
+    Ok(body)
 }
 
 /// Maps one request through [`run_pipeline`], retaining the labeling run
-/// under the request id when asked to.
+/// under the request id when asked to, and stores a cacheable reply on the
+/// second sighting of its `(library, BLIF)` pair: traffic without repeats
+/// stores nothing. `hash` is the pair's fold hash when the reader computed
+/// it.
 fn process_map(
     inner: &Inner,
     req: &MapRequest,
+    hash: Option<u64>,
     ev: &mut RequestEvent,
 ) -> Result<String, (ErrorKind, String)> {
     let wanted = req.lib.as_deref().unwrap_or(&inner.default_lib);
     let (lib_name, state) = resolve_lib(inner, wanted)?;
     ev.lib = Some(lib_name.to_owned());
-    ev.kind = if inner.telemetry.first_seen(lib_name, &req.blif) {
-        "first"
-    } else {
-        "repeat"
-    };
+    let hash = hash.unwrap_or_else(|| request_hash(lib_name, &req.blif));
+    let seen_before = !inner.telemetry.first_seen(hash);
+    ev.kind = if seen_before { "repeat" } else { "first" };
     let retain = req.retain && inner.retain_cap > 0;
     let job = PipelineJob {
         op: "map",
-        id: req.id.as_deref(),
         blif: &req.blif,
         lib_name,
         state,
@@ -663,7 +767,23 @@ fn process_map(
         // `retain` requires an id at parse time, so the handle is there.
         retain_as: req.id.as_deref().filter(|_| retain),
     };
-    run_pipeline(inner, &job, ev)
+    let body = run_pipeline(inner, &job, ev)?;
+    if let (true, Some(report)) = (seen_before && cacheable(req), &ev.report) {
+        let key = ReplyKey {
+            lib: lib_name,
+            algo: &req.algo,
+            recover: req.recover,
+            blif: &req.blif,
+        };
+        let reply = CachedReply {
+            body: body.clone(),
+            report: report.clone(),
+            out_bytes: ev.out_bytes,
+        };
+        let evicted = inner.reply_cache.insert(hash, &key, reply);
+        inner.telemetry.reply_cache_evictions.inc(evicted as u64);
+    }
+    Ok(body)
 }
 
 /// Incrementally re-maps an edited network against a retained labeling
@@ -694,7 +814,6 @@ fn process_remap(
     ev.lib = Some(lib_name.to_owned());
     let job = PipelineJob {
         op: "remap",
-        id: req.id.as_deref(),
         blif: &req.blif,
         lib_name,
         state,
@@ -764,37 +883,118 @@ fn spawn_reader(inner: &Arc<Inner>, conn: ConnHandle) {
     }
 }
 
-fn accept_loop_tcp(inner: Arc<Inner>, listener: TcpListener) {
-    let _ = listener.set_nonblocking(true);
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                spawn_reader(&inner, ConnHandle::Tcp(stream));
+/// A bound listener, before its accept thread starts.
+enum Listener {
+    /// The protocol over TCP.
+    Tcp(TcpListener),
+    /// The protocol over a unix socket.
+    #[cfg(unix)]
+    Unix(UnixListener),
+    /// `--metrics-addr`: plain-HTTP metrics scrapes.
+    MetricsHttp(TcpListener),
+}
+
+/// Where a listener accepts: what shutdown connects to.
+enum ListenAddr {
+    Tcp(SocketAddr),
+    #[cfg(unix)]
+    Unix(PathBuf),
+}
+
+impl ListenAddr {
+    /// Connects once, to return the listener's blocking `accept`. A failure
+    /// means the loop is gone already.
+    fn wake(&self) {
+        match self {
+            ListenAddr::Tcp(addr) => {
+                let _ = TcpStream::connect_timeout(addr, WAKE_TIMEOUT);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => break,
+            #[cfg(unix)]
+            ListenAddr::Unix(path) => {
+                let _ = UnixStream::connect(path);
+            }
         }
     }
 }
 
-#[cfg(unix)]
-fn accept_loop_unix(inner: Arc<Inner>, listener: UnixListener) {
-    let _ = listener.set_nonblocking(true);
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
-                spawn_reader(&inner, ConnHandle::Unix(stream));
+impl Listener {
+    fn addr(&self) -> io::Result<ListenAddr> {
+        match self {
+            Listener::Tcp(l) | Listener::MetricsHttp(l) => {
+                let mut addr = l.local_addr()?;
+                // A wildcard bind accepts on loopback too.
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                Ok(ListenAddr::Tcp(addr))
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
+            #[cfg(unix)]
+            Listener::Unix(l) => l
+                .local_addr()?
+                .as_pathname()
+                .map(|p| ListenAddr::Unix(p.to_path_buf()))
+                .ok_or_else(|| io::Error::other("unix listener has no path")),
+        }
+    }
+
+    fn thread_name(&self) -> &'static str {
+        match self {
+            Listener::Tcp(_) => "serve-accept-tcp",
+            #[cfg(unix)]
+            Listener::Unix(_) => "serve-accept-unix",
+            Listener::MetricsHttp(_) => "serve-metrics-http",
+        }
+    }
+
+    /// Accepts until shutdown. Metrics scrapes are answered inline — they
+    /// are cheap and infrequent — so a stalled scraper delays the next by
+    /// at most its 2 s read timeout.
+    fn run(self, inner: &Arc<Inner>) {
+        match self {
+            Listener::Tcp(l) => accept_until_shutdown(
+                inner,
+                || l.accept().map(|(s, _)| s),
+                |s| {
+                    let _ = s.set_nodelay(true);
+                    spawn_reader(inner, ConnHandle::Tcp(s));
+                },
+            ),
+            #[cfg(unix)]
+            Listener::Unix(l) => accept_until_shutdown(
+                inner,
+                || l.accept().map(|(s, _)| s),
+                |s| spawn_reader(inner, ConnHandle::Unix(s)),
+            ),
+            Listener::MetricsHttp(l) => accept_until_shutdown(
+                inner,
+                || l.accept().map(|(s, _)| s),
+                |s| serve_http_scrape(inner, s),
+            ),
+        }
+    }
+}
+
+/// Blocks in `accept` and serves each connection, until a connection
+/// arrives after the shutdown flag is set — the wake-up
+/// [`Inner::begin_shutdown`] sends, or a client racing it — which is
+/// dropped unserved.
+fn accept_until_shutdown<S>(
+    inner: &Inner,
+    mut accept: impl FnMut() -> io::Result<S>,
+    mut serve: impl FnMut(S),
+) {
+    loop {
+        match accept() {
+            Ok(_) if inner.shutdown.load(Ordering::SeqCst) => break,
+            Ok(stream) => serve(stream),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                ) => {}
             Err(_) => break,
         }
     }
@@ -871,26 +1071,6 @@ fn serve_http_scrape(inner: &Inner, mut stream: TcpStream) {
     let _ = stream.flush();
 }
 
-/// Accept loop of the `--metrics-addr` HTTP endpoint. Scrapes are handled
-/// inline — they are cheap and infrequent — so a stalled client can delay
-/// the next scrape by at most the 2 s read timeout.
-fn accept_loop_metrics_http(inner: Arc<Inner>, listener: TcpListener) {
-    let _ = listener.set_nonblocking(true);
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
-                serve_http_scrape(&inner, stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => break,
-        }
-    }
-}
-
 /// A running daemon. Dropping it without [`Server::wait`] leaks threads;
 /// call `request_shutdown` + `wait` (or send a `shutdown` frame) to stop
 /// it cleanly.
@@ -940,6 +1120,46 @@ impl Server {
                 ));
             }
         }
+        // Bind every listener before any thread starts, so shutdown knows
+        // each address it must wake.
+        let mut bound = Vec::new();
+        let mut tcp_addr = None;
+        if let Some(addr) = &endpoints.tcp {
+            let listener = TcpListener::bind(addr)?;
+            tcp_addr = Some(listener.local_addr()?);
+            bound.push(Listener::Tcp(listener));
+        }
+        #[cfg(unix)]
+        let mut unix_guard = None;
+        #[cfg(unix)]
+        if let Some(path) = &endpoints.unix {
+            // A stale socket file from a crashed daemon would fail the
+            // bind; remove it first (errors surface from bind itself).
+            let _ = std::fs::remove_file(path);
+            let listener = UnixListener::bind(path)?;
+            // From here the file exists on disk; the guard removes it on
+            // any exit — including a panic or error below — not just a
+            // clean `wait()`.
+            unix_guard = Some(SocketGuard { path: path.clone() });
+            bound.push(Listener::Unix(listener));
+        }
+        if bound.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "no endpoint to listen on (need --tcp and/or --unix)",
+            ));
+        }
+        let mut metrics_http_addr = None;
+        if let Some(addr) = &config.metrics_addr {
+            let listener = TcpListener::bind(addr)?;
+            metrics_http_addr = Some(listener.local_addr()?);
+            bound.push(Listener::MetricsHttp(listener));
+        }
+        let listen_addrs = bound
+            .iter()
+            .map(Listener::addr)
+            .collect::<io::Result<Vec<_>>>()?;
+
         let telemetry = Telemetry::new(config.workers.max(1));
         let request_log = match &config.log_requests {
             Some(path) => Some(RequestLog::open(path)?),
@@ -963,59 +1183,21 @@ impl Server {
             retain_seq: AtomicU64::new(0),
             conns: Mutex::new(Vec::new()),
             readers: Mutex::new(Vec::new()),
+            listen_addrs,
+            reply_cache: ReplyCache::new(REPLY_CACHE_BYTES),
             telemetry,
             request_log,
             tail,
         });
-
-        let mut listeners = Vec::new();
-        let mut tcp_addr = None;
-        if let Some(addr) = &endpoints.tcp {
-            let listener = TcpListener::bind(addr)?;
-            tcp_addr = Some(listener.local_addr()?);
-            let inner = Arc::clone(&inner);
-            listeners.push(
+        let listeners = bound
+            .into_iter()
+            .map(|listener| {
+                let inner = Arc::clone(&inner);
                 thread::Builder::new()
-                    .name("serve-accept-tcp".into())
-                    .spawn(move || accept_loop_tcp(inner, listener))?,
-            );
-        }
-        #[cfg(unix)]
-        let mut unix_guard = None;
-        #[cfg(unix)]
-        if let Some(path) = &endpoints.unix {
-            // A stale socket file from a crashed daemon would fail the
-            // bind; remove it first (errors surface from bind itself).
-            let _ = std::fs::remove_file(path);
-            let listener = UnixListener::bind(path)?;
-            // From here the file exists on disk; the guard removes it on
-            // any exit — including a panic or error below — not just a
-            // clean `wait()`.
-            unix_guard = Some(SocketGuard { path: path.clone() });
-            let inner = Arc::clone(&inner);
-            listeners.push(
-                thread::Builder::new()
-                    .name("serve-accept-unix".into())
-                    .spawn(move || accept_loop_unix(inner, listener))?,
-            );
-        }
-        if listeners.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "no endpoint to listen on (need --tcp and/or --unix)",
-            ));
-        }
-        let mut metrics_http_addr = None;
-        if let Some(addr) = &config.metrics_addr {
-            let listener = TcpListener::bind(addr)?;
-            metrics_http_addr = Some(listener.local_addr()?);
-            let inner = Arc::clone(&inner);
-            listeners.push(
-                thread::Builder::new()
-                    .name("serve-metrics-http".into())
-                    .spawn(move || accept_loop_metrics_http(inner, listener))?,
-            );
-        }
+                    .name(listener.thread_name().into())
+                    .spawn(move || listener.run(&inner))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
 
         let workers = (0..inner.workers)
             .map(|i| {
@@ -1062,8 +1244,7 @@ impl Server {
     /// Currently infallible at the I/O level (teardown errors are
     /// swallowed); the signature leaves room for stricter reporting.
     pub fn wait(self) -> io::Result<()> {
-        // Listeners exit once the shutdown flag is set (their poll loop
-        // checks it every ACCEPT_POLL).
+        // Listeners exit once shutdown has set the flag and woken them.
         for l in self.listeners {
             let _ = l.join();
         }

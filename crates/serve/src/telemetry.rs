@@ -28,7 +28,7 @@ const LATENCY_WINDOW_NS: u64 = 5_000_000_000;
 /// quantile threshold is trusted; earlier requests are never kept.
 const TAIL_MIN_SAMPLES: u64 = 8;
 
-/// Cap on the first-seen circuit-hash set; beyond it new circuits still
+/// Cap on the first-seen request-hash set; beyond it new circuits still
 /// classify as first-seen, they are just no longer remembered.
 const SEEN_CAP: usize = 1 << 20;
 
@@ -84,20 +84,29 @@ pub(crate) struct Telemetry {
     pub errors_total: Counter,
     pub busy_rejects_total: Counter,
     pub tail_traces_kept_total: Counter,
+    pub reply_cache_hits: Counter,
+    pub reply_cache_misses: Counter,
+    pub reply_cache_evictions: Counter,
     pub workers_busy: Gauge,
-    // Set at scrape time from the queue, the admission count and the
-    // retained-run map.
+    // Set at scrape time from the queue, the admission count, the
+    // retained-run map and the reply cache.
     pub queue_depth: Gauge,
     pub inflight: Gauge,
     pub retained_runs: Gauge,
+    pub reply_cache_bytes: Gauge,
     latency_first: Histogram,
     latency_repeat: Histogram,
     latency_remap: Histogram,
-    pub phase_decompose: Histogram,
-    pub phase_label: Histogram,
-    pub phase_cover: Histogram,
-    /// FNV-1a hashes of `(lib, blif)` pairs already served, for the
-    /// first-seen vs repeated latency split.
+    latency_cached: Histogram,
+    phase_parse: Histogram,
+    phase_decompose: Histogram,
+    phase_label: Histogram,
+    phase_cover: Histogram,
+    phase_verify: Histogram,
+    phase_writeback: Histogram,
+    /// Fold hashes ([`crate::cache::request_hash`]) of `(lib, blif)` pairs
+    /// already served, for the first-seen vs repeated latency split and
+    /// the reply cache's admission.
     seen: Mutex<HashSet<u64>>,
 }
 
@@ -116,51 +125,49 @@ impl Telemetry {
             retained_runs: registry.gauge("dagmap_retained_runs"),
             workers_busy: registry.gauge("dagmap_workers_busy"),
             tail_traces_kept_total: registry.counter("dagmap_tail_traces_kept_total"),
+            reply_cache_hits: registry.counter("dagmap_reply_cache_hits_total"),
+            reply_cache_misses: registry.counter("dagmap_reply_cache_misses_total"),
+            reply_cache_evictions: registry.counter("dagmap_reply_cache_evictions_total"),
+            reply_cache_bytes: registry.gauge("dagmap_reply_cache_bytes"),
             latency_first: hist("dagmap_request_latency_us{kind=\"first\"}"),
             latency_repeat: hist("dagmap_request_latency_us{kind=\"repeat\"}"),
             latency_remap: hist("dagmap_request_latency_us{kind=\"remap\"}"),
+            latency_cached: hist("dagmap_request_latency_us{kind=\"cached\"}"),
+            phase_parse: hist("dagmap_phase_parse_us"),
             phase_decompose: hist("dagmap_phase_decompose_us"),
             phase_label: hist("dagmap_phase_label_us"),
             phase_cover: hist("dagmap_phase_cover_us"),
+            phase_verify: hist("dagmap_phase_verify_us"),
+            phase_writeback: hist("dagmap_phase_writeback_us"),
             seen: Mutex::new(HashSet::new()),
             registry,
         }
     }
 
-    /// The latency summary for a request class (`first`/`repeat`/`remap`).
+    /// The latency summary for a request class
+    /// (`first`/`repeat`/`remap`/`cached`).
     pub fn latency_hist(&self, kind: &str) -> &Histogram {
         match kind {
             "repeat" => &self.latency_repeat,
             "remap" => &self.latency_remap,
+            "cached" => &self.latency_cached,
             _ => &self.latency_first,
         }
     }
 
-    /// Classifies a request as first-seen (true) or repeated, remembering
-    /// it for next time.
-    pub fn first_seen(&self, lib: &str, blif: &str) -> bool {
-        // Hashes the full request text on the serve hot path, so it works
-        // 8 bytes per multiply (a byte-at-a-time FNV costs tens of
-        // microseconds on realistic BLIFs). Stability only matters within
-        // this process; each part is length-terminated so the zero-padded
-        // final chunk cannot collide with real trailing zeros.
-        let mut h = 0xcbf29ce484222325u64;
-        let mut step = |word: u64| {
-            h = (h.rotate_left(5) ^ word).wrapping_mul(0x517cc1b727220a95);
-        };
-        for part in [lib.as_bytes(), blif.as_bytes()] {
-            let mut chunks = part.chunks_exact(8);
-            for c in &mut chunks {
-                step(u64::from_le_bytes(c.try_into().unwrap()));
-            }
-            let rem = chunks.remainder();
-            if !rem.is_empty() {
-                let mut buf = [0u8; 8];
-                buf[..rem.len()].copy_from_slice(rem);
-                step(u64::from_le_bytes(buf));
-            }
-            step(part.len() as u64);
-        }
+    /// Records the phases of a request that ran the pipeline.
+    pub fn observe_phases(&self, p: &Phases) {
+        self.phase_parse.observe(p.parse_us);
+        self.phase_decompose.observe(p.decompose_us);
+        self.phase_label.observe(p.label_us);
+        self.phase_cover.observe(p.cover_us);
+        self.phase_verify.observe(p.verify_us);
+        self.phase_writeback.observe(p.writeback_us);
+    }
+
+    /// Classifies a request by the fold hash of its `(lib, blif)` pair as
+    /// first-seen (true) or repeated, remembering it for next time.
+    pub fn first_seen(&self, h: u64) -> bool {
         let mut seen = self.seen.lock().unwrap_or_else(|e| e.into_inner());
         if seen.contains(&h) {
             return false;
@@ -188,9 +195,39 @@ impl Telemetry {
     }
 }
 
-/// Everything one request contributes to telemetry, filled in by the
-/// worker as the request progresses and consumed once the reply has been
-/// written.
+/// Microseconds a request spent in each phase of the serve pipeline. The
+/// decompose, label, cover and recovery times are its report's.
+#[derive(Clone, Copy)]
+pub(crate) struct Phases {
+    pub parse_us: u64,
+    pub decompose_us: u64,
+    pub label_us: u64,
+    pub cover_us: u64,
+    pub recovery_us: u64,
+    pub verify_us: u64,
+    pub writeback_us: u64,
+}
+
+impl Phases {
+    /// Parse, verify and writeback as timed by the pipeline; the rest
+    /// from the report.
+    pub fn new(report: &MapReport, parse_us: u64, verify_us: u64, writeback_us: u64) -> Phases {
+        let us = |s: f64| (s * 1e6).max(0.0) as u64;
+        Phases {
+            parse_us,
+            decompose_us: us(report.decompose_seconds),
+            label_us: us(report.label_seconds),
+            cover_us: us(report.cover_seconds),
+            recovery_us: us(report.area_recovery_seconds),
+            verify_us,
+            writeback_us,
+        }
+    }
+}
+
+/// Everything one request contributes to telemetry, filled in as the
+/// request progresses (by its worker, or by its connection's reader for
+/// a reply-cache hit) and consumed once the reply has been written.
 pub(crate) struct RequestEvent {
     pub op: &'static str,
     pub id: Option<String>,
@@ -198,14 +235,18 @@ pub(crate) struct RequestEvent {
     pub lib: Option<String>,
     /// `ok`, an error kind, or `panic`.
     pub outcome: &'static str,
-    /// Latency class: `first`, `repeat` or `remap`.
+    /// Latency class: `first`, `repeat`, `remap` or `cached`.
     pub kind: &'static str,
     pub blif_bytes: usize,
     pub out_bytes: usize,
     pub latency_us: u64,
-    /// The mapping report of a successful request — the record its reply,
-    /// log line and phase histograms all read.
+    /// The mapping report of a successful request — the record its reply
+    /// and log line read. A hit carries the report of the run that stored
+    /// its reply.
     pub report: Option<MapReport>,
+    /// Where a request that ran the pipeline spent its time; `None` for a
+    /// hit, a refusal or a failure.
+    pub phases: Option<Phases>,
     /// The request's finished obs trace, present only when tail sampling
     /// is on (serialized to Chrome JSON only if actually kept).
     pub trace: Option<dagmap_obs::Trace>,
@@ -225,22 +266,9 @@ impl RequestEvent {
             out_bytes: 0,
             latency_us: 0,
             report: None,
+            phases: None,
             trace: None,
         }
-    }
-
-    /// The report's decompose, label, cover and area-recovery times in
-    /// whole microseconds (zeros without a report).
-    pub fn phases_us(&self) -> [u64; 4] {
-        let us = |s: f64| (s * 1e6).max(0.0) as u64;
-        self.report.as_ref().map_or([0; 4], |r| {
-            [
-                us(r.decompose_seconds),
-                us(r.label_seconds),
-                us(r.cover_seconds),
-                us(r.area_recovery_seconds),
-            ]
-        })
     }
 
     /// One JSONL line (no trailing newline).
@@ -256,7 +284,21 @@ impl RequestEvent {
             Some(lib) => format!("\"{}\"", escape(lib)),
             None => "null".to_owned(),
         };
-        let [decompose_us, label_us, cover_us, recovery_us] = self.phases_us();
+        let phases = self.phases.map_or(String::new(), |p| {
+            format!(
+                concat!(
+                    "\"parse_us\":{},\"decompose_us\":{},\"label_us\":{},\"cover_us\":{},",
+                    "\"recovery_us\":{},\"verify_us\":{},\"writeback_us\":{}"
+                ),
+                p.parse_us,
+                p.decompose_us,
+                p.label_us,
+                p.cover_us,
+                p.recovery_us,
+                p.verify_us,
+                p.writeback_us,
+            )
+        });
         let (delay, num_cells, matches_enumerated, labels_reused) =
             self.report.as_ref().map_or((0.0, 0, 0, 0), |r| {
                 (r.delay, r.num_cells, r.matches_enumerated, r.labels_reused)
@@ -265,9 +307,7 @@ impl RequestEvent {
             concat!(
                 "{{\"ts_ms\":{},\"op\":\"{}\",\"id\":{},\"lib\":{},\"outcome\":\"{}\",",
                 "\"kind\":\"{}\",\"blif_bytes\":{},\"out_bytes\":{},\"latency_us\":{},",
-                "\"first_seen\":{},\"delay\":{},\"num_cells\":{},",
-                "\"phases\":{{\"decompose_us\":{},\"label_us\":{},\"cover_us\":{},",
-                "\"recovery_us\":{}}},",
+                "\"first_seen\":{},\"delay\":{},\"num_cells\":{},\"phases\":{{{}}},",
                 "\"counters\":{{\"matches_enumerated\":{},\"labels_reused\":{}}}}}"
             ),
             ts_ms,
@@ -282,10 +322,7 @@ impl RequestEvent {
             self.kind == "first",
             crate::protocol::format_f64(delay),
             num_cells,
-            decompose_us,
-            label_us,
-            cover_us,
-            recovery_us,
+            phases,
             matches_enumerated,
             labels_reused,
         )
@@ -378,10 +415,11 @@ mod tests {
     #[test]
     fn first_seen_classifies_by_lib_and_content() {
         let t = Telemetry::new(2);
-        assert!(t.first_seen("lib2", ".model a"));
-        assert!(!t.first_seen("lib2", ".model a"), "repeat of the same pair");
-        assert!(t.first_seen("other", ".model a"), "same blif, new lib");
-        assert!(t.first_seen("lib2", ".model b"), "same lib, new blif");
+        let seen = |lib, blif| t.first_seen(crate::cache::request_hash(lib, blif));
+        assert!(seen("lib2", ".model a"));
+        assert!(!seen("lib2", ".model a"), "repeat of the same pair");
+        assert!(seen("other", ".model a"), "same blif, new lib");
+        assert!(seen("lib2", ".model b"), "same lib, new blif");
     }
 
     #[test]
@@ -399,7 +437,22 @@ mod tests {
             v.get("first_seen"),
             Some(&dagmap_obs::json::Value::Bool(false))
         );
-        assert!(v.get("phases").unwrap().get("label_us").is_some());
+        // No pipeline ran, so no phase is reported.
+        assert_eq!(v.get("phases").unwrap().as_obj().map(|o| o.len()), Some(0));
+        ev.phases = Some(Phases {
+            parse_us: 1,
+            decompose_us: 2,
+            label_us: 3,
+            cover_us: 4,
+            recovery_us: 0,
+            verify_us: 5,
+            writeback_us: 6,
+        });
+        let v = dagmap_obs::json::parse(&ev.to_jsonl()).unwrap();
+        let phases = v.get("phases").unwrap();
+        for (key, us) in [("parse_us", 1.0), ("label_us", 3.0), ("writeback_us", 6.0)] {
+            assert_eq!(phases.get(key).unwrap().as_num(), Some(us), "{key}");
+        }
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Integration tests of the serve daemon over real sockets: roundtrips,
 //! bit-identity against one-shot mapping, error isolation, backpressure,
-//! per-request trace isolation, and drain-on-shutdown.
+//! per-request trace isolation, the reply cache, prompt accepts, and
+//! drain-on-shutdown.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use dagmap_core::{MapOptions, Mapper};
 use dagmap_genlib::Library;
 use dagmap_netlist::{blif, Network, SubjectGraph};
+use dagmap_obs::json::Value;
 use dagmap_serve::dash::{self, Sample};
 use dagmap_serve::{map_request, Client, Endpoint, Endpoints, MapCall, ServeConfig, Server};
 
@@ -52,11 +56,14 @@ fn scrape(client: &mut Client) -> Vec<Sample> {
 /// text the daemon receives, because parsing BLIF is part of the pipeline
 /// whose output must be byte-identical.
 fn one_shot_blif(input: &str, library: &Library) -> String {
+    one_shot_blif_with(input, library, MapOptions::dag())
+}
+
+/// [`one_shot_blif`] under explicit options.
+fn one_shot_blif_with(input: &str, library: &Library, opts: MapOptions) -> String {
     let net = blif::parse(input).unwrap();
     let subject = SubjectGraph::from_network(&net).unwrap();
-    let mapped = Mapper::new(library)
-        .map(&subject, MapOptions::dag())
-        .unwrap();
+    let mapped = Mapper::new(library).map(&subject, opts).unwrap();
     blif::to_string(&mapped.to_network().unwrap()).unwrap()
 }
 
@@ -606,24 +613,23 @@ fn metrics_frame_exposes_live_counters_and_stays_byte_neutral() {
     assert_eq!(find("dagmap_requests_total"), Some(3.0));
     assert_eq!(find("dagmap_errors_total"), Some(0.0));
     assert!(find("dagmap_workers").unwrap() >= 1.0);
-    // First request was first-seen, the two repeats split into the repeat
-    // class.
-    assert_eq!(
-        dash::find(
-            &samples,
-            "dagmap_request_latency_us_count",
-            &[("kind", "first")]
-        ),
-        Some(1.0)
-    );
-    assert_eq!(
-        dash::find(
-            &samples,
-            "dagmap_request_latency_us_count",
-            &[("kind", "repeat")]
-        ),
-        Some(2.0)
-    );
+    // The first request was first-seen, the second a repeat that stored
+    // its reply, and the third was answered from the reply cache.
+    for kind in ["first", "repeat", "cached"] {
+        assert_eq!(
+            dash::find(
+                &samples,
+                "dagmap_request_latency_us_count",
+                &[("kind", kind)]
+            ),
+            Some(1.0),
+            "{kind}"
+        );
+    }
+    assert_eq!(find("dagmap_reply_cache_hits_total"), Some(1.0));
+    assert_eq!(find("dagmap_reply_cache_misses_total"), Some(2.0));
+    assert_eq!(find("dagmap_reply_cache_evictions_total"), Some(0.0));
+    assert!(find("dagmap_reply_cache_bytes").unwrap() > 0.0);
     // Per-library series carry the registered library name.
     assert_eq!(
         dash::find(
@@ -1077,4 +1083,573 @@ fn remap_of_an_evicted_handle_is_refused_and_the_survivor_remaps() {
     );
     client.shutdown().unwrap();
     server.wait().unwrap();
+}
+
+/// A successful reply frame after its `"ok":true` (and a hit's
+/// `"cached":true`): the bytes the reply cache stores and replays.
+fn reply_body(raw: &str) -> &str {
+    let at = raw.find("\"ok\":true").expect("a successful reply");
+    let rest = &raw[at + "\"ok\":true".len()..];
+    rest.strip_prefix(",\"cached\":true").unwrap_or(rest)
+}
+
+fn is_cached(reply: &Value) -> bool {
+    reply.get("cached") == Some(&Value::Bool(true))
+}
+
+fn error_kind(reply: &Value) -> Option<&str> {
+    reply.get("error")?.get("kind")?.as_str()
+}
+
+/// k identical requests give k − 2 hits: the first sighting stores
+/// nothing, the second stores its reply, and every later one replays it.
+/// Every reply carries its own id and the one-shot BLIF, and every hit is
+/// the storing reply byte for byte.
+#[cfg(unix)]
+#[test]
+fn identical_requests_after_the_second_are_answered_from_the_cache() {
+    let (server, endpoint) = start_unix("cachehits", &ServeConfig::default());
+    let mut client = Client::connect(&endpoint).unwrap();
+    let input = blif::to_string(&dagmap_benchgen::comparator(8)).unwrap();
+    const K: usize = 6;
+    let raws: Vec<String> = (0..K)
+        .map(|i| {
+            let id = format!("k{i}");
+            let call = MapCall {
+                id: Some(&id),
+                ..MapCall::default()
+            };
+            client.call_raw(&map_request(&input, &call)).unwrap()
+        })
+        .collect();
+    let oneshot = one_shot_blif(&input, &Library::lib2_like());
+    let first = dagmap_obs::json::parse(&raws[0]).unwrap();
+    for (i, raw) in raws.iter().enumerate() {
+        let reply = dagmap_obs::json::parse(raw).unwrap();
+        assert_eq!(
+            reply.get("id").and_then(Value::as_str),
+            Some(format!("k{i}").as_str())
+        );
+        assert_eq!(reply.get("blif").and_then(Value::as_str), Some(&*oneshot));
+        assert_eq!(reply.get("delay"), first.get("delay"));
+        assert_eq!(is_cached(&reply), i >= 2, "reply {i}");
+        if i >= 2 {
+            assert_eq!(reply_body(raw), reply_body(&raws[1]), "reply {i}");
+        }
+    }
+
+    let samples = scrape(&mut client);
+    let find = |name: &str| dash::find(&samples, name, &[]);
+    assert_eq!(find("dagmap_reply_cache_hits_total"), Some((K - 2) as f64));
+    assert_eq!(find("dagmap_reply_cache_misses_total"), Some(2.0));
+    assert_eq!(find("dagmap_requests_total"), Some(K as f64));
+    let lib_requests = dash::find(
+        &samples,
+        "dagmap_lib_requests_total",
+        &[("lib", "lib2_like")],
+    );
+    assert_eq!(lib_requests, Some(K as f64));
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+/// Hits are exact on every configuration a map can ask for: hot designs
+/// under both libraries, every algorithm, with and without area recovery.
+#[cfg(unix)]
+#[test]
+fn cached_replies_match_one_shot_mapping_in_every_configuration() {
+    let (server, endpoint) = start_unix("cachematrix", &ServeConfig::default());
+    let mut client = Client::connect(&endpoint).unwrap();
+    let designs = [
+        dagmap_benchgen::alu(4),
+        dagmap_benchgen::comparator(6),
+        dagmap_benchgen::mux_tree(3),
+    ];
+    let algos = [
+        ("dag", MapOptions::dag()),
+        ("tree", MapOptions::tree()),
+        ("dag-extended", MapOptions::dag_extended()),
+    ];
+    for (d, net) in designs.iter().enumerate() {
+        let input = blif::to_string(net).unwrap();
+        for lib in [Library::lib2_like(), Library::lib_44_3_like()] {
+            for (algo, options) in algos {
+                for recover in [false, true] {
+                    let opts = if recover {
+                        options.with_area_recovery()
+                    } else {
+                        options
+                    };
+                    let expected = one_shot_blif_with(&input, &lib, opts);
+                    let call = MapCall {
+                        lib: Some(lib.name()),
+                        algo,
+                        recover,
+                        ..MapCall::default()
+                    };
+                    let what = format!("design {d} {} {algo} recover={recover}", lib.name());
+                    let replies: Vec<Value> = (0..3)
+                        .map(|_| client.call(&map_request(&input, &call)).unwrap())
+                        .collect();
+                    for reply in &replies {
+                        let served = reply.get("blif").and_then(Value::as_str);
+                        assert_eq!(served, Some(&*expected), "{what}: {reply:?}");
+                    }
+                    assert!(is_cached(&replies[2]), "{what}: third request is a hit");
+                }
+            }
+        }
+    }
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+/// A first sighting stores nothing, and traced, retaining and remap
+/// requests neither read nor write the cache.
+#[cfg(unix)]
+#[test]
+fn first_sightings_store_nothing_and_bypassing_requests_never_hit() {
+    let (server, endpoint) = start_unix("cachebypass", &ServeConfig::default());
+    let mut client = Client::connect(&endpoint).unwrap();
+    let input = blif::to_string(&dagmap_benchgen::alu(4)).unwrap();
+    let counts = |client: &mut Client| {
+        let samples = scrape(client);
+        let find = |name: &str| dash::find(&samples, name, &[]).unwrap();
+        (
+            find("dagmap_reply_cache_hits_total"),
+            find("dagmap_reply_cache_misses_total"),
+            find("dagmap_reply_cache_bytes"),
+        )
+    };
+    let plain = map_request(&input, &MapCall::default());
+    assert!(!is_cached(&client.call(&plain).unwrap()));
+    assert_eq!(counts(&mut client), (0.0, 1.0, 0.0), "first sighting");
+    assert!(!is_cached(&client.call(&plain).unwrap()));
+    let (_, _, stored) = counts(&mut client);
+    assert!(stored > 0.0, "the second sighting stores its reply");
+
+    let traced = client
+        .call(&map_request(
+            &input,
+            &MapCall {
+                trace: true,
+                ..MapCall::default()
+            },
+        ))
+        .unwrap();
+    assert!(traced.get("trace").is_some() && !is_cached(&traced));
+    let retained = client
+        .call(&map_request(
+            &input,
+            &MapCall {
+                id: Some("h"),
+                retain: true,
+                ..MapCall::default()
+            },
+        ))
+        .unwrap();
+    assert!(retained.get("handle").is_some() && !is_cached(&retained));
+    let remapped = client
+        .call(&dagmap_serve::remap_request(&input, "h", None, false))
+        .unwrap();
+    assert_eq!(error_kind(&remapped), None, "{remapped:?}");
+    assert!(!is_cached(&remapped));
+    assert_eq!(counts(&mut client), (0.0, 2.0, stored), "bypasses");
+
+    assert!(is_cached(&client.call(&plain).unwrap()));
+    assert_eq!(counts(&mut client), (1.0, 2.0, stored));
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+/// A request the cache could answer is refused like any map while the
+/// daemon drains.
+#[cfg(unix)]
+#[test]
+fn a_hit_arriving_while_the_daemon_drains_is_refused() {
+    let (server, endpoint) = start_unix("cachedrain", &ServeConfig::default());
+    let mut client = Client::connect(&endpoint).unwrap();
+    let input = blif::to_string(&dagmap_benchgen::ripple_adder(4)).unwrap();
+    let plain = map_request(&input, &MapCall::default());
+    for _ in 0..3 {
+        assert_eq!(error_kind(&client.call(&plain).unwrap()), None);
+    }
+    server.request_shutdown();
+    let refused = client.call(&plain).unwrap();
+    assert_eq!(error_kind(&refused), Some("shutting_down"), "{refused:?}");
+    server.wait().unwrap();
+}
+
+/// A cold map logs and observes its parse, verify and writeback times
+/// next to the report's phases; a hit records no phase at all.
+#[cfg(unix)]
+#[test]
+fn cold_maps_time_every_phase_and_hits_time_none() {
+    let log_path = std::env::temp_dir().join(format!(
+        "dagmap-serve-test-{}-phases.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&log_path);
+    let config = ServeConfig {
+        log_requests: Some(log_path.clone()),
+        ..ServeConfig::default()
+    };
+    let (server, endpoint) = start_unix("phases", &config);
+    let mut client = Client::connect(&endpoint).unwrap();
+    let input = blif::to_string(&dagmap_benchgen::comparator(16)).unwrap();
+    for i in 0..3 {
+        let id = format!("p{i}");
+        let call = MapCall {
+            id: Some(&id),
+            ..MapCall::default()
+        };
+        let reply = client.call(&map_request(&input, &call)).unwrap();
+        assert_eq!(is_cached(&reply), i == 2);
+    }
+    // A worker records a request's phases right after writing its reply,
+    // writeback last, so the second cold map's may land after the hit.
+    let count = |samples: &[Sample], phase: &str| {
+        dash::find(samples, &format!("dagmap_phase_{phase}_us_count"), &[])
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut samples = scrape(&mut client);
+    while count(&samples, "writeback") < Some(2.0) && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(5));
+        samples = scrape(&mut client);
+    }
+    for phase in [
+        "parse",
+        "decompose",
+        "label",
+        "cover",
+        "verify",
+        "writeback",
+    ] {
+        assert_eq!(count(&samples, phase), Some(2.0), "{phase}");
+    }
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+
+    let text = std::fs::read_to_string(&log_path).unwrap();
+    let events: BTreeMap<String, Value> = text
+        .lines()
+        .map(|l| {
+            let event = dagmap_obs::json::parse(l).expect("every line is valid JSON");
+            let id = event.get("id").and_then(Value::as_str).unwrap().to_owned();
+            (id, event)
+        })
+        .collect();
+    assert_eq!(events.len(), 3, "{text}");
+    let phases = |id: &str| events[id].get("phases").and_then(Value::as_obj).unwrap();
+    for id in ["p0", "p1"] {
+        for key in [
+            "parse_us",
+            "decompose_us",
+            "label_us",
+            "verify_us",
+            "writeback_us",
+        ] {
+            let us = phases(id).get(key).and_then(Value::as_num);
+            assert!(us.unwrap_or(0.0) > 0.0, "{id} {key}: {text}");
+        }
+    }
+    assert_eq!(
+        events["p2"].get("kind").and_then(Value::as_str),
+        Some("cached")
+    );
+    assert!(phases("p2").is_empty(), "a hit runs no phase: {text}");
+    assert_eq!(events["p2"].get("delay"), events["p0"].get("delay"));
+    let _ = std::fs::remove_file(&log_path);
+}
+
+/// A daemon that has idled accepts a fresh connection at once: the median
+/// connect-and-ping round trip after 50 ms of quiet is well under the
+/// 20 ms an accept loop polling a non-blocking listener could add.
+#[cfg(unix)]
+#[test]
+fn fresh_connections_to_an_idle_daemon_are_accepted_promptly() {
+    let (server, endpoint) = start_unix("idle", &ServeConfig::default());
+    let mut round_trips: Vec<Duration> = (0..7)
+        .map(|_| {
+            thread::sleep(Duration::from_millis(50));
+            let t0 = Instant::now();
+            Client::connect(&endpoint).unwrap().ping().unwrap();
+            t0.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    assert!(round_trips[3] < Duration::from_millis(5), "{round_trips:?}");
+    server.request_shutdown();
+    server.wait().unwrap();
+}
+
+/// Shutdown races a cold map in flight and a client that keeps connecting:
+/// the cold map is answered with its one-shot BLIF, every request the
+/// daemon admitted is answered, `wait` returns and the socket file is gone.
+#[cfg(unix)]
+#[test]
+fn shutdown_racing_a_cold_map_and_a_connecting_client_answers_every_admitted_request() {
+    let log_path = std::env::temp_dir().join(format!(
+        "dagmap-serve-test-{}-race.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&log_path);
+    let config = ServeConfig {
+        workers: 1,
+        log_requests: Some(log_path.clone()),
+        ..ServeConfig::default()
+    };
+    let (server, endpoint) = start_unix("race", &config);
+    let Endpoint::Unix(path) = endpoint.clone() else {
+        unreachable!()
+    };
+    let cold = blif::to_string(&dagmap_benchgen::array_multiplier(8)).unwrap();
+    let small = blif::to_string(&dagmap_benchgen::ripple_adder(3)).unwrap();
+    let mut mapper = Client::connect(&endpoint).unwrap();
+    let call = MapCall {
+        id: Some("cold"),
+        ..MapCall::default()
+    };
+    mapper.send(&map_request(&cold, &call)).unwrap();
+    let mut control = Client::connect(&endpoint).unwrap();
+    while dash::find(&scrape(&mut control), "dagmap_requests_total", &[]) < Some(1.0) {
+        thread::yield_now();
+    }
+
+    let start = Barrier::new(2);
+    let racer_ok = thread::scope(|scope| {
+        let racer = scope.spawn(|| {
+            start.wait();
+            let mut ok = 0;
+            for i in 0..50 {
+                let Ok(mut client) = Client::connect(&endpoint) else {
+                    break;
+                };
+                let id = format!("race{i}");
+                let call = MapCall {
+                    id: Some(&id),
+                    ..MapCall::default()
+                };
+                // A connection accepted after the flag closes unanswered:
+                // its request was never admitted.
+                let Ok(reply) = client.call(&map_request(&small, &call)) else {
+                    continue;
+                };
+                match error_kind(&reply) {
+                    None => ok += 1,
+                    Some(kind) => assert_eq!(kind, "shutting_down", "{reply:?}"),
+                }
+            }
+            ok
+        });
+        start.wait();
+        control.shutdown().unwrap();
+        racer.join().unwrap()
+    });
+    let reply = mapper.recv().expect("the admitted cold map is answered");
+    assert_eq!(
+        reply.get("blif").and_then(Value::as_str),
+        Some(one_shot_blif(&cold, &Library::lib2_like()).as_str()),
+        "{reply:?}"
+    );
+    server.wait().unwrap();
+    assert!(!path.exists(), "socket file removed");
+
+    // Every request logged as served was answered: the cold map and each
+    // success the racing client read.
+    let text = std::fs::read_to_string(&log_path).unwrap();
+    let served = text.lines().filter(|l| l.contains("\"outcome\":\"ok\""));
+    assert_eq!(served.count(), 1 + racer_ok, "{text}");
+    let _ = std::fs::remove_file(&log_path);
+}
+
+/// A client that leaves mid-frame, and one that leaves before its reply is
+/// written, cost the daemon nothing: the next connection pings and maps.
+#[cfg(unix)]
+#[test]
+fn a_client_disconnecting_mid_request_spares_the_daemon() {
+    use std::io::Write as _;
+
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let (server, endpoint) = start_unix("disconnect", &config);
+    let Endpoint::Unix(path) = endpoint.clone() else {
+        unreachable!()
+    };
+    {
+        let mut stream = std::os::unix::net::UnixStream::connect(&path).unwrap();
+        stream
+            .write_all(b"1000\n{\"op\":\"map\",\"blif\":\".mod")
+            .unwrap();
+    }
+    let cold = blif::to_string(&dagmap_benchgen::array_multiplier(6)).unwrap();
+    Client::connect(&endpoint)
+        .unwrap()
+        .send(&map_request(&cold, &MapCall::default()))
+        .unwrap();
+
+    // One worker serves in order, so this reply comes after the worker
+    // wrote the abandoned one into a closed connection.
+    let mut client = Client::connect(&endpoint).unwrap();
+    client.ping().unwrap();
+    let input = blif::to_string(&dagmap_benchgen::ripple_adder(3)).unwrap();
+    let reply = client
+        .call(&map_request(&input, &MapCall::default()))
+        .unwrap();
+    assert_eq!(
+        reply.get("blif").and_then(Value::as_str),
+        Some(one_shot_blif(&input, &Library::lib2_like()).as_str()),
+        "{reply:?}"
+    );
+    let samples = scrape(&mut client);
+    assert_eq!(
+        dash::find(&samples, "dagmap_requests_total", &[]),
+        Some(2.0)
+    );
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+/// One plain-HTTP scrape of the metrics listener.
+fn http_scrape(addr: std::net::SocketAddr) -> Vec<Sample> {
+    use std::io::{Read as _, Write as _};
+
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    write!(stream, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let body = response.split_once("\r\n\r\n").unwrap().1;
+    dash::parse_exposition(body).unwrap()
+}
+
+/// A skewed stream over two libraries from four pipelining clients, with
+/// every telemetry layer on and the metrics listener scraped throughout:
+/// no error or busy frame, a request counter that never decreases and
+/// ends at the stream length (hits included), one log line per request,
+/// and every distinct (circuit, library) reply byte-identical to a
+/// one-shot map.
+#[cfg(unix)]
+#[test]
+fn a_pipelined_request_stream_is_served_exactly_with_live_telemetry() {
+    use dagmap_benchgen::{request_stream, RequestStreamSpec};
+
+    const CLIENTS: usize = 4;
+    const WINDOW: usize = 16;
+    let base =
+        std::env::temp_dir().join(format!("dagmap-serve-test-{}-stream", std::process::id()));
+    let log_path = base.with_extension("jsonl");
+    let tail_dir = base.with_extension("tail");
+    let _ = std::fs::remove_file(&log_path);
+    let _ = std::fs::remove_dir_all(&tail_dir);
+    let config = ServeConfig {
+        workers: 2,
+        // Unlimited admission: the stream must see no busy frame.
+        max_inflight: 0,
+        metrics_addr: Some("127.0.0.1:0".to_owned()),
+        log_requests: Some(log_path.clone()),
+        tail: Some(dagmap_serve::TailConfig::new(tail_dir.clone())),
+        ..ServeConfig::default()
+    };
+    let (server, endpoint) = start_unix("stream", &config);
+    let http = server.metrics_http_addr().unwrap();
+    let libs = [Library::lib2_like(), Library::lib_44_3_like()];
+    let stream = request_stream(&RequestStreamSpec {
+        num_requests: 120,
+        num_libs: libs.len(),
+        ..RequestStreamSpec::default()
+    });
+
+    let stop = AtomicBool::new(false);
+    let start = Barrier::new(CLIENTS + 1);
+    let (scraped, replies) = thread::scope(|scope| {
+        let scraper = scope.spawn(|| {
+            start.wait();
+            let mut seen = Vec::new();
+            while !stop.load(Ordering::SeqCst) {
+                seen.push(dash::find(&http_scrape(http), "dagmap_requests_total", &[]).unwrap());
+            }
+            seen
+        });
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (endpoint, stream, libs, start) = (&endpoint, &stream, &libs, &start);
+                scope.spawn(move || {
+                    let mut client = Client::connect(endpoint).unwrap();
+                    let mine: Vec<_> = stream.iter().skip(c).step_by(CLIENTS).collect();
+                    let mut replies = Vec::new();
+                    let mut outstanding = BTreeMap::new();
+                    let mut recv = |client: &mut Client, outstanding: &mut BTreeMap<_, _>| {
+                        let reply = client.recv().unwrap();
+                        let id = reply.get("id").and_then(Value::as_str).unwrap().to_owned();
+                        let req: &&dagmap_benchgen::ServeRequest =
+                            &outstanding.remove(&id).unwrap();
+                        replies.push((req.circuit.clone(), req.lib_index, reply));
+                    };
+                    start.wait();
+                    for (seq, req) in mine.iter().enumerate() {
+                        if outstanding.len() >= WINDOW {
+                            recv(&mut client, &mut outstanding);
+                        }
+                        let id = format!("c{c}-{seq}");
+                        let call = MapCall {
+                            id: Some(&id),
+                            lib: Some(libs[req.lib_index].name()),
+                            ..MapCall::default()
+                        };
+                        client.send(&map_request(&req.blif, &call)).unwrap();
+                        outstanding.insert(id, *req);
+                    }
+                    while !outstanding.is_empty() {
+                        recv(&mut client, &mut outstanding);
+                    }
+                    replies
+                })
+            })
+            .collect();
+        let replies: Vec<_> = clients
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect();
+        stop.store(true, Ordering::SeqCst);
+        (scraper.join().unwrap(), replies)
+    });
+
+    assert_eq!(replies.len(), stream.len());
+    assert!(!scraped.is_empty(), "no scrape ran during the traffic");
+    assert!(
+        scraped.windows(2).all(|w| w[0] <= w[1]),
+        "requests_total went backwards: {scraped:?}"
+    );
+    let samples = http_scrape(http);
+    let find = |name: &str| dash::find(&samples, name, &[]).unwrap();
+    assert_eq!(find("dagmap_requests_total"), stream.len() as f64);
+    assert_eq!(find("dagmap_errors_total"), 0.0);
+    assert_eq!(find("dagmap_busy_rejects_total"), 0.0);
+    assert!(
+        find("dagmap_reply_cache_hits_total") > 0.0,
+        "the hot set hits"
+    );
+
+    let mut checked = BTreeMap::new();
+    for (circuit, lib, reply) in &replies {
+        assert_eq!(error_kind(reply), None, "{reply:?}");
+        let served = reply.get("blif").and_then(Value::as_str).unwrap();
+        let expected = checked.entry((circuit.clone(), *lib)).or_insert_with(|| {
+            let req = stream
+                .iter()
+                .find(|r| &r.circuit == circuit && r.lib_index == *lib)
+                .unwrap();
+            one_shot_blif(&req.blif, &libs[*lib])
+        });
+        assert_eq!(served, expected.as_str(), "{circuit} under lib {lib}");
+    }
+    let mut control = Client::connect(&endpoint).unwrap();
+    control.shutdown().unwrap();
+    server.wait().unwrap();
+    let logged = std::fs::read_to_string(&log_path).unwrap();
+    assert_eq!(logged.lines().count(), stream.len());
+    let _ = std::fs::remove_file(&log_path);
+    let _ = std::fs::remove_dir_all(&tail_dir);
 }

@@ -149,14 +149,6 @@ cmp target/serve_oneshot.blif target/serve_metrics_served.blif
 # The tail ring keeps every trace at quantile 0, bounded by --tail-keep.
 [ "$(ls target/tier1-tail | wc -l)" -eq 4 ]
 
-# Traffic-driven serve bench in quick mode: ~120 pipelined requests over two
-# libraries; asserts zero errors and a per-pair bit-identity spot check
-# against one-shot mapping.
-cargo run -q --release --offline -p dagmap-bench --bin serveperf -- \
-  --quick --out target/BENCH_serve_smoke.json
-grep -q '"bit_identical": true' target/BENCH_serve_smoke.json
-grep -q '"errors": 0' target/BENCH_serve_smoke.json
-
 # Permutation smoke: c3540 under 44-3 `dag-extended` used to enumerate every
 # pin permutation of every match (11.8M matches, about ten minutes). With the
 # library's symmetric NANDs bound in one fanin order it must map in seconds

@@ -65,7 +65,8 @@ dagmap — delay-optimal technology mapping by DAG covering (DAC 1998)
 usage:
   dagmap map      <in.blif> [options]   map against a gate library
   dagmap serve    [options]             long-lived mapping daemon with warm
-                                        libraries (TCP/unix socket)
+                                        libraries and a reply cache
+                                        (TCP/unix socket)
   dagmap client   [options] [in.blif]   talk to a running daemon
   dagmap top      [options]             live refreshing terminal dashboard
                                         for a running daemon
@@ -157,8 +158,10 @@ client options:
   --algo dag|tree|dag-extended        covering algorithm (default dag)
   --recover                           slack-driven area recovery
   --repeat <n>                        send the map request n times,
-                                      pipelined; --out and the summary use
-                                      the last reply
+                                      pipelined (from the second sighting on,
+                                      the daemon answers from its reply
+                                      cache); --out and the summary use the
+                                      last reply
   --json                              print the raw reply JSON
   --out <f.blif>                      write the mapped netlist as BLIF
 
