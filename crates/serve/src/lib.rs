@@ -16,7 +16,8 @@
 //!   so served results are **bit-identical** to it;
 //! * a threaded accept loop (TCP and unix-socket) feeding a fixed worker
 //!   pool through an MPMC [`queue::JobQueue`] — parallelism is across
-//!   requests, each map itself runs serial;
+//!   requests, each map itself runs serial; a pool of one worker per CPU
+//!   (the default) pins each worker to its own CPU on Linux;
 //! * a reply cache: a `map` reply is a pure function of library,
 //!   algorithm, `recover` and BLIF, so from the second sighting of a
 //!   `(library, BLIF)` pair on, an identical request is answered on its
@@ -57,6 +58,7 @@
 //!
 //! [`Library`]: dagmap_genlib::Library
 
+mod affinity;
 mod cache;
 pub mod client;
 pub mod dash;

@@ -9,7 +9,9 @@
 //! `metrics`, `shutdown`) inline, and so is a `map` the reply cache already
 //! holds; every other `map` and `remap` goes through admission control and
 //! onto the shared [`JobQueue`], where a fixed pool of *worker* threads
-//! drains them. Responses are written under a per-connection mutex, so
+//! drains them. A pool of one worker per CPU the process may use (the
+//! default size) pins each worker to its own CPU on Linux, so two cold
+//! maps never share a CPU while the other serves hits. Responses are written under a per-connection mutex, so
 //! pipelined requests from one client may complete out of order — the `id`
 //! echo is the correlation mechanism.
 //!
@@ -59,6 +61,7 @@ use dagmap_core::{verify, MapOptions, Mapper, RetainedLabels};
 use dagmap_genlib::Library;
 use dagmap_netlist::{blif, SubjectGraph};
 
+use crate::affinity;
 use crate::cache::{request_hash, CachedReply, ReplyCache, ReplyKey, REPLY_CACHE_BYTES};
 use crate::protocol::{self, ErrorKind, MapRequest, RemapRequest, Request};
 use crate::queue::JobQueue;
@@ -1199,12 +1202,19 @@ impl Server {
             })
             .collect::<io::Result<Vec<_>>>()?;
 
+        let allowed = affinity::allowed_cpus();
         let workers = (0..inner.workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
+                let cpu = affinity::worker_cpu(i, inner.workers, &allowed);
                 thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || inner.worker_loop())
+                    .spawn(move || {
+                        if let Some(cpu) = cpu {
+                            affinity::pin_current_thread(cpu);
+                        }
+                        inner.worker_loop()
+                    })
             })
             .collect::<io::Result<Vec<_>>>()?;
 

@@ -131,7 +131,8 @@ serve options:
   --supergates <depth>                extend every served library with
                                       supergates first
   --workers <n>                       mapping worker threads (default: all
-                                      hardware threads)
+                                      hardware threads; one per usable CPU
+                                      pins each to its own CPU on Linux)
   --max-inflight <n>                  admission limit before `busy` replies
                                       (default 256, 0 = unlimited)
   --no-verify                         skip per-request equivalence checks
