@@ -74,12 +74,26 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
 
 /// Writes one frame whose payload is `head` followed by `body`, without
 /// joining the two first: a cached reply's stored body goes out as it is.
+/// Header and payload leave in one vectored write where the writer takes
+/// them whole, so the peer wakes once per frame rather than once for the
+/// header and again for the payload.
 pub(crate) fn write_frame_parts(w: &mut impl Write, head: &str, body: &str) -> io::Result<()> {
     let mut prefix = (head.len() + body.len()).to_string();
     prefix.push('\n');
     prefix.push_str(head);
-    w.write_all(prefix.as_bytes())?;
-    w.write_all(body.as_bytes())?;
+    let mut parts = [
+        io::IoSlice::new(prefix.as_bytes()),
+        io::IoSlice::new(body.as_bytes()),
+    ];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => io::IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -493,6 +507,36 @@ mod tests {
         assert_eq!(
             read_frame(&mut r).unwrap().as_deref(),
             Some("{\"blif\":\"a\\nb\\nc\"}")
+        );
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
+        assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    /// Takes at most 3 bytes per call, through `Write`'s default
+    /// one-slice `write_vectored`.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_survives_a_writer_that_takes_a_few_bytes_at_a_time() {
+        let mut w = Trickle(Vec::new());
+        write_frame_parts(&mut w, "{\"id\":\"r1\"", ",\"ok\":true}").unwrap();
+        write_frame(&mut w, "").unwrap();
+        let mut r = BufReader::new(&w.0[..]);
+        assert_eq!(
+            read_frame(&mut r).unwrap().as_deref(),
+            Some("{\"id\":\"r1\",\"ok\":true}")
         );
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut r).unwrap(), None);
