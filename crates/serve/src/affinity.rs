@@ -5,7 +5,7 @@
 //! connection readers and their clients busy between cold maps, and
 //! without pinning the scheduler at times stacks both cold maps of a
 //! two-CPU host on one CPU — each at half speed — while the other serves
-//! hits, for a second or more before it migrates one. A pool larger or
+//! hits, for up to about a second before it migrates one. A pool larger or
 //! smaller than the CPU set is left to the scheduler: it cannot give every
 //! worker a CPU of its own, or it has spare CPUs to spread onto.
 //!

@@ -11,9 +11,10 @@
 //! onto the shared [`JobQueue`], where a fixed pool of *worker* threads
 //! drains them. A pool of one worker per CPU the process may use (the
 //! default size) pins each worker to its own CPU on Linux, so two cold
-//! maps never share a CPU while the other serves hits. Responses are written under a per-connection mutex, so
-//! pipelined requests from one client may complete out of order — the `id`
-//! echo is the correlation mechanism.
+//! maps never share a CPU while the other serves hits. Responses are
+//! written under a per-connection mutex, so pipelined requests from one
+//! client may complete out of order — the `id` echo is the correlation
+//! mechanism.
 //!
 //! # The reply cache
 //!
